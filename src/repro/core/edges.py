@@ -47,6 +47,7 @@ from repro.tensor.conv_direct import (
     conv_backward_input,
     conv_kernel_gradient,
     correlate_valid,
+    direct_pass_cost,
 )
 from repro.observability.metrics import get_registry
 from repro.observability.profile import get_profiler
@@ -200,9 +201,7 @@ class ConvEdge(RuntimeEdge):
         try:
             return self._forward(image)
         finally:
-            profiler.record_conv(self.name, self.effective_mode, "fwd",
-                                 time.monotonic() - t0, self.src.shape,
-                                 self.spec.kernel, self.sparsity)
+            self._profile(profiler, "fwd", t0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         profiler = get_profiler()
@@ -212,9 +211,7 @@ class ConvEdge(RuntimeEdge):
         try:
             return self._backward(grad)
         finally:
-            profiler.record_conv(self.name, self.effective_mode, "bwd",
-                                 time.monotonic() - t0, self.src.shape,
-                                 self.spec.kernel, self.sparsity)
+            self._profile(profiler, "bwd", t0)
 
     def capture_update(self, optimizer: SGD) -> Callable[[], None]:
         update = self._capture_update(optimizer)
@@ -228,11 +225,22 @@ class ConvEdge(RuntimeEdge):
             try:
                 update()
             finally:
-                profiler.record_conv(
-                    self.name, self.effective_mode, "upd",
-                    time.monotonic() - t0, self.src.shape,
-                    self.spec.kernel, self.sparsity)
+                self._profile(profiler, "upd", t0)
         return profiled_update
+
+    def _profile(self, profiler, op: str, t0: float) -> None:
+        """Record the pass started at *t0* with the analytic cost of
+        the backend that actually ran it (this edge's own FFT plan —
+        padded transform size included — or the direct formula)."""
+        seconds = time.monotonic() - t0
+        mode = self.effective_mode
+        cost = (self.plan.pass_cost() if mode == "fft" else
+                direct_pass_cost(self.src.shape, self.spec.kernel,
+                                 self.sparsity))
+        profiler.record(self.name, mode, op, seconds,
+                        flops=cost["flops"], bytes_moved=cost["bytes"],
+                        image_shape=self.src.shape,
+                        kernel_shape=self.spec.kernel)
 
     # -- transforms -----------------------------------------------------------
 

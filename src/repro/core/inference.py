@@ -35,13 +35,13 @@ per-axis.  2D networks are the ``(1, n, n)`` special case with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.network import Network
 from repro.graph.builders import LayeredSpec, build_layered_network, \
-    pool_to_filter_spec
+    dense_twin_layers, pool_to_filter_spec
 from repro.utils.shapes import Shape3, as_shape3, field_of_view
 from repro.utils.validation import check_array3
 
@@ -109,41 +109,6 @@ def copy_parameters(src: Network, dst: Network) -> int:
     return copied
 
 
-def _dense_layer_stack(spec: str, **builder_kwargs
-                       ) -> List[Tuple[str, Shape3, Shape3]]:
-    """(kind, window, sparsity) stack of the dense-equivalent twin of
-    *spec*, honouring per-axis (anisotropic) kernels/windows and the
-    skip-kernel sparsity compounding of Fig 2.
-
-    An explicit ``sparsity_schedule`` overrides the automatic rule for
-    C layers, exactly as in :func:`build_layered_network`.
-    """
-    schedule = builder_kwargs.pop("sparsity_schedule", None)
-    builder_kwargs.pop("skip_kernels", None)  # the twin always dilates
-    filter_spec = pool_to_filter_spec(spec)
-    parsed = LayeredSpec(filter_spec, skip_kernels=True, **builder_kwargs)
-    explicit = None
-    if schedule is not None:
-        explicit = [as_shape3(s, name="sparsity") for s in schedule]
-        if len(explicit) != parsed.spec.count("C"):
-            raise ValueError(
-                "sparsity_schedule must have one entry per C layer")
-    layers: List[Tuple[str, Shape3, Shape3]] = []
-    sparsity: Shape3 = (1, 1, 1)
-    ci = wi = 0
-    for c in parsed.spec:
-        if c == "C":
-            conv_sparsity = explicit[ci] if explicit is not None else sparsity
-            layers.append(("conv", parsed.kernels[ci], conv_sparsity))
-            ci += 1
-        elif c == "M":
-            w = parsed.windows[wi]
-            layers.append(("filter", w, sparsity))
-            sparsity = tuple(s * wd for s, wd in zip(sparsity, w))  # type: ignore[assignment]
-            wi += 1
-    return layers
-
-
 def dense_network_field_of_view(spec: str, **builder_kwargs) -> Shape3:
     """Per-axis field of view of the dense-equivalent twin of *spec*,
     computed from the layered spec alone (no network build).
@@ -153,7 +118,10 @@ def dense_network_field_of_view(spec: str, **builder_kwargs) -> Shape3:
     (``input = output + fov - 1`` per axis).  Anisotropic kernels,
     windows and sparsity schedules are handled per axis.
     """
-    return field_of_view(_dense_layer_stack(spec, **builder_kwargs))
+    return field_of_view(
+        (layer.kind, layer.window, layer.sparsity)
+        for layer in dense_twin_layers(spec, **builder_kwargs)
+        if layer.window is not None)
 
 
 def pooling_period(spec: str, window=2) -> Shape3:

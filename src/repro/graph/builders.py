@@ -26,15 +26,56 @@ a sliding-window max-pooling ConvNet.  ZNN is more general — sparsity
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.graph.computation_graph import ComputationGraph
 from repro.utils.shapes import Shape3, as_shape3
 
-__all__ = ["LayeredSpec", "build_layered_network", "pool_to_filter_spec"]
+__all__ = ["Layer", "LayeredSpec", "build_layered_network",
+           "dense_twin_layers", "pool_to_filter_spec"]
 
 WidthLike = Union[int, Sequence[int]]
 ShapeLike = Union[int, Sequence[int]]
+
+_EDGE_PREFIX = {"conv": "conv", "transfer": "xfer", "filter": "filt",
+                "pool": "pool", "dropout": "drop"}
+
+
+class Layer(NamedTuple):
+    """One layer of a layered spec, as :meth:`LayeredSpec.layers`
+    yields it — the graph builder, the field-of-view algebra and the
+    serving cost walk all read the network off these."""
+
+    index: int  # 1-based position in the spec string
+    kind: str  # conv | transfer | filter | pool | dropout
+    f_in: int
+    f_out: int
+    #: Kernel of a conv layer, window of a filter/pool layer, else None.
+    window: Optional[Shape3]
+    #: Dilation of this layer's window (accumulated skip-kernel factor).
+    sparsity: Shape3
+
+    def edge_name(self, dst: int, src: Optional[int] = None) -> str:
+        """Name of the edge into node *dst* of this layer (from node
+        *src* of the previous one, for the all-to-all conv layers)."""
+        via = f"{src}_" if self.kind == "conv" else ""
+        return f"{_EDGE_PREFIX[self.kind]}_L{self.index}_{via}{dst}"
+
+    @property
+    def edges(self) -> Tuple[str, ...]:
+        """Every edge name of the layer, in graph-build order."""
+        if self.kind == "conv":
+            return tuple(self.edge_name(j, i) for j in range(self.f_out)
+                         for i in range(self.f_in))
+        return tuple(self.edge_name(j) for j in range(self.f_out))
 
 
 class LayeredSpec:
@@ -104,17 +145,44 @@ class LayeredSpec:
             raise ValueError(f"{name} list must have {n} entries, got {len(seq)}")
         return seq
 
-    def conv_layer_sizes(self) -> List[Tuple[int, int]]:
-        """(f, f') pairs for every C layer, in order."""
-        sizes = []
-        prev = self.input_nodes
-        ci = 0
-        for c in self.spec:
+    def layers(self, sparsity_schedule: Optional[Sequence[ShapeLike]] = None
+               ) -> Iterator[Layer]:
+        """The one walk of the spec string: widths, windows and the
+        skip-kernel sparsity compounding, layer by layer.
+
+        With ``skip_kernels`` each ``M`` layer multiplies the sparsity
+        of everything after it by its window; an explicit
+        *sparsity_schedule* (one entry per C layer) overrides the
+        automatic rule for the convolutions.
+        """
+        explicit = None
+        if sparsity_schedule is not None:
+            explicit = [as_shape3(s, name="sparsity")
+                        for s in sparsity_schedule]
+            if len(explicit) != len(self.widths):
+                raise ValueError(
+                    "sparsity_schedule must have one entry per C layer")
+        width = self.input_nodes
+        sparsity: Shape3 = (1, 1, 1)
+        ci = wi = 0
+        for li, c in enumerate(self.spec, start=1):
             if c == "C":
-                sizes.append((prev, self.widths[ci]))
-                prev = self.widths[ci]
+                yield Layer(li, "conv", width, self.widths[ci],
+                            self.kernels[ci],
+                            explicit[ci] if explicit is not None
+                            else sparsity)
+                width = self.widths[ci]
                 ci += 1
-        return sizes
+            elif c in "MP":
+                w = self.windows[wi]
+                yield Layer(li, "filter" if c == "M" else "pool",
+                            width, width, w, sparsity)
+                if c == "M" and self.skip_kernels:
+                    sparsity = tuple(s * wd for s, wd in zip(sparsity, w))  # type: ignore[assignment]
+                wi += 1
+            else:
+                yield Layer(li, "transfer" if c == "T" else "dropout",
+                            width, width, None, sparsity)
 
 
 def build_layered_network(spec: str, width: WidthLike,
@@ -163,69 +231,31 @@ def build_layered_network(spec: str, width: WidthLike,
                          input_nodes, output_nodes, skip_kernels,
                          dropout_rate, final_transfer)
     graph = ComputationGraph()
-
-    prev_names: List[str] = []
-    for i in range(parsed.input_nodes):
-        node = graph.add_node(f"L0_{i}", layer=0)
-        prev_names.append(node.name)
-
-    explicit = None
-    if sparsity_schedule is not None:
-        explicit = [as_shape3(s, name="sparsity") for s in sparsity_schedule]
-        if len(explicit) != parsed.spec.count("C"):
-            raise ValueError(
-                "sparsity_schedule must have one entry per C layer")
-
-    sparsity: Shape3 = (1, 1, 1)
-    ci = wi = 0
-    for li, c in enumerate(parsed.spec, start=1):
-        new_names: List[str] = []
-        if c == "C":
-            conv_sparsity = (explicit[ci] if explicit is not None
-                             else (sparsity if parsed.skip_kernels else (1, 1, 1)))
-            f_out = parsed.widths[ci]
-            for j in range(f_out):
-                node = graph.add_node(f"L{li}_{j}", layer=li)
-                new_names.append(node.name)
+    prev_names = [graph.add_node(f"L0_{i}", layer=0).name
+                  for i in range(parsed.input_nodes)]
+    last_t = parsed.spec.rfind("T") + 1
+    for layer in parsed.layers(sparsity_schedule):
+        new_names = [graph.add_node(f"L{layer.index}_{j}",
+                                    layer=layer.index).name
+                     for j in range(layer.f_out)]
+        if layer.kind == "conv":
             for j, dst in enumerate(new_names):
-                for ii, src in enumerate(prev_names):
-                    graph.add_edge(f"conv_L{li}_{ii}_{j}", src, dst, "conv",
-                                   kernel=parsed.kernels[ci],
-                                   sparsity=conv_sparsity)
-            ci += 1
-        elif c == "T":
-            is_last_t = li - 1 == parsed.spec.rfind("T")
-            t_name = parsed.final_transfer if is_last_t else parsed.transfer
-            for j, src in enumerate(prev_names):
-                node = graph.add_node(f"L{li}_{j}", layer=li)
-                new_names.append(node.name)
-                graph.add_edge(f"xfer_L{li}_{j}", src, node.name, "transfer",
-                               transfer=t_name)
-        elif c == "M":
-            w = parsed.windows[wi]
-            filt_sparsity = sparsity if parsed.skip_kernels else (1, 1, 1)
-            for j, src in enumerate(prev_names):
-                node = graph.add_node(f"L{li}_{j}", layer=li)
-                new_names.append(node.name)
-                graph.add_edge(f"filt_L{li}_{j}", src, node.name, "filter",
-                               window=w, sparsity=filt_sparsity)
-            if parsed.skip_kernels:
-                sparsity = tuple(s * wd for s, wd in zip(sparsity, w))  # type: ignore[assignment]
-            wi += 1
-        elif c == "P":
-            w = parsed.windows[wi]
-            for j, src in enumerate(prev_names):
-                node = graph.add_node(f"L{li}_{j}", layer=li)
-                new_names.append(node.name)
-                graph.add_edge(f"pool_L{li}_{j}", src, node.name, "pool",
-                               window=w)
-            wi += 1
-        elif c == "D":
-            for j, src in enumerate(prev_names):
-                node = graph.add_node(f"L{li}_{j}", layer=li)
-                new_names.append(node.name)
-                graph.add_edge(f"drop_L{li}_{j}", src, node.name, "dropout",
-                               rate=parsed.dropout_rate)
+                for i, src in enumerate(prev_names):
+                    graph.add_edge(layer.edge_name(j, i), src, dst, "conv",
+                                   kernel=layer.window,
+                                   sparsity=layer.sparsity)
+        else:
+            attrs = {
+                "transfer": {"transfer": parsed.final_transfer
+                             if layer.index == last_t else parsed.transfer},
+                "filter": {"window": layer.window,
+                           "sparsity": layer.sparsity},
+                "pool": {"window": layer.window},
+                "dropout": {"rate": parsed.dropout_rate},
+            }[layer.kind]
+            for j, (src, dst) in enumerate(zip(prev_names, new_names)):
+                graph.add_edge(layer.edge_name(j), src, dst, layer.kind,
+                               **attrs)
         prev_names = new_names
 
     graph.validate()
@@ -241,3 +271,14 @@ def pool_to_filter_spec(spec: str) -> str:
     the overlapping output lattice.
     """
     return spec.upper().replace("P", "M")
+
+
+def dense_twin_layers(spec: str, **builder_kwargs) -> List[Layer]:
+    """Layers of the dense-equivalent twin of *spec* — every ``P``
+    turned into ``M`` and skip-kernels on (the twin always dilates) —
+    from the builder arguments alone, without building a graph."""
+    schedule = builder_kwargs.pop("sparsity_schedule", None)
+    builder_kwargs.pop("skip_kernels", None)
+    parsed = LayeredSpec(pool_to_filter_spec(spec), skip_kernels=True,
+                         **builder_kwargs)
+    return list(parsed.layers(schedule))

@@ -18,10 +18,9 @@ Convolution edges can be expanded in two modes:
   priority, re-done after each update), and per-edge spectral products,
   with node sums accumulated in the spectral domain.
 
-The structure is deliberately *not* a networkx graph: wide networks
-produce hundreds of thousands of tasks and the discrete-event simulator
-needs compact arrays.  :meth:`TaskGraph.to_networkx` converts small
-graphs for analysis and testing.
+The structure is deliberately compact parallel arrays rather than a
+graph-library object: wide networks produce hundreds of thousands of
+tasks and the discrete-event simulator walks them in tight loops.
 
 Priorities follow :mod:`repro.graph.ordering`: forward tasks take the
 head node's position in the distance-to-output ordering, backward tasks
@@ -132,19 +131,6 @@ class TaskGraph:
 
     def validate(self) -> None:
         self.topological_order()
-
-    def to_networkx(self):
-        """Convert to a networkx DiGraph (small graphs / tests only)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for tid, name in enumerate(self.names):
-            g.add_node(name, kind=self.kinds[tid], cost=self.costs[tid],
-                       priority=self.priorities[tid])
-        for tid, succs in enumerate(self.successors):
-            for s in succs:
-                g.add_edge(self.names[tid], self.names[s])
-        return g
 
     def count_kinds(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

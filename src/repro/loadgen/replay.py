@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.analysis.runtime import make_lock
 from repro.loadgen.traces import Trace
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     DeadlineExceeded,
     ServerClosed,
     ServerDraining,

@@ -5,7 +5,7 @@ machine; this module lifts the same event-heap technique one level up,
 to the *serving* tier: open-loop arrivals from a workload trace
 (:mod:`repro.loadgen.traces`), a bounded admission queue with the
 pipeline's priority shed fractions
-(:func:`repro.serving.pipeline.admission_limit`), W parallel workers
+(:func:`repro.serving.lifecycle.admission_limit`), W parallel workers
 with per-request service costs derived from a measured
 ``cost_model.json`` (:mod:`repro.observability.profile`), and an
 optional autoscaler ticking at a fixed control interval.
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.loadgen.autoscale import AutoscalePolicy, ScaleDecision, Signals
 from repro.loadgen.traces import Trace
-from repro.serving.pipeline import admission_limit
+from repro.serving.lifecycle import admission_limit
 
 __all__ = [
     "ServiceModel",

@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,

@@ -9,8 +9,11 @@ decisions must be driven by per-layer timings.
 
 :class:`CostProfiler` aggregates timed samples keyed by
 ``(edge, backend, op)`` — op is ``fwd``/``bwd``/``upd`` — carrying the
-measured seconds plus the analytic FLOPs and bytes for the recorded
-shapes (so the consumer can compute achieved FLOP/s per primitive).
+measured seconds plus the analytic FLOPs and bytes of the pass that
+ran (supplied by the instrumented edge from its own backend — see
+:func:`repro.tensor.conv_direct.direct_pass_cost` and
+:meth:`repro.tensor.conv_fft.FftConvPlan.pass_cost` — so the consumer
+can compute achieved FLOP/s per primitive).
 The result serialises as a versioned ``cost_model.json``
 (:data:`COST_MODEL_SCHEMA`), the input contract of the future
 autotuner.
@@ -36,8 +39,6 @@ __all__ = [
     "CostModelError",
     "get_profiler",
     "set_profiler",
-    "conv_pass_flops",
-    "conv_pass_bytes",
     "validate_cost_model",
     "write_cost_model",
     "load_cost_model",
@@ -50,52 +51,6 @@ COST_MODEL_SCHEMA = "repro.cost_model/v1"
 
 class CostModelError(ValueError):
     """A document failed :func:`validate_cost_model`."""
-
-
-# ---------------------------------------------------------------------------
-# Analytic annotations for the conv primitives.  The formulas live with
-# the primitives themselves (:func:`repro.tensor.conv_direct.
-# direct_pass_cost`, :meth:`repro.tensor.conv_fft.FftConvPlan.
-# pass_cost`); these wrappers just dispatch on the backend string the
-# instrumented edges carry.
-# ---------------------------------------------------------------------------
-
-
-def _conv_pass_cost(op: str, backend: str,
-                    image_shape: Sequence[int],
-                    kernel_shape: Sequence[int],
-                    sparsity: int | Sequence[int] = 1) -> dict:
-    # Imported lazily: repro.tensor pulls in repro.resilience, which
-    # imports this package back — a cycle at module-import time only.
-    from repro.tensor.conv_direct import direct_pass_cost
-    from repro.tensor.conv_fft import FftConvPlan
-
-    if op not in ("fwd", "bwd", "upd"):
-        raise ValueError(f"unknown conv pass {op!r}")
-    if backend == "direct":
-        return direct_pass_cost(image_shape, kernel_shape, sparsity)
-    if backend == "fft":
-        return FftConvPlan(image_shape, kernel_shape, sparsity).pass_cost()
-    raise ValueError(f"unknown conv backend {backend!r}")
-
-
-def conv_pass_flops(op: str, backend: str,
-                    image_shape: Sequence[int],
-                    kernel_shape: Sequence[int],
-                    sparsity: int | Sequence[int] = 1) -> float:
-    """FLOPs of one conv-edge pass at the given shapes (Table II
-    applied to the shapes the edge actually ran)."""
-    return float(_conv_pass_cost(op, backend, image_shape, kernel_shape,
-                                 sparsity)["flops"])
-
-
-def conv_pass_bytes(op: str, backend: str,
-                    image_shape: Sequence[int],
-                    kernel_shape: Sequence[int],
-                    sparsity: int | Sequence[int] = 1) -> float:
-    """Bytes read+written by one conv-edge pass (float64 arrays)."""
-    return float(_conv_pass_cost(op, backend, image_shape, kernel_shape,
-                                 sparsity)["bytes"])
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +147,6 @@ class CostProfiler:
                 entry.image_shape = tuple(int(v) for v in image_shape)
             if kernel_shape is not None:
                 entry.kernel_shape = tuple(int(v) for v in kernel_shape)
-
-    def record_conv(self, edge: str, backend: str, op: str, seconds: float,
-                    image_shape: Sequence[int],
-                    kernel_shape: Sequence[int],
-                    sparsity: int | Sequence[int] = 1) -> None:
-        """Record a conv pass, deriving FLOPs/bytes from the shapes."""
-        if not self.enabled:
-            return
-        self.record(
-            edge, backend, op, seconds,
-            flops=conv_pass_flops(op, backend, image_shape, kernel_shape,
-                                  sparsity),
-            bytes_moved=conv_pass_bytes(op, backend, image_shape,
-                                        kernel_shape, sparsity),
-            image_shape=image_shape, kernel_shape=kernel_shape)
 
     # -- export --------------------------------------------------------
 

@@ -22,13 +22,12 @@ from repro.serving.client import (
 )
 from repro.serving.fleet import FleetRequest, FleetServer, HashRing
 from repro.serving.http import ServingHTTPServer, serve_http
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     ADMISSION_FRACTIONS,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     DeadlineExceeded,
-    InferenceServer,
     PendingRequest,
     ServerClosed,
     ServerDraining,
@@ -36,6 +35,7 @@ from repro.serving.pipeline import (
     ServingError,
     admission_limit,
 )
+from repro.serving.pipeline import InferenceServer
 from repro.serving.registry import ModelRegistry, ModelSpec, WarmModel
 from repro.serving.specialize import (
     CostModel,

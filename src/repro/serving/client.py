@@ -29,12 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     DeadlineExceeded,
-    InferenceServer,
     ServerOverloaded,
     ServingError,
 )
+from repro.serving.pipeline import InferenceServer
 
 __all__ = ["ServingClient", "HttpServingClient", "encode_array",
            "decode_array"]
@@ -88,7 +88,7 @@ def decode_array(payload: bytes) -> np.ndarray:
 class ServingClient:
     """In-process client with overload retry.
 
-    On :class:`~repro.serving.pipeline.ServerOverloaded` the client
+    On :class:`~repro.serving.lifecycle.ServerOverloaded` the client
     sleeps for the server's ``retry_after`` hint (capped at the
     request's remaining deadline budget) and resubmits, up to
     *max_attempts* total submissions; the final rejection propagates so

@@ -39,12 +39,12 @@ worker are reclaimed only after the supervisor has *joined* the
 process — a killed-but-not-yet-dead worker can never scribble into a
 recycled block.
 
-Degradation tiers
+Request lifecycle
 -----------------
-Admission reuses the pipeline's priority fractions
-(:data:`~repro.serving.pipeline.ADMISSION_FRACTIONS`): under overload
-the lowest-priority tenants are shed first, with ``retry_after`` hints
-derived from an EWMA of fleet service time.  With *no* healthy workers
+Validation, tiered admission, deadlines, ``retry_after`` hints, drain
+and accounting are the shared
+:class:`~repro.serving.lifecycle.RequestLifecycle` — the router only
+decides *where* an admitted request waits.  With *no* healthy workers
 (all quarantined mid restart-storm) requests park in an orphan queue
 until a worker returns or their deadlines expire — accepted requests
 are never silently dropped, every one resolves.
@@ -61,21 +61,16 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set
 
 import numpy as np
 
-from repro.analysis.runtime import make_condition
 from repro.memory.shared_pool import SharedMemoryPool
 from repro.observability.metrics import get_registry
-from repro.observability.slo import SLOTracker
 from repro.observability.tracing import flight_note, get_tracer
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     PRIORITY_NORMAL,
-    ADMISSION_FRACTIONS,
     DeadlineExceeded,
     PendingRequest,
+    RequestLifecycle,
     ServerClosed,
-    ServerDraining,
-    ServerOverloaded,
     ServingError,
-    admission_limit,
 )
 from repro.serving.registry import ModelSpec
 from repro.serving.supervisor import (
@@ -156,19 +151,12 @@ class FleetRequest(PendingRequest):
         self.worker: Optional[int] = None
 
 
-#: Router states.
-_STATE_NEW = "new"
-_STATE_OK = "ok"
-_STATE_DRAINING = "draining"
-_STATE_STOPPED = "stopped"
-
-
-class FleetServer:
+class FleetServer(RequestLifecycle):
     """Router over a supervised fleet of serving worker processes.
 
-    Duck-type compatible with
+    Shares :class:`~repro.serving.lifecycle.RequestLifecycle` with
     :class:`~repro.serving.pipeline.InferenceServer` (``submit`` /
-    ``infer`` / ``health`` / ``start`` / ``stop`` / ``begin_drain`` /
+    ``infer`` / ``health`` / ``stop`` / ``begin_drain`` /
     ``wait_drained``), so the HTTP front end and clients work
     unchanged.
 
@@ -198,6 +186,9 @@ class FleetServer:
         per-layer direct/FFT plans applied in every worker (and every
         respawned worker) for the models they target.
     """
+
+    role = "fleet"
+    request_class = FleetRequest
 
     def __init__(self, specs: Iterable[ModelSpec], num_workers: int = 3,
                  max_queue: int = 32, max_batch: int = 4,
@@ -234,15 +225,18 @@ class FleetServer:
         #: output blocks without ever building a network.
         self._fovs = {name: spec.fov
                       for name, spec in self.specs.items()}
+        reg = get_registry()
+        super().__init__(max_queue, "serving.fleet",
+                         depth_gauge=reg.gauge("fleet.queue.depth"),
+                         shed_counter=reg.counter("fleet.requests.shed"))
         self.num_workers = num_workers
-        self.max_queue = max_queue
         self.inflight_per_worker = inflight_per_worker
         self.max_attempts = max_attempts
         self.tile_voxels = tile_voxels
         #: Worker ids currently part of the fleet (scale-up adds,
         #: scale-down removes; distinct from _healthy, which tracks
         #: liveness of active workers).
-        self._active: Set[int] = set(range(num_workers))  # guarded-by: _cond
+        self._active: Set[int] = set()  # guarded-by: _cond
         self.ring = HashRing(range(num_workers))
         self._worker_config = WorkerConfig(
             specs=tuple(self.specs.values()),
@@ -261,69 +255,36 @@ class FleetServer:
             on_worker_down=self._on_worker_down)
         self._pool: Optional[SharedMemoryPool] = None
         self._pool_name = pool_name
-        self._cond = make_condition("serving.fleet")
-        self._state = _STATE_NEW  # guarded-by: _cond
         self._healthy: Set[int] = set()  # guarded-by: _cond
-        self._lanes: Dict[int, Deque[FleetRequest]] = {
-            wid: deque() for wid in range(num_workers)
-        }  # guarded-by: _cond
-        self._inflight: Dict[int, Dict[int, FleetRequest]] = {
-            wid: {} for wid in range(num_workers)
-        }  # guarded-by: _cond
+        self._lanes: Dict[int, Deque[FleetRequest]] = {}  # guarded-by: _cond
+        self._inflight: Dict[int, Dict[int, FleetRequest]] = {}  # guarded-by: _cond
         #: Requests with no healthy worker to go to (yet).
         self._orphans: Deque[FleetRequest] = deque()  # guarded-by: _cond
         #: rid -> (in_block, out_block, out_shape) while dispatched.
         self._blocks: Dict[int, tuple] = {}  # guarded-by: _cond
         self._threads: List[threading.Thread] = []
-        self._ewma_lock = threading.Lock()
-        self._ewma_service = 0.1  # guarded-by: _ewma_lock
-        self._worker_stats: Dict[int, Dict[str, int]] = {
-            wid: {"served": 0, "deadline_missed": 0}
-            for wid in range(num_workers)
-        }  # guarded-by: _cond
-        reg = get_registry()
-        self._m_accepted = reg.counter("serving.requests.accepted")
-        self._m_rejected = reg.counter("serving.requests.rejected")
-        self._m_completed = reg.counter("serving.requests.completed")
-        self._m_failed = reg.counter("serving.requests.failed")
-        self._m_missed = reg.counter("serving.requests.deadline_missed")
-        self._m_depth = reg.gauge("fleet.queue.depth")
+        self._worker_stats: Dict[int, Dict[str, int]] = {}  # guarded-by: _cond
         self._m_dispatched = reg.counter("fleet.requests.dispatched")
         self._m_requeued = reg.counter("fleet.requests.requeued")
-        self._m_shed = reg.counter("fleet.requests.shed")
         self._m_failover = reg.counter("fleet.requests.failover")
-        self._m_worker_served = {
-            wid: reg.counter("fleet.worker.served", worker=str(wid))
-            for wid in range(num_workers)}
-        self._m_worker_inflight = {
-            wid: reg.gauge("fleet.worker.inflight", worker=str(wid))
-            for wid in range(num_workers)}
+        self._m_worker_served: Dict[int, object] = {}
+        self._m_worker_inflight: Dict[int, object] = {}
         self._m_scale_ups = reg.counter("fleet.scale_ups")
         self._m_scale_downs = reg.counter("fleet.scale_downs")
-        self._g_ewma = reg.gauge("serving.service.ewma_seconds",
-                                 role="fleet")
-        self._g_ewma.set(self._ewma_service)
-        self.slo = SLOTracker(registry=reg)
+        for wid in range(num_workers):
+            self._add_worker_locked(wid)
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self, ready_timeout: float = 120.0) -> "FleetServer":
-        with self._cond:
-            if self._state != _STATE_NEW:
-                return self
-            self._state = _STATE_OK
+        if not self._mark_started():
+            return self
         self._pool = SharedMemoryPool(self._pool_name)
         self.supervisor.start()
         for wid in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._dispatch_loop, args=(wid,),
-                name=f"fleet-dispatch-{wid}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        janitor = threading.Thread(target=self._janitor_loop,
-                                   name="fleet-janitor", daemon=True)
-        janitor.start()
-        self._threads.append(janitor)
+            self._spawn_thread(self._dispatch_loop,
+                               f"fleet-dispatch-{wid}", wid)
+        self._spawn_thread(self._janitor_loop, "fleet-janitor")
         if not self.supervisor.wait_ready(timeout=ready_timeout,
                                           min_workers=1):
             self.stop()
@@ -331,196 +292,86 @@ class FleetServer:
                 f"no fleet worker became ready within {ready_timeout}s")
         return self
 
-    def begin_drain(self) -> None:
-        """Stop admitting; everything accepted keeps running to
-        completion on the still-live workers."""
-        with self._cond:
-            if self._state == _STATE_OK:
-                self._state = _STATE_DRAINING
-                self._cond.notify_all()
-        flight_note("fleet draining")
+    # -- lifecycle hooks -----------------------------------------------
 
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        with self._cond:
-            while self._pending_locked():
-                if self._state == _STATE_STOPPED:
-                    break
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(min(remaining, 0.02))
-                else:
-                    self._cond.wait(0.02)
-            return not self._pending_locked()
+    def _fov(self, model: str):
+        try:
+            return self._fovs[model]
+        except KeyError:
+            raise KeyError(
+                f"unknown model {model!r}; registered: "
+                f"{sorted(self.specs)}") from None
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: drain, then stop.  True when every
-        accepted request resolved in time."""
-        self.begin_drain()
-        drained = self.wait_drained(timeout)
-        self.stop()
-        return drained
+    def _model_names(self) -> List[str]:
+        return sorted(self.specs)
 
-    def stop(self) -> None:
-        with self._cond:
-            if self._state == _STATE_STOPPED:
-                return
-            self._state = _STATE_STOPPED
-            leftovers: List[FleetRequest] = list(self._orphans)
-            self._orphans.clear()
-            for lane in self._lanes.values():
-                leftovers.extend(lane)
-                lane.clear()
-            for wid, flights in self._inflight.items():
-                leftovers.extend(flights.values())
-                flights.clear()
-                self._m_worker_inflight[wid].set(0)
-            entries = list(self._blocks.values())
-            self._blocks.clear()
-            self._cond.notify_all()
-        for request in leftovers:
-            self._m_failed.inc()
-            request._resolve(None, ServerClosed(
-                f"fleet stopped before request {request.id} resolved"))
+    def _depth_locked(self) -> int:
+        return (sum(len(lane) for lane in self._lanes.values())
+                + len(self._orphans))
+
+    def _pending_locked(self) -> int:
+        return (self._depth_locked()
+                + sum(len(f) for f in self._inflight.values()))
+
+    def _enqueue_locked(self, request: FleetRequest) -> None:
+        self._route_locked(request)
+        self._cond.notify_all()
+
+    def _take_leftovers_locked(self) -> List[FleetRequest]:
+        leftovers: List[FleetRequest] = list(self._orphans)
+        self._orphans.clear()
+        for lane in self._lanes.values():
+            leftovers.extend(lane)
+            lane.clear()
+        for wid, flights in self._inflight.items():
+            leftovers.extend(flights.values())
+            flights.clear()
+            self._m_worker_inflight[wid].set(0)
+        return leftovers
+
+    def _hint_workers(self) -> int:
+        return len(self.supervisor.healthy_ids())
+
+    def _shutdown(self) -> None:
         self.supervisor.stop()
         # Workers are confirmed dead: reclaiming and unlinking every
         # shared segment is now safe.
+        with self._cond:
+            entries = list(self._blocks.values())
+            self._blocks.clear()
+        for entry in entries:
+            self._release(entry)
         if self._pool is not None:
-            for in_block, out_block, _ in entries:
-                self._pool.deallocate(in_block)
-                self._pool.deallocate(out_block)
             self._pool.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []
 
-    def __enter__(self) -> "FleetServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    # -- admission -----------------------------------------------------
-
-    def submit(self, model: str, volume: np.ndarray,
-               timeout: Optional[float] = None,
-               trace_id: Optional[str] = None,
-               priority: int = PRIORITY_NORMAL) -> FleetRequest:
-        """Admit a request (same contract as
-        :meth:`InferenceServer.submit`, plus cross-worker failover)."""
-        volume = np.asarray(volume, dtype=np.float64)
-        if volume.ndim == 2:
-            volume = volume[np.newaxis, ...]
-        if volume.ndim != 3:
-            raise ValueError(
-                f"volume must be 2D or 3D, got {volume.ndim}D")
-        fov = self._fov(model)  # unknown models fail fast, pre-queue
-        if any(v < f for v, f in zip(volume.shape, fov)):
-            raise ValueError(
-                f"volume {volume.shape} smaller than model "
-                f"{model!r}'s field of view {fov}")
-        limit = admission_limit(priority, self.max_queue)
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        request = FleetRequest(model, volume, deadline,
-                               priority=priority)
-        tracer = get_tracer()
-        if tracer.enabled:
-            request.trace_ctx = tracer.make_context(trace_id)
-            request.trace_id = request.trace_ctx.trace_id
-        draining = False
-        with self._cond:
-            if self._state == _STATE_DRAINING:
-                draining = True
-            elif self._state != _STATE_OK:
-                raise ServerClosed("fleet is stopped")
-            else:
-                depth = self._depth_locked()
-                if depth < limit:
-                    self._route_locked(request)
-                    self._m_accepted.inc()
-                    self._m_depth.set(self._depth_locked())
-                    self._cond.notify_all()
-                    return request
-        # Reject outside the condition (non-reentrant lock; the hint
-        # takes the EWMA lock) — mirrors InferenceServer.submit.
-        if draining:
-            raise ServerDraining(
-                "fleet is draining; submit elsewhere",
-                retry_after=self._hint_for_depth(self.queue_depth))
-        self._m_rejected.inc()
-        if limit < self.max_queue:
-            self._m_shed.inc()
-        raise ServerOverloaded(
-            f"fleet admission queue full for priority {priority} "
-            f"({depth}/{limit} of {self.max_queue}); retry later",
-            retry_after=self._hint_for_depth(depth))
-
-    def infer(self, model: str, volume: np.ndarray,
-              timeout: Optional[float] = None,
-              trace_id: Optional[str] = None,
-              priority: int = PRIORITY_NORMAL) -> np.ndarray:
-        """Blocking convenience: submit and wait for the output."""
-        return self.submit(model, volume, timeout=timeout,
-                           trace_id=trace_id, priority=priority).result()
-
-    @property
-    def queue_depth(self) -> int:
-        with self._cond:
-            return self._depth_locked()
+    def _health_locked(self) -> dict:
+        return {
+            "active_workers": sorted(self._active),
+            "orphaned": len(self._orphans),
+            "healthy": len(self._healthy),
+            "workers": {
+                wid: {"queued": len(self._lanes[wid]),
+                      "inflight": len(self._inflight[wid]),
+                      **self._worker_stats[wid]}
+                for wid in self._lanes},
+        }
 
     def health(self) -> dict:
-        """Fleet health: router state plus per-worker supervisor state
-        (restart counts, quarantine reasons, lane depths)."""
-        with self._cond:
-            state = self._state
-            healthy = set(self._healthy)
-            lane_depths = {wid: len(lane)
-                           for wid, lane in self._lanes.items()}
-            inflight = {wid: len(flights)
-                        for wid, flights in self._inflight.items()}
-            orphans = len(self._orphans)
-            depth = self._depth_locked()
-            stats = {wid: dict(s)
-                     for wid, s in self._worker_stats.items()}
-        if state == _STATE_OK and not healthy:
-            status = "unavailable"
-        elif state == _STATE_OK:
-            status = "ok"
-        elif state == _STATE_DRAINING:
-            status = "draining"
-        else:
-            status = "stopped"
-        workers = self.supervisor.status()
-        for wid_str, info in workers.items():
-            wid = int(wid_str)
-            info["queued"] = lane_depths.get(wid, 0)
-            info["inflight"] = inflight.get(wid, 0)
-            info["served"] = stats[wid]["served"]
-            info["deadline_missed"] = stats[wid]["deadline_missed"]
-        with self._cond:
-            active = sorted(self._active)
-        return {
-            "status": status,
-            "role": "fleet",
-            "models": sorted(self.specs),
-            "active_workers": active,
-            "queue_depth": depth,
-            "orphaned": orphans,
-            "max_queue": self.max_queue,
-            "workers": workers,
-            "admission": {
-                "depth": depth,
-                "capacity": self.max_queue,
-                "limits": {
-                    str(p): admission_limit(p, self.max_queue)
-                    for p in sorted(ADMISSION_FRACTIONS)
-                },
-            },
-        }
+        """Fleet health: the lifecycle document plus per-worker
+        supervisor state (restart counts, quarantine reasons, lane
+        depths).  ``"unavailable"`` means running with no healthy
+        worker."""
+        doc = super().health()
+        if not doc.pop("healthy") and doc["status"] == "ok":
+            doc["status"] = "unavailable"
+        router_view = doc["workers"]
+        doc["workers"] = self.supervisor.status()
+        for wid_str, info in doc["workers"].items():
+            info.update(router_view.get(int(wid_str), {}))
+        return doc
 
     # -- scaling -------------------------------------------------------
 
@@ -563,7 +414,7 @@ class FleetServer:
         added: List[int] = []
         while True:
             with self._cond:
-                if self._state != _STATE_OK:
+                if not self._admitting_locked():
                     raise ServingError(
                         "fleet is not running; cannot scale")
                 current = len(self._active)
@@ -583,26 +434,13 @@ class FleetServer:
 
     def _scale_up_one(self) -> int:
         wid = self.supervisor.add_worker()
-        reg = get_registry()
-        self._m_worker_served[wid] = reg.counter(
-            "fleet.worker.served", worker=str(wid))
-        self._m_worker_inflight[wid] = reg.gauge(
-            "fleet.worker.inflight", worker=str(wid))
         with self._cond:
-            self._lanes[wid] = deque()
-            self._inflight[wid] = {}
-            self._worker_stats[wid] = {"served": 0,
-                                       "deadline_missed": 0}
-            self._active.add(wid)
+            self._add_worker_locked(wid)
             # The ring may include the newcomer before it is ready:
             # _route_locked only lands requests on healthy workers.
             self.ring = HashRing(sorted(self._active),
                                  replicas=self.ring.replicas)
-        thread = threading.Thread(
-            target=self._dispatch_loop, args=(wid,),
-            name=f"fleet-dispatch-{wid}", daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        self._spawn_thread(self._dispatch_loop, f"fleet-dispatch-{wid}", wid)
         self.supervisor.spawn_worker(wid)
         self._m_scale_ups.inc()
         flight_note("fleet scaled up", worker=wid)
@@ -631,7 +469,7 @@ class FleetServer:
         deadline = time.monotonic() + drain_timeout
         with self._cond:
             while (self._inflight[victim]
-                   and self._state != _STATE_STOPPED
+                   and not self._stopped_locked()
                    and time.monotonic() < deadline):
                 self._cond.wait(0.02)
         self.supervisor.retire_worker(victim)
@@ -644,9 +482,7 @@ class FleetServer:
             entries = [self._blocks.pop(r.id, None)
                        for r in leftovers]
         for entry in entries:
-            if entry is not None and self._pool is not None:
-                self._pool.deallocate(entry[0])
-                self._pool.deallocate(entry[1])
+            self._release(entry)
         for request in leftovers:
             self._retry_or_fail(request, ServingError(
                 f"worker {victim} retired before request "
@@ -658,27 +494,23 @@ class FleetServer:
 
     # -- internals -----------------------------------------------------
 
-    def _fov(self, model: str):
-        try:
-            return self._fovs[model]
-        except KeyError:
-            raise KeyError(
-                f"unknown model {model!r}; registered: "
-                f"{sorted(self.specs)}") from None
+    def _add_worker_locked(self, wid: int) -> None:
+        """Wire worker *wid*'s router-side lane, window and metrics."""
+        reg = get_registry()
+        self._lanes[wid] = deque()
+        self._inflight[wid] = {}
+        self._worker_stats[wid] = {"served": 0, "deadline_missed": 0}
+        self._m_worker_served[wid] = reg.counter(
+            "fleet.worker.served", worker=str(wid))
+        self._m_worker_inflight[wid] = reg.gauge(
+            "fleet.worker.inflight", worker=str(wid))
+        self._active.add(wid)
 
-    def _depth_locked(self) -> int:
-        return (sum(len(lane) for lane in self._lanes.values())
-                + len(self._orphans))
-
-    def _pending_locked(self) -> int:
-        return (self._depth_locked()
-                + sum(len(f) for f in self._inflight.values()))
-
-    def _hint_for_depth(self, depth: int) -> float:
-        with self._ewma_lock:
-            service = self._ewma_service
-        workers = max(len(self.supervisor.healthy_ids()), 1)
-        return max(0.05, (depth + 1) * service / workers)
+    def _spawn_thread(self, target, name: str, *args) -> None:
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
+        thread.start()
+        self._threads.append(thread)
 
     def _route_locked(self, request: FleetRequest) -> None:
         """Append *request* to its preferred healthy worker's lane
@@ -702,7 +534,7 @@ class FleetServer:
         while True:
             with self._cond:
                 while True:
-                    if self._state == _STATE_STOPPED:
+                    if self._stopped_locked():
                         return
                     if (wid in self._healthy and self._lanes[wid]
                             and len(self._inflight[wid])
@@ -715,16 +547,11 @@ class FleetServer:
 
     def _dispatch(self, wid: int, request: FleetRequest) -> None:
         now = time.monotonic()
-        if request.deadline is not None and now > request.deadline:
-            self._fail(request, DeadlineExceeded(
-                f"request {request.id} spent "
-                f"{now - request.accepted_at:.3f}s queued, past its "
-                f"deadline"), missed=True)
+        if self._expired(request, now):
             return
         assert self._pool is not None
-        fov = self._fovs[request.model]
-        out_shape = tuple(v - f + 1
-                          for v, f in zip(request.volume.shape, fov))
+        out_shape = tuple(v - f + 1 for v, f in
+                          zip(request.volume.shape, request.fov))
         in_block, in_array = self._pool.allocate_array(
             request.volume.shape)
         in_array[...] = request.volume
@@ -749,17 +576,9 @@ class FleetServer:
             # callback may have already popped the in-flight entry and
             # requeued the request — only the side that wins the pop
             # reroutes, so the request is never dispatched twice.
-            with self._cond:
-                owned = self._inflight[wid].pop(request.id,
-                                                None) is not None
-                entry = (self._blocks.pop(request.id, None)
-                         if owned else None)
-                self._m_worker_inflight[wid].set(
-                    len(self._inflight[wid]))
-            if entry is not None:
-                self._pool.deallocate(entry[0])
-                self._pool.deallocate(entry[1])
-            if owned:
+            owned, entry = self._pop_flight(wid, request.id)
+            self._release(entry)
+            if owned is not None:
                 self._retry_or_fail(request, ServingError(
                     f"worker {wid} unavailable at dispatch"))
             return
@@ -768,12 +587,10 @@ class FleetServer:
     # -- completion (supervisor callbacks) -----------------------------
 
     def _on_message(self, wid: int, message: tuple) -> None:
-        kind = message[0]
-        if kind == "result":
+        if message[0] == "result":
             self._on_result(wid, message[1])
-        elif kind == "error":
-            _, rid, ekind, emsg, retry_after = message
-            self._on_error(wid, rid, ekind, emsg, retry_after)
+        elif message[0] == "error":
+            self._on_error(wid, *message[1:])
 
     def _pop_flight(self, wid: int, rid: int):
         with self._cond:
@@ -788,53 +605,33 @@ class FleetServer:
         if request is None or entry is None:
             # Stale completion (the request was already rerouted or
             # failed); just recycle any blocks still attributed to it.
-            if entry is not None:
-                self._pool.deallocate(entry[0])
-                self._pool.deallocate(entry[1])
+            self._release(entry)
             return
-        in_block, out_block, out_shape = entry
+        _, out_block, out_shape = entry
         result = np.array(out_block.as_array(out_shape), copy=True)
-        self._pool.deallocate(in_block)
-        self._pool.deallocate(out_block)
-        t1 = time.monotonic()
-        service = t1 - (request.dispatched_at or t1)
-        with self._ewma_lock:
-            self._ewma_service = (0.8 * self._ewma_service
-                                  + 0.2 * service)
-            ewma = self._ewma_service
-        self._g_ewma.set(ewma)
+        self._release(entry)
         with self._cond:
             self._worker_stats[wid]["served"] += 1
-        self._m_completed.inc()
         self._m_worker_served[wid].inc()
-        self.slo.observe(
-            (request.dispatched_at or t1) - request.accepted_at,
-            service, t1 - request.accepted_at,
-            deadline_met=(True if request.deadline is not None
-                          else None))
-        self._record_spans(request, wid, status="ok")
-        request._resolve(result, None)
+        self._record_dispatch_span(request)
+        self._complete(request, result, request.dispatched_at)
 
     def _on_error(self, wid: int, rid: int, ekind: str, emsg: str,
                   retry_after: float) -> None:
         request, entry = self._pop_flight(wid, rid)
-        if entry is not None:
-            self._pool.deallocate(entry[0])
-            self._pool.deallocate(entry[1])
+        self._release(entry)
         if request is None:
             return
         error = error_from_kind(ekind, emsg, retry_after)
-        if ekind == "deadline":
-            self._fail(request, error, missed=True, worker=wid)
-        elif ekind in ("unknown-model", "bad-request"):
-            self._fail(request, error, worker=wid)
+        if ekind in ("deadline", "unknown-model", "bad-request"):
+            self._fail(request, error, missed=ekind == "deadline")
         else:
             # Transient worker-side failure: spend a failover attempt.
             self._retry_or_fail(request, error)
 
     def _on_worker_up(self, wid: int) -> None:
         with self._cond:
-            if self._state == _STATE_STOPPED:
+            if self._stopped_locked():
                 return
             self._healthy.add(wid)
             orphans = list(self._orphans)
@@ -856,9 +653,7 @@ class FleetServer:
             entries = [self._blocks.pop(r.id, None) for r in flights]
             self._cond.notify_all()
         for entry in entries:
-            if entry is not None and self._pool is not None:
-                self._pool.deallocate(entry[0])
-                self._pool.deallocate(entry[1])
+            self._release(entry)
         flight_note("fleet rerouting after worker death", worker=wid,
                     reason=reason, queued=len(queued),
                     inflight=len(flights))
@@ -867,7 +662,7 @@ class FleetServer:
             self._retry_or_fail(request, ServingError(
                 f"worker {wid} died mid-request: {reason}"))
         with self._cond:
-            if self._state != _STATE_STOPPED:
+            if not self._stopped_locked():
                 for request in queued:
                     # Never dispatched there — reroute without
                     # touching the attempt budget.
@@ -889,12 +684,9 @@ class FleetServer:
                 f"{request.attempts} attempt(s): {error}"))
             return
         with self._cond:
-            if self._state == _STATE_STOPPED:
-                stopped = True
-            else:
-                stopped = False
-                self._route_locked(request)
-                self._cond.notify_all()
+            stopped = self._stopped_locked()
+            if not stopped:
+                self._enqueue_locked(request)
         if stopped:
             self._fail(request, ServerClosed(
                 f"fleet stopped before request {request.id} resolved"))
@@ -902,40 +694,29 @@ class FleetServer:
             self._m_requeued.inc()
 
     def _fail(self, request: FleetRequest, error: BaseException,
-              missed: bool = False,
-              worker: Optional[int] = None) -> None:
-        self._m_failed.inc()
-        if missed:
-            self._m_missed.inc()
-            wid = worker if worker is not None else request.worker
-            if wid is not None:
-                with self._cond:
-                    self._worker_stats[wid]["deadline_missed"] += 1
-            self.slo.observe(
-                time.monotonic() - request.accepted_at, None, None,
-                deadline_met=False)
-        self._record_spans(
-            request, worker if worker is not None else request.worker,
-            status="deadline_exceeded" if missed else "error")
-        request._resolve(None, error)
+              missed: bool = False) -> None:
+        if missed and request.worker is not None:
+            with self._cond:
+                self._worker_stats[request.worker]["deadline_missed"] += 1
+        self._record_dispatch_span(request)
+        super()._fail(request, error, missed=missed)
 
-    def _record_spans(self, request: FleetRequest,
-                      wid: Optional[int], status: str) -> None:
+    def _record_dispatch_span(self, request: FleetRequest) -> None:
         tracer = get_tracer()
-        if not tracer.enabled or request.trace_ctx is None:
-            return
-        if request.dispatched_at is not None:
+        if (tracer.enabled and request.trace_ctx is not None
+                and request.dispatched_at is not None):
             tracer.record(
                 "fleet.dispatch",
                 tracer.from_monotonic(request.dispatched_at),
                 tracer.now(), category="serving",
-                parent=request.trace_ctx, worker=wid,
+                parent=request.trace_ctx, worker=request.worker,
                 attempt=request.attempts, request=request.id)
-        tracer.record("request",
-                      tracer.from_monotonic(request.accepted_at),
-                      tracer.now(), category="serving",
-                      context=request.trace_ctx, status=status,
-                      model=request.model, request=request.id)
+
+    def _release(self, entry: Optional[tuple]) -> None:
+        """Recycle a dispatched request's (input, output) blocks."""
+        if entry is not None and self._pool is not None:
+            self._pool.deallocate(entry[0])
+            self._pool.deallocate(entry[1])
 
     # -- background hygiene --------------------------------------------
 
@@ -947,7 +728,7 @@ class FleetServer:
             now = time.monotonic()
             expired: List[FleetRequest] = []
             with self._cond:
-                if self._state == _STATE_STOPPED:
+                if self._stopped_locked():
                     return
                 for lane in list(self._lanes.values()) + [self._orphans]:
                     keep: Deque[FleetRequest] = deque()

@@ -12,7 +12,9 @@ Wire protocol (see :mod:`repro.serving.client` for the client side):
   200 with the dense output as npy;
 * overload → **503** with a ``Retry-After`` header (seconds);
 * deadline missed in queue → **504**;
-* unknown model → **404**; malformed volume/params → **400**;
+* unknown model → **404**; malformed volume/params, or an unparseable
+  ``Content-Length`` → **400**; a body over :data:`MAX_BODY_BYTES` →
+  **413**, answered without reading it;
 * ``GET /healthz`` → JSON status, model list and queue depth;
 * ``GET /metrics`` → JSON snapshot of the process metrics registry, or
   the Prometheus text exposition when the ``Accept`` header asks for
@@ -34,15 +36,19 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.observability.export import metrics_snapshot, prometheus_text
 from repro.serving.client import decode_array, encode_array
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     DeadlineExceeded,
-    InferenceServer,
     ServerClosed,
     ServerDraining,
     ServerOverloaded,
 )
+from repro.serving.pipeline import InferenceServer
 
-__all__ = ["ServingHTTPServer", "serve_http"]
+__all__ = ["MAX_BODY_BYTES", "ServingHTTPServer", "serve_http"]
+
+#: Largest request body read off the wire: a 512^3 float64 volume plus
+#: its npy header.  Larger volumes are a job for the in-process API.
+MAX_BODY_BYTES = 8 * 512 ** 3 + 4096
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -128,7 +134,20 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_text(
                     400, f"bad priority: {query['priority'][0]!r}")
                 return
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_error_text(
+                400 if length < 0 else 413,
+                f"Content-Length must be an integer in "
+                f"[0, {MAX_BODY_BYTES}], got "
+                f"{self.headers.get('Content-Length')!r}",
+                {"Connection": "close"})
+            return
         try:
             volume = decode_array(self.rfile.read(length))
         except Exception as exc:

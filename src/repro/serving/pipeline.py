@@ -1,14 +1,9 @@
 """Request pipeline: bounded admission, micro-batching, backpressure.
 
-The serving pipeline is deliberately small and explicit:
-
-* **Bounded admission queue.**  :meth:`InferenceServer.submit` either
-  accepts a request into a bounded FIFO or *rejects it immediately*
-  with :class:`ServerOverloaded`, carrying a ``retry_after`` hint
-  derived from the queue depth and an EWMA of recent service times.
-  Rejecting at admission is the backpressure contract: a client always
-  learns the fate of its request — nothing is silently dropped, even
-  on shutdown (pending requests are failed with :class:`ServerClosed`).
+:class:`InferenceServer` is the in-process front end.  What happens to
+a request between ``submit()`` and resolution is the shared
+:class:`~repro.serving.lifecycle.RequestLifecycle`; this module adds
+where requests wait (one bounded FIFO) and who runs them:
 
 * **Micro-batching.**  A worker dequeues the oldest request, then
   opportunistically drags along up to ``max_batch - 1`` younger
@@ -22,39 +17,17 @@ The serving pipeline is deliberately small and explicit:
   engine metrics (busy/idle seconds, task families) cover serving for
   free.
 
-* **Deadlines.**  A request may carry a timeout; if it is still queued
-  when its deadline passes, the worker fails it with
-  :class:`DeadlineExceeded` instead of wasting compute on an answer
-  nobody is waiting for.
-
 * **Retries.**  An optional :class:`repro.resilience.RetryPolicy`
   re-runs a failed request body (fresh attempt, same warm model) with
   the policy's backoff before the error is surfaced to the client.
 
-* **Tiered load shedding.**  Requests carry a priority (0 = high,
-  1 = normal, 2 = low).  Each tier may only fill a fraction of the
-  admission queue (:data:`ADMISSION_FRACTIONS`), so under sustained
-  overload the lowest-priority tenants are rejected first while
-  high-priority traffic still finds queue space.
-
-* **Graceful drain.**  :meth:`InferenceServer.begin_drain` stops
-  admitting (new submissions fail with :class:`ServerDraining`, which
-  clients must *not* retry against this server) while queued and
-  in-flight requests keep running; :meth:`InferenceServer.drain` then
-  waits for the queue to empty before stopping — zero accepted
-  requests are dropped by a drain.
-
-Everything is observable: ``serving.queue.depth``,
-``serving.requests.{accepted,rejected,shed,completed,failed,
-deadline_missed,retried}``, and latency histograms
-``serving.queue_wait_seconds``, ``serving.run_seconds``,
-``serving.latency_seconds``, ``serving.batch_size``.
+Observable on top of the lifecycle's counters: ``serving.queue.depth``,
+``serving.requests.{shed,retried,specialized}`` and the histograms
+``serving.{queue_wait,run,latency}_seconds``, ``serving.batch_size``.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import threading
 import time
 from collections import deque
@@ -62,147 +35,18 @@ from typing import Deque, List, Optional
 
 import numpy as np
 
-from repro.analysis.runtime import make_condition, make_lock
 from repro.observability.metrics import get_registry
-from repro.observability.slo import SLOTracker
 from repro.observability.tracing import get_tracer
 from repro.resilience.retry import RetryPolicy
 from repro.scheduler.engine import TaskEngine
+from repro.serving.lifecycle import PendingRequest, RequestLifecycle
 from repro.serving.registry import ModelRegistry
 from repro.serving.tiler import DEFAULT_TILE_VOXELS, plan_volume
 
-__all__ = [
-    "ServingError",
-    "ServerOverloaded",
-    "ServerClosed",
-    "ServerDraining",
-    "DeadlineExceeded",
-    "PendingRequest",
-    "InferenceServer",
-    "PRIORITY_HIGH",
-    "PRIORITY_NORMAL",
-    "PRIORITY_LOW",
-    "ADMISSION_FRACTIONS",
-    "admission_limit",
-]
-
-#: Request priority tiers.  Lower value = more important.  Under
-#: overload the *highest-numbered* tiers are shed first.
-PRIORITY_HIGH = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-
-#: Fraction of the admission queue each priority tier may fill.  A
-#: tier-p submission is shed once the queue depth reaches
-#: ``max_queue * ADMISSION_FRACTIONS[p]`` — so when the queue is half
-#: full, low-priority tenants are already rejected while normal and
-#: high traffic still gets in.
-ADMISSION_FRACTIONS = {
-    PRIORITY_HIGH: 1.0,
-    PRIORITY_NORMAL: 0.85,
-    PRIORITY_LOW: 0.5,
-}
+__all__ = ["InferenceServer"]
 
 
-def admission_limit(priority: int, max_queue: int) -> int:
-    """Queue depth at which tier-*priority* submissions are shed.
-
-    Rounds up: on small queues a 0.85 fraction must not cost the
-    normal tier a slot it would have had before tiers existed.
-    """
-    try:
-        fraction = ADMISSION_FRACTIONS[priority]
-    except KeyError:
-        raise ValueError(
-            f"priority must be one of {sorted(ADMISSION_FRACTIONS)}, "
-            f"got {priority!r}") from None
-    return max(1, math.ceil(max_queue * fraction))
-
-
-class ServingError(Exception):
-    """Base class for serving-layer failures."""
-
-
-class ServerOverloaded(ServingError):
-    """The admission queue is full; retry after ``retry_after`` seconds.
-
-    This is backpressure, not failure: the request was never accepted,
-    so the client may safely resubmit.
-    """
-
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class ServerClosed(ServingError):
-    """The server was stopped; the request was not (or will not be) run."""
-
-
-class ServerDraining(ServerClosed):
-    """The server is draining for shutdown: it no longer admits new
-    requests (in-flight ones still finish).  A subclass of
-    :class:`ServerClosed` so clients treat it as terminal for this
-    server rather than retrying against it.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class DeadlineExceeded(ServingError):
-    """The request's deadline passed while it waited in the queue."""
-
-
-class PendingRequest:
-    """Handle for one accepted request; resolves to a dense output."""
-
-    _ids = itertools.count(1)
-
-    def __init__(self, model: str, volume: np.ndarray,
-                 deadline: Optional[float],
-                 priority: int = PRIORITY_NORMAL) -> None:
-        self.id = next(self._ids)
-        self.model = model
-        self.volume = volume
-        #: Absolute monotonic deadline, or None.
-        self.deadline = deadline
-        #: Admission tier (see :data:`ADMISSION_FRACTIONS`).
-        self.priority = priority
-        self.accepted_at = time.monotonic()
-        #: Root span context of the request's trace (set at admission
-        #: when tracing is on; every tile/task span descends from it).
-        self.trace_ctx = None
-        #: The request's trace id as a string ("" when tracing is off)
-        #: — what the HTTP layer echoes back as ``X-Trace-Id``.
-        self.trace_id = ""
-        self._done = threading.Event()
-        self._result: Optional[np.ndarray] = None
-        self._error: Optional[BaseException] = None
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until the request resolves; return the dense output or
-        raise the failure."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"request {self.id} not done within {timeout}s")
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-    def _resolve(self, result: Optional[np.ndarray],
-                 error: Optional[BaseException]) -> None:
-        self._result = result
-        self._error = error
-        self._done.set()
-
-
-class InferenceServer:
+class InferenceServer(RequestLifecycle):
     """Bounded-queue, micro-batching dense-inference server.
 
     Parameters
@@ -222,49 +66,30 @@ class InferenceServer:
         Input-tile voxel budget handed to the tiling planner.
     retry_policy:
         Optional per-request :class:`repro.resilience.RetryPolicy`.
-
-    Use as a context manager to guarantee :meth:`stop`.
     """
 
     def __init__(self, registry: ModelRegistry, num_workers: int = 2,
                  max_queue: int = 16, max_batch: int = 4,
                  tile_voxels: int = DEFAULT_TILE_VOXELS,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        reg = get_registry()
+        super().__init__(max_queue, "serving.pipeline",
+                         depth_gauge=reg.gauge("serving.queue.depth"),
+                         shed_counter=reg.counter("serving.requests.shed"))
         self.registry = registry
         self.num_workers = num_workers
-        self.max_queue = max_queue
         self.max_batch = max_batch
         self.tile_voxels = tile_voxels
         self.retry_policy = retry_policy
-        self._cond = make_condition("serving.pipeline")
         self._queue: Deque[PendingRequest] = deque()  # guarded-by: _cond
-        self._closed = False  # guarded-by: _cond
-        self._draining = False  # guarded-by: _cond
         self._inflight = 0  # guarded-by: _cond
-        self._started = False  # guarded-by: _cond
         self._engine: Optional[TaskEngine] = None
         #: Test/ops hook: clear to pause dequeuing (admission still
         #: runs, so queue-full behaviour becomes deterministic).
         self.gate = threading.Event()
         self.gate.set()
-        # EWMA of per-request service seconds, for retry_after hints.
-        self._ewma_lock = make_lock("serving.ewma")
-        self._ewma_service = 0.1  # guarded-by: _ewma_lock
-        reg = get_registry()
-        self._g_ewma = reg.gauge("serving.service.ewma_seconds",
-                                 role="server")
-        self._g_ewma.set(self._ewma_service)
-        self._m_depth = reg.gauge("serving.queue.depth")
-        self._m_accepted = reg.counter("serving.requests.accepted")
-        self._m_rejected = reg.counter("serving.requests.rejected")
-        self._m_shed = reg.counter("serving.requests.shed")
-        self._m_completed = reg.counter("serving.requests.completed")
-        self._m_failed = reg.counter("serving.requests.failed")
-        self._m_missed = reg.counter("serving.requests.deadline_missed")
         self._m_retried = reg.counter("serving.requests.retried")
         self._m_specialized = reg.counter("serving.requests.specialized")
         self._h_queue_wait = reg.histogram("serving.queue_wait_seconds")
@@ -272,208 +97,48 @@ class InferenceServer:
         self._h_latency = reg.histogram("serving.latency_seconds")
         self._h_batch = reg.histogram(
             "serving.batch_size", buckets=[1, 2, 4, 8, 16])
-        #: SLO accounting (docs/observability.md): admission-wait /
-        #: service / e2e quantiles + deadline attainment.
-        self.slo = SLOTracker(registry=reg)
-
-    # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "InferenceServer":
-        with self._cond:
-            if self._started:
-                return self
-            self._started = True
-        self._engine = TaskEngine(num_workers=self.num_workers).start()
-        for index in range(self.num_workers):
-            self._engine.spawn(self._worker_loop,
-                               name=f"serve:worker-{index}")
+        if self._mark_started():
+            self._engine = TaskEngine(num_workers=self.num_workers).start()
+            for index in range(self.num_workers):
+                self._engine.spawn(self._worker_loop,
+                                   name=f"serve:worker-{index}")
         return self
 
-    def stop(self) -> None:
-        """Stop workers and *fail* (not drop) everything still queued."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._queue)
-            self._queue.clear()
-            self._m_depth.set(0)
-            self._cond.notify_all()
-        for request in pending:
-            self._m_failed.inc()
-            request._resolve(None, ServerClosed(
-                f"server stopped before request {request.id} ran"))
+    # -- lifecycle hooks -----------------------------------------------
+
+    def _fov(self, model: str):
+        return self.registry.fov(model)
+
+    def _model_names(self) -> List[str]:
+        return self.registry.model_names()
+
+    def _depth_locked(self) -> int:
+        return len(self._queue)
+
+    def _pending_locked(self) -> int:
+        return len(self._queue) + self._inflight
+
+    def _enqueue_locked(self, request: PendingRequest) -> None:
+        self._queue.append(request)
+        self._cond.notify()
+
+    def _take_leftovers_locked(self) -> List[PendingRequest]:
+        pending = list(self._queue)
+        self._queue.clear()
+        return pending
+
+    def _health_locked(self) -> dict:
+        return {"inflight": self._inflight, "workers": self.num_workers}
+
+    def _hint_workers(self) -> int:
+        return self.num_workers
+
+    def _shutdown(self) -> None:
         if self._engine is not None:
             self._engine.shutdown()
             self._engine = None
-
-    def begin_drain(self) -> None:
-        """Stop admitting; queued and in-flight requests keep running.
-
-        New submissions fail with :class:`ServerDraining` and
-        :meth:`health` reports ``"draining"`` (the HTTP layer turns
-        that into 503 so load balancers stop routing here).
-        """
-        with self._cond:
-            self._draining = True
-            self._cond.notify_all()
-
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        """Block until nothing is queued or in flight (or *timeout*
-        passes).  Returns True when fully drained."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        with self._cond:
-            while self._queue or self._inflight:
-                if self._closed:
-                    break
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(min(remaining, 0.02))
-                else:
-                    self._cond.wait(0.02)
-            return not self._queue and not self._inflight
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop admitting, finish everything that
-        was accepted, then stop.  Returns True when every accepted
-        request resolved before *timeout* (leftovers are failed with
-        :class:`ServerClosed` by :meth:`stop`, never dropped)."""
-        self.begin_drain()
-        drained = self.wait_drained(timeout)
-        self.stop()
-        return drained
-
-    def __enter__(self) -> "InferenceServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    # -- admission -----------------------------------------------------
-
-    def retry_after_hint(self) -> float:
-        """Suggested client backoff: time for the current queue to
-        drain through the worker pool at recent service speed."""
-        with self._cond:
-            depth = len(self._queue)
-        return self._hint_for_depth(depth)
-
-    def _hint_for_depth(self, depth: int) -> float:
-        """The backoff hint for a known queue depth.  Touches only the
-        EWMA lock, so callers may hold (or not hold) the queue lock."""
-        with self._ewma_lock:
-            service = self._ewma_service
-        return max(0.05, (depth + 1) * service / max(self.num_workers, 1))
-
-    def submit(self, model: str, volume: np.ndarray,
-               timeout: Optional[float] = None,
-               trace_id: Optional[str] = None,
-               priority: int = PRIORITY_NORMAL) -> PendingRequest:
-        """Admit a request or reject it with :class:`ServerOverloaded`.
-
-        *timeout* (seconds) becomes the request's deadline: if it is
-        still queued when the deadline passes it fails with
-        :class:`DeadlineExceeded`.  *trace_id* adopts a caller-supplied
-        trace (the HTTP layer's ``X-Trace-Id``); with tracing enabled
-        and no id given, a fresh trace is started per request.
-        *priority* selects the admission tier: low-priority requests
-        are shed at a lower queue depth than high-priority ones.
-        """
-        volume = np.asarray(volume, dtype=np.float64)
-        if volume.ndim == 2:
-            volume = volume[np.newaxis, ...]
-        if volume.ndim != 3:
-            raise ValueError(
-                f"volume must be 2D or 3D, got {volume.ndim}D")
-        limit = admission_limit(priority, self.max_queue)
-        self.registry.spec(model)  # unknown models fail fast, pre-queue
-        deadline = None if timeout is None else time.monotonic() + timeout
-        request = PendingRequest(model, volume, deadline,
-                                 priority=priority)
-        tracer = get_tracer()
-        if tracer.enabled:
-            request.trace_ctx = tracer.make_context(trace_id)
-            request.trace_id = request.trace_ctx.trace_id
-        draining = False
-        with self._cond:
-            if self._draining and not self._closed:
-                draining = True
-            elif self._closed:
-                raise ServerClosed("server is stopped")
-            else:
-                depth = len(self._queue)
-                if depth < limit:
-                    self._queue.append(request)
-                    self._m_depth.set(len(self._queue))
-                    self._m_accepted.inc()
-                    self._cond.notify()
-                    return request
-        # Rejection happens outside the queue lock: the hint touches the
-        # EWMA lock, and re-entering self._cond here would deadlock a
-        # non-reentrant lock (the default Condition's RLock masked this).
-        if draining:
-            raise ServerDraining(
-                "server is draining; submit elsewhere",
-                retry_after=self._hint_for_depth(self.queue_depth))
-        self._m_rejected.inc()
-        if limit < self.max_queue:
-            # Sheddable tier rejected below full capacity: count it as
-            # deliberate tiered load shedding, not plain overload.
-            self._m_shed.inc()
-        raise ServerOverloaded(
-            f"admission queue full for priority {priority} "
-            f"({depth}/{limit} of {self.max_queue}); retry later",
-            retry_after=self._hint_for_depth(depth))
-
-    def infer(self, model: str, volume: np.ndarray,
-              timeout: Optional[float] = None,
-              trace_id: Optional[str] = None,
-              priority: int = PRIORITY_NORMAL) -> np.ndarray:
-        """Blocking convenience: submit and wait for the dense output."""
-        return self.submit(model, volume, timeout=timeout,
-                           trace_id=trace_id, priority=priority).result()
-
-    @property
-    def queue_depth(self) -> int:
-        with self._cond:
-            return len(self._queue)
-
-    def health(self) -> dict:
-        """Robustness-aware health snapshot (what ``/healthz`` serves).
-
-        ``status`` is ``"ok"``, ``"draining"`` or ``"stopped"``; the
-        admission block reports depth against both total capacity and
-        each priority tier's shed threshold.
-        """
-        with self._cond:
-            if self._closed:
-                status = "stopped"
-            elif self._draining:
-                status = "draining"
-            else:
-                status = "ok"
-            depth = len(self._queue)
-            inflight = self._inflight
-        return {
-            "status": status,
-            "role": "server",
-            "models": self.registry.model_names(),
-            "queue_depth": depth,
-            "inflight": inflight,
-            "max_queue": self.max_queue,
-            "workers": self.num_workers,
-            "admission": {
-                "depth": depth,
-                "capacity": self.max_queue,
-                "limits": {
-                    str(p): admission_limit(p, self.max_queue)
-                    for p in sorted(ADMISSION_FRACTIONS)
-                },
-            },
-        }
 
     # -- workers -------------------------------------------------------
 
@@ -485,9 +150,9 @@ class InferenceServer:
         does not notify the condition)."""
         with self._cond:
             while ((not self._queue or not self.gate.is_set())
-                   and not self._closed):
+                   and not self._stopped_locked()):
                 self._cond.wait(0.02)
-            if self._closed:
+            if self._stopped_locked():
                 return None
             head = self._queue.popleft()
             batch = [head]
@@ -520,69 +185,32 @@ class InferenceServer:
 
     def _serve_one(self, request: PendingRequest) -> None:
         now = time.monotonic()
-        queue_wait = now - request.accepted_at
-        self._h_queue_wait.observe(queue_wait)
+        self._h_queue_wait.observe(now - request.accepted_at)
         tracer = get_tracer()
-        traced = tracer.enabled and request.trace_ctx is not None
-        if traced:
+        if tracer.enabled and request.trace_ctx is not None:
             tracer.record("admission.wait",
                           tracer.from_monotonic(request.accepted_at),
                           tracer.from_monotonic(now),
                           category="serving", parent=request.trace_ctx,
                           request=request.id)
-        if request.deadline is not None and now > request.deadline:
-            self._m_missed.inc()
-            self._m_failed.inc()
-            self.slo.observe(queue_wait, None, None, deadline_met=False)
-            request._resolve(None, DeadlineExceeded(
-                f"request {request.id} spent "
-                f"{queue_wait:.3f}s queued, past its deadline"))
-            if traced:
-                self._record_request_span(tracer, request,
-                                          status="deadline_exceeded")
+        if self._expired(request, now):
             return
         t0 = time.monotonic()
-        if traced:
+        try:
             with tracer.activate(request.trace_ctx):
                 with tracer.span("serve", category="serving",
-                                 model=request.model,
-                                 request=request.id) as span:
+                                 model=request.model, request=request.id):
                     result = self._run_request(request)
-                    if result is None:
-                        span.fail()
-        else:
-            result = self._run_request(request)
-        if result is None:  # failure already resolved by _run_request
-            if traced:
-                self._record_request_span(tracer, request, status="error")
+        except Exception as exc:
+            self._fail(request, exc)
             return
         t1 = time.monotonic()
         self._h_run.observe(t1 - t0)
         self._h_latency.observe(t1 - request.accepted_at)
-        self.slo.observe(queue_wait, t1 - t0, t1 - request.accepted_at,
-                         deadline_met=True if request.deadline is not None
-                         else None)
-        with self._ewma_lock:
-            self._ewma_service = 0.8 * self._ewma_service + 0.2 * (t1 - t0)
-            ewma = self._ewma_service
-        self._g_ewma.set(ewma)
-        self._m_completed.inc()
-        request._resolve(result, None)
-        if traced:
-            self._record_request_span(tracer, request, status="ok")
+        self._complete(request, result, t0)
 
-    def _record_request_span(self, tracer, request: PendingRequest,
-                             status: str) -> None:
-        """Close the request's root span (accept -> resolved)."""
-        tracer.record("request", tracer.from_monotonic(request.accepted_at),
-                      tracer.now(), category="serving",
-                      context=request.trace_ctx, status=status,
-                      model=request.model, request=request.id)
-
-    def _run_request(self, request: PendingRequest
-                     ) -> Optional[np.ndarray]:
-        """Plan/warm/run with retries.  Returns the dense output, or
-        None after resolving the request with its failure."""
+    def _run_request(self, request: PendingRequest) -> np.ndarray:
+        """Plan/warm/run with retries; raises the final failure."""
         attempts = 0
         while True:
             try:
@@ -597,8 +225,7 @@ class InferenceServer:
                         conv_modes=splan.conv_mode_map)
                     self._m_specialized.inc()
                     return warm.run(request.volume)
-                plan = plan_volume(request.volume.shape,
-                                   self.registry.fov(request.model),
+                plan = plan_volume(request.volume.shape, request.fov,
                                    max_voxels=self.tile_voxels)
                 warm = self.registry.warm(request.model, plan.input_tile)
                 return warm.run(request.volume, plan)
@@ -606,8 +233,6 @@ class InferenceServer:
                 attempts += 1
                 policy = self.retry_policy
                 if policy is None or not policy.should_retry(exc, attempts):
-                    self._m_failed.inc()
-                    request._resolve(None, exc)
-                    return None
+                    raise
                 self._m_retried.inc()
                 time.sleep(policy.backoff(attempts - 1))

@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.graph.builders import LayeredSpec, pool_to_filter_spec
+from repro.graph.builders import Layer, dense_twin_layers
 from repro.observability.profile import validate_cost_model
 from repro.pram.costs import (
     direct_conv_task_cost,
@@ -83,7 +83,13 @@ from repro.serving.tiler import (
     normalize_conv_modes,
 )
 from repro.tensor.fourier import rfft_shape
-from repro.utils.shapes import Shape3, as_shape3, valid_conv_shape, voxels
+from repro.utils.shapes import (
+    Shape3,
+    as_shape3,
+    field_of_view,
+    valid_conv_shape,
+    voxels,
+)
 
 __all__ = [
     "SPECIALIZE_SCHEMA",
@@ -233,80 +239,8 @@ def _as_cost_model(cost_model) -> CostModel:
     return CostModel(cost_model, source="doc")
 
 
-# ---------------------------------------------------------------------------
-# The dense twin's layer stack, from the spec alone (no graph build).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Layer:
-    """One layer of the dense twin, as the cost walk sees it."""
-
-    kind: str  # conv | transfer | filter | dropout
-    index: int  # 1-based position in the (P->M) spec string
-    f_in: int
-    f_out: int
-    kernel: Optional[Shape3]  # conv only
-    window: Optional[Shape3]  # filter only
-    sparsity: Shape3
-    edges: Tuple[str, ...]
-
-
-def _twin_layers(spec: str, builder_kwargs: Mapping[str, object]
-                 ) -> Tuple[_Layer, ...]:
-    """Layer stack of the dense-equivalent twin of *spec*, mirroring
-    :func:`repro.graph.builders.build_layered_network` with
-    ``skip_kernels=True`` — including its edge naming, so measured
-    cost-model entries and the emitted mode map key by the same
-    names the runtime graph uses."""
-    kwargs = dict(builder_kwargs)
-    schedule = kwargs.pop("sparsity_schedule", None)
-    kwargs.pop("skip_kernels", None)
-    filter_spec = pool_to_filter_spec(spec)
-    parsed = LayeredSpec(filter_spec, skip_kernels=True, **kwargs)
-    explicit = None
-    if schedule is not None:
-        explicit = [as_shape3(s, name="sparsity") for s in schedule]
-        if len(explicit) != parsed.spec.count("C"):
-            raise ValueError(
-                "sparsity_schedule must have one entry per C layer")
-    layers: List[_Layer] = []
-    width = parsed.input_nodes
-    sparsity: Shape3 = (1, 1, 1)
-    ci = wi = 0
-    for li, c in enumerate(parsed.spec, start=1):
-        if c == "C":
-            conv_sparsity = explicit[ci] if explicit is not None else sparsity
-            f_out = parsed.widths[ci]
-            edges = tuple(f"conv_L{li}_{ii}_{j}"
-                          for j in range(f_out) for ii in range(width))
-            layers.append(_Layer("conv", li, width, f_out,
-                                 parsed.kernels[ci], None, conv_sparsity,
-                                 edges))
-            width = f_out
-            ci += 1
-        elif c == "T":
-            edges = tuple(f"xfer_L{li}_{j}" for j in range(width))
-            layers.append(_Layer("transfer", li, width, width,
-                                 None, None, sparsity, edges))
-        elif c == "M":
-            w = parsed.windows[wi]
-            edges = tuple(f"filt_L{li}_{j}" for j in range(width))
-            layers.append(_Layer("filter", li, width, width,
-                                 None, w, sparsity, edges))
-            sparsity = tuple(
-                s * wd for s, wd in zip(sparsity, w))  # type: ignore[assignment]
-            wi += 1
-        elif c == "D":
-            edges = tuple(f"drop_L{li}_{j}" for j in range(width))
-            layers.append(_Layer("dropout", li, width, width,
-                                 None, None, sparsity, edges))
-    return tuple(layers)
-
-
-def _layer_output_shape(layer: _Layer, in_shape: Shape3) -> Shape3:
-    if layer.kind == "conv":
-        return valid_conv_shape(in_shape, layer.kernel, layer.sparsity)
-    if layer.kind == "filter":
+def _layer_output_shape(layer: Layer, in_shape: Shape3) -> Shape3:
+    if layer.window is not None:  # conv / filter shrink; the rest don't
         return valid_conv_shape(in_shape, layer.window, layer.sparsity)
     return in_shape
 
@@ -440,22 +374,22 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
     model = _as_cost_model(cost_model)
     v = as_shape3(volume_shape, name="volume_shape")
     t = as_shape3(tile, name="tile")
-    layers = _twin_layers(spec, builder_kwargs)
+    layers = dense_twin_layers(spec, **builder_kwargs)
     base_rate = model.base_rate()
     shape = t
     tile_seconds = 0.0
     working_set = _BYTES_REAL * voxels(t)
     conv_modes: Dict[str, str] = {}
     layer_rows: List[dict] = []
-    fov_accum = [1, 1, 1]
     for layer in layers:
         out_shape = _layer_output_shape(layer, shape)
         working_set += _BYTES_REAL * layer.f_out * voxels(out_shape)
         if layer.kind == "conv":
             edges = layer.f_in * layer.f_out
+            edge_names = layer.edges
 
             def direct_layer_flops(x, layer=layer, edges=edges):
-                return edges * direct_conv_task_cost(x, layer.kernel,
+                return edges * direct_conv_task_cost(x, layer.window,
                                                      layer.sparsity)
 
             def fft_layer_flops(x, layer=layer, edges=edges):
@@ -468,10 +402,10 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
             # time, hence absent from the steady-state FLOPs.
             fft_flops = fft_layer_flops(shape)
             direct_seconds = _layer_seconds(
-                model, layer.edges, "direct", direct_flops,
+                model, edge_names, "direct", direct_flops,
                 direct_layer_flops)
             fft_seconds = _layer_seconds(
-                model, layer.edges, "fft", fft_flops, fft_layer_flops)
+                model, edge_names, "fft", fft_flops, fft_layer_flops)
             # Ties prefer direct: bitwise-deterministic and free of
             # spectra bookkeeping (same tolerance-free tie rule as the
             # training autotuner).
@@ -479,7 +413,7 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
             if mode == "fft":
                 working_set += (_BYTES_COMPLEX * voxels(rfft_shape(shape))
                                 * (edges + layer.f_in + layer.f_out))
-            for edge in layer.edges:
+            for edge in edge_names:
                 conv_modes[edge] = mode
             tile_seconds += min(direct_seconds, fft_seconds)
             layer_rows.append({
@@ -487,7 +421,7 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
                 "mode": mode,
                 "f_in": layer.f_in,
                 "f_out": layer.f_out,
-                "kernel": list(layer.kernel),
+                "kernel": list(layer.window),
                 "sparsity": list(layer.sparsity),
                 "input_shape": list(shape),
                 "direct_seconds": direct_seconds,
@@ -500,17 +434,9 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
         else:  # transfer / dropout: n^3 pointwise
             tile_seconds += (layer.f_in * transfer_task_cost(shape)
                              / base_rate)
-        if layer.kind == "conv":
-            ke = tuple((k - 1) * s + 1
-                       for k, s in zip(layer.kernel, layer.sparsity))
-        elif layer.kind == "filter":
-            ke = tuple((w - 1) * s + 1
-                       for w, s in zip(layer.window, layer.sparsity))
-        else:
-            ke = (1, 1, 1)
-        fov_accum = [fa + k - 1 for fa, k in zip(fov_accum, ke)]
         shape = out_shape
-    fov: Shape3 = tuple(fov_accum)  # type: ignore[assignment]
+    fov = field_of_view((layer.kind, layer.window, layer.sparsity)
+                        for layer in layers if layer.window is not None)
     num_tiles = _tile_count(v, fov, t)
     predicted_seconds = tile_seconds * num_tiles
     dense_voxels = voxels(tuple(vd - fd + 1 for vd, fd in zip(v, fov)))

@@ -79,6 +79,11 @@ from repro.resilience.faults import (
     install_plan,
     worker_family,
 )
+from repro.serving.lifecycle import (
+    DeadlineExceeded,
+    ServerOverloaded,
+    ServingError,
+)
 from repro.serving.registry import ModelRegistry, ModelSpec
 from repro.serving.specialize import SpecializationPlan
 from repro.serving.tiler import DEFAULT_TILE_VOXELS
@@ -157,13 +162,7 @@ class SupervisorConfig:
 
 
 def _error_kind(exc: BaseException) -> str:
-    """Classify a worker-side failure for the wire (import-light:
-    serving exceptions are matched by name so the worker main loop
-    needs no extra imports)."""
-    from repro.serving.pipeline import (
-        DeadlineExceeded,
-        ServerOverloaded,
-    )
+    """Classify a worker-side failure for the wire."""
     if isinstance(exc, DeadlineExceeded):
         return "deadline"
     if isinstance(exc, ServerOverloaded):
@@ -178,11 +177,6 @@ def _error_kind(exc: BaseException) -> str:
 def error_from_kind(kind: str, message: str,
                     retry_after: float) -> BaseException:
     """Router-side inverse of :func:`_error_kind`."""
-    from repro.serving.pipeline import (
-        DeadlineExceeded,
-        ServerOverloaded,
-        ServingError,
-    )
     if kind == "deadline":
         return DeadlineExceeded(message)
     if kind == "overloaded":

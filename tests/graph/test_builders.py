@@ -27,9 +27,24 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             build_layered_network("CTC", width=[2], kernel=2)
 
-    def test_conv_layer_sizes(self):
-        spec = LayeredSpec("CTC", width=[3, 5], kernel=2)
-        assert spec.conv_layer_sizes() == [(1, 3), (3, 5)]
+    def test_layers_walk_sizes_sparsity_and_edge_names(self):
+        spec = LayeredSpec("CTMC", width=[3, 5], kernel=2, window=2,
+                           skip_kernels=True)
+        layers = list(spec.layers())
+        assert [(l.kind, l.f_in, l.f_out) for l in layers] == [
+            ("conv", 1, 3), ("transfer", 3, 3), ("filter", 3, 3),
+            ("conv", 3, 5)]
+        assert [l.sparsity for l in layers if l.kind == "conv"] == [
+            (1, 1, 1), (2, 2, 2)]
+        assert layers[0].edges == ("conv_L1_0_0", "conv_L1_0_1",
+                                   "conv_L1_0_2")
+        assert layers[2].edges == ("filt_L3_0", "filt_L3_1", "filt_L3_2")
+        # The graph builder names its edges off the same walk.
+        graph = build_layered_network("CTMC", width=[3, 5], kernel=2,
+                                      window=2, skip_kernels=True)
+        assert [e for l in layers for e in l.edges] == list(graph.edges)
+        with pytest.raises(ValueError, match="one entry per C layer"):
+            list(spec.layers(sparsity_schedule=[1]))
 
 
 class TestStructure:

@@ -166,10 +166,3 @@ class TestCostAggregates:
             return tg.total_cost / tg.critical_path_cost()
 
         assert s_inf(8) > s_inf(2) > 1.0
-
-    def test_to_networkx_roundtrip(self):
-        tg = build_task_graph(small_graph(width=1), conv_mode="direct")
-        nx_graph = tg.to_networkx()
-        assert nx_graph.number_of_nodes() == len(tg)
-        assert nx_graph.number_of_edges() == sum(
-            len(s) for s in tg.successors)

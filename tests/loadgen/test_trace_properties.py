@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.loadgen import TraceConfig, generate_trace
-from repro.serving.pipeline import (
+from repro.serving.lifecycle import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,

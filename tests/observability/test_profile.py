@@ -11,8 +11,6 @@ from repro.observability.profile import (
     COST_MODEL_SCHEMA,
     CostModelError,
     CostProfiler,
-    conv_pass_bytes,
-    conv_pass_flops,
     get_profiler,
     load_cost_model,
     render_cost_model,
@@ -37,34 +35,42 @@ def profiler():
     set_profiler(previous)
 
 
+def record_direct(profiler, edge, op, seconds, image, kernel):
+    """Record a direct-conv sample the way ConvEdge does."""
+    cost = direct_pass_cost(image, kernel)
+    profiler.record(edge, "direct", op, seconds, flops=cost["flops"],
+                    bytes_moved=cost["bytes"], image_shape=image,
+                    kernel_shape=kernel)
+
+
 class TestPassAnnotations:
     def test_direct_flops_match_table2(self):
         img, ker = (12, 12, 12), (3, 3, 3)
-        assert conv_pass_flops("fwd", "direct", img, ker) == \
-            direct_conv_task_cost(img, ker)
         cost = direct_pass_cost(img, ker)
+        assert cost["flops"] == direct_conv_task_cost(img, ker)
         out = 10 ** 3
         assert cost["bytes"] == 8.0 * (27 * out + out)
 
     def test_fft_flops_charge_transform_plus_product(self):
         img, ker = (12, 12, 12), (3, 3, 3)
-        expected = fft_cost(img) + pointwise_product_cost(img)
-        assert conv_pass_flops("bwd", "fft", img, ker) == expected
-        assert FftConvPlan(img, ker).pass_cost()["flops"] == expected
-        assert conv_pass_bytes("fwd", "fft", img, ker) == 8.0 * 4 * 12**3
+        cost = FftConvPlan(img, ker).pass_cost()
+        assert cost["flops"] == fft_cost(img) + pointwise_product_cost(img)
+        assert cost["bytes"] == 8.0 * 4 * 12**3
 
-    def test_unknown_op_and_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown conv pass"):
-            conv_pass_flops("sideways", "direct", (8,) * 3, (3,) * 3)
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            conv_pass_flops("fwd", "quantum", (8,) * 3, (3,) * 3)
+    def test_padded_plan_charges_the_transform_it_runs(self):
+        # fast_sizes pads 13 -> 15: the plan's cost is that of the 15^3
+        # transform, not of the 13^3 image.
+        plan = FftConvPlan((13,) * 3, (3,) * 3, fast_sizes=True)
+        assert plan.transform_shape == (15, 15, 15)
+        padded = (15,) * 3
+        assert plan.pass_cost()["flops"] == \
+            fft_cost(padded) + pointwise_product_cost(padded)
 
 
 class TestCostProfiler:
     def test_disabled_record_is_noop(self):
         off = CostProfiler(enabled=False)
         off.record("e", "direct", "fwd", 0.1)
-        off.record_conv("e", "direct", "fwd", 0.1, (8,) * 3, (3,) * 3)
         assert len(off) == 0
 
     def test_env_default_is_off(self, monkeypatch):
@@ -86,9 +92,8 @@ class TestCostProfiler:
         assert fwd["flops"] == 200
         assert fwd["flops_per_second"] == pytest.approx(100.0)
 
-    def test_record_conv_derives_flops_from_shapes(self, profiler):
-        profiler.record_conv("edge", "direct", "upd", 0.25,
-                             (10, 10, 10), (3, 3, 3))
+    def test_record_keeps_cost_and_shapes(self, profiler):
+        record_direct(profiler, "edge", "upd", 0.25, (10,) * 3, (3,) * 3)
         entry = profiler.entries()[0]
         assert entry["flops"] == direct_conv_task_cost((10,) * 3, (3,) * 3)
         assert entry["image_shape"] == [10, 10, 10]
@@ -114,10 +119,32 @@ class TestCostProfiler:
         assert all(e["edge"].startswith("conv_")
                    for e in profiler.entries())
 
+    def test_padded_fft_edge_is_credited_its_own_plan(self, profiler):
+        # Regression: the profiler used to rebuild an unpadded plan from
+        # the shapes, crediting a fast_sizes edge (13^3 image, 15^3
+        # transform) the FLOPs of a 13^3 transform.
+        graph = build_layered_network("CT", width=1, kernel=3,
+                                      transfer="tanh", output_nodes=1)
+        net = Network(graph, input_shape=(13, 13, 13), seed=3,
+                      conv_mode="fft", fft_fast_sizes=True)
+        try:
+            net.forward(np.random.default_rng(0).standard_normal((13,) * 3))
+        finally:
+            net.close()
+        expected = FftConvPlan((13,) * 3, (3,) * 3,
+                               fast_sizes=True).pass_cost()
+        unpadded = FftConvPlan((13,) * 3, (3,) * 3).pass_cost()
+        assert expected["flops"] > unpadded["flops"]
+        for entry in profiler.entries():
+            assert entry["backend"] == "fft"
+            assert entry["flops"] == entry["count"] * expected["flops"]
+            assert entry["bytes"] == entry["count"] * expected["bytes"]
+            assert entry["image_shape"] == [13, 13, 13]
+
 
 class TestCostModelDocument:
     def test_write_load_round_trip(self, profiler, tmp_path):
-        profiler.record_conv("e", "fft", "fwd", 0.1, (8,) * 3, (3,) * 3)
+        record_direct(profiler, "e", "fwd", 0.1, (8,) * 3, (3,) * 3)
         path = str(tmp_path / "cost_model.json")
         write_cost_model(path, profiler)
         doc = load_cost_model(path)
@@ -138,7 +165,7 @@ class TestCostModelDocument:
                 validate_cost_model(doc)
 
     def test_validate_rejects_bad_entries(self, profiler):
-        profiler.record_conv("e", "fft", "fwd", 0.1, (8,) * 3, (3,) * 3)
+        record_direct(profiler, "e", "fwd", 0.1, (8,) * 3, (3,) * 3)
         doc = profiler.cost_model()
         doc["entries"][0]["op"] = "diagonal"
         with pytest.raises(CostModelError, match="fwd|bwd|upd"):
@@ -153,13 +180,11 @@ class TestCostModelDocument:
             validate_cost_model(doc)
 
     def test_document_is_json_serialisable(self, profiler):
-        profiler.record_conv("e", "direct", "bwd", 0.1, (8,) * 3,
-                             (3,) * 3)
+        record_direct(profiler, "e", "bwd", 0.1, (8,) * 3, (3,) * 3)
         json.dumps(profiler.cost_model())
 
     def test_render_table(self, profiler):
-        profiler.record_conv("edge_a", "fft", "fwd", 0.1, (8,) * 3,
-                             (3,) * 3)
+        record_direct(profiler, "edge_a", "fwd", 0.1, (8,) * 3, (3,) * 3)
         text = render_cost_model(profiler.cost_model())
         assert "edge_a" in text
         assert "gflop/s" in text

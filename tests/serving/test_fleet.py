@@ -1,12 +1,12 @@
 """Fleet building blocks that run without spawning processes.
 
-Consistent-hash routing, tiered admission, graceful drain on the
-single-process server, deadline-capped client retries, and the
-robustness-aware ``/healthz`` document.  Everything that needs a real
-multi-process fleet lives in ``test_fleet_chaos.py`` (slow lane).
+Consistent-hash routing, the admission-limit arithmetic and
+deadline-capped client retries.  Admission, drain and the health
+document live in ``test_lifecycle_contract.py`` (both front ends);
+everything that needs a real multi-process fleet lives in
+``test_fleet_chaos.py`` (slow lane).
 """
 
-import threading
 import time
 
 import numpy as np
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability import get_registry as metrics_registry
 from repro.serving import (
     ADMISSION_FRACTIONS,
     PRIORITY_HIGH,
@@ -22,21 +21,11 @@ from repro.serving import (
     PRIORITY_NORMAL,
     DeadlineExceeded,
     HashRing,
-    InferenceServer,
-    ServerDraining,
-    ServerClosed,
     ServerOverloaded,
     ServingClient,
     admission_limit,
 )
 from repro.serving.client import _remaining_timeout, _retry_sleep
-
-
-def make_server(registry, **kwargs):
-    kwargs.setdefault("num_workers", 2)
-    kwargs.setdefault("max_queue", 4)
-    kwargs.setdefault("tile_voxels", 1000)
-    return InferenceServer(registry, **kwargs)
 
 
 class TestHashRing:
@@ -112,80 +101,6 @@ class TestAdmission:
     def test_unknown_priority_rejected(self):
         with pytest.raises(ValueError, match="priority"):
             admission_limit(9, 20)
-
-    def test_low_priority_shed_before_queue_full(self, registry, volume):
-        shed = metrics_registry().counter("serving.requests.shed")
-        before = shed.value
-        with make_server(registry, max_queue=4) as server:
-            server.gate.clear()
-            time.sleep(0.05)
-            limit = admission_limit(PRIORITY_LOW, 4)
-            accepted = [server.submit("small", volume, priority=PRIORITY_LOW)
-                        for _ in range(limit)]
-            # Queue has spare capacity, but the low tier is full.
-            with pytest.raises(ServerOverloaded):
-                server.submit("small", volume, priority=PRIORITY_LOW)
-            # A normal-priority request still gets in.
-            accepted.append(server.submit("small", volume))
-            server.gate.set()
-            for request in accepted:
-                assert request.result(timeout=30).size > 0
-        assert shed.value == before + 1
-
-    def test_bad_priority_rejected_at_submit(self, registry, volume):
-        with make_server(registry) as server:
-            with pytest.raises(ValueError, match="priority"):
-                server.submit("small", volume, priority=42)
-
-
-class TestDrain:
-    def test_drain_finishes_inflight_then_refuses(self, registry, volume):
-        server = make_server(registry).start()
-        try:
-            server.gate.clear()
-            time.sleep(0.05)
-            pending = server.submit("small", volume)
-            server.begin_drain()
-            with pytest.raises(ServerDraining) as info:
-                server.submit("small", volume)
-            assert info.value.retry_after > 0
-            # Draining refusals are ServerClosed (clients must not
-            # retry against a goner), not ServerOverloaded.
-            assert isinstance(info.value, ServerClosed)
-            assert not isinstance(info.value, ServerOverloaded)
-            server.gate.set()
-            assert server.wait_drained(timeout=30)
-            assert pending.result(timeout=30).size > 0
-        finally:
-            server.stop()
-
-    def test_drain_helper_stops_the_server(self, registry, volume):
-        server = make_server(registry).start()
-        out = server.infer("small", volume)
-        assert out.size > 0
-        assert server.drain(timeout=30)
-        with pytest.raises(ServerClosed):
-            server.submit("small", volume)
-
-    def test_health_reflects_drain_lifecycle(self, registry):
-        server = make_server(registry).start()
-        try:
-            assert server.health()["status"] == "ok"
-            server.begin_drain()
-            assert server.health()["status"] == "draining"
-        finally:
-            server.stop()
-        assert server.health()["status"] == "stopped"
-
-    def test_health_document_shape(self, registry):
-        with make_server(registry) as server:
-            doc = server.health()
-        assert doc["role"] == "server"
-        assert doc["models"] == ["small"]
-        assert doc["queue_depth"] == 0
-        assert doc["admission"]["capacity"] == doc["max_queue"]
-        limits = doc["admission"]["limits"]
-        assert limits[str(PRIORITY_HIGH)] == doc["max_queue"]
 
 
 class _OverloadedServer:

@@ -1,5 +1,6 @@
 """HTTP front end: wire protocol, status mapping, client retry."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -16,6 +17,7 @@ from repro.serving import (
     encode_array,
     serve_http,
 )
+from repro.serving.http import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -66,6 +68,30 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=30)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("length, status", [
+        ("twelve", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_rejected_unread(self, http_server,
+                                                length, status):
+        # Only headers are sent: a server that tried to read the
+        # declared body would block until the timeout instead.
+        host, port = http_server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/infer?model=small")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == status
+            assert "Content-Length" in response.read().decode("utf-8")
+        finally:
+            conn.close()
+
+    def test_volume_smaller_than_fov_400(self, http_server):
+        client = HttpServingClient(http_server.url, max_attempts=1)
+        with pytest.raises(ServingError, match="400.*field of view"):
+            client.infer("small", np.zeros((4, 4, 4)))
+        assert http_server.inference.queue_depth == 0
 
     def test_missing_model_param_400(self, http_server, volume):
         request = urllib.request.Request(

@@ -1,4 +1,9 @@
-"""Request pipeline: admission, backpressure, deadlines, batching."""
+"""Request pipeline: client backpressure, batching, retries.
+
+Admission, deadlines, drain and stop — the lifecycle shared with the
+fleet — are covered for both front ends by
+``test_lifecycle_contract.py``.
+"""
 
 import threading
 import time
@@ -9,9 +14,7 @@ import pytest
 from repro.observability import get_registry as metrics_registry
 from repro.resilience import RetryPolicy
 from repro.serving import (
-    DeadlineExceeded,
     InferenceServer,
-    ServerClosed,
     ServerOverloaded,
     ServingClient,
 )
@@ -30,53 +33,8 @@ class TestRoundTrip:
             out = server.infer("small", volume)
         assert out.shape == tuple(v - 4 for v in volume.shape)
 
-    def test_too_thin_volume_fails_cleanly(self, registry):
-        # A 2D array promotes to (1, 20, 20), which cannot cover this
-        # model's (5, 5, 5) fov — the planner's error must reach the
-        # caller, not hang the request.
-        vol = np.random.default_rng(3).standard_normal((20, 20))
-        with make_server(registry) as server:
-            request = server.submit("small", vol)
-            with pytest.raises(ValueError, match="field of view"):
-                request.result(timeout=30)
-
-    def test_unknown_model_fails_before_queueing(self, registry, volume):
-        with make_server(registry) as server:
-            with pytest.raises(KeyError, match="unknown model"):
-                server.submit("nope", volume)
-            assert server.queue_depth == 0
-
-    def test_bad_volume_rejected(self, registry):
-        with make_server(registry) as server:
-            with pytest.raises(ValueError, match="2D or 3D"):
-                server.submit("small", np.zeros((2, 2, 2, 2)))
-
 
 class TestBackpressure:
-    def test_queue_full_rejects_with_retry_after(self, registry, volume):
-        with make_server(registry, max_queue=2) as server:
-            server.gate.clear()
-            time.sleep(0.05)  # let workers park behind the gate
-            accepted = [server.submit("small", volume) for _ in range(2)]
-            with pytest.raises(ServerOverloaded) as info:
-                server.submit("small", volume)
-            assert info.value.retry_after > 0
-            server.gate.set()
-            for request in accepted:
-                assert request.result(timeout=30).size > 0
-
-    def test_rejection_metric(self, registry, volume):
-        counter = metrics_registry().counter("serving.requests.rejected")
-        before = counter.value
-        with make_server(registry, max_queue=1) as server:
-            server.gate.clear()
-            time.sleep(0.05)
-            server.submit("small", volume)
-            with pytest.raises(ServerOverloaded):
-                server.submit("small", volume)
-            server.gate.set()
-        assert counter.value == before + 1
-
     def test_client_retries_until_capacity(self, registry, volume):
         with make_server(registry, max_queue=1) as server:
             server.gate.clear()
@@ -113,9 +71,8 @@ class TestBackpressure:
 
     def test_overload_rejects_under_nonreentrant_lock(self, small_model,
                                                       volume, monkeypatch):
-        # Regression: submit()'s rejection path used to call
-        # retry_after_hint(), re-entering the admission condition's
-        # lock.  The default Condition RLock masked the recursion; with
+        # Regression: submit()'s rejection path used to compute the
+        # retry hint by re-entering the admission condition's lock.  The default Condition RLock masked the recursion; with
         # checking enabled the lock is non-reentrant, so the old code
         # would raise recursive-acquire here instead of overload.
         # Everything built under the throwaway state (whose CheckedLocks
@@ -141,53 +98,6 @@ class TestBackpressure:
         finally:
             registry.close()
         assert [v.kind for v in state.violations] == []
-
-
-class TestDeadlines:
-    def test_deadline_missed_in_queue(self, registry, volume):
-        counter = metrics_registry().counter(
-            "serving.requests.deadline_missed")
-        before = counter.value
-        with make_server(registry) as server:
-            server.gate.clear()
-            time.sleep(0.05)
-            request = server.submit("small", volume, timeout=0.01)
-            time.sleep(0.1)  # deadline passes while queued
-            server.gate.set()
-            with pytest.raises(DeadlineExceeded):
-                request.result(timeout=30)
-        assert counter.value == before + 1
-
-    def test_generous_deadline_met(self, registry, volume):
-        with make_server(registry) as server:
-            out = server.infer("small", volume, timeout=60)
-        assert out.size > 0
-
-
-class TestShutdown:
-    def test_stop_fails_pending_requests(self, registry, volume):
-        server = make_server(registry)
-        server.start()
-        server.gate.clear()
-        time.sleep(0.05)
-        pending = [server.submit("small", volume) for _ in range(3)]
-        server.stop()
-        for request in pending:
-            with pytest.raises(ServerClosed):
-                request.result(timeout=5)
-
-    def test_submit_after_stop_raises(self, registry, volume):
-        server = make_server(registry)
-        server.start()
-        server.stop()
-        with pytest.raises(ServerClosed):
-            server.submit("small", volume)
-
-    def test_stop_is_idempotent(self, registry):
-        server = make_server(registry)
-        server.start()
-        server.stop()
-        server.stop()
 
 
 class TestBatching:

@@ -15,17 +15,22 @@ from repro.analysis import runtime as check_runtime
 from repro.core import Network, SGD
 from repro.graph import build_layered_network
 from repro.memory import PoolAllocator, ThreadLocalAllocator
-from repro.observability import get_registry, render_metrics
-from repro.scheduler import TraceRecorder, select_strategy
+from repro.observability import (
+    Tracer,
+    get_registry,
+    render_metrics,
+    set_tracer,
+    summarize_task_spans,
+)
+from repro.scheduler import select_strategy
 from repro.sync import HeapOfLists
 
 
-def traced_training(num_workers=2, rounds=2):
-    rec = TraceRecorder()
+def training(num_workers=2, rounds=2):
     graph = build_layered_network("CTMCT", width=3, kernel=3, window=2,
                                   transfer="tanh")
     net = Network(graph, input_shape=(18, 18, 18), conv_mode="fft",
-                  seed=0, num_workers=num_workers, recorder=rec,
+                  seed=0, num_workers=num_workers,
                   optimizer=SGD(learning_rate=1e-3))
     rng = np.random.default_rng(1)
     x = rng.standard_normal((18, 18, 18))
@@ -34,12 +39,24 @@ def traced_training(num_workers=2, rounds=2):
         net.train_step(x, targets)
     net.synchronize()
     net.close()
-    return rec
+
+
+def traced_training(num_workers=2, rounds=2):
+    """Run :func:`training` under a fresh tracer; returns the summary
+    of its task spans."""
+    tracer = Tracer(enabled=True, process="bench")
+    previous = set_tracer(tracer)
+    try:
+        training(num_workers, rounds)
+    finally:
+        set_tracer(previous)
+    if tracer.dropped:
+        print(f"span ring overflowed: {tracer.dropped} spans dropped")
+    return summarize_task_spans(tracer.spans())
 
 
 def test_print_family_breakdown():
-    rec = traced_training()
-    summary = rec.summary()
+    summary = traced_training()
     total = sum(summary.time_per_family.values())
     rows = [[family, fmt(seconds, 3), fmt(seconds / total, 3)]
             for family, seconds in sorted(summary.time_per_family.items(),
@@ -56,9 +73,9 @@ def test_print_family_breakdown():
 
 
 def test_print_worker_utilization():
-    rec = traced_training(num_workers=2)
-    s = rec.summary()
-    rows = [[w, fmt(b, 3)] for w, b in sorted(s.busy_per_worker.items())]
+    s = traced_training(num_workers=2)
+    rows = [[w, fmt(b, 3)]
+            for (_, w), b in sorted(s.busy_per_worker.items())]
     print_table(f"worker busy time over span {s.span:.3f}s "
                 f"(utilization {s.utilization:.0%})",
                 ["worker", "busy s"], rows)
@@ -90,19 +107,19 @@ def test_thread_local_allocator_report():
 
 
 def test_print_metrics_registry_snapshot():
-    """A traced run's registry snapshot — the same counters the CLI's
+    """A run's registry snapshot — the same counters the CLI's
     ``repro metrics`` command prints."""
     reg = get_registry()
     reg.reset()
-    traced_training(num_workers=1, rounds=1)
+    training(num_workers=1, rounds=1)
     snap = reg.snapshot()
-    print(render_metrics(snap, title="registry after one traced round"))
+    print(render_metrics(snap, title="registry after one training round"))
     assert snap.get("queue.pop", 0) > 0
     assert any(name.startswith("engine.tasks") for name in snap)
 
 
 def test_bench_traced_round(benchmark):
-    benchmark(traced_training, 1, 1)
+    benchmark(training, 1, 1)
 
 
 def test_bench_traced_round_metrics_disabled(benchmark):
@@ -111,7 +128,7 @@ def test_bench_traced_round_metrics_disabled(benchmark):
     reg = get_registry()
     reg.disable()
     try:
-        benchmark(traced_training, 1, 1)
+        benchmark(training, 1, 1)
     finally:
         reg.enable()
 
@@ -123,11 +140,9 @@ def test_bench_traced_round_span_tracing(benchmark):
     (open + close + ring append); at this toy 18³ scale the round is
     only a few ms, so the relative overhead is larger than at the
     representative volumes the CI trace-smoke lane gates at ≤5%."""
-    from repro.observability.tracing import Tracer, set_tracer
-
     previous = set_tracer(Tracer(enabled=True, process="bench"))
     try:
-        benchmark(traced_training, 1, 1)
+        benchmark(training, 1, 1)
     finally:
         set_tracer(previous)
 
@@ -136,11 +151,9 @@ def test_bench_traced_round_span_tracing_off(benchmark):
     """The tracing-off fast path (one enabled-check branch per
     instrumentation site) — the pair of
     test_bench_traced_round_span_tracing."""
-    from repro.observability.tracing import Tracer, set_tracer
-
     previous = set_tracer(Tracer(enabled=False, process="bench"))
     try:
-        benchmark(traced_training, 1, 1)
+        benchmark(training, 1, 1)
     finally:
         set_tracer(previous)
 
@@ -153,7 +166,7 @@ def test_bench_traced_round_repro_check(benchmark):
         pytest.skip("REPRO_CHECK already on; baseline bench meaningless")
     check_runtime.enable_checks()
     try:
-        benchmark(traced_training, 1, 1)
+        benchmark(training, 1, 1)
         check_runtime.assert_clean()
     finally:
         check_runtime.disable_checks()

@@ -4,9 +4,9 @@ Chrome-trace export, automatic strategy selection, and checkpointing.
 
 Demonstrates the infrastructure around the core trainer:
 
-1. attach a TraceRecorder and see where one round of gradient learning
-   spends its time (forward / backward / update / loss tasks), including
-   queue waits;
+1. turn the task trace on and see where the rounds of gradient
+   learning spend their time (forward / backward / update / loss
+   tasks), including queue waits;
 2. read the process-global metrics registry — queue traffic, FFT-cache
    hit rate, allocator pressure — and export the trace as
    ``chrome://tracing`` JSON;
@@ -26,10 +26,12 @@ from repro import Network, RandomProvider, SGD, Trainer, build_layered_network
 from repro.core import load_network, save_network
 from repro.observability import (
     get_registry,
+    get_tracer,
     render_metrics,
+    summarize_task_spans,
     write_chrome_trace,
 )
-from repro.scheduler import TraceRecorder, select_strategy
+from repro.scheduler import select_strategy
 
 
 def main() -> None:
@@ -49,22 +51,23 @@ def main() -> None:
     # -- 1. traced training --------------------------------------------
     registry = get_registry()
     registry.reset()  # start the counters from zero for this run
-    recorder = TraceRecorder()
+    tracer = get_tracer().enable()
     net = Network(graph, input_shape=(26, 26, 26), conv_mode="auto",
                   seed=0, num_workers=2, scheduler=choice.scheduler,
-                  recorder=recorder,
                   optimizer=SGD(learning_rate=1e-4, momentum=0.9))
     provider = RandomProvider((26, 26, 26), net.output_nodes[0].shape,
                               seed=1)
     Trainer(net, provider).run(rounds=5)
     net.synchronize()
 
-    summary = recorder.summary()
+    tracer.disable()
+    spans = tracer.spans()
+    summary = summarize_task_spans(spans)
     total = sum(summary.time_per_family.values())
-    print(f"traced {summary.tasks} tasks over {summary.span:.3f}s "
-          f"({summary.workers} workers, "
-          f"utilization {summary.utilization:.0%}, "
-          f"mean queue wait {summary.mean_queue_wait * 1e3:.2f}ms):")
+    print(f"traced {summary}:")
+    if tracer.dropped:
+        print(f"  (span ring overflowed: {tracer.dropped} oldest spans "
+              "dropped)")
     for family, seconds in sorted(summary.time_per_family.items(),
                                   key=lambda kv: -kv[1]):
         print(f"  {family:>10}: {seconds:7.3f}s ({seconds / total:5.1%})")
@@ -74,7 +77,7 @@ def main() -> None:
     print(render_metrics(registry=registry,
                          title="metrics after 5 training rounds"))
     trace_path = os.path.join(tempfile.gettempdir(), "repro_example.trace.json")
-    write_chrome_trace(recorder, trace_path)
+    write_chrome_trace(spans, trace_path)
     print(f"\nChrome trace written to {trace_path} "
           "(load it in chrome://tracing or https://ui.perfetto.dev)")
 

@@ -69,7 +69,7 @@ from repro.observability import (
     metrics_snapshot,
     write_chrome_trace,
 )
-from repro.scheduler import SerialEngine, TaskEngine, TraceRecorder
+from repro.scheduler import SerialEngine, TaskEngine
 from repro.simulate import MACHINES, get_machine, simulate_schedule
 
 __version__ = "1.0.0"
@@ -93,7 +93,6 @@ __all__ = [
     "pool_to_filter_spec",
     "SerialEngine",
     "TaskEngine",
-    "TraceRecorder",
     "MetricsRegistry",
     "get_registry",
     "metrics_snapshot",

@@ -71,6 +71,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -543,6 +544,48 @@ def _train_provider(volume_size: int, seed: int, input_size: int,
                          seed=seed + 2, pooled=True)
 
 
+@contextlib.contextmanager
+def _task_trace(path: Optional[str]):
+    """Trace every task run inside the block — in this process and,
+    through the inherited ``REPRO_TRACING``, in the worker processes it
+    spawns — then write the spans to *path* as Chrome-trace JSON and
+    print the task summary.  No *path*, no tracing."""
+    from repro.observability.tracing import (get_tracer,
+                                             summarize_task_spans,
+                                             write_chrome_trace)
+
+    if not path:
+        yield
+        return
+    tracer = get_tracer()
+    was_enabled, was_env = tracer.enabled, os.environ.get("REPRO_TRACING")
+    dropped_before = tracer.dropped
+    os.environ["REPRO_TRACING"] = "1"
+    tracer.clear()
+    tracer.enable()
+    try:
+        yield
+        spans = tracer.spans()
+        if not spans:  # the command refused its arguments
+            return
+        write_chrome_trace(spans, path)
+        processes = sorted({s.process for s in spans})
+        print(f"trace written to {path} "
+              f"({len(spans)} spans from {len(processes)} process(es): "
+              f"{', '.join(processes)})")
+        print(summarize_task_spans(spans))
+        dropped = tracer.dropped - dropped_before
+        if dropped:
+            print(f"note: the span ring overflowed; the {dropped} oldest "
+                  "spans are missing from the trace and the summary")
+    finally:
+        tracer.enabled = was_enabled
+        if was_env is None:
+            del os.environ["REPRO_TRACING"]
+        else:
+            os.environ["REPRO_TRACING"] = was_env
+
+
 def _cmd_train_parallel(args) -> int:
     """The ``--workers``/``--batch`` path: multi-process data-parallel
     training with a deterministic cross-process gradient reduction."""
@@ -596,17 +639,6 @@ def _cmd_train_parallel(args) -> int:
             conv_mode=args.conv_mode, loss="binary-logistic",
             seed=args.seed, learning_rate=args.learning_rate,
             momentum=args.momentum)
-    if args.trace_out:
-        # Hierarchical round tracing: the env flag is inherited by the
-        # spawned workers, whose spans ship back over the pipe, so the
-        # coordinator's buffer holds the whole multi-process trace.
-        import os as _os
-
-        from repro.observability.tracing import get_tracer
-
-        _os.environ["REPRO_TRACING"] = "1"
-        get_tracer().enable()
-
     graph = config.build_graph()
     graph.validate()
     graph.propagate_shapes(config.input_shape)
@@ -649,19 +681,6 @@ def _cmd_train_parallel(args) -> int:
         return 1
     finally:
         trainer.close()
-    if args.trace_out:
-        import json
-
-        from repro.observability.tracing import (get_tracer,
-                                                 spans_to_chrome_trace)
-
-        spans = get_tracer().spans()
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(spans_to_chrome_trace(spans), fh)
-        processes = sorted({s.process for s in spans})
-        print(f"trace written to {args.trace_out} "
-              f"({len(spans)} spans from {len(processes)} process(es): "
-              f"{', '.join(processes)})")
     if args.metrics:
         from repro.observability import render_metrics
 
@@ -670,6 +689,15 @@ def _cmd_train_parallel(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    """``repro train``: one process, or with ``--workers``/``--batch``
+    the data-parallel path; ``--trace-out`` traces either (worker
+    processes ship their spans back to the coordinator's buffer)."""
+    parallel = args.workers is not None or args.batch is not None
+    with _task_trace(args.trace_out):
+        return (_cmd_train_parallel if parallel else _cmd_train_serial)(args)
+
+
+def _cmd_train_serial(args) -> int:
     import numpy as np
 
     from repro.core import Network, SGD, Trainer
@@ -678,10 +706,7 @@ def _cmd_train(args) -> int:
     from repro.graph import build_layered_network, load_spec
     from repro.resilience import (RECOVERY_METRICS, RetryPolicy,
                                   recovery_summary)
-    from repro.scheduler import TraceRecorder
 
-    if args.workers is not None or args.batch is not None:
-        return _cmd_train_parallel(args)
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -700,11 +725,9 @@ def _cmd_train(args) -> int:
                                       window=2, transfer="tanh",
                                       final_transfer="linear",
                                       skip_kernels=True, output_nodes=1)
-    recorder = TraceRecorder() if args.trace_out else None
     net = Network(graph, input_shape=(args.input_size,) * 3,
                   conv_mode=args.conv_mode, loss="binary-logistic",
-                  num_workers=1, seed=args.seed,
-                  recorder=recorder, retry_policy=retry_policy,
+                  num_workers=1, seed=args.seed, retry_policy=retry_policy,
                   optimizer=SGD(learning_rate=args.learning_rate,
                                 momentum=args.momentum))
     out_shape = net.output_nodes[0].shape
@@ -753,14 +776,6 @@ def _cmd_train(args) -> int:
                           for label, count in recovery.items()))
     else:
         print("recovery events: none")
-    if recorder is not None:
-        from repro.observability import write_chrome_trace
-
-        write_chrome_trace(recorder, args.trace_out)
-        s = recorder.summary()
-        print(f"trace written to {args.trace_out} "
-              f"({s.tasks} tasks, {s.workers} workers, "
-              f"utilization {s.utilization:.0%}, {s.failed} failed)")
     if args.metrics:
         from repro.observability import render_metrics
 
@@ -768,7 +783,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _training_workload(args, recorder=None) -> None:
+def _training_workload(args) -> None:
     """A small instrumented training run shared by ``repro metrics``
     and ``repro trace`` (exercises queue, engine, FFT cache, pooled
     allocator and trainer metrics)."""
@@ -782,7 +797,6 @@ def _training_workload(args, recorder=None) -> None:
     net = Network(graph, input_shape=(args.input_size,) * 3,
                   conv_mode=args.conv_mode, loss="binary-logistic",
                   num_workers=args.workers, seed=args.seed,
-                  recorder=recorder,
                   optimizer=SGD(learning_rate=1e-3, momentum=0.9))
     volume = make_cell_volume(shape=args.volume_size, num_cells=8,
                               noise=0.08, seed=args.seed + 1)
@@ -816,20 +830,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.observability import write_chrome_trace
-    from repro.scheduler import TraceRecorder
-
     if args.merge:
         return _cmd_trace_merge(args)
-    recorder = TraceRecorder()
-    _training_workload(args, recorder=recorder)
-    write_chrome_trace(recorder, args.out)
-    s = recorder.summary()
-    print(f"trace written to {args.out}")
-    print(f"{s.tasks} tasks over {s.span:.3f}s on {s.workers} worker(s); "
-          f"utilization {s.utilization:.0%}, "
-          f"mean queue wait {s.mean_queue_wait * 1e3:.2f}ms, "
-          f"{s.failed} failed")
+    with _task_trace(args.out):
+        _training_workload(args)
     print("open chrome://tracing (or https://ui.perfetto.dev) and load "
           "the file to inspect the task cascade")
     return 0

@@ -50,7 +50,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.scheduler.engine import LOWEST_PRIORITY, TaskEngine
 from repro.scheduler.serial import SerialEngine
 from repro.scheduler.strategies import make_scheduler
-from repro.scheduler.task import Task, TaskState, force
+from repro.scheduler.task import Task, force
 from repro.tensor.fft_cache import TransformCache
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_array3
@@ -86,9 +86,6 @@ class Network:
         ``"lifo"``, ``"work-stealing"``.
     seed:
         Seed for weight init and dropout.
-    recorder:
-        Optional :class:`repro.scheduler.TraceRecorder` capturing every
-        executed task (see ``repro.scheduler.instrumentation``).
     fft_fast_sizes:
         Pad FFT transforms up to 5-smooth sizes (faster transforms,
         slightly more memory; results are bit-compatible to ~1e-12).
@@ -113,7 +110,6 @@ class Network:
                  num_workers: int = 1,
                  scheduler: str = "priority",
                  seed: SeedLike = None,
-                 recorder=None,
                  fft_fast_sizes: bool = False,
                  deterministic_sums: bool = False,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
@@ -170,11 +166,7 @@ class Network:
         self.num_workers = int(num_workers)
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if self.num_workers == 1:
-            self.engine = SerialEngine(
-                scheduler=make_scheduler(scheduler, 1), recorder=recorder,
-                retry_policy=retry_policy)
-        else:
+        if self.num_workers > 1:
             try:
                 plan = active_plan()
                 if plan is not None:
@@ -182,7 +174,7 @@ class Network:
                 self.engine = TaskEngine(
                     self.num_workers,
                     scheduler=make_scheduler(scheduler, self.num_workers),
-                    recorder=recorder, retry_policy=retry_policy).start()
+                    retry_policy=retry_policy).start()
             except Exception as exc:
                 # Graceful degradation: a broken parallel runtime must
                 # not kill the run — fall back to the serial engine.
@@ -192,9 +184,10 @@ class Network:
                     f"({type(exc).__name__}: {exc}); degrading to the "
                     "serial engine", RuntimeWarning, stacklevel=2)
                 self.num_workers = 1
-                self.engine = SerialEngine(
-                    scheduler=make_scheduler(scheduler, 1),
-                    recorder=recorder, retry_policy=retry_policy)
+        if self.num_workers == 1:
+            self.engine = SerialEngine(
+                scheduler=make_scheduler(scheduler, 1),
+                retry_policy=retry_policy)
 
         # Round bookkeeping.
         self._lock = threading.Lock()
@@ -236,7 +229,7 @@ class Network:
         """Run one forward pass; returns {output node name: image}."""
         self._begin_round(training=False)
         self._seed_forward(inputs)
-        self._await(self._fwd_done, "forward pass")
+        self.engine.wait_for(self._fwd_done, "forward pass")
         return {n.name: np.array(n.fwd_image) for n in self.output_nodes}
 
     # deterministic
@@ -251,7 +244,7 @@ class Network:
         self._begin_round(training=True)
         self._targets = self._normalize_targets(targets)
         self._seed_forward(inputs)
-        self._await(self._bwd_done, "training round")
+        self.engine.wait_for(self._bwd_done, "training round")
         self.rounds += 1
         return self._loss_value()
 
@@ -267,20 +260,9 @@ class Network:
 
     def synchronize(self) -> None:
         """Execute every pending update task (steal-or-wait)."""
-        if isinstance(self.engine, SerialEngine):
-            self.engine.run_until_idle()
-            return
-        for edge in self.edges.values():
-            task = edge.update_task
-            if task is None:
-                continue
-            if task.try_steal():
-                task.execute()
-            else:
-                while task.state is not TaskState.COMPLETED:
-                    if self.engine.errors:
-                        raise self.engine.errors[0]
-                    threading.Event().wait(0.0005)
+        self.engine.complete(edge.update_task
+                             for edge in self.edges.values()
+                             if edge.update_task is not None)
 
     def outputs(self) -> Dict[str, np.ndarray]:
         """Output images of the most recent forward pass."""
@@ -420,25 +402,6 @@ class Network:
                 self._node_forward_complete(node)
 
         self.engine.spawn(provider, priority=-1, name="provider")
-        if isinstance(self.engine, SerialEngine):
-            self.engine.run_until_idle()
-
-    def _await(self, event: threading.Event, what: str,
-               timeout: float = 300.0) -> None:
-        if isinstance(self.engine, SerialEngine):
-            self.engine.run_until_idle()
-            if not event.is_set():
-                raise RuntimeError(f"{what} did not complete (queue drained)")
-            return
-        deadline = timeout
-        step = 0.05
-        waited = 0.0
-        while not event.wait(step):
-            if self.engine.errors:
-                raise self.engine.errors[0]
-            waited += step
-            if waited >= deadline:
-                raise TimeoutError(f"{what} did not complete in {deadline}s")
 
     # -- forward -----------------------------------------------------------
 

@@ -98,7 +98,7 @@ class PooledArray(np.ndarray):
 
     _chunk: Optional[np.ndarray]
     _pool_index: int
-    _allocator: Optional["PoolAllocator"]
+    _allocator: Optional["PooledArrays"]
 
     def __array_finalize__(self, obj):
         # Views inherit nothing: only the array handed out by allocate()
@@ -108,7 +108,83 @@ class PooledArray(np.ndarray):
         self._allocator = getattr(self, "_allocator", None)
 
 
-class PoolAllocator:
+class PoolAccounting:
+    """Lifetime stats and ``pool.*`` metrics of one pooled allocator —
+    what :class:`PoolAllocator` and
+    :class:`repro.memory.shared_pool.SharedMemoryPool` record the same
+    way, wherever their bytes live."""
+
+    def __init__(self, name: str, lock_name: str) -> None:
+        # Stats mutation is the only shared-state write outside the
+        # allocators' free-list ops; a tiny lock keeps counters exact.
+        self._lock = make_lock(lock_name)
+        self.stats = AllocatorStats()  # guarded-by: _lock
+        reg = get_registry()
+        self._m_alloc = reg.counter("pool.alloc", pool=name)
+        self._m_reuse = reg.counter("pool.reuse", pool=name)
+        self._m_free = reg.counter("pool.free", pool=name)
+        self._m_held = reg.gauge("pool.held_bytes", pool=name)
+        self._m_outstanding = reg.gauge("pool.outstanding", pool=name)
+
+    def allocated(self, nbytes: int, size: int, hit: bool) -> None:
+        """A request of *nbytes* was served by a chunk of *size* bytes,
+        from the free list (*hit*) or from the system."""
+        with self._lock:
+            self.stats.bytes_requested += nbytes
+            if hit:
+                self.stats.pool_hits += 1
+            else:
+                self.stats.system_allocations += 1
+                self.stats.bytes_from_system += size
+            held = self.stats.bytes_from_system
+        self._m_alloc.inc()
+        if hit:
+            self._m_reuse.inc()
+        else:
+            self._m_held.set(held)
+        self._m_outstanding.inc()
+
+    def freed(self) -> None:
+        """A chunk went back to its free list."""
+        with self._lock:
+            self.stats.deallocations += 1
+        self._m_free.inc()
+        self._m_outstanding.dec()
+
+
+class PooledArrays:
+    """``allocate_array``/``deallocate_array`` for an allocator whose
+    ``allocate(nbytes)`` returns ``(chunk, pool_index)`` and whose
+    ``deallocate(chunk, pool_index)`` takes them back."""
+
+    def allocate_array(self, shape: int | Sequence[int],
+                       dtype=np.float64) -> PooledArray:
+        """Allocate a pooled ndarray of *shape*/*dtype*."""
+        shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
+        dt = np.dtype(dtype)
+        nbytes = max(1, int(np.prod(shape_t)) * dt.itemsize)
+        chunk, index = self.allocate(nbytes)
+        flat = chunk[: int(np.prod(shape_t)) * dt.itemsize].view(dt)
+        arr = flat.reshape(shape_t).view(PooledArray)
+        arr._chunk = chunk
+        arr._pool_index = index
+        arr._allocator = self
+        return arr
+
+    def deallocate_array(self, array: PooledArray) -> None:
+        """Return a :class:`PooledArray`'s chunk to its pool."""
+        chunk = getattr(array, "_chunk", None)
+        if chunk is None:
+            raise ValueError("array was not allocated by a pooled "
+                             "allocator (or is a view)")
+        if array._allocator is not self:
+            raise ValueError("array belongs to a different allocator")
+        self.deallocate(chunk, array._pool_index)
+        array._chunk = None
+        array._allocator = None
+
+
+class PoolAllocator(PooledArrays):
     """A 32-pool power-of-two allocator over numpy byte chunks.
 
     Parameters
@@ -126,21 +202,13 @@ class PoolAllocator:
         self.alignment = alignment
         self.name = name
         self._pools: list[Deque[np.ndarray]] = [deque() for _ in range(NUM_POOLS)]
-        # Stats mutation is the only shared-state write outside the
-        # (atomic) deque ops; a tiny lock keeps counters exact.
-        self._stats_lock = make_lock(f"memory.pool_stats.{name}")
-        self.stats = AllocatorStats()  # guarded-by: _stats_lock
+        self._accounting = PoolAccounting(name, f"memory.pool_stats.{name}")
+        self.stats = self._accounting.stats
         self._check = checking_enabled()
         if self._check:
             # The free-lists are deliberately lock-free: deque append/pop
             # are GIL-atomic (the boost lock-free queues of §VII-C).
             track(self, name=f"memory.pool.{name}", policy="atomic")
-        reg = get_registry()
-        self._m_alloc = reg.counter("pool.alloc", pool=name)
-        self._m_reuse = reg.counter("pool.reuse", pool=name)
-        self._m_free = reg.counter("pool.free", pool=name)
-        self._m_held = reg.gauge("pool.held_bytes", pool=name)
-        self._m_outstanding = reg.gauge("pool.outstanding", pool=name)
 
     # ------------------------------------------------------------------
 
@@ -172,20 +240,7 @@ class PoolAllocator:
         except IndexError:
             chunk = self._new_chunk(size)
             hit = False
-        with self._stats_lock:
-            self.stats.bytes_requested += nbytes
-            if hit:
-                self.stats.pool_hits += 1
-            else:
-                self.stats.system_allocations += 1
-                self.stats.bytes_from_system += size
-            held = self.stats.bytes_from_system
-        self._m_alloc.inc()
-        if hit:
-            self._m_reuse.inc()
-        else:
-            self._m_held.set(held)
-        self._m_outstanding.inc()
+        self._accounting.allocated(nbytes, size, hit)
         return chunk, index
 
     def deallocate(self, chunk: np.ndarray, pool_index: int) -> None:
@@ -199,38 +254,7 @@ class PoolAllocator:
         if self._check:
             note_access(self, "write")
         self._pools[pool_index].append(chunk)
-        with self._stats_lock:
-            self.stats.deallocations += 1
-        self._m_free.inc()
-        self._m_outstanding.dec()
-
-    # ------------------------------------------------------------------
-
-    def allocate_array(self, shape: int | Sequence[int],
-                       dtype=np.float64) -> PooledArray:
-        """Allocate a pooled ndarray of *shape*/*dtype*."""
-        shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
-        dt = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(shape_t)) * dt.itemsize)
-        chunk, index = self.allocate(nbytes)
-        flat = chunk[: int(np.prod(shape_t)) * dt.itemsize].view(dt)
-        arr = flat.reshape(shape_t).view(PooledArray)
-        arr._chunk = chunk
-        arr._pool_index = index
-        arr._allocator = self
-        return arr
-
-    def deallocate_array(self, array: PooledArray) -> None:
-        """Return a :class:`PooledArray`'s chunk to its pool."""
-        chunk = getattr(array, "_chunk", None)
-        if chunk is None:
-            raise ValueError("array was not allocated by a PoolAllocator "
-                             "(or is a view)")
-        if array._allocator is not self:
-            raise ValueError("array belongs to a different allocator")
-        self.deallocate(chunk, array._pool_index)
-        array._chunk = None
-        array._allocator = None
+        self._accounting.freed()
 
     # ------------------------------------------------------------------
 

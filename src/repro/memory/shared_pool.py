@@ -32,8 +32,7 @@ from typing import Deque, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.runtime import make_lock
-from repro.memory.pools import NUM_POOLS, AllocatorStats, _round_up_pow2
-from repro.observability.metrics import get_registry
+from repro.memory.pools import NUM_POOLS, PoolAccounting, _round_up_pow2
 
 __all__ = [
     "BlockHandle",
@@ -140,14 +139,9 @@ class SharedMemoryPool:
             deque() for _ in range(NUM_POOLS)]  # guarded-by: _lock
         self._all: Dict[str, AttachedBlock] = {}  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        self._stats_lock = make_lock(f"memory.shared_pool_stats.{name}")
-        self.stats = AllocatorStats()  # guarded-by: _stats_lock
-        reg = get_registry()
-        self._m_alloc = reg.counter("pool.alloc", pool=name)
-        self._m_reuse = reg.counter("pool.reuse", pool=name)
-        self._m_free = reg.counter("pool.free", pool=name)
-        self._m_held = reg.gauge("pool.held_bytes", pool=name)
-        self._m_outstanding = reg.gauge("pool.outstanding", pool=name)
+        self._accounting = PoolAccounting(
+            name, f"memory.shared_pool_stats.{name}")
+        self.stats = self._accounting.stats
 
     # ------------------------------------------------------------------
 
@@ -171,20 +165,7 @@ class SharedMemoryPool:
                     shm, BlockHandle(shm.name, size, index), owner=True)
                 self._all[shm.name] = block
                 hit = False
-        with self._stats_lock:
-            self.stats.bytes_requested += nbytes
-            if hit:
-                self.stats.pool_hits += 1
-            else:
-                self.stats.system_allocations += 1
-                self.stats.bytes_from_system += size
-            held = self.stats.bytes_from_system
-        self._m_alloc.inc()
-        if hit:
-            self._m_reuse.inc()
-        else:
-            self._m_held.set(held)
-        self._m_outstanding.inc()
+        self._accounting.allocated(nbytes, size, hit)
         return block
 
     def deallocate(self, block: AttachedBlock) -> None:
@@ -197,10 +178,7 @@ class SharedMemoryPool:
                     f"block {block.handle.name!r} does not belong to "
                     f"pool {self.name!r}")
             self._pools[block.handle.pool_index].append(block)
-        with self._stats_lock:
-            self.stats.deallocations += 1
-        self._m_free.inc()
-        self._m_outstanding.dec()
+        self._accounting.freed()
 
     def allocate_array(self, shape: int | Sequence[int],
                        dtype=np.float64) -> Tuple[AttachedBlock, np.ndarray]:

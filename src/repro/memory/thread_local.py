@@ -13,7 +13,7 @@ pool, so memory still circulates between threads over time.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,14 +21,14 @@ from repro.analysis.runtime import make_lock
 from repro.memory.pools import (
     NUM_POOLS,
     PoolAllocator,
-    PooledArray,
+    PooledArrays,
     _round_up_pow2,
 )
 
 __all__ = ["ThreadLocalAllocator"]
 
 
-class ThreadLocalAllocator:
+class ThreadLocalAllocator(PooledArrays):
     """Two-level allocator: per-thread front-end over a shared pool.
 
     Parameters
@@ -87,31 +87,6 @@ class ThreadLocalAllocator:
             pools[pool_index].append(chunk)
             return
         self.backing.deallocate(chunk, pool_index)
-
-    # ------------------------------------------------------------------
-
-    def allocate_array(self, shape, dtype=np.float64) -> PooledArray:
-        shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
-        dt = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(shape_t)) * dt.itemsize)
-        chunk, index = self.allocate(nbytes)
-        flat = chunk[: int(np.prod(shape_t)) * dt.itemsize].view(dt)
-        arr = flat.reshape(shape_t).view(PooledArray)
-        arr._chunk = chunk
-        arr._pool_index = index
-        arr._allocator = self  # type: ignore[assignment]
-        return arr
-
-    def deallocate_array(self, array: PooledArray) -> None:
-        chunk = getattr(array, "_chunk", None)
-        if chunk is None:
-            raise ValueError("array was not allocated by this allocator "
-                             "(or is a view)")
-        if array._allocator is not self:
-            raise ValueError("array belongs to a different allocator")
-        self.deallocate(chunk, array._pool_index)
-        array._chunk = None
-        array._allocator = None
 
     # ------------------------------------------------------------------
 

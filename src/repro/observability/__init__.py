@@ -15,12 +15,9 @@ See ``docs/observability.md`` for the metric-name catalog and usage.
 """
 
 from repro.observability.export import (
-    chrome_trace,
-    chrome_trace_events,
     metrics_snapshot,
     prometheus_text,
     render_metrics,
-    write_chrome_trace,
     write_metrics_json,
 )
 from repro.observability.metrics import (
@@ -48,6 +45,7 @@ from repro.observability.tracing import (
     FlightRecorder,
     Span,
     SpanContext,
+    TaskSummary,
     Tracer,
     current_context,
     flight_dump,
@@ -59,6 +57,8 @@ from repro.observability.tracing import (
     render_span_tree,
     set_tracer,
     spans_to_chrome_trace,
+    summarize_task_spans,
+    write_chrome_trace,
     write_trace_file,
 )
 
@@ -70,12 +70,9 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
-    "chrome_trace",
-    "chrome_trace_events",
     "metrics_snapshot",
     "prometheus_text",
     "render_metrics",
-    "write_chrome_trace",
     "write_metrics_json",
     "Span",
     "SpanContext",
@@ -87,7 +84,10 @@ __all__ = [
     "get_flight_recorder",
     "flight_note",
     "flight_dump",
+    "TaskSummary",
+    "summarize_task_spans",
     "spans_to_chrome_trace",
+    "write_chrome_trace",
     "render_span_tree",
     "write_trace_file",
     "read_trace_file",

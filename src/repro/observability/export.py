@@ -1,15 +1,9 @@
-"""Exporters: Chrome-trace JSON from a recorded span, metrics snapshots.
+"""Metrics exporters: the registry's counters/gauges/histograms as a
+plain dict, JSON file, fixed-width text table (via
+:func:`repro.reporting.render_table`) or Prometheus text.
 
-Two consumable artifacts come out of an instrumented run:
-
-* a **trace** — the :class:`repro.scheduler.TraceRecorder`'s per-task
-  records rendered as Chrome Trace Event JSON.  Load the file in
-  ``chrome://tracing`` (or https://ui.perfetto.dev) to see the paper's
-  Fig 3 task cascade laid out per worker, with queue-wait and status
-  attached to every slice;
-* a **metrics snapshot** — the registry's counters/gauges/histograms as
-  a plain dict, JSON file, or fixed-width text table (via
-  :func:`repro.reporting.render_table`).
+The other artifact of an instrumented run, the task trace, is written
+by :func:`repro.observability.tracing.write_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -27,69 +21,11 @@ from repro.observability.metrics import (
 )
 
 __all__ = [
-    "chrome_trace_events",
-    "chrome_trace",
-    "write_chrome_trace",
     "metrics_snapshot",
     "render_metrics",
     "write_metrics_json",
     "prometheus_text",
 ]
-
-
-def chrome_trace_events(records: Sequence) -> List[dict]:
-    """Convert :class:`repro.scheduler.TaskRecord` entries to Chrome
-    Trace Event dicts (complete events, ``ph="X"``).
-
-    Timestamps are microseconds relative to the earliest recorded start,
-    one trace thread per worker.  Queue wait and task status travel in
-    ``args`` so they show up in the trace viewer's detail pane.
-    """
-    if not records:
-        return []
-    t0 = min(r.start for r in records)
-    events: List[dict] = [
-        {"name": "process_name", "ph": "M", "pid": 0,
-         "args": {"name": "repro task engine"}},
-    ]
-    for worker in sorted({r.worker for r in records}):
-        events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                       "tid": worker, "args": {"name": f"worker-{worker}"}})
-    for r in records:
-        event = {
-            "name": r.name or "(anonymous)",
-            "cat": r.family,
-            "ph": "X",
-            "pid": 0,
-            "tid": r.worker,
-            "ts": (r.start - t0) * 1e6,
-            "dur": r.duration * 1e6,
-            "args": {
-                "queue_wait_us": getattr(r, "queue_wait", 0.0) * 1e6,
-                "status": getattr(r, "status", "ok"),
-            },
-        }
-        if getattr(r, "status", "ok") != "ok":
-            event["cname"] = "terrible"  # red slice in the viewer
-        events.append(event)
-    return events
-
-
-def chrome_trace(recorder_or_records) -> dict:
-    """The full Chrome-trace JSON object for a recorder or record list."""
-    records = (recorder_or_records.records()
-               if hasattr(recorder_or_records, "records")
-               else list(recorder_or_records))
-    return {"traceEvents": chrome_trace_events(records),
-            "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(recorder_or_records, path: str) -> str:
-    """Write ``chrome://tracing`` JSON for a recorded span; returns
-    *path*."""
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(recorder_or_records), fh)
-    return path
 
 
 # ---------------------------------------------------------------------------

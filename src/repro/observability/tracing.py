@@ -1,11 +1,13 @@
 """Hierarchical, request-scoped tracing with context propagation.
 
-The flat per-task records of :class:`repro.scheduler.TraceRecorder`
-answer "what did each worker run when", but the open ROADMAP items
-(per-layer algorithm selection, autoscaling) need *causal* structure:
-which request did a conv task belong to, how long did the request wait
-in admission before its first tile ran, which training round produced
-this worker's gradient pass.  This module provides that structure:
+"What did each worker run when" is half of a trace; the open ROADMAP
+items (per-layer algorithm selection, autoscaling) also need *causal*
+structure: which request did a conv task belong to, how long did the
+request wait in admission before its first tile ran, which training
+round produced this worker's gradient pass.  This module records both
+in one place — every engine task is a span (``worker``, ``queue_wait``
+and status attached) inside the tree of the request or round that
+spawned it:
 
 * :class:`Span` — one named interval with a ``trace_id`` (the request /
   round it belongs to), a ``span_id``, and a ``parent_id`` forming a
@@ -71,7 +73,11 @@ __all__ = [
     "get_flight_recorder",
     "flight_note",
     "flight_dump",
+    "task_family",
+    "TaskSummary",
+    "summarize_task_spans",
     "spans_to_chrome_trace",
+    "write_chrome_trace",
     "render_span_tree",
     "write_trace_file",
     "read_trace_file",
@@ -86,6 +92,13 @@ TRACE_SCHEMA = "repro.trace/v1"
 #: ``tracing.dropped`` counts them.
 DEFAULT_MAX_SPANS = 100_000
 DEFAULT_FLIGHT_EVENTS = 512
+
+
+def task_family(name: str) -> str:
+    """Task-name prefix before the first colon ('fwd', 'upd', …): the
+    label of the engine's per-family counters and the category of a
+    task span."""
+    return name.partition(":")[0] or "anonymous"
 
 
 class SpanContext(NamedTuple):
@@ -431,18 +444,17 @@ class Tracer:
         return _ActiveSpan(self, tid, self._new_span_id(), parent_id,
                            name, category, attrs)
 
-    def task_span(self, task, worker: Optional[int] = None):
-        """The engine hook: a span for one scheduler task, parented on
-        the context captured when the task was created."""
+    def task_span(self, task, worker: int, queue_wait: float):
+        """The engine hook: a span for one attempt of one scheduler
+        task, parented on the context captured when the task was
+        created.  ``worker`` is what marks a span as a task span
+        (:func:`summarize_task_spans`)."""
         if not self.enabled:
             return _NOOP_SPAN
-        ctx = getattr(task, "span_context", None)
-        name = task.name or "(anonymous)"
-        category = name.partition(":")[0] or "task"
-        if worker is None:
-            return self.span(name, category=category, parent=ctx)
-        return self.span(name, category=category, parent=ctx,
-                         worker=worker)
+        return self.span(task.name or "(anonymous)",
+                         category=task_family(task.name),
+                         parent=task.span_context,
+                         worker=worker, queue_wait=queue_wait)
 
     def record(self, name: str, start: float, end: float,
                category: str = "",
@@ -552,6 +564,12 @@ class Tracer:
         self._sync_metrics()
         with self._lock:
             return len(self._spans)
+
+    @property
+    def dropped(self) -> int:
+        """Spans evicted from the full ring so far."""
+        with self._lock:
+            return self._dropped
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +791,59 @@ def spans_to_chrome_trace(spans: Sequence[Span]) -> dict:
             event["cname"] = "terrible"
         events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def write_chrome_trace(spans: Sequence[Span], path: str) -> str:
+    """Write :func:`spans_to_chrome_trace` JSON to *path* (load it in
+    ``chrome://tracing`` or https://ui.perfetto.dev); returns *path*."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spans_to_chrome_trace(spans), fh)
+    return path
+
+
+class TaskSummary(NamedTuple):
+    """Aggregates over the task spans of one trace — the quantities
+    the paper's Section VIII discussion is about."""
+
+    tasks: int
+    #: Seconds from the first task's start to the last task's end.
+    span: float
+    #: Busy seconds per ``(process, worker)``.
+    busy_per_worker: Dict[Tuple[str, int], float]
+    time_per_family: Dict[str, float]
+    #: Attempts that did not end ``ok`` (still counted in ``tasks``).
+    failed: int
+    mean_queue_wait: float
+    #: Busy worker-time divided by (span x workers).
+    utilization: float
+
+    def __str__(self) -> str:
+        return (f"{self.tasks} tasks over {self.span:.3f}s on "
+                f"{len(self.busy_per_worker)} worker(s); "
+                f"utilization {self.utilization:.0%}, mean queue wait "
+                f"{self.mean_queue_wait * 1e3:.2f}ms, {self.failed} failed")
+
+
+def summarize_task_spans(spans: Sequence[Span]) -> TaskSummary:
+    """Summarise the engine-task spans among *spans* (those carrying
+    ``worker``; request, round and stage spans are skipped)."""
+    tasks = [s for s in spans if "worker" in s.attrs]
+    if not tasks:
+        return TaskSummary(0, 0.0, {}, {}, 0, 0.0, 0.0)
+    span = max(s.end for s in tasks) - min(s.start for s in tasks)
+    busy: Dict[Tuple[str, int], float] = {}
+    families: Dict[str, float] = {}
+    for s in tasks:
+        key = (s.process, s.attrs["worker"])
+        busy[key] = busy.get(key, 0.0) + s.duration
+        families[s.category] = families.get(s.category, 0.0) + s.duration
+    wait = sum(s.attrs.get("queue_wait", 0.0) for s in tasks)
+    return TaskSummary(
+        tasks=len(tasks), span=span, busy_per_worker=busy,
+        time_per_family=families,
+        failed=sum(s.status != "ok" for s in tasks),
+        mean_queue_wait=wait / len(tasks),
+        utilization=sum(busy.values()) / (span * len(busy)) if span else 0.0)
 
 
 def render_span_tree(spans: Sequence[Span],

@@ -3,11 +3,6 @@ FORCE protocol, alternative strategies."""
 
 from repro.scheduler.autoselect import StrategyChoice, select_strategy
 from repro.scheduler.engine import LOWEST_PRIORITY, TaskEngine, task_family
-from repro.scheduler.instrumentation import (
-    TaskRecord,
-    TraceRecorder,
-    TraceSummary,
-)
 from repro.scheduler.serial import SerialEngine
 from repro.scheduler.strategies import (
     SCHEDULER_FACTORIES,
@@ -22,9 +17,6 @@ __all__ = [
     "StrategyChoice",
     "select_strategy",
     "LOWEST_PRIORITY",
-    "TaskRecord",
-    "TraceRecorder",
-    "TraceSummary",
     "TaskEngine",
     "task_family",
     "SerialEngine",

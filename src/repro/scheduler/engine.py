@@ -13,10 +13,13 @@ hosts.  The scalability *measurements* of the paper are reproduced by
 the discrete-event simulator (:mod:`repro.simulate`) which schedules the
 identical task graph with this engine's policy — see DESIGN.md.
 
-Every executed task feeds the observability registry: per-family
-``engine.tasks`` counters, ``engine.failed``, and accumulated
-``engine.busy_seconds`` / ``engine.idle_seconds`` per worker — the live
-counterpart of the utilization quantities behind Figs 5–7.
+Whichever thread pops a task — a worker here, the caller of
+:class:`repro.scheduler.SerialEngine` — runs it through the one bracket
+of :class:`Engine`, so ``T_1`` and ``T_W`` are accounted with the same
+ruler: per-family ``engine.tasks`` / ``engine.tasks.retried``,
+``engine.failed``, ``engine.busy_seconds`` (``engine.idle_seconds`` is
+the workers' own) and, with tracing on, one task span per attempt — the
+live counterpart of the utilization quantities behind Figs 5–7.
 
 Beyond the paper, the engine is fault-tolerant (see
 ``docs/robustness.md``): an optional
@@ -33,30 +36,182 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.analysis.runtime import make_lock
 from repro.observability.metrics import Counter, get_registry
-from repro.observability.tracing import flight_dump, flight_note, get_tracer
+from repro.observability.tracing import (
+    flight_dump,
+    flight_note,
+    get_tracer,
+    task_family,
+)
 from repro.resilience.faults import active_plan
 from repro.resilience.retry import RetryPolicy, TaskTimeout
-from repro.scheduler.task import Task, force
+from repro.scheduler.task import Task, TaskState, force
 from repro.sync.priority_queue import HeapOfLists, QueueClosed
 
-__all__ = ["TaskEngine", "LOWEST_PRIORITY", "task_family"]
+__all__ = ["Engine", "TaskEngine", "LOWEST_PRIORITY", "task_family"]
 
 #: Priority value assigned to update tasks — strictly less urgent than
 #: any forward/backward priority the graph can produce (Section VI-A).
 LOWEST_PRIORITY = 2**31
 
 
-def task_family(name: str) -> str:
-    """Task-name prefix before the first colon ('fwd', 'upd', …)."""
-    head, _, _ = name.partition(":")
-    return head or "anonymous"
+class Engine:
+    """What both engines share: the submit side and the bracket one
+    attempt of one task runs in (:meth:`_attempt`).  A subclass decides
+    which thread pops tasks, and what happens to a task that must be
+    retried or that failed for good."""
+
+    num_workers = 1
+
+    def __init__(self, scheduler: Optional[Any] = None,
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
+        self.queue = scheduler if scheduler is not None else HeapOfLists()
+        self.retry_policy = retry_policy
+        self._lock = make_lock("scheduler.engine")
+        self._executed = 0  # guarded-by: _lock
+        self._errors: List[BaseException] = []  # guarded-by: _lock
+        reg = get_registry()
+        self._metrics = reg
+        self._m_failed = reg.counter("engine.failed")
+        self._m_busy = reg.counter("engine.busy_seconds")
+        self._m_timed_out = reg.counter("engine.tasks.timed_out")
+        self._m_tasks: Dict[str, Counter] = {}  # guarded-by: _lock
+        self._m_retried: Dict[str, Counter] = {}  # guarded-by: _lock
+
+    def start(self) -> "Engine":
+        return self
+
+    def __enter__(self) -> "Engine":
+        return self.start()
+
+    # ------------------------------------------------------------------
+
+    def submit(self, task: Task) -> Task:
+        """Enqueue *task* at its own priority."""
+        task.mark_queued()
+        task.queued_at = (
+            time.perf_counter())  # nondeterministic: queue-wait metric
+        self.queue.push(task.priority, task, is_valid=task.is_queued)
+        return task
+
+    def spawn(self, fn: Callable[[], Any], priority: int = 0,
+              name: str = "") -> Task:
+        """Create and enqueue a task in one step."""
+        return self.submit(Task(fn, priority=priority, name=name))
+
+    def force(self, update_task: Optional[Task], fn: Callable[[], Any],
+              name: str = "") -> None:
+        """FORCE a forward subtask behind its edge's update task
+        (Algorithm 1) from the current thread."""
+        force(update_task, Task(fn, name=name))
+
+    @property
+    def executed(self) -> int:
+        """Tasks executed so far (attached subtasks included)."""
+        with self._lock:
+            return self._executed
+
+    @property
+    def errors(self) -> List[BaseException]:
+        """Failures the engine holds for :meth:`shutdown` to raise."""
+        with self._lock:
+            return list(self._errors)
+
+    # ------------------------------------------------------------------
+
+    def _family_counter(self, cache: Dict[str, Counter], metric: str,
+                        family: str) -> Counter:
+        # Fast path: dict reads are GIL-atomic.  Insertion happens under
+        # the engine lock (double-checked) — concurrent first-use of a
+        # family must not race the dict resize.
+        counter = cache.get(family)
+        if counter is None:
+            with self._lock:
+                counter = cache.get(family)
+                if counter is None:
+                    counter = self._metrics.counter(metric, family=family)
+                    cache[family] = counter
+        return counter
+
+    def _count_retry(self, family: str) -> None:
+        self._family_counter(self._m_retried, "engine.tasks.retried",
+                             family).inc()
+
+    def _release(self, worker: int) -> None:
+        """*worker*'s task body has returned: from here on nobody (the
+        threaded engine's watchdog) may take the task away."""
+
+    def _attempt(self, task: Task, worker: int, t0: float) -> str:
+        """Run one attempt of *task*, popped by *worker* at *t0*, and
+        account for it.  Returns ``"ok"`` (completed; counted in
+        ``engine.tasks``), ``"retried"`` (it raised and the policy grants
+        another attempt: the task is PENDING again, the backoff is slept,
+        the caller re-queues it) or ``"abandoned"`` (the watchdog gave
+        the task away while this attempt was stuck: nothing is counted).
+        A failure that is not retried is counted in ``engine.failed``,
+        noted in the flight ring, and raised.  With tracing on the
+        attempt is one task span carrying ``worker``, ``queue_wait`` and
+        that status (``"error"`` for the raised failure).
+        """
+        family = task_family(task.name)
+        tracer = get_tracer()
+        try:
+            if tracer.enabled:
+                queue_wait = t0 - task.queued_at if task.queued_at else 0.0
+                with tracer.task_span(task, worker, queue_wait) as span:
+                    status = self._execute(task, worker, t0, family)
+                    if status != "ok":
+                        span.fail(status)
+            else:
+                status = self._execute(task, worker, t0, family)
+        except BaseException as error:
+            flight_note("engine task failed fatally",
+                        task=task.name, worker=worker,
+                        error=f"{type(error).__name__}: {error}")
+            flight_dump(f"engine-failed-{family}")
+            raise
+        if status == "retried":
+            time.sleep(self.retry_policy.backoff(task.attempts - 1))
+        return status
+
+    def _execute(self, task: Task, worker: int, t0: float,
+                 family: str) -> str:
+        """The inside of :meth:`_attempt`'s span: fault-plan check, the
+        task body, busy seconds, and the count / retry / fail decision
+        (the failure that is not retried is raised)."""
+        error: Optional[BaseException] = None
+        try:
+            plan = active_plan()
+            if plan is not None:
+                plan.check(family, task.name)
+            # An injected hang may have let the watchdog abandon this
+            # task; the replacement owns it now.
+            if not task.abandoned:
+                task.execute()
+        except BaseException as exc:
+            error = exc
+        self._release(worker)
+        self._m_busy.inc(time.perf_counter() - t0)
+        if task.abandoned:
+            return "abandoned"
+        if error is None:
+            self._family_counter(self._m_tasks, "engine.tasks",
+                                 family).inc()
+            return "ok"
+        policy = self.retry_policy
+        if (policy is not None
+                and policy.should_retry(error, task.attempts)
+                and task.reset_for_retry()):
+            self._count_retry(family)
+            return "retried"
+        self._m_failed.inc()
+        raise error
 
 
-class TaskEngine:
+class TaskEngine(Engine):
     """Executes tasks with *num_workers* threads until closed.
 
     Parameters
@@ -81,36 +236,21 @@ class TaskEngine:
 
     def __init__(self, num_workers: int = 1,
                  scheduler: Optional[Any] = None,
-                 recorder: Optional[Any] = None,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        super().__init__(scheduler, retry_policy)
         self.num_workers = num_workers
-        self.queue = scheduler if scheduler is not None else HeapOfLists()
-        #: Optional repro.scheduler.TraceRecorder logging every task.
-        self.recorder = recorder
-        self.retry_policy = retry_policy
-        self._lock = make_lock("scheduler.engine")
         self._threads: List[threading.Thread] = []  # guarded-by: _lock
         self._lost_threads: List[threading.Thread] = []  # guarded-by: _lock
         self._started = False  # guarded-by: _lock
-        self._executed = 0  # guarded-by: _lock
-        self._errors: List[BaseException] = []  # guarded-by: _lock
         self._errors_noted = False  # guarded-by: _lock
         self._next_worker = 0  # guarded-by: _lock
         #: worker index -> (task, start time), for the watchdog.
         self._executing: Dict[int, tuple] = {}  # guarded-by: _lock
-        self._abandoned: set = set()  # guarded-by: _lock
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
-        reg = get_registry()
-        self._metrics = reg
-        self._m_failed = reg.counter("engine.failed")
-        self._m_busy = reg.counter("engine.busy_seconds")
-        self._m_idle = reg.counter("engine.idle_seconds")
-        self._m_timed_out = reg.counter("engine.tasks.timed_out")
-        self._m_families: Dict[str, Counter] = {}  # guarded-by: _lock
-        self._m_retried: Dict[str, Counter] = {}  # guarded-by: _lock
+        self._m_idle = self._metrics.counter("engine.idle_seconds")
 
     # ------------------------------------------------------------------
 
@@ -174,156 +314,72 @@ class TaskEngine:
                         f"{type(extra).__name__}: {extra}")
             raise primary
 
-    def __enter__(self) -> "TaskEngine":
-        return self.start()
-
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    # ------------------------------------------------------------------
+    # -- waiting on the workers ------------------------------------------
 
-    def submit(self, task: Task) -> Task:
-        """Enqueue *task* at its own priority."""
-        task.mark_queued()
-        task.queued_at = time.perf_counter()
-        self.queue.push(task.priority, task, is_valid=task.is_queued)
-        return task
+    def wait_for(self, event: threading.Event, what: str) -> None:
+        """Block until the tasks in flight set *event*; a worker
+        failure in the meantime is raised here."""
+        deadline = time.monotonic() + 300.0
+        while not event.wait(0.05):
+            if self.errors:
+                raise self.errors[0]
+            if time.monotonic() >= deadline:
+                raise TimeoutError(f"{what} did not complete in 300s")
 
-    def spawn(self, fn: Callable[[], Any], priority: int = 0,
-              name: str = "") -> Task:
-        """Create and enqueue a task in one step."""
-        return self.submit(Task(fn, priority=priority, name=name))
-
-    def force(self, update_task: Optional[Task], fn: Callable[[], Any],
-              name: str = "") -> None:
-        """FORCE a forward subtask behind its edge's update task
-        (Algorithm 1) from the current worker thread."""
-        force(update_task, Task(fn, name=name))
-
-    # ------------------------------------------------------------------
-
-    @property
-    def executed(self) -> int:
-        """Tasks executed so far (attached subtasks included)."""
-        with self._lock:
-            return self._executed
-
-    @property
-    def errors(self) -> List[BaseException]:
-        with self._lock:
-            return list(self._errors)
-
-    def _family_counter(self, family: str) -> Counter:
-        # Fast path: dict reads are GIL-atomic.  Insertion happens under
-        # the engine lock (double-checked) — concurrent first-use of a
-        # family must not race the dict resize.
-        counter = self._m_families.get(family)
-        if counter is None:
-            with self._lock:
-                counter = self._m_families.get(family)
-                if counter is None:
-                    counter = self._metrics.counter("engine.tasks",
-                                                    family=family)
-                    self._m_families[family] = counter
-        return counter
-
-    def _retried_counter(self, family: str) -> Counter:
-        counter = self._m_retried.get(family)
-        if counter is None:
-            with self._lock:
-                counter = self._m_retried.get(family)
-                if counter is None:
-                    counter = self._metrics.counter("engine.tasks.retried",
-                                                    family=family)
-                    self._m_retried[family] = counter
-        return counter
+    def complete(self, tasks: Iterable[Task]) -> None:
+        """Make sure every task of *tasks* has run: steal the ones
+        still queued and run them here, wait out the ones a worker is
+        executing."""
+        for task in tasks:
+            if task.try_steal():
+                task.execute()
+            else:
+                while task.state is not TaskState.COMPLETED:
+                    if self.errors:
+                        raise self.errors[0]
+                    threading.Event().wait(0.0005)
 
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        worker_index = int(threading.current_thread().name.rsplit("-", 1)[-1])
+        worker = int(threading.current_thread().name.rsplit("-", 1)[-1])
         t_wait = time.perf_counter()
         while True:
             try:
                 _, task = self.queue.pop(block=True, timeout=None)
             except QueueClosed:
                 return
-            except IndexError:  # pragma: no cover - timeout unused here
-                t_wait = time.perf_counter()
-                continue
             t0 = time.perf_counter()
             self._m_idle.inc(t0 - t_wait)
-            queue_wait = t0 - task.queued_at if task.queued_at else 0.0
-            error: Optional[BaseException] = None
-            executed = False
             with self._lock:
-                self._executing[worker_index] = (task, t0)
+                self._executing[worker] = (task, t0)
             try:
-                plan = active_plan()
-                if plan is not None:
-                    plan.check(task_family(task.name), task.name)
-                # An injected hang may have let the watchdog abandon
-                # this task; the replacement owns it now.
-                if not task.abandoned:
-                    tracer = get_tracer()
-                    if tracer.enabled:
-                        with tracer.task_span(task, worker=worker_index):
-                            task.execute()
-                    else:
-                        task.execute()
-                    executed = True
-            except BaseException as exc:  # propagate via shutdown()
-                error = exc
-            finally:
+                status = self._attempt(task, worker, t0)
+            except BaseException as error:  # propagate via shutdown()
                 with self._lock:
-                    self._executing.pop(worker_index, None)
-                    worker_abandoned = worker_index in self._abandoned
-            t1 = time.perf_counter()
-            self._m_busy.inc(t1 - t0)
-            family = task_family(task.name)
-            self._family_counter(family).inc()
-            if worker_abandoned:
+                    self._errors.append(error)
+                self.queue.close()
+                return
+            if status == "abandoned":
                 # The watchdog spawned a replacement worker while this
                 # one was stuck; it has already accounted for the task.
                 return
-            if error is not None:
-                if (self.retry_policy is not None
-                        and self.retry_policy.should_retry(error,
-                                                           task.attempts)
-                        and task.reset_for_retry()):
-                    self._retried_counter(family).inc()
-                    if self.recorder is not None:
-                        self.recorder.record(task.name, worker_index, t0, t1,
-                                             queue_wait=queue_wait,
-                                             status="retried")
-                    time.sleep(self.retry_policy.backoff(task.attempts - 1))
-                    try:
-                        self.submit(task)
-                    except QueueClosed:
-                        pass  # another worker failed fatally; so do we
-                    else:
-                        t_wait = time.perf_counter()
-                        continue
-                self._m_failed.inc()
-                if self.recorder is not None:
-                    self.recorder.record(task.name, worker_index, t0, t1,
-                                         queue_wait=queue_wait,
-                                         status="error")
-                with self._lock:
-                    self._errors.append(error)
-                flight_note("engine task failed fatally",
-                            task=task.name, worker=worker_index,
-                            error=f"{type(error).__name__}: {error}")
-                flight_dump(f"engine-failed-{task_family(task.name)}")
-                self.queue.close()
-                return
-            if self.recorder is not None:
-                self.recorder.record(task.name, worker_index, t0, t1,
-                                     queue_wait=queue_wait, status="ok")
-            if executed:
+            if status == "retried":
+                try:
+                    self.submit(task)
+                except QueueClosed:
+                    return  # the engine went down during the backoff
+            else:
                 with self._lock:
                     self._executed += 1
-            t_wait = t1  # idle clock restarts where the task ended
+            t_wait = time.perf_counter()
+
+    def _release(self, worker: int) -> None:
+        with self._lock:
+            self._executing.pop(worker, None)
 
     # -- watchdog ------------------------------------------------------
 
@@ -344,12 +400,11 @@ class TaskEngine:
         the task on a fresh worker while retry budget remains, else
         record a :class:`TaskTimeout` and close the queue."""
         with self._lock:
-            if worker_index in self._abandoned:
-                return
             current = self._executing.get(worker_index)
             if current is None or current[0] is not task:
                 return  # finished between scan and handling
-            self._abandoned.add(worker_index)
+            # The worker reads the flag after its _release(): flip and
+            # un-register together, so it keeps the task or sees it gone.
             task.abandoned = True
             self._executing.pop(worker_index, None)
             name = f"znn-worker-{worker_index}"
@@ -362,7 +417,7 @@ class TaskEngine:
             f"task {task.name!r} exceeded {self.retry_policy.timeout}s "
             f"(attempt {task.attempts + 1})")
         if self.retry_policy.should_retry(timeout_error, task.attempts):
-            self._retried_counter(task_family(task.name)).inc()
+            self._count_retry(task_family(task.name))
             self._spawn_worker()
             try:
                 self.submit(task.clone_for_retry())

@@ -1,9 +1,11 @@
 """Serial task executor — the ``T_1`` baseline.
 
-Executes the same task objects as :class:`repro.scheduler.TaskEngine`
-but on the calling thread, draining the queue in priority order.  This
-is both the speedup denominator of Section VIII and a deterministic
-execution mode that makes unit-testing the graph logic easy.
+Executes the same task objects as :class:`repro.scheduler.TaskEngine`,
+through the same per-attempt bracket (:class:`repro.scheduler.engine.
+Engine`), but on the calling thread, draining the queue in priority
+order.  This is both the speedup denominator of Section VIII and a
+deterministic execution mode that makes unit-testing the graph logic
+easy.
 
 Like the threaded engine it honours an optional
 :class:`repro.resilience.RetryPolicy` (failed tasks re-execute in place
@@ -15,50 +17,25 @@ never abort the task.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Iterable
 
-from repro.observability.metrics import get_registry
-from repro.observability.tracing import get_tracer
-from repro.resilience.faults import active_plan
-from repro.resilience.retry import RetryPolicy
-from repro.scheduler.task import Task, force
-from repro.sync.priority_queue import HeapOfLists
+from repro.scheduler.engine import Engine
+from repro.scheduler.task import Task
 
 __all__ = ["SerialEngine"]
 
 
-class SerialEngine:
+class SerialEngine(Engine):
     """Drop-in single-threaded replacement for :class:`TaskEngine`.
 
     ``submit`` enqueues; ``run_until_idle`` (called automatically by
     ``shutdown``/context exit, or manually mid-round) pops and executes
     until the queue drains.  Because spawned tasks land back on the same
-    queue, one call executes a whole training round.
+    queue, one call executes a whole training round.  A failure
+    raises out of ``run_until_idle``; ``errors`` stays empty.
     """
-
-    def __init__(self, scheduler: Optional[Any] = None,
-                 recorder: Optional[Any] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
-        self.num_workers = 1
-        self.queue = scheduler if scheduler is not None else HeapOfLists()
-        #: Optional repro.scheduler.TraceRecorder logging every task.
-        self.recorder = recorder
-        self.retry_policy = retry_policy
-        self._executed = 0
-        reg = get_registry()
-        self._metrics = reg
-        self._m_failed = reg.counter("engine.failed")
-        self._m_busy = reg.counter("engine.busy_seconds")
-        self._m_timed_out = reg.counter("engine.tasks.timed_out")
-        self._m_families: dict = {}
-        self._m_retried: dict = {}
-
-    def start(self) -> "SerialEngine":
-        return self
-
-    def __enter__(self) -> "SerialEngine":
-        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
@@ -69,29 +46,6 @@ class SerialEngine:
 
     # ------------------------------------------------------------------
 
-    def submit(self, task: Task) -> Task:
-        task.mark_queued()
-        task.queued_at = (
-            time.perf_counter())  # nondeterministic: queue-wait metric
-        self.queue.push(task.priority, task, is_valid=task.is_queued)
-        return task
-
-    def spawn(self, fn: Callable[[], Any], priority: int = 0,
-              name: str = "") -> Task:
-        return self.submit(Task(fn, priority=priority, name=name))
-
-    def force(self, update_task: Optional[Task], fn: Callable[[], Any],
-              name: str = "") -> None:
-        force(update_task, Task(fn, name=name))
-
-    def _retried_counter(self, family: str):
-        counter = self._m_retried.get(family)
-        if counter is None:
-            counter = self._metrics.counter("engine.tasks.retried",
-                                            family=family)
-            self._m_retried[family] = counter
-        return counter
-
     def run_until_idle(self) -> int:
         """Execute queued tasks (and everything they spawn) to quiescence.
 
@@ -100,75 +54,38 @@ class SerialEngine:
         backoff) until it succeeds or the retry budget is exhausted;
         only then does the failure propagate.
         """
-        from repro.scheduler.engine import task_family
-
         policy = self.retry_policy
+        advisory = policy.timeout if policy is not None else None
         count = 0
-        while True:
-            try:
-                _, task = self.queue.pop(block=False)
-            except IndexError:
-                break
-            family = task_family(task.name)
+        try:
             while True:
-                t0 = time.perf_counter()
-                queue_wait = t0 - task.queued_at if task.queued_at else 0.0
                 try:
-                    plan = active_plan()
-                    if plan is not None:
-                        plan.check(family, task.name)
-                    tracer = get_tracer()
-                    if tracer.enabled:
-                        with tracer.task_span(task, worker=0):
-                            task.execute()
-                    else:
-                        task.execute()
-                except BaseException as exc:
-                    t1 = time.perf_counter()
-                    self._m_busy.inc(t1 - t0)
-                    if (policy is not None
-                            and policy.should_retry(exc, task.attempts)
-                            and task.reset_for_retry()):
-                        self._retried_counter(family).inc()
-                        if self.recorder is not None:
-                            self.recorder.record(task.name, 0, t0, t1,
-                                                 queue_wait=queue_wait,
-                                                 status="retried")
-                        time.sleep(policy.backoff(task.attempts - 1))
-                        task.mark_queued()  # re-execute in place
-                        continue
-                    # Record the failure before propagating so traces
-                    # don't silently under-count work.
-                    self._m_failed.inc()
-                    if self.recorder is not None:
-                        self.recorder.record(task.name, 0, t0, t1,
-                                             queue_wait=queue_wait,
-                                             status="error")
-                    self._executed += count
-                    raise
-                break
-            t1 = time.perf_counter()
-            self._m_busy.inc(t1 - t0)
-            if policy is not None and policy.timeout is not None \
-                    and t1 - t0 > policy.timeout:
-                # Advisory only: the serial engine cannot preempt itself.
-                self._m_timed_out.inc()
-            counter = self._m_families.get(family)
-            if counter is None:
-                counter = self._metrics.counter("engine.tasks", family=family)
-                self._m_families[family] = counter
-            counter.inc()
-            if self.recorder is not None:
-                self.recorder.record(task.name, 0, t0, t1,
-                                     queue_wait=queue_wait)
-            count += 1
-        self._executed += count
-        return count
+                    _, task = self.queue.pop(block=False)
+                except IndexError:
+                    return count
+                t0 = time.perf_counter()
+                # t0 is only subtracted into busy seconds, queue wait
+                # and the task span; it decides nothing.
+                while self._attempt(
+                        task, 0, t0) == "retried":  # nondeterministic: metrics
+                    task.mark_queued()  # re-execute in place
+                    t0 = task.queued_at = time.perf_counter()
+                if advisory is not None \
+                        and time.perf_counter() - t0 > advisory:
+                    # Advisory only: the engine cannot preempt itself.
+                    self._m_timed_out.inc()
+                count += 1
+        finally:
+            with self._lock:
+                self._executed += count
 
-    @property
-    def executed(self) -> int:
-        return self._executed
+    def wait_for(self, event: threading.Event, what: str) -> None:
+        """Drain the queue; the tasks run must have set *event*."""
+        self.run_until_idle()
+        if not event.is_set():
+            raise RuntimeError(f"{what} did not complete (queue drained)")
 
-    @property
-    def errors(self) -> list:
-        return []
+    def complete(self, tasks: Iterable[Task]) -> None:
+        """Make sure every task of *tasks* has run — here, by draining
+        the queue they sit on."""
+        self.run_until_idle()

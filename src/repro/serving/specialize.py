@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.builders import Layer, dense_twin_layers
-from repro.observability.profile import validate_cost_model
+from repro.observability.profile import load_cost_model, validate_cost_model
 from repro.pram.costs import (
     direct_conv_task_cost,
     fft_cost,
@@ -79,6 +79,7 @@ from repro.pram.costs import (
 from repro.serving.tiler import (
     DEFAULT_TILE_VOXELS,
     PlanInfeasible,
+    choose_tile_shape,
     largest_fast_len,
     normalize_conv_modes,
 )
@@ -173,8 +174,6 @@ class CostModel:
 
     @classmethod
     def from_file(cls, path: str) -> "CostModel":
-        from repro.observability.profile import load_cost_model
-
         return cls(load_cost_model(path), source=str(path))
 
     @property
@@ -317,8 +316,6 @@ def enumerate_candidate_tiles(volume_shape: Sequence[int],
         # though the fov tile itself fits: fall back to the tiler's
         # shrink-largest-axis walk, which is budget-feasible by the
         # check above.
-        from repro.serving.tiler import choose_tile_shape
-
         tiles.append(choose_tile_shape(v, f, max_voxels=tile_voxels,
                                        fast_sizes=fast_sizes))
     return tuple(tiles)
@@ -407,8 +404,10 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
             fft_seconds = _layer_seconds(
                 model, edge_names, "fft", fft_flops, fft_layer_flops)
             # Ties prefer direct: bitwise-deterministic and free of
-            # spectra bookkeeping (same tolerance-free tie rule as the
-            # training autotuner).
+            # spectra bookkeeping.  The comparison is strict; the
+            # training autotuner (core.autotune.autotune_layer) is more
+            # conservative and keeps direct unless FFT wins by its 5%
+            # tolerance.
             mode = "fft" if fft_seconds < direct_seconds else "direct"
             if mode == "fft":
                 working_set += (_BYTES_COMPLEX * voxels(rfft_shape(shape))

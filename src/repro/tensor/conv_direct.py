@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.pram.costs import direct_conv_task_cost
 from repro.utils.shapes import (
     as_shape3,
     effective_kernel_shape,
@@ -83,8 +84,6 @@ def direct_pass_cost(image_shape: int | Sequence[int],
     float64.  Consumed by :mod:`repro.observability.profile` to turn
     measured per-edge timings into achieved FLOP/s.
     """
-    from repro.pram.costs import direct_conv_task_cost
-
     k = voxels(kernel_shape)
     out = voxels(valid_conv_shape(image_shape, kernel_shape, sparsity))
     return {

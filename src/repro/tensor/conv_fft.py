@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.pram.costs import fft_cost, pointwise_product_cost
 from repro.resilience.faults import active_plan
 from repro.tensor.conv_direct import dilate_kernel
 from repro.tensor.fourier import (
@@ -237,8 +238,6 @@ class FftConvPlan:
         the pass: two spectrum reads, the product write and the
         inverse-transform read.
         """
-        from repro.pram.costs import fft_cost, pointwise_product_cost
-
         n = 1
         for extent in self.transform_shape:
             n *= extent

@@ -75,7 +75,7 @@ def test_fft_cache_concurrent_pins_are_not_lost(check_state):
 
 
 def test_engine_family_counter_first_use_is_synchronised(check_state):
-    # Bug: _m_families[family] = counter ran without the engine lock —
+    # Bug: _m_tasks[family] = counter ran without the engine lock —
     # concurrent first-use of families raced the dict insertion.  The
     # double-checked path must hand every thread the same counter.
     engine = TaskEngine(num_workers=1)
@@ -85,8 +85,10 @@ def test_engine_family_counter_first_use_is_synchronised(check_state):
 
     def first_use():
         barrier.wait()
-        mine = [engine._family_counter(f"fam-{j}") for j in range(4)]
-        mine.append(engine._retried_counter("fam-retry"))
+        mine = [engine._family_counter(engine._m_tasks, "engine.tasks",
+                                       f"fam-{j}") for j in range(4)]
+        mine.append(engine._family_counter(
+            engine._m_retried, "engine.tasks.retried", "fam-retry"))
         with seen_lock:
             seen.append(mine)
 
@@ -99,5 +101,5 @@ def test_engine_family_counter_first_use_is_synchronised(check_state):
     for counters in seen[1:]:
         for mine, first in zip(counters, seen[0]):
             assert mine is first
-    assert set(engine._m_families) == {f"fam-{j}" for j in range(4)}
+    assert set(engine._m_tasks) == {f"fam-{j}" for j in range(4)}
     assert [v.kind for v in check_state.violations] == []

@@ -13,23 +13,33 @@ import pytest
 
 from repro.core import Network, SGD
 from repro.graph import build_layered_network, build_task_graph
-from repro.scheduler import TraceRecorder
+from repro.observability.tracing import (
+    Tracer,
+    set_tracer,
+    summarize_task_spans,
+)
 from repro.simulate import MachineSpec, simulate_schedule
 
 
 def traced_round(width=3, conv_mode="direct"):
-    rec = TraceRecorder()
-    graph = build_layered_network("CTMCT", width=width, kernel=3, window=2,
-                                  transfer="tanh")
-    net = Network(graph, input_shape=(16, 16, 16), conv_mode=conv_mode,
-                  seed=0, recorder=rec, optimizer=SGD(learning_rate=1e-4))
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((16, 16, 16))
-    targets = {n.name: np.zeros(n.shape) for n in net.output_nodes}
-    net.train_step(x, targets)
-    net.synchronize()
-    net.close()
-    return graph, rec
+    """One training round under a fresh tracer; returns the graph and
+    the round's task spans."""
+    tracer = Tracer(enabled=True)
+    previous = set_tracer(tracer)
+    try:
+        graph = build_layered_network("CTMCT", width=width, kernel=3,
+                                      window=2, transfer="tanh")
+        net = Network(graph, input_shape=(16, 16, 16), conv_mode=conv_mode,
+                      seed=0, optimizer=SGD(learning_rate=1e-4))
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, 16, 16))
+        targets = {n.name: np.zeros(n.shape) for n in net.output_nodes}
+        net.train_step(x, targets)
+        net.synchronize()
+        net.close()
+    finally:
+        set_tracer(previous)
+    return graph, tracer.spans()
 
 
 class TestTaskAccounting:
@@ -38,12 +48,12 @@ class TestTaskAccounting:
         forward/backward/lossgrad/provider tasks the task-graph model
         enumerates — updates may be folded into FORCEd forward tasks,
         and FFT-mode node transforms happen inside edge tasks."""
-        graph, rec = traced_round()
+        graph, spans = traced_round()
         tg = build_task_graph(graph, conv_mode="direct")
         kinds = tg.count_kinds()
         families = {}
-        for r in rec.records():
-            families[r.family] = families.get(r.family, 0) + 1
+        for s in spans:
+            families[s.category] = families.get(s.category, 0) + 1
         assert families["fwd"] == kinds["forward"]
         assert families["bwd"] == kinds["backward"]
         assert families["lossgrad"] == kinds["lossgrad"]
@@ -53,8 +63,8 @@ class TestTaskAccounting:
         """The measured fwd:bwd wall-time ratio should be within a
         small factor of the FLOP model's prediction (both passes do
         the same direct convolutions here)."""
-        graph, rec = traced_round()
-        summary = rec.summary()
+        graph, spans = traced_round()
+        summary = summarize_task_spans(spans)
         measured = (summary.time_per_family["fwd"]
                     / summary.time_per_family["bwd"])
         tg = build_task_graph(graph, conv_mode="direct")
@@ -73,10 +83,10 @@ class TestRelativePredictions:
         speedups = {}
         live_tasks = {}
         for width in (2, 6):
-            graph, rec = traced_round(width=width)
+            graph, spans = traced_round(width=width)
             tg = build_task_graph(graph, conv_mode="direct")
             speedups[width] = simulate_schedule(tg, host, 4).speedup
-            live_tasks[width] = rec.summary().tasks
+            live_tasks[width] = summarize_task_spans(spans).tasks
         assert speedups[6] >= speedups[2]
         assert live_tasks[6] > live_tasks[2]
 

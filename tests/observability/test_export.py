@@ -1,81 +1,17 @@
-"""Exporter tests: Chrome-trace JSON structure and metrics snapshots."""
+"""Metrics exporter tests (the Chrome-trace exporter's are in
+``test_tracing.py``), and one instrumented round end to end."""
 
 import json
 
-import pytest
-
 from repro.observability import (
     MetricsRegistry,
-    chrome_trace,
-    chrome_trace_events,
+    Tracer,
     metrics_snapshot,
     render_metrics,
+    set_tracer,
     write_chrome_trace,
     write_metrics_json,
 )
-from repro.scheduler import TraceRecorder
-
-
-def _recorded_span():
-    rec = TraceRecorder()
-    rec.record("fwd:a", 0, 10.0, 10.5, queue_wait=0.001)
-    rec.record("bwd:a", 1, 10.5, 11.0)
-    rec.record("upd:a", 0, 11.0, 11.2, status="error")
-    return rec
-
-
-class TestChromeTrace:
-    def test_empty_records(self):
-        assert chrome_trace_events([]) == []
-        doc = chrome_trace(TraceRecorder())
-        assert doc == {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def test_slices_and_metadata(self):
-        events = chrome_trace_events(_recorded_span().records())
-        meta = [e for e in events if e["ph"] == "M"]
-        slices = [e for e in events if e["ph"] == "X"]
-        assert len(slices) == 3
-        # process name + one thread name per worker
-        names = {e["name"] for e in meta}
-        assert names == {"process_name", "thread_name"}
-        assert {e["args"]["name"] for e in meta} == {
-            "repro task engine", "worker-0", "worker-1"}
-
-    def test_timestamps_relative_microseconds(self):
-        slices = [e for e in chrome_trace_events(_recorded_span().records())
-                  if e["ph"] == "X"]
-        by_name = {e["name"]: e for e in slices}
-        assert by_name["fwd:a"]["ts"] == pytest.approx(0.0)
-        assert by_name["fwd:a"]["dur"] == pytest.approx(0.5e6)
-        assert by_name["bwd:a"]["ts"] == pytest.approx(0.5e6)
-        assert by_name["fwd:a"]["args"]["queue_wait_us"] == pytest.approx(1e3)
-
-    def test_failed_task_marked(self):
-        slices = [e for e in chrome_trace_events(_recorded_span().records())
-                  if e["ph"] == "X"]
-        failed = [e for e in slices if e["args"]["status"] == "error"]
-        assert len(failed) == 1
-        assert failed[0]["cname"] == "terrible"
-        ok = [e for e in slices if e["args"]["status"] == "ok"]
-        assert all("cname" not in e for e in ok)
-
-    def test_family_becomes_category(self):
-        slices = [e for e in chrome_trace_events(_recorded_span().records())
-                  if e["ph"] == "X"]
-        assert {e["cat"] for e in slices} == {"fwd", "bwd", "upd"}
-
-    def test_write_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.json"
-        out = write_chrome_trace(_recorded_span(), str(path))
-        assert out == str(path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["displayTimeUnit"] == "ms"
-        assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) == 3
-
-    def test_accepts_record_list(self):
-        rec = _recorded_span()
-        assert chrome_trace(rec.records()) == chrome_trace(rec)
 
 
 class TestMetricsExport:
@@ -127,15 +63,16 @@ class TestEndToEnd:
 
         fresh = MetricsRegistry()
         previous = set_registry(fresh)
+        tracer = Tracer(enabled=True)
+        previous_tracer = set_tracer(tracer)
         reset_global_allocators()  # rebuild pools against the fresh registry
         try:
-            rec = TraceRecorder()
             from repro.graph import build_layered_network
 
             graph = build_layered_network("CTC", width=2, kernel=2,
                                           output_nodes=1)
             net = Network(graph, input_shape=(12, 12, 12), seed=0,
-                          conv_mode="fft", recorder=rec,
+                          conv_mode="fft",
                           optimizer=SGD(learning_rate=0.01))
             volume = make_cell_volume((24, 24, 24), seed=1)
             out_shape = net.output_nodes[0].shape
@@ -151,11 +88,13 @@ class TestEndToEnd:
                        if not isinstance(value, dict))
             assert snap["train.rounds"] == 2
             assert snap["train.seconds_per_update"]["count"] == 2
-            path = write_chrome_trace(rec, str(tmp_path / "t.json"))
+            path = write_chrome_trace(tracer.spans(),
+                                      str(tmp_path / "t.json"))
             with open(path) as fh:
                 doc = json.load(fh)
             assert any(e["ph"] == "X" for e in doc["traceEvents"])
             assert np.isfinite(snap["train.loss"])
         finally:
+            set_tracer(previous_tracer)
             set_registry(previous)
             reset_global_allocators()

@@ -23,6 +23,8 @@ from repro.observability.tracing import (
     render_span_tree,
     set_tracer,
     spans_to_chrome_trace,
+    summarize_task_spans,
+    write_chrome_trace,
     write_trace_file,
 )
 from repro.scheduler import SerialEngine, Task, TaskEngine
@@ -254,6 +256,24 @@ class TestExporters:
         assert spans_to_chrome_trace([]) == {"traceEvents": [],
                                             "displayTimeUnit": "ms"}
 
+    def test_task_slices_carry_worker_wait_and_status(self):
+        span = task_span("fwd:a", 1, 10.0, 10.5, queue_wait=0.001,
+                         status="retried")
+        (event,) = [e for e in spans_to_chrome_trace([span])["traceEvents"]
+                    if e["ph"] == "X"]
+        assert event["cat"] == "fwd"
+        assert event["dur"] == pytest.approx(0.5e6)
+        assert event["args"]["worker"] == 1
+        assert event["args"]["queue_wait"] == pytest.approx(0.001)
+        assert event["args"]["status"] == "retried"
+        assert event["cname"] == "terrible"  # anything but ok is red
+
+    def test_write_chrome_trace_round_trip(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        assert write_chrome_trace(self._spans(), path) == path
+        with open(path) as fh:
+            assert json.load(fh) == spans_to_chrome_trace(self._spans())
+
     def test_render_span_tree_indents_and_promotes_orphans(self):
         spans = self._spans() + [
             Span("t1", "lost:1", "missing-parent", "orphan", "", 1.3,
@@ -274,6 +294,110 @@ class TestExporters:
             Span("t2", "x:1", None, "other", "", 5.0, 6.0, "serve", 1)]
         assert "other" not in render_span_tree(spans, "t1")
         assert "(no spans)" == render_span_tree(spans, "t-missing")
+
+
+def task_span(name, worker, start, end, queue_wait=0.0, status="ok",
+              process="test"):
+    """A span as the engine bracket records it for one task attempt."""
+    return Span("t1", f"{process}:{name}:{start}", None, name,
+                name.partition(":")[0], start, end, process, 1,
+                status=status,
+                attrs={"worker": worker, "queue_wait": queue_wait})
+
+
+class TestTaskSummary:
+    def test_summarises_task_spans(self):
+        s = summarize_task_spans([
+            task_span("fwd:a", 0, 0.0, 1.0),
+            task_span("upd:a", 0, 1.0, 1.5),
+            task_span("fwd:b", 1, 0.0, 2.0),
+        ])
+        assert s.tasks == 3
+        assert s.span == pytest.approx(2.0)
+        assert s.busy_per_worker == {("test", 0): 1.5, ("test", 1): 2.0}
+        assert s.time_per_family == {"fwd": 3.0, "upd": 0.5}
+        assert s.utilization == pytest.approx(3.5 / 4.0)
+        assert str(s).startswith("3 tasks over 2.000s on 2 worker(s); "
+                                 "utilization 88%")
+
+    def test_empty(self):
+        s = summarize_task_spans([])
+        assert s.tasks == 0 and s.utilization == 0.0
+        assert s.mean_queue_wait == 0.0
+
+    def test_only_spans_carrying_a_worker_are_tasks(self):
+        s = summarize_task_spans([
+            Span("t1", "c:1", None, "round:0", "training", 0.0, 9.0,
+                 "test", 1),
+            task_span("provider", 0, 1.0, 2.0),
+        ])
+        assert s.tasks == 1 and s.span == pytest.approx(1.0)
+        assert s.time_per_family == {"provider": 1.0}
+
+    def test_zero_duration_task(self):
+        s = summarize_task_spans([task_span("fwd:instant", 0, 1.0, 1.0)])
+        assert s.tasks == 1 and s.span == 0.0
+        assert s.utilization == 0.0  # zero span guards the division
+
+    def test_out_of_order_spans_and_queue_wait(self):
+        """Spans arriving in non-chronological order (as they do from
+        racing workers) still give the right span and totals."""
+        s = summarize_task_spans([
+            task_span("fwd:late", 0, 2.0, 3.0, queue_wait=0.2),
+            task_span("fwd:early", 1, 0.0, 1.0, queue_wait=0.1),
+            task_span("fwd:mid", 0, 1.0, 2.0),
+        ])
+        assert s.span == pytest.approx(3.0)
+        assert s.busy_per_worker == {("test", 0): 2.0, ("test", 1): 1.0}
+        assert s.mean_queue_wait == pytest.approx(0.1)
+
+    def test_attempts_that_did_not_end_ok_count_as_failed(self):
+        s = summarize_task_spans([
+            task_span("fwd:ok", 0, 0.0, 1.0),
+            task_span("fwd:flaky", 0, 1.0, 2.0, status="retried"),
+            task_span("fwd:bad", 0, 2.0, 3.0, status="error"),
+        ])
+        assert s.failed == 2
+        assert s.tasks == 3  # failed attempts still count
+
+    def test_same_worker_index_in_two_processes_is_two_workers(self):
+        s = summarize_task_spans([
+            task_span("fwd:a", 0, 0.0, 1.0, process="worker-1"),
+            task_span("fwd:a", 0, 0.0, 1.0, process="worker-2"),
+        ])
+        assert len(s.busy_per_worker) == 2
+        assert s.utilization == pytest.approx(1.0)
+
+    def test_network_round_contains_every_task_family(self, tracer, rng):
+        """A traced training round contains every task family of
+        Fig 3."""
+        import numpy as np
+
+        from repro.core import Network, SGD
+        from repro.graph import build_layered_network
+
+        graph = build_layered_network("CTC", width=2, kernel=2)
+        net = Network(graph, input_shape=(8, 8, 8), seed=0,
+                      optimizer=SGD(learning_rate=0.01))
+        x = rng.standard_normal((8, 8, 8))
+        targets = {n.name: np.zeros(n.shape) for n in net.output_nodes}
+        net.train_step(x, targets)
+        net.synchronize()
+        summary = summarize_task_spans(tracer.spans())
+        assert {"provider", "fwd", "lossgrad", "bwd"} \
+            <= set(summary.time_per_family)
+        # updates may run inline via FORCE (then they are part of the
+        # forcing task) or as their own queued tasks
+        assert summary.tasks >= len(net.edges) * 2
+
+
+class TestRingOverflow:
+    def test_dropped_counts_evicted_spans(self):
+        tracer = Tracer(enabled=True, max_spans=2)
+        for i in range(5):
+            tracer.record(f"s{i}", 0.0, 1.0)
+        assert len(tracer) == 2
+        assert tracer.dropped == 3
 
 
 class TestTraceFiles:

@@ -1,4 +1,6 @@
-"""Retry policy, engine retry paths, and the watchdog timeout."""
+"""Retry policy, the serial engine's advisory timeout and the threaded
+engine's watchdog.  The retry paths both engines share are in
+``tests/scheduler/test_engine_contract.py``."""
 
 import threading
 import time
@@ -9,7 +11,6 @@ from repro.observability import MetricsRegistry, set_registry
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     RetryPolicy,
     TaskTimeout,
     clear_plan,
@@ -64,97 +65,17 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0.0)
 
 
-def fail_n_times(n, exc=RuntimeError):
-    """A task body that raises on its first *n* calls then succeeds."""
-    calls = []
-
-    def body():
-        calls.append(None)
-        if len(calls) <= n:
-            raise exc(f"transient #{len(calls)}")
-    body.calls = calls
-    return body
-
-
 FAST = RetryPolicy(max_retries=2, backoff_seconds=0.001,
                    max_backoff_seconds=0.01)
 
 
-class TestSerialEngineRetry:
-    def test_transient_failure_retries_to_success(self, registry):
-        engine = SerialEngine(retry_policy=FAST)
-        body = fail_n_times(2)
-        engine.spawn(body, name="fwd:e1")
-        assert engine.run_until_idle() == 1
-        assert len(body.calls) == 3
-        assert metric_total(registry, "engine.tasks.retried") == 2
-
-    def test_budget_exhaustion_raises(self, registry):
-        engine = SerialEngine(retry_policy=FAST)
-        body = fail_n_times(3)
-        engine.spawn(body, name="fwd:e1")
-        with pytest.raises(RuntimeError, match="transient #3"):
-            engine.run_until_idle()
-        assert metric_total(registry, "engine.failed") == 1
-
-    def test_no_policy_fails_immediately(self, registry):
-        engine = SerialEngine()
-        body = fail_n_times(1)
-        engine.spawn(body, name="fwd:e1")
-        with pytest.raises(RuntimeError, match="transient #1"):
-            engine.run_until_idle()
-        assert len(body.calls) == 1
-
-    def test_injected_fault_is_retried(self, registry):
-        install_plan(FaultPlan([FaultSpec.parse("fail:fwd:1")]))
-        engine = SerialEngine(retry_policy=FAST)
-        ran = []
-        engine.spawn(lambda: ran.append(1), name="fwd:e1")
-        engine.run_until_idle()
-        assert ran == [1]
-        assert metric_total(registry, "engine.tasks.retried") == 1
-
+class TestSerialAdvisoryTimeout:
     def test_advisory_timeout_counts_but_completes(self, registry):
         policy = RetryPolicy(timeout=0.005)
         engine = SerialEngine(retry_policy=policy)
         engine.spawn(lambda: time.sleep(0.02), name="fwd:slow")
         assert engine.run_until_idle() == 1
         assert metric_total(registry, "engine.tasks.timed_out") == 1
-
-
-class TestTaskEngineRetry:
-    def test_transient_failure_retries_to_success(self, registry):
-        done = threading.Event()
-        calls = []
-
-        def body():
-            calls.append(None)
-            if len(calls) <= 2:
-                raise RuntimeError("transient")
-            done.set()
-
-        with TaskEngine(num_workers=2, retry_policy=FAST) as engine:
-            engine.spawn(body, name="fwd:e1")
-            assert done.wait(timeout=5)
-        assert engine.errors == []
-        assert metric_total(registry, "engine.tasks.retried") == 2
-
-    def test_budget_exhaustion_propagates(self, registry):
-        engine = TaskEngine(num_workers=2, retry_policy=FAST).start()
-        engine.spawn(fail_n_times(10), name="fwd:e1")
-        time.sleep(0.2)
-        with pytest.raises(RuntimeError, match="transient"):
-            engine.shutdown()
-        assert metric_total(registry, "engine.tasks.retried") == 2
-
-    def test_injected_fault_is_retried(self, registry):
-        install_plan(FaultPlan([FaultSpec.parse("fail:fwd:1")]))
-        done = threading.Event()
-        with TaskEngine(num_workers=2, retry_policy=FAST) as engine:
-            engine.spawn(done.set, name="fwd:e1")
-            assert done.wait(timeout=5)
-        assert engine.errors == []
-        assert metric_total(registry, "resilience.faults_injected") == 1
 
 
 class TestWatchdogTimeout:
@@ -172,7 +93,44 @@ class TestWatchdogTimeout:
         engine.shutdown()
         assert engine.errors == []
         assert metric_total(registry, "engine.tasks.timed_out") == 1
-        assert metric_total(registry, "engine.tasks.retried") >= 1
+        assert metric_total(registry, "engine.tasks.retried") == 1
+        # The abandoned attempt is neither counted nor retried by the
+        # stuck worker; only the clone's completion counts.
+        assert metric_total(registry, "engine.tasks") == 1
+        assert metric_total(registry, "engine.failed") == 0
+
+    def test_abandoned_attempt_wakes_up_to_nothing(self, registry):
+        """When the stuck body finally returns, its worker must not
+        count, retry or fail the task the clone already completed; its
+        span says what happened, inside the creating thread's trace."""
+        from repro.observability.tracing import Tracer, set_tracer
+
+        install_plan(FaultPlan([FaultSpec.parse("hang:fwd:1")],
+                               hang_seconds=0.2))
+        policy = RetryPolicy(max_retries=2, backoff_seconds=0.001,
+                             timeout=0.05)
+        tracer = Tracer(enabled=True, process="test")
+        previous = set_tracer(tracer)
+        try:
+            done = threading.Event()
+            engine = TaskEngine(num_workers=1, retry_policy=policy).start()
+            with tracer.span("root") as root:
+                engine.spawn(done.set, name="fwd:e1")
+            assert done.wait(timeout=5)
+            deadline = time.time() + 5
+            while len(tracer) < 3 and time.time() < deadline:
+                time.sleep(0.01)  # root + clone + the woken original
+            engine.shutdown()
+        finally:
+            set_tracer(previous)
+        attempts = [s for s in tracer.spans() if s.name == "fwd:e1"]
+        assert sorted(s.status for s in attempts) == ["abandoned", "ok"]
+        assert {s.trace_id for s in attempts} == {root.trace_id}
+        assert engine.errors == []
+        assert metric_total(registry, "engine.tasks") == 1
+        assert metric_total(registry, "engine.tasks.retried") == 1
+        assert metric_total(registry, "engine.failed") == 0
+        assert engine.executed == 1
 
     def test_timeout_without_budget_is_fatal(self, registry):
         install_plan(FaultPlan([FaultSpec.parse("hang:fwd:1x5")],

@@ -1,4 +1,7 @@
-"""Threaded TaskEngine and SerialEngine tests."""
+"""What is specific to one engine: worker threads, multi-error notes
+and the closed queue for ``TaskEngine``; drain order on the calling
+thread for ``SerialEngine``.  What both must do the same way is in
+``test_engine_contract.py``."""
 
 import threading
 
@@ -14,25 +17,6 @@ from repro.scheduler import (
 
 
 class TestTaskEngine:
-    def test_executes_submitted_tasks(self):
-        done = threading.Event()
-        with TaskEngine(num_workers=2) as engine:
-            engine.spawn(done.set)
-            assert done.wait(timeout=5)
-        assert engine.executed >= 1
-
-    def test_tasks_can_spawn_tasks(self):
-        results = []
-        done = threading.Event()
-        with TaskEngine(num_workers=2) as engine:
-            def child():
-                results.append("child")
-                done.set()
-
-            engine.spawn(lambda: engine.spawn(child))
-            assert done.wait(timeout=5)
-        assert results == ["child"]
-
     def test_many_tasks_all_run(self):
         count = 200
         seen = []
@@ -50,18 +34,25 @@ class TestTaskEngine:
                 assert remaining.acquire(timeout=5)
         assert sorted(seen) == list(range(count))
 
-    def test_error_propagates_on_shutdown(self):
-        engine = TaskEngine(num_workers=1).start()
-        engine.spawn(lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            # allow the worker to hit the error, then join
-            import time
-            time.sleep(0.1)
-            engine.shutdown()
-
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             TaskEngine(num_workers=0)
+
+    def test_idle_seconds_accumulate_while_waiting(self):
+        from repro.observability import MetricsRegistry, set_registry
+
+        fresh = MetricsRegistry()
+        previous = set_registry(fresh)
+        try:
+            done = threading.Event()
+            with TaskEngine(num_workers=1) as engine:
+                import time
+                time.sleep(0.05)  # the worker blocks on the empty queue
+                engine.spawn(done.set)
+                assert done.wait(timeout=5)
+        finally:
+            set_registry(previous)
+        assert fresh.snapshot()["engine.idle_seconds"] >= 0.04
 
     def test_force_through_engine(self):
         order = []
@@ -203,25 +194,8 @@ class TestSerialEngine:
         engine.run_until_idle()
         assert order == ["parent", "child"]
 
-    def test_executed_counter(self):
-        engine = SerialEngine()
-        for _ in range(5):
-            engine.spawn(lambda: None)
-        engine.run_until_idle()
-        assert engine.executed == 5
-
     def test_context_manager_drains(self):
         seen = []
         with SerialEngine() as engine:
             engine.spawn(lambda: seen.append(1))
         assert seen == [1]
-
-    def test_force_steals_queued_update(self):
-        engine = SerialEngine()
-        order = []
-        upd = Task(lambda: order.append("upd"), priority=LOWEST_PRIORITY)
-        engine.submit(upd)
-        engine.force(upd, lambda: order.append("fwd"))
-        assert order == ["upd", "fwd"]
-        # the queue entry was invalidated; draining runs nothing more
-        assert engine.run_until_idle() == 0

@@ -196,9 +196,22 @@ class TestObservabilityCommands:
                      "--workers", "2", *self._SIZE]) == 0
         with open(out_file) as fh:
             doc = json.load(fh)
+        self._check_task_trace(doc)
+        out = capsys.readouterr().out
+        assert "tasks over" in out and "utilization" in out
+
+    @staticmethod
+    def _check_task_trace(doc):
+        """The one trace format: span identity on every slice, worker
+        and queue wait on the task slices, every parent resolvable."""
         slices = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert slices
-        assert all({"name", "ts", "dur", "tid"} <= set(e) for e in slices)
+        ids = {e["args"]["span_id"] for e in slices}
+        for e in slices:
+            assert {"name", "ph", "pid", "tid", "ts", "dur"} <= set(e)
+            assert {"trace_id", "span_id", "parent_id", "status",
+                    "worker", "queue_wait"} <= set(e["args"])
+            assert e["args"]["parent_id"] in ids | {None}
 
     def test_train_trace_out_and_metrics(self, capsys, tmp_path):
         import json
@@ -210,9 +223,39 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "loss/voxel" in out
         assert "queue.pop" in out  # --metrics table
+        assert "tasks over" in out and "0 failed" in out
         with open(out_file) as fh:
-            doc = json.load(fh)
-        assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+            self._check_task_trace(json.load(fh))
+
+    def test_tracing_is_off_again_after_a_traced_command(self, tmp_path,
+                                                         capsys):
+        import os
+
+        from repro.observability import get_tracer
+
+        assert main(["train", "--rounds", "1", *self._SIZE,
+                     "--trace-out", str(tmp_path / "t.json")]) == 0
+        assert not get_tracer().enabled
+        assert "REPRO_TRACING" not in os.environ
+
+    def test_trace_reports_ring_overflow(self, tmp_path, capsys):
+        from repro.observability import Tracer, set_tracer
+
+        previous = set_tracer(Tracer(enabled=False, max_spans=20))
+        try:
+            assert main(["trace", "--out", str(tmp_path / "t.json"),
+                         "--rounds", "1", *self._SIZE]) == 0
+        finally:
+            set_tracer(previous)
+        out = capsys.readouterr().out
+        assert "20 spans from" in out
+        assert "span ring overflowed" in out
+
+    def test_refused_arguments_write_no_trace(self, tmp_path, capsys):
+        out_file = tmp_path / "t.json"
+        assert main(["train", "--resume", "--trace-out",
+                     str(out_file)]) == 2
+        assert not out_file.exists()
 
 
 class TestResilienceCli:

@@ -586,24 +586,29 @@ def _task_trace(path: Optional[str]):
             os.environ["REPRO_TRACING"] = was_env
 
 
-def _cmd_train_parallel(args) -> int:
-    """The ``--workers``/``--batch`` path: multi-process data-parallel
-    training with a deterministic cross-process gradient reduction."""
+def _cmd_train(args) -> int:
+    """``repro train``: one recipe, one round loop, one report — run by
+    the in-process trainer or, with ``--workers``/``--batch``, the
+    data-parallel one.  ``--trace-out`` traces either (worker processes
+    ship their spans back to the coordinator's buffer)."""
     import numpy as np
 
-    from repro.core.serialization import save_network, state_digest
+    from repro.core import Trainer
+    from repro.core.serialization import (load_latest_checkpoint,
+                                          save_network, state_digest)
     from repro.core.training import TrainingDiverged
     from repro.parallel import ModelConfig, ParallelTrainer
     from repro.parallel import trainer as parallel_trainer
+    from repro.resilience import (RECOVERY_METRICS, RetryPolicy,
+                                  recovery_summary)
 
+    parallel = args.workers is not None or args.batch is not None
     workers = args.workers if args.workers is not None else 1
     batch = args.batch if args.batch is not None else 1
-    if workers < 1:
-        print(f"--workers must be >= 1, got {workers}", file=sys.stderr)
-        return 2
-    if batch < 1:
-        print(f"--batch must be >= 1, got {batch}", file=sys.stderr)
-        return 2
+    for flag, value in (("--workers", workers), ("--batch", batch)):
+        if value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     cpus = parallel_trainer.visible_cpus()
     if workers > cpus and not args.oversubscribe:
         print(f"--workers {workers} exceeds the {cpus} visible CPU(s): "
@@ -611,61 +616,86 @@ def _cmd_train_parallel(args) -> int:
               "workers only add overhead. Pass --oversubscribe to "
               "force.", file=sys.stderr)
         return 2
-    for flag, value in (("--resume", args.resume),
-                        ("--task-retries", args.task_retries),
-                        ("--task-timeout", args.task_timeout)):
-        if value:
-            print(f"{flag} is not supported with data-parallel "
-                  "training (--workers/--batch)", file=sys.stderr)
+    retry_policy = None
+    if args.task_retries or args.task_timeout:
+        if parallel:
+            # They configure the in-process engine's RetryPolicy, which
+            # the ModelConfig shipped to worker processes cannot carry.
+            print("--task-retries/--task-timeout are not supported with "
+                  "data-parallel training (--workers/--batch)",
+                  file=sys.stderr)
             return 2
+        retry_policy = RetryPolicy(max_retries=args.task_retries,
+                                   timeout=args.task_timeout)
+    if args.resume and not args.checkpoint_dir:
+        print("--resume requires --checkpoint-dir", file=sys.stderr)
+        return 2
     if args.checkpoint_every and not args.checkpoint_dir:
         print("--checkpoint-every requires --checkpoint-dir",
               file=sys.stderr)
         return 2
 
-    if args.spec:
-        config = ModelConfig(
-            input_shape=(args.input_size,) * 3, spec_path=args.spec,
-            conv_mode=args.conv_mode, loss="binary-logistic",
-            seed=args.seed, learning_rate=args.learning_rate,
-            momentum=args.momentum)
-    else:
-        config = ModelConfig(
-            input_shape=(args.input_size,) * 3, spec="CTMCTCT",
-            layered_kwargs={"width": 6, "kernel": 3, "window": 2,
-                            "transfer": "tanh",
-                            "final_transfer": "linear",
-                            "skip_kernels": True, "output_nodes": 1},
-            conv_mode=args.conv_mode, loss="binary-logistic",
-            seed=args.seed, learning_rate=args.learning_rate,
-            momentum=args.momentum)
+    recipe = ({"spec_path": args.spec} if args.spec else
+              {"spec": "CTMCTCT",
+               "layered_kwargs": {"width": 6, "kernel": 3, "window": 2,
+                                  "transfer": "tanh",
+                                  "final_transfer": "linear",
+                                  "skip_kernels": True,
+                                  "output_nodes": 1}})
+    config = ModelConfig(
+        input_shape=(args.input_size,) * 3, conv_mode=args.conv_mode,
+        loss="binary-logistic", seed=args.seed,
+        learning_rate=args.learning_rate, momentum=args.momentum,
+        **recipe)
     graph = config.build_graph()
     graph.validate()
     graph.propagate_shapes(config.input_shape)
     out_shape = graph.output_nodes[0].shape
     voxels = float(np.prod(out_shape))
-    rounds = args.rounds
+    provider_args = (args.volume_size, args.seed, args.input_size,
+                     out_shape)
 
-    trainer = ParallelTrainer(
-        config, _train_provider,
-        (args.volume_size, args.seed, args.input_size, out_shape),
-        workers=workers, batch=batch)
-    try:
+    with _task_trace(args.trace_out), contextlib.ExitStack() as cleanup:
+        if parallel:
+            trainer = ParallelTrainer(config, _train_provider,
+                                      provider_args, workers=workers,
+                                      batch=batch)
+        else:
+            trainer = Trainer(config.build_network(),
+                              _train_provider(*provider_args))
+            # ModelConfig has no field for it; the engine reads its
+            # policy per attempt, so setting it after the build is safe.
+            trainer.network.engine.retry_policy = retry_policy
         net = trainer.network
-        print(f"network: {len(net.nodes)} nodes, {len(net.edges)} "
-              f"edges; input {(args.input_size,) * 3} -> output "
-              f"{out_shape}")
-        print(f"data-parallel: {workers} process(es), "
-              f"global batch {batch}")
-        report = trainer.run(
-            rounds,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            callback=lambda i, loss: print(
-                f"round {i:4d}  loss/voxel {loss / voxels:.4f}")
-            if i % max(rounds // 10, 1) == 0 else None)
-        print(f"mean seconds/update: "
-              f"{report.mean_seconds_per_update:.4f}")
+        cleanup.callback((trainer if parallel else net).close)
+        print(f"network: {len(net.nodes)} nodes, {len(net.edges)} edges; "
+              f"input {config.input_shape} -> output {out_shape}")
+        if parallel:
+            print(f"data-parallel: {workers} process(es), "
+                  f"global batch {batch}")
+
+        rounds = args.rounds
+        if args.resume:
+            resumed = load_latest_checkpoint(net, args.checkpoint_dir)
+            if resumed is None:
+                print(f"no checkpoint in {args.checkpoint_dir}; "
+                      "starting from scratch")
+            else:
+                rounds = max(0, args.rounds - net.rounds)
+                print(f"resumed from {resumed} (round {net.rounds}; "
+                      f"{rounds} rounds remaining)")
+        try:
+            report = trainer.run(
+                rounds=rounds,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_dir=args.checkpoint_dir,
+                callback=lambda i, loss: print(
+                    f"round {i:4d}  loss/voxel {loss / voxels:.4f}")
+                if i % max(rounds // 10, 1) == 0 else None)
+        except TrainingDiverged as exc:
+            print(f"training diverged: {exc}", file=sys.stderr)
+            return 1
+        print(f"mean seconds/update: {report.mean_seconds_per_update:.4f}")
         if report.losses:
             print(f"final loss/voxel: {report.losses[-1] / voxels:.4f}")
         if report.checkpoints:
@@ -676,98 +706,6 @@ def _cmd_train_parallel(args) -> int:
         if report.worker_deaths:
             print(f"worker deaths survived: {report.worker_deaths}")
         print(f"state digest: {state_digest(net)}")
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        trainer.close()
-    if args.metrics:
-        from repro.observability import render_metrics
-
-        print(render_metrics())
-    return 0
-
-
-def _cmd_train(args) -> int:
-    """``repro train``: one process, or with ``--workers``/``--batch``
-    the data-parallel path; ``--trace-out`` traces either (worker
-    processes ship their spans back to the coordinator's buffer)."""
-    parallel = args.workers is not None or args.batch is not None
-    with _task_trace(args.trace_out):
-        return (_cmd_train_parallel if parallel else _cmd_train_serial)(args)
-
-
-def _cmd_train_serial(args) -> int:
-    import numpy as np
-
-    from repro.core import Network, SGD, Trainer
-    from repro.core.serialization import load_latest_checkpoint, save_network
-    from repro.data import PatchProvider, make_cell_volume
-    from repro.graph import build_layered_network, load_spec
-    from repro.resilience import (RECOVERY_METRICS, RetryPolicy,
-                                  recovery_summary)
-
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.checkpoint_every and not args.checkpoint_dir:
-        print("--checkpoint-every requires --checkpoint-dir",
-              file=sys.stderr)
-        return 2
-    retry_policy = None
-    if args.task_retries or args.task_timeout:
-        retry_policy = RetryPolicy(max_retries=args.task_retries,
-                                   timeout=args.task_timeout)
-    if args.spec:
-        graph = load_spec(args.spec)
-    else:
-        graph = build_layered_network("CTMCTCT", width=6, kernel=3,
-                                      window=2, transfer="tanh",
-                                      final_transfer="linear",
-                                      skip_kernels=True, output_nodes=1)
-    net = Network(graph, input_shape=(args.input_size,) * 3,
-                  conv_mode=args.conv_mode, loss="binary-logistic",
-                  num_workers=1, seed=args.seed, retry_policy=retry_policy,
-                  optimizer=SGD(learning_rate=args.learning_rate,
-                                momentum=args.momentum))
-    out_shape = net.output_nodes[0].shape
-    print(f"network: {len(net.nodes)} nodes, {len(net.edges)} edges; "
-          f"input {(args.input_size,) * 3} -> output {out_shape}")
-
-    rounds = args.rounds
-    if args.resume:
-        resumed = load_latest_checkpoint(net, args.checkpoint_dir)
-        if resumed is None:
-            print(f"no checkpoint in {args.checkpoint_dir}; "
-                  "starting from scratch")
-        else:
-            rounds = max(0, args.rounds - net.rounds)
-            print(f"resumed from {resumed} (round {net.rounds}; "
-                  f"{rounds} rounds remaining)")
-
-    volume = make_cell_volume(shape=args.volume_size, num_cells=16,
-                              noise=0.08, seed=args.seed + 1)
-    volume.image[:] = ((volume.image - volume.image.mean())
-                       / volume.image.std())
-    provider = PatchProvider(volume, (args.input_size,) * 3, out_shape,
-                             seed=args.seed + 2, pooled=True)
-    voxels = float(np.prod(out_shape))
-    report = Trainer(net, provider).run(
-        rounds=rounds,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        callback=lambda i, l: print(f"round {i:4d}  loss/voxel "
-                                    f"{l / voxels:.4f}")
-        if i % max(rounds // 10, 1) == 0 else None)
-    print(f"mean seconds/update: {report.mean_seconds_per_update:.4f}")
-    if report.losses:
-        print(f"final loss/voxel: {report.losses[-1] / voxels:.4f}")
-    if report.checkpoints:
-        print(f"latest checkpoint: {report.checkpoints[-1]}")
-    if args.checkpoint:
-        save_network(net, args.checkpoint)
-        print(f"checkpoint written to {args.checkpoint}")
-    net.close()
     recovery = {RECOVERY_METRICS[family]: count
                 for family, count in recovery_summary().items() if count}
     if recovery:
@@ -1464,16 +1402,13 @@ def _determinism_probe() -> int:
         input_shape=(10, 10, 10), spec="CTCT",
         layered_kwargs=dict(layered), conv_mode="direct",
         loss="euclidean", seed=2026, learning_rate=1e-5, momentum=0.9)
-    trainer = ParallelTrainer(
-        cfg, RandomProvider, ((10, 10, 10), (6, 6, 6), False, None),
-        workers=threads, batch=2, worker_timeout=120.0)
-    try:
+    with ParallelTrainer(
+            cfg, RandomProvider, ((10, 10, 10), (6, 6, 6), False, None),
+            workers=threads, batch=2, worker_timeout=120.0) as trainer:
         report = trainer.run(2)
         emit("train.state_digest", state_digest(trainer.network))
         emit("train.losses", hashlib.sha256(
             json.dumps(list(report.losses)).encode()).hexdigest())
-    finally:
-        trainer.close()
 
     # Stage 2 — serving: tiled inference over a fixed volume; the
     # stitched dense output must be bitwise stable.

@@ -104,16 +104,12 @@ class RuntimeNode:
     def add_forward(self, edge, contribution: np.ndarray) -> bool:
         """Contribute *edge*'s forward output; True when complete."""
         assert self.fwd_sum is not None
-        if isinstance(self.fwd_sum, OrderedSum):
-            return self.fwd_sum.add(contribution, self._in_index[id(edge)])
-        return self.fwd_sum.add(contribution)
+        return self.fwd_sum.add(contribution, self._in_index[id(edge)])
 
     def add_backward(self, edge, contribution: np.ndarray) -> bool:
         """Contribute *edge*'s backward output; True when complete."""
         assert self.bwd_sum is not None
-        if isinstance(self.bwd_sum, OrderedSum):
-            return self.bwd_sum.add(contribution, self._out_index[id(edge)])
-        return self.bwd_sum.add(contribution)
+        return self.bwd_sum.add(contribution, self._out_index[id(edge)])
 
     def finalize_forward(self) -> np.ndarray:
         """Fix the node's forward image from its completed sum."""

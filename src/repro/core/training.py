@@ -94,11 +94,27 @@ class TrainingReport:
 
 
 class Trainer:
-    """Runs gradient-learning rounds on a network."""
+    """Runs gradient-learning rounds on a network.
+
+    :meth:`run` is the only round loop; it drives :meth:`_run_round`,
+    which subclasses override to change *how* one update is computed
+    (:class:`repro.parallel.ParallelTrainer` spreads it over processes).
+    """
+
+    #: Stamped on every report; ``ParallelTrainer`` sets its own.
+    workers = 1
+    batch = 1
+    worker_deaths = 0
 
     def __init__(self, network: Network, provider: DataProvider) -> None:
         self.network = network
         self.provider = provider
+
+    def _run_round(self, round_index: int) -> float:
+        """One update (sample, forward, backward, step); returns the
+        loss.  *round_index* is the network's update count, the key a
+        resumable sample stream is indexed by."""
+        return self.network.train_step(*self.provider.sample())
 
     def run(self, rounds: int, warmup: int = 0,
             callback=None, lr_schedule=None,
@@ -130,6 +146,9 @@ class Trainer:
         ``rollback_lr_decay``; more than ``max_rollbacks`` rollbacks
         raise :class:`TrainingDiverged`, as does any non-finite loss
         when checkpointing is off.
+
+        ``round_seconds`` times the whole update, drawing the sample
+        included (the data provider is a task of the round, Fig 3).
         """
         if rounds < 0 or warmup < 0:
             raise ValueError("rounds and warmup must be >= 0")
@@ -150,11 +169,9 @@ class Trainer:
         m_seconds = reg.histogram("train.seconds_per_update")
         m_rollbacks = reg.counter("train.rollbacks")
         for _ in range(warmup):
-            inputs, targets = self.provider.sample()
-            self.network.train_step(inputs, targets)
-        report = TrainingReport()
+            self._run_round(self.network.rounds)
+        report = TrainingReport(workers=self.workers, batch=self.batch)
 
-        checkpointing = checkpoint_every > 0
         last_ckpt: Optional[Tuple[str, int]] = None  # (path, recorded rounds)
         lr_scale = 1.0
 
@@ -167,7 +184,7 @@ class Trainer:
             last_ckpt = (path, len(report.losses))
             report.checkpoints.append(path)
 
-        if checkpointing:
+        if checkpoint_every:
             os.makedirs(os.fspath(checkpoint_dir), exist_ok=True)
             write_checkpoint()  # rollback target before the first round
 
@@ -176,9 +193,8 @@ class Trainer:
             if lr_schedule is not None:
                 self.network.set_learning_rate(
                     float(lr_schedule(i)) * lr_scale)
-            inputs, targets = self.provider.sample()
             t0 = time.perf_counter()
-            loss = self.network.train_step(inputs, targets)
+            loss = self._run_round(self.network.rounds)
             seconds = time.perf_counter() - t0
             plan = active_plan()
             if plan is not None:
@@ -219,10 +235,11 @@ class Trainer:
             if validate_every and (i + 1) % validate_every == 0:
                 report.validations.append(
                     (i, self.validate(val_provider, val_samples)))
-            if checkpointing and len(report.losses) % checkpoint_every == 0:
+            if checkpoint_every and len(report.losses) % checkpoint_every == 0:
                 write_checkpoint()
-        if checkpointing and last_ckpt[1] != len(report.losses):
+        if checkpoint_every and last_ckpt[1] != len(report.losses):
             write_checkpoint()  # final partial interval
+        report.worker_deaths = self.worker_deaths
         return report
 
     def validate(self, provider: DataProvider, samples: int = 4) -> float:

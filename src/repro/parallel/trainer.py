@@ -33,11 +33,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.core.training import TrainingDiverged, TrainingReport
+from repro.core.training import Trainer
 from repro.data.provider import ShardedSampler, shard_indices
 from repro.memory.shared_pool import SharedMemoryPool
 from repro.observability.metrics import get_registry
@@ -49,7 +47,6 @@ from repro.observability.tracing import (
 from repro.parallel.replica import ModelConfig, Replica
 from repro.parallel.summation import SharedOrderedSum
 from repro.parallel.worker import worker_main
-from repro.resilience.faults import active_plan
 from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ParallelTrainer", "WorkerPoolBroken", "visible_cpus"]
@@ -77,9 +74,14 @@ class _Child:
         self.conn = conn
 
 
-class ParallelTrainer:
+class ParallelTrainer(Trainer):
     """Multi-process data-parallel training with a deterministic
     cross-process gradient reduction.
+
+    The round loop — warm-up, ``lr_schedule``, checkpoints, the
+    NaN/Inf rollback, validation, ``train.*`` metrics — is the
+    inherited :meth:`repro.core.Trainer.run`; this class only supplies
+    the cross-process update it drives (:meth:`_run_round`).
 
     Parameters
     ----------
@@ -124,11 +126,12 @@ class ParallelTrainer:
         self.worker_timeout = float(worker_timeout)
 
         self.replica = Replica.from_config(config)
-        self.network = self.replica.network
+        super().__init__(self.replica.network,
+                         provider_factory(*self.provider_args))
         #: The exact config shipped to workers ("auto" modes resolved).
         self.config = config.resolved(self.network)
-        provider = provider_factory(*self.provider_args)
-        self._sampler = ShardedSampler(provider, config.seed, self.batch)
+        self._sampler = ShardedSampler(self.provider, config.seed,
+                                       self.batch)
 
         self._pool = SharedMemoryPool(name="parallel")
         self._grads = SharedOrderedSum.create(
@@ -254,8 +257,12 @@ class ParallelTrainer:
         return {worker_id: shard_indices(self.batch, len(live), position)
                 for position, worker_id in enumerate(live)}
 
-    def _run_round(self, round_index: int) -> Tuple[float, float]:
-        """One global-minibatch round; returns (loss, barrier_wait).
+    def _run_round(self, round_index: int) -> float:
+        """One global-minibatch update; returns the mean loss.
+
+        *round_index* — the network's global update count — keys the
+        ``(seed, round, index)`` sample stream, so a resumed or second
+        ``run()`` continues the stream instead of restarting it.
 
         With tracing on, the whole round runs inside a ``round:N``
         span whose context is shipped to every worker in the round
@@ -263,6 +270,8 @@ class ParallelTrainer:
         thread) and worker-side spans (shipped back over the pipe)
         all hang off one per-round tree.
         """
+        if self._closed:
+            raise RuntimeError("trainer is closed")
         tracer = get_tracer()
         if not tracer.enabled:
             return self._round_body(round_index, None)
@@ -271,8 +280,7 @@ class ParallelTrainer:
                          len(self._children)) as span:
             return self._round_body(round_index, span.context)
 
-    def _round_body(self, round_index: int,
-                    round_ctx) -> Tuple[float, float]:
+    def _round_body(self, round_index: int, round_ctx) -> float:
         tracer = get_tracer()
         self._grads.reset()
         self.replica.read_params_into(self._params)
@@ -313,76 +321,13 @@ class ParallelTrainer:
         loss_total = 0.0
         for i in range(self.batch):  # fixed index order, like the slots
             loss_total += float(self._losses[i])
-        loss = loss_total / self.batch
-        plan = active_plan()
-        if plan is not None:
-            loss = plan.corrupt("loss", loss, name=f"round {round_index}")
         self.replica.apply_update(mean_grad, self.network.optimizer)
-        return loss, barrier_wait
-
-    def run(self, rounds: int, callback=None,
-            checkpoint_every: int = 0,
-            checkpoint_dir=None) -> TrainingReport:
-        """Train for *rounds* global-minibatch rounds.
-
-        Mirrors :meth:`repro.core.Trainer.run` for the features that
-        make sense across processes: per-round *callback(i, loss)* and
-        periodic atomic checkpoints (``ckpt-<rounds>.npz``, one before
-        the first round and one at the end).  A non-finite round loss
-        raises :class:`TrainingDiverged` immediately — rollback/replay
-        is the sequential trainer's job.
-        """
-        if rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if checkpoint_every and checkpoint_dir is None:
-            raise ValueError("checkpoint_every needs a checkpoint_dir")
-        if self._closed:
-            raise RuntimeError("trainer is closed")
-        from repro.core.serialization import save_network
-
-        reg = get_registry()
-        m_loss = reg.gauge("train.loss")
-        m_seconds = reg.histogram("train.seconds_per_update")
-        report = TrainingReport(workers=self.workers, batch=self.batch)
-        start_rounds = self.network.rounds
-
-        def write_checkpoint() -> None:
-            path = os.path.join(
-                os.fspath(checkpoint_dir),
-                f"ckpt-{self.network.rounds:08d}.npz")
-            save_network(self.network, path)
-            report.checkpoints.append(path)
-
-        if checkpoint_every:
-            os.makedirs(os.fspath(checkpoint_dir), exist_ok=True)
-            write_checkpoint()
-        for i in range(rounds):
-            t0 = time.perf_counter()
-            loss, barrier_wait = self._run_round(i)
-            seconds = time.perf_counter() - t0
-            # The coordinator replica's own train_steps advanced the
-            # counter once per *sample*; a round is one global update.
-            self.network.rounds = start_rounds + i + 1
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"loss became non-finite at round {i}")
-            report.losses.append(loss)
-            report.round_seconds.append(seconds)
-            self._m_rounds.inc()
-            self._m_barrier.observe(barrier_wait)
-            m_loss.set(loss)
-            m_seconds.observe(seconds)
-            if callback is not None:
-                callback(i, loss)
-            if checkpoint_every and (i + 1) % checkpoint_every == 0 \
-                    and i + 1 < rounds:
-                write_checkpoint()
-        if checkpoint_every:
-            write_checkpoint()
-        report.worker_deaths = self.worker_deaths
-        return report
+        # The coordinator replica's own train_steps advanced the
+        # counter once per *sample*; a round is one global update.
+        self.network.rounds = round_index + 1
+        self._m_rounds.inc()
+        self._m_barrier.observe(barrier_wait)
+        return loss_total / self.batch
 
     # ------------------------------------------------------------------
     # lifecycle

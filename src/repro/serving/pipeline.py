@@ -41,7 +41,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.scheduler.engine import TaskEngine
 from repro.serving.lifecycle import PendingRequest, RequestLifecycle
 from repro.serving.registry import ModelRegistry
-from repro.serving.tiler import DEFAULT_TILE_VOXELS, plan_volume
+from repro.serving.tiler import DEFAULT_TILE_VOXELS
 
 __all__ = ["InferenceServer"]
 
@@ -214,20 +214,10 @@ class InferenceServer(RequestLifecycle):
         attempts = 0
         while True:
             try:
-                splan = self.registry.plan_for(request.model)
-                if splan is not None and splan.covers(request.volume.shape):
-                    # ZNNi per-layer specialization: serve under the
-                    # plan's tile and per-edge backend map (the warm
-                    # model attaches the mode map to its TilePlan, so
-                    # run_plan re-verifies the pairing).
-                    warm = self.registry.warm(
-                        request.model, splan.input_tile,
-                        conv_modes=splan.conv_mode_map)
+                warm, plan = self.registry.resolve(
+                    request.model, request.volume.shape, self.tile_voxels)
+                if plan.conv_modes is not None:
                     self._m_specialized.inc()
-                    return warm.run(request.volume)
-                plan = plan_volume(request.volume.shape, request.fov,
-                                   max_voxels=self.tile_voxels)
-                warm = self.registry.warm(request.model, plan.input_tile)
                 return warm.run(request.volume, plan)
             except Exception as exc:
                 attempts += 1

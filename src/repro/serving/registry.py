@@ -283,19 +283,32 @@ class ModelRegistry:
         plan's tile and per-edge modes — the twin the pipeline will
         actually use.
         """
-        tiles = {}
-        for name in self.model_names():
-            splan = self.plan_for(name)
-            if splan is not None and splan.covers(volume_shape):
-                self.warm(name, splan.input_tile,
-                          conv_modes=splan.conv_mode_map)
-                tiles[name] = splan.input_tile
-                continue
-            plan = plan_volume(volume_shape, self.fov(name),
-                               max_voxels=tile_voxels)
-            self.warm(name, plan.input_tile)
-            tiles[name] = plan.input_tile
-        return tiles
+        return {name: self.resolve(name, volume_shape,
+                                   tile_voxels)[1].input_tile
+                for name in self.model_names()}
+
+    def resolve(self, name: str, volume_shape,
+                tile_voxels: int = DEFAULT_TILE_VOXELS
+                ) -> Tuple[WarmModel, TilePlan]:
+        """The warm twin and tile plan a *volume_shape* request for
+        *name* is served with — the one place the rule lives.
+
+        A specialization plan that ``covers()`` the shape wins: its
+        tile and per-edge backend map (ZNNi per-layer specialization;
+        the twin stamps the mode map on the returned
+        :class:`TilePlan`, so ``run_plan`` re-verifies the pairing and
+        ``plan.conv_modes is not None`` tells the two paths apart).
+        Otherwise the generic single-mode path: the tile
+        :func:`plan_volume` picks under *tile_voxels*.
+        """
+        splan = self.plan_for(name)
+        if splan is not None and splan.covers(volume_shape):
+            warm = self.warm(name, splan.input_tile,
+                             conv_modes=splan.conv_mode_map)
+            return warm, warm.plan(volume_shape)
+        plan = plan_volume(volume_shape, self.fov(name),
+                           max_voxels=tile_voxels)
+        return self.warm(name, plan.input_tile), plan
 
     def spec(self, name: str) -> ModelSpec:
         with self._lock:

@@ -56,7 +56,36 @@ def reduce_in_order(slots: Sequence[np.ndarray]) -> np.ndarray:
     return result
 
 
-class ConcurrentSum:
+class _CountedSum:
+    """What the three accumulators share: a validated ``required``
+    count and the rule that a sum is only reset between rounds
+    (nothing, or everything, contributed).  Each subclass creates its
+    own ``_lock`` and the ``_total`` it guards, so the ``guarded-by``
+    lint sees the annotation next to the mutations it checks."""
+
+    _total: int
+
+    def __init__(self, required: int) -> None:
+        self.required = self._checked(required)
+
+    @staticmethod
+    def _checked(required: int) -> int:
+        if required < 1:
+            raise ValueError(f"required must be >= 1, got {required}")
+        return required
+
+    def _restart_count_locked(self, required: Optional[int]) -> None:
+        """Zero the count (optionally changing ``required``) for the
+        next round; the caller holds ``_lock``."""
+        if self._total not in (0, self.required):
+            raise RuntimeError(
+                f"reset during accumulation ({self._total}/{self.required})")
+        if required is not None:
+            self.required = self._checked(required)
+        self._total = 0
+
+
+class ConcurrentSum(_CountedSum):
     """Accumulate a known number of same-shaped arrays, almost wait-free.
 
     Parameters
@@ -67,9 +96,7 @@ class ConcurrentSum:
     """
 
     def __init__(self, required: int) -> None:
-        if required < 1:
-            raise ValueError(f"required must be >= 1, got {required}")
-        self.required = required
+        super().__init__(required)
         self._lock = make_lock("sync.summation")
         self._sum: Optional[np.ndarray] = None  # guarded-by: _lock
         self._total = 0  # guarded-by: _lock
@@ -82,22 +109,17 @@ class ConcurrentSum:
         with self._lock:
             if self._check:
                 note_access(self, "write")
-            if self._total not in (0, self.required):
-                raise RuntimeError(
-                    f"reset during accumulation ({self._total}/{self.required})")
-            if required is not None:
-                if required < 1:
-                    raise ValueError(f"required must be >= 1, got {required}")
-                self.required = required
+            self._restart_count_locked(required)
             self._sum = None
-            self._total = 0
 
-    def add(self, value: np.ndarray) -> bool:
+    def add(self, value: np.ndarray, index: Optional[int] = None) -> bool:
         """ADD-TO-SUM: contribute *value*; return True iff this call
         completed the sum (the caller then owns triggering dependents).
 
         The caller relinquishes *value* — it may be mutated in place and
-        may become the final sum buffer.
+        may become the final sum buffer.  *index* is accepted so every
+        accumulator is called alike and is ignored: arrival order, not
+        the contributor's position, decides the association order here.
         """
         v: Optional[np.ndarray] = value
         v_other: Optional[np.ndarray] = None
@@ -150,7 +172,7 @@ class ConcurrentSum:
                     f"total={self._total})")
 
 
-class NaiveLockedSum:
+class NaiveLockedSum(_CountedSum):
     """Baseline: hold the lock for the entire addition.
 
     Critical-section time scales with the image size; used only by the
@@ -158,21 +180,17 @@ class NaiveLockedSum:
     """
 
     def __init__(self, required: int) -> None:
-        if required < 1:
-            raise ValueError(f"required must be >= 1, got {required}")
-        self.required = required
+        super().__init__(required)
         self._lock = make_lock("sync.summation.naive")
         self._sum: Optional[np.ndarray] = None  # guarded-by: _lock
         self._total = 0  # guarded-by: _lock
 
     def reset(self, required: Optional[int] = None) -> None:
         with self._lock:
-            if required is not None:
-                self.required = required
+            self._restart_count_locked(required)
             self._sum = None
-            self._total = 0
 
-    def add(self, value: np.ndarray) -> bool:
+    def add(self, value: np.ndarray, index: Optional[int] = None) -> bool:
         with self._lock:
             if self._sum is None:
                 self._sum = value
@@ -197,7 +215,7 @@ class NaiveLockedSum:
             return self._total == self.required and self._sum is not None
 
 
-class OrderedSum:
+class OrderedSum(_CountedSum):
     """Deterministic concurrent accumulation.
 
     The wait-free scheme adds contributions in arrival order, so
@@ -211,9 +229,7 @@ class OrderedSum:
     """
 
     def __init__(self, required: int) -> None:
-        if required < 1:
-            raise ValueError(f"required must be >= 1, got {required}")
-        self.required = required
+        super().__init__(required)
         self._lock = make_lock("sync.summation.ordered")
         self._slots: List[Optional[np.ndarray]] = [None] * required  # guarded-by: _lock
         self._total = 0  # guarded-by: _lock
@@ -221,15 +237,8 @@ class OrderedSum:
 
     def reset(self, required: Optional[int] = None) -> None:
         with self._lock:
-            if self._total not in (0, self.required):
-                raise RuntimeError(
-                    f"reset during accumulation ({self._total}/{self.required})")
-            if required is not None:
-                if required < 1:
-                    raise ValueError(f"required must be >= 1, got {required}")
-                self.required = required
+            self._restart_count_locked(required)
             self._slots = [None] * self.required
-            self._total = 0
             self._result = None
 
     # deterministic

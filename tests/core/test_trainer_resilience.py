@@ -1,33 +1,12 @@
-"""Trainer hardening: periodic checkpoints, NaN/Inf rollback, resume."""
+"""Trainer hardening: argument validation and resume from a checkpoint
+directory.  Checkpoint cadence, the NaN/Inf guard and rollback live in
+``test_trainer_contract.py``, which runs them over both trainers."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    Network,
-    SGD,
-    Trainer,
-    TrainingDiverged,
-    load_latest_checkpoint,
-)
+from repro.core import Network, SGD, Trainer, load_latest_checkpoint
 from repro.graph import build_layered_network
-from repro.observability import MetricsRegistry, set_registry
-from repro.resilience import FaultPlan, clear_plan, install_plan
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    clear_plan()
-    yield
-    clear_plan()
-
-
-@pytest.fixture
-def registry():
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    yield fresh
-    set_registry(previous)
 
 
 class ConstProvider:
@@ -51,85 +30,15 @@ def make_net(seed=0, lr=0.05, momentum=0.9):
                    optimizer=SGD(learning_rate=lr, momentum=momentum))
 
 
-class TestPeriodicCheckpoints:
-    def test_checkpoint_files_written(self, tmp_path):
-        net = make_net()
-        report = Trainer(net, ConstProvider(net)).run(
-            rounds=5, checkpoint_every=2, checkpoint_dir=tmp_path)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        # Initial (round 0), rounds 2 and 4, and the final partial one.
-        assert names == ["ckpt-00000000.npz", "ckpt-00000002.npz",
-                         "ckpt-00000004.npz", "ckpt-00000005.npz"]
-        assert report.checkpoints == [str(tmp_path / n) for n in names]
-        assert report.rounds == 5
-
-    def test_validation_args(self, tmp_path):
-        net = make_net()
-        with pytest.raises(ValueError):
-            Trainer(net, ConstProvider(net)).run(rounds=1,
-                                                 checkpoint_every=2)
-        with pytest.raises(ValueError):
-            Trainer(net, ConstProvider(net)).run(
-                rounds=1, checkpoint_every=1, checkpoint_dir=tmp_path,
-                rollback_lr_decay=0.0)
-
-
-class TestNanRollback:
-    def test_rollback_recovers_and_round_counts_match_clean_run(
-            self, tmp_path, registry):
-        clean_net = make_net(seed=3)
-        clean = Trainer(clean_net, ConstProvider(clean_net)).run(
-            rounds=4, checkpoint_every=2,
-            checkpoint_dir=tmp_path / "clean")
-
-        install_plan(FaultPlan.from_string("corrupt:loss:3"))
-        net = make_net(seed=3)
-        report = Trainer(net, ConstProvider(net)).run(
-            rounds=4, checkpoint_every=2,
-            checkpoint_dir=tmp_path / "chaos")
-        assert report.rollbacks == 1
-        assert report.rounds == clean.rounds == 4
-        # The acceptance criterion: the fault-injected run ends on the
-        # same final checkpoint round count as the clean run.
-        assert (report.checkpoints[-1].rsplit("-", 1)[-1]
-                == clean.checkpoints[-1].rsplit("-", 1)[-1])
-        assert all(np.isfinite(report.losses))
-        assert registry.snapshot()["train.rollbacks"] == 1
-
-    def test_rollback_decays_learning_rate(self, tmp_path):
-        install_plan(FaultPlan.from_string("corrupt:loss:2"))
-        net = make_net(lr=0.04)
+def test_run_argument_validation(tmp_path):
+    net = make_net()
+    with pytest.raises(ValueError):
+        Trainer(net, ConstProvider(net)).run(rounds=1,
+                                             checkpoint_every=2)
+    with pytest.raises(ValueError):
         Trainer(net, ConstProvider(net)).run(
-            rounds=3, checkpoint_every=1, checkpoint_dir=tmp_path,
-            rollback_lr_decay=0.5)
-        assert net.optimizer.learning_rate == pytest.approx(0.02)
-
-    def test_rollback_truncates_recorded_rounds(self, tmp_path):
-        install_plan(FaultPlan.from_string("corrupt:loss:4"))
-        net = make_net()
-        seen = []
-        report = Trainer(net, ConstProvider(net)).run(
-            rounds=5, checkpoint_every=2, checkpoint_dir=tmp_path,
-            callback=lambda i, l: seen.append(i))
-        # The NaN at round index 3 rolled back to the round-2 checkpoint
-        # (recorded rounds truncated to 2), so indexes 2 and 3 re-ran;
-        # the corrupted attempt itself never reached the callback.
-        assert seen == [0, 1, 2, 2, 3, 4]
-        assert report.rounds == 5
-
-    def test_nonfinite_without_checkpointing_raises(self):
-        install_plan(FaultPlan.from_string("corrupt:loss:1"))
-        net = make_net()
-        with pytest.raises(TrainingDiverged, match="no.*checkpoint"):
-            Trainer(net, ConstProvider(net)).run(rounds=2)
-
-    def test_rollback_budget_exhaustion_raises(self, tmp_path):
-        install_plan(FaultPlan.from_string("corrupt:loss:1x50"))
-        net = make_net()
-        with pytest.raises(TrainingDiverged, match="after 2 rollbacks"):
-            Trainer(net, ConstProvider(net)).run(
-                rounds=3, checkpoint_every=1, checkpoint_dir=tmp_path,
-                max_rollbacks=2)
+            rounds=1, checkpoint_every=1, checkpoint_dir=tmp_path,
+            rollback_lr_decay=0.0)
 
 
 class TestResume:

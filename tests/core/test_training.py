@@ -25,23 +25,6 @@ class TestTrainer:
         assert len(report.round_seconds) == 5
         assert all(t > 0 for t in report.round_seconds)
 
-    def test_warmup_not_recorded(self):
-        net = make_net()
-        provider = RandomProvider((8, 8, 8), net.output_nodes[0].shape,
-                                  seed=1)
-        report = Trainer(net, provider).run(rounds=3, warmup=2)
-        assert report.rounds == 3
-        assert net.rounds == 5  # warmup rounds did happen
-
-    def test_callback_invoked(self):
-        net = make_net()
-        provider = RandomProvider((8, 8, 8), net.output_nodes[0].shape,
-                                  seed=1)
-        seen = []
-        Trainer(net, provider).run(rounds=4,
-                                   callback=lambda i, l: seen.append(i))
-        assert seen == [0, 1, 2, 3]
-
     def test_negative_rounds_rejected(self):
         net = make_net()
         provider = RandomProvider((8, 8, 8), net.output_nodes[0].shape)
@@ -102,32 +85,9 @@ class TestValidation:
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
 
-    def test_validations_recorded(self):
-        net = make_net()
-        train = RandomProvider((8, 8, 8), net.output_nodes[0].shape,
-                               seed=1)
-        val = RandomProvider((8, 8, 8), net.output_nodes[0].shape, seed=2)
-        from repro.core import Trainer
-        report = Trainer(net, train).run(rounds=6, val_provider=val,
-                                         validate_every=2, val_samples=1)
-        assert [r for r, _ in report.validations] == [1, 3, 5]
-        assert all(v > 0 for _, v in report.validations)
-
     def test_validate_every_without_provider_rejected(self):
         net = make_net()
         provider = RandomProvider((8, 8, 8), net.output_nodes[0].shape)
         from repro.core import Trainer
         with pytest.raises(ValueError):
             Trainer(net, provider).run(rounds=2, validate_every=1)
-
-    def test_lr_schedule_applied(self, rng):
-        net = make_net()
-        provider = RandomProvider((8, 8, 8), net.output_nodes[0].shape,
-                                  seed=1)
-        seen = []
-        from repro.core import Trainer
-        Trainer(net, provider).run(
-            rounds=3,
-            lr_schedule=lambda i: seen.append(i) or 0.01 * (i + 1))
-        assert seen == [0, 1, 2]
-        assert net.optimizer.learning_rate == pytest.approx(0.03)

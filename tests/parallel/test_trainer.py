@@ -1,5 +1,8 @@
 """ParallelTrainer: determinism contract, degradation, lifecycle.
 
+What it shares with the in-process ``Trainer`` — the round loop — is
+covered for both by ``tests/core/test_trainer_contract.py``.
+
 Multi-process cases (anything with ``workers >= 2`` actually spawns
 children) are marked ``slow`` so the tier-1 run stays fast; the CI slow
 lane runs them.
@@ -8,9 +11,7 @@ lane runs them.
 import numpy as np
 import pytest
 
-from repro.core import Trainer, state_digest
-from repro.core.serialization import checkpoint_digest
-from repro.core.training import TrainingDiverged
+from repro.core import Trainer, load_latest_checkpoint, state_digest
 from repro.data.provider import RandomProvider, ShardedSampler
 from repro.parallel import ModelConfig, ParallelTrainer, WorkerPoolBroken
 from repro.resilience import RetryPolicy
@@ -89,6 +90,48 @@ class TestDeterminism:
         assert d_a == d_b
 
 
+class TestResume:
+    def test_checkpoint_restored_run_equals_uninterrupted(self, tmp_path):
+        """2 rounds, a fresh trainer restored from the checkpoint, 2
+        more == 4 straight rounds, bitwise: samples are keyed on the
+        restored global update count, not on the position in run()."""
+        def make():
+            return ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
+                                   workers=1, batch=2)
+
+        with make() as straight:
+            straight.run(4)
+            expected = state_digest(straight.network)
+        with make() as first:
+            first.run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+        with make() as resumed:
+            assert load_latest_checkpoint(resumed.network, tmp_path)
+            resumed.run(2)
+            assert resumed.network.rounds == 4
+            assert state_digest(resumed.network) == expected
+
+    @pytest.mark.slow
+    def test_rollback_is_worker_count_invariant(self, tmp_path):
+        """A rolled-back run replays the same (round, index) samples,
+        so it too ends on the same bits for W in {1, 2}."""
+        digests = []
+        try:
+            for workers in (1, 2):
+                install_plan(FaultPlan.from_string("corrupt:loss:2"))
+                with ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
+                                     workers=workers, batch=2,
+                                     worker_timeout=120.0) as trainer:
+                    report = trainer.run(
+                        ROUNDS, checkpoint_every=1,
+                        checkpoint_dir=tmp_path / str(workers))
+                    digests.append(state_digest(trainer.network))
+                assert report.rollbacks == 1
+                assert report.rounds == ROUNDS
+        finally:
+            clear_plan()
+        assert digests[0] == digests[1]
+
+
 class TestDegradation:
     @pytest.mark.slow
     def test_dead_worker_does_not_change_the_checkpoint(self, monkeypatch):
@@ -118,58 +161,8 @@ class TestDegradation:
             trainer.close()
             clear_plan()
 
-    def test_corrupted_loss_raises_diverged(self):
-        install_plan(FaultPlan.from_string("corrupt:loss:1"))
-        trainer = ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
-                                  workers=1, batch=1)
-        try:
-            with pytest.raises(TrainingDiverged):
-                trainer.run(1)
-        finally:
-            trainer.close()
-            clear_plan()
-
 
 class TestLifecycle:
-    def test_checkpoints_and_report(self, tmp_path):
-        trainer = ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
-                                  workers=1, batch=2)
-        try:
-            report = trainer.run(ROUNDS, checkpoint_every=2,
-                                 checkpoint_dir=tmp_path)
-            digest = state_digest(trainer.network)
-        finally:
-            trainer.close()
-        assert report.workers == 1
-        assert report.batch == 2
-        assert len(report.losses) == ROUNDS
-        assert len(report.round_seconds) == ROUNDS
-        assert report.worker_deaths == 0
-        names = [p.split("/")[-1] for p in report.checkpoints]
-        assert names == ["ckpt-00000000.npz", "ckpt-00000002.npz",
-                         "ckpt-00000003.npz"]
-        assert checkpoint_digest(report.checkpoints[-1]) == digest
-
-    def test_rounds_counter_counts_global_updates(self):
-        trainer = ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
-                                  workers=1, batch=3)
-        try:
-            trainer.run(2)
-            assert trainer.network.rounds == 2
-        finally:
-            trainer.close()
-
-    def test_callback_sees_each_round(self):
-        seen = []
-        trainer = ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
-                                  workers=1, batch=1)
-        try:
-            report = trainer.run(
-                ROUNDS, callback=lambda i, loss: seen.append((i, loss)))
-        finally:
-            trainer.close()
-        assert seen == list(enumerate(report.losses))
-
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
             ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS, workers=0)

@@ -40,6 +40,7 @@ from repro.serving import (
     SpecializationPlan,
     WorkerConfig,
     plan_specialization,
+    plan_volume,
 )
 from repro.serving.specialize import (
     CostModel,
@@ -432,6 +433,29 @@ class TestRegistryIntegration:
                                      for edge in plain.network.conv_modes})
         assert plain is not moded
         assert reg.warm(spec.name, (9, 9, 9)) is plain
+        reg.close()
+
+    def test_resolve_is_the_plan_rule_for_serving_and_prewarm(
+            self, small_model):
+        spec = small_model.model_spec()
+        splan = plan_specialization(spec, (17, 17, 17), tile_voxels=1000)
+        reg = ModelRegistry(max_models=4)
+        reg.register(spec)
+        reg.set_plan(splan)
+        # Covered: the plan's tile and mode map, stamped on the TilePlan.
+        warm, plan = reg.resolve(spec.name, (17, 17, 17))
+        assert warm.input_tile == plan.input_tile == splan.input_tile
+        assert dict(plan.conv_modes) == dict(splan.conv_mode_map)
+        assert reg.prewarm_all((17, 17, 17)) == {
+            spec.name: splan.input_tile}
+        assert reg.resolve(spec.name, (17, 17, 17))[0] is warm
+        # Not covered (smaller than the plan tile): the generic path.
+        small = tuple(t - 1 for t in splan.input_tile)
+        warm, plan = reg.resolve(spec.name, small, tile_voxels=1000)
+        assert plan.conv_modes is None and warm.conv_modes is None
+        assert plan == plan_volume(small, spec.fov, max_voxels=1000)
+        assert reg.prewarm_all(small, 1000) == {
+            spec.name: plan.input_tile}
         reg.close()
 
     def test_pipeline_serves_specialized(self, small_model):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sync import ConcurrentSum, NaiveLockedSum
+from repro.sync import ConcurrentSum, NaiveLockedSum, OrderedSum
 
 IMPLS = [ConcurrentSum, NaiveLockedSum]
 
@@ -80,6 +80,31 @@ class TestSerialBehaviour:
         s.add(a)
         s.add(b)
         np.testing.assert_allclose(s.get(), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("impl", [*IMPLS, OrderedSum])
+class TestOneCallingConvention:
+    """``RuntimeNode.add_*`` calls every accumulator as
+    ``add(value, index)`` and resets it once per round."""
+
+    def test_add_takes_the_contributor_index(self, impl, rng):
+        s = impl(2)
+        a = rng.standard_normal((2, 2, 2))
+        b = rng.standard_normal((2, 2, 2))
+        expected = a + b
+        assert s.add(b, 1) is False
+        assert s.add(a, 0) is True
+        np.testing.assert_allclose(s.get(), expected, atol=1e-12)
+
+    def test_reset_during_accumulation_raises(self, impl):
+        s = impl(2)
+        s.add(np.ones((1, 1, 1)), 0)
+        with pytest.raises(RuntimeError, match="reset during accumulation"):
+            s.reset()
+
+    def test_reset_rejects_invalid_required(self, impl):
+        with pytest.raises(ValueError, match="required must be >= 1"):
+            impl(1).reset(required=0)
 
 
 @pytest.mark.parametrize("impl", IMPLS)

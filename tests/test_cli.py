@@ -145,11 +145,57 @@ class TestParallelTrain:
         assert main(["train", "--workers", value, *self._FAST]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
-    def test_incompatible_flags_rejected(self, tmp_path, capsys):
-        assert main(["train", "--workers", "1", "--resume",
-                     "--checkpoint-dir", str(tmp_path), *self._FAST]) == 2
+    @pytest.mark.parametrize("flag", [["--task-retries", "2"],
+                                      ["--task-timeout", "5"]])
+    def test_incompatible_flags_rejected(self, flag, capsys):
+        assert main(["train", "--workers", "1", *flag, *self._FAST]) == 2
         assert "not supported with data-parallel" \
             in capsys.readouterr().err
+
+    def test_resume_is_bitwise_equal_to_an_uninterrupted_run(
+            self, tmp_path, capsys):
+        """2 rounds + ``--resume`` to 4 == 4 straight rounds: the sample
+        stream is keyed on the global update count, not on the position
+        inside one ``run()``."""
+
+        def digest_of(rounds, ckdir, *extra):
+            assert main(["train", "--workers", "1", "--batch", "2",
+                         "--seed", "3", "--rounds", rounds,
+                         "--checkpoint-every", "2",
+                         "--checkpoint-dir", str(ckdir), *extra,
+                         *self._FAST[2:]]) == 0
+            out = capsys.readouterr().out
+            return out, [line for line in out.splitlines()
+                         if line.startswith("state digest: ")][0]
+
+        _, straight = digest_of("4", tmp_path / "straight")
+        digest_of("2", tmp_path / "resumed")
+        out, resumed = digest_of("4", tmp_path / "resumed", "--resume")
+        assert "2 rounds remaining" in out
+        assert resumed == straight
+        assert (tmp_path / "resumed" / "ckpt-00000004.npz").exists()
+
+    def test_corrupt_loss_rolls_back_with_checkpoints_and_exits_1_without(
+            self, tmp_path, capsys):
+        from repro.observability import MetricsRegistry, set_registry
+        from repro.resilience import FaultPlan, clear_plan, install_plan
+
+        argv = ["train", "--workers", "1", "--batch", "2", "--rounds", "2",
+                *self._FAST[2:]]
+        previous = set_registry(MetricsRegistry())
+        try:
+            install_plan(FaultPlan.from_string("corrupt:loss:2"))
+            assert main([*argv, "--checkpoint-every", "1",
+                         "--checkpoint-dir", str(tmp_path)]) == 0
+            out = capsys.readouterr().out
+            assert "loss rollbacks 1" in out
+            assert "ckpt-00000002.npz" in out
+            install_plan(FaultPlan.from_string("corrupt:loss:1"))
+            assert main(argv) == 1
+            assert "training diverged" in capsys.readouterr().err
+        finally:
+            clear_plan()
+            set_registry(previous)
 
     @pytest.mark.slow
     def test_digest_is_workers_invariant_via_cli(self, capsys):

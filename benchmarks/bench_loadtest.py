@@ -50,14 +50,8 @@ def _run(trace, policy=None, control_interval=0.5):
                        service=SERVICE,
                        control_interval=control_interval)
     result = simulate_serving(trace, config, policy)
-    counts = {"served": 0, "shed": 0, "deadline": 0, "failed": 0}
-    latencies = []
-    for outcome in result.outcomes:
-        counts[outcome.status] += 1
-        if outcome.latency is not None:
-            latencies.append(outcome.latency)
     doc = build_report(
-        "sim", trace, counts, latencies,
+        "sim", trace, result.outcomes,
         worker_seconds=result.worker_seconds,
         workers=(None if policy else FIXED_WORKERS),
         autoscaler=(None if policy is None else {

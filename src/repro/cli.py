@@ -954,15 +954,6 @@ def _loadtest_sim(args, trace, policy, ServiceModel, SimConfig,
                        max_queue=args.max_queue, service=service,
                        control_interval=args.control_interval)
     result = simulate_serving(trace, config, policy)
-    counts = {"served": 0, "shed": 0, "deadline": 0, "failed": 0}
-    latencies = []
-    waits = []
-    for outcome in result.outcomes:
-        counts[outcome.status] += 1
-        if outcome.latency is not None:
-            latencies.append(outcome.latency)
-        if outcome.wait is not None:
-            waits.append(outcome.wait)
     autoscaler = {"enabled": False}
     if policy is not None:
         autoscaler = {
@@ -975,7 +966,7 @@ def _loadtest_sim(args, trace, policy, ServiceModel, SimConfig,
             "decisions": len(result.decisions),
         }
     return build_report(
-        "sim", trace, counts, latencies, waits=waits,
+        "sim", trace, result.outcomes,
         worker_seconds=result.worker_seconds, workers=args.workers,
         autoscaler=autoscaler, multiplier=args.multiplier)
 
@@ -1025,12 +1016,6 @@ def _loadtest_live(args, trace, policy, replay_trace,
             autoscaler.stop()
         elapsed = time.monotonic() - started
         server.stop()
-    counts = {"served": 0, "shed": 0, "deadline": 0, "failed": 0}
-    latencies = []
-    for outcome in result.outcomes:
-        counts[outcome.status] += 1
-        if outcome.latency is not None:
-            latencies.append(outcome.latency)
     if autoscaler is not None:
         worker_seconds = autoscaler.worker_seconds
         autoscaler_doc = {
@@ -1046,7 +1031,7 @@ def _loadtest_live(args, trace, policy, replay_trace,
         worker_seconds = workers * elapsed
         autoscaler_doc = {"enabled": False}
     return build_report(
-        "live", trace, counts, latencies,
+        "live", trace, result.outcomes,
         worker_seconds=worker_seconds,
         workers=args.fleet if args.fleet > 0 else args.workers,
         autoscaler=autoscaler_doc, multiplier=args.multiplier)
@@ -1436,16 +1421,7 @@ def _determinism_probe() -> int:
         scenario_config("steady", seed=11, duration=10.0,
                         base_rate=4.0))
     result = simulate_serving(trace, SimConfig(workers=2, max_queue=8))
-    counts = {"served": 0, "shed": 0, "deadline": 0, "failed": 0}
-    latencies = []
-    waits = []
-    for outcome in result.outcomes:
-        counts[outcome.status] += 1
-        if outcome.latency is not None:
-            latencies.append(outcome.latency)
-        if outcome.wait is not None:
-            waits.append(outcome.wait)
-    doc = build_report("sim", trace, counts, latencies, waits=waits,
+    doc = build_report("sim", trace, result.outcomes,
                        worker_seconds=result.worker_seconds, workers=2)
     emit("loadtest.report", hashlib.sha256(
         dump_report(doc).encode()).hexdigest())

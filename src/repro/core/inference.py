@@ -40,9 +40,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.network import Network
-from repro.graph.builders import LayeredSpec, build_layered_network, \
-    dense_twin_layers, pool_to_filter_spec
-from repro.utils.shapes import Shape3, as_shape3, field_of_view
+from repro.graph.builders import LayeredSpec, dense_twin
+from repro.utils.shapes import Shape3, as_shape3
 from repro.utils.validation import check_array3
 
 __all__ = [
@@ -115,13 +114,10 @@ def dense_network_field_of_view(spec: str, **builder_kwargs) -> Shape3:
 
     This is the minimum input size of the twin, and the halo a tiled
     dense inference must extend each input block by
-    (``input = output + fov - 1`` per axis).  Anisotropic kernels,
-    windows and sparsity schedules are handled per axis.
+    (``input = output + fov - 1`` per axis).  Anisotropic kernels and
+    windows are handled per axis.
     """
-    return field_of_view(
-        (layer.kind, layer.window, layer.sparsity)
-        for layer in dense_twin_layers(spec, **builder_kwargs)
-        if layer.window is not None)
+    return dense_twin(spec, **builder_kwargs).fov
 
 
 def pooling_period(spec: str, window=2) -> Shape3:
@@ -152,7 +148,8 @@ def dense_equivalent_network(pool_network: Network, spec: str,
 
     *spec* and *builder_kwargs* must match the arguments the pooling
     network was built with (the builder keeps conv/transfer edge names
-    stable under the P→M substitution).  Kernels and pooling windows
+    stable under the P→M substitution); the twin itself is
+    :func:`repro.graph.builders.dense_twin`'s.  Kernels and pooling windows
     may be anisotropic; each axis dilates by its own accumulated
     pooling factor.  The input must cover the twin's field of view on
     every axis — violations raise an explicit per-axis error rather
@@ -162,17 +159,14 @@ def dense_equivalent_network(pool_network: Network, spec: str,
                       for k in ("memoize", "fft_fast_sizes",
                                 "deterministic_sums", "num_workers", "seed")
                       if k in builder_kwargs}
-    fov = dense_network_field_of_view(spec, **builder_kwargs)
+    twin = dense_twin(spec, **builder_kwargs)
     shape = as_shape3(input_shape, name="input_shape")
-    if any(n < f for n, f in zip(shape, fov)):
+    if any(n < f for n, f in zip(shape, twin.fov)):
         raise ValueError(
             f"input {shape} smaller than the dense twin's field of view "
-            f"{fov} (per-axis minimum input size)")
-    filter_spec = pool_to_filter_spec(spec)
-    graph = build_layered_network(filter_spec, skip_kernels=True,
-                                  **builder_kwargs)
-    dense = Network(graph, input_shape=shape, conv_mode=conv_mode,
-                    **network_kwargs)
+            f"{twin.fov} (per-axis minimum input size)")
+    dense = Network(twin.build_graph(), input_shape=shape,
+                    conv_mode=conv_mode, **network_kwargs)
     copy_parameters(pool_network, dense)
     return dense
 

@@ -6,23 +6,46 @@ technique tiles the volume into overlapping input blocks — each block
 extends the output tile by the network's field of view minus one, so
 adjacent tiles produce *identical* values on their shared boundary (the
 networks are translation covariant) and the dense outputs concatenate
-seamlessly.
+seamlessly, bit for bit in direct-convolution mode.
 
-:func:`tiled_forward` handles the block arithmetic, ragged edge tiles,
-and stitching, for any single-input/single-output dense network.
+This module is the whole path for every caller, library or server:
+:class:`TilePlan` is the one tile geometry (output tile, dense shape
+and tile corners from ``(volume, fov, input tile)``) and
+:func:`run_plan` the one slice-forward-stitch loop.
+:func:`tiled_forward` plans for a network's own input shape and runs
+it; :mod:`repro.serving.tiler` adds only the tile-shape *search*.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import product
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.network import Network
-from repro.utils.shapes import Shape3, as_shape3
+from repro.observability.tracing import get_tracer
+from repro.utils.shapes import Shape3, as_shape3, voxels
 from repro.utils.validation import check_array3
 
-__all__ = ["field_of_view_of", "tile_plan", "tiled_forward"]
+__all__ = ["PlanInfeasible", "TilePlan", "field_of_view_of", "run_plan",
+           "tile_plan", "tiled_forward"]
+
+
+class PlanInfeasible(ValueError):
+    """No tile plan satisfies the request's geometry or budget.
+
+    Raised when the volume is smaller than the field of view or the
+    input tile on some axis (no output voxel / no whole tile exists),
+    when the voxel budget is below ``prod(fov)`` (every tile must cover
+    the fov, so the budget is unsatisfiable — silently returning a
+    fov-sized, over-budget tile would hide the violation), or when a
+    tile would yield a non-positive output extent (``tile < fov`` on an
+    axis: the halo math would produce negative core extents).  A
+    subclass of :class:`ValueError` so callers that caught the old
+    geometry errors keep working.
+    """
 
 
 def field_of_view_of(network: Network) -> Shape3:
@@ -38,65 +61,178 @@ def field_of_view_of(network: Network) -> Shape3:
     return fov  # type: ignore[return-value]
 
 
+@dataclass(frozen=True)
+class TilePlan:
+    """A fully-resolved tiling of one volume — the one place the tile
+    geometry is derived.
+
+    Every tile reads ``input_tile`` voxels at its corner and writes
+    ``output_tile = input_tile − fov + 1`` voxels of the dense output
+    (shape ``volume − fov + 1``) at the *same* corner.  Interior tiles
+    step by the output tile; the last tile per axis shifts back to end
+    exactly at the volume boundary, re-computing a few voxels instead
+    of running a ragged partial tile (exact, by translation
+    covariance).
+
+    ``conv_modes``, when set, is the per-conv-edge backend map the plan
+    was made for (ZNNi per-layer specialization,
+    :mod:`repro.serving.specialize`) as a sorted ``(edge, mode)``
+    tuple; :func:`run_plan` then refuses a network whose modes
+    disagree — running a plan costed for one backend mix on another
+    silently voids both the throughput prediction and the determinism
+    contract.
+    """
+
+    volume_shape: Shape3
+    fov: Shape3
+    input_tile: Shape3
+    conv_modes: Optional[Tuple[Tuple[str, str], ...]] = None
+    output_tile: Shape3 = field(init=False)
+    dense_shape: Shape3 = field(init=False)
+    #: Per-axis tile corners; the tiles are their cross product.
+    axis_starts: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        v = as_shape3(self.volume_shape, name="volume_shape")
+        f = as_shape3(self.fov, name="fov")
+        t = as_shape3(self.input_tile, name="input_tile")
+        o = tuple(td - fd + 1 for td, fd in zip(t, f))
+        if any(od < 1 for od in o):
+            raise PlanInfeasible(
+                f"input tile {t} is below the field of view {f}: "
+                f"output tile {o} has a non-positive extent")
+        if any(vd < td for vd, td in zip(v, t)):
+            raise PlanInfeasible(
+                f"volume {v} smaller than the input tile {t}")
+        starts = []
+        for vd, td, od in zip(v, t, o):
+            last = vd - td  # last valid corner
+            axis = list(range(0, last + 1, od))
+            if axis[-1] != last:
+                axis.append(last)
+            starts.append(tuple(axis))
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "volume_shape", v)
+        put(self, "fov", f)
+        put(self, "input_tile", t)
+        put(self, "output_tile", o)
+        put(self, "dense_shape",
+            tuple(vd - fd + 1 for vd, fd in zip(v, f)))
+        put(self, "axis_starts", tuple(starts))
+
+    @property
+    def tiles(self) -> List[Tuple[Shape3, Shape3]]:
+        """``(input_corner, output_corner)`` per tile, z-major; the two
+        coincide because output = input − fov + 1."""
+        return [(c, c) for c in product(*self.axis_starts)]
+
+    @property
+    def num_tiles(self) -> int:
+        z, y, x = self.axis_starts
+        return len(z) * len(y) * len(x)
+
+    @property
+    def conv_mode_map(self) -> Optional[dict]:
+        """``conv_modes`` as the dict :class:`repro.core.Network`
+        accepts, or None when the plan is mode-agnostic."""
+        if self.conv_modes is None:
+            return None
+        return dict(self.conv_modes)
+
+    @property
+    def tile_input_voxels(self) -> int:
+        return voxels(self.input_tile)
+
+    @property
+    def halo(self) -> Shape3:
+        """Per-axis overlap between adjacent input tiles."""
+        return tuple(f - 1 for f in self.fov)  # type: ignore[return-value]
+
+    @property
+    def recompute_fraction(self) -> float:
+        """Fraction of tile-input voxels read more than once (the halo
+        overhead the ZNNi output-patch trade-off is about)."""
+        total = self.num_tiles * self.tile_input_voxels
+        return 1.0 - voxels(self.volume_shape) / total if total else 0.0
+
+
 def tile_plan(volume_shape: Sequence[int], input_shape: Sequence[int],
               output_shape: Sequence[int]
-              ) -> Iterator[Tuple[Tuple[int, int, int],
-                                  Tuple[int, int, int]]]:
-    """Yield ``(input_corner, output_corner)`` pairs covering the
-    volume's dense output region.
+              ) -> Iterator[Tuple[Shape3, Shape3]]:
+    """Yield the ``(input_corner, output_corner)`` pairs of the
+    :class:`TilePlan` for a network mapping *input_shape* blocks to
+    *output_shape* blocks."""
+    fov = tuple(i - o + 1 for i, o in zip(
+        as_shape3(input_shape, name="input_shape"),
+        as_shape3(output_shape, name="output_shape")))
+    yield from TilePlan(volume_shape, fov, input_shape).tiles  # type: ignore[arg-type]
 
-    The dense output of the whole volume has shape
-    ``volume − fov + 1``.  Interior tiles step by the network's output
-    size; the final tile per axis is shifted back so it ends exactly at
-    the volume boundary (re-computing a few voxels rather than running
-    a ragged partial tile).
+
+# deterministic
+def run_plan(network, volume: np.ndarray, plan: TilePlan,
+             progress=None) -> np.ndarray:
+    """Execute *plan* with *network* (whose input shape must equal the
+    plan's tile) and stitch the seam-free dense output.
+
+    ``progress(done, total)`` is called after each tile.  In direct
+    convolution mode the stitched result is bitwise identical to a
+    single forward pass over the whole volume (contract-tested in
+    ``tests/serving/test_tiled_contract.py``).
     """
-    v = as_shape3(volume_shape, name="volume_shape")
-    i = as_shape3(input_shape, name="input_shape")
-    o = as_shape3(output_shape, name="output_shape")
-    if any(vd < id_ for vd, id_ in zip(v, i)):
-        raise ValueError(f"volume {v} smaller than network input {i}")
-
-    starts_per_axis = []
-    for vd, id_, od in zip(v, i, o):
-        last = vd - id_  # last valid input corner
-        starts = list(range(0, last + 1, od))
-        if starts[-1] != last:
-            starts.append(last)
-        starts_per_axis.append(starts)
-
-    for z in starts_per_axis[0]:
-        for y in starts_per_axis[1]:
-            for x in starts_per_axis[2]:
-                yield (z, y, x), (z, y, x)
+    if volume.shape != plan.volume_shape:
+        raise ValueError(
+            f"volume {volume.shape} does not match plan "
+            f"{plan.volume_shape}")
+    in_shape = network.input_nodes[0].shape
+    if tuple(in_shape) != plan.input_tile:
+        raise ValueError(
+            f"network input {tuple(in_shape)} does not match plan tile "
+            f"{plan.input_tile}")
+    if plan.conv_modes is not None:
+        actual = getattr(network, "conv_modes", {})
+        for edge, mode in plan.conv_modes:
+            if actual.get(edge) != mode:
+                raise ValueError(
+                    f"plan expects edge {edge!r} in {mode!r} mode but "
+                    f"the network runs it in {actual.get(edge)!r}; "
+                    f"build the warm model from the plan's mode map")
+    out_name = network.output_nodes[0].name
+    o = plan.output_tile
+    tiles = plan.tiles
+    dense = np.empty(plan.dense_shape, dtype=np.float64)
+    tracer = get_tracer()
+    for index, (ic, oc) in enumerate(tiles):
+        block = volume[ic[0]:ic[0] + in_shape[0],
+                       ic[1]:ic[1] + in_shape[1],
+                       ic[2]:ic[2] + in_shape[2]]
+        block = np.ascontiguousarray(block)
+        if tracer.enabled:
+            # Child of the caller's span (the serving "serve" span);
+            # the network's fwd tasks capture this tile span in turn.
+            with tracer.span(f"tile:{index}", category="tile",
+                             corner=list(ic), tile=index,
+                             tiles=len(tiles)):
+                tile = network.forward(block)[out_name]
+        else:
+            tile = network.forward(block)[out_name]
+        dense[oc[0]:oc[0] + o[0],
+              oc[1]:oc[1] + o[1],
+              oc[2]:oc[2] + o[2]] = tile
+        if progress is not None:
+            progress(index + 1, len(tiles))
+    return dense
 
 
 def tiled_forward(network: Network, volume: np.ndarray,
                   progress: Optional[callable] = None) -> np.ndarray:
-    """Dense inference over *volume* by overlapping tiles.
+    """Dense inference over *volume* by overlapping tiles of the
+    network's own input shape.
 
     Returns the full dense output of shape ``volume − fov + 1`` per
     axis; every voxel equals what a (hypothetical) single forward pass
-    over the whole volume would produce.  ``progress(done, total)`` is
-    called after each tile.
+    over the whole volume would produce.
     """
     vol = check_array3(volume, "volume")
-    in_shape = network.input_nodes[0].shape
-    out_shape = network.output_nodes[0].shape
-    fov = field_of_view_of(network)
-    dense_shape = tuple(v - f + 1 for v, f in zip(vol.shape, fov))
-    out_name = network.output_nodes[0].name
-
-    plan = list(tile_plan(vol.shape, in_shape, out_shape))
-    dense = np.empty(dense_shape, dtype=np.float64)
-    for index, (ic, oc) in enumerate(plan):
-        block = vol[ic[0]:ic[0] + in_shape[0],
-                    ic[1]:ic[1] + in_shape[1],
-                    ic[2]:ic[2] + in_shape[2]]
-        tile = network.forward(block)[out_name]
-        dense[oc[0]:oc[0] + out_shape[0],
-              oc[1]:oc[1] + out_shape[1],
-              oc[2]:oc[2] + out_shape[2]] = tile
-        if progress is not None:
-            progress(index + 1, len(plan))
-    return dense
+    plan = TilePlan(vol.shape, field_of_view_of(network),
+                    network.input_nodes[0].shape)
+    return run_plan(network, vol, plan, progress=progress)

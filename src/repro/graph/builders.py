@@ -37,10 +37,10 @@ from typing import (
 )
 
 from repro.graph.computation_graph import ComputationGraph
-from repro.utils.shapes import Shape3, as_shape3
+from repro.utils.shapes import Shape3, as_shape3, field_of_view
 
-__all__ = ["Layer", "LayeredSpec", "build_layered_network",
-           "dense_twin_layers", "pool_to_filter_spec"]
+__all__ = ["DenseTwin", "Layer", "LayeredSpec", "build_layered_network",
+           "dense_twin", "pool_to_filter_spec"]
 
 WidthLike = Union[int, Sequence[int]]
 ShapeLike = Union[int, Sequence[int]]
@@ -273,12 +273,32 @@ def pool_to_filter_spec(spec: str) -> str:
     return spec.upper().replace("P", "M")
 
 
-def dense_twin_layers(spec: str, **builder_kwargs) -> List[Layer]:
-    """Layers of the dense-equivalent twin of *spec* — every ``P``
-    turned into ``M`` and skip-kernels on (the twin always dilates) —
-    from the builder arguments alone, without building a graph."""
-    schedule = builder_kwargs.pop("sparsity_schedule", None)
-    builder_kwargs.pop("skip_kernels", None)
-    parsed = LayeredSpec(pool_to_filter_spec(spec), skip_kernels=True,
-                         **builder_kwargs)
-    return list(parsed.layers(schedule))
+class DenseTwin(NamedTuple):
+    """The dense-equivalent twin of a layered spec, as
+    :func:`dense_twin` decides it: layers, field of view and graph all
+    come from the same ``(spec, builder_kwargs)`` pair."""
+
+    spec: str  # the layer string with every P turned into M
+    builder_kwargs: dict  # skip_kernels on, no sparsity_schedule
+    layers: Tuple[Layer, ...]
+    #: Per-axis minimum input size, and the halo a tiled inference
+    #: extends each block by (``input = output + fov - 1``).
+    fov: Shape3
+
+    def build_graph(self) -> ComputationGraph:
+        return build_layered_network(self.spec, **self.builder_kwargs)
+
+
+def dense_twin(spec: str, **builder_kwargs) -> DenseTwin:
+    """The one twin rule (Fig 2): every ``P`` becomes ``M`` and
+    skip-kernels are on — the twin always dilates by the accumulated
+    pooling factor, so a ``skip_kernels`` flag or a
+    ``sparsity_schedule`` inherited from the training spec is dropped.
+    No graph is built until :meth:`DenseTwin.build_graph`."""
+    kwargs = dict(builder_kwargs, skip_kernels=True)
+    kwargs.pop("sparsity_schedule", None)
+    twin_spec = pool_to_filter_spec(spec)
+    layers = tuple(LayeredSpec(twin_spec, **kwargs).layers())
+    fov = field_of_view((layer.kind, layer.window, layer.sparsity)
+                        for layer in layers if layer.window is not None)
+    return DenseTwin(twin_spec, kwargs, layers, fov)

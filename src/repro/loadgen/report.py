@@ -67,24 +67,34 @@ def latency_stats(samples: Sequence[float]) -> Dict[str, float]:
 
 
 # deterministic
-def build_report(mode: str, trace, counts: Dict[str, int],
-                 latencies: Sequence[float],
-                 waits: Optional[Sequence[float]] = None,
+def build_report(mode: str, trace, outcomes: Sequence,
                  worker_seconds: float = 0.0,
                  workers: Optional[int] = None,
                  autoscaler: Optional[dict] = None,
                  multiplier: float = 1.0) -> dict:
     """Assemble a ``repro.loadtest/v1`` document.
 
-    *counts* maps each status in ``served/shed/deadline/failed`` to a
-    request count; *latencies* (and optionally *waits*) are the raw
-    per-served-request samples in seconds.
+    *outcomes* are the replay's per-request fates —
+    :class:`~repro.loadgen.sim.SimRequestOutcome` or
+    :class:`~repro.loadgen.replay.LiveOutcome`: a ``status`` in
+    ``served/shed/deadline/failed`` and, for served requests, a
+    ``latency`` in seconds.  Simulated outcomes also carry the queue
+    ``wait``, reported under ``results.wait``.
     """
     if mode not in ("sim", "live"):
         raise LoadtestReportError(
             f"mode must be 'sim' or 'live', got {mode!r}")
-    submitted = sum(counts.get(s, 0) for s in _STATUSES)
-    served = counts.get("served", 0)
+    counts = dict.fromkeys(_STATUSES, 0)
+    latencies = []
+    waits = []
+    for outcome in outcomes:
+        counts[outcome.status] += 1
+        if outcome.latency is not None:
+            latencies.append(outcome.latency)
+        if mode == "sim" and outcome.wait is not None:
+            waits.append(outcome.wait)
+    submitted = sum(counts[s] for s in _STATUSES)
+    served = counts["served"]
     config = trace.config
     doc = {
         "schema": LOADTEST_SCHEMA,
@@ -100,9 +110,9 @@ def build_report(mode: str, trace, counts: Dict[str, int],
         "results": {
             "submitted": submitted,
             "served": served,
-            "shed": counts.get("shed", 0),
-            "deadline_missed": counts.get("deadline", 0),
-            "failed": counts.get("failed", 0),
+            "shed": counts["shed"],
+            "deadline_missed": counts["deadline"],
+            "failed": counts["failed"],
             "served_fraction": (served / submitted) if submitted
             else 0.0,
             "latency": latency_stats(latencies),
@@ -115,7 +125,7 @@ def build_report(mode: str, trace, counts: Dict[str, int],
         "workers": workers,
         "autoscaler": autoscaler or {"enabled": False},
     }
-    if waits is not None:
+    if mode == "sim":
         doc["results"]["wait"] = latency_stats(waits)
     return doc
 

@@ -31,6 +31,7 @@ CI-sized networks so smoke lanes work without a profile run.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -67,22 +68,19 @@ class ServiceModel:
                         overhead_seconds: float = 0.01
                         ) -> "ServiceModel":
         """Derive seconds-per-voxel from a validated cost-model
-        document's forward-pass entries (falls back to the defaults
-        when the document has no usable fwd samples)."""
+        document's forward-pass entries: one request costs the sum of
+        every edge's mean forward seconds, per voxel of the network
+        input (the largest profiled ``image_shape``).  Falls back to
+        the defaults when the document has no usable fwd samples."""
         seconds = 0.0
-        voxels = 0.0
+        voxels = 0
         for entry in doc.get("entries", []):
-            if entry.get("op") != "fwd":
-                continue
             shape = entry.get("image_shape")
             count = entry.get("count", 0)
-            if not shape or not count:
+            if entry.get("op") != "fwd" or not shape or not count:
                 continue
-            v = 1.0
-            for dim in shape:
-                v *= dim
-            seconds += entry.get("seconds", 0.0)
-            voxels += count * v
+            seconds += entry.get("seconds", 0.0) / count
+            voxels = max(voxels, math.prod(shape))
         if voxels <= 0 or seconds <= 0:
             return cls(overhead_seconds=overhead_seconds)
         return cls(seconds_per_voxel=seconds / voxels,

@@ -63,9 +63,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serving.requests.retried",
     "serving.requests.shed",
     "serving.requests.specialized",
-    "serving.queue_wait_seconds",
-    "serving.run_seconds",
-    "serving.latency_seconds",
     "serving.batch_size",
     "serving.model_cache.hit",
     "serving.model_cache.miss",

@@ -7,9 +7,11 @@ where requests wait (one bounded FIFO) and who runs them:
 
 * **Micro-batching.**  A worker dequeues the oldest request, then
   opportunistically drags along up to ``max_batch - 1`` younger
-  requests *for the same model*.  The batch shares one warm-model
-  lookup and runs under one model lock acquisition, so same-model
-  bursts amortise all per-request setup (the registry's whole point).
+  requests *for the same model*.  Each request of the batch is still
+  resolved and run on its own (one registry lookup, one model-lock
+  acquisition per request); what the batch buys is placement: a
+  same-model burst stays on one worker, so a second worker is free to
+  serve another model while the first holds the per-model lock.
 
 * **Worker pool on the TaskEngine.**  Workers are long-lived
   ``serve:worker`` tasks on a :class:`repro.scheduler.TaskEngine` —
@@ -22,8 +24,9 @@ where requests wait (one bounded FIFO) and who runs them:
   the policy's backoff before the error is surfaced to the client.
 
 Observable on top of the lifecycle's counters: ``serving.queue.depth``,
-``serving.requests.{shed,retried,specialized}`` and the histograms
-``serving.{queue_wait,run,latency}_seconds``, ``serving.batch_size``.
+``serving.requests.{shed,retried,specialized}`` and the histogram
+``serving.batch_size``; per-request wait/service/end-to-end latency is
+the lifecycle's ``slo.{admission_wait,service,e2e}_seconds``.
 """
 
 from __future__ import annotations
@@ -92,9 +95,6 @@ class InferenceServer(RequestLifecycle):
         self.gate.set()
         self._m_retried = reg.counter("serving.requests.retried")
         self._m_specialized = reg.counter("serving.requests.specialized")
-        self._h_queue_wait = reg.histogram("serving.queue_wait_seconds")
-        self._h_run = reg.histogram("serving.run_seconds")
-        self._h_latency = reg.histogram("serving.latency_seconds")
         self._h_batch = reg.histogram(
             "serving.batch_size", buckets=[1, 2, 4, 8, 16])
 
@@ -185,7 +185,6 @@ class InferenceServer(RequestLifecycle):
 
     def _serve_one(self, request: PendingRequest) -> None:
         now = time.monotonic()
-        self._h_queue_wait.observe(now - request.accepted_at)
         tracer = get_tracer()
         if tracer.enabled and request.trace_ctx is not None:
             tracer.record("admission.wait",
@@ -204,9 +203,6 @@ class InferenceServer(RequestLifecycle):
         except Exception as exc:
             self._fail(request, exc)
             return
-        t1 = time.monotonic()
-        self._h_run.observe(t1 - t0)
-        self._h_latency.observe(t1 - request.accepted_at)
         self._complete(request, result, t0)
 
     def _run_request(self, request: PendingRequest) -> np.ndarray:

@@ -33,11 +33,9 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.analysis.runtime import make_lock
-from repro.core.inference import dense_network_field_of_view
 from repro.core.network import Network
 from repro.core.serialization import load_network
-from repro.core.tiling import tile_plan
-from repro.graph.builders import build_layered_network, pool_to_filter_spec
+from repro.graph.builders import dense_twin
 from repro.graph.specfile import load_layered_kwargs
 from repro.observability.metrics import get_registry
 from repro.serving.specialize import SpecializationPlan
@@ -59,8 +57,9 @@ class ModelSpec:
 
     ``builder_kwargs`` are the layered-builder arguments *minus* the
     spec string (``width``, ``kernel``, ``window``, ...); serving
-    always builds the skip-kernel twin, so any ``skip_kernels`` flag
-    the training spec carried is dropped.
+    always builds :func:`~repro.graph.builders.dense_twin`'s twin,
+    which ignores a ``skip_kernels`` flag or ``sparsity_schedule`` the
+    training spec carried.
 
     ``seed`` fixes the weight initialisation when no checkpoint is
     given.  A spec must rebuild to the *same* network wherever and
@@ -83,14 +82,13 @@ class ModelSpec:
         """Load a :class:`ModelSpec` from a ``[layered]`` spec file."""
         kwargs = dict(load_layered_kwargs(spec_path))
         spec = str(kwargs.pop("spec"))
-        kwargs.pop("skip_kernels", None)
         return cls(name=name, spec=spec, checkpoint=checkpoint,
                    conv_mode=conv_mode, builder_kwargs=kwargs, seed=seed)
 
     @property
     def fov(self) -> Shape3:
         """Field of view of the dense twin (per-axis minimum input)."""
-        return dense_network_field_of_view(self.spec, **self.builder_kwargs)
+        return dense_twin(self.spec, **self.builder_kwargs).fov
 
 
 class WarmModel:
@@ -106,26 +104,21 @@ class WarmModel:
                  conv_modes: Optional[Mapping[str, str]] = None) -> None:
         self.spec = spec
         self.input_tile = as_shape3(input_tile, name="input_tile")
-        self.fov = spec.fov
+        twin = dense_twin(spec.spec, **spec.builder_kwargs)
+        self.fov = twin.fov
         #: Per-edge backend override (a specialization plan's mode map);
         #: None serves every conv edge in ``spec.conv_mode``.
         self.conv_modes = normalize_conv_modes(conv_modes)
-        kwargs = dict(spec.builder_kwargs)
-        kwargs.pop("sparsity_schedule", None)
-        graph = build_layered_network(pool_to_filter_spec(spec.spec),
-                                      skip_kernels=True, **kwargs)
         mode = (dict(self.conv_modes) if self.conv_modes is not None
                 else spec.conv_mode)
-        self.network = Network(graph, input_shape=self.input_tile,
+        self.network = Network(twin.build_graph(),
+                               input_shape=self.input_tile,
                                conv_mode=mode,
                                num_workers=num_workers,
                                seed=spec.seed,
                                deterministic_sums=True)
         if spec.checkpoint is not None:
             load_network(self.network, spec.checkpoint)
-        self.output_tile: Shape3 = tuple(
-            t - f + 1 for t, f in zip(self.input_tile, self.fov)
-        )  # type: ignore[assignment]
         self._lock = make_lock("serving.warm_model")
         # Kernels are frozen at serving time: pin their spectra so they
         # survive the per-forward next_round() eviction, then compute
@@ -144,9 +137,8 @@ class WarmModel:
             progress=None) -> np.ndarray:
         """Tiled dense inference over *volume* (thread-safe).
 
-        With no *plan* one is derived for this model's tile shape; the
-        volume must then tile exactly with ``input_tile`` (the pipeline
-        always plans first, via :meth:`plan`).
+        With no *plan*, :meth:`plan` derives one for this model's
+        fixed tile.
         """
         if plan is None:
             plan = self.plan(volume.shape)
@@ -156,19 +148,7 @@ class WarmModel:
     def plan(self, volume_shape) -> TilePlan:
         """A :class:`~repro.serving.tiler.TilePlan` of *volume_shape*
         using this model's fixed tile (no tile-shape search)."""
-        shape = as_shape3(volume_shape, name="volume_shape")
-        if any(v < t for v, t in zip(shape, self.input_tile)):
-            raise ValueError(
-                f"volume {shape} smaller than this warm model's tile "
-                f"{self.input_tile}")
-        dense_shape: Shape3 = tuple(
-            v - f + 1 for v, f in zip(shape, self.fov)
-        )  # type: ignore[assignment]
-        tiles = list(tile_plan(shape, self.input_tile, self.output_tile))
-        return TilePlan(volume_shape=shape, fov=self.fov,
-                        input_tile=self.input_tile,
-                        output_tile=self.output_tile,
-                        dense_shape=dense_shape, tiles=tiles,
+        return TilePlan(volume_shape, self.fov, self.input_tile,
                         conv_modes=self.conv_modes)
 
     def close(self) -> None:

@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.graph.builders import Layer, dense_twin_layers
+from repro.graph.builders import Layer, dense_twin
 from repro.observability.profile import load_cost_model, validate_cost_model
 from repro.pram.costs import (
     direct_conv_task_cost,
@@ -79,6 +79,7 @@ from repro.pram.costs import (
 from repro.serving.tiler import (
     DEFAULT_TILE_VOXELS,
     PlanInfeasible,
+    TilePlan,
     choose_tile_shape,
     largest_fast_len,
     normalize_conv_modes,
@@ -87,7 +88,6 @@ from repro.tensor.fourier import rfft_shape
 from repro.utils.shapes import (
     Shape3,
     as_shape3,
-    field_of_view,
     valid_conv_shape,
     voxels,
 )
@@ -325,18 +325,6 @@ def enumerate_candidate_tiles(volume_shape: Sequence[int],
 # Candidate evaluation: predicted seconds + working set.
 # ---------------------------------------------------------------------------
 
-def _tile_count(volume: Shape3, fov: Shape3, tile: Shape3) -> int:
-    """Tiles :func:`repro.core.tiling.tile_plan` emits for this
-    geometry: per axis ``ceil(dense / output)`` (the final tile shifts
-    back instead of running ragged)."""
-    count = 1
-    for vd, fd, td in zip(volume, fov, tile):
-        dense = vd - fd + 1
-        out = td - fd + 1
-        count *= -(-dense // out)
-    return count
-
-
 def _layer_seconds(model: CostModel, edges: Sequence[str], backend: str,
                    flops: float, layer_flops) -> float:
     """Predicted seconds for one conv layer under *backend*.
@@ -369,16 +357,16 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
     what this computes.
     """
     model = _as_cost_model(cost_model)
-    v = as_shape3(volume_shape, name="volume_shape")
-    t = as_shape3(tile, name="tile")
-    layers = dense_twin_layers(spec, **builder_kwargs)
+    twin = dense_twin(spec, **builder_kwargs)
+    plan = TilePlan(volume_shape, twin.fov, tile)  # type: ignore[arg-type]
+    t = plan.input_tile
     base_rate = model.base_rate()
     shape = t
     tile_seconds = 0.0
     working_set = _BYTES_REAL * voxels(t)
     conv_modes: Dict[str, str] = {}
     layer_rows: List[dict] = []
-    for layer in layers:
+    for layer in twin.layers:
         out_shape = _layer_output_shape(layer, shape)
         working_set += _BYTES_REAL * layer.f_out * voxels(out_shape)
         if layer.kind == "conv":
@@ -434,15 +422,12 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
             tile_seconds += (layer.f_in * transfer_task_cost(shape)
                              / base_rate)
         shape = out_shape
-    fov = field_of_view((layer.kind, layer.window, layer.sparsity)
-                        for layer in layers if layer.window is not None)
-    num_tiles = _tile_count(v, fov, t)
-    predicted_seconds = tile_seconds * num_tiles
-    dense_voxels = voxels(tuple(vd - fd + 1 for vd, fd in zip(v, fov)))
+    predicted_seconds = tile_seconds * plan.num_tiles
+    dense_voxels = voxels(plan.dense_shape)
     return {
         "input_tile": t,
-        "fov": fov,
-        "num_tiles": num_tiles,
+        "fov": twin.fov,
+        "num_tiles": plan.num_tiles,
         "conv_modes": conv_modes,
         "layers": layer_rows,
         "tile_seconds": tile_seconds,
@@ -489,11 +474,6 @@ class SpecializationPlan:
     @property
     def conv_mode_map(self) -> Dict[str, str]:
         return dict(self.conv_modes)
-
-    @property
-    def output_tile(self) -> Shape3:
-        return tuple(t - f + 1  # type: ignore[return-value]
-                     for t, f in zip(self.input_tile, self.fov))
 
     def uses_fft(self) -> bool:
         return any(mode == "fft" for _, mode in self.conv_modes)

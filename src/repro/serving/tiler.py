@@ -1,11 +1,10 @@
-"""Tiling planner for dense-inference serving.
+"""Tile-shape search for dense-inference serving.
 
 A serving request may carry a volume far larger than one forward pass
-should hold in memory.  The planner splits it into overlapping input
-tiles — each tile extends its output block by the network's field of
-view minus one per axis, so adjacent tiles compute *identical* values
-on shared voxels (translation covariance) and stitching is exact,
-bit for bit in direct-convolution mode.
+should hold in memory.  The tile geometry and the stitch loop are
+:class:`repro.core.tiling.TilePlan` and :func:`repro.core.tiling.run_plan`
+(re-exported here); this module decides the one thing they leave open,
+the input-tile *shape*.
 
 The tile-shape choice is where ZNNi's output-patch analysis
 (arXiv:1606.05688) enters: inference throughput on CPU is maximised by
@@ -15,21 +14,14 @@ layers additionally want transform sizes that are 5-smooth
 therefore picks, per axis, the largest 5-smooth input size that fits
 the volume, then shrinks axes (largest first, staying 5-smooth where
 possible) until the voxel budget is met.  All tiles share one input
-shape — the warm model is built once per (model, tile shape) — and the
-last tile per axis shifts back to end at the volume boundary,
-re-computing a few voxels instead of running a ragged partial tile
-(exact for the same covariance reason).
+shape — the warm model is built once per (model, tile shape).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.tiling import tile_plan
-from repro.observability.tracing import get_tracer
+from repro.core.tiling import PlanInfeasible, TilePlan, run_plan
 from repro.tensor.fourier import next_fast_len
 from repro.utils.shapes import Shape3, as_shape3, voxels
 
@@ -48,21 +40,6 @@ __all__ = [
 #: tile image, a comfortable per-request working set that still keeps
 #: FFT transforms well inside L3 on the paper's machines.
 DEFAULT_TILE_VOXELS = 1 << 21
-
-
-class PlanInfeasible(ValueError):
-    """No tile plan satisfies the request's geometry or budget.
-
-    Raised when the volume is smaller than the field of view on some
-    axis (no output voxel exists), when the voxel budget is below
-    ``prod(fov)`` (every tile must cover the fov, so the budget is
-    unsatisfiable — silently returning a fov-sized, over-budget tile
-    would hide the violation), or when a candidate tile would yield a
-    non-positive output extent (``tile < fov`` on an axis: the halo
-    math would produce negative core extents).  A subclass of
-    :class:`ValueError` so pre-existing callers that caught the old
-    geometry errors keep working.
-    """
 
 
 def largest_fast_len(n: int, floor: int = 1) -> Optional[int]:
@@ -122,68 +99,6 @@ def choose_tile_shape(volume_shape: Sequence[int], fov: Sequence[int],
     return tuple(tile)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class TilePlan:
-    """A fully-resolved tiling of one volume.
-
-    ``tiles`` are ``(input_corner, output_corner)`` pairs; every tile
-    reads ``input_tile`` voxels starting at its input corner and writes
-    ``output_tile`` voxels of the dense output starting at its output
-    corner (corners coincide because output = input − fov + 1).
-
-    ``conv_modes``, when set, is the per-conv-edge backend map the plan
-    was made for (ZNNi per-layer specialization,
-    :mod:`repro.serving.specialize`) as a sorted ``(edge, mode)``
-    tuple; :func:`run_plan` then refuses a network whose modes
-    disagree — running a plan costed for one backend mix on another
-    silently voids both the throughput prediction and the determinism
-    contract.
-    """
-
-    volume_shape: Shape3
-    fov: Shape3
-    input_tile: Shape3
-    output_tile: Shape3
-    dense_shape: Shape3
-    tiles: List[Tuple[Shape3, Shape3]] = field(repr=False)
-    conv_modes: Optional[Tuple[Tuple[str, str], ...]] = None
-
-    def __post_init__(self) -> None:
-        if any(o < 1 for o in self.output_tile):
-            raise PlanInfeasible(
-                f"input tile {self.input_tile} is below the field of "
-                f"view {self.fov}: output tile {self.output_tile} has "
-                f"a non-positive extent")
-
-    @property
-    def num_tiles(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def conv_mode_map(self) -> Optional[dict]:
-        """``conv_modes`` as the dict :class:`repro.core.Network`
-        accepts, or None when the plan is mode-agnostic."""
-        if self.conv_modes is None:
-            return None
-        return dict(self.conv_modes)
-
-    @property
-    def tile_input_voxels(self) -> int:
-        return voxels(self.input_tile)
-
-    @property
-    def halo(self) -> Shape3:
-        """Per-axis overlap between adjacent input tiles."""
-        return tuple(f - 1 for f in self.fov)  # type: ignore[return-value]
-
-    @property
-    def recompute_fraction(self) -> float:
-        """Fraction of tile-input voxels read more than once (the halo
-        overhead the ZNNi output-patch trade-off is about)."""
-        total = self.num_tiles * self.tile_input_voxels
-        return 1.0 - voxels(self.volume_shape) / total if total else 0.0
-
-
 def normalize_conv_modes(conv_modes: Optional[Mapping[str, str]]
                          ) -> Optional[Tuple[Tuple[str, str], ...]]:
     """Per-edge mode mapping -> the canonical sorted, hashable tuple
@@ -212,70 +127,7 @@ def plan_volume(volume_shape: Sequence[int], fov: Sequence[int],
     plan is intended for (see :class:`TilePlan.conv_modes`); the tile
     search itself is mode-independent.
     """
-    v = as_shape3(volume_shape, name="volume_shape")
-    f = as_shape3(fov, name="fov")
-    input_tile = choose_tile_shape(v, f, max_voxels=max_voxels,
-                                   fast_sizes=fast_sizes)
-    output_tile = tuple(t - fd + 1 for t, fd in zip(input_tile, f))
-    dense_shape = tuple(vd - fd + 1 for vd, fd in zip(v, f))
-    tiles = list(tile_plan(v, input_tile, output_tile))
-    return TilePlan(volume_shape=v, fov=f,
-                    input_tile=input_tile,  # type: ignore[arg-type]
-                    output_tile=output_tile,  # type: ignore[arg-type]
-                    dense_shape=dense_shape,  # type: ignore[arg-type]
-                    tiles=tiles,
+    tile = choose_tile_shape(volume_shape, fov, max_voxels=max_voxels,
+                             fast_sizes=fast_sizes)
+    return TilePlan(volume_shape, fov, tile,  # type: ignore[arg-type]
                     conv_modes=normalize_conv_modes(conv_modes))
-
-
-# deterministic
-def run_plan(network, volume: np.ndarray, plan: TilePlan,
-             progress=None) -> np.ndarray:
-    """Execute *plan* with *network* (whose input shape must equal the
-    plan's tile) and stitch the seam-free dense output.
-
-    ``progress(done, total)`` is called after each tile.  In direct
-    convolution mode the stitched result is bitwise identical to a
-    single forward pass over the whole volume (property-tested in
-    ``tests/serving/test_tiled_equivalence.py``).
-    """
-    if volume.shape != plan.volume_shape:
-        raise ValueError(
-            f"volume {volume.shape} does not match plan "
-            f"{plan.volume_shape}")
-    in_shape = network.input_nodes[0].shape
-    if tuple(in_shape) != plan.input_tile:
-        raise ValueError(
-            f"network input {tuple(in_shape)} does not match plan tile "
-            f"{plan.input_tile}")
-    if plan.conv_modes is not None:
-        actual = getattr(network, "conv_modes", {})
-        for edge, mode in plan.conv_modes:
-            if actual.get(edge) != mode:
-                raise ValueError(
-                    f"plan expects edge {edge!r} in {mode!r} mode but "
-                    f"the network runs it in {actual.get(edge)!r}; "
-                    f"build the warm model from the plan's mode map")
-    out_name = network.output_nodes[0].name
-    o = plan.output_tile
-    dense = np.empty(plan.dense_shape, dtype=np.float64)
-    tracer = get_tracer()
-    for index, (ic, oc) in enumerate(plan.tiles):
-        block = volume[ic[0]:ic[0] + in_shape[0],
-                       ic[1]:ic[1] + in_shape[1],
-                       ic[2]:ic[2] + in_shape[2]]
-        block = np.ascontiguousarray(block)
-        if tracer.enabled:
-            # Child of the caller's span (the serving "serve" span);
-            # the network's fwd tasks capture this tile span in turn.
-            with tracer.span(f"tile:{index}", category="tile",
-                             corner=list(ic), tile=index,
-                             tiles=len(plan.tiles)):
-                tile = network.forward(block)[out_name]
-        else:
-            tile = network.forward(block)[out_name]
-        dense[oc[0]:oc[0] + o[0],
-              oc[1]:oc[1] + o[1],
-              oc[2]:oc[2] + o[2]] = tile
-        if progress is not None:
-            progress(index + 1, len(plan.tiles))
-    return dense

@@ -17,6 +17,8 @@ from repro.loadgen import (
     render_loadtest_report,
     validate_loadtest_report,
 )
+from repro.loadgen.replay import LiveOutcome
+from repro.loadgen.sim import SimRequestOutcome
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +27,20 @@ def trace():
                                       base_rate=2.0))
 
 
+def _outcomes(served=30, shed=2, deadline=1):
+    """Per-request fates as the simulator emits them."""
+    fates = [("served", 0.001 * (i + 1), 0.01 * (i + 1))
+             for i in range(served)]
+    fates += [("shed", None, None)] * shed
+    fates += [("deadline", None, None)] * deadline
+    return [SimRequestOutcome(index=i, status=status, arrival=0.0,
+                              wait=wait, latency=latency)
+            for i, (status, wait, latency) in enumerate(fates)]
+
+
 def _report(trace, mode="sim", served=30, shed=2):
-    return build_report(
-        mode, trace,
-        counts={"served": served, "shed": shed, "deadline": 1,
-                "failed": 0},
-        latencies=[0.01 * (i + 1) for i in range(served)],
-        waits=[0.001 * (i + 1) for i in range(served)],
-        worker_seconds=40.0, workers=2)
+    return build_report(mode, trace, _outcomes(served, shed),
+                        worker_seconds=40.0, workers=2)
 
 
 class TestLatencyStats:
@@ -62,10 +70,19 @@ class TestBuildAndValidate:
         assert doc["results"]["submitted"] == 33
         assert doc["results"]["served_fraction"] == pytest.approx(
             30 / 33)
+        assert doc["results"]["latency"]["max"] == pytest.approx(0.30)
+        assert doc["results"]["wait"]["count"] == 30
+
+    def test_live_outcomes_have_no_wait(self, trace):
+        outcomes = [LiveOutcome(index=0, status="served", latency=0.2),
+                    LiveOutcome(index=1, status="failed", latency=None)]
+        results = build_report("live", trace, outcomes)["results"]
+        assert (results["served"], results["failed"]) == (1, 1)
+        assert "wait" not in results
 
     def test_bad_mode_rejected(self, trace):
         with pytest.raises(LoadtestReportError, match="mode"):
-            build_report("dreamed", trace, counts={}, latencies=[])
+            build_report("dreamed", trace, [])
 
     def test_validation_first_offending_field(self, trace):
         doc = _report(trace)
@@ -105,8 +122,7 @@ class TestCalibration:
             30 / 34 - 30 / 33)
 
     def test_zero_sim_latency_gives_none(self, trace):
-        sim = build_report("sim", trace, counts={"served": 0},
-                           latencies=[])
+        sim = build_report("sim", trace, [])
         live = _report(trace, mode="live")
         cal = calibration_report(sim, live)
         assert cal["p50_ratio"] is None

@@ -114,6 +114,20 @@ class TestServiceModel:
         assert model.seconds_per_voxel == pytest.approx(
             8.0 / (4 * 1000))
 
+    def test_from_cost_model_sums_edges_over_input_voxels(self):
+        # Two conv edges in series: a request pays both means, per
+        # voxel of the network input (the larger image), not their
+        # pooled seconds over their pooled voxels.
+        doc = {"entries": [
+            {"op": "fwd", "edge": "conv_L1_0_0",
+             "image_shape": [10, 10, 10], "count": 4, "seconds": 8.0},
+            {"op": "fwd", "edge": "conv_L3_0_0",
+             "image_shape": [8, 8, 8], "count": 2, "seconds": 3.0},
+        ]}
+        model = ServiceModel.from_cost_model(doc)
+        assert model.seconds_per_voxel == pytest.approx(
+            (8.0 / 4 + 3.0 / 2) / 1000)
+
     def test_from_cost_model_falls_back(self):
         model = ServiceModel.from_cost_model({"entries": []})
         assert model == ServiceModel()

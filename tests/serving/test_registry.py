@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import field_of_view_of
 from repro.core.inference import dense_equivalent_network
 from repro.observability import get_registry as metrics_registry
 from repro.serving import ModelRegistry, ModelSpec, WarmModel
@@ -13,7 +14,6 @@ class TestModelSpec:
         spec = small_model.model_spec()
         assert spec.spec == "CTPCT"
         assert spec.builder_kwargs["width"] == [2, 1]
-        assert "skip_kernels" not in spec.builder_kwargs
         assert spec.fov == small_model.fov
 
     def test_explicit_graph_spec_rejected(self, tmp_path):
@@ -64,12 +64,35 @@ class TestWarmModel:
             warm.plan((8, 8, 8))
         warm.close()
 
-    def test_run_rejects_wrong_volume(self, small_model):
-        warm = WarmModel(small_model.model_spec(), (9, 9, 9))
-        plan = warm.plan((17, 17, 17))
-        with pytest.raises(ValueError, match="does not match"):
-            warm.run(np.zeros((16, 16, 16)), plan)
-        warm.close()
+    @pytest.mark.parametrize("inherited", [
+        dict(sparsity_schedule=[1, 1]), dict(skip_kernels=False)],
+        ids=["sparsity_schedule", "skip_kernels"])
+    def test_inherited_builder_flags_cannot_split_fov_from_network(
+            self, inherited):
+        """One twin rule: what a training spec's ``sparsity_schedule``
+        or ``skip_kernels`` means to the twin is decided once, for
+        ``spec.fov``, the warm network and ``dense_equivalent_network``
+        alike (the fov used to honour the schedule while the network
+        dropped it, so every tiled request died on a shape mismatch)."""
+        kwargs = dict(width=[2, 1], kernel=3, window=2, transfer="tanh",
+                      **inherited)
+        spec = ModelSpec("m", "CTPCT", conv_mode="direct",
+                         builder_kwargs=kwargs)
+        volume = np.random.default_rng(1).standard_normal((12, 12, 12))
+        registry = ModelRegistry()
+        registry.register(spec)
+        warm, plan = registry.resolve("m", volume.shape, tile_voxels=1000)
+        assert spec.fov == field_of_view_of(warm.network) == (8, 8, 8)
+        assert plan.num_tiles > 1
+        served = warm.run(volume, plan)
+        twin = dense_equivalent_network(
+            warm.network, "CTPCT", volume.shape, conv_mode="direct",
+            deterministic_sums=True, **kwargs)
+        assert field_of_view_of(twin) == spec.fov
+        expected = twin.forward(volume)[twin.output_nodes[0].name]
+        twin.close()
+        registry.close()
+        assert np.array_equal(served, expected)
 
 
 class TestModelRegistry:

@@ -38,6 +38,7 @@ from repro.serving import (
     ModelSpec,
     PlanInfeasible,
     SpecializationPlan,
+    TilePlan,
     WorkerConfig,
     plan_specialization,
     plan_volume,
@@ -256,6 +257,19 @@ class TestPlannerProperties:
         assert plan.predicted_seconds == best["predicted_seconds"]
         assert plan.num_tiles == best["num_tiles"]
 
+    @given(extra=st.tuples(st.integers(0, 11), st.integers(0, 11),
+                           st.integers(0, 11)))
+    @settings(max_examples=20, deadline=None)
+    def test_num_tiles_is_the_tile_plans(self, small_model, extra):
+        """The count the planner prices is the count the server runs."""
+        spec = small_model.model_spec()
+        volume = tuple(f + e for f, e in zip(spec.fov, extra))
+        for tile in enumerate_candidate_tiles(volume, spec.fov):
+            result = evaluate_candidate(spec.spec, spec.builder_kwargs,
+                                        volume, tile)
+            plan = TilePlan(volume, spec.fov, tile)
+            assert result["num_tiles"] == plan.num_tiles == len(plan.tiles)
+
     @given(extra=st.tuples(st.integers(0, 23), st.integers(0, 23),
                            st.integers(0, 23)),
            memory_kb=st.integers(1, 4096))
@@ -291,7 +305,6 @@ class TestPlannerProperties:
         plan = plan_specialization(spec, spec.fov)
         assert plan.input_tile == spec.fov
         assert plan.num_tiles == 1
-        assert plan.output_tile == (1, 1, 1)
 
     def test_infeasible_volume_raises(self, small_model):
         spec = small_model.model_spec()

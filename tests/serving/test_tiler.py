@@ -140,8 +140,7 @@ class TestPlanVolume:
         # construction, not at stitch time.
         with pytest.raises(PlanInfeasible, match="non-positive"):
             TilePlan(volume_shape=(16, 16, 16), fov=(5, 5, 5),
-                     input_tile=(4, 16, 16), output_tile=(0, 12, 12),
-                     dense_shape=(12, 12, 12), tiles=[])
+                     input_tile=(4, 16, 16))
 
 
 class TestConvModes:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _bench_utils import fmt, full_run, print_table
-from repro.core import time_direct, time_fft
+from repro.core import time_passes
 from repro.pram import conv_layer_costs_direct, conv_layer_costs_fft
 
 N = 24
@@ -45,8 +45,8 @@ def test_measured_ratio_tracks_model():
     measured = []
     modeled = []
     for k in (3, 7):
-        measured.append(time_direct(N, k, repeats=2)
-                        / time_fft(N, k, repeats=2))
+        measured.append(time_passes("direct", N, k, repeats=2)
+                        / time_passes("fft", N, k, repeats=2))
         modeled.append(conv_layer_costs_direct(1, 1, N, k).total
                        / conv_layer_costs_fft(1, 1, N).total)
     print_table("direct/FFT ratios (measured vs FLOP model)",
@@ -58,8 +58,8 @@ def test_measured_ratio_tracks_model():
 
 
 def test_bench_direct_triple(benchmark):
-    benchmark(time_direct, N, 5, 1, 1)
+    benchmark(time_passes, "direct", N, 5, 1, 1)
 
 
 def test_bench_fft_triple(benchmark):
-    benchmark(time_fft, N, 5, 1, 1)
+    benchmark(time_passes, "fft", N, 5, 1, 1)

@@ -77,8 +77,22 @@ import sys
 from typing import List, Optional
 
 from repro import reporting
+from repro.tensor.backends import registry
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_workload_flags(parser: argparse.ArgumentParser,
+                        workers: int) -> None:
+    """The short-training-workload flags ``metrics``, ``trace`` and
+    ``profile`` share; only the ``--workers`` default differs."""
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--workers", type=int, default=workers)
+    parser.add_argument("--input-size", type=int, default=20)
+    parser.add_argument("--volume-size", type=int, default=32)
+    parser.add_argument("--conv-mode", default="fft",
+                        choices=("auto", *registry))
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--learning-rate", type=float, default=1e-3)
     train.add_argument("--momentum", type=float, default=0.9)
     train.add_argument("--conv-mode", default="auto",
-                       choices=("auto", "direct", "fft"))
+                       choices=("auto", *registry))
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--checkpoint", default=None,
                        help="write a .npz checkpoint here when done")
@@ -169,13 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics",
                          help="run a short instrumented training "
                               "workload and print the metrics snapshot")
-    met.add_argument("--rounds", type=int, default=3)
-    met.add_argument("--workers", type=int, default=1)
-    met.add_argument("--input-size", type=int, default=20)
-    met.add_argument("--volume-size", type=int, default=32)
-    met.add_argument("--conv-mode", default="fft",
-                     choices=("auto", "direct", "fft"))
-    met.add_argument("--seed", type=int, default=0)
+    _add_workload_flags(met, workers=1)
     met.add_argument("--json", action="store_true",
                      help="emit the snapshot as JSON instead of a table")
 
@@ -191,13 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--tree", action="store_true",
                     help="with --merge: print the span-tree text view "
                          "instead of writing Chrome JSON")
-    tr.add_argument("--rounds", type=int, default=3)
-    tr.add_argument("--workers", type=int, default=2)
-    tr.add_argument("--input-size", type=int, default=20)
-    tr.add_argument("--volume-size", type=int, default=32)
-    tr.add_argument("--conv-mode", default="fft",
-                    choices=("auto", "direct", "fft"))
-    tr.add_argument("--seed", type=int, default=0)
+    _add_workload_flags(tr, workers=2)
 
     prof = sub.add_parser("profile",
                           help="run a short profiled training workload "
@@ -205,13 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--out", default="cost_model.json", metavar="FILE",
                       help="where to write the validated "
                            "repro.cost_model/v1 JSON")
-    prof.add_argument("--rounds", type=int, default=3)
-    prof.add_argument("--workers", type=int, default=1)
-    prof.add_argument("--input-size", type=int, default=20)
-    prof.add_argument("--volume-size", type=int, default=32)
-    prof.add_argument("--conv-mode", default="fft",
-                      choices=("auto", "direct", "fft"))
-    prof.add_argument("--seed", type=int, default=0)
+    _add_workload_flags(prof, workers=1)
     prof.add_argument("--json", action="store_true",
                       help="print the cost model as JSON instead of a "
                            "table")
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--workers", type=int, default=2,
                      help="serving worker tasks")
     slo.add_argument("--conv-mode", default="fft",
-                     choices=("direct", "fft"))
+                     choices=tuple(registry))
     slo.add_argument("--seed", type=int, default=0)
     slo.add_argument("--json", action="store_true",
                      help="print the report as JSON instead of a table")
@@ -281,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--speed", type=float, default=1.0,
                     help="live mode: replay time compression factor")
     lt.add_argument("--conv-mode", default="fft",
-                    choices=("direct", "fft"))
+                    choices=tuple(registry))
     lt.add_argument("--out", default=None, metavar="FILE",
                     help="write the report JSON here")
     lt.add_argument("--emit-trace", default=None, metavar="FILE",
@@ -297,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--spec", required=True)
     gc.add_argument("--input-size", type=int, default=12)
     gc.add_argument("--conv-mode", default="direct",
-                    choices=("direct", "fft"))
+                    choices=tuple(registry))
     gc.add_argument("--seed", type=int, default=0)
 
     spz = sub.add_parser("specialize",
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="input-tile voxel budget for the tiling "
                           "planner (default 2^21)")
     srv.add_argument("--conv-mode", default="fft",
-                     choices=("direct", "fft"))
+                     choices=tuple(registry))
     srv.add_argument("--specialize", default=None, metavar="FILE",
                      help="apply this repro.specialize/v1 plan (from "
                           "repro specialize --out): per-layer conv "

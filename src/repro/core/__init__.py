@@ -7,8 +7,7 @@ from repro.core.autotune import (
     autotune_layer,
     crossover_kernel_size,
     layer_crossover_kernel_size,
-    time_direct,
-    time_fft,
+    time_passes,
 )
 from repro.core.custom import (
     CustomOp,
@@ -76,8 +75,7 @@ __all__ = [
     "autotune_layer",
     "crossover_kernel_size",
     "layer_crossover_kernel_size",
-    "time_direct",
-    "time_fft",
+    "time_passes",
     "GradCheckReport",
     "check_gradients",
     "CustomOp",

@@ -21,28 +21,14 @@ crossover using the amortised cost model.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.graph.computation_graph import ComputationGraph
-from repro.pram.costs import (
-    DEFAULT_FFT_CONSTANT,
-    conv_layer_costs_direct,
-    conv_layer_costs_fft,
-)
-from repro.tensor.conv_direct import (
-    conv_backward_input,
-    conv_kernel_gradient,
-    correlate_valid,
-)
-from repro.tensor.conv_fft import FftConvPlan
-from repro.utils.shapes import as_shape3, valid_conv_shape
+from repro.pram.costs import DEFAULT_FFT_CONSTANT
+from repro.tensor.backends import FALLBACK, choose, registry, time_passes
 
 __all__ = [
-    "time_direct",
-    "time_fft",
+    "time_passes",
     "autotune_layer",
     "autotune_graph",
     "crossover_kernel_size",
@@ -50,80 +36,36 @@ __all__ = [
 ]
 
 
-def _bench(fn, repeats: int) -> float:
-    """Best-of-*repeats* wall time of ``fn()`` in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def time_direct(image_shape, kernel_shape, sparsity=1, repeats: int = 3
-                ) -> float:
-    """Wall time of one direct fwd + bwd + kernel-grad on random data."""
-    rng = np.random.default_rng(0)
-    img = rng.standard_normal(as_shape3(image_shape))
-    ker = rng.standard_normal(as_shape3(kernel_shape))
-    out_shape = valid_conv_shape(image_shape, kernel_shape, sparsity)
-    grad = rng.standard_normal(out_shape)
-
-    def work() -> None:
-        correlate_valid(img, ker, sparsity)
-        conv_backward_input(grad, ker, sparsity)
-        conv_kernel_gradient(img, grad, sparsity)
-
-    return _bench(work, repeats)
-
-
-def time_fft(image_shape, kernel_shape, sparsity=1, repeats: int = 3
-             ) -> float:
-    """Wall time of the memoized FFT equivalent: spectra computed once,
-    three products + three inverse transforms."""
-    rng = np.random.default_rng(0)
-    plan = FftConvPlan(image_shape, kernel_shape, sparsity)
-    img = rng.standard_normal(plan.image_shape)
-    ker = rng.standard_normal(plan.kernel_shape)
-    grad = rng.standard_normal(plan.output_shape)
-
-    def work() -> None:
-        fi = plan.image_spectrum(img)
-        fk = plan.kernel_spectrum(ker)
-        fg = plan.grad_spectrum(grad)
-        plan.forward(fi, fk)
-        plan.backward(fg, fk)
-        plan.kernel_gradient(fi, fg)
-
-    return _bench(work, repeats)
-
-
 def autotune_layer(image_shape, kernel_shape, sparsity=1,
-                   repeats: int = 3, tolerance: float = 0.05
-                   ) -> Tuple[str, float, float]:
-    """Measure both methods; return ``(mode, t_direct, t_fft)``.
+                   repeats: int = 3, tolerance: float = 0.05,
+                   fast_sizes: bool = False) -> Tuple[str, float, float]:
+    """Time every registered backend on the plan an edge built with
+    *fast_sizes* would run; return ``(mode, t_direct, t_fft)``.
 
-    A failing FFT benchmark (broken FFT backend, injected fault) is not
-    fatal: the layer degrades to the direct method, mirroring the
-    per-edge runtime fallback (``docs/robustness.md``), with
-    ``t_fft = inf``.
+    A failing benchmark of a non-default backend (broken FFT library,
+    injected fault) is not fatal: it is timed at ``inf``, so the layer
+    degrades to the direct method, mirroring the per-edge runtime
+    fallback (``docs/robustness.md``).
     """
-    t_direct = time_direct(image_shape, kernel_shape, sparsity, repeats)
-    try:
-        t_fft = time_fft(image_shape, kernel_shape, sparsity, repeats)
-    except Exception:
-        return "direct", t_direct, float("inf")
-    mode = "fft" if t_fft < t_direct * (1.0 - tolerance) else "direct"
-    return mode, t_direct, t_fft
+    seconds: Dict[str, float] = {}
+    for name, backend in registry.items():
+        try:
+            seconds[name] = time_passes(name, image_shape, kernel_shape,
+                                        sparsity, repeats, fast_sizes)
+        except Exception:
+            if backend is FALLBACK:
+                raise
+            seconds[name] = float("inf")
+    return (choose(seconds, tolerance), *seconds.values())
 
 
-def autotune_graph(graph: ComputationGraph, repeats: int = 3
-                   ) -> Dict[str, str]:
+def autotune_graph(graph: ComputationGraph, repeats: int = 3,
+                   fast_sizes: bool = False) -> Dict[str, str]:
     """Choose a conv mode per edge, one measurement per distinct
     (input shape, kernel, sparsity) layer group.
 
     Shapes must be propagated on *graph* beforehand (Network does this
-    before calling).
+    before calling, and passes its ``fft_fast_sizes``).
     """
     modes: Dict[str, str] = {}
     group_mode: Dict[tuple, str] = {}
@@ -135,8 +77,9 @@ def autotune_graph(graph: ComputationGraph, repeats: int = 3
             raise ValueError("propagate_shapes() before autotune_graph()")
         key = (src.shape, edge.kernel, edge.sparsity)
         if key not in group_mode:
-            group_mode[key], _, _ = autotune_layer(
-                src.shape, edge.kernel, edge.sparsity, repeats)
+            group_mode[key] = autotune_layer(
+                src.shape, edge.kernel, edge.sparsity, repeats,
+                fast_sizes=fast_sizes)[0]
         modes[edge.name] = group_mode[key]
     return modes
 
@@ -146,8 +89,8 @@ def crossover_kernel_size(image_shape, kernel_sizes: Sequence[int],
     """Smallest kernel size at which FFT beats direct for a *single*
     convolution triple, or None if direct wins throughout."""
     for k in sorted(kernel_sizes):
-        mode, _, _ = autotune_layer(image_shape, k, sparsity, repeats)
-        if mode == "fft":
+        if autotune_layer(image_shape, k, sparsity,
+                          repeats)[0] != FALLBACK.name:
             return k
     return None
 
@@ -168,11 +111,12 @@ def layer_crossover_kernel_size(image_shape, kernel_sizes: Sequence[int],
     """
     for k in sorted(kernel_sizes):
         try:
-            direct = conv_layer_costs_direct(f_in, f_out, image_shape, k).total
+            flops = {name: backend.layer_flops(f_in, f_out, image_shape, k,
+                                               constant=constant)
+                     for name, backend in registry.items()}
         except ValueError:  # kernel no longer fits the image
             return None
-        fft = conv_layer_costs_fft(f_in, f_out, image_shape,
-                                   memoized=True, constant=constant).total
-        if fft < direct * flops_ratio:
+        flops[FALLBACK.name] *= flops_ratio
+        if choose(flops) != FALLBACK.name:
             return k
     return None

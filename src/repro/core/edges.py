@@ -14,21 +14,18 @@ One class per computation-graph edge kind.  Each edge exposes:
   The closure owns its inputs, so the update can be deferred across the
   round boundary and FORCEd by the next forward pass without hazard.
 
-Convolution edges run in ``direct`` or ``fft`` mode.  FFT mode pulls
+Convolution edges run on a backend from
+:data:`repro.tensor.backends.registry` (``direct`` or ``fft``), all
+three passes through :meth:`ConvEdge._run`.  FFT mode pulls
 image/gradient/kernel spectra through the network-wide
 :class:`repro.tensor.TransformCache`, realising the memoization column
 of Table II; kernels may be *shared* between edges
 (:class:`SharedKernel`) for scale-invariant multi-scale networks, in
 which case the parameter step runs under the kernel's lock.
 
-FFT mode **degrades gracefully** (see ``docs/robustness.md``): the
-first FFT failure on an edge permanently flips that edge to direct
-convolution (``resilience.fft_fallback`` counter, a warning, and the
-edge's ``on_degrade`` callback so the network can record the new mode
-in its autotune state).  When the neighbouring node sums contributions
-in the spectral domain, the fallback result is wrapped with a forward
-transform — exact by linearity, since the node's finaliser is inverse
-transform + head crop.
+FFT mode **degrades gracefully** (``docs/robustness.md``): the first
+failure on an edge flips it to direct convolution for good, at the
+single fallback site :meth:`ConvEdge._run`.
 """
 
 from __future__ import annotations
@@ -43,15 +40,10 @@ import numpy as np
 from repro.core.nodes import RuntimeNode
 from repro.core.optimizer import SGD, UpdateState
 from repro.graph.computation_graph import EdgeSpec
-from repro.tensor.conv_direct import (
-    conv_backward_input,
-    conv_kernel_gradient,
-    correlate_valid,
-    direct_pass_cost,
-)
 from repro.observability.metrics import get_registry
 from repro.observability.profile import get_profiler
 from repro.observability.tracing import flight_dump, flight_note
+from repro.tensor.backends import FALLBACK, conv_backend
 from repro.tensor.conv_fft import FftConvPlan
 from repro.tensor.fft_cache import TransformCache
 from repro.tensor.fourier import forward_transform
@@ -90,11 +82,18 @@ class SharedKernel:
         self.eta = eta
 
 
+#: Backend pass -> its ``repro.cost_model/v1`` op (``capture_update``
+#: is bookkeeping inside the backward task, not a profiled pass).
+_PROFILED = {"forward": "fwd", "backward": "bwd", "update": "upd"}
+
+
 class RuntimeEdge:
     """Base runtime edge; subclasses implement the three transforms."""
 
     is_trainable = False
     mode = "n/a"
+    #: The conv backend configured for this edge (conv edges only).
+    backend = None
     plan: Optional[FftConvPlan] = None
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode) -> None:
@@ -132,30 +131,30 @@ class ConvEdge(RuntimeEdge):
     is_trainable = True
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode,
-                 kernel: SharedKernel, mode: str = "direct",
+                 kernel: SharedKernel, mode: str = FALLBACK.name,
                  cache: Optional[TransformCache] = None,
                  fast_sizes: bool = False) -> None:
         super().__init__(spec, src, dst)
-        if mode not in ("direct", "fft"):
-            raise ValueError(f"conv mode must be direct|fft, got {mode!r}")
+        self.backend = conv_backend(mode)
         self.kernel = kernel
         self.mode = mode
         self.sparsity = spec.sparsity
         self.cache = cache if cache is not None else TransformCache(enabled=False)
-        self.plan = FftConvPlan(src.shape, spec.kernel, spec.sparsity,
-                                fast_sizes=fast_sizes) \
-            if mode == "fft" else None
-        #: False once an FFT failure degraded this edge to direct
-        #: convolution (the plan is kept: neighbouring spectral-domain
-        #: nodes still finalize through it).
-        self.fft_ok = True
+        self.plan = self.backend.plan(src.shape, spec.kernel, spec.sparsity,
+                                      fast_sizes)
+        #: The backend actually executing: ``backend`` until a failure
+        #: degrades this edge to the fallback (the plan is kept:
+        #: neighbouring spectral-domain nodes still finalize through it).
+        self._active = self.backend
+        #: Which cache entry each memoized spectrum kind lives under.
+        self._owner = {"img": src.name, "grad": dst.name, "ker": spec.name}
         #: Called with this edge on first degradation (Network records
         #: the effective mode in its autotune state).
         self.on_degrade: Optional[Callable[["ConvEdge"], None]] = None
 
     def _degrade(self, exc: BaseException) -> None:
-        """Flip this edge to direct convolution after an FFT failure."""
-        self.fft_ok = False
+        """Flip this edge to the fallback backend after a failure."""
+        self._active = FALLBACK
         get_registry().counter("resilience.fft_fallback").inc()
         flight_note("FFT degradation", edge=self.name,
                     error=f"{type(exc).__name__}: {exc}")
@@ -171,142 +170,73 @@ class ConvEdge(RuntimeEdge):
     @property
     def effective_mode(self) -> str:
         """The mode actually executing: ``mode`` unless degraded."""
-        return "direct" if self.mode == "direct" or not self.fft_ok \
-            else "fft"
+        return self._active.name
 
-    # -- spectra (FFT mode) -------------------------------------------------
+    @property
+    def fft_ok(self) -> bool:
+        """False once a failure degraded this edge to the fallback."""
+        return self._active is self.backend
 
-    def _image_spectrum(self, image: np.ndarray) -> np.ndarray:
-        return self.cache.get_or_compute(
-            "img", self.src.name, lambda: self.plan.image_spectrum(image))
+    def _memo(self, kind: str, compute: Callable[[], np.ndarray]
+              ) -> np.ndarray:
+        """The backend's spectrum memo: the network-wide transform
+        cache, keyed by the node or edge that owns the spectrum."""
+        return self.cache.get_or_compute(kind, self._owner[kind], compute)
 
-    def _grad_spectrum(self, grad: np.ndarray) -> np.ndarray:
-        return self.cache.get_or_compute(
-            "grad", self.dst.name, lambda: self.plan.grad_spectrum(grad))
+    def _run(self, op: str, *operands, **options):
+        """The one dispatch-and-fallback site of all three passes.
 
-    def _kernel_spectrum(self) -> np.ndarray:
-        return self.cache.get_or_compute(
-            "ker", self.name, lambda: self.plan.kernel_spectrum(self.kernel.array))
-
-    # -- profiled entry points ------------------------------------------------
-    # Thin timing brackets around the real transforms; the disabled
-    # profiler costs one attribute read (docs/observability.md
-    # "Cost model").
+        Runs backend pass *op* on the executing backend under one
+        profiler bracket (the disabled profiler costs one attribute
+        read — docs/observability.md "Cost model").  The first failure
+        degrades the edge for good and the pass re-runs on the
+        fallback; when the neighbouring node sums spectra
+        (``spectral=True``), the spatial fallback result is lifted to
+        its exact spectrum — the node's finalize (inverse + head crop)
+        undoes the zero padding.
+        """
+        profiler = get_profiler()
+        label = _PROFILED.get(op) if profiler.enabled else None
+        if label:
+            t0 = time.monotonic()
+        try:
+            if self._active is not FALLBACK:
+                try:
+                    return getattr(self._active, op)(
+                        *operands, self.sparsity, self.plan, self._memo,
+                        **options)
+                except Exception as exc:
+                    self._degrade(exc)
+            result = getattr(FALLBACK, op)(*operands, self.sparsity)
+            if options.get("spectral"):
+                return forward_transform(result, self.plan.transform_shape)
+            return result
+        finally:
+            if label:
+                cost = self._active.pass_cost(self.src.shape, self.spec.kernel,
+                                              self.sparsity, self.plan)
+                profiler.record(self.name, self.effective_mode, label,
+                                time.monotonic() - t0, flops=cost["flops"],
+                                bytes_moved=cost["bytes"],
+                                image_shape=self.src.shape,
+                                kernel_shape=self.spec.kernel)
 
     def forward(self, image: np.ndarray) -> np.ndarray:
-        profiler = get_profiler()
-        if not profiler.enabled:
-            return self._forward(image)
-        t0 = time.monotonic()
-        try:
-            return self._forward(image)
-        finally:
-            self._profile(profiler, "fwd", t0)
+        return self._run("forward", image, self.kernel.array,
+                         spectral=self.dst.forward_domain == "spectral")
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        profiler = get_profiler()
-        if not profiler.enabled:
-            return self._backward(grad)
-        t0 = time.monotonic()
-        try:
-            return self._backward(grad)
-        finally:
-            self._profile(profiler, "bwd", t0)
+        return self._run("backward", grad, self.kernel.array,
+                         spectral=self.src.backward_domain == "spectral")
 
     def capture_update(self, optimizer: SGD) -> Callable[[], None]:
-        update = self._capture_update(optimizer)
-
-        def profiled_update() -> None:
-            profiler = get_profiler()
-            if not profiler.enabled:
-                update()
-                return
-            t0 = time.monotonic()
-            try:
-                update()
-            finally:
-                self._profile(profiler, "upd", t0)
-        return profiled_update
-
-    def _profile(self, profiler, op: str, t0: float) -> None:
-        """Record the pass started at *t0* with the analytic cost of
-        the backend that actually ran it (this edge's own FFT plan —
-        padded transform size included — or the direct formula)."""
-        seconds = time.monotonic() - t0
-        mode = self.effective_mode
-        cost = (self.plan.pass_cost() if mode == "fft" else
-                direct_pass_cost(self.src.shape, self.spec.kernel,
-                                 self.sparsity))
-        profiler.record(self.name, mode, op, seconds,
-                        flops=cost["flops"], bytes_moved=cost["bytes"],
-                        image_shape=self.src.shape,
-                        kernel_shape=self.spec.kernel)
-
-    # -- transforms -----------------------------------------------------------
-
-    def _forward(self, image: np.ndarray) -> np.ndarray:
-        if self.mode == "fft" and self.fft_ok:
-            try:
-                product = self.plan.forward_product(
-                    self._image_spectrum(image), self._kernel_spectrum())
-                if self.dst.forward_domain == "spectral":
-                    return product
-                return self.plan.finalize_forward(product)
-            except Exception as exc:
-                self._degrade(exc)
-        result = correlate_valid(image, self.kernel.array, self.sparsity)
-        if self.mode == "fft" and self.dst.forward_domain == "spectral":
-            # The node sums spectra; contribute the exact spectrum of
-            # the direct result (finalize = inverse + head crop undoes
-            # the zero padding).
-            return forward_transform(result, self.plan.transform_shape)
-        return result
-
-    def _backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.mode == "fft" and self.fft_ok:
-            try:
-                product = self.plan.backward_product(
-                    self._grad_spectrum(grad), self._kernel_spectrum())
-                if self.src.backward_domain == "spectral":
-                    return product
-                return self.plan.finalize_backward(product)
-            except Exception as exc:
-                self._degrade(exc)
-        result = conv_backward_input(grad, self.kernel.array, self.sparsity)
-        if self.mode == "fft" and self.src.backward_domain == "spectral":
-            return forward_transform(result, self.plan.transform_shape)
-        return result
-
-    def _capture_update(self, optimizer: SGD) -> Callable[[], None]:
         kernel = self.kernel
         image = self.src.fwd_image
         grad = self.dst.bwd_image
-        sparsity = self.sparsity
-        if self.mode == "fft" and self.fft_ok:
-            try:
-                # Memoized spectra: both exist in this round's cache
-                # (the forward pass computed FI, this backward pass
-                # computed FdO).
-                plan = self.plan
-                image_spec = self._image_spectrum(image)
-                grad_spec = self._grad_spectrum(grad)
-
-                def update() -> None:
-                    try:
-                        g = plan.finalize_update(
-                            plan.update_product(image_spec, grad_spec))
-                    except Exception as exc:
-                        self._degrade(exc)
-                        g = conv_kernel_gradient(image, grad, sparsity)
-                    with kernel.lock:
-                        optimizer.update(kernel.array, g, kernel.state,
-                                         kernel.eta)
-                return update
-            except Exception as exc:
-                self._degrade(exc)
+        captured = self._run("capture_update", image, grad)
 
         def update() -> None:
-            g = conv_kernel_gradient(image, grad, sparsity)
+            g = self._run("update", image, grad, captured=captured)
             with kernel.lock:
                 optimizer.update(kernel.array, g, kernel.state, kernel.eta)
         return update
@@ -452,7 +382,7 @@ class CustomEdge(RuntimeEdge):
 
 
 def make_runtime_edge(spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode,
-                      mode: str = "direct",
+                      mode: str = FALLBACK.name,
                       cache: Optional[TransformCache] = None,
                       rng: Optional[np.random.Generator] = None,
                       kernel: Optional[SharedKernel] = None,

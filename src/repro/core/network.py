@@ -51,6 +51,7 @@ from repro.scheduler.engine import LOWEST_PRIORITY, TaskEngine
 from repro.scheduler.serial import SerialEngine
 from repro.scheduler.strategies import make_scheduler
 from repro.scheduler.task import Task, force
+from repro.tensor.backends import FALLBACK, conv_backend
 from repro.tensor.fft_cache import TransformCache
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_array3
@@ -124,11 +125,10 @@ class Network:
         # Resolve per-edge convolution modes.
         if conv_mode == "auto":
             from repro.core.autotune import autotune_graph
-            modes: Dict[str, str] = autotune_graph(graph)
+            modes: Dict[str, str] = autotune_graph(
+                graph, fast_sizes=fft_fast_sizes)
         elif isinstance(conv_mode, str):
-            if conv_mode not in ("direct", "fft"):
-                raise ValueError(
-                    f"conv_mode must be direct|fft|auto, got {conv_mode!r}")
+            conv_backend(conv_mode)
             modes = {e.name: conv_mode for e in graph.edges.values()
                      if e.kind == "conv"}
         else:
@@ -142,7 +142,7 @@ class Network:
         for name, spec in graph.edges.items():
             edge = make_runtime_edge(
                 spec, self.nodes[spec.src], self.nodes[spec.dst],
-                mode=modes.get(name, "direct"), cache=self.cache,
+                mode=modes.get(name, FALLBACK.name), cache=self.cache,
                 rng=self.rng, fast_sizes=fft_fast_sizes)
             self.edges[name] = edge
             self.nodes[spec.src].out_edges.append(edge)
@@ -330,7 +330,7 @@ class Network:
         """FFT-fallback hook: keep the autotune state (``conv_modes``)
         in sync with the mode each edge actually executes, so
         inspection and re-planning tooling see the truth."""
-        self.conv_modes[edge.name] = "direct"
+        self.conv_modes[edge.name] = edge.effective_mode
 
     def set_training(self, training: bool) -> None:
         """Toggle train/inference behaviour of dropout edges."""

@@ -30,6 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RuntimeNode"]
 
 
+def _sum_domain(edges: List["RuntimeEdge"]) -> str:
+    """``"spectral"`` when every edge's backend can contribute
+    half-spectra and all share one transform size, else ``"spatial"``."""
+    if (all(e.backend is not None and e.backend.spectral for e in edges)
+            and len({e.plan.transform_shape for e in edges}) == 1):
+        return "spectral"
+    return "spatial"
+
+
 class RuntimeNode:
     """Mutable per-round state for one computation-graph node."""
 
@@ -81,18 +90,10 @@ class RuntimeNode:
         self._out_index = {id(e): i for i, e in enumerate(self.out_edges)}
         if self.in_edges:
             self.fwd_sum = sum_cls(len(self.in_edges))
-            plans = [e.plan for e in self.in_edges
-                     if getattr(e, "mode", None) == "fft"]
-            if (len(plans) == len(self.in_edges)
-                    and len({p.transform_shape for p in plans}) == 1):
-                self.forward_domain = "spectral"
+            self.forward_domain = _sum_domain(self.in_edges)
         if self.out_edges:
             self.bwd_sum = sum_cls(len(self.out_edges))
-            plans = [e.plan for e in self.out_edges
-                     if getattr(e, "mode", None) == "fft"]
-            if (len(plans) == len(self.out_edges)
-                    and len({p.transform_shape for p in plans}) == 1):
-                self.backward_domain = "spectral"
+            self.backward_domain = _sum_domain(self.out_edges)
 
     def reset_round(self) -> None:
         """Prepare the accumulators for the next training round."""

@@ -48,6 +48,7 @@ from repro.pram.costs import (
     pool_task_cost,
     transfer_task_cost,
 )
+from repro.tensor.backends import FALLBACK, conv_backend
 from repro.utils.shapes import voxels
 
 __all__ = ["TaskGraph", "build_task_graph", "LOWEST_TASK_PRIORITY"]
@@ -159,14 +160,13 @@ def build_task_graph(graph: ComputationGraph,
             raise ValueError(
                 "propagate_shapes() must run before build_task_graph()")
 
-    def mode_of(edge: EdgeSpec) -> str:
+    def spectral(edge: EdgeSpec) -> bool:
+        """Does *edge* unroll into the memoized-FFT decomposition?"""
         if edge.kind != "conv":
-            return "n/a"
-        m = conv_mode.get(edge.name, "direct") if isinstance(conv_mode, dict) \
-            else conv_mode
-        if m not in ("direct", "fft"):
-            raise ValueError(f"conv mode must be direct|fft, got {m!r}")
-        return m
+            return False
+        m = conv_mode.get(edge.name, FALLBACK.name) \
+            if isinstance(conv_mode, dict) else conv_mode
+        return conv_backend(m).spectral
 
     pos_out = output_distance_ordering(graph)
     pos_in = input_distance_ordering(graph)
@@ -199,8 +199,8 @@ def build_task_graph(graph: ComputationGraph,
         if node.is_output:
             bwd_ready[v] = [lossgrad[v]]
             continue
-        fft_edges = [e for e in node.out_edges if mode_of(e) == "fft"]
-        other_edges = [e for e in node.out_edges if mode_of(e) != "fft"]
+        fft_edges = [e for e in node.out_edges if spectral(e)]
+        other_edges = [e for e in node.out_edges if not spectral(e)]
         producers: List[int] = []
         for e in other_edges:
             w = graph.nodes[e.dst]
@@ -244,7 +244,7 @@ def build_task_graph(graph: ComputationGraph,
             u_shape = graph.nodes[e.src].shape
             v_shape = graph.nodes[e.dst].shape
             if e.kind == "conv":
-                if mode_of(e) == "fft":
+                if spectral(e):
                     cost = (fft_cost(u_shape, fft_constant)
                             + pointwise_product_cost(u_shape))
                     dep = fft_grad.get(e.dst)
@@ -255,7 +255,7 @@ def build_task_graph(graph: ComputationGraph,
                 t = tg.add_task(f"upd:{e.name}", "update", cost, LOW)
                 tg.depend_on_all(deps, t)
                 upd_task[e.name] = t
-                if mode_of(e) == "fft":
+                if spectral(e):
                     # The next forward needs the updated kernel's spectrum.
                     fk = tg.add_task(f"fft_kernel:{e.name}", "fft",
                                      fft_cost(u_shape, fft_constant), LOW)
@@ -275,8 +275,8 @@ def build_task_graph(graph: ComputationGraph,
         if node.is_input:
             fwd_ready[u] = [provider]
             continue
-        fft_edges = [e for e in node.in_edges if mode_of(e) == "fft"]
-        other_edges = [e for e in node.in_edges if mode_of(e) != "fft"]
+        fft_edges = [e for e in node.in_edges if spectral(e)]
+        other_edges = [e for e in node.in_edges if not spectral(e)]
         producers: List[int] = []
         for e in other_edges:
             src = graph.nodes[e.src]

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.loadgen.autoscale import AutoscalePolicy, ScaleDecision, Signals
 from repro.loadgen.traces import Trace
+from repro.observability.profile import forward_samples
 from repro.serving.lifecycle import admission_limit
 
 __all__ = [
@@ -74,13 +75,10 @@ class ServiceModel:
         the defaults when the document has no usable fwd samples."""
         seconds = 0.0
         voxels = 0
-        for entry in doc.get("entries", []):
-            shape = entry.get("image_shape")
-            count = entry.get("count", 0)
-            if entry.get("op") != "fwd" or not shape or not count:
-                continue
-            seconds += entry.get("seconds", 0.0) / count
-            voxels = max(voxels, math.prod(shape))
+        for sample in forward_samples(doc).values():
+            if sample["image_shape"]:
+                seconds += sample["mean_seconds"]
+                voxels = max(voxels, math.prod(sample["image_shape"]))
         if voxels <= 0 or seconds <= 0:
             return cls(overhead_seconds=overhead_seconds)
         return cls(seconds_per_voxel=seconds / voxels,

@@ -10,10 +10,9 @@ decisions must be driven by per-layer timings.
 :class:`CostProfiler` aggregates timed samples keyed by
 ``(edge, backend, op)`` — op is ``fwd``/``bwd``/``upd`` — carrying the
 measured seconds plus the analytic FLOPs and bytes of the pass that
-ran (supplied by the instrumented edge from its own backend — see
-:func:`repro.tensor.conv_direct.direct_pass_cost` and
-:meth:`repro.tensor.conv_fft.FftConvPlan.pass_cost` — so the consumer
-can compute achieved FLOP/s per primitive).
+ran (the ``pass_cost`` of the backend the instrumented edge executed,
+see :mod:`repro.tensor.backends` — so the consumer can compute achieved
+FLOP/s per primitive).
 The result serialises as a versioned ``cost_model.json``
 (:data:`COST_MODEL_SCHEMA`), the input contract of the future
 autotuner.
@@ -40,6 +39,7 @@ __all__ = [
     "get_profiler",
     "set_profiler",
     "validate_cost_model",
+    "forward_samples",
     "write_cost_model",
     "load_cost_model",
     "render_cost_model",
@@ -223,6 +223,37 @@ def validate_cost_model(doc: object) -> dict:
                     f"entries[{i}].{field} must be null or a list of "
                     f"positive ints, got {value!r}")
     return doc
+
+
+def forward_samples(doc: dict) -> Dict[Tuple[str, str], dict]:
+    """The one reader of a cost model's forward entries:
+    ``(edge, backend)`` -> ``{"flops", "seconds", "mean_seconds",
+    "image_shape"}`` in document order.
+
+    Only ``fwd`` entries with positive seconds count; a missing count
+    is one sample.  ``mean_seconds`` is the per-forward wall-clock;
+    ``image_shape`` is the profiled input shape, None when absent or
+    when an edge's entries disagree (unusable for shape scaling).
+    """
+    samples: Dict[Tuple[str, str], dict] = {}
+    for entry in doc.get("entries", []):
+        seconds = float(entry.get("seconds", 0.0))
+        if entry.get("op") != "fwd" or seconds <= 0.0:
+            continue
+        shape = entry.get("image_shape")
+        shape = tuple(int(v) for v in shape) if shape else None
+        sample = samples.setdefault(
+            (entry.get("edge"), entry.get("backend")),
+            {"flops": 0.0, "seconds": 0.0, "count": 0,
+             "image_shape": shape})
+        sample["flops"] += float(entry.get("flops", 0.0))
+        sample["seconds"] += seconds
+        sample["count"] += int(entry.get("count", 0)) or 1
+        if sample["image_shape"] != shape:
+            sample["image_shape"] = None
+    for sample in samples.values():
+        sample["mean_seconds"] = sample["seconds"] / sample.pop("count")
+    return samples
 
 
 def write_cost_model(path: str,

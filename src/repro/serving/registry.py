@@ -46,6 +46,7 @@ from repro.serving.tiler import (
     plan_volume,
     run_plan,
 )
+from repro.tensor.backends import conv_backend
 from repro.utils.shapes import Shape3, as_shape3
 
 __all__ = ["ModelSpec", "WarmModel", "ModelRegistry"]
@@ -126,8 +127,8 @@ class WarmModel:
         # map actually uses FFT somewhere — an all-direct twin computes
         # no spectra, so pinning and the throwaway pass would be pure
         # build-time waste.
-        uses_fft = "fft" in self.network.conv_modes.values()
-        if uses_fft:
+        if any(conv_backend(mode).spectral
+               for mode in self.network.conv_modes.values()):
             self.network.cache.pin_kind("ker")
             if prewarm:
                 self.network.forward(

@@ -27,13 +27,11 @@ the serving-side planner:
 Cost accounting (per input tile, forward pass only — serving never
 runs backward):
 
-* direct conv layer: ``f * f' * n_out^3 * k^3`` FLOPs (Table II);
-* FFT conv layer at transform shape ``T`` (the layer's input shape —
-  serving builds warm models without transform padding):
-  ``C·|T|·log2|T| · (f + f')`` for the ``f`` image FFTs and ``f'``
-  inverse FFTs plus ``4·|T| · f·f'`` pointwise products.  Kernel
-  spectra are **excluded**: the warm-model registry pins them, so in
-  steady state they are transformed once per process, not per tile;
+* conv layers: each registered backend's Table II ``layer_flops`` for
+  the forward pass at the layer's input shape (serving builds warm
+  models without transform padding) with ``pinned_kernels=True`` — the
+  warm-model registry pins kernel spectra, so in steady state they are
+  transformed once per process, not per tile;
 * filtering / transfer / dropout layers: Table I forward FLOPs at the
   layer's input shape, priced at the overall measured rate.
 
@@ -68,14 +66,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.builders import Layer, dense_twin
-from repro.observability.profile import load_cost_model, validate_cost_model
-from repro.pram.costs import (
-    direct_conv_task_cost,
-    fft_cost,
-    filter_task_cost,
-    pointwise_product_cost,
-    transfer_task_cost,
+from repro.observability.profile import (
+    forward_samples,
+    load_cost_model,
+    validate_cost_model,
 )
+from repro.pram.costs import filter_task_cost, transfer_task_cost
 from repro.serving.tiler import (
     DEFAULT_TILE_VOXELS,
     PlanInfeasible,
@@ -84,6 +80,7 @@ from repro.serving.tiler import (
     largest_fast_len,
     normalize_conv_modes,
 )
+from repro.tensor.backends import choose, registry
 from repro.tensor.fourier import rfft_shape
 from repro.utils.shapes import (
     Shape3,
@@ -136,41 +133,19 @@ class CostModel:
     def __init__(self, doc: Optional[dict] = None,
                  source: str = "analytic") -> None:
         self.source = source
-        # (edge, backend) -> [flops, seconds]; backend -> [flops, seconds]
-        self._edge: Dict[Tuple[str, str], List[float]] = {}
+        #: (edge, backend) -> forward sample (``forward_samples``).
+        self._fwd: Dict[Tuple[str, str], dict] = {}
+        # backend -> [flops, seconds]; the same over every backend
         self._backend: Dict[str, List[float]] = {}
-        # (edge, backend) -> [seconds, count, image_shape or None]
-        self._fwd: Dict[Tuple[str, str], List] = {}
         self._overall = [0.0, 0.0]
         if doc is not None:
-            validate_cost_model(doc)
-            for entry in doc["entries"]:
-                if entry.get("op") != "fwd":
-                    continue
-                flops = float(entry.get("flops", 0.0))
-                seconds = float(entry.get("seconds", 0.0))
-                if flops <= 0.0 or seconds <= 0.0:
-                    continue
-                edge = str(entry["edge"])
-                backend = str(entry["backend"])
-                self._add(self._edge.setdefault((edge, backend),
-                                                [0.0, 0.0]), flops, seconds)
-                self._add(self._backend.setdefault(backend, [0.0, 0.0]),
-                          flops, seconds)
-                self._add(self._overall, flops, seconds)
-                shape = entry.get("image_shape")
-                shape = tuple(int(v) for v in shape) if shape else None
-                sample = self._fwd.setdefault((edge, backend),
-                                              [0.0, 0, shape])
-                sample[0] += seconds
-                sample[1] += int(entry.get("count", 0)) or 1
-                if sample[2] != shape:
-                    sample[2] = None  # conflicting shapes: unusable
-
-    @staticmethod
-    def _add(bucket: List[float], flops: float, seconds: float) -> None:
-        bucket[0] += flops
-        bucket[1] += seconds
+            self._fwd = forward_samples(validate_cost_model(doc))
+            for (_, backend), sample in sorted(self._fwd.items()):
+                if sample["flops"] > 0.0:  # a rate needs FLOPs
+                    for bucket in (self._backend.setdefault(
+                            backend, [0.0, 0.0]), self._overall):
+                        bucket[0] += sample["flops"]
+                        bucket[1] += sample["seconds"]
 
     @classmethod
     def from_file(cls, path: str) -> "CostModel":
@@ -192,10 +167,10 @@ class CostModel:
         docstring for the fallback ladder)."""
         flops = seconds = 0.0
         for edge in edges:
-            bucket = self._edge.get((edge, backend))
-            if bucket is not None:
-                flops += bucket[0]
-                seconds += bucket[1]
+            sample = self._fwd.get((edge, backend))
+            if sample is not None and sample["flops"] > 0.0:
+                flops += sample["flops"]
+                seconds += sample["seconds"]
         if seconds > 0.0:
             return flops / seconds
         bucket = self._backend.get(backend)
@@ -218,14 +193,14 @@ class CostModel:
         shape: Optional[Shape3] = None
         for edge in edges:
             sample = self._fwd.get((edge, backend))
-            if sample is None or sample[1] <= 0 or sample[2] is None:
+            if sample is None or sample["image_shape"] is None:
                 return None
             if shape is None:
-                shape = sample[2]
-            elif sample[2] != shape:
+                shape = sample["image_shape"]
+            elif sample["image_shape"] != shape:
                 return None
-            seconds += sample[0] / sample[1]
-        if shape is None or seconds <= 0.0:
+            seconds += sample["mean_seconds"]
+        if shape is None:
             return None
         return seconds, shape
 
@@ -326,20 +301,22 @@ def enumerate_candidate_tiles(volume_shape: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _layer_seconds(model: CostModel, edges: Sequence[str], backend: str,
-                   flops: float, layer_flops) -> float:
-    """Predicted seconds for one conv layer under *backend*.
+                   layer_flops, shape: Shape3) -> float:
+    """Predicted seconds for one conv layer under *backend* at *shape*.
 
     Preferred path: the layer's measured wall-clock per forward
     (:meth:`CostModel.layer_sample`) scaled by the analytic
     layer-formula ratio between the candidate shape and the profiled
-    shape — *layer_flops* is that formula, so the per-edge FLOP
+    shape — *layer_flops* is that formula (the backend's Table II
+    ``layer_flops`` as a function of shape), so the per-edge FLOP
     attribution (which double-counts cache-shared FFT transforms)
     never enters.  Fallback: the rate ladder over the same FLOPs.
     """
+    flops = layer_flops(shape)
     sample = model.layer_sample(edges, backend)
     if sample is not None:
-        seconds, shape = sample
-        reference = layer_flops(shape)
+        seconds, profiled = sample
+        reference = layer_flops(profiled)
         if reference > 0.0:
             return flops * seconds / reference
     return flops / model.rate(edges, backend)
@@ -370,39 +347,30 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
         out_shape = _layer_output_shape(layer, shape)
         working_set += _BYTES_REAL * layer.f_out * voxels(out_shape)
         if layer.kind == "conv":
-            edges = layer.f_in * layer.f_out
-            edge_names = layer.edges
-
-            def direct_layer_flops(x, layer=layer, edges=edges):
-                return edges * direct_conv_task_cost(x, layer.window,
-                                                     layer.sparsity)
-
-            def fft_layer_flops(x, layer=layer, edges=edges):
-                return (fft_cost(x) * (layer.f_in + layer.f_out)
-                        + pointwise_product_cost(x) * edges)
-
-            direct_flops = direct_layer_flops(shape)
-            # Serving warm models transform at the layer's input shape
-            # (no fast-size padding); kernel spectra are pinned at warm
-            # time, hence absent from the steady-state FLOPs.
-            fft_flops = fft_layer_flops(shape)
-            direct_seconds = _layer_seconds(
-                model, edge_names, "direct", direct_flops,
-                direct_layer_flops)
-            fft_seconds = _layer_seconds(
-                model, edge_names, "fft", fft_flops, fft_layer_flops)
-            # Ties prefer direct: bitwise-deterministic and free of
-            # spectra bookkeeping.  The comparison is strict; the
-            # training autotuner (core.autotune.autotune_layer) is more
-            # conservative and keeps direct unless FFT wins by its 5%
-            # tolerance.
-            mode = "fft" if fft_seconds < direct_seconds else "direct"
-            if mode == "fft":
+            # Forward FLOPs with kernel spectra pinned: serving warm
+            # models transform at the layer's input shape (no fast-size
+            # padding) and transform their frozen kernels at warm time.
+            seconds = {
+                name: _layer_seconds(
+                    model, layer.edges, name,
+                    lambda x: backend.layer_flops(
+                        layer.f_in, layer.f_out, x, layer.window,
+                        layer.sparsity, passes=("forward",),
+                        pinned_kernels=True),
+                    shape)
+                for name, backend in registry.items()}
+            # Strict comparison, ties to direct (bitwise-deterministic,
+            # no spectra bookkeeping); the training autotuner
+            # (core.autotune.autotune_layer) calls the same rule with
+            # its 5% tolerance.
+            mode = choose(seconds, 0.0)
+            if registry[mode].spectral:
                 working_set += (_BYTES_COMPLEX * voxels(rfft_shape(shape))
-                                * (edges + layer.f_in + layer.f_out))
-            for edge in edge_names:
+                                * (layer.f_in * layer.f_out
+                                   + layer.f_in + layer.f_out))
+            for edge in layer.edges:
                 conv_modes[edge] = mode
-            tile_seconds += min(direct_seconds, fft_seconds)
+            tile_seconds += seconds[mode]
             layer_rows.append({
                 "layer": layer.index,
                 "mode": mode,
@@ -411,8 +379,7 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
                 "kernel": list(layer.window),
                 "sparsity": list(layer.sparsity),
                 "input_shape": list(shape),
-                "direct_seconds": direct_seconds,
-                "fft_seconds": fft_seconds,
+                **{f"{name}_seconds": s for name, s in seconds.items()},
             })
         elif layer.kind == "filter":
             tile_seconds += (layer.f_in
@@ -476,7 +443,7 @@ class SpecializationPlan:
         return dict(self.conv_modes)
 
     def uses_fft(self) -> bool:
-        return any(mode == "fft" for _, mode in self.conv_modes)
+        return any(registry[mode].spectral for _, mode in self.conv_modes)
 
     def covers(self, volume_shape: Sequence[int]) -> bool:
         """Can a volume of this shape be served under this plan?  (The

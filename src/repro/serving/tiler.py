@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.tiling import PlanInfeasible, TilePlan, run_plan
+from repro.tensor.backends import conv_backend
 from repro.tensor.fourier import next_fast_len
 from repro.utils.shapes import Shape3, as_shape3, voxels
 
@@ -110,9 +111,7 @@ def normalize_conv_modes(conv_modes: Optional[Mapping[str, str]]
         else conv_modes
     items = sorted((str(k), str(v)) for k, v in pairs)
     for _, mode in items:
-        if mode not in ("direct", "fft"):
-            raise ValueError(
-                f"conv modes must be direct|fft, got {mode!r}")
+        conv_backend(mode)
     return tuple(items)
 
 

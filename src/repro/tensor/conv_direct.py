@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.pram.costs import direct_conv_task_cost
+from repro.pram.costs import conv_layer_costs_direct, direct_conv_task_cost
 from repro.utils.shapes import (
     as_shape3,
     effective_kernel_shape,
@@ -68,6 +68,7 @@ __all__ = [
     "direct_pass_cost",
     "flip3",
     "dilate_kernel",
+    "DirectBackend",
 ]
 
 
@@ -212,3 +213,44 @@ def conv_kernel_gradient(image: np.ndarray, grad_output: np.ndarray,
     view = sliding_window_view(img, go.shape)
     lags = view[:: s[0], :: s[1], :: s[2]]
     return np.tensordot(lags, go, axes=3)
+
+
+class DirectBackend:
+    """Table II "Direct" as a conv backend (contract: ``docs/algorithms.md``
+    "Adding a conv backend").  Stateless, so *plan* and *memo* go unused."""
+
+    name = "direct"
+    #: Fixed tap order: a voxel computed inside a tile equals the same
+    #: voxel of the whole volume, bit for bit.
+    determinism = "tiled-bitwise"
+    spectral = False
+
+    def plan(self, image_shape, kernel_shape, sparsity=1, fast_sizes=False):
+        return None
+
+    def forward(self, image, kernel, sparsity=1, plan=None, memo=None,
+                spectral=False):
+        return correlate_valid(image, kernel, sparsity)
+
+    def backward(self, grad, kernel, sparsity=1, plan=None, memo=None,
+                 spectral=False):
+        return conv_backward_input(grad, kernel, sparsity)
+
+    def capture_update(self, image, grad, sparsity=1, plan=None, memo=None):
+        return None
+
+    def update(self, image, grad, sparsity=1, plan=None, memo=None,
+               captured=None):
+        return conv_kernel_gradient(image, grad, sparsity)
+
+    def pass_cost(self, image_shape, kernel_shape, sparsity=1, plan=None):
+        return direct_pass_cost(image_shape, kernel_shape, sparsity)
+
+    def layer_flops(self, f_in, f_out, image_shape, kernel_shape,
+                    sparsity=1, passes=("forward", "backward", "update"),
+                    pinned_kernels=False, constant=None) -> float:
+        """Table II "Direct" FLOPs of *passes* for one layer (there are
+        no transforms for *pinned_kernels* or *constant* to touch)."""
+        costs = conv_layer_costs_direct(f_in, f_out, image_shape,
+                                        kernel_shape, sparsity).as_dict()
+        return sum(costs[p] for p in passes)

@@ -19,9 +19,11 @@ input image, the backward (gradient) image and the kernel.  Exactness of
 the size-``n`` circular transforms is argued in :mod:`repro.tensor.fourier`
 and property-tested against the direct method.
 
-The plan object is the unit the autotuner (Section IV) selects per layer,
-and the spectra are what :class:`repro.tensor.fft_cache.TransformCache`
-memoizes across passes to realise the "(Memoized)" column of Table II.
+The plan object is what :class:`FftBackend` — this file's entry in
+:data:`repro.tensor.backends.registry`, the unit the autotuner (Section
+IV) selects per layer — builds per edge, and the spectra are what
+:class:`repro.tensor.fft_cache.TransformCache` memoizes across passes to
+realise the "(Memoized)" column of Table II.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pram.costs import fft_cost, pointwise_product_cost
+from repro.pram.costs import (
+    DEFAULT_FFT_CONSTANT,
+    conv_layer_costs_fft,
+    fft_cost,
+    pointwise_product_cost,
+)
 from repro.resilience.faults import active_plan
 from repro.tensor.conv_direct import dilate_kernel
 from repro.tensor.fourier import (
@@ -45,6 +52,7 @@ from repro.utils.shapes import (
     effective_kernel_shape,
     full_conv_shape,
     valid_conv_shape,
+    voxels,
 )
 from repro.utils.validation import check_array3
 
@@ -54,12 +62,12 @@ __all__ = [
     "fft_conv_backward_input",
     "fft_conv_kernel_gradient",
     "FftConvPlan",
+    "FftBackend",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Standalone one-shot functions (used for testing and by the autotuner's
-# single-convolution benchmarks).
+# Standalone one-shot functions (tests and kernel probes).
 # ---------------------------------------------------------------------------
 
 def fft_correlate_valid(image: np.ndarray, kernel: np.ndarray,
@@ -238,15 +246,82 @@ class FftConvPlan:
         the pass: two spectrum reads, the product write and the
         inverse-transform read.
         """
-        n = 1
-        for extent in self.transform_shape:
-            n *= extent
         return {
             "flops": fft_cost(self.transform_shape)
             + pointwise_product_cost(self.transform_shape),
-            "bytes": 8.0 * 4 * n,
+            "bytes": 8.0 * 4 * voxels(self.transform_shape),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FftConvPlan(image={self.image_shape}, "
                 f"kernel={self.kernel_shape}, sparsity={self.sparsity})")
+
+
+def _compute(kind: str, compute):
+    """The null memo: every spectrum is transformed on demand."""
+    return compute()
+
+
+class FftBackend:
+    """Table II "FFT-based (Memoized)" as a conv backend (contract:
+    ``docs/algorithms.md`` "Adding a conv backend").
+
+    ``memo(kind, compute)`` shares spectra between passes: kinds
+    ``"img"``, ``"grad"`` and ``"ker"`` are the source image, backward
+    image and kernel spectra, which a ``ConvEdge`` routes through the
+    network's :class:`~repro.tensor.fft_cache.TransformCache`.
+    """
+
+    name = "fft"
+    #: Two runs agree bit for bit; a tile and the whole volume only to
+    #: rounding (the transform size moves with the extent).
+    determinism = "run-bitwise"
+    #: ``spectral=True`` passes return the half-spectrum product, for a
+    #: node that sums spectra and inverts once.
+    spectral = True
+    plan = FftConvPlan
+
+    def forward(self, image, kernel, sparsity, plan, memo=_compute,
+                spectral=False):
+        product = plan.forward_product(
+            memo("img", lambda: plan.image_spectrum(image)),
+            memo("ker", lambda: plan.kernel_spectrum(kernel)))
+        return product if spectral else plan.finalize_forward(product)
+
+    def backward(self, grad, kernel, sparsity, plan, memo=_compute,
+                 spectral=False):
+        product = plan.backward_product(
+            memo("grad", lambda: plan.grad_spectrum(grad)),
+            memo("ker", lambda: plan.kernel_spectrum(kernel)))
+        return product if spectral else plan.finalize_backward(product)
+
+    def capture_update(self, image, grad, sparsity, plan, memo=_compute):
+        """The spectra a deferred update needs, taken while this
+        round's memo holds them (forward computed FI, backward FdO)."""
+        return (memo("img", lambda: plan.image_spectrum(image)),
+                memo("grad", lambda: plan.grad_spectrum(grad)))
+
+    def update(self, image, grad, sparsity, plan, memo=_compute,
+               captured=None):
+        return plan.kernel_gradient(*(captured or self.capture_update(
+            image, grad, sparsity, plan, memo)))
+
+    def pass_cost(self, image_shape, kernel_shape, sparsity=1, plan=None):
+        return (plan or FftConvPlan(image_shape, kernel_shape,
+                                    sparsity)).pass_cost()
+
+    def layer_flops(self, f_in, f_out, image_shape, kernel_shape=None,
+                    sparsity=1, passes=("forward", "backward", "update"),
+                    pinned_kernels=False,
+                    constant=DEFAULT_FFT_CONSTANT) -> float:
+        """Table II "FFT-based (Memoized)" FLOPs of *passes* for one
+        layer at transform shape *image_shape*.  *pinned_kernels* drops
+        the ``f*f'`` kernel transforms from the forward pass: a warm
+        serving model transforms its frozen kernels once per process."""
+        costs = conv_layer_costs_fft(f_in, f_out, image_shape,
+                                     constant=constant).as_dict()
+        if pinned_kernels:
+            costs["forward"] = (
+                fft_cost(image_shape, constant) * (f_in + f_out)
+                + pointwise_product_cost(image_shape) * (f_in * f_out))
+        return sum(costs[p] for p in passes)

@@ -14,9 +14,9 @@ from repro.core import (
     autotune_layer,
     crossover_kernel_size,
     layer_crossover_kernel_size,
-    time_direct,
-    time_fft,
+    time_passes,
 )
+from repro.core import Network
 from repro.graph import build_layered_network
 from repro.pram import conv_layer_costs_direct, conv_layer_costs_fft
 from repro.pram.costs import (
@@ -24,6 +24,8 @@ from repro.pram.costs import (
     fft_cost,
     pointwise_product_cost,
 )
+from repro.tensor import FftConvPlan
+from repro.tensor.backends import conv_backend
 
 
 @pytest.fixture
@@ -31,10 +33,10 @@ def analytic_clock(monkeypatch):
     """Replace the benchmarks with a deterministic analytic 'clock'.
 
     ``autotune_layer`` (and through it ``autotune_graph`` and the
-    crossover sweeps) calls the module globals ``time_direct`` /
-    ``time_fft``, so patching those reroutes every timing-based
-    selection.  The fakes mirror each benchmark's work mix — three
-    direct convolutions vs. six transforms plus three spectral
+    crossover sweeps) times every registered backend through the
+    module global ``time_passes``, so patching it reroutes every
+    timing-based selection.  The fake mirrors each backend's work mix
+    — three direct convolutions vs. six transforms plus three spectral
     products — priced at 1 GFLOP/s.  Returns a call counter so tests
     can assert the per-layer-group memoization.
     """
@@ -42,25 +44,23 @@ def analytic_clock(monkeypatch):
 
     calls = {"direct": 0, "fft": 0}
 
-    def fake_direct(image_shape, kernel_shape, sparsity=1, repeats=3):
-        calls["direct"] += 1
-        return 3e-9 * direct_conv_task_cost(image_shape, kernel_shape,
-                                            sparsity)
-
-    def fake_fft(image_shape, kernel_shape, sparsity=1, repeats=3):
-        calls["fft"] += 1
+    def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
+                         repeats=3, fast_sizes=False):
+        calls[name] += 1
+        if name == "direct":
+            return 3e-9 * direct_conv_task_cost(image_shape, kernel_shape,
+                                                sparsity)
         return 1e-9 * (6 * fft_cost(image_shape)
                        + 3 * pointwise_product_cost(image_shape))
 
-    monkeypatch.setattr(autotune_module, "time_direct", fake_direct)
-    monkeypatch.setattr(autotune_module, "time_fft", fake_fft)
+    monkeypatch.setattr(autotune_module, "time_passes", fake_time_passes)
     return calls
 
 
 class TestTiming:
     def test_times_positive(self):
-        assert time_direct((8, 8, 8), 2, repeats=1) > 0
-        assert time_fft((8, 8, 8), 2, repeats=1) > 0
+        assert time_passes("direct", (8, 8, 8), 2, repeats=1) > 0
+        assert time_passes("fft", (8, 8, 8), 2, repeats=1) > 0
 
     def test_autotune_layer_returns_mode_and_times(self):
         mode, t_d, t_f = autotune_layer((8, 8, 8), 2, repeats=1)
@@ -89,9 +89,12 @@ class TestAnalyticSelection:
 
         # Make FFT barely faster: inside the 5% tolerance band the
         # tuner must still choose direct (no spectra bookkeeping).
-        t_direct = autotune_module.time_direct((16, 16, 16), 3)
-        monkeypatch.setattr(autotune_module, "time_fft",
-                            lambda *a, **k: t_direct * 0.99)
+        analytic = autotune_module.time_passes
+        t_direct = analytic("direct", (16, 16, 16), 3)
+        monkeypatch.setattr(
+            autotune_module, "time_passes",
+            lambda name, *a, **k: t_direct * 0.99 if name == "fft"
+            else analytic(name, *a, **k))
         mode, _, _ = autotune_layer((16, 16, 16), 3)
         assert mode == "direct"
 
@@ -124,6 +127,37 @@ class TestAutotuneGraph:
         g = build_layered_network("CT", width=1, kernel=2)
         with pytest.raises(ValueError):
             autotune_graph(g)
+
+
+class TestFastSizes:
+    def test_tuner_times_the_plan_the_edge_runs(self, monkeypatch):
+        """``Network(conv_mode="auto", fft_fast_sizes=True)`` on a
+        non-5-smooth input: the tuner must be handed the padded plan
+        the edge is then built with (it used to time the unpadded
+        31^3 transform and pick direct against a 3x faster 32^3 FFT).
+        """
+        import repro.core.autotune as autotune_module
+
+        timed = {}
+
+        def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
+                             repeats=3, fast_sizes=False):
+            timed[name] = conv_backend(name).plan(
+                image_shape, kernel_shape, sparsity, fast_sizes)
+            return 1.0 if name == "direct" else 0.5  # FFT wins
+
+        monkeypatch.setattr(autotune_module, "time_passes",
+                            fake_time_passes)
+        graph = build_layered_network("CT", width=1, kernel=3)
+        net = Network(graph, input_shape=(31, 31, 31), conv_mode="auto",
+                      fft_fast_sizes=True, seed=0)
+        (edge,) = [e for e in net.edges.values() if e.backend is not None]
+        padded = FftConvPlan((31, 31, 31), edge.spec.kernel, edge.sparsity,
+                             fast_sizes=True).transform_shape
+        assert padded == (32, 32, 32)
+        assert timed["fft"].transform_shape == padded
+        assert edge.mode == "fft"
+        assert edge.plan.transform_shape == padded
 
 
 class TestLayerCrossover:

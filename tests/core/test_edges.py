@@ -16,6 +16,7 @@ from repro.core.edges import (
 from repro.core.nodes import RuntimeNode
 from repro.graph.computation_graph import EdgeSpec, NodeSpec
 from repro.tensor import correlate_valid
+from repro.tensor.backends import registry
 
 
 def node(name, shape):
@@ -37,7 +38,7 @@ def conv_edge(mode="direct", kernel_shape=(2, 2, 2), sparsity=1,
 
 
 class TestConvEdge:
-    @pytest.mark.parametrize("mode", ["direct", "fft"])
+    @pytest.mark.parametrize("mode", list(registry))
     def test_forward_is_valid_correlation(self, mode, rng):
         edge, src, dst = conv_edge(mode=mode)
         x = rng.standard_normal((6, 6, 6))
@@ -45,7 +46,7 @@ class TestConvEdge:
         np.testing.assert_allclose(out, correlate_valid(x, edge.kernel.array),
                                    atol=1e-10)
 
-    @pytest.mark.parametrize("mode", ["direct", "fft"])
+    @pytest.mark.parametrize("mode", list(registry))
     def test_update_closure_applies_sgd(self, mode, rng):
         edge, src, dst = conv_edge(mode=mode)
         src.fwd_image = rng.standard_normal((6, 6, 6))

@@ -1,10 +1,10 @@
 """FFT convolution tests — exactness against the direct method at the
-layer-common transform size, plan spectra reuse, sparse kernels."""
+layer-common transform size, plan spectra reuse, sparse kernels.  The
+drawn-shape property checks of all three passes live in the backend
+contract, ``test_backend_contract.py``."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.tensor import (
     FftConvPlan,
@@ -130,33 +130,3 @@ class TestPlan:
         plan = FftConvPlan((8, 8, 8), (3, 3, 3))
         with pytest.raises(ValueError):
             plan.kernel_spectrum(rng.standard_normal((2, 2, 2)))
-
-
-@given(n=st.integers(4, 12), k=st.integers(1, 4), seed=st.integers(0, 999))
-def test_property_fft_equals_direct(n, k, seed):
-    """The size-n circular transform is exact for all three passes,
-    for every (n, k) with k <= n (the fourier.py exactness argument)."""
-    if k > n:
-        return
-    rng = np.random.default_rng(seed)
-    img = rng.standard_normal((n, n, n))
-    ker = rng.standard_normal((k, k, k))
-    out = correlate_valid(img, ker)
-    grad = rng.standard_normal(out.shape)
-    np.testing.assert_allclose(fft_correlate_valid(img, ker), out, atol=1e-9)
-    np.testing.assert_allclose(fft_conv_backward_input(grad, ker),
-                               conv_backward_input(grad, ker), atol=1e-9)
-    np.testing.assert_allclose(fft_conv_kernel_gradient(img, grad),
-                               conv_kernel_gradient(img, grad), atol=1e-9)
-
-
-@given(n=st.integers(5, 10), k=st.integers(2, 3), s=st.integers(1, 3),
-       seed=st.integers(0, 999))
-def test_property_fft_sparse_equals_direct(n, k, s, seed):
-    if (k - 1) * s + 1 > n:
-        return
-    rng = np.random.default_rng(seed)
-    img = rng.standard_normal((n, n, n))
-    ker = rng.standard_normal((k, k, k))
-    np.testing.assert_allclose(fft_correlate_valid(img, ker, s),
-                               correlate_valid(img, ker, s), atol=1e-9)

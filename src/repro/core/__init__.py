@@ -21,8 +21,7 @@ from repro.core.edges import (
     ConvEdge,
     CustomEdge,
     DropoutEdge,
-    MaxFilterEdge,
-    MaxPoolEdge,
+    MaxWindowEdge,
     RuntimeEdge,
     SharedKernel,
     TransferEdge,
@@ -86,8 +85,7 @@ __all__ = [
     "ConvEdge",
     "CustomEdge",
     "DropoutEdge",
-    "MaxFilterEdge",
-    "MaxPoolEdge",
+    "MaxWindowEdge",
     "RuntimeEdge",
     "SharedKernel",
     "TransferEdge",

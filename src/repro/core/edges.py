@@ -1,6 +1,7 @@
 """Runtime edge types: the forward/backward/update transforms.
 
-One class per computation-graph edge kind.  Each edge exposes:
+One class per computation-graph edge kind (``pool`` and ``filter``
+share :class:`MaxWindowEdge`).  Each edge exposes:
 
 * ``forward(image)`` — the FORWARD-TRANSFORM of Algorithm 1, returning
   the contribution to the destination node's forward sum (a spatial
@@ -47,8 +48,7 @@ from repro.tensor.backends import FALLBACK, conv_backend
 from repro.tensor.conv_fft import FftConvPlan
 from repro.tensor.fft_cache import TransformCache
 from repro.tensor.fourier import forward_transform
-from repro.tensor.filtering import max_filter_backward, max_filter_forward
-from repro.tensor.pooling import max_pool_backward, max_pool_forward
+from repro.tensor.filtering import scatter_winners, window_max
 from repro.tensor.transfer import get_transfer
 from repro.utils.rng import kernel_init
 
@@ -57,8 +57,7 @@ __all__ = [
     "SharedKernel",
     "ConvEdge",
     "TransferEdge",
-    "MaxPoolEdge",
-    "MaxFilterEdge",
+    "MaxWindowEdge",
     "DropoutEdge",
     "CustomEdge",
     "make_runtime_edge",
@@ -276,42 +275,26 @@ class TransferEdge(RuntimeEdge):
         return update
 
 
-class MaxPoolEdge(RuntimeEdge):
-    """Max-pooling: n^3 -> (n/p)^3 with winner routing for the Jacobian."""
+class MaxWindowEdge(RuntimeEdge):
+    """The window maximum with winner routing for the Jacobian, both
+    kinds: max-pooling steps by its window (n^3 -> (n/p)^3); sparse
+    max-filtering steps by one voxel (resolution-preserving; Fig 2)."""
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode) -> None:
         super().__init__(spec, src, dst)
-        self.window = spec.window
-        self._argmax: Optional[np.ndarray] = None
+        #: (window, step, dilation) of the one kernel.
+        self._geometry = ((spec.window, spec.window, 1) if spec.kind == "pool"
+                          else (spec.window, 1, spec.sparsity))
+        self._winners: Optional[np.ndarray] = None
 
     def forward(self, image: np.ndarray) -> np.ndarray:
-        pooled, self._argmax = max_pool_forward(image, self.window)
-        return pooled
+        out, self._winners = window_max(image, *self._geometry)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._argmax is None:
+        if self._winners is None:
             raise RuntimeError(f"backward before forward on {self.name!r}")
-        return max_pool_backward(grad, self._argmax, self.window)
-
-
-class MaxFilterEdge(RuntimeEdge):
-    """Sparse max-filtering (resolution-preserving; Fig 2)."""
-
-    def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode) -> None:
-        super().__init__(spec, src, dst)
-        self.window = spec.window
-        self.sparsity = spec.sparsity
-        self._argmax: Optional[np.ndarray] = None
-
-    def forward(self, image: np.ndarray) -> np.ndarray:
-        filtered, self._argmax = max_filter_forward(image, self.window,
-                                                    self.sparsity)
-        return filtered
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._argmax is None:
-            raise RuntimeError(f"backward before forward on {self.name!r}")
-        return max_filter_backward(grad, self._argmax, self.src.shape)
+        return scatter_winners(grad, self._winners, self.src.shape)
 
 
 class DropoutEdge(RuntimeEdge):
@@ -402,10 +385,8 @@ def make_runtime_edge(spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode,
                         fast_sizes=fast_sizes)
     if spec.kind == "transfer":
         return TransferEdge(spec, src, dst)
-    if spec.kind == "pool":
-        return MaxPoolEdge(spec, src, dst)
-    if spec.kind == "filter":
-        return MaxFilterEdge(spec, src, dst)
+    if spec.kind in ("pool", "filter"):
+        return MaxWindowEdge(spec, src, dst)
     if spec.kind == "dropout":
         if rng is None:
             rng = np.random.default_rng()

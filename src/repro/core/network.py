@@ -50,7 +50,6 @@ from repro.resilience.retry import RetryPolicy
 from repro.scheduler.engine import LOWEST_PRIORITY, TaskEngine
 from repro.scheduler.serial import SerialEngine
 from repro.scheduler.strategies import make_scheduler
-from repro.scheduler.task import Task, force
 from repro.tensor.backends import FALLBACK, conv_backend
 from repro.tensor.fft_cache import TransformCache
 from repro.utils.rng import SeedLike, as_generator
@@ -411,9 +410,8 @@ class Network:
         def forward_task() -> None:
             # FORCE the pending update (from the previous round) and run
             # DO-FORWARD afterwards, on whichever thread wins.
-            subtask = Task(lambda: self._do_forward(edge),
-                           name=f"do-fwd:{edge.name}")
-            force(edge.update_task, subtask)
+            self.engine.force(edge.update_task, lambda: self._do_forward(edge),
+                              name=f"do-fwd:{edge.name}")
 
         self.engine.spawn(forward_task, priority=edge.fwd_priority,
                           name=f"fwd:{edge.name}")
@@ -493,11 +491,9 @@ class Network:
     def _backward_task(self, edge: RuntimeEdge) -> None:
         contribution = edge.backward(edge.dst.bwd_image)
         if edge.is_trainable:
-            update_fn = edge.capture_update(self.optimizer)
-            task = Task(update_fn, priority=LOWEST_PRIORITY,
-                        name=f"upd:{edge.name}")
-            edge.update_task = task
-            self.engine.submit(task)
+            edge.update_task = self.engine.spawn(
+                edge.capture_update(self.optimizer),
+                priority=LOWEST_PRIORITY, name=f"upd:{edge.name}")
         if edge.src.add_backward(edge, contribution):
             edge.src.finalize_backward()
             self._node_backward_complete(edge.src)

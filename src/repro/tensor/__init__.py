@@ -1,5 +1,6 @@
-"""Tensor-operation substrate: direct & FFT convolution, pooling,
-max-filtering, transfer functions, FFT memoization."""
+"""Tensor-operation substrate: direct & FFT convolution, the window
+maximum (max-pooling and max-filtering are one kernel), transfer
+functions, FFT memoization."""
 
 from repro.tensor.conv_direct import (
     conv_backward_input,
@@ -24,8 +25,9 @@ from repro.tensor.filtering import (
     max_filter_backward,
     max_filter_forward,
     max_filter_separable,
+    max_pool_backward,
+    max_pool_forward,
 )
-from repro.tensor.pooling import max_pool_backward, max_pool_forward
 from repro.tensor.transfer import (
     LINEAR,
     LOGISTIC,

@@ -43,6 +43,7 @@ small and no covariance property is required of it.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +69,7 @@ __all__ = [
     "direct_pass_cost",
     "flip3",
     "dilate_kernel",
+    "tap_views",
     "DirectBackend",
 ]
 
@@ -115,30 +117,41 @@ def dilate_kernel(kernel: np.ndarray, sparsity: int | Sequence[int]) -> np.ndarr
     return out
 
 
+def tap_views(image: np.ndarray, window: tuple[int, int, int],
+              dilation: tuple[int, int, int],
+              out_shape: tuple[int, int, int],
+              step: tuple[int, int, int] = (1, 1, 1)):
+    """The one walk over a window's taps, in C order.
+
+    Yields, per tap ``u``, the flat index into (C-contiguous) *image*
+    of the tap's first voxel and the strided view ``image[d*u + t*x]``
+    over all window positions ``x`` in *out_shape* (``d`` the dilation,
+    ``t`` the step).  Every windowed reduction — the correlation sum
+    below, the window maximum of :mod:`repro.tensor.filtering` — folds
+    these views in this order, so its reduction order is a function of
+    the window shape alone: the bitwise tile-equals-volume property of
+    the module notes has this one home.
+    """
+    _, n1, n2 = image.shape
+    axes = [[(u * d, slice(u * d, u * d + (o - 1) * t + 1, t))
+             for u in range(k)]
+            for k, d, o, t in zip(window, dilation, out_shape, step)]
+    for (z, zs), (y, ys), (x, xs) in product(*axes):  # C order: x fastest
+        yield (z * n1 + y) * n2 + x, image[zs, ys, xs]
+
+
 def _accumulate_taps(image: np.ndarray, kernel: np.ndarray,
                      sparsity: tuple[int, int, int],
                      out_shape: tuple[int, int, int]) -> np.ndarray:
-    """Correlate by accumulating one kernel tap at a time, in C order.
-
-    ``out = sum_u kernel[u] * image[s*u : s*u + out_shape]`` with the
-    sum taken tap by tap.  The reduction order is a function of the
-    kernel shape alone — never of the image extent or the voxel's
-    position — so the result is bitwise identical whether a voxel is
-    evaluated inside a small tile or a whole volume.
-    """
-    o0, o1, o2 = out_shape
-    s0, s1, s2 = sparsity
+    """Correlate by accumulating one kernel tap at a time, in C order:
+    ``out = sum_u kernel[u] * image[s*u : s*u + out_shape]``, the sum
+    taken tap by tap over :func:`tap_views`."""
     out = np.zeros(out_shape, dtype=np.result_type(image, kernel))
     tap = np.empty(out_shape, dtype=out.dtype)
-    for kz in range(kernel.shape[0]):
-        z = kz * s0
-        for ky in range(kernel.shape[1]):
-            y = ky * s1
-            for kx in range(kernel.shape[2]):
-                x = kx * s2
-                block = image[z:z + o0, y:y + o1, x:x + o2]
-                np.multiply(block, kernel[kz, ky, kx], out=tap)
-                out += tap
+    taps = tap_views(image, kernel.shape, sparsity, out_shape)
+    for weight, (_, block) in zip(kernel.ravel(), taps):
+        np.multiply(block, weight, out=tap)
+        out += tap
     return out
 
 
@@ -159,13 +172,6 @@ def convolve_valid(image: np.ndarray, kernel: np.ndarray,
     return correlate_valid(image, flip3(ker), sparsity)
 
 
-def _pad_full(image: np.ndarray, kernel_shape: tuple[int, int, int],
-              sparsity: tuple[int, int, int]) -> np.ndarray:
-    eff = effective_kernel_shape(kernel_shape, sparsity)
-    pad = [(e - 1, e - 1) for e in eff]
-    return np.pad(image, pad, mode="constant")
-
-
 def correlate_full(image: np.ndarray, kernel: np.ndarray,
                    sparsity: int | Sequence[int] = 1) -> np.ndarray:
     """Full sparse correlation: output shape ``n + (k-1)*s`` per dim."""
@@ -173,7 +179,8 @@ def correlate_full(image: np.ndarray, kernel: np.ndarray,
     ker = check_array3(kernel, "kernel")
     s = as_shape3(sparsity, name="sparsity")
     out_shape = full_conv_shape(img.shape, ker.shape, s)
-    padded = _pad_full(img, ker.shape, s)
+    padded = np.pad(
+        img, [(e - 1, e - 1) for e in effective_kernel_shape(ker.shape, s)])
     return _accumulate_taps(padded, ker, s, out_shape)
 
 

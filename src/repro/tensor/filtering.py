@@ -1,25 +1,37 @@
-"""Max-filtering forward and Jacobian (Sections II and III-A).
+"""The window maximum: max-filtering and max-pooling, forward and
+Jacobian (Sections II and III-A).
 
 Max-filtering computes the maximum within a sliding window for each
 window position — it does *not* reduce resolution, which is what lets a
 max-filtering ConvNet with sparse convolutions compute the output of a
 sliding-window max-pooling ConvNet densely and efficiently (Fig 2,
-skip-kernels / filter rarefaction).
+skip-kernels / filter rarefaction).  The paper defines it as max-pooling
+without the stride, so both are one kernel, :func:`window_max`: ``k``
+taps per dimension ``dilation`` voxels apart, windows ``step`` apart.
 
-Two forward implementations are provided:
+* *Max-filtering* is ``step = 1, dilation = sparsity``: taps at offsets
+  ``0, s, …, (k-1)s``, as skip-kernel networks need where later
+  max-filterings act on rarefied lattices; ``n - (k-1)s`` per dimension.
+* *Max-pooling* is ``step = window``: the ``n^3`` image (``n`` divisible
+  by ``p``) falls into disjoint ``p^3`` blocks, output ``(n/p)^3``.
 
-* a vectorised strided-view implementation (default, used by the edge
-  types) that also yields the winning input coordinates needed by the
-  Jacobian; and
-* the paper's algorithm — sequential 1-D max-filterings in each of the
-  three directions, each 1-D pass using a heap of size ``k`` with lazy
-  deletion so every element is inserted and removed at most once at
-  ``O(log k)`` each (Section II "Max-filtering").  The separable pass is
-  the source of the ``6 n^3 log k`` FLOP count in Table I.
+The kernel keeps a running maximum over the ``k^3`` taps in C order
+(:func:`repro.tensor.conv_direct.tap_views`, the walk direct convolution
+sums over), replacing only on a strict ``>``: the first maximum in tap
+order wins, as ``numpy.argmax`` over the window would choose, whatever
+the image extent — a voxel filtered inside a tile equals the same voxel
+of the whole volume.  Forward and Jacobian share the *winners* — per
+output voxel, the flat index of the input voxel that won — so
+tie-breaking is consistent by construction.
 
-Windows may be *sparse* (dilated) with sparsity ``s``: taps sit at
-offsets ``0, s, …, (k-1)s``, which is required by skip-kernel networks
-where later max-filterings act on rarefied lattices.
+:func:`max_filter_1d_heap` / :func:`max_filter_separable` are the
+paper's own algorithm — sequential 1-D max-filterings in each of the
+three directions, each 1-D pass using a heap of size ``k`` with lazy
+deletion so every element is inserted and removed at most once at
+``O(log k)`` each (Section II "Max-filtering"), the source of the
+``6 n^3 log k`` FLOP count in Table I.  They yield values only, in
+interpreted Python: the independent reference the tests hold
+:func:`window_max` to, not a second production path.
 """
 
 from __future__ import annotations
@@ -28,72 +40,109 @@ import heapq
 from typing import Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.utils.shapes import as_shape3, effective_kernel_shape, valid_conv_shape
+from repro.tensor.conv_direct import tap_views
+from repro.utils.shapes import as_shape3, pool_shape, valid_conv_shape
 from repro.utils.validation import check_array3
 
 __all__ = [
+    "window_max",
+    "scatter_winners",
     "max_filter_forward",
     "max_filter_backward",
+    "max_pool_forward",
+    "max_pool_backward",
     "max_filter_1d_heap",
     "max_filter_separable",
 ]
 
 
-def max_filter_forward(image: np.ndarray, window: int | Sequence[int],
-                       sparsity: int | Sequence[int] = 1
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sliding-window maximum of *image*.
+def window_max(image: np.ndarray, window: int | Sequence[int],
+               step: int | Sequence[int] = 1,
+               dilation: int | Sequence[int] = 1
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximum of *image* over every window position.
 
-    Returns
-    -------
-    (filtered, argmax):
-        ``filtered`` has shape ``n - (k-1)s`` per dimension.  ``argmax``
-        has shape ``filtered.shape + (3,)`` and holds, per output voxel,
-        the *absolute* input coordinates of the winning voxel.
+    Returns ``(values, winners)``, both ``(n - (k-1)d - 1) // t + 1``
+    per dimension: ``winners`` holds, per output voxel, the flat C-order
+    index into *image* of the first maximum of its window in tap order
+    (a NaN counts as the maximum, so a window containing one yields
+    NaN); ``image.flat[winners] == values``.
     """
     img = check_array3(image, "image")
     k = as_shape3(window, name="window")
-    s = as_shape3(sparsity, name="sparsity")
-    out_shape = valid_conv_shape(img.shape, k, s)
-    eff = effective_kernel_shape(k, s)
-    win = sliding_window_view(img, eff)[..., :: s[0], :: s[1], :: s[2]]
-    flat = win.reshape(out_shape + (k[0] * k[1] * k[2],))
-    flat_arg = np.argmax(flat, axis=-1)
-    filtered = np.take_along_axis(flat, flat_arg[..., np.newaxis], axis=-1)[..., 0]
-    # Decompose the flat within-window index into per-axis tap indices,
-    # then convert to absolute input coordinates: x + s * tap.
-    u0, rem = np.divmod(flat_arg, k[1] * k[2])
-    u1, u2 = np.divmod(rem, k[2])
-    base = np.indices(out_shape)
-    argmax = np.stack([base[0] + s[0] * u0,
-                       base[1] + s[1] * u1,
-                       base[2] + s[2] * u2], axis=-1)
-    return np.ascontiguousarray(filtered), argmax
+    t = as_shape3(step, name="step")
+    d = as_shape3(dilation, name="sparsity")
+    valid = valid_conv_shape(img.shape, k, d)
+    out_shape = tuple((v - 1) // ti + 1 for v, ti in zip(valid, t))
+    taps = tap_views(img, k, d, out_shape, t)
+    values = next(taps)[1].copy()
+    winners = np.zeros(out_shape, dtype=np.intp)
+    wins = np.empty(out_shape, dtype=bool)
+    has_nan = np.isnan(img).any()
+    for offset, view in taps:
+        np.greater(view, values, out=wins)
+        if has_nan:  # rare: strict > alone would skip a NaN in a later tap
+            wins |= np.isnan(view) & ~np.isnan(values)
+        np.putmask(values, wins, view)
+        np.putmask(winners, wins, offset)
+    # So far the winning tap's offset; add each window's own origin.
+    z, y, x = np.ix_(*(np.arange(o) * ti for o, ti in zip(out_shape, t)))
+    winners += (z * img.shape[1] + y) * img.shape[2] + x
+    return values, winners
+
+
+def scatter_winners(grad_output: np.ndarray, winners: np.ndarray,
+                    input_shape: Sequence[int]) -> np.ndarray:
+    """The window-maximum Jacobian.
+
+    The backward image (of the forward *input* size) starts at zero and,
+    for each window position, the backward value is *accumulated* at the
+    voxel that won the forward max — filter windows overlap, so a voxel
+    can win several and receives the sum, in C order of the output; pool
+    blocks are disjoint, so all but each block's winner stay zero.
+    """
+    go = check_array3(grad_output, "grad_output")
+    in_shape = as_shape3(input_shape, name="input_shape")
+    if winners.shape != go.shape:
+        raise ValueError(f"winners shape {winners.shape} incompatible "
+                         f"with grad_output {go.shape}")
+    grad_input = np.zeros(in_shape, dtype=go.dtype)
+    np.add.at(grad_input.reshape(-1), winners.reshape(-1), go.reshape(-1))
+    return grad_input
+
+
+def max_filter_forward(image: np.ndarray, window: int | Sequence[int],
+                       sparsity: int | Sequence[int] = 1
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sliding-window maximum of *image*: ``n - (k-1)s`` per dimension,
+    with the winners :func:`max_filter_backward` routes through."""
+    return window_max(image, window, step=1, dilation=sparsity)
 
 
 def max_filter_backward(grad_output: np.ndarray, argmax: np.ndarray,
                         input_shape: Sequence[int]) -> np.ndarray:
-    """Max-filtering Jacobian.
+    """Max-filtering Jacobian: grow back to *input_shape*."""
+    return scatter_winners(grad_output, argmax, input_shape)
 
-    The backward image (of the forward *input* size) starts at zero and,
-    for each window position, the backward value is *accumulated* at the
-    coordinates that won the forward max — windows overlap, so a voxel
-    can win several windows and receives the sum.
-    """
+
+def max_pool_forward(image: np.ndarray, window: int | Sequence[int]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Max-pool *image* with block size *window*: ``n/p`` per dimension,
+    with the winners :func:`max_pool_backward` routes through."""
+    img = check_array3(image, "image")
+    pool_shape(img.shape, window)  # validates divisibility
+    return window_max(img, window, step=window)
+
+
+def max_pool_backward(grad_output: np.ndarray, argmax: np.ndarray,
+                      window: int | Sequence[int]) -> np.ndarray:
+    """Max-pooling Jacobian: expand ``n^3`` back to ``(n*p)^3``, zero
+    everywhere but at each block's forward winner."""
     go = check_array3(grad_output, "grad_output")
-    in_shape = as_shape3(input_shape, name="input_shape")
-    if argmax.shape != go.shape + (3,):
-        raise ValueError(
-            f"argmax shape {argmax.shape} incompatible with grad_output "
-            f"{go.shape}")
-    grad_input = np.zeros(in_shape, dtype=go.dtype)
-    flat_idx = (argmax[..., 0] * (in_shape[1] * in_shape[2])
-                + argmax[..., 1] * in_shape[2]
-                + argmax[..., 2])
-    np.add.at(grad_input.reshape(-1), flat_idx.reshape(-1), go.reshape(-1))
-    return grad_input
+    p = as_shape3(window, name="window")
+    return scatter_winners(
+        go, argmax, tuple(n * pd for n, pd in zip(go.shape, p)))
 
 
 def max_filter_1d_heap(array: np.ndarray, k: int) -> np.ndarray:
@@ -130,7 +179,7 @@ def max_filter_separable(image: np.ndarray, window: int | Sequence[int]
     The 3-D box maximum is separable, so filtering the ``n^2`` rows of
     each of the three directions in turn (Table I's ``6 n^3 log k``)
     gives the same values as the direct window maximum.  Returns values
-    only (the Jacobian needs :func:`max_filter_forward`'s argmax).
+    only (the Jacobian needs :func:`window_max`'s winners).
     """
     img = check_array3(image, "image")
     k = as_shape3(window, name="window")

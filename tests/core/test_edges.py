@@ -7,8 +7,7 @@ from repro.core import SGD
 from repro.core.edges import (
     ConvEdge,
     DropoutEdge,
-    MaxFilterEdge,
-    MaxPoolEdge,
+    MaxWindowEdge,
     SharedKernel,
     TransferEdge,
     make_runtime_edge,
@@ -124,7 +123,8 @@ class TestPoolFilterEdges:
     def test_pool_roundtrip(self, rng):
         spec = EdgeSpec(name="p", src="u", dst="v", kind="pool", window=2)
         src, dst = node("u", (6, 6, 6)), node("v", (3, 3, 3))
-        edge = MaxPoolEdge(spec, src, dst)
+        edge = make_runtime_edge(spec, src, dst)
+        assert isinstance(edge, MaxWindowEdge)
         x = rng.standard_normal((6, 6, 6))
         out = edge.forward(x)
         assert out.shape == (3, 3, 3)
@@ -133,7 +133,8 @@ class TestPoolFilterEdges:
 
     def test_pool_backward_before_forward_rejected(self, rng):
         spec = EdgeSpec(name="p", src="u", dst="v", kind="pool", window=2)
-        edge = MaxPoolEdge(spec, node("u", (4, 4, 4)), node("v", (2, 2, 2)))
+        edge = make_runtime_edge(spec, node("u", (4, 4, 4)),
+                                 node("v", (2, 2, 2)))
         with pytest.raises(RuntimeError):
             edge.backward(rng.standard_normal((2, 2, 2)))
 
@@ -141,7 +142,8 @@ class TestPoolFilterEdges:
         spec = EdgeSpec(name="f", src="u", dst="v", kind="filter",
                         window=2, sparsity=(2, 2, 2))
         src, dst = node("u", (8, 8, 8)), node("v", (6, 6, 6))
-        edge = MaxFilterEdge(spec, src, dst)
+        edge = make_runtime_edge(spec, src, dst)
+        assert isinstance(edge, MaxWindowEdge)
         x = rng.standard_normal((8, 8, 8))
         out = edge.forward(x)
         assert out.shape == (6, 6, 6)

@@ -80,8 +80,9 @@ class TestCleanFleet:
 
     def test_health_names_every_worker(self, small_model):
         fleet = make_fleet(small_model, 2, pool_name="fleet-health")
-        fleet.start(ready_timeout=120)
+        fleet.start(ready_timeout=120)  # returns once ONE worker is up
         try:
+            assert fleet.supervisor.wait_ready(timeout=120)
             doc = fleet.health()
             assert doc["status"] == "ok"
             assert doc["role"] == "fleet"
@@ -177,6 +178,9 @@ class TestHangChaos:
             pool_name="fleet-hang")
         fleet.start(ready_timeout=120)
         try:
+            # Both up, or the request routes past a still-starting
+            # preferred worker and the hang never fires.
+            assert fleet.supervisor.wait_ready(timeout=120)
             start = time.monotonic()
             out = fleet.infer("small", volume, timeout=60.0)
             elapsed = time.monotonic() - start

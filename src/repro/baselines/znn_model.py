@@ -42,7 +42,7 @@ COMPARISON_SPEC = "CTPCTPCTCTCTCT"
 
 #: Fraction of a Xeon core's peak the MKL FFT path sustains.
 ZNN_FFT_EFFICIENCY = 0.20
-#: Fraction sustained by the direct (tensordot/SIMD) path.
+#: Fraction sustained by ZNN's direct (SIMD) path.
 ZNN_DIRECT_EFFICIENCY = 0.55
 
 

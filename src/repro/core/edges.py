@@ -48,7 +48,11 @@ from repro.tensor.backends import FALLBACK, conv_backend
 from repro.tensor.conv_fft import FftConvPlan
 from repro.tensor.fft_cache import TransformCache
 from repro.tensor.fourier import forward_transform
-from repro.tensor.filtering import scatter_winners, window_max
+from repro.tensor.filtering import (
+    scatter_winners,
+    window_max,
+    window_max_values,
+)
 from repro.tensor.transfer import get_transfer
 from repro.utils.rng import kernel_init
 
@@ -278,22 +282,27 @@ class TransferEdge(RuntimeEdge):
 class MaxWindowEdge(RuntimeEdge):
     """The window maximum with winner routing for the Jacobian, both
     kinds: max-pooling steps by its window (n^3 -> (n/p)^3); sparse
-    max-filtering steps by one voxel (resolution-preserving; Fig 2)."""
+    max-filtering steps by one voxel (resolution-preserving; Fig 2).
+    Forward computes values only and keeps its input; the round's first
+    backward derives the winners, so inference never computes them."""
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode) -> None:
         super().__init__(spec, src, dst)
         #: (window, step, dilation) of the one kernel.
         self._geometry = ((spec.window, spec.window, 1) if spec.kind == "pool"
                           else (spec.window, 1, spec.sparsity))
+        self._input: Optional[np.ndarray] = None
         self._winners: Optional[np.ndarray] = None
 
     def forward(self, image: np.ndarray) -> np.ndarray:
-        out, self._winners = window_max(image, *self._geometry)
-        return out
+        self._input, self._winners = image, None
+        return window_max_values(image, *self._geometry)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._winners is None:
+        if self._input is None:
             raise RuntimeError(f"backward before forward on {self.name!r}")
+        if self._winners is None:
+            self._winners = window_max(self._input, *self._geometry)[1]
         return scatter_winners(grad, self._winners, self.src.shape)
 
 

@@ -7,7 +7,7 @@ work-stealing alternatives (Section X) plug in through the same
 interface (see :mod:`repro.scheduler.strategies`).
 
 In CPython the GIL serialises pure-Python bytecode, but the heavy task
-bodies here are numpy FFTs, tensordots and ufuncs which release the GIL
+bodies here are numpy FFTs and whole-block ufuncs, which release the GIL
 for their inner loops, so workers do overlap real work on multi-core
 hosts.  The scalability *measurements* of the paper are reproduced by
 the discrete-event simulator (:mod:`repro.simulate`) which schedules the

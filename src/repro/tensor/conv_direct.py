@@ -23,22 +23,22 @@ size ``k`` has an effective footprint of ``(k-1)*s + 1`` voxels per
 dimension.  Sparse convolution is what makes max-filtering ConvNets
 equivalent to sliding-window max-pooling ConvNets (Fig 2).
 
-Implementation notes (per the HPC guides): the forward-path
-correlations accumulate one kernel tap at a time over strided views of
-the image, in a fixed C order over the taps.  Each tap is a fused
-scalar-multiply/add over a contiguous block, so the heavy loops still
-run in compiled ufunc code — but, unlike a BLAS ``tensordot``
-contraction, the floating-point reduction order never depends on the
-image extent.  That makes direct convolution *bitwise translation
-covariant*: a voxel computed inside a small tile equals the same voxel
-computed inside the whole volume, bit for bit, which the serving tiler
-relies on to stitch seam-free dense output.  (BLAS GEMV reassociates
-the sum differently depending on the number of rows, so tensordot-based
-contraction is only covariant up to ~1 ulp.)  The tap accumulation also
-never materialises the ``out_shape + kernel_shape`` window copy that a
-tensordot contraction would.  The kernel-gradient path keeps the
-tensordot form: its output is kernel-sized, so the window tensor is
-small and no covariance property is required of it.
+Implementation notes (per the HPC guides): all three passes fold one
+kernel tap at a time over strided views of the larger image
+(:func:`tap_views`), in a fixed C order over the taps — the forward
+pass *accumulates* ``K[u] * I[x + s*u]``, the backward pass *scatters*
+``K[u] * dO`` into the tap's block of the input gradient, the kernel
+gradient *reduces* ``I[x + s*u] * dO`` to one number per tap.  The
+heavy loops run in compiled ufunc code, no pass materialises a padded
+image or an ``out_shape + kernel_shape`` window copy, and — unlike a
+BLAS contraction, which reassociates by the number of rows — the
+floating-point reduction order never depends on the image extent.
+Forward and backward are therefore *bitwise translation covariant*: a
+voxel computed inside a small tile equals the same voxel computed
+inside the whole volume, bit for bit, which the serving tiler relies on
+to stitch seam-free dense output.  The kernel gradient sums over the
+whole image; its order is a function of the two shapes alone.  No BLAS
+call is left in this module (``docs/algorithms.md`` §8).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.pram.costs import conv_layer_costs_direct, direct_conv_task_cost
 from repro.utils.shapes import (
@@ -81,10 +80,11 @@ def direct_pass_cost(image_shape: int | Sequence[int],
 
     ``flops`` is the Table II count ``n'^3 * k^3`` (every pass — valid
     forward, full backward, kernel gradient — touches each
-    (output-voxel, kernel-tap) pair once).  ``bytes`` follows the
-    tap-accumulation structure of :func:`_accumulate_taps`: the output
-    block is streamed once per kernel tap plus one final write, in
-    float64.  Consumed by :mod:`repro.observability.profile` to turn
+    (output-voxel, kernel-tap) pair once).  ``bytes`` follows the tap
+    walk all three share: one ``n'^3`` block streamed per kernel tap
+    (accumulated into the output, scattered into the input gradient, or
+    reduced against the output gradient) plus one write of the result,
+    in float64.  Consumed by :mod:`repro.observability.profile` to turn
     measured per-edge timings into achieved FLOP/s.
     """
     k = voxels(kernel_shape)
@@ -123,46 +123,35 @@ def tap_views(image: np.ndarray, window: tuple[int, int, int],
               step: tuple[int, int, int] = (1, 1, 1)):
     """The one walk over a window's taps, in C order.
 
-    Yields, per tap ``u``, the flat index into (C-contiguous) *image*
-    of the tap's first voxel and the strided view ``image[d*u + t*x]``
-    over all window positions ``x`` in *out_shape* (``d`` the dilation,
-    ``t`` the step).  Every windowed reduction — the correlation sum
-    below, the window maximum of :mod:`repro.tensor.filtering` — folds
-    these views in this order, so its reduction order is a function of
-    the window shape alone: the bitwise tile-equals-volume property of
-    the module notes has this one home.
+    Yields, per tap ``u``, the strided view ``image[d*u + t*x]`` over
+    all window positions ``x`` in *out_shape* (``d`` the dilation, ``t``
+    the step).  Every windowed reduction — the three passes below, the
+    window maximum of :mod:`repro.tensor.filtering` — folds these views
+    in this order, so its reduction order is a function of the window
+    shape alone: the bitwise tile-equals-volume property of the module
+    notes has this one home.
     """
-    _, n1, n2 = image.shape
-    axes = [[(u * d, slice(u * d, u * d + (o - 1) * t + 1, t))
-             for u in range(k)]
+    axes = [[slice(u * d, u * d + (o - 1) * t + 1, t) for u in range(k)]
             for k, d, o, t in zip(window, dilation, out_shape, step)]
-    for (z, zs), (y, ys), (x, xs) in product(*axes):  # C order: x fastest
-        yield (z * n1 + y) * n2 + x, image[zs, ys, xs]
-
-
-def _accumulate_taps(image: np.ndarray, kernel: np.ndarray,
-                     sparsity: tuple[int, int, int],
-                     out_shape: tuple[int, int, int]) -> np.ndarray:
-    """Correlate by accumulating one kernel tap at a time, in C order:
-    ``out = sum_u kernel[u] * image[s*u : s*u + out_shape]``, the sum
-    taken tap by tap over :func:`tap_views`."""
-    out = np.zeros(out_shape, dtype=np.result_type(image, kernel))
-    tap = np.empty(out_shape, dtype=out.dtype)
-    taps = tap_views(image, kernel.shape, sparsity, out_shape)
-    for weight, (_, block) in zip(kernel.ravel(), taps):
-        np.multiply(block, weight, out=tap)
-        out += tap
-    return out
+    for zs, ys, xs in product(*axes):  # C order: x fastest
+        yield image[zs, ys, xs]
 
 
 def correlate_valid(image: np.ndarray, kernel: np.ndarray,
                     sparsity: int | Sequence[int] = 1) -> np.ndarray:
-    """Valid sparse correlation: output shape ``n - (k-1)*s`` per dim."""
+    """Valid sparse correlation, output shape ``n - (k-1)*s`` per dim:
+    ``out = sum_u kernel[u] * image[s*u + x]``, accumulated tap by tap."""
     img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
     s = as_shape3(sparsity, name="sparsity")
-    out_shape = valid_conv_shape(img.shape, ker.shape, s)
-    return _accumulate_taps(img, ker, s, out_shape)
+    out = np.zeros(valid_conv_shape(img.shape, ker.shape, s),
+                   dtype=np.result_type(img, ker))
+    tap = np.empty(out.shape, dtype=out.dtype)
+    blocks = tap_views(img, ker.shape, s, out.shape)
+    for weight, block in zip(ker.ravel(), blocks):
+        np.multiply(block, weight, out=tap)
+        out += tap
+    return out
 
 
 def convolve_valid(image: np.ndarray, kernel: np.ndarray,
@@ -174,14 +163,25 @@ def convolve_valid(image: np.ndarray, kernel: np.ndarray,
 
 def correlate_full(image: np.ndarray, kernel: np.ndarray,
                    sparsity: int | Sequence[int] = 1) -> np.ndarray:
-    """Full sparse correlation: output shape ``n + (k-1)*s`` per dim."""
+    """Full sparse correlation: output shape ``n + (k-1)*s`` per dim.
+
+    The tap walk in scatter form: tap ``u`` adds ``kernel[u] * image``
+    into the output block ``(k-1-u)*s`` voxels in — the terms, in the
+    order, of a valid correlation of the zero-padded image, less the
+    padding's ``+-0`` terms, which a running sum that is never ``-0``
+    does not feel: for finite kernels the two agree bit for bit.
+    """
     img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
     s = as_shape3(sparsity, name="sparsity")
-    out_shape = full_conv_shape(img.shape, ker.shape, s)
-    padded = np.pad(
-        img, [(e - 1, e - 1) for e in effective_kernel_shape(ker.shape, s)])
-    return _accumulate_taps(padded, ker, s, out_shape)
+    out = np.zeros(full_conv_shape(img.shape, ker.shape, s),
+                   dtype=np.result_type(img, ker))
+    tap = np.empty(img.shape, dtype=out.dtype)
+    blocks = list(tap_views(out, ker.shape, s, img.shape))
+    for weight, block in zip(ker.ravel(), reversed(blocks)):
+        np.multiply(img, weight, out=tap)
+        block += tap
+    return out
 
 
 def convolve_full(image: np.ndarray, kernel: np.ndarray,
@@ -215,11 +215,13 @@ def conv_kernel_gradient(image: np.ndarray, grad_output: np.ndarray,
     img = check_array3(image, "image")
     go = check_array3(grad_output, "grad_output")
     s = as_shape3(sparsity, name="sparsity")
-    # Windows the size of the output gradient, one per dilated lag; then
-    # subsample lags by the sparsity to land on the kernel taps.
-    view = sliding_window_view(img, go.shape)
-    lags = view[:: s[0], :: s[1], :: s[2]]
-    return np.tensordot(lags, go, axes=3)
+    k = tuple((n - m) // sd + 1 for n, m, sd in zip(img.shape, go.shape, s))
+    if min(k) < 1:
+        raise ValueError(f"grad_output {go.shape} larger than image "
+                         f"{img.shape}")
+    # einsum's own multiply-add loop (optimize off: never BLAS).
+    return np.array([np.einsum("zyx,zyx->", block, go)
+                     for block in tap_views(img, k, s, go.shape)]).reshape(k)
 
 
 class DirectBackend:

@@ -15,14 +15,18 @@ taps per dimension ``dilation`` voxels apart, windows ``step`` apart.
 * *Max-pooling* is ``step = window``: the ``n^3`` image (``n`` divisible
   by ``p``) falls into disjoint ``p^3`` blocks, output ``(n/p)^3``.
 
-The kernel keeps a running maximum over the ``k^3`` taps in C order
-(:func:`repro.tensor.conv_direct.tap_views`, the walk direct convolution
-sums over), replacing only on a strict ``>``: the first maximum in tap
-order wins, as ``numpy.argmax`` over the window would choose, whatever
-the image extent — a voxel filtered inside a tile equals the same voxel
-of the whole volume.  Forward and Jacobian share the *winners* — per
-output voxel, the flat index of the input voxel that won — so
-tie-breaking is consistent by construction.
+The box maximum is separable, so the kernel folds one axis at a time —
+x, then y, then z — each pass the 1-D case of the tap walk direct
+convolution sums over (:func:`repro.tensor.conv_direct.tap_views`):
+plain ufuncs over strided views, no window copy, no masked select.  A
+tap replaces the running winner only on a strict ``>`` and the later
+pass decides first, so the winner is the first maximum in C tap order,
+as ``numpy.argmax`` over the window would choose, whatever the image
+extent — a voxel filtered inside a tile equals the same voxel of the
+whole volume.  Forward and Jacobian share the *winners* — per output
+voxel, the flat index of the input voxel that won; a caller that never
+runs the Jacobian asks for :func:`window_max_values` and pays for none
+(``docs/algorithms.md`` "Window maximum").
 
 :func:`max_filter_1d_heap` / :func:`max_filter_separable` are the
 paper's own algorithm — sequential 1-D max-filterings in each of the
@@ -42,11 +46,17 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.tensor.conv_direct import tap_views
-from repro.utils.shapes import as_shape3, pool_shape, valid_conv_shape
+from repro.utils.shapes import (
+    as_shape3,
+    pool_shape,
+    valid_conv_shape,
+    voxels,
+)
 from repro.utils.validation import check_array3
 
 __all__ = [
     "window_max",
+    "window_max_values",
     "scatter_winners",
     "max_filter_forward",
     "max_filter_backward",
@@ -55,6 +65,60 @@ __all__ = [
     "max_filter_1d_heap",
     "max_filter_separable",
 ]
+
+
+def _geometry(image, window, step, dilation):
+    """Validated ``(image, window, step, dilation, output shape)``."""
+    img = check_array3(image, "image")
+    k = as_shape3(window, name="window")
+    t = as_shape3(step, name="step")
+    d = as_shape3(dilation, name="dilation")
+    valid = valid_conv_shape(img.shape, k, d)
+    return img, k, t, d, tuple((v - 1) // ti + 1 for v, ti in zip(valid, t))
+
+
+def _separable_max(img, k, t, d, out_shape, code=None, has_nan=False):
+    """Fold the window one axis at a time — x, then y, then z — each
+    pass the 1-D tap walk over what the previous one left.  With *code*
+    (zeros like *img*, of an integer type holding ``+-k^3``) the C-order
+    rank of the winning tap rides along, replaced on a strict ``>`` by
+    exact integer arithmetic rather than a masked select.  Returns
+    ``(values, code)``; why this is the first maximum in C tap order is
+    ``docs/algorithms.md`` "Window maximum".
+    """
+    acc, radix = img, 1
+    for axis in (2, 1, 0):
+        window, dilation, step = (
+            tuple(v[axis] if a == axis else 1 for a in range(3))
+            for v in (k, d, t))
+        walk = (window, dilation, acc.shape[:axis] + out_shape[axis:], step)
+        blocks = list(tap_views(acc, *walk))
+        acc = blocks[0]
+        if code is not None:
+            ranks = list(tap_views(code, *walk))
+            code = ranks[0]
+        for u in range(1, k[axis]):
+            if code is not None:
+                wins = blocks[u] > acc
+                if has_nan:  # rare: strict > alone would skip a later NaN
+                    wins |= np.isnan(blocks[u]) & ~np.isnan(acc)
+                code = code + wins * (ranks[u] + u * radix - code)
+            acc = np.maximum(acc, blocks[u])
+        radix *= k[axis]
+    # Still a view of *img* where no axis had a second tap: own it.
+    return (acc if acc.base is None else acc.copy()), code
+
+
+def window_max_values(image: np.ndarray, window: int | Sequence[int],
+                      step: int | Sequence[int] = 1,
+                      dilation: int | Sequence[int] = 1) -> np.ndarray:
+    """``window_max(...)[0]``, bit for bit, without deriving winners
+    unless the sign of a zero or the payload of a NaN hangs on them."""
+    img, k, t, d, out_shape = _geometry(image, window, step, dilation)
+    values, _ = _separable_max(img, k, t, d, out_shape)
+    if values.all() and not np.isnan(values).any():
+        return values
+    return window_max(img, k, t, d)[0]
 
 
 def window_max(image: np.ndarray, window: int | Sequence[int],
@@ -69,26 +133,20 @@ def window_max(image: np.ndarray, window: int | Sequence[int],
     (a NaN counts as the maximum, so a window containing one yields
     NaN); ``image.flat[winners] == values``.
     """
-    img = check_array3(image, "image")
-    k = as_shape3(window, name="window")
-    t = as_shape3(step, name="step")
-    d = as_shape3(dilation, name="sparsity")
-    valid = valid_conv_shape(img.shape, k, d)
-    out_shape = tuple((v - 1) // ti + 1 for v, ti in zip(valid, t))
-    taps = tap_views(img, k, d, out_shape, t)
-    values = next(taps)[1].copy()
-    winners = np.zeros(out_shape, dtype=np.intp)
-    wins = np.empty(out_shape, dtype=bool)
-    has_nan = np.isnan(img).any()
-    for offset, view in taps:
-        np.greater(view, values, out=wins)
-        if has_nan:  # rare: strict > alone would skip a NaN in a later tap
-            wins |= np.isnan(view) & ~np.isnan(values)
-        np.putmask(values, wins, view)
-        np.putmask(winners, wins, offset)
-    # So far the winning tap's offset; add each window's own origin.
-    z, y, x = np.ix_(*(np.arange(o) * ti for o, ti in zip(out_shape, t)))
-    winners += (z * img.shape[1] + y) * img.shape[2] + x
+    img, k, t, d, out_shape = _geometry(image, window, step, dilation)
+    has_nan = bool(np.isnan(img).any())
+    code = np.zeros(img.shape, dtype=np.min_scalar_type(-voxels(k)))
+    values, code = _separable_max(img, k, t, d, out_shape, code, has_nan)
+    # Rank -> flat index: the tap's offset plus the window's origin,
+    # both lattices of the image's own flat index.
+    index = np.arange(img.size, dtype=np.intp).reshape(img.shape)
+    taps, origins = (index[tuple(slice(0, c * s, s) for c, s in zip(n, by))]
+                     for n, by in ((k, d), (out_shape, t)))
+    winners = taps.ravel()[code.astype(np.intp)]
+    winners += origins
+    if has_nan or not values.all():
+        # maximum() may return either of two equal zeros (or NaNs).
+        values = img.ravel()[winners]
     return values, winners
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import SGD
+import repro.core.edges as edges_module
+from repro.core import SGD, Network, state_digest
 from repro.core.edges import (
     ConvEdge,
     DropoutEdge,
@@ -13,6 +14,7 @@ from repro.core.edges import (
     make_runtime_edge,
 )
 from repro.core.nodes import RuntimeNode
+from repro.graph import build_layered_network
 from repro.graph.computation_graph import EdgeSpec, NodeSpec
 from repro.tensor import correlate_valid
 from repro.tensor.backends import registry
@@ -149,6 +151,96 @@ class TestPoolFilterEdges:
         assert out.shape == (6, 6, 6)
         back = edge.backward(rng.standard_normal((6, 6, 6)))
         assert back.shape == (8, 8, 8)
+
+
+@pytest.fixture
+def winner_calls(monkeypatch):
+    """Calls of the winners-deriving kernel made by edges, as a list."""
+    calls = []
+    kernel = edges_module.window_max
+
+    def counted(image, *geometry):
+        calls.append(geometry)
+        return kernel(image, *geometry)
+
+    monkeypatch.setattr(edges_module, "window_max", counted)
+    return calls
+
+
+def ctmct(**kwargs):
+    graph = build_layered_network("CTMCT", width=[2, 1], kernel=2,
+                                  window=2, transfer="tanh")
+    return Network(graph, input_shape=(9, 9, 9), conv_mode="direct",
+                   seed=3, **kwargs)
+
+
+class TestWinnersOnDemand:
+    def filter_edge(self):
+        spec = EdgeSpec(name="f", src="u", dst="v", kind="filter",
+                        window=2, sparsity=(1, 1, 1))
+        return make_runtime_edge(spec, node("u", (5, 5, 5)),
+                                 node("v", (4, 4, 4)))
+
+    def test_forward_only_network_computes_no_winners(self, rng,
+                                                      winner_calls):
+        with ctmct() as net:
+            assert any(isinstance(e, MaxWindowEdge)
+                       for e in net.edges.values())
+            for _ in range(2):
+                net.forward(rng.standard_normal((9, 9, 9)))
+        assert winner_calls == []
+
+    def test_training_round_derives_them_once_per_edge(self, rng,
+                                                       winner_calls):
+        with ctmct() as net:
+            filters = [e for e in net.edges.values()
+                       if isinstance(e, MaxWindowEdge)]
+            target = rng.standard_normal(net.output_nodes[0].shape)
+            for round_number in (1, 2):
+                net.train_step(rng.standard_normal((9, 9, 9)), target)
+                net.synchronize()
+                assert len(winner_calls) == round_number * len(filters)
+
+    def test_two_backwards_share_one_derivation(self, rng, winner_calls):
+        edge = self.filter_edge()
+        edge.forward(rng.standard_normal((5, 5, 5)))
+        grad = rng.standard_normal((4, 4, 4))
+        first = edge.backward(grad)
+        np.testing.assert_array_equal(edge.backward(grad), first)
+        assert len(winner_calls) == 1
+
+    def test_next_forward_invalidates_the_winners(self, rng, winner_calls):
+        edge = self.filter_edge()
+        x = rng.standard_normal((5, 5, 5))
+        grad = rng.standard_normal((4, 4, 4))
+        edge.forward(x)
+        stale = edge.backward(grad)
+        edge.forward(-x)  # every window's winner moves
+        fresh = edge.backward(grad)
+        assert len(winner_calls) == 2
+        assert not np.array_equal(fresh, stale)
+
+    def test_backward_routes_to_the_forward_maximum(self, rng):
+        edge = self.filter_edge()
+        x = rng.standard_normal((5, 5, 5))
+        out = edge.forward(x)
+        back = edge.backward(np.ones((4, 4, 4)))
+        assert back.sum() == out.size
+        assert set(x[back > 0]) == set(out.ravel())
+
+    def test_state_digest_independent_of_worker_count(self, rng):
+        x = rng.standard_normal((9, 9, 9))
+
+        def digest(num_workers):
+            with ctmct(num_workers=num_workers, deterministic_sums=True,
+                       optimizer=SGD(learning_rate=0.01,
+                                     momentum=0.9)) as net:
+                target = np.zeros(net.output_nodes[0].shape)
+                for _ in range(3):
+                    net.train_step(x, target)
+                return state_digest(net)
+
+        assert digest(1) == digest(2)
 
 
 class TestDropoutEdge:

@@ -29,7 +29,7 @@ from repro.core import (
     crossover_kernel_size,
     layer_crossover_kernel_size,
 )
-from repro.observability import get_profiler
+from repro.observability import Tracer, cost_model_from_spans, set_tracer
 from repro.serving import ModelRegistry, ModelSpec, plan_specialization
 
 IMAGE = (32, 32, 32)
@@ -125,7 +125,6 @@ def test_specialized_vs_single_mode(name, volume_shape):
     spec = SERVING_SPECS[name]
     volume = np.random.default_rng(7).standard_normal(volume_shape)
     registry = ModelRegistry(max_models=8)
-    profiler = get_profiler()
     try:
         registry.register(spec)
         analytic = plan_specialization(spec, volume_shape)
@@ -137,13 +136,15 @@ def test_specialized_vs_single_mode(name, volume_shape):
         # of each pays cache misses and is kept out of the model).
         for warm in single.values():
             warm.run(volume)
-        profiler.enable()
-        profiler.clear()
-        for warm in single.values():
-            warm.run(volume)
-            warm.run(volume)
-        cost_model = profiler.cost_model()
-        profiler.disable()
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            for warm in single.values():
+                warm.run(volume)
+                warm.run(volume)
+        finally:
+            set_tracer(previous)
+        cost_model = cost_model_from_spans(tracer.spans(), tracer.dropped)
         plan = plan_specialization(spec, volume_shape,
                                    cost_model=cost_model)
         results = {}

@@ -108,7 +108,7 @@ def test_thread_local_allocator_report():
 
 def test_print_metrics_registry_snapshot():
     """A run's registry snapshot — the same counters the CLI's
-    ``repro metrics`` command prints."""
+    ``repro train --metrics`` prints."""
     reg = get_registry()
     reg.reset()
     training(num_workers=1, rounds=1)

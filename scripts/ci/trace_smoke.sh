@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Trace-smoke lane: every way of producing a task trace gives the one
-# Chrome-trace format, a traced serve request and a traced
-# multi-process training run merge into connected traces, the metrics
-# snapshot is sane, and tracing-on stays within 5% of tracing-off.
+# Trace-smoke lane: `repro train` is the one instrumented run — its
+# --trace-out gives the one Chrome-trace format (task slices with pass
+# slices inside), its --profile-out the cost model folded from the same
+# spans, its --metrics the registry table; a traced serve request and a
+# traced multi-process training run merge into connected traces; and
+# tracing-on (pass spans included) stays within 5% of tracing-off.
 #
 # Run from anywhere:  scripts/ci/trace_smoke.sh
 # CI (.github/workflows/ci.yml, job trace-smoke) only calls this file.
@@ -31,7 +33,7 @@ doc = json.load(open(path))
 slices = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
 assert slices, f"{path}: no slices"
 ids = {e["args"]["span_id"] for e in slices}
-tasks = 0
+tasks = passes = 0
 for e in slices:
     assert {"name", "ph", "pid", "tid", "ts", "dur"} <= set(e), e
     args = e["args"]
@@ -41,20 +43,57 @@ for e in slices:
     if "worker" in args:  # an engine task
         assert "queue_wait" in args and args["queue_wait"] >= 0.0, e
         tasks += 1
+    if e["cat"] == "pass":  # what a task did: one edge or node pass
+        assert {"edge", "backend", "op"} <= set(args), e
+        assert "worker" not in args and args["parent_id"] in ids, e
+        passes += 1
 pids = {e["pid"] for e in slices}
 assert want_pids <= pids, (path, pids)
-assert tasks or not want_tasks, f"{path}: no task slices"
-print(f"ok: {path}: {len(slices)} slices ({tasks} tasks), "
-      f"pids {sorted(pids)}")
+assert (tasks and passes) or not want_tasks, f"{path}: no task slices"
+print(f"ok: {path}: {len(slices)} slices ({tasks} tasks, {passes} "
+      f"passes), pids {sorted(pids)}")
 EOF
 }
 
-echo "== traced training run, one process"
+echo "== instrumented training run: trace, cost model, metrics"
 python -m repro train --rounds 2 --input-size 20 --volume-size 32 \
-  --conv-mode fft --trace-out "$work/train1.json" --metrics \
+  --conv-mode fft --trace-out "$work/train1.json" \
+  --profile-out "$work/cost_model.json" --metrics \
   | tee "$work/train1.out"
 grep -q "tasks over" "$work/train1.out"
+grep -q "cost model written" "$work/train1.out"
 validate "$work/train1.json" 0 tasks
+
+echo "== cost model: conv x fwd/bwd/upd, transfer and filter edges too"
+python - "$work/cost_model.json" << 'EOF'
+import sys
+
+from repro.loadgen import ServiceModel
+from repro.observability.profile import load_cost_model
+from repro.serving.specialize import CostModel
+
+doc = load_cost_model(sys.argv[1])  # validates against the schema
+ops = {}
+for e in doc["entries"]:
+    ops.setdefault((e["edge"], e["backend"]), set()).add(e["op"])
+    assert e["count"] == 2 and e["seconds"] > 0, e
+conv = {k: v for k, v in ops.items() if k[1] == "fft"}
+assert conv and all(v == {"fwd", "bwd", "upd"} for v in conv.values()), conv
+assert all(e["flops"] > 0 and e["image_shape"] and e["kernel_shape"]
+           for e in doc["entries"] if e["backend"] == "fft")
+kinds = {backend for _, backend in ops}
+assert {"transfer", "filter"} <= kinds, kinds
+assert CostModel(doc).measured
+assert ServiceModel.from_cost_model(doc).seconds_per_voxel > 0
+print(f"ok: {len(doc['entries'])} entries, {len(conv)} conv edges, "
+      f"kinds {sorted(kinds)}")
+EOF
+
+echo "== metrics table sanity"
+for name in queue.pop fft_cache.hit fft_cache.miss pool.alloc train.rounds
+do
+  grep -q "$name" "$work/train1.out" || { echo "no $name row"; exit 1; }
+done
 
 echo "== traced training run, 4 worker processes"
 python -m repro train --workers 4 --batch 4 --rounds 2 \
@@ -64,28 +103,6 @@ python -m repro train --workers 4 --batch 4 --rounds 2 \
 grep -q "process(es)" "$work/train4.out"
 grep -q "tasks over" "$work/train4.out"
 validate "$work/train4.json" 0,1,2,3 tasks
-
-echo "== repro trace"
-python -m repro trace --out "$work/trace.json" --workers 2 --rounds 2 \
-  --input-size 20 --volume-size 32
-validate "$work/trace.json" 0 tasks
-
-echo "== metrics snapshot sanity"
-python -m repro metrics --rounds 1 --input-size 20 \
-  --volume-size 32 --json > "$work/metrics.json"
-python - "$work/metrics.json" << 'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as fh:
-    snap = json.load(fh)
-for name in ("queue.pop", "fft_cache.hit", "fft_cache.miss"):
-    assert snap.get(name, 0) >= 0, name
-assert snap["queue.pop"] > 0
-assert any(k.startswith("pool.alloc") and v > 0
-           for k, v in snap.items() if not isinstance(v, dict))
-print("ok:", len(snap), "metrics")
-EOF
 
 echo "== traced serve request"
 python -m repro train --spec examples/serving_small.spec \

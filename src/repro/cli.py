@@ -15,22 +15,17 @@ Commands
     kernel sizes.
 ``train``
     Train a network from a spec file (or the built-in 3D benchmark) on
-    synthetic boundary-detection data, with optional checkpointing and
-    (``--trace-out``) a Chrome-trace of every executed task.
-``metrics``
-    Run a short instrumented training workload and print the metrics
-    registry snapshot (queue / engine / FFT-cache / allocator /
-    trainer counters — see docs/observability.md).
+    synthetic boundary-detection data, with optional checkpointing.
+    It is also the one instrumented run: ``--metrics`` prints the
+    metrics registry snapshot, ``--trace-out`` writes a Chrome trace of
+    every executed task and pass, ``--profile-out`` the per-layer
+    ``cost_model.json`` folded from the same spans (measured seconds +
+    analytic FLOPs/bytes per (edge, backend, op); see
+    docs/observability.md).
 ``trace``
-    Run a short traced training workload and write ``chrome://tracing``
-    JSON — or, with ``--merge``, combine per-process span trace files
-    (``repro.trace/v1``, e.g. from ``repro serve --trace-dir``) into
-    one Chrome trace with stable pid/tid naming; ``--tree`` prints the
-    span-tree text view instead.
-``profile``
-    Run a short profiled training workload and emit the per-layer
-    ``cost_model.json`` (measured seconds + analytic FLOPs/bytes per
-    (edge, backend, op); see docs/observability.md).
+    Combine per-process span trace files (``repro.trace/v1``, e.g. from
+    ``repro serve --trace-dir``) into one Chrome trace with stable
+    pid/tid naming; ``--tree`` prints the span-tree text view instead.
 ``slo``
     Run a short serving workload under a deadline and print the SLO
     report: p50/p95/p99 admission-wait, service and end-to-end
@@ -50,7 +45,7 @@ Commands
     Plan ZNNi per-layer direct/FFT backends and the throughput-optimal
     serving tile for a spec (arXiv:1606.05688, part a): sweep 5-smooth
     candidate tiles under a memory budget, price them with the
-    analytic FLOP formulas or a measured ``repro profile`` cost model,
+    analytic FLOP formulas or a measured ``train --profile-out`` cost model,
     and emit a ``repro.specialize/v1`` plan for ``serve --specialize``
     (see docs/serving.md "Per-layer specialization").
 ``serve``
@@ -80,19 +75,6 @@ from repro import reporting
 from repro.tensor.backends import registry
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_workload_flags(parser: argparse.ArgumentParser,
-                        workers: int) -> None:
-    """The short-training-workload flags ``metrics``, ``trace`` and
-    ``profile`` share; only the ``--workers`` default differs."""
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=workers)
-    parser.add_argument("--input-size", type=int, default=20)
-    parser.add_argument("--volume-size", type=int, default=32)
-    parser.add_argument("--conv-mode", default="fft",
-                        choices=("auto", *registry))
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,42 +157,25 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--volume-size", type=int, default=48)
     train.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write a chrome://tracing JSON of every "
-                            "executed task to FILE")
+                            "executed task and pass to FILE")
+    train.add_argument("--profile-out", default=None, metavar="FILE",
+                       help="write the per-layer repro.cost_model/v1 "
+                            "JSON folded from the run's pass spans to "
+                            "FILE")
     train.add_argument("--metrics", action="store_true",
                        help="print the metrics-registry snapshot after "
                             "training")
 
-    met = sub.add_parser("metrics",
-                         help="run a short instrumented training "
-                              "workload and print the metrics snapshot")
-    _add_workload_flags(met, workers=1)
-    met.add_argument("--json", action="store_true",
-                     help="emit the snapshot as JSON instead of a table")
-
     tr = sub.add_parser("trace",
-                        help="run a short traced training workload and "
-                             "write chrome://tracing JSON, or merge "
-                             "per-process span trace files")
+                        help="merge per-process span trace files into "
+                             "one chrome://tracing JSON")
+    tr.add_argument("--merge", nargs="+", required=True, metavar="FILE",
+                    help="repro.trace/v1 per-process trace files (e.g. "
+                         "from repro serve --trace-dir) to merge")
     tr.add_argument("--out", default="trace.json", metavar="FILE")
-    tr.add_argument("--merge", nargs="+", default=None, metavar="FILE",
-                    help="merge repro.trace/v1 per-process trace files "
-                         "(e.g. from repro serve --trace-dir) into one "
-                         "chrome://tracing JSON at --out")
     tr.add_argument("--tree", action="store_true",
-                    help="with --merge: print the span-tree text view "
-                         "instead of writing Chrome JSON")
-    _add_workload_flags(tr, workers=2)
-
-    prof = sub.add_parser("profile",
-                          help="run a short profiled training workload "
-                               "and emit the per-layer cost model")
-    prof.add_argument("--out", default="cost_model.json", metavar="FILE",
-                      help="where to write the validated "
-                           "repro.cost_model/v1 JSON")
-    _add_workload_flags(prof, workers=1)
-    prof.add_argument("--json", action="store_true",
-                      help="print the cost model as JSON instead of a "
-                           "table")
+                    help="print the span-tree text view instead of "
+                         "writing Chrome JSON")
 
     slo = sub.add_parser("slo",
                          help="run a short serving workload under a "
@@ -273,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="admission-queue capacity")
     lt.add_argument("--cost-model", default=None, metavar="FILE",
                     help="sim mode: derive per-request service cost "
-                         "from this repro profile cost_model.json")
+                         "from this train --profile-out "
+                         "cost_model.json")
     lt.add_argument("--speed", type=float, default=1.0,
                     help="live mode: replay time compression factor")
     lt.add_argument("--conv-mode", default="fft",
@@ -311,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="target volume shape, e.g. 48 or 32,64,64 "
                           "(default 48)")
     spz.add_argument("--cost-model", default=None, metavar="FILE",
-                     help="price candidates with this repro profile "
-                          "cost_model.json (default: analytic FLOP "
-                          "formulas at rate 1.0)")
+                     help="price candidates with this train "
+                          "--profile-out cost_model.json (default: "
+                          "analytic FLOP formulas at rate 1.0)")
     spz.add_argument("--tile-voxels", type=int, default=None,
                      help="input-tile voxel budget (default 2^21)")
     spz.add_argument("--memory-mb", type=float, default=None,
@@ -541,16 +507,20 @@ def _train_provider(volume_size: int, seed: int, input_size: int,
 
 
 @contextlib.contextmanager
-def _task_trace(path: Optional[str]):
-    """Trace every task run inside the block — in this process and,
-    through the inherited ``REPRO_TRACING``, in the worker processes it
-    spawns — then write the spans to *path* as Chrome-trace JSON and
-    print the task summary.  No *path*, no tracing."""
+def _task_trace(trace_out: Optional[str], profile_out: Optional[str]):
+    """Trace every task and pass run inside the block — in this process
+    and, through the inherited ``REPRO_TRACING``, in the worker
+    processes it spawns — then give the spans their views: the Chrome
+    trace and task summary (*trace_out*), the cost model folded from
+    the pass spans (*profile_out*).  Neither path, no tracing."""
+    from repro.observability.profile import (CostModelError,
+                                             cost_model_from_spans,
+                                             write_cost_model)
     from repro.observability.tracing import (get_tracer,
                                              summarize_task_spans,
                                              write_chrome_trace)
 
-    if not path:
+    if not (trace_out or profile_out):
         yield
         return
     tracer = get_tracer()
@@ -564,16 +534,26 @@ def _task_trace(path: Optional[str]):
         spans = tracer.spans()
         if not spans:  # the command refused its arguments
             return
-        write_chrome_trace(spans, path)
-        processes = sorted({s.process for s in spans})
-        print(f"trace written to {path} "
-              f"({len(spans)} spans from {len(processes)} process(es): "
-              f"{', '.join(processes)})")
-        print(summarize_task_spans(spans))
         dropped = tracer.dropped - dropped_before
-        if dropped:
-            print(f"note: the span ring overflowed; the {dropped} oldest "
-                  "spans are missing from the trace and the summary")
+        if trace_out:
+            write_chrome_trace(spans, trace_out)
+            processes = sorted({s.process for s in spans})
+            print(f"trace written to {trace_out} "
+                  f"({len(spans)} spans from {len(processes)} "
+                  f"process(es): {', '.join(processes)})")
+            print(summarize_task_spans(spans))
+            if dropped:
+                print(f"note: the span ring overflowed; the {dropped} "
+                      "oldest spans are missing from the trace and the "
+                      "summary")
+        if profile_out:
+            try:
+                doc = cost_model_from_spans(spans, dropped)
+            except CostModelError as exc:
+                raise SystemExit(f"--profile-out: {exc}")
+            write_cost_model(profile_out, doc)
+            print(f"cost model written to {profile_out} "
+                  f"({len(doc['entries'])} (edge, backend, op) entries)")
     finally:
         tracer.enabled = was_enabled
         if was_env is None:
@@ -585,8 +565,9 @@ def _task_trace(path: Optional[str]):
 def _cmd_train(args) -> int:
     """``repro train``: one recipe, one round loop, one report — run by
     the in-process trainer or, with ``--workers``/``--batch``, the
-    data-parallel one.  ``--trace-out`` traces either (worker processes
-    ship their spans back to the coordinator's buffer)."""
+    data-parallel one.  ``--trace-out``/``--profile-out`` trace either
+    (worker processes ship their spans back to the coordinator's
+    buffer)."""
     import numpy as np
 
     from repro.core import Trainer
@@ -651,7 +632,8 @@ def _cmd_train(args) -> int:
     provider_args = (args.volume_size, args.seed, args.input_size,
                      out_shape)
 
-    with _task_trace(args.trace_out), contextlib.ExitStack() as cleanup:
+    with _task_trace(args.trace_out, args.profile_out), \
+            contextlib.ExitStack() as cleanup:
         if parallel:
             trainer = ParallelTrainer(config, _train_provider,
                                       provider_args, workers=workers,
@@ -717,63 +699,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _training_workload(args) -> None:
-    """A small instrumented training run shared by ``repro metrics``
-    and ``repro trace`` (exercises queue, engine, FFT cache, pooled
-    allocator and trainer metrics)."""
-    from repro.core import Network, SGD, Trainer
-    from repro.data import PatchProvider, make_cell_volume
-    from repro.graph import build_layered_network
-
-    graph = build_layered_network("CTMCT", width=3, kernel=3, window=2,
-                                  transfer="tanh", final_transfer="linear",
-                                  skip_kernels=True, output_nodes=1)
-    net = Network(graph, input_shape=(args.input_size,) * 3,
-                  conv_mode=args.conv_mode, loss="binary-logistic",
-                  num_workers=args.workers, seed=args.seed,
-                  optimizer=SGD(learning_rate=1e-3, momentum=0.9))
-    volume = make_cell_volume(shape=args.volume_size, num_cells=8,
-                              noise=0.08, seed=args.seed + 1)
-    provider = PatchProvider(volume, (args.input_size,) * 3,
-                             net.output_nodes[0].shape,
-                             seed=args.seed + 2, pooled=True)
-    Trainer(net, provider).run(rounds=args.rounds)
-    net.close()
-
-
-def _cmd_metrics(args) -> int:
-    import json
-
-    from repro.observability import get_registry, render_metrics
-
-    registry = get_registry()
-    if not registry.enabled:  # e.g. REPRO_METRICS=0; the user asked anyway
-        print("note: metrics registry was disabled; enabling for this run",
-              file=sys.stderr)
-        registry.enable()
-    registry.reset()
-    _training_workload(args)
-    if args.json:
-        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
-    else:
-        print(render_metrics(
-            registry=registry,
-            title=f"metrics after {args.rounds} training rounds "
-                  f"({args.workers} workers, {args.conv_mode})"))
-    return 0
-
-
 def _cmd_trace(args) -> int:
-    if args.merge:
-        return _cmd_trace_merge(args)
-    with _task_trace(args.out):
-        _training_workload(args)
-    print("open chrome://tracing (or https://ui.perfetto.dev) and load "
-          "the file to inspect the task cascade")
-    return 0
-
-
-def _cmd_trace_merge(args) -> int:
     """``repro trace --merge``: per-process span files -> one Chrome
     trace on the shared epoch-aligned timeline."""
     import json
@@ -801,32 +727,6 @@ def _cmd_trace_merge(args) -> int:
     print(f"merged {len(args.merge)} trace file(s) into {args.out}: "
           f"{len(slices)} spans across {len(processes)} process(es) "
           f"({', '.join(processes)})")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    import json
-
-    from repro.observability.profile import (get_profiler,
-                                             load_cost_model,
-                                             render_cost_model,
-                                             write_cost_model)
-
-    profiler = get_profiler()
-    profiler.enable()
-    profiler.clear()
-    _training_workload(args)
-    if not len(profiler):
-        print("no profiled samples were recorded", file=sys.stderr)
-        return 1
-    write_cost_model(args.out, profiler)
-    doc = load_cost_model(args.out)  # round-trips the validation
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_cost_model(doc))
-    print(f"cost model written to {args.out} "
-          f"({len(doc['entries'])} (edge, backend, op) entries)")
     return 0
 
 
@@ -1514,9 +1414,7 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "autotune": _cmd_autotune,
     "train": _cmd_train,
-    "metrics": _cmd_metrics,
     "trace": _cmd_trace,
-    "profile": _cmd_profile,
     "slo": _cmd_slo,
     "loadtest": _cmd_loadtest,
     "gradcheck": _cmd_gradcheck,

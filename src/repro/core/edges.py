@@ -32,7 +32,6 @@ single fallback site :meth:`ConvEdge._run`.
 from __future__ import annotations
 
 import threading
-import time
 import warnings
 from typing import Callable, Optional
 
@@ -42,7 +41,6 @@ from repro.core.nodes import RuntimeNode
 from repro.core.optimizer import SGD, UpdateState
 from repro.graph.computation_graph import EdgeSpec
 from repro.observability.metrics import get_registry
-from repro.observability.profile import get_profiler
 from repro.observability.tracing import flight_dump, flight_note
 from repro.tensor.backends import FALLBACK, conv_backend
 from repro.tensor.conv_fft import FftConvPlan
@@ -85,11 +83,6 @@ class SharedKernel:
         self.eta = eta
 
 
-#: Backend pass -> its ``repro.cost_model/v1`` op (``capture_update``
-#: is bookkeeping inside the backward task, not a profiled pass).
-_PROFILED = {"forward": "fwd", "backward": "bwd", "update": "upd"}
-
-
 class RuntimeEdge:
     """Base runtime edge; subclasses implement the three transforms."""
 
@@ -123,6 +116,12 @@ class RuntimeEdge:
         """Snapshot gradient inputs and return the update closure
         (None for non-trainable edges)."""
         return None
+
+    def pass_attrs(self) -> dict:
+        """Annotations of this edge's pass spans (the one timing site
+        is ``Network._pass``): the edge kind, or for a conv edge the
+        executing backend and its analytic cost."""
+        return {"backend": self.spec.kind}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
@@ -189,40 +188,31 @@ class ConvEdge(RuntimeEdge):
     def _run(self, op: str, *operands, **options):
         """The one dispatch-and-fallback site of all three passes.
 
-        Runs backend pass *op* on the executing backend under one
-        profiler bracket (the disabled profiler costs one attribute
-        read — docs/observability.md "Cost model").  The first failure
-        degrades the edge for good and the pass re-runs on the
+        Runs backend pass *op* on the executing backend.  The first
+        failure degrades the edge for good and the pass re-runs on the
         fallback; when the neighbouring node sums spectra
         (``spectral=True``), the spatial fallback result is lifted to
         its exact spectrum — the node's finalize (inverse + head crop)
         undoes the zero padding.
         """
-        profiler = get_profiler()
-        label = _PROFILED.get(op) if profiler.enabled else None
-        if label:
-            t0 = time.monotonic()
-        try:
-            if self._active is not FALLBACK:
-                try:
-                    return getattr(self._active, op)(
-                        *operands, self.sparsity, self.plan, self._memo,
-                        **options)
-                except Exception as exc:
-                    self._degrade(exc)
-            result = getattr(FALLBACK, op)(*operands, self.sparsity)
-            if options.get("spectral"):
-                return forward_transform(result, self.plan.transform_shape)
-            return result
-        finally:
-            if label:
-                cost = self._active.pass_cost(self.src.shape, self.spec.kernel,
-                                              self.sparsity, self.plan)
-                profiler.record(self.name, self.effective_mode, label,
-                                time.monotonic() - t0, flops=cost["flops"],
-                                bytes_moved=cost["bytes"],
-                                image_shape=self.src.shape,
-                                kernel_shape=self.spec.kernel)
+        if self._active is not FALLBACK:
+            try:
+                return getattr(self._active, op)(
+                    *operands, self.sparsity, self.plan, self._memo,
+                    **options)
+            except Exception as exc:
+                self._degrade(exc)
+        result = getattr(FALLBACK, op)(*operands, self.sparsity)
+        if options.get("spectral"):
+            return forward_transform(result, self.plan.transform_shape)
+        return result
+
+    def pass_attrs(self) -> dict:
+        cost = self._active.pass_cost(self.src.shape, self.spec.kernel,
+                                      self.sparsity, self.plan)
+        return {"backend": self.effective_mode, "flops": cost["flops"],
+                "bytes": cost["bytes"], "image_shape": self.src.shape,
+                "kernel_shape": self.spec.kernel}
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         return self._run("forward", image, self.kernel.array,

@@ -31,6 +31,7 @@ autotuning, Section IV); FFT mode memoizes spectra in a
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 from typing import Dict, Mapping, Optional, Union
@@ -45,6 +46,7 @@ from repro.core.optimizer import SGD
 from repro.graph.computation_graph import ComputationGraph
 from repro.graph.ordering import backward_priorities, forward_priorities
 from repro.observability.metrics import get_registry
+from repro.observability.tracing import get_tracer
 from repro.resilience.faults import active_plan
 from repro.resilience.retry import RetryPolicy
 from repro.scheduler.engine import LOWEST_PRIORITY, TaskEngine
@@ -416,10 +418,28 @@ class Network:
         self.engine.spawn(forward_task, priority=edge.fwd_priority,
                           name=f"fwd:{edge.name}")
 
+    def _pass(self, op: str, owner, fn, *args):
+        """The one pass-span site: with tracing on, every edge
+        transform (``fwd``/``bwd``), update (``upd``) and node
+        accumulation (``sum``) is a child span of whichever task ran it
+        — a FORCEd update lands inside the ``fwd:`` task that stole it —
+        annotated by its owner after the pass (a degraded FFT edge
+        reports ``direct``).  With tracing off: one attribute read."""
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return fn(*args)
+        with tracer.span(f"{op}.pass:{owner.name}", "pass",
+                         edge=owner.name, op=op) as span:
+            try:
+                return fn(*args)
+            finally:
+                span.set(**owner.pass_attrs())
+
     def _do_forward(self, edge: RuntimeEdge) -> None:
-        contribution = edge.forward(edge.src.fwd_image)
-        if edge.dst.add_forward(edge, contribution):
-            edge.dst.finalize_forward()
+        contribution = self._pass("fwd", edge, edge.forward,
+                                  edge.src.fwd_image)
+        if self._pass("sum", edge.dst, edge.dst.sum_forward, edge,
+                      contribution):
             self._node_forward_complete(edge.dst)
 
     def _node_forward_complete(self, node: RuntimeNode) -> None:
@@ -489,11 +509,13 @@ class Network:
                               name=f"bwd:{in_edge.name}")
 
     def _backward_task(self, edge: RuntimeEdge) -> None:
-        contribution = edge.backward(edge.dst.bwd_image)
+        contribution = self._pass("bwd", edge, edge.backward,
+                                  edge.dst.bwd_image)
         if edge.is_trainable:
             edge.update_task = self.engine.spawn(
-                edge.capture_update(self.optimizer),
+                functools.partial(self._pass, "upd", edge,
+                                  edge.capture_update(self.optimizer)),
                 priority=LOWEST_PRIORITY, name=f"upd:{edge.name}")
-        if edge.src.add_backward(edge, contribution):
-            edge.src.finalize_backward()
+        if self._pass("sum", edge.src, edge.src.sum_backward, edge,
+                      contribution):
             self._node_backward_complete(edge.src)

@@ -130,5 +130,24 @@ class RuntimeNode:
         self.bwd_image = total
         return total
 
+    def sum_forward(self, edge, contribution: np.ndarray) -> bool:
+        """The node's forward sum step: contribute, and on the
+        completing call (True) also fix the forward image."""
+        done = self.add_forward(edge, contribution)
+        if done:
+            self.finalize_forward()
+        return done
+
+    def sum_backward(self, edge, contribution: np.ndarray) -> bool:
+        """Backward twin of :meth:`sum_forward`."""
+        done = self.add_backward(edge, contribution)
+        if done:
+            self.finalize_backward()
+        return done
+
+    def pass_attrs(self) -> dict:
+        """Annotations of this node's ``sum`` pass spans."""
+        return {"backend": "sum"}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RuntimeNode({self.name!r}, shape={self.shape})"

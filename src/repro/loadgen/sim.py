@@ -70,14 +70,15 @@ class ServiceModel:
                         ) -> "ServiceModel":
         """Derive seconds-per-voxel from a validated cost-model
         document's forward-pass entries: one request costs the sum of
-        every edge's mean forward seconds, per voxel of the network
-        input (the largest profiled ``image_shape``).  Falls back to
+        every edge's mean forward seconds — transfer and filter edges
+        included — per voxel of the network input (the largest profiled
+        ``image_shape``, which only conv entries carry).  Falls back to
         the defaults when the document has no usable fwd samples."""
         seconds = 0.0
         voxels = 0
         for sample in forward_samples(doc).values():
+            seconds += sample["mean_seconds"]
             if sample["image_shape"]:
-                seconds += sample["mean_seconds"]
                 voxels = max(voxels, math.prod(sample["image_shape"]))
         if voxels <= 0 or seconds <= 0:
             return cls(overhead_seconds=overhead_seconds)

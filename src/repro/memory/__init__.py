@@ -7,7 +7,6 @@ from repro.memory.pools import (
     PooledArray,
     image_allocator,
     reset_global_allocators,
-    small_object_allocator,
 )
 from repro.memory.shared_pool import (
     AttachedBlock,
@@ -27,6 +26,5 @@ __all__ = [
     "attach_block",
     "image_allocator",
     "reset_global_allocators",
-    "small_object_allocator",
     "ThreadLocalAllocator",
 ]

@@ -14,9 +14,8 @@ mirroring the boost lock-free queues of the original: an allocate or
 deallocate never blocks on a lock.
 
 :class:`PooledArray` wraps a chunk as an ndarray of the requested shape;
-:func:`image_allocator`/:func:`small_object_allocator` expose the two
-global allocators with ZNN's alignment split (64-byte alignment for
-images, none for small objects).
+:func:`image_allocator` exposes the global 64-byte-aligned image
+allocator (the small-object one has no user in this reproduction).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "PoolAllocator",
     "PooledArray",
     "image_allocator",
-    "small_object_allocator",
     "reset_global_allocators",
 ]
 
@@ -278,7 +276,6 @@ class PoolAllocator(PooledArrays):
 # ---------------------------------------------------------------------------
 
 _image_allocator: Optional[PoolAllocator] = None  # guarded-by: _global_lock
-_small_allocator: Optional[PoolAllocator] = None  # guarded-by: _global_lock
 _global_lock = make_lock("memory.pool_globals")
 
 
@@ -291,18 +288,8 @@ def image_allocator() -> PoolAllocator:
         return _image_allocator
 
 
-def small_object_allocator() -> PoolAllocator:
-    """The global small-object allocator (unaligned)."""
-    global _small_allocator
-    with _global_lock:
-        if _small_allocator is None:
-            _small_allocator = PoolAllocator(alignment=1, name="small-objects")
-        return _small_allocator
-
-
 def reset_global_allocators() -> None:
-    """Discard both global allocators (tests / benchmarks only)."""
-    global _image_allocator, _small_allocator
+    """Discard the global allocator (tests / benchmarks only)."""
+    global _image_allocator
     with _global_lock:
         _image_allocator = None
-        _small_allocator = None

@@ -6,10 +6,11 @@ memoization cache, pooled allocators, training loop) publishes counters,
 gauges and histograms into a process-global :class:`MetricsRegistry`;
 request-scoped **spans** (:mod:`repro.observability.tracing`) add the
 causal structure across threads, tasks and worker processes; the
-**cost profiler** (:mod:`repro.observability.profile`) turns timed
-conv passes into the versioned cost model the autotuner consumes; and
-**SLO accounting** (:mod:`repro.observability.slo`) reports
-p50/p95/p99 serving latencies against deadlines.
+**cost model** (:mod:`repro.observability.profile`) is a fold over the
+per-pass spans of a traced run, the versioned document the specializer
+and the serving simulator consume; and **SLO accounting**
+(:mod:`repro.observability.slo`) reports p50/p95/p99 serving latencies
+against deadlines.
 
 See ``docs/observability.md`` for the metric-name catalog and usage.
 """
@@ -18,7 +19,6 @@ from repro.observability.export import (
     metrics_snapshot,
     prometheus_text,
     render_metrics,
-    write_metrics_json,
 )
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
@@ -32,11 +32,9 @@ from repro.observability.metrics import (
 from repro.observability.profile import (
     COST_MODEL_SCHEMA,
     CostModelError,
-    CostProfiler,
-    get_profiler,
+    cost_model_from_spans,
     load_cost_model,
     render_cost_model,
-    set_profiler,
     validate_cost_model,
     write_cost_model,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "metrics_snapshot",
     "prometheus_text",
     "render_metrics",
-    "write_metrics_json",
     "Span",
     "SpanContext",
     "Tracer",
@@ -93,10 +90,8 @@ __all__ = [
     "read_trace_file",
     "merge_trace_files",
     "COST_MODEL_SCHEMA",
-    "CostProfiler",
     "CostModelError",
-    "get_profiler",
-    "set_profiler",
+    "cost_model_from_spans",
     "validate_cost_model",
     "write_cost_model",
     "load_cost_model",

@@ -34,10 +34,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "fft_cache.hit",
     "fft_cache.miss",
     "fft_cache.evicted",
-    "fft_cache.lru_evicted",
     "fft_cache.bytes",
     "fft_cache.entries",
-    "fft_cache.max_bytes",
     # memory/pools.py (§VII-C)
     "pool.alloc",
     "pool.reuse",
@@ -111,8 +109,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "tracing.spans",
     "tracing.dropped",
     "flight.dumps",
-    # observability/profile.py (docs/observability.md "Cost model")
-    "profile.samples",
     # observability/slo.py (docs/observability.md "SLO accounting")
     "slo.admission_wait_seconds",
     "slo.service_seconds",

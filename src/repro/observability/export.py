@@ -1,5 +1,5 @@
 """Metrics exporters: the registry's counters/gauges/histograms as a
-plain dict, JSON file, fixed-width text table (via
+plain dict, fixed-width text table (via
 :func:`repro.reporting.render_table`) or Prometheus text.
 
 The other artifact of an instrumented run, the task trace, is written
@@ -8,7 +8,6 @@ by :func:`repro.observability.tracing.write_chrome_trace`.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +22,6 @@ from repro.observability.metrics import (
 __all__ = [
     "metrics_snapshot",
     "render_metrics",
-    "write_metrics_json",
     "prometheus_text",
 ]
 
@@ -40,19 +38,6 @@ def metrics_snapshot(registry: Optional[MetricsRegistry] = None
     return (registry if registry is not None else get_registry()).snapshot()
 
 
-def _format_value(value) -> str:
-    if isinstance(value, dict):  # histogram
-        mean = value.get("mean", 0.0) or 0.0
-        vmax = value.get("max")
-        vmax_s = f"{vmax:.6g}" if vmax is not None else "-"
-        return (f"count={value.get('count', 0)} "
-                f"sum={value.get('sum', 0.0):.6g} "
-                f"mean={mean:.6g} max={vmax_s}")
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def render_metrics(snapshot: Optional[Dict[str, object]] = None,
                    registry: Optional[MetricsRegistry] = None,
                    title: str = "metrics snapshot") -> str:
@@ -64,17 +49,6 @@ def render_metrics(snapshot: Optional[Dict[str, object]] = None,
         snapshot = metrics_snapshot(registry)
     header, rows = reporting.metrics_table(snapshot)
     return reporting.render_table(title, header, rows)
-
-
-def write_metrics_json(path: str,
-                       snapshot: Optional[Dict[str, object]] = None,
-                       registry: Optional[MetricsRegistry] = None) -> str:
-    """Dump a snapshot as JSON; returns *path*."""
-    if snapshot is None:
-        snapshot = metrics_snapshot(registry)
-    with open(path, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-    return path
 
 
 # ---------------------------------------------------------------------------

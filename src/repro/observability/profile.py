@@ -1,4 +1,4 @@
-"""Per-layer cost profiling: measured (edge, backend) -> time/FLOPs.
+"""Per-layer cost model: a fold over the pass spans of a traced run.
 
 The paper's Tables II–III give *analytic* per-layer costs; the ROADMAP's
 ZNNi item (arXiv:1606.05688, per-layer algorithm and patch-size
@@ -7,37 +7,30 @@ cache behaviour and transform sizes in ways the FLOP formulas cannot
 see.  Mathieu et al. made the same point for FFT training: crossover
 decisions must be driven by per-layer timings.
 
-:class:`CostProfiler` aggregates timed samples keyed by
-``(edge, backend, op)`` — op is ``fwd``/``bwd``/``upd`` — carrying the
-measured seconds plus the analytic FLOPs and bytes of the pass that
-ran (the ``pass_cost`` of the backend the instrumented edge executed,
-see :mod:`repro.tensor.backends` — so the consumer can compute achieved
-FLOP/s per primitive).
-The result serialises as a versioned ``cost_model.json``
-(:data:`COST_MODEL_SCHEMA`), the input contract of the future
-autotuner.
+There is one clock: the tracer.  ``Network._pass`` opens a child *pass
+span* ``(edge, backend-or-kind, op)`` — op is ``fwd``/``bwd``/``upd``
+(``sum`` for node accumulations) — around every edge transform, in
+every process; a conv pass carries the analytic ``flops``/``bytes`` of
+the ``pass_cost`` of the backend that ran it (see
+:mod:`repro.tensor.backends`), so the consumer can compute achieved
+FLOP/s per primitive.  :func:`cost_model_from_spans` folds those spans
+into the versioned ``cost_model.json`` (:data:`COST_MODEL_SCHEMA`), the
+input contract of the specializer and the serving simulator.
 
-Profiling is **off by default**; enable with ``REPRO_PROFILE=1`` or
-``get_profiler().enable()``.  The disabled fast path is one attribute
-read, same discipline as metrics and tracing.
+Nothing is recorded unless tracing is on (``REPRO_TRACING=1``,
+``get_tracer().enable()``, or ``repro train --profile-out FILE``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.analysis.runtime import make_lock
-from repro.observability.metrics import get_registry
+from typing import Dict, Iterable, Tuple
 
 __all__ = [
     "COST_MODEL_SCHEMA",
-    "CostProfiler",
     "CostModelError",
-    "get_profiler",
-    "set_profiler",
+    "cost_model_from_spans",
     "validate_cost_model",
     "forward_samples",
     "write_cost_model",
@@ -48,126 +41,55 @@ __all__ = [
 #: Schema tag of emitted cost-model documents.
 COST_MODEL_SCHEMA = "repro.cost_model/v1"
 
+#: The pass-span ops a cost model holds (``sum`` spans are trace-only).
+_OPS = ("fwd", "bwd", "upd")
+
 
 class CostModelError(ValueError):
-    """A document failed :func:`validate_cost_model`."""
+    """A document failed :func:`validate_cost_model`, or a run's spans
+    cannot be folded into a complete one."""
 
 
-# ---------------------------------------------------------------------------
-# The profiler
-# ---------------------------------------------------------------------------
+def cost_model_from_spans(spans: Iterable, dropped: int = 0) -> dict:
+    """Fold the pass spans among *spans* into a cost-model document:
+    one entry per ``(edge, backend, op)`` with sample count, summed
+    seconds and analytic FLOPs/bytes, and the conv shapes.
 
-
-class _Entry:
-    """Aggregated samples of one (edge, backend, op) triple."""
-
-    __slots__ = ("edge", "backend", "op", "count", "seconds", "flops",
-                 "bytes", "image_shape", "kernel_shape")
-
-    def __init__(self, edge: str, backend: str, op: str) -> None:
-        self.edge = edge
-        self.backend = backend
-        self.op = op
-        self.count = 0
-        self.seconds = 0.0
-        self.flops = 0.0
-        self.bytes = 0.0
-        self.image_shape: Optional[Tuple[int, ...]] = None
-        self.kernel_shape: Optional[Tuple[int, ...]] = None
-
-    def to_dict(self) -> dict:
-        seconds = self.seconds
-        mean = seconds / self.count if self.count else 0.0
-        flop_rate = self.flops / seconds if seconds > 0 else 0.0
-        return {
-            "edge": self.edge,
-            "backend": self.backend,
-            "op": self.op,
-            "count": self.count,
-            "seconds": seconds,
-            "mean_seconds": mean,
-            "flops": self.flops,
-            "flops_per_second": flop_rate,
-            "bytes": self.bytes,
-            "image_shape": list(self.image_shape)
-            if self.image_shape else None,
-            "kernel_shape": list(self.kernel_shape)
-            if self.kernel_shape else None,
-        }
-
-
-class CostProfiler:
-    """Aggregates (edge, backend, op) -> time/FLOPs/bytes samples.
-
-    Instrumentation sites time their own pass (``time.monotonic``
-    brackets around the primitive) and call :meth:`record`; the
-    profiler only aggregates, so the enabled hot path is one dict
-    lookup and a few adds under a short lock, and the disabled path is
-    one attribute read.
+    *dropped* is how many spans the tracer's ring evicted during the
+    run (``Tracer.dropped`` after minus before); a model folded from
+    what is left would silently under-count, so any loss is refused.
     """
-
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get("REPRO_PROFILE", "0").lower() in (
-                "1", "true", "on", "yes")
-        self.enabled = bool(enabled)
-        self._lock = make_lock("observability.profiler")
-        self._entries: Dict[Tuple[str, str, str], _Entry] = {}  # guarded-by: _lock
-        self._m_samples = get_registry().counter("profile.samples")
-
-    def enable(self) -> "CostProfiler":
-        self.enabled = True
-        return self
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def record(self, edge: str, backend: str, op: str, seconds: float,
-               flops: float = 0.0, bytes_moved: float = 0.0,
-               image_shape: Optional[Sequence[int]] = None,
-               kernel_shape: Optional[Sequence[int]] = None) -> None:
-        """Add one timed sample for an (edge, backend, op) triple."""
-        if not self.enabled:
-            return
-        self._m_samples.inc()
-        key = (edge, backend, op)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = _Entry(edge, backend, op)
-            entry.count += 1
-            entry.seconds += float(seconds)
-            entry.flops += float(flops)
-            entry.bytes += float(bytes_moved)
-            if image_shape is not None:
-                entry.image_shape = tuple(int(v) for v in image_shape)
-            if kernel_shape is not None:
-                entry.kernel_shape = tuple(int(v) for v in kernel_shape)
-
-    # -- export --------------------------------------------------------
-
-    def entries(self) -> List[dict]:
-        with self._lock:
-            entries = list(self._entries.values())
-        entries.sort(key=lambda e: (e.edge, e.backend, e.op))
-        return [e.to_dict() for e in entries]
-
-    def cost_model(self) -> dict:
-        """The versioned cost-model document (see docs/observability.md
-        for the schema the autotuner consumes)."""
-        return {
-            "schema": COST_MODEL_SCHEMA,
-            "created": time.time(),
-            "entries": self.entries(),
-        }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    if dropped:
+        raise CostModelError(
+            f"the span ring overflowed: {dropped} span(s) were evicted, "
+            "so a cost model folded from the rest would be partial "
+            "(profile fewer rounds, or raise Tracer(max_spans=...))")
+    entries: Dict[Tuple[str, str, str], dict] = {}
+    for span in spans:
+        attrs = span.attrs
+        if span.category != "pass" or attrs.get("op") not in _OPS:
+            continue
+        key = (attrs["edge"], attrs["backend"], attrs["op"])
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = {
+                "edge": key[0], "backend": key[1], "op": key[2],
+                "count": 0, "seconds": 0.0, "flops": 0.0, "bytes": 0.0,
+                "image_shape": None, "kernel_shape": None}
+        entry["count"] += 1
+        entry["seconds"] += span.duration
+        entry["flops"] += float(attrs.get("flops", 0.0))
+        entry["bytes"] += float(attrs.get("bytes", 0.0))
+        for field in ("image_shape", "kernel_shape"):
+            if attrs.get(field) is not None:
+                entry[field] = [int(v) for v in attrs[field]]
+    for entry in entries.values():
+        seconds = entry["seconds"]
+        entry["mean_seconds"] = seconds / entry["count"]
+        entry["flops_per_second"] = (entry["flops"] / seconds
+                                     if seconds > 0 else 0.0)
+    return {"schema": COST_MODEL_SCHEMA, "created": time.time(),
+            "entries": [entries[key] for key in sorted(entries)]}
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +178,9 @@ def forward_samples(doc: dict) -> Dict[Tuple[str, str], dict]:
     return samples
 
 
-def write_cost_model(path: str,
-                     profiler: Optional[CostProfiler] = None) -> str:
-    """Validate and write the profiler's cost model; returns *path*."""
-    if profiler is None:
-        profiler = get_profiler()
-    doc = validate_cost_model(profiler.cost_model())
+def write_cost_model(path: str, doc: dict) -> str:
+    """Validate and write a cost-model document; returns *path*."""
+    validate_cost_model(doc)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
     return path
@@ -274,7 +193,7 @@ def load_cost_model(path: str) -> dict:
 
 
 def render_cost_model(doc: dict) -> str:
-    """Fixed-width table of a cost model (the ``repro profile`` view)."""
+    """Fixed-width table of a cost model."""
     from repro import reporting
 
     rows = []
@@ -291,22 +210,3 @@ def render_cost_model(doc: dict) -> str:
         ["edge", "backend", "op", "n", "mean ms", "flops", "gflop/s"],
         rows)
 
-
-# ---------------------------------------------------------------------------
-# Process-global profiler
-# ---------------------------------------------------------------------------
-
-_global_profiler = CostProfiler()
-
-
-def get_profiler() -> CostProfiler:
-    """The process-global profiler instrumented edges default to."""
-    return _global_profiler
-
-
-def set_profiler(profiler: CostProfiler) -> CostProfiler:
-    """Swap the global profiler (tests); returns the previous one."""
-    global _global_profiler
-    previous = _global_profiler
-    _global_profiler = profiler
-    return previous

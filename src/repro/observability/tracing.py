@@ -542,6 +542,8 @@ class Tracer:
             spans.append(span)
             count += 1
         with self._lock:
+            room = self._spans.maxlen - len(self._spans)
+            self._dropped += max(0, count - room)
             self._spans.extend(spans)
         return count
 

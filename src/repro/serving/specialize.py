@@ -115,10 +115,11 @@ class CostModel:
 
     With no measured document every backend runs at the uniform rate
     1.0, so costs reduce to the paper's pure FLOP comparison.  With a
-    ``repro.cost_model/v1`` document (``repro profile``), a layer is
-    priced at the achieved rate of its own edges' forward entries when
-    present, falling back to the backend's global forward rate, then to
-    the overall forward rate — measured data refines, never blocks.
+    ``repro.cost_model/v1`` document (``repro train --profile-out``), a
+    layer is priced at the achieved rate of its own edges' forward
+    entries when present, falling back to the backend's global forward
+    rate, then to the overall forward rate — measured data refines,
+    never blocks.
 
     When every edge of a layer additionally carries a profiled
     ``image_shape``, :meth:`layer_sample` exposes the layer's *measured

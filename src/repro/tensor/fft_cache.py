@@ -21,26 +21,23 @@ behaviour where memoized spectra live exactly one forward/backward
 /update cycle.  Statistics (computed vs reused) feed the memoization
 benchmark.
 
-Two extensions support long-running *serving* processes
-(``repro.serving``, docs/serving.md):
-
-* **pinned kinds** — :meth:`TransformCache.pin_kind` marks a kind
-  (e.g. ``"ker"``) as persistent: its entries survive ``next_round``.
-  At inference time kernels never change, so a warm model's kernel
-  spectra are transformed once and reused by every request.  Pinning
-  is only safe while the underlying parameters are frozen; training
-  code must not pin (``invalidate`` still removes single entries).
-* **byte-bounded LRU eviction** — a ``max_bytes`` cap (default from the
-  ``REPRO_FFT_CACHE_BYTES`` environment variable; 0/unset = unbounded)
-  evicts least-recently-used entries, pinned or not, so the cache
-  cannot grow without bound across many request shapes.
+One extension supports long-running *serving* processes
+(``repro.serving``, docs/serving.md): **pinned kinds** —
+:meth:`TransformCache.pin_kind` marks a kind (e.g. ``"ker"``) as
+persistent: its entries survive ``next_round``.  At inference time
+kernels never change, so a warm model's kernel spectra are transformed
+once and reused by every request.  Pinning is only safe while the
+underlying parameters are frozen; training code must not pin
+(``invalidate`` still removes single entries).  The cache needs no byte
+cap: ``next_round`` bounds it to one round's spectra plus the pinned
+kernels of one network, and ``ModelRegistry(max_models=k)`` bounds the
+number of networks.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Tuple
 
 import numpy as np
 
@@ -48,23 +45,11 @@ from repro.analysis.runtime import (checking_enabled, make_lock, note_access,
                                     track)
 from repro.observability.metrics import get_registry
 
-__all__ = ["CacheStats", "TransformCache", "cache_byte_limit_from_env"]
+__all__ = ["CacheStats", "TransformCache"]
 
 #: Key-prefix for entries of pinned kinds (no round component, so they
 #: survive round eviction).
 _PINNED = "pinned"
-
-
-def cache_byte_limit_from_env() -> Optional[int]:
-    """The ``REPRO_FFT_CACHE_BYTES`` cap, or None when unset/0/invalid."""
-    raw = os.environ.get("REPRO_FFT_CACHE_BYTES", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 @dataclass
@@ -74,8 +59,6 @@ class CacheStats:
     computed: int = 0
     reused: int = 0
     evicted: int = 0
-    #: Entries evicted by the byte-budget LRU (subset of ``evicted``).
-    lru_evicted: int = 0
 
     @property
     def total_requests(self) -> int:
@@ -91,7 +74,6 @@ class CacheStats:
             "computed": self.computed,
             "reused": self.reused,
             "evicted": self.evicted,
-            "lru_evicted": self.lru_evicted,
             "reuse_fraction": self.reuse_fraction,
         }
 
@@ -105,25 +87,11 @@ class TransformCache:
         When False the cache degenerates to always-compute (the plain
         "FFT-based" column of Table II); statistics are still gathered
         so the two modes can be compared.
-    max_bytes:
-        Byte budget for stored spectra; least-recently-used entries are
-        evicted when an insert would exceed it.  ``None`` (the default)
-        reads ``REPRO_FFT_CACHE_BYTES`` from the environment; 0 or
-        unset means unbounded (the paper's behaviour — training rounds
-        bound the cache naturally via ``next_round``).
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_bytes: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        if max_bytes is None:
-            max_bytes = cache_byte_limit_from_env()
-        if max_bytes is not None and max_bytes <= 0:
-            max_bytes = None
-        self.max_bytes = max_bytes
         self._lock = make_lock("tensor.fft_cache")
-        # Insertion/access-ordered (dicts preserve order; hits re-insert)
-        # so iteration order is LRU-first.
         self._store: Dict[Tuple[Hashable, ...], np.ndarray] = {}  # guarded-by: _lock
         self._round = 0  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
@@ -136,11 +104,8 @@ class TransformCache:
         self._m_hit = reg.counter("fft_cache.hit")
         self._m_miss = reg.counter("fft_cache.miss")
         self._m_evicted = reg.counter("fft_cache.evicted")
-        self._m_lru_evicted = reg.counter("fft_cache.lru_evicted")
         self._m_bytes = reg.gauge("fft_cache.bytes")
         self._m_entries = reg.gauge("fft_cache.entries")
-        self._m_max_bytes = reg.gauge("fft_cache.max_bytes")
-        self._m_max_bytes.set(max_bytes or 0)
 
     # ------------------------------------------------------------------
 
@@ -219,23 +184,6 @@ class TransformCache:
                 self._m_bytes.set(self._bytes)
                 self._m_entries.set(len(self._store))
 
-    def _evict_lru_locked(self) -> None:
-        """Drop least-recently-used entries until under ``max_bytes``.
-
-        Called with the lock held.  A single entry larger than the
-        whole budget is still stored (and evicted by the next insert) —
-        refusing to cache would silently disable memoization for big
-        layers, which costs more than briefly exceeding the cap.
-        """
-        while self._bytes > self.max_bytes and len(self._store) > 1:
-            key = next(iter(self._store))
-            value = self._store.pop(key)
-            self._bytes -= value.nbytes
-            self.stats.evicted += 1
-            self.stats.lru_evicted += 1
-            self._m_evicted.inc()
-            self._m_lru_evicted.inc()
-
     def get_or_compute(self, kind: str, name: Hashable,
                        compute: Callable[[], np.ndarray]) -> np.ndarray:
         """Return the cached spectrum for (kind, name), computing at most
@@ -251,13 +199,9 @@ class TransformCache:
         if self.enabled:
             with self._lock:
                 cached = self._store.get(key)
-                if cached is not None and self.max_bytes is not None:
-                    # Refresh recency: re-insert at the MRU end.
-                    del self._store[key]
-                    self._store[key] = cached
-            if cached is not None:
-                with self._lock:
+                if cached is not None:
                     self.stats.reused += 1
+            if cached is not None:
                 self._m_hit.inc()
                 return cached
         value = compute()
@@ -269,8 +213,6 @@ class TransformCache:
                 if key not in self._store:
                     self._store[key] = value
                     self._bytes += value.nbytes
-                    if self.max_bytes is not None:
-                        self._evict_lru_locked()
                     self._m_bytes.set(self._bytes)
                     self._m_entries.set(len(self._store))
                 value = self._store[key]
@@ -284,4 +226,4 @@ class TransformCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TransformCache(enabled={self.enabled}, round={self._round}, "
                 f"entries={len(self)}, bytes={self.nbytes}, "
-                f"max_bytes={self.max_bytes}, stats={self.stats.snapshot()})")
+                f"stats={self.stats.snapshot()})")

@@ -5,12 +5,9 @@ from repro.utils.shapes import (
     as_shape3,
     effective_kernel_shape,
     field_of_view,
-    filter_backward_shape,
-    filter_shape,
     full_conv_shape,
     input_shape_for_output,
     is_subshape,
-    output_shape_for_input,
     pool_shape,
     valid_conv_shape,
     voxels,
@@ -29,12 +26,9 @@ __all__ = [
     "as_shape3",
     "effective_kernel_shape",
     "field_of_view",
-    "filter_backward_shape",
-    "filter_shape",
     "full_conv_shape",
     "input_shape_for_output",
     "is_subshape",
-    "output_shape_for_input",
     "pool_shape",
     "valid_conv_shape",
     "voxels",

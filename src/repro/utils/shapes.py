@@ -91,20 +91,6 @@ def pool_shape(image: int | Sequence[int],
     return tuple(nd // pd for nd, pd in zip(n, p))  # type: ignore[return-value]
 
 
-def filter_shape(image: int | Sequence[int],
-                 window: int | Sequence[int],
-                 sparsity: int | Sequence[int] = 1) -> Shape3:
-    """Output shape of max-filtering: like a valid convolution of the window."""
-    return valid_conv_shape(image, window, sparsity)
-
-
-def filter_backward_shape(image: int | Sequence[int],
-                          window: int | Sequence[int],
-                          sparsity: int | Sequence[int] = 1) -> Shape3:
-    """Backward image of max-filtering grows back to the input size."""
-    return full_conv_shape(image, window, sparsity)
-
-
 def voxels(shape: int | Sequence[int]) -> int:
     """Number of voxels in a canonicalised shape."""
     return math.prod(as_shape3(shape))
@@ -139,27 +125,12 @@ def field_of_view(layers: Iterable[tuple[str, int | Sequence[int], int | Sequenc
     return fov  # type: ignore[return-value]
 
 
-def output_shape_for_input(input_shape: int | Sequence[int],
-                           layers: Iterable[tuple[str, int | Sequence[int], int | Sequence[int]]]
-                           ) -> Shape3:
-    """Propagate an input shape through (kind, window, sparsity) layers."""
-    shape = as_shape3(input_shape, name="input")
-    for kind, window, sparsity in layers:
-        if kind == "conv" or kind == "filter":
-            shape = valid_conv_shape(shape, window, sparsity)
-        elif kind == "pool":
-            shape = pool_shape(shape, window)
-        elif kind == "transfer":
-            continue
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    return shape
-
-
 def input_shape_for_output(output_shape: int | Sequence[int],
                            layers: Iterable[tuple[str, int | Sequence[int], int | Sequence[int]]]
                            ) -> Shape3:
-    """Inverse of :func:`output_shape_for_input` (no pooling remainders)."""
+    """The input shape that (kind, window, sparsity) *layers* map to
+    *output_shape*: the per-layer shape rules run backwards (a pooling
+    layer multiplies, so no remainders)."""
     shape = as_shape3(output_shape, name="output")
     for kind, window, sparsity in reversed(list(layers)):
         w = as_shape3(window, name="window")

@@ -128,6 +128,23 @@ class TestServiceModel:
         assert model.seconds_per_voxel == pytest.approx(
             (8.0 / 4 + 3.0 / 2) / 1000)
 
+    def test_from_cost_model_charges_non_conv_edges_too(self):
+        # A transfer entry has no shape (and no FLOPs): its forward
+        # seconds are still part of every request, the voxel count
+        # still comes from the conv entries.
+        doc = {"entries": [
+            {"op": "fwd", "edge": "conv_L1_0_0", "backend": "fft",
+             "image_shape": [10, 10, 10], "count": 4, "seconds": 8.0},
+            {"op": "fwd", "edge": "xfer_L2_0", "backend": "transfer",
+             "image_shape": None, "kernel_shape": None, "flops": 0.0,
+             "count": 4, "seconds": 2.0},
+        ]}
+        model = ServiceModel.from_cost_model(doc)
+        assert model.seconds_per_voxel == pytest.approx(
+            (8.0 / 4 + 2.0 / 4) / 1000)
+        shapeless = {"entries": doc["entries"][1:]}
+        assert ServiceModel.from_cost_model(shapeless) == ServiceModel()
+
     def test_from_cost_model_falls_back(self):
         model = ServiceModel.from_cost_model({"entries": []})
         assert model == ServiceModel()

@@ -11,7 +11,6 @@ from repro.memory import (
     PoolAllocator,
     image_allocator,
     reset_global_allocators,
-    small_object_allocator,
 )
 from repro.memory.pools import _round_up_pow2
 
@@ -145,8 +144,12 @@ class TestArrays:
 
 class TestGlobalAllocators:
     def test_two_distinct_allocators(self):
+        """A reset discards the global allocator: the next call builds
+        a distinct one (with empty pools)."""
+        first = image_allocator()
         reset_global_allocators()
-        assert image_allocator() is not small_object_allocator()
+        assert image_allocator() is not first
+        assert image_allocator().stats.requests == 0
 
     def test_singletons(self):
         reset_global_allocators()
@@ -155,7 +158,6 @@ class TestGlobalAllocators:
     def test_image_allocator_simd_aligned(self):
         reset_global_allocators()
         assert image_allocator().alignment == 64
-        assert small_object_allocator().alignment == 1
 
 
 class TestThreadSafety:

@@ -10,7 +10,6 @@ from repro.observability import (
     render_metrics,
     set_tracer,
     write_chrome_trace,
-    write_metrics_json,
 )
 
 
@@ -41,8 +40,10 @@ class TestMetricsExport:
         assert "count=0" in text and "max=-" in text
 
     def test_write_metrics_json(self, tmp_path):
+        """A snapshot is plain JSON: dump + load round-trips it."""
         path = tmp_path / "metrics.json"
-        write_metrics_json(str(path), registry=self._registry())
+        with open(path, "w") as fh:
+            json.dump(metrics_snapshot(self._registry()), fh)
         with open(path) as fh:
             snap = json.load(fh)
         assert snap["queue.pop"] == 7

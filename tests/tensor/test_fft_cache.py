@@ -94,7 +94,7 @@ class TestStats:
     def test_snapshot_keys(self):
         snap = TransformCache().stats.snapshot()
         assert set(snap) == {"computed", "reused", "evicted",
-                             "lru_evicted", "reuse_fraction"}
+                             "reuse_fraction"}
 
 
 class TestThreadSafety:
@@ -121,69 +121,76 @@ class TestThreadSafety:
 
 
 class TestByteBoundedLru:
+    """The byte cap (``max_bytes`` / ``REPRO_FFT_CACHE_BYTES``) is gone;
+    what bounds a cache is checked, not configured: one round's spectra
+    plus the pinned kernels of one network, and ``max_models`` networks
+    per registry."""
+
     def arr(self, value, n=4):
         return lambda: np.full((n, n, n), float(value))
 
-    def test_unbounded_by_default(self):
-        cache = TransformCache()
-        assert cache.max_bytes is None
+    def fill(self, cache, count=3):
+        for i in range(count):
+            cache.get_or_compute("img", i, self.arr(i))
+        return cache
 
-    def test_env_var_sets_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_CACHE_BYTES", "4096")
-        assert TransformCache().max_bytes == 4096
+    def test_unbounded_by_default(self):
+        with pytest.raises(TypeError):
+            TransformCache(max_bytes=1024)
+        cache = self.fill(TransformCache(), count=64)
+        assert len(cache) == 64 and cache.nbytes == 64 * 512
+        assert cache.stats.evicted == 0
 
     def test_env_var_zero_or_garbage_means_unbounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_CACHE_BYTES", "0")
-        assert TransformCache().max_bytes is None
-        monkeypatch.setenv("REPRO_FFT_CACHE_BYTES", "lots")
-        assert TransformCache().max_bytes is None
-
-    def test_explicit_cap_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_CACHE_BYTES", "4096")
-        assert TransformCache(max_bytes=1024).max_bytes == 1024
-
-    def test_lru_eviction_under_pressure(self):
-        # Each 4^3 float64 entry is 512 bytes; cap at two entries.
-        cache = TransformCache(max_bytes=1024)
-        cache.get_or_compute("img", "a", self.arr(1))
-        cache.get_or_compute("img", "b", self.arr(2))
-        cache.get_or_compute("img", "c", self.arr(3))  # evicts "a"
-        assert len(cache) == 2
-        assert cache.stats.lru_evicted == 1
-        assert cache.nbytes <= 1024
-        # "a" must be recomputed, "c" is still cached.
-        calls = []
-
-        def recompute():
-            calls.append(1)
-            return np.zeros((4, 4, 4))
-
-        cache.get_or_compute("img", "a", recompute)
-        assert calls
-        cache.get_or_compute("img", "c", recompute)
-        assert len(calls) == 1
-
-    def test_hit_refreshes_recency(self):
-        cache = TransformCache(max_bytes=1024)
-        cache.get_or_compute("img", "a", self.arr(1))
-        cache.get_or_compute("img", "b", self.arr(2))
-        cache.get_or_compute("img", "a", self.arr(1))  # touch "a"
-        cache.get_or_compute("img", "c", self.arr(3))  # evicts "b", not "a"
-        calls = []
-
-        def recompute():
-            calls.append(1)
-            return np.zeros((4, 4, 4))
-
-        cache.get_or_compute("img", "a", recompute)
-        assert not calls  # "a" survived
-        cache.get_or_compute("img", "b", recompute)
-        assert calls  # "b" was the LRU victim
+        """Whatever the retired variable says, nothing reads it."""
+        for raw in ("0", "lots", "64"):
+            monkeypatch.setenv("REPRO_FFT_CACHE_BYTES", raw)
+            cache = self.fill(TransformCache())
+            assert len(cache) == 3 and cache.stats.evicted == 0
 
     def test_oversized_entry_still_stored(self):
-        cache = TransformCache(max_bytes=64)
-        v = cache.get_or_compute("img", "big", self.arr(1))
-        assert v is cache.get_or_compute("img", "big", self.arr(1))
+        cache = TransformCache()
+        v = cache.get_or_compute("img", "big", self.arr(1, n=64))
+        assert v is cache.get_or_compute("img", "big", self.arr(1, n=64))
+        assert cache.nbytes == v.nbytes
+
+    def test_warm_caches_hold_pinned_kernels_only(self):
+        """The bound the cap only asserted: after N forwards a warm
+        twin's cache holds exactly its FFT conv edges' kernel spectra
+        (everything else is evicted per round), and a registry of
+        ``max_models=k`` holds at most k such caches."""
+        from repro.core.edges import ConvEdge
+        from repro.serving import ModelRegistry, ModelSpec
+
+        spec = ModelSpec(name="m", spec="CTPCT", conv_mode="fft",
+                         builder_kwargs={"width": 2, "kernel": 3,
+                                         "window": 2, "transfer": "tanh"})
+        registry = ModelRegistry(max_models=2)
+        registry.register(spec)
+        try:
+            caches = set()
+            for tile in (14, 16, 18):
+                warm = registry.warm("m", (tile,) * 3)
+                network = warm.network
+                volume = np.random.default_rng(tile).standard_normal(
+                    (tile,) * 3)
+                held = set()
+                for _ in range(3):
+                    network.forward(volume)
+                    held.add((len(network.cache), network.cache.nbytes))
+                assert len(held) == 1  # steady: one round's spectra
+                network.cache.next_round()  # what the next request does
+                fft_edges = [e for e in network.edges.values()
+                             if isinstance(e, ConvEdge)
+                             and e.backend.spectral]
+                assert fft_edges
+                assert len(network.cache) == len(fft_edges)
+                assert network.cache.pinned_kinds == {"ker"}
+                caches.add(id(network.cache))
+                assert len(registry._warm) <= 2
+            assert len(caches) == 3  # three twins built, two kept
+        finally:
+            registry.close()
 
 
 class TestPinnedKinds:

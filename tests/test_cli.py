@@ -215,49 +215,90 @@ class TestParallelTrain:
 
 
 class TestObservabilityCommands:
+    """``repro train`` is the one instrumented run: ``--metrics``,
+    ``--trace-out`` and ``--profile-out`` are views of it."""
+
     _SIZE = ["--input-size", "20", "--volume-size", "32"]
 
     def test_metrics_table(self, capsys):
-        assert main(["metrics", "--rounds", "1", *self._SIZE,
-                     "--conv-mode", "fft"]) == 0
+        assert main(["train", "--rounds", "1", *self._SIZE,
+                     "--conv-mode", "fft", "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "queue.pop" in out
         assert "fft_cache.hit" in out and "fft_cache.miss" in out
         assert "pool.alloc" in out
 
     def test_metrics_json(self, capsys):
+        """The machine-readable route is the registry snapshot itself
+        (what ``--metrics`` renders): plain JSON, exact counts."""
         import json
 
-        assert main(["metrics", "--rounds", "1", *self._SIZE,
-                     "--conv-mode", "direct", "--json"]) == 0
-        snap = json.loads(capsys.readouterr().out)
+        from repro.observability import MetricsRegistry, set_registry
+
+        fresh = MetricsRegistry()
+        previous = set_registry(fresh)
+        try:
+            assert main(["train", "--rounds", "1", *self._SIZE,
+                         "--conv-mode", "direct", "--metrics"]) == 0
+        finally:
+            set_registry(previous)
+        snap = json.loads(json.dumps(fresh.snapshot()))
         assert snap["queue.pop"] > 0
         assert snap["train.rounds"] == 1
+        assert "train.rounds" in capsys.readouterr().out
 
     def test_trace_writes_chrome_json(self, capsys, tmp_path):
+        """One multi-process run, both span views: the Chrome trace
+        holds both processes' slices, and the cost model counts the
+        passes recorded in the worker process (its spans ship over the
+        pipe)."""
         import json
 
-        out_file = tmp_path / "trace.json"
-        assert main(["trace", "--out", str(out_file), "--rounds", "1",
-                     "--workers", "2", *self._SIZE]) == 0
-        with open(out_file) as fh:
+        from repro.observability.profile import load_cost_model
+
+        trace_file, model_file = tmp_path / "trace.json", tmp_path / "cm.json"
+        assert main(["train", "--rounds", "2", "--workers", "2",
+                     "--batch", "2", "--oversubscribe", *self._SIZE,
+                     "--conv-mode", "direct",
+                     "--trace-out", str(trace_file),
+                     "--profile-out", str(model_file)]) == 0
+        with open(trace_file) as fh:
             doc = json.load(fh)
         self._check_task_trace(doc)
         out = capsys.readouterr().out
+        assert "coordinator, worker-1" in out
         assert "tasks over" in out and "utilization" in out
+        passes = [e for e in doc["traceEvents"] if e.get("cat") == "pass"]
+        assert {e["pid"] for e in passes} == {0, 1}
+        entries = load_cost_model(str(model_file))["entries"]
+        assert entries
+        for entry in entries:
+            # 2 rounds x batch 2, one sample per process per round: the
+            # coordinator alone would have recorded half of these.
+            assert entry["count"] == 4, entry
 
     @staticmethod
     def _check_task_trace(doc):
         """The one trace format: span identity on every slice, worker
-        and queue wait on the task slices, every parent resolvable."""
+        and queue wait on the task slices, edge/backend/op on the pass
+        slices inside them, every parent resolvable."""
         slices = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert slices
         ids = {e["args"]["span_id"] for e in slices}
+        kinds = set()
         for e in slices:
             assert {"name", "ph", "pid", "tid", "ts", "dur"} <= set(e)
-            assert {"trace_id", "span_id", "parent_id", "status",
-                    "worker", "queue_wait"} <= set(e["args"])
+            assert {"trace_id", "span_id", "parent_id",
+                    "status"} <= set(e["args"])
             assert e["args"]["parent_id"] in ids | {None}
+            if e["cat"] == "pass":
+                assert {"edge", "backend", "op"} <= set(e["args"])
+                assert "worker" not in e["args"]
+                kinds.add("pass")
+            elif "worker" in e["args"]:
+                assert e["args"]["queue_wait"] >= 0.0
+                kinds.add("task")
+        assert kinds == {"task", "pass"}
 
     def test_train_trace_out_and_metrics(self, capsys, tmp_path):
         import json
@@ -270,6 +311,7 @@ class TestObservabilityCommands:
         assert "loss/voxel" in out
         assert "queue.pop" in out  # --metrics table
         assert "tasks over" in out and "0 failed" in out
+        assert "cost model written" not in out
         with open(out_file) as fh:
             self._check_task_trace(json.load(fh))
 
@@ -279,23 +321,62 @@ class TestObservabilityCommands:
 
         from repro.observability import get_tracer
 
-        assert main(["train", "--rounds", "1", *self._SIZE,
-                     "--trace-out", str(tmp_path / "t.json")]) == 0
-        assert not get_tracer().enabled
-        assert "REPRO_TRACING" not in os.environ
+        for flag in ("--trace-out", "--profile-out"):
+            assert main(["train", "--rounds", "1", *self._SIZE,
+                         flag, str(tmp_path / "t.json")]) == 0
+            assert not get_tracer().enabled
+            assert "REPRO_TRACING" not in os.environ
 
     def test_trace_reports_ring_overflow(self, tmp_path, capsys):
         from repro.observability import Tracer, set_tracer
 
         previous = set_tracer(Tracer(enabled=False, max_spans=20))
         try:
-            assert main(["trace", "--out", str(tmp_path / "t.json"),
-                         "--rounds", "1", *self._SIZE]) == 0
+            assert main(["train", "--rounds", "1", *self._SIZE,
+                         "--trace-out", str(tmp_path / "t.json")]) == 0
         finally:
             set_tracer(previous)
         out = capsys.readouterr().out
         assert "20 spans from" in out
         assert "span ring overflowed" in out
+
+    def test_profile_out_refuses_a_ring_that_overflowed(self, tmp_path,
+                                                        capsys):
+        """A partial cost model is worse than none: non-zero exit, a
+        clear message, no file — and tracing is switched off again."""
+        from repro.observability import Tracer, set_tracer
+
+        out_file = tmp_path / "cm.json"
+        small = Tracer(enabled=False, max_spans=20)
+        previous = set_tracer(small)
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["train", "--rounds", "1", *self._SIZE,
+                      "--profile-out", str(out_file)])
+        finally:
+            set_tracer(previous)
+        assert exit_info.value.code not in (0, None)
+        assert "--profile-out" in str(exit_info.value.code)
+        assert "overflowed" in str(exit_info.value.code)
+        assert not out_file.exists()
+        assert not small.enabled
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["profile"], ["trace"], ["trace", "--out", "t.json"],
+        ["metrics", "--rounds", "1"], ["profile", "--json"]])
+    def test_deleted_commands_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_lists_fifteen_commands(self):
+        from repro.cli import build_parser
+
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a.choices, dict)]
+        assert len(sub.choices) == 15
+        assert not {"metrics", "profile"} & set(sub.choices)
 
     def test_refused_arguments_write_no_trace(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"
@@ -307,9 +388,13 @@ class TestObservabilityCommands:
 class TestResilienceCli:
     @pytest.fixture(autouse=True)
     def clean_faults(self):
+        from repro.observability import get_registry
         from repro.resilience import clear_plan
 
         clear_plan()
+        # "recovery events:" reads process-global counters; zero what
+        # earlier tests (other files' fault plans) left behind.
+        get_registry().reset()
         yield
         clear_plan()
 
@@ -414,28 +499,67 @@ class TestObservabilityCli:
     _SIZE = ["--input-size", "20", "--volume-size", "32"]
 
     def test_profile_writes_validated_cost_model(self, capsys, tmp_path):
+        """``train --profile-out``: fwd/bwd/upd for every conv edge
+        with the backend's own pass cost, plus the transfer and filter
+        edges the conv-only profiler never saw."""
         import json
 
+        from repro.graph import build_layered_network
         from repro.observability.profile import validate_cost_model
+        from repro.tensor.backends import conv_backend
 
         out_file = tmp_path / "cost_model.json"
-        assert main(["profile", "--out", str(out_file), "--rounds", "1",
-                     *self._SIZE, "--conv-mode", "direct"]) == 0
+        assert main(["train", "--rounds", "3", *self._SIZE,
+                     "--conv-mode", "fft",
+                     "--profile-out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "cost model written" in out
-        assert "gflop/s" in out
+        assert "trace written" not in out
         doc = validate_cost_model(json.load(open(out_file)))
-        assert {e["op"] for e in doc["entries"]} == {"fwd", "bwd", "upd"}
+        by_key = {(e["edge"], e["op"]): e for e in doc["entries"]}
+        graph = build_layered_network(
+            "CTMCTCT", width=6, kernel=3, window=2, transfer="tanh",
+            final_transfer="linear", skip_kernels=True, output_nodes=1)
+        graph.propagate_shapes((20, 20, 20))
+        fft = conv_backend("fft")
+        for spec in graph.edges.values():
+            ops = {"conv": "fwd bwd upd", "transfer": "fwd bwd upd",
+                   "filter": "fwd bwd"}[spec.kind].split()
+            for op in ops:
+                entry = by_key.pop((spec.name, op))
+                assert entry["count"] == 3 and entry["seconds"] > 0
+                if spec.kind != "conv":
+                    assert entry["backend"] == spec.kind
+                    assert entry["flops"] == 0
+                    assert entry["kernel_shape"] is None
+                    continue
+                image = graph.nodes[spec.src].shape
+                cost = fft.pass_cost(image, spec.kernel, spec.sparsity,
+                                     fft.plan(image, spec.kernel,
+                                              spec.sparsity, False))
+                assert entry["backend"] == "fft"
+                assert entry["flops"] == 3 * cost["flops"]
+                assert entry["bytes"] == 3 * cost["bytes"]
+                assert entry["image_shape"] == list(image)
+                assert entry["kernel_shape"] == list(spec.kernel)
+        assert not by_key  # nothing but the graph's edges
 
     def test_profile_json_mode(self, capsys, tmp_path):
+        """The emitted file is the JSON document both consumers load."""
         import json
 
+        from repro.loadgen import ServiceModel
+        from repro.serving.specialize import CostModel
+
         out_file = tmp_path / "cost_model.json"
-        assert main(["profile", "--out", str(out_file), "--rounds", "1",
-                     *self._SIZE, "--json"]) == 0
-        stdout = capsys.readouterr().out
-        doc = json.loads(stdout[:stdout.rindex("}") + 1])
+        assert main(["train", "--rounds", "1", *self._SIZE,
+                     "--profile-out", str(out_file)]) == 0
+        doc = json.load(open(out_file))
         assert doc["schema"] == "repro.cost_model/v1"
+        assert CostModel.from_file(str(out_file)).measured
+        default = ServiceModel()
+        assert ServiceModel.from_cost_model(doc).seconds_per_voxel \
+            != default.seconds_per_voxel
 
     def test_slo_reports_attainment(self, capsys):
         assert main(["slo", "--requests", "3", "--volume-size", "12",

@@ -86,11 +86,20 @@ class TestPoolFilterShapes:
             sh.pool_shape(9, 2)
 
     def test_filter_like_valid_conv(self):
-        assert sh.filter_shape(10, 3) == sh.valid_conv_shape(10, 3)
+        """A max-filter edge shrinks its image like a valid convolution
+        of the window (the graph's shape rule for the kind)."""
+        from repro.graph import build_layered_network
+
+        graph = build_layered_network("CM", width=1, kernel=1, window=3)
+        graph.propagate_shapes((10, 10, 10))
+        assert (graph.output_nodes[0].shape
+                == sh.valid_conv_shape(10, 3) == (8, 8, 8))
 
     def test_filter_backward_restores(self):
-        out = sh.filter_shape(10, 3, 2)
-        assert sh.filter_backward_shape(out, 3, 2) == (10, 10, 10)
+        """The backward image of a sparse filter grows back to the
+        input size: full is the inverse of valid."""
+        out = sh.valid_conv_shape(10, 3, 2)
+        assert sh.full_conv_shape(out, 3, 2) == (10, 10, 10)
 
 
 class TestVoxels:
@@ -127,13 +136,24 @@ class TestFieldOfView:
 class TestShapePropagation:
     LAYERS = [("conv", 3, 1), ("filter", 2, 1), ("conv", 3, 2)]
 
+    @staticmethod
+    def forward(n):
+        """Output shape of the LAYERS network as the computation graph
+        propagates it (the forward rules' real consumer)."""
+        from repro.graph import build_layered_network
+
+        graph = build_layered_network("CMC", width=1, kernel=3, window=2,
+                                      skip_kernels=True)
+        graph.propagate_shapes((n, n, n))
+        return graph.output_nodes[0].shape
+
     def test_roundtrip(self):
-        out = sh.output_shape_for_input(20, self.LAYERS)
+        out = self.forward(20)
         back = sh.input_shape_for_output(out, self.LAYERS)
         assert back == (20, 20, 20)
 
     def test_transfer_is_identity(self):
-        assert sh.output_shape_for_input(9, [("transfer", 1, 1)]) == (9, 9, 9)
+        assert sh.input_shape_for_output(9, [("transfer", 1, 1)]) == (9, 9, 9)
 
     def test_pool_inverse_multiplies(self):
         assert sh.input_shape_for_output(3, [("pool", 2, 1)]) == (6, 6, 6)
@@ -141,7 +161,7 @@ class TestShapePropagation:
     @given(n=st.integers(12, 40))
     def test_roundtrip_property(self, n):
         try:
-            out = sh.output_shape_for_input(n, self.LAYERS)
+            out = self.forward(n)
         except ValueError:
             return
         assert sh.input_shape_for_output(out, self.LAYERS) == (n, n, n)

@@ -4,7 +4,7 @@ modelled, and exploited per layer.
 The paper's claim: the crossover occurs at *smaller* kernel sizes for a
 ConvNet layer than for a single convolution, because image and kernel
 FFTs are shared across the layer's f*f' edges.  We print the layer-level
-model crossover for several widths (it must be non-increasing in width)
+model crossover over (image size, width) — non-increasing along both —
 and measure the single-conv wall-clock crossover on this host.
 
 ZNNi (arXiv:1606.05688) turns that observation into a serving plan:
@@ -16,14 +16,11 @@ measured throughput is no worse than the best single-mode plan (within
 a noise margin).  Everything lands in ``BENCH_znni.json``.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
-from _bench_utils import fmt, full_run, print_table
 from repro.core import (
     autotune_layer,
     crossover_kernel_size,
@@ -32,11 +29,12 @@ from repro.core import (
 from repro.observability import Tracer, cost_model_from_spans, set_tracer
 from repro.serving import ModelRegistry, ModelSpec, plan_specialization
 
-IMAGE = (32, 32, 32)
+BENCH = "znni"
 KS = tuple(range(2, 12))
 
-#: The crossover-surface grid (image edge x layer width).
-SURFACE_SIZES = (16, 24, 32, 48) + ((64,) if full_run() else ())
+#: The crossover-surface grid (image edge x layer width); a full run
+#: adds the 64^3 row and the 64^3 serving volume.
+SURFACE_SIZES = (16, 24, 32, 48)
 SURFACE_WIDTHS = (1, 2, 4, 8)
 
 #: Layered example specs for the specialized-vs-single-mode comparison.
@@ -51,28 +49,13 @@ SERVING_SPECS = {
         name="ctct-k7-k3", spec="CTCT", conv_mode="direct",
         builder_kwargs={"width": 2, "kernel": [7, 3], "transfer": "tanh"}),
 }
-SERVING_VOLUMES = ((32, 32, 32),) + (((64, 64, 64),) if full_run() else ())
 #: Specialized must reach this fraction of the best single-mode
 #: throughput — the planner picks from measured data, so losses beyond
 #: run-to-run noise mean the cost model mispriced a layer.
 NOISE_FLOOR = 0.85
 
 
-def test_model_crossover_shrinks_with_width():
-    rows = []
-    crossovers = []
-    for f in (1, 2, 4, 8, 16, 64):
-        k = layer_crossover_kernel_size(IMAGE, KS, f, f)
-        crossovers.append(k if k is not None else max(KS) + 1)
-        rows.append([f, k if k is not None else f"> {max(KS)}"])
-    print_table(f"layer-level FFT/direct crossover kernel (image {IMAGE})",
-                ["width f=f'", "crossover k"], rows)
-    assert all(crossovers[i] >= crossovers[i + 1]
-               for i in range(len(crossovers) - 1))
-    assert crossovers[-1] < crossovers[0] or crossovers[0] == max(KS) + 1
-
-
-def test_crossover_surface():
+def test_crossover_surface(report):
     """The per-layer crossover surface over (image size, width).
 
     Both axes push the same way: wider layers amortise shared
@@ -81,9 +64,10 @@ def test_crossover_surface():
     crossover kernel is non-increasing along each axis (None = no
     crossover inside the sweep, treated as past its end).
     """
+    sizes = SURFACE_SIZES + ((64,) if report.full else ())
     surface = []
     rows = []
-    for n in SURFACE_SIZES:
+    for n in sizes:
         row = []
         for f in SURFACE_WIDTHS:
             k = layer_crossover_kernel_size((n, n, n), KS, f, f)
@@ -91,19 +75,19 @@ def test_crossover_surface():
             surface.append({"image": n, "width": f, "crossover": k})
         rows.append([f"{n}^3"] + [k if k is not None else f"> {max(KS)}"
                                   for k in row])
-    print_table("crossover-kernel surface (rows image, cols width f=f')",
-                [""] + [str(f) for f in SURFACE_WIDTHS], rows)
+    report.table("crossover-kernel surface (rows image, cols width f=f')",
+                 [""] + [str(f) for f in SURFACE_WIDTHS], rows)
     sentinel = max(KS) + 1
     grid = {(c["image"], c["width"]):
             c["crossover"] if c["crossover"] is not None else sentinel
             for c in surface}
-    for n in SURFACE_SIZES:
+    for n in sizes:
         ks = [grid[(n, f)] for f in SURFACE_WIDTHS]
         assert all(a >= b for a, b in zip(ks, ks[1:])), (n, ks)
     for f in SURFACE_WIDTHS:
-        ks = [grid[(n, f)] for n in SURFACE_SIZES]
+        ks = [grid[(n, f)] for n in sizes]
         assert all(a >= b for a, b in zip(ks, ks[1:])), (f, ks)
-    _emit("crossover_surface", surface)
+    report.emit("crossover_surface", surface)
 
 
 def _measured_throughput(warm, volume, reps=3):
@@ -119,9 +103,11 @@ def _measured_throughput(warm, volume, reps=3):
 
 
 @pytest.mark.parametrize("name", sorted(SERVING_SPECS))
-@pytest.mark.parametrize("volume_shape", SERVING_VOLUMES,
-                         ids=lambda v: f"{v[0]}^3")
-def test_specialized_vs_single_mode(name, volume_shape):
+@pytest.mark.parametrize("edge", [32, 64], ids=lambda n: f"{n}^3")
+def test_specialized_vs_single_mode(name, edge, report):
+    if edge == 64 and not report.full:
+        pytest.skip("64^3 volume only with ZNN_BENCH_FULL=1")
+    volume_shape = (edge,) * 3
     spec = SERVING_SPECS[name]
     volume = np.random.default_rng(7).standard_normal(volume_shape)
     registry = ModelRegistry(max_models=8)
@@ -157,15 +143,15 @@ def test_specialized_vs_single_mode(name, volume_shape):
             warm = registry.warm(name, plan.input_tile, conv_modes=modes)
             results[label], outputs[label] = _measured_throughput(
                 warm, volume)
-            rows.append([label, fmt(results[label] / 1e6, 4),
+            rows.append([label, f"{results[label] / 1e6:.4g}",
                          " ".join(sorted(set(modes.values())))])
-        print_table(
+        report.table(
             f"{name} at {volume_shape[0]}^3: measured Mvox/s "
             f"(plan modes {dict(plan.layer_modes)})",
             ["variant", "Mvox/s", "conv modes"], rows)
         best_single = max(results["direct"], results["fft"])
         ratio = results["specialized"] / best_single
-        _emit(f"serving:{name}:{volume_shape[0]}", {
+        report.emit(f"serving:{name}:{volume_shape[0]}", {
             "volume": list(volume_shape),
             "input_tile": list(plan.input_tile),
             "layer_modes": {str(i): m for i, m in plan.layer_modes},
@@ -173,6 +159,7 @@ def test_specialized_vs_single_mode(name, volume_shape):
             "measured_voxels_per_second": {
                 k: v for k, v in sorted(results.items())},
             "specialized_over_best_single": ratio,
+            "noise_floor": NOISE_FLOOR,
         })
         # Specialization never loses: the planner chose from measured
         # rates, so up to noise it matches (mixed plans: beats) the
@@ -187,34 +174,16 @@ def test_specialized_vs_single_mode(name, volume_shape):
         registry.close()
 
 
-def test_measured_single_conv_crossover():
-    k = crossover_kernel_size(IMAGE, (2, 3, 5, 7), repeats=2)
+def test_measured_single_conv_crossover(report):
+    image = (32, 32, 32)
+    k = crossover_kernel_size(image, (2, 3, 5, 7), repeats=2)
     rows = []
     for kk in (2, 3, 5, 7):
-        mode, t_d, t_f = autotune_layer(IMAGE, kk, repeats=2)
-        rows.append([f"{kk}^3", fmt(t_d, 3), fmt(t_f, 3), mode])
-    print_table("measured single-convolution times on this host",
-                ["kernel", "direct s", "fft s", "chosen"], rows)
+        mode, t_d, t_f = autotune_layer(image, kk, repeats=2)
+        rows.append([f"{kk}^3", f"{t_d:.3g}", f"{t_f:.3g}", mode])
+    report.table("measured single-convolution times on this host",
+                 ["kernel", "direct s", "fft s", "chosen"], rows)
     # numpy's strided direct conv loses to FFT quickly; the crossover
     # must exist within the sweep on any host.
     assert k is not None
 
-
-def test_bench_autotune_layer(benchmark):
-    benchmark(autotune_layer, (16, 16, 16), 3, 1, 1)
-
-
-_DOC = {}
-
-
-def _emit(key, value):
-    """Accumulate results across tests into BENCH_znni.json."""
-    _DOC[key] = value
-    path = os.environ.get("REPRO_BENCH_ZNNI_OUT", "BENCH_znni.json")
-    with open(path, "w") as fh:
-        json.dump({"surface_sizes": list(SURFACE_SIZES),
-                   "surface_widths": list(SURFACE_WIDTHS),
-                   "noise_floor": NOISE_FLOOR,
-                   "full_run": full_run(), "results": _DOC}, fh,
-                  indent=2)
-        fh.write("\n")

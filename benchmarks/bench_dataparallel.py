@@ -6,25 +6,21 @@ the multi-process analogue of the paper's speedup-vs-threads protocol
 (Figs 5–7), with the determinism contract checked on the side: every
 worker count must finish with a bitwise-identical parameter digest.
 
-Results accumulate into ``BENCH_dataparallel.json`` (override the path
-with ``REPRO_BENCH_DATAPARALLEL_OUT``).  The >= 1.5x speedup assertion
-at 4 workers only runs on machines that actually have >= 4 CPUs; on
-smaller hosts the sweep still runs and records the (honest) numbers.
+Results land in ``BENCH_dataparallel.json``.  The >= 1.5x speedup
+assertion at 4 workers only runs on machines that actually have >= 4
+CPUs; on smaller hosts the sweep still runs and records the (honest)
+numbers.
 """
-
-import json
-import os
 
 import pytest
 
-from _bench_utils import fmt, full_run, print_table
 from repro.core import state_digest
 from repro.data import RandomProvider
 from repro.parallel import ModelConfig, ParallelTrainer, visible_cpus
 
+BENCH = "dataparallel"
 INPUT = (20, 20, 20)
 BATCH = 4
-ROUNDS = 2 if not full_run() else 5
 WORKER_COUNTS = (1, 2, 4)
 
 CFG = ModelConfig(
@@ -46,7 +42,7 @@ def output_shape():
     return graph.output_nodes[0].shape
 
 
-def run(workers):
+def run(workers, rounds):
     """(seconds per global update, state digest) at *workers*."""
     trainer = ParallelTrainer(CFG, RandomProvider,
                               (INPUT, output_shape(), False, None),
@@ -54,31 +50,33 @@ def run(workers):
                               worker_timeout=300.0)
     try:
         trainer.run(1)  # warm-up: pools, caches, worker start-up
-        report = trainer.run(ROUNDS)
+        report = trainer.run(rounds)
         digest = state_digest(trainer.network)
     finally:
         trainer.close()
     return report.mean_seconds_per_update, digest
 
 
-def test_bench_dataparallel_speedup():
+def test_dataparallel_speedup(report):
     cpus = visible_cpus()
+    rounds = 5 if report.full else 2
     rows, results = [], []
     digests = {}
     baseline = None
     for workers in WORKER_COUNTS:
-        seconds, digest = run(workers)
-        if baseline is None:
-            baseline = seconds
+        seconds, digest = run(workers, rounds)
+        baseline = baseline or seconds
         speedup = baseline / seconds if seconds > 0 else 0.0
         digests[workers] = digest
-        rows.append([workers, fmt(seconds), fmt(speedup)])
+        rows.append([workers, f"{seconds:.3g}", f"{speedup:.3g}"])
         results.append({"workers": workers, "seconds_per_update": seconds,
                         "speedup": speedup, "digest": digest})
-    print_table(
+    report.table(
         f"data-parallel seconds/update, batch {BATCH} on {cpus} CPU(s)",
         ["workers", "s/update", "speedup"], rows)
-    _emit(cpus, results)
+    report.emit("speedup", {"input": list(INPUT), "batch": BATCH,
+                            "rounds": rounds, "visible_cpus": cpus,
+                            "by_workers": results})
     # The determinism contract holds on any machine.
     assert len(set(digests.values())) == 1, digests
     # The throughput contract only on machines with the CPUs for it.
@@ -91,13 +89,3 @@ def test_bench_dataparallel_speedup():
         pytest.skip(f"only {cpus} visible CPU(s): recorded results "
                     "without asserting speedup")
 
-
-def _emit(cpus, results):
-    path = os.environ.get("REPRO_BENCH_DATAPARALLEL_OUT",
-                          "BENCH_dataparallel.json")
-    with open(path, "w") as fh:
-        json.dump({"input": list(INPUT), "batch": BATCH,
-                   "rounds": ROUNDS, "visible_cpus": cpus,
-                   "full_run": full_run(), "results": results},
-                  fh, indent=2)
-        fh.write("\n")

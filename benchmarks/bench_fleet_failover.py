@@ -8,21 +8,14 @@ the chaos tests assert that; here we only price it).  Results are
 printed and written to ``BENCH_fleet.json`` in the working directory.
 """
 
-import json
-import os
-import threading
 import time
 
 import numpy as np
-import pytest
 
-from _bench_utils import fmt, full_run, print_table
-from repro.graph.specfile import dump_layered_spec
 from repro.serving import FleetServer, ModelSpec, SupervisorConfig
 
+BENCH = "fleet"
 VOLUME = (16, 16, 16)
-REQUESTS = 8 if not full_run() else 32
-WORKERS = 2 if not full_run() else 3
 
 # Fast failure detection so the benchmark measures recovery, not the
 # default production heartbeat budget.
@@ -30,87 +23,61 @@ FAST = SupervisorConfig(heartbeat_interval=0.1, heartbeat_timeout=0.6,
                         restart_backoff=0.05, restart_backoff_max=0.2)
 
 
-@pytest.fixture(scope="module")
-def spec(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fleet-bench") / "bench.spec"
-    path.write_text(dump_layered_spec(
-        "CTPCT", width=[2, 1], kernel=2, window=2, transfer="tanh"))
-    return ModelSpec.from_files("bench", str(path), conv_mode="direct")
-
-
-def run_closed_loop(fleet, volume, requests, clients=2):
-    """`clients` threads each keep one request in flight; returns
-    (seconds, completed count)."""
-    lock = threading.Lock()
-    todo = list(range(requests))
-    done = [0]
-
-    def client():
-        while True:
-            with lock:
-                if not todo:
-                    return
-                todo.pop()
-            fleet.infer("bench", volume, timeout=120.0)
-            with lock:
-                done[0] += 1
-
-    threads = [threading.Thread(target=client) for _ in range(clients)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return time.perf_counter() - start, done[0]
-
-
-def make_fleet(spec, *, faults=None, pool_name="fleet-bench"):
-    return FleetServer([spec], num_workers=WORKERS,
+def make_fleet(spec_path, workers, *, faults=None,
+               pool_name="fleet-bench"):
+    spec = ModelSpec.from_files("bench", str(spec_path),
+                                conv_mode="direct")
+    return FleetServer([spec], num_workers=workers,
                        prewarm_shape=VOLUME, worker_faults=faults,
                        supervisor_config=FAST, pool_name=pool_name)
 
 
-def test_failover_recovery_cost(spec):
+def test_failover_recovery_cost(spec_path, requests, report):
     volume = np.random.default_rng(5).standard_normal(VOLUME)
+    workers = 3 if report.full else 2
     rows, results = [], []
     for label, faults in (
             ("clean", None),
             # Kill whichever worker handles the 3rd request; the
             # victim requeues and the worker restarts mid-run.
             ("kill mid-run", "fail:serve_worker:3")):
-        fleet = make_fleet(spec, faults=faults,
+        fleet = make_fleet(spec_path, workers, faults=faults,
                            pool_name=f"fleet-bench-{len(rows)}")
         fleet.start(ready_timeout=120)
         try:
-            seconds, served = run_closed_loop(fleet, volume, REQUESTS)
+            seconds, answers = report.closed_loop(
+                lambda: fleet.infer("bench", volume, timeout=120.0),
+                requests, 2)
+            served = len(answers)
             doc = fleet.health()
             deaths = sum(w["restarts"]
                          for w in doc["workers"].values())
         finally:
             fleet.stop()
-        rows.append([label, served, fmt(seconds),
-                     fmt(served / seconds), deaths])
+        rows.append([label, served, f"{seconds:.3g}",
+                     f"{served / seconds:.3g}", deaths])
         results.append({"scenario": label, "requests": served,
                         "seconds": seconds,
                         "requests_per_second": served / seconds,
                         "worker_restarts": deaths})
-    print_table(
-        f"fleet of {WORKERS}, {REQUESTS} requests, volume {VOLUME}",
+    report.table(
+        f"fleet of {workers}, {requests} requests, volume {VOLUME}",
         ["scenario", "served", "seconds", "req/s", "restarts"], rows)
-    _emit("failover", results)
-    assert results[0]["requests"] == REQUESTS
-    assert results[1]["requests"] == REQUESTS  # nothing dropped
+    report.emit("failover", results)
+    assert results[0]["requests"] == requests
+    assert results[1]["requests"] == requests  # nothing dropped
     assert results[1]["worker_restarts"] >= 1
 
 
-def test_drain_latency_under_load(spec):
+def test_drain_latency_under_load(spec_path, requests, report):
     volume = np.random.default_rng(6).standard_normal(VOLUME)
-    fleet = make_fleet(spec, pool_name="fleet-bench-drain")
+    fleet = make_fleet(spec_path, 3 if report.full else 2,
+                       pool_name="fleet-bench-drain")
     fleet.start(ready_timeout=120)
     stopped = False
     try:
         accepted = [fleet.submit("bench", volume, timeout=120.0)
-                    for _ in range(REQUESTS)]
+                    for _ in range(requests)]
         start = time.perf_counter()
         fleet.begin_drain()
         drained = fleet.wait_drained(timeout=120.0)
@@ -122,23 +89,10 @@ def test_drain_latency_under_load(spec):
     finally:
         if not stopped:
             fleet.stop()
-    print_table("graceful drain under load",
-                ["accepted", "drained", "seconds"],
-                [[len(accepted), drained, fmt(seconds)]])
-    _emit("drain", {"accepted": len(accepted), "drained": drained,
-                    "seconds": seconds})
+    report.table("graceful drain under load",
+                 ["accepted", "drained", "seconds"],
+                 [[len(accepted), drained, f"{seconds:.3g}"]])
+    report.emit("drain", {"accepted": len(accepted), "drained": drained,
+                          "seconds": seconds})
     assert drained
 
-
-_DOC = {}
-
-
-def _emit(key, value):
-    """Accumulate results across tests into BENCH_fleet.json."""
-    _DOC[key] = value
-    path = os.environ.get("REPRO_BENCH_FLEET_OUT", "BENCH_fleet.json")
-    with open(path, "w") as fh:
-        json.dump({"volume": list(VOLUME), "workers": WORKERS,
-                   "full_run": full_run(), "results": _DOC}, fh,
-                  indent=2)
-        fh.write("\n")

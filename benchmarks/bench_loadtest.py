@@ -15,10 +15,6 @@ Everything here is the discrete-event simulator: no processes, no
 wall-clock sensitivity, deterministic output.
 """
 
-import json
-import os
-
-from _bench_utils import fmt, full_run, print_table
 from repro.loadgen import (
     HysteresisPolicy,
     ServiceModel,
@@ -30,6 +26,7 @@ from repro.loadgen import (
     simulate_serving,
 )
 
+BENCH = "loadtest"
 MULTIPLIERS = (1.0, 10.0, 100.0)
 FIXED_WORKERS = 2
 AUTOSCALE_MAX = 8
@@ -38,11 +35,10 @@ SERVICE = ServiceModel(seconds_per_voxel=2.5e-5,
                        overhead_seconds=0.01)
 
 
-def _trace():
-    duration = 120.0 if full_run() else 60.0
+def _trace(full):
     return generate_trace(scenario_config(
-        "flash-crowd", seed=7, duration=duration, base_rate=1.5,
-        size_min=12, size_max=24, deadline=10.0))
+        "flash-crowd", seed=7, duration=120.0 if full else 60.0,
+        base_rate=1.5, size_min=12, size_max=24, deadline=10.0))
 
 
 def _run(trace, policy=None, control_interval=0.5):
@@ -50,7 +46,7 @@ def _run(trace, policy=None, control_interval=0.5):
                        service=SERVICE,
                        control_interval=control_interval)
     result = simulate_serving(trace, config, policy)
-    doc = build_report(
+    return build_report(
         "sim", trace, result.outcomes,
         worker_seconds=result.worker_seconds,
         workers=(None if policy else FIXED_WORKERS),
@@ -60,11 +56,10 @@ def _run(trace, policy=None, control_interval=0.5):
             "decisions": len(result.decisions),
             "final": result.final_workers}),
         multiplier=trace.config.base_rate / 1.5)
-    return doc
 
 
-def test_loadtest_multiplier_sweep():
-    base = _trace()
+def test_loadtest_multiplier_sweep(report):
+    base = _trace(report.full)
     rows = []
     results = {}
     for multiplier in MULTIPLIERS:
@@ -80,11 +75,11 @@ def test_loadtest_multiplier_sweep():
         for label, doc in (("fixed", fixed), ("autoscaled", scaled)):
             res = doc["results"]
             rows.append([
-                fmt(multiplier, 4), label,
+                f"{multiplier:g}", label,
                 res["submitted"],
                 f"{res['served_fraction']:.3f}",
-                fmt(res["latency"]["p99"], 3),
-                fmt(doc["cost"]["worker_seconds"], 4),
+                f"{res['latency']['p99']:.3g}",
+                f"{doc['cost']['worker_seconds']:.4g}",
             ])
             results[f"x{multiplier:g}_{label}"] = {
                 "served_fraction": res["served_fraction"],
@@ -97,12 +92,12 @@ def test_loadtest_multiplier_sweep():
         # Reports must stay schema-valid at every scale.
         dump_report(fixed)
         dump_report(scaled)
-    print_table(
+    report.table(
         "loadtest: fixed 2 workers vs autoscaled "
         f"1-{AUTOSCALE_MAX} (flash-crowd)",
         ["mult", "fleet", "requests", "served_frac", "p99_s",
          "worker_s"], rows)
-    _emit("multiplier_sweep", results)
+    report.emit("multiplier_sweep", results)
     # The subsystem's acceptance claim: under 100x overload the
     # autoscaler beats the fixed fleet on served fraction.
     assert results["x100_autoscaled"]["served_fraction"] \
@@ -113,28 +108,12 @@ def test_loadtest_multiplier_sweep():
         <= results["x1_fixed"]["worker_seconds"] * 1.01
 
 
-def test_loadtest_determinism():
-    trace = _trace().scaled(10.0)
+def test_loadtest_determinism(report):
+    trace = _trace(report.full).scaled(10.0)
     a = _run(trace, HysteresisPolicy(min_workers=1,
                                      max_workers=AUTOSCALE_MAX))
     b = _run(trace, HysteresisPolicy(min_workers=1,
                                      max_workers=AUTOSCALE_MAX))
     assert dump_report(a) == dump_report(b)
-    _emit("determinism", {"byte_identical": True})
+    report.emit("determinism", {"byte_identical": True})
 
-
-_DOC = {}
-
-
-def _emit(key, value):
-    """Accumulate results across tests into BENCH_loadtest.json."""
-    _DOC[key] = value
-    path = os.environ.get("REPRO_BENCH_LOADTEST_OUT",
-                          "BENCH_loadtest.json")
-    with open(path, "w") as fh:
-        json.dump({"multipliers": list(MULTIPLIERS),
-                   "fixed_workers": FIXED_WORKERS,
-                   "autoscale_max": AUTOSCALE_MAX,
-                   "full_run": full_run(), "results": _DOC}, fh,
-                  indent=2)
-        fh.write("\n")

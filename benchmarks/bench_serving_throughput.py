@@ -6,90 +6,61 @@ steady-state throughput for a closed-loop client at several worker
 counts, the cold-start cost the warm cache removes (first request
 builds + prewarms the dense twin), and the tile-budget trade-off
 (smaller tiles -> more halo recompute).  Results are printed and
-written to ``BENCH_serving.json`` in the working directory.
+written to ``BENCH_serving.json`` in the working directory.  (The
+per-request latency of this model is ``benchmarks/e2e``'s
+``serve_small_20`` workload.)
 """
 
-import json
-import os
-import threading
 import time
 
 import numpy as np
-import pytest
 
-from _bench_utils import fmt, full_run, print_table
-from repro.graph.specfile import dump_layered_spec
 from repro.serving import InferenceServer, ModelRegistry, ModelSpec
 
+BENCH = "serving"
 VOLUME = (20, 20, 20)
-WORKER_COUNTS = (1, 2) if not full_run() else (1, 2, 4)
-REQUESTS = 8 if not full_run() else 32
 
 
-@pytest.fixture(scope="module")
-def spec_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("serving") / "bench.spec"
-    path.write_text(dump_layered_spec(
-        "CTPCT", width=[2, 1], kernel=2, window=2, transfer="tanh"))
-    return path
-
-
-def make_registry(spec_path, conv_mode="fft"):
+def make_registry(spec_path):
     registry = ModelRegistry(max_models=2)
     registry.register(ModelSpec.from_files("bench", spec_path,
-                                           conv_mode=conv_mode))
+                                           conv_mode="fft"))
     return registry
 
 
-def run_closed_loop(server, volume, requests, clients=4):
-    """`clients` threads each keep one request in flight; returns
-    (seconds, dense voxels produced)."""
-    voxels = [0]
-    lock = threading.Lock()
-    todo = list(range(requests))
-
-    def client():
-        while True:
-            with lock:
-                if not todo:
-                    return
-                todo.pop()
-            out = server.infer("bench", volume, timeout=120)
-            with lock:
-                voxels[0] += out.size
-
-    threads = [threading.Thread(target=client) for _ in range(clients)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return time.perf_counter() - start, voxels[0]
+def voxels_served(server, volume, requests, clients, report):
+    """(seconds, dense voxels produced) for a closed-loop client."""
+    seconds, sizes = report.closed_loop(
+        lambda: server.infer("bench", volume, timeout=120).size,
+        requests, clients)
+    return seconds, sum(sizes)
 
 
-def test_throughput_vs_workers(spec_path):
+def test_throughput_vs_workers(spec_path, requests, report):
     volume = np.random.default_rng(0).standard_normal(VOLUME)
     rows, results = [], []
-    for workers in WORKER_COUNTS:
+    for workers in (1, 2, 4) if report.full else (1, 2):
         registry = make_registry(spec_path)
         with InferenceServer(registry, num_workers=workers,
-                             max_queue=2 * REQUESTS,
+                             max_queue=2 * requests,
                              tile_voxels=2000) as server:
             server.infer("bench", volume)  # warm the twin off the clock
-            seconds, voxels = run_closed_loop(server, volume, REQUESTS)
+            seconds, voxels = voxels_served(server, volume, requests, 4,
+                                            report)
         registry.close()
-        rps = REQUESTS / seconds
-        rows.append([workers, fmt(seconds), fmt(rps), fmt(voxels / seconds)])
-        results.append({"workers": workers, "requests": REQUESTS,
+        rps = requests / seconds
+        rows.append([workers, f"{seconds:.3g}", f"{rps:.3g}",
+                     f"{voxels / seconds:.3g}"])
+        results.append({"workers": workers, "requests": requests,
                         "seconds": seconds, "requests_per_second": rps,
                         "voxels_per_second": voxels / seconds})
-    print_table(f"serving throughput, volume {VOLUME}, tile budget 2000",
-                ["workers", "seconds", "req/s", "voxels/s"], rows)
+    report.table(f"serving throughput, volume {VOLUME}, tile budget 2000",
+                 ["workers", "seconds", "req/s", "voxels/s"], rows)
     assert all(r["requests_per_second"] > 0 for r in results)
-    _emit("throughput_vs_workers", results)
+    report.emit("throughput_vs_workers", results)
 
 
-def test_warm_cache_removes_cold_start(spec_path):
+def test_warm_cache_removes_cold_start(spec_path, report):
     """First request pays twin build + spectra prewarm; steady-state
     requests must be substantially faster."""
     volume = np.random.default_rng(1).standard_normal(VOLUME)
@@ -106,14 +77,15 @@ def test_warm_cache_removes_cold_start(spec_path):
             warm_times.append(time.perf_counter() - start)
     registry.close()
     warm = min(warm_times)
-    print_table("cold start vs warm cache (seconds/request)",
-                ["cold", "warm", "speedup"],
-                [[fmt(cold), fmt(warm), fmt(cold / warm, 2)]])
-    _emit("cold_vs_warm", {"cold_seconds": cold, "warm_seconds": warm})
+    report.table("cold start vs warm cache (seconds/request)",
+                 ["cold", "warm", "speedup"],
+                 [[f"{cold:.3g}", f"{warm:.3g}", f"{cold / warm:.2g}"]])
+    report.emit("cold_vs_warm", {"cold_seconds": cold,
+                                 "warm_seconds": warm})
     assert cold > warm
 
 
-def test_tile_budget_tradeoff(spec_path):
+def test_tile_budget_tradeoff(spec_path, requests, report):
     """Smaller tiles raise the halo recompute fraction; throughput
     should not improve as the budget shrinks below the volume."""
     volume = np.random.default_rng(2).standard_normal(VOLUME)
@@ -123,37 +95,13 @@ def test_tile_budget_tradeoff(spec_path):
         with InferenceServer(registry, num_workers=1,
                              tile_voxels=budget) as server:
             server.infer("bench", volume)
-            seconds, voxels = run_closed_loop(server, volume,
-                                              max(4, REQUESTS // 2),
-                                              clients=2)
+            seconds, voxels = voxels_served(
+                server, volume, max(4, requests // 2), 2, report)
         registry.close()
-        rows.append([budget, fmt(seconds), fmt(voxels / seconds)])
+        rows.append([budget, f"{seconds:.3g}", f"{voxels / seconds:.3g}"])
         results.append({"tile_voxels": budget, "seconds": seconds,
                         "voxels_per_second": voxels / seconds})
-    print_table(f"tile-budget sweep, volume {VOLUME}",
-                ["tile budget", "seconds", "voxels/s"], rows)
-    _emit("tile_budget", results)
+    report.table(f"tile-budget sweep, volume {VOLUME}",
+                 ["tile budget", "seconds", "voxels/s"], rows)
+    report.emit("tile_budget", results)
     assert all(r["seconds"] > 0 for r in results)
-
-
-def test_bench_single_request(spec_path, benchmark):
-    volume = np.random.default_rng(3).standard_normal(VOLUME)
-    registry = make_registry(spec_path)
-    with InferenceServer(registry, num_workers=1,
-                         tile_voxels=2000) as server:
-        server.infer("bench", volume)
-        benchmark(server.infer, "bench", volume)
-    registry.close()
-
-
-_DOC = {}
-
-
-def _emit(key, value):
-    """Accumulate results across tests into BENCH_serving.json."""
-    _DOC[key] = value
-    path = os.environ.get("REPRO_BENCH_SERVING_OUT", "BENCH_serving.json")
-    with open(path, "w") as fh:
-        json.dump({"volume": list(VOLUME), "full_run": full_run(),
-                   "results": _DOC}, fh, indent=2)
-        fh.write("\n")

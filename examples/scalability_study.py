@@ -2,10 +2,11 @@
 """Scalability study: speedup vs threads and width (Figs 5–7) on a
 modelled machine.
 
-Unrolls the paper's 3D benchmark network into its task dependency
-graph and schedules it on a Table V machine model with the discrete-
-event simulator, printing the speedup-vs-threads lines of Fig 5 and
-the max-speedup-vs-width curve of Fig 7.
+Prints, for one Table V machine model, the speedup-vs-threads lines of
+Fig 5 and the max-speedup-vs-width curve of Fig 7 — the same
+``repro.reporting`` generators ``repro figure 5 / 7`` print from, which
+unroll the paper's 3D benchmark network into its task dependency graph
+and schedule it with the discrete-event simulator.
 
 Run:  python examples/scalability_study.py [machine]
       machine in {xeon-8, xeon-18, xeon-40, xeon-phi} (default xeon-18)
@@ -13,13 +14,8 @@ Run:  python examples/scalability_study.py [machine]
 
 import sys
 
-from repro.simulate import (
-    default_thread_counts,
-    get_machine,
-    max_speedup_vs_width,
-    paper_task_graph,
-    simulate_schedule,
-)
+from repro import reporting
+from repro.simulate import get_machine
 
 
 def main() -> None:
@@ -30,21 +26,15 @@ def main() -> None:
           f"max modelled speedup={machine.max_speedup():.1f}\n")
 
     widths = (5, 10, 20, 40, 80)
-    threads = default_thread_counts(machine)
-
-    print("Fig 5 (3D net, direct convolution): speedup vs worker threads")
-    header = "width " + " ".join(f"W={w:>4}" for w in threads)
-    print(header)
-    print("-" * len(header))
-    for width in widths:
-        tg = paper_task_graph(3, width)
-        row = [simulate_schedule(tg, machine, w).speedup for w in threads]
-        print(f"{width:>5} " + " ".join(f"{s:6.1f}" for s in row))
+    print(reporting.render_table(
+        "Fig 5 (3D net, direct convolution): speedup vs worker threads",
+        *reporting.figure5(key, 3, widths=widths)))
 
     print("\nFig 7 (3D): maximal achieved speedup vs network width")
-    for width, speedup in max_speedup_vs_width(3, widths, machine):
-        bar = "#" * int(round(speedup))
-        print(f"  width {width:>3}: {speedup:6.1f}  {bar}")
+    _, rows = reporting.figure6_7(3, widths=widths, machine_keys=(key,))
+    for width, cell in zip(widths, rows[0][1:]):
+        bar = "#" * int(round(float(cell)))
+        print(f"  width {width:>3}: {cell:>6}  {bar}")
 
     print("\nObservations (compare Section VIII):")
     print(" - speedup rises ~linearly until threads == cores, then more")

@@ -134,13 +134,11 @@ grep -q "trace ci-smoke" "$work/serve-tree.txt"
 validate "$work/merged-serve.json" 0 tasks
 
 echo "== tracing overhead within 5% of tracing-off"
-# The overhead-sensitivity workload of
-# benchmarks/bench_engine_utilization.py (CTMCT, fft) at a
-# representative 32^3 volume, measured as interleaved off/on pairs so
-# clock-speed drift cancels.  Span recording costs ~3us/span; at this
-# scale that is well under the 5% budget (the bench file keeps a paired
-# on/off benchmark at toy 18^3 scale, where the same fixed cost is a
-# larger fraction).
+# A small CTMCT fft net at a representative 32^3 volume, measured as
+# interleaved off/on pairs so clock-speed drift cancels.  Span
+# recording costs ~3us/span (benchmarks/e2e:
+# observability.tracing.record_us); at this scale that is well under
+# the 5% budget, which bench.trace_overhead_share tracks per workload.
 python - << 'EOF'
 import statistics
 import time

@@ -31,8 +31,8 @@ Activation: the instrumented subsystems call :func:`make_lock` /
 :func:`checking_enabled` at *construction* time.  With ``REPRO_CHECK``
 unset (the default) ``make_lock`` returns a plain ``threading.Lock``
 and every hook collapses to one captured-bool branch — the measured
-overhead is <1% (see ``benchmarks/bench_engine_utilization.py``),
-mirroring ``REPRO_METRICS=0``.
+overhead is <1% (docs/static_analysis.md "Overhead"), mirroring
+``REPRO_METRICS=0``.
 """
 
 from __future__ import annotations

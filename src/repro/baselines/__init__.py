@@ -8,7 +8,6 @@ from repro.baselines.compare import (
     ComparisonRow,
     fig8_comparison,
     fig9_comparison,
-    format_comparison,
 )
 from repro.baselines.dense import (
     dense_offset_count,
@@ -40,7 +39,6 @@ __all__ = [
     "ComparisonRow",
     "fig8_comparison",
     "fig9_comparison",
-    "format_comparison",
     "dense_offset_count",
     "gpu_dense_seconds",
     "znn_dense_layers",

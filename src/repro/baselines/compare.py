@@ -32,7 +32,6 @@ __all__ = [
     "ComparisonRow",
     "fig8_comparison",
     "fig9_comparison",
-    "format_comparison",
 ]
 
 FIG8_KERNELS = (10, 20, 30, 40)
@@ -92,23 +91,3 @@ def fig9_comparison(kernels: Sequence[int] = FIG9_KERNELS,
                 row.seconds["theano"] = None
             rows.append(row)
     return rows
-
-
-def format_comparison(rows: List[ComparisonRow],
-                      dims: int) -> str:
-    """Render rows as the figures' tables (seconds/update)."""
-    systems = sorted({s for r in rows for s in r.seconds})
-    lines = []
-    header = f"{'kernel':>7} {'output':>7} " + " ".join(
-        f"{s:>12}" for s in systems) + f" {'winner':>12}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in rows:
-        cells = []
-        for s in systems:
-            v = row.seconds.get(s)
-            cells.append(f"{'OOM':>12}" if v is None else f"{v:12.4f}")
-        suffix = "^%d" % dims
-        lines.append(f"{row.kernel_size:>5}{suffix} {row.output_size:>5}{suffix} "
-                     + " ".join(cells) + f" {row.winner():>12}")
-    return "\n".join(lines)

@@ -4,9 +4,11 @@ Commands
 --------
 ``info``
     Version, subsystem inventory and the Table V machine catalog.
-``figure {4,5,6,7,8,9}``
-    Regenerate a paper figure as a text table (simulated machines /
-    calibrated GPU models; see DESIGN.md).
+``figure {4,5,6,7,8,9,t1,t2,t3,t5} [--full]``
+    Regenerate a paper figure or table (``t1``-``t3``: Tables I, II,
+    III & IV; ``t5``: Table V) as a text table (FLOP models, simulated
+    machines, calibrated GPU models; see DESIGN.md).  ``--full``
+    sweeps the paper's full grid instead of the trimmed default.
 ``simulate``
     One discrete-event scheduling run: machine, dims, width, threads,
     policy.
@@ -26,10 +28,6 @@ Commands
     Combine per-process span trace files (``repro.trace/v1``, e.g. from
     ``repro serve --trace-dir``) into one Chrome trace with stable
     pid/tid naming; ``--tree`` prints the span-tree text view instead.
-``slo``
-    Run a short serving workload under a deadline and print the SLO
-    report: p50/p95/p99 admission-wait, service and end-to-end
-    latencies plus deadline attainment.
 ``loadtest``
     Generate (or load) a seed-deterministic workload trace and replay
     it — through the discrete-event serving simulator (``--sim``) or
@@ -37,7 +35,9 @@ Commands
     the closed-loop autoscaler — emitting a ``repro.loadtest/v1``
     report: p50/p99 latency, served fraction, shed/deadline counts
     and worker-seconds cost (see docs/serving.md "Capacity
-    planning").
+    planning").  A live run's table is followed by the server's SLO
+    report: p50/p95/p99 admission-wait, service and end-to-end
+    latencies plus deadline attainment.
 ``gradcheck``
     Finite-difference verification of a spec-file network's gradients
     (use after adding custom ops).
@@ -85,8 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="version, inventory, machine catalog")
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure")
-    fig.add_argument("number", choices=["4", "5", "6", "7", "8", "9"])
+    fig = sub.add_parser("figure",
+                         help="regenerate a paper figure or table")
+    fig.add_argument("number", choices=["4", "5", "6", "7", "8", "9",
+                                        "t1", "t2", "t3", "t5"])
+    fig.add_argument("--full", action="store_true",
+                     help="the paper's full grid (default: trimmed)")
     fig.add_argument("--machine", default="xeon-18",
                      help="Table V machine key (figure 5)")
     fig.add_argument("--dims", type=int, default=3, choices=(2, 3),
@@ -176,22 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--tree", action="store_true",
                     help="print the span-tree text view instead of "
                          "writing Chrome JSON")
-
-    slo = sub.add_parser("slo",
-                         help="run a short serving workload under a "
-                              "deadline and print the SLO report")
-    slo.add_argument("--requests", type=int, default=12)
-    slo.add_argument("--volume-size", type=int, default=16)
-    slo.add_argument("--deadline", type=float, default=5.0,
-                     metavar="SECONDS",
-                     help="per-request deadline (default 5.0)")
-    slo.add_argument("--workers", type=int, default=2,
-                     help="serving worker tasks")
-    slo.add_argument("--conv-mode", default="fft",
-                     choices=tuple(registry))
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--json", action="store_true",
-                     help="print the report as JSON instead of a table")
 
     lt = sub.add_parser("loadtest",
                         help="replay a workload trace (live or --sim) "
@@ -431,24 +419,33 @@ def _cmd_info(_args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.number == "4":
-        header, rows = reporting.figure4(mode=args.mode)
-        title = f"Fig 4 — achievable speedup ({args.mode})"
-    elif args.number == "5":
-        header, rows = reporting.figure5(args.machine, args.dims)
-        title = f"Fig 5 — {args.dims}D speedup vs threads on {args.machine}"
-    elif args.number in ("6", "7"):
-        dims = 2 if args.number == "6" else 3
-        header, rows = reporting.figure6_7(dims)
-        title = f"Fig {args.number} — {dims}D max speedup vs width"
-    elif args.number == "8":
-        header, rows = reporting.figure8()
-        title = "Fig 8 — ZNN vs GPU frameworks (2D, seconds/update)"
-    else:
-        header, rows = reporting.figure9()
-        title = "Fig 9 — ZNN vs Theano (3D, seconds/update)"
+    full = args.full
+    title, table = {
+        "4": (f"Fig 4 — achievable speedup ({args.mode})",
+              lambda: reporting.figure4(mode=args.mode, full=full)),
+        "5": (f"Fig 5 — {args.dims}D speedup vs threads on "
+              f"{args.machine}",
+              lambda: reporting.figure5(args.machine, args.dims,
+                                        full=full)),
+        "6": ("Fig 6 — 2D max speedup vs width",
+              lambda: reporting.figure6_7(2, full=full)),
+        "7": ("Fig 7 — 3D max speedup vs width",
+              lambda: reporting.figure6_7(3, full=full)),
+        "8": ("Fig 8 — ZNN vs GPU frameworks (2D, seconds/update)",
+              lambda: reporting.figure8(full=full)),
+        "9": ("Fig 9 — ZNN vs Theano (3D, seconds/update)",
+              reporting.figure9),
+        "t1": ("Table I — layer FLOPs (f=4, n=32^3, k=p=4)",
+               reporting.table1),
+        "t2": ("Table II — conv layer total FLOPs (f=f'=4, n=24^3)",
+               lambda: reporting.table2(full=full)),
+        "t3": ("Tables III & IV — layer T_inf (f=f'=8, n=16^3, k=5^3)",
+               reporting.table3),
+        "t5": ("Table V — machine models", reporting.table5),
+    }[args.number]
+    header, rows = table()
     print(reporting.render_table(title, header, rows))
-    if getattr(args, "chart", False) and args.number in ("4", "6", "7"):
+    if args.chart and args.number in ("4", "6", "7"):
         xs = [int(h.split("=")[1]) for h in header[1:]]
         series = {row[0]: [(x, float(v)) for x, v in zip(xs, row[1:])
                            if v != "OOM"]
@@ -730,44 +727,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_slo(args) -> int:
-    import json
-
-    import numpy as np
-
-    from repro.observability.slo import render_slo_report
-    from repro.serving import (DeadlineExceeded, InferenceServer,
-                               ModelRegistry, ModelSpec)
-
-    spec = ModelSpec(name="default", spec="CT", conv_mode=args.conv_mode,
-                     builder_kwargs={"width": 2, "kernel": 3,
-                                     "transfer": "tanh"})
-    registry = ModelRegistry(max_models=2)
-    registry.register(spec)
-    server = InferenceServer(registry, num_workers=args.workers)
-    server.start()
-    rng = np.random.default_rng(args.seed)
-    missed = 0
-    try:
-        for _ in range(args.requests):
-            volume = rng.standard_normal((args.volume_size,) * 3)
-            try:
-                server.infer("default", volume, timeout=args.deadline)
-            except DeadlineExceeded:
-                missed += 1
-    finally:
-        server.stop()
-    report = server.slo.report()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_slo_report(report))
-    attainment = report["deadline"]["attainment"]
-    print(f"{args.requests} request(s), deadline {args.deadline:.2f}s: "
-          f"{missed} missed, attainment {attainment:.1%}")
-    return 0
-
-
 def _parse_range(value: str, what: str):
     try:
         lo_s, hi_s = value.split(":", 1)
@@ -820,13 +779,14 @@ def _cmd_loadtest(args) -> int:
         lo, hi = _parse_range(args.autoscale, "autoscale")
         policy = HysteresisPolicy(min_workers=lo, max_workers=hi)
 
+    slo = None
     if args.sim:
         report = _loadtest_sim(args, trace, policy, ServiceModel,
                                SimConfig, simulate_serving,
                                build_report)
     else:
-        report = _loadtest_live(args, trace, policy, replay_trace,
-                                build_report)
+        report, slo = _loadtest_live(args, trace, policy, replay_trace,
+                                     build_report)
     validate_loadtest_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -835,6 +795,10 @@ def _cmd_loadtest(args) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_loadtest_report(report))
+        if slo is not None:
+            from repro.observability.slo import render_slo_report
+
+            print(render_slo_report(slo))
     return 0
 
 
@@ -868,7 +832,8 @@ def _loadtest_sim(args, trace, policy, ServiceModel, SimConfig,
 
 
 def _loadtest_live(args, trace, policy, replay_trace,
-                   build_report) -> dict:
+                   build_report) -> tuple:
+    """(loadtest report, the live server's SLO report)."""
     import time
 
     from repro.loadgen import FleetAutoscaler
@@ -926,11 +891,12 @@ def _loadtest_live(args, trace, policy, replay_trace,
         workers = args.fleet if args.fleet > 0 else args.workers
         worker_seconds = workers * elapsed
         autoscaler_doc = {"enabled": False}
-    return build_report(
+    report = build_report(
         "live", trace, result.outcomes,
         worker_seconds=worker_seconds,
         workers=args.fleet if args.fleet > 0 else args.workers,
         autoscaler=autoscaler_doc, multiplier=args.multiplier)
+    return report, server.slo.report()
 
 
 def _cmd_gradcheck(args) -> int:
@@ -1415,7 +1381,6 @@ _COMMANDS = {
     "autotune": _cmd_autotune,
     "train": _cmd_train,
     "trace": _cmd_trace,
-    "slo": _cmd_slo,
     "loadtest": _cmd_loadtest,
     "gradcheck": _cmd_gradcheck,
     "specialize": _cmd_specialize,

@@ -13,8 +13,8 @@ plus deadline-attainment counters (``slo.requests.ok`` /
 ``slo.requests.violated``), and renders p50/p95/p99 estimates from the
 bucket counts (:meth:`repro.observability.Histogram.quantile`).  The
 histograms live in the process-global registry, so the numbers ride
-the existing ``/metrics`` endpoint (JSON and Prometheus) for free; the
-``repro slo`` command prints the same report for a synthetic workload.
+the existing ``/metrics`` endpoint (JSON and Prometheus) for free; a
+live ``repro loadtest`` prints the same report after its own table.
 
 Quantiles are *estimates*: linear interpolation inside the histogram
 bucket the quantile falls in, exact at bucket boundaries — the same
@@ -112,7 +112,8 @@ class SLOTracker:
 
 
 def render_slo_report(report: Dict[str, object]) -> str:
-    """Fixed-width table of a :meth:`SLOTracker.report` (repro slo)."""
+    """Fixed-width table of a :meth:`SLOTracker.report` (what a live
+    ``repro loadtest`` prints last)."""
     from repro import reporting
 
     def fmt(value) -> str:

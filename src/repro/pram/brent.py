@@ -12,15 +12,15 @@ schedule of Section V-A: layers sequential, everything within a layer
 parallel (with the ``ceil(log2 f)`` binary-collapse term for convergent
 sums), forward + backward + the *max* of the update times.
 
-:func:`achievable_speedup_curve` regenerates the Fig 4 series: kernel
-5^3, FFT constant C = 5, widths 1–120, depths 4–40, P in
-{8, 18, 40, 60, 120}.
+:func:`achievable_speedup_curve` is one line of Fig 4 (kernel 5^3, FFT
+constant C = 5, widths 1–120, depths 4–40, P in {8, 18, 40, 60, 120});
+:func:`repro.reporting.figure4` draws the figure from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.pram.costs import (
     DEFAULT_FFT_CONSTANT,
@@ -145,21 +145,3 @@ def achievable_speedup_curve(processors: int,
     """One line of Fig 4: achievable speedup vs network width."""
     return [achievable_speedup(processors, w, depth, image_size, kernel,
                                mode, constant) for w in widths]
-
-
-def fig4_series(mode: str = "direct",
-                widths: Sequence[int] = tuple(range(2, 121, 2)),
-                depths: Sequence[int] = FIG4_DEPTHS,
-                processors: Sequence[int] = FIG4_PROCESSORS,
-                image_size: int | Sequence[int] = 16,
-                kernel: int | Sequence[int] = 5,
-                constant: float = DEFAULT_FFT_CONSTANT
-                ) -> Dict[int, Dict[int, List[float]]]:
-    """All Fig 4 lines: ``{P: {depth: [speedup per width]}}``.
-
-    Panel (a) is ``mode="direct"``, panel (b) ``mode="fft-memo"``.
-    """
-    return {p: {d: achievable_speedup_curve(p, widths, d, image_size,
-                                            kernel, mode, constant)
-                for d in depths}
-            for p in processors}

@@ -1,18 +1,23 @@
-"""Experiment reporting: table rendering and figure drivers.
+"""Experiment reporting: table rendering and the paper's generators.
 
-Shared by the CLI (``python -m repro``) and the benchmark harness: each
-``figure_*`` function regenerates one of the paper's tables/figures and
-returns it as (header, rows) ready for :func:`render_table`.
+The one place a paper table or figure is computed: ``repro figure``,
+``examples/reproduce_paper.py`` and the tier-1 shape claims all call
+the ``tableN`` / ``figureN`` functions here, each of which returns
+(header, rows) ready for :func:`render_table`.  ``full=True`` sweeps
+the paper's full grid where the default is a trimmed one.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "render_table",
     "ascii_chart",
     "metrics_table",
+    "table1",
+    "table2",
+    "table3",
     "figure4",
     "figure5",
     "figure6_7",
@@ -73,31 +78,86 @@ def _fmt(value, digits: int = 4) -> str:
     return str(value)
 
 
+def table1(f: int = 4, n: int = 32, window: int = 4) -> Table:
+    """Table I: FLOPs of a pooling / filtering / transfer layer of *f*
+    nodes on n^3 images (window k = p = *window*)."""
+    from repro.pram import (filtering_layer_costs, pooling_layer_costs,
+                            transfer_layer_costs)
+
+    layers = (("pooling", pooling_layer_costs(f, n)),
+              ("filtering", filtering_layer_costs(f, n, window)),
+              ("transfer", transfer_layer_costs(f, n)))
+    return (["layer", "forward", "backward", "update"],
+            [[name, _fmt(c.forward), _fmt(c.backward), _fmt(c.update)]
+             for name, c in layers])
+
+
+def table2(f: int = 4, n: int = 24,
+           kernels: Optional[Sequence[int]] = None,
+           full: bool = False) -> Table:
+    """Table II: total FLOPs of a fully connected f -> f conv layer,
+    direct vs FFT vs FFT (memoized), per kernel size."""
+    from repro.pram import conv_layer_costs_direct, conv_layer_costs_fft
+
+    if kernels is None:
+        kernels = (3, 5, 7, 9, 11) if full else (3, 5, 7)
+    fft = conv_layer_costs_fft(f, f, n, memoized=False).total
+    memo = conv_layer_costs_fft(f, f, n, memoized=True).total
+    return (["kernel", "direct", "fft", "fft-memo", "memo/fft"],
+            [[f"{k}^3", _fmt(conv_layer_costs_direct(f, f, n, k).total),
+              _fmt(fft), _fmt(memo), _fmt(memo / fft, 3)]
+             for k in kernels])
+
+
+def table3(f: int = 8, n: int = 16, k: int = 5) -> Table:
+    """Tables III & IV: per-layer T_inf (infinitely many processors)
+    of an f -> f conv layer in each mode and of the non-conv layers."""
+    from repro.pram import conv_layer_tinf, nonconv_layer_tinf
+
+    times = [(f"conv {mode}", conv_layer_tinf(f, f, n, k, mode=mode))
+             for mode in ("direct", "fft", "fft-memo")]
+    times += [(kind, nonconv_layer_tinf(kind, n, 2))
+              for kind in ("pool", "filter", "transfer")]
+    return (["layer", "T_fwd_inf", "T_bwd_inf", "T_upd_inf"],
+            [[name, _fmt(t.forward), _fmt(t.backward), _fmt(t.update)]
+             for name, t in times])
+
+
 def figure4(mode: str = "direct",
             widths: Sequence[int] = (5, 10, 20, 40, 60, 80, 100, 120),
-            depth: int = 8) -> Table:
-    """Fig 4: theoretically achievable speedup vs width."""
-    from repro.pram import FIG4_PROCESSORS, achievable_speedup_curve
+            depth: int = 8, full: bool = False) -> Table:
+    """Fig 4: theoretically achievable speedup vs width, one row per
+    processor count at *depth* — or, with *full*, one per (P, depth)
+    over the paper's depths 4-40 (its near-coincident lines)."""
+    from repro.pram import (FIG4_DEPTHS, FIG4_PROCESSORS,
+                            achievable_speedup_curve)
 
     header = ["P"] + [f"w={w}" for w in widths]
     rows = []
     for p in FIG4_PROCESSORS:
-        curve = achievable_speedup_curve(p, widths, depth=depth, mode=mode)
-        rows.append([str(p)] + [_fmt(s) for s in curve])
+        for d in (FIG4_DEPTHS if full else (depth,)):
+            curve = achievable_speedup_curve(p, widths, depth=d, mode=mode)
+            rows.append([f"{p} d={d}" if full else str(p)]
+                        + [_fmt(s) for s in curve])
     return header, rows
 
 
 def figure5(machine_key: str = "xeon-18", dims: int = 3,
-            widths: Sequence[int] = (5, 20, 60)) -> Table:
-    """Fig 5: simulated speedup vs worker threads."""
-    from repro.simulate import (default_thread_counts, get_machine,
-                                paper_task_graph, simulate_schedule)
+            widths: Optional[Sequence[int]] = None,
+            full: bool = False) -> Table:
+    """Fig 5: simulated speedup vs worker threads, one row per width
+    (ascending)."""
+    from repro.simulate import (PAPER_WIDTHS, default_thread_counts,
+                                get_machine, paper_task_graph,
+                                simulate_schedule)
 
+    if widths is None:
+        widths = PAPER_WIDTHS if full else (5, 20, 60)
     machine = get_machine(machine_key)
     threads = default_thread_counts(machine)
     header = ["width"] + [f"W={t}" for t in threads]
     rows = []
-    for width in widths:
+    for width in sorted(widths):
         tg = paper_task_graph(dims, width)
         rows.append([str(width)] + [
             _fmt(simulate_schedule(tg, machine, t).speedup)
@@ -106,13 +166,16 @@ def figure5(machine_key: str = "xeon-18", dims: int = 3,
 
 
 def figure6_7(dims: int,
-              widths: Sequence[int] = (5, 10, 20, 40, 80),
+              widths: Optional[Sequence[int]] = None,
               machine_keys: Sequence[str] = ("xeon-8", "xeon-18",
-                                             "xeon-40", "xeon-phi")
-              ) -> Table:
+                                             "xeon-40", "xeon-phi"),
+              full: bool = False) -> Table:
     """Fig 6 (dims=2) / Fig 7 (dims=3): max speedup vs width."""
-    from repro.simulate import get_machine, max_speedup_vs_width
+    from repro.simulate import (PAPER_WIDTHS, get_machine,
+                                max_speedup_vs_width)
 
+    if widths is None:
+        widths = PAPER_WIDTHS if full else (5, 10, 20, 40, 80)
     header = ["machine"] + [f"w={w}" for w in widths]
     rows = []
     for key in machine_keys:
@@ -122,10 +185,13 @@ def figure6_7(dims: int,
     return header, rows
 
 
-def figure8(outputs: Sequence[int] = (1, 8, 64)) -> Table:
+def figure8(outputs: Optional[Sequence[int]] = None,
+            full: bool = False) -> Table:
     """Fig 8: ZNN vs GPU frameworks, 2D."""
-    from repro.baselines import fig8_comparison
+    from repro.baselines import FIG8_OUTPUTS, fig8_comparison
 
+    if outputs is None:
+        outputs = FIG8_OUTPUTS if full else (1, 8, 64)
     systems = ["znn", "caffe", "caffe-cudnn", "theano"]
     header = ["kernel", "output"] + systems + ["winner"]
     rows = []

@@ -340,7 +340,7 @@ class TaskEngine(Engine):
                 while task.state is not TaskState.COMPLETED:
                     if self.errors:
                         raise self.errors[0]
-                    threading.Event().wait(0.0005)
+                    time.sleep(0.0005)
 
     # ------------------------------------------------------------------
 

@@ -6,8 +6,9 @@ stealing", which "achieve noticeably lower scalability than the one
 proposed in the paper for most networks".  We implement all three behind
 the same interface as :class:`repro.sync.HeapOfLists` so they can be
 plugged into :class:`repro.scheduler.TaskEngine`, the serial engine and
-the discrete-event simulator, and be compared head-to-head in
-``benchmarks/bench_sched_strategies.py``.
+the discrete-event simulator, and be compared head-to-head
+(``tests/simulate/test_des.py::TestPaperNetClaims``; the table is a
+section of ``examples/reproduce_paper.py``).
 
 Interface: ``push(priority, item, is_valid=None)``, ``pop(block=True,
 timeout=None) -> (priority, item)``, ``close()``, ``__len__``.

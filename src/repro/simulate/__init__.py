@@ -11,13 +11,11 @@ from repro.simulate.locality import (
 from repro.simulate.machine import MACHINES, MachineSpec, get_machine
 from repro.simulate.speedup import (
     PAPER_WIDTHS,
-    SpeedupSweep,
     default_thread_counts,
     max_speedup_vs_width,
     paper_graph_2d,
     paper_graph_3d,
     paper_task_graph,
-    speedup_vs_threads,
 )
 
 __all__ = [
@@ -31,11 +29,9 @@ __all__ = [
     "MachineSpec",
     "get_machine",
     "PAPER_WIDTHS",
-    "SpeedupSweep",
     "default_thread_counts",
     "max_speedup_vs_width",
     "paper_graph_2d",
     "paper_graph_3d",
     "paper_task_graph",
-    "speedup_vs_threads",
 ]

@@ -19,14 +19,13 @@ algorithm relative to the serial algorithm").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.graph.builders import build_layered_network
 from repro.graph.computation_graph import ComputationGraph
 from repro.graph.taskgraph import TaskGraph, build_task_graph
 from repro.simulate.des import simulate_schedule
-from repro.simulate.machine import MACHINES, MachineSpec, get_machine
+from repro.simulate.machine import MachineSpec
 from repro.utils.shapes import input_shape_for_output
 
 __all__ = [
@@ -34,10 +33,8 @@ __all__ = [
     "paper_graph_3d",
     "paper_graph_2d",
     "paper_task_graph",
-    "speedup_vs_threads",
     "max_speedup_vs_width",
     "default_thread_counts",
-    "SpeedupSweep",
 ]
 
 #: The widths of Fig 5's lines ("5, 10, 15, 20, 25, 30, 40, 50, 60, 80,
@@ -114,14 +111,6 @@ def default_thread_counts(machine: MachineSpec,
     return counts
 
 
-def speedup_vs_threads(tg: TaskGraph, machine: MachineSpec,
-                       thread_counts: Sequence[int],
-                       policy: str = "priority") -> List[Tuple[int, float]]:
-    """One line of Fig 5: (threads, speedup) for a fixed network."""
-    return [(w, simulate_schedule(tg, machine, w, policy=policy).speedup)
-            for w in thread_counts]
-
-
 def max_speedup_vs_width(dims: int, widths: Sequence[int],
                          machine: MachineSpec,
                          policy: str = "priority"
@@ -135,36 +124,3 @@ def max_speedup_vs_width(dims: int, widths: Sequence[int],
                                    policy=policy)
         out.append((width, result.speedup))
     return out
-
-
-@dataclass
-class SpeedupSweep:
-    """Full Fig 5 panel: speedup vs thread count for several widths on
-    one machine."""
-
-    machine_key: str
-    dims: int
-    data: Dict[int, List[Tuple[int, float]]] = field(default_factory=dict)
-
-    @classmethod
-    def run(cls, machine_key: str, dims: int,
-            widths: Sequence[int] = PAPER_WIDTHS,
-            thread_counts: Optional[Sequence[int]] = None,
-            policy: str = "priority") -> "SpeedupSweep":
-        machine = get_machine(machine_key)
-        if thread_counts is None:
-            thread_counts = default_thread_counts(machine)
-        sweep = cls(machine_key=machine_key, dims=dims)
-        for width in widths:
-            tg = paper_task_graph(dims, width)
-            sweep.data[width] = speedup_vs_threads(tg, machine,
-                                                   thread_counts, policy)
-        return sweep
-
-    def rows(self) -> List[Tuple[int, int, float]]:
-        """Flat (width, threads, speedup) rows for printing."""
-        out = []
-        for width in sorted(self.data):
-            for threads, speedup in self.data[width]:
-                out.append((width, threads, speedup))
-        return out

@@ -3,12 +3,12 @@ regimes must reproduce."""
 
 import pytest
 
+from repro import reporting
 from repro.baselines import (
     FIG8_KERNELS,
     FIG9_KERNELS,
     fig8_comparison,
     fig9_comparison,
-    format_comparison,
 )
 
 
@@ -58,6 +58,22 @@ class TestFig8Regimes:
             rows = {r.output_size: r for r in fig8 if r.kernel_size == k}
             assert rows[64].seconds["znn"] > rows[1].seconds["znn"]
 
+    def test_every_system_slows_with_output_patch(self, fig8):
+        for system in ("znn", "caffe", "caffe-cudnn", "theano"):
+            for k in FIG8_KERNELS:
+                series = [r.seconds[system] for r in fig8
+                          if r.kernel_size == k
+                          and r.seconds[system] is not None]
+                assert series == sorted(series)
+
+    def test_caffe_and_theano_oom_exactly_from_30(self, fig8):
+        """The missing bars: plain Caffe and Theano run out of Titan X
+        memory at every 30^2 and 40^2 point and at none below."""
+        for row in fig8:
+            for system in ("caffe", "theano"):
+                assert (row.seconds[system] is None) \
+                    == (row.kernel_size >= 30)
+
 
 class TestFig9Regimes:
     def test_row_inventory(self, fig9):
@@ -92,8 +108,9 @@ class TestFig9Regimes:
 
 
 class TestFormatting:
-    def test_format_contains_oom_and_winner(self, fig8):
-        text = format_comparison(fig8, 2)
+    def test_format_contains_oom_and_winner(self):
+        text = reporting.render_table(
+            "Fig 8", *reporting.figure8(outputs=(1, 8, 64)))
         assert "OOM" in text
         assert "znn" in text
-        assert "kernel" in text.splitlines()[0]
+        assert "kernel" in text.splitlines()[1]

@@ -171,6 +171,13 @@ class TestLayerCrossover:
         if single is not None:
             assert wide <= single
 
+    def test_crossover_non_increasing_in_width(self):
+        ks = range(2, 12)
+        crossovers = [layer_crossover_kernel_size((32, 32, 32), ks, f, f)
+                      or max(ks) + 1 for f in (1, 2, 4, 8, 16, 64)]
+        assert crossovers == sorted(crossovers, reverse=True)
+        assert crossovers[-1] < crossovers[0]
+
     def test_model_consistency(self):
         """At the crossover kernel the FFT model is indeed cheaper."""
         k = layer_crossover_kernel_size((32, 32, 32), range(2, 12), 8, 8)

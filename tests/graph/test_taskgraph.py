@@ -7,7 +7,8 @@ from repro.graph import (
     build_layered_network,
     build_task_graph,
 )
-from repro.pram import direct_conv_task_cost
+from repro.pram import (conv_layer_tinf, direct_conv_task_cost,
+                        nonconv_layer_tinf)
 
 
 def small_graph(width=2, mode_input=16):
@@ -166,3 +167,23 @@ class TestCostAggregates:
             return tg.total_cost / tg.critical_path_cost()
 
         assert s_inf(8) > s_inf(2) > 1.0
+
+    def test_critical_path_close_to_table3_model(self):
+        """The unrolled graph's critical path tracks the summed layer
+        T_inf of Tables III-IV (same asymptotics; the task graph
+        serialises convergent sums inside tasks instead of collapsing
+        them as a binary tree, hence the generous band)."""
+        f, n, k = 8, 16, 5
+        g = build_layered_network("CTCT", width=f, kernel=k)
+        g.propagate_shapes(n + 2 * (k - 1))
+        structural = build_task_graph(
+            g, conv_mode="direct").critical_path_cost()
+        model = 0.0
+        f_in = 1
+        for size in (n + 2 * (k - 1), n + k - 1):
+            conv = conv_layer_tinf(f_in, f, size, k, mode="direct")
+            xfer = nonconv_layer_tinf("transfer", size - k + 1)
+            model += (conv.forward + conv.backward
+                      + xfer.forward + xfer.backward)
+            f_in = f
+        assert 0.3 < structural / model < 3.0

@@ -136,6 +136,23 @@ class TestArrays:
         with pytest.raises(ValueError):
             alloc2.deallocate_array(a)
 
+    def test_training_like_trace_runs_out_of_the_pools(self):
+        """Section VII-C on a round-shaped trace (allocate a round's
+        images, free them, repeat): memory peaks after the first round,
+        every later request is a pool hit, and the held bytes stay
+        within the 2x power-of-two bound of the live ones."""
+        shapes = [(24, 24, 24), (12, 12, 12), (24, 24, 24), (6, 6, 6)]
+        alloc = PoolAllocator(alignment=64)
+        peak = None
+        for _ in range(50):
+            live = [alloc.allocate_array(s) for s in shapes]
+            for array in live:
+                alloc.deallocate_array(array)
+            peak = peak or alloc.held_bytes()
+            assert alloc.held_bytes() == peak
+        assert alloc.stats.hit_rate > 0.95
+        assert peak <= 2 * sum(int(np.prod(s)) * 8 for s in shapes)
+
     def test_scalar_shape(self):
         alloc = PoolAllocator()
         a = alloc.allocate_array(10)

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import reporting
 from repro.pram import (
+    FIG4_DEPTHS,
     FIG4_PROCESSORS,
     achievable_speedup,
     achievable_speedup_curve,
     brent_speedup_bound,
     brent_time_bound,
-    fig4_series,
     layered_network_times,
 )
 
@@ -78,9 +79,10 @@ class TestFig4:
         assert curve == sorted(curve)
 
     def test_wide_networks_reach_p(self):
-        for p in FIG4_PROCESSORS:
-            s = achievable_speedup(p, 120, 8)
-            assert s > 0.9 * p
+        for mode in ("direct", "fft-memo"):  # panels (a) and (b)
+            for p in FIG4_PROCESSORS:
+                s = achievable_speedup(p, 120, 8, mode=mode)
+                assert s > 0.9 * p
 
     def test_narrow_networks_far_from_p(self):
         s = achievable_speedup(120, 2, 8)
@@ -89,13 +91,15 @@ class TestFig4:
     def test_width_at_75pct_grows_with_p(self):
         """'The network width at which S_P reaches a fixed fraction of
         its maximal value increases with P' (Section V-A)."""
-        def width_at_75(p):
-            for w in range(1, 200):
-                if achievable_speedup(p, w, 8) >= 0.75 * p:
+        def width_at_75(p, mode):
+            for w in range(1, 400):
+                if achievable_speedup(p, w, 8, mode=mode) >= 0.75 * p:
                     return w
-            return 200
+            return 400
 
-        assert width_at_75(8) < width_at_75(40) < width_at_75(120)
+        for mode in ("direct", "fft-memo"):
+            assert (width_at_75(8, mode) < width_at_75(40, mode)
+                    < width_at_75(120, mode))
 
     def test_fft_memo_mode_curve(self):
         curve = achievable_speedup_curve(60, widths=[5, 60, 120],
@@ -104,11 +108,13 @@ class TestFig4:
         assert curve[-1] <= 60 + 1e-9
 
     def test_fig4_series_structure(self):
-        series = fig4_series(widths=[5, 20], depths=(4, 8),
-                             processors=(8, 18))
-        assert set(series) == {8, 18}
-        assert set(series[8]) == {4, 8}
-        assert len(series[8][4]) == 2
+        """The full figure: one line per (P, depth), one point per
+        width."""
+        header, rows = reporting.figure4(widths=[5, 20], full=True)
+        assert header == ["P", "w=5", "w=20"]
+        assert [row[0] for row in rows] == [
+            f"{p} d={d}" for p in FIG4_PROCESSORS for d in FIG4_DEPTHS]
+        assert all(len(row) == 3 for row in rows)
 
     def test_depth_weakly_affects_speedup(self):
         """Fig 4: 'Multiple lines of the same color' (depths 4-40) sit

@@ -69,6 +69,17 @@ class TestTableI:
         costs = transfer_layer_costs(4, 8)
         assert costs.forward == costs.backward == costs.update == 4 * 512
 
+    @pytest.mark.parametrize("window", [2, 4, 8])
+    def test_filtering_forward_is_6_log2_k_poolings(self, window):
+        """Table I's structure: the filtering forward carries the
+        6 log2 k factor over pooling's n^3; the backwards are all n^3."""
+        pool = pooling_layer_costs(4, 32)
+        filt = filtering_layer_costs(4, 32, window)
+        assert filt.forward == pytest.approx(
+            6 * math.log2(window) * pool.forward)
+        assert filt.backward == pool.backward \
+            == transfer_layer_costs(4, 32).backward
+
 
 class TestTableII:
     """Table II: f -> f' fully connected conv layer."""
@@ -113,6 +124,12 @@ class TestTableII:
         direct = conv_layer_costs_direct(1, 1, 32, 1).total
         fft = conv_layer_costs_fft(1, 1, 32).total
         assert direct < fft
+
+    def test_direct_over_fft_ratio_grows_with_kernel(self):
+        fft = conv_layer_costs_fft(1, 1, 24).total
+        ratios = [conv_layer_costs_direct(1, 1, 24, k).total / fft
+                  for k in (3, 5, 7)]
+        assert ratios == sorted(ratios) and ratios[0] < ratios[-1]
 
 
 class TestTablesIIIandIV:

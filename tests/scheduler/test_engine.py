@@ -106,6 +106,19 @@ class TestMultiWorkerFailures:
         assert "additional worker error" in notes[0]
         assert "worker failure" in notes[0]
 
+    def test_shutdown_raises_first_error_with_second_as_note(self):
+        """Needs ``BaseException.add_note`` (Python >= 3.11, the
+        declared floor): on 3.10 shutdown would die of AttributeError
+        and mask the primary failure."""
+        engine = self._fail_both_workers()
+        first, second = engine.errors
+        with pytest.raises(RuntimeError) as excinfo:
+            engine.shutdown()
+        assert excinfo.value is first
+        assert excinfo.value.__notes__ == [
+            "additional worker error (see TaskEngine.errors): "
+            f"RuntimeError: {second}"]
+
     def test_shutdown_reraise_is_idempotent(self):
         engine = self._fail_both_workers()
         with pytest.raises(RuntimeError) as first:

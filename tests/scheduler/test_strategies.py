@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.scheduler import (
@@ -130,3 +131,25 @@ class TestEnginesWithEveryStrategy:
                 engine.spawn(done.release, priority=1)
             for _ in range(30):
                 assert done.acquire(timeout=5)
+
+
+def test_all_policies_train_to_the_same_result():
+    """Section X: the ready-queue policy changes performance, never
+    the result — every strategy trains the live engine to the same
+    losses."""
+    from repro.core import SGD, Network
+    from repro.graph import build_layered_network
+
+    x = np.random.default_rng(0).standard_normal((12, 12, 12))
+
+    def losses(scheduler):
+        graph = build_layered_network("CTMCT", width=2, kernel=2, window=2)
+        with Network(graph, input_shape=(12, 12, 12), seed=3,
+                     num_workers=2, scheduler=scheduler,
+                     optimizer=SGD(learning_rate=0.01)) as net:
+            targets = {n.name: np.zeros(n.shape) for n in net.output_nodes}
+            return [net.train_step(x, targets) for _ in range(2)]
+
+    reference = losses("priority")
+    for scheduler in ("fifo", "lifo", "work-stealing"):
+        np.testing.assert_allclose(losses(scheduler), reference, atol=1e-8)

@@ -1,9 +1,12 @@
 """Discrete-event simulator tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.graph import TaskGraph, build_layered_network, build_task_graph
-from repro.simulate import MachineSpec, get_machine, simulate_schedule
+from repro.simulate import (MachineSpec, get_machine, paper_task_graph,
+                            simulate_schedule)
 
 
 def chain_graph(costs):
@@ -129,3 +132,37 @@ class TestInvariants:
         a = simulate_schedule(paper_tg, m, 8)
         b = simulate_schedule(paper_tg, m, 8)
         assert a.makespan == b.makespan
+
+
+class TestPaperNetClaims:
+    """Section X and the overhead ablation on the paper's 3D net."""
+
+    @pytest.mark.parametrize("width", [5, 20, 60])
+    def test_priority_policy_never_beaten(self, width):
+        """'The alternative scheduling strategies achieve noticeably
+        lower scalability': on the Xeon Phi model no other ready-queue
+        policy beats the priority one (3 % simulator band)."""
+        machine = get_machine("xeon-phi")
+        tg = paper_task_graph(3, width)
+        speedup = {policy: simulate_schedule(tg, machine, machine.threads,
+                                             policy=policy).speedup
+                   for policy in ("priority", "fifo", "lifo", "random")}
+        best_other = max(s for p, s in speedup.items() if p != "priority")
+        assert speedup["priority"] >= best_other * 0.97
+
+    @pytest.mark.parametrize("width", [5, 40])
+    def test_speedup_vs_sync_overhead(self, width):
+        """Why the queue must be cheap: speedup falls monotonically
+        with the per-task overhead, ~2k FLOP-equivalents (the design
+        target) costs under 5 %, 2M eats the scaling of even a wide
+        net."""
+        tg = paper_task_graph(3, width)
+        base = get_machine("xeon-18")
+        overheads = (0.0, 2e3, 2e4, 2e5, 2e6)
+        speedups = [simulate_schedule(
+            tg, dataclasses.replace(base, sync_overhead=o),
+            base.threads).speedup for o in overheads]
+        assert all(a >= b - 1e-9 for a, b in zip(speedups, speedups[1:]))
+        assert speedups[1] > 0.95 * speedups[0]
+        if width == 40:
+            assert speedups[-1] < 0.7 * speedups[0]

@@ -1,47 +1,49 @@
 """Additional sweep-driver and reporting coverage."""
 
-import pytest
-
 from repro import reporting
 from repro.simulate import (
-    SpeedupSweep,
     default_thread_counts,
     get_machine,
-    speedup_vs_threads,
     paper_task_graph,
+    simulate_schedule,
 )
+
+
+def header_threads(header):
+    return [int(h.split("=")[1]) for h in header[1:]]
 
 
 class TestSpeedupSweep:
     def test_rows_sorted_by_width(self):
-        sweep = SpeedupSweep.run("xeon-8", 3, widths=[10, 5],
-                                 thread_counts=[1, 8])
-        widths = [w for w, _, _ in sweep.rows()]
-        assert widths == sorted(widths)
+        _, rows = reporting.figure5("xeon-8", 3, widths=[10, 5])
+        assert [row[0] for row in rows] == ["5", "10"]
 
     def test_custom_policy(self):
-        sweep = SpeedupSweep.run("xeon-8", 3, widths=[5],
-                                 thread_counts=[8], policy="fifo")
-        assert sweep.rows()[0][2] > 1.0
+        result = simulate_schedule(paper_task_graph(3, 5),
+                                   get_machine("xeon-8"), 8,
+                                   policy="fifo")
+        assert result.speedup > 1.0
 
     def test_default_thread_counts_used(self):
-        sweep = SpeedupSweep.run("xeon-8", 3, widths=[5])
-        threads = sorted({t for _, t, _ in sweep.rows()})
-        assert threads == default_thread_counts(get_machine("xeon-8"))
+        header, _ = reporting.figure5("xeon-8", 3, widths=[5])
+        assert header_threads(header) \
+            == default_thread_counts(get_machine("xeon-8"))
 
 
 class TestSpeedupVsThreads:
     def test_returns_pairs_in_input_order(self):
+        """Each cell sits under the thread count it was simulated at."""
         tg = paper_task_graph(3, 5)
         machine = get_machine("xeon-8")
-        curve = speedup_vs_threads(tg, machine, [8, 1, 4])
-        assert [t for t, _ in curve] == [8, 1, 4]
+        header, rows = reporting.figure5("xeon-8", 3, widths=[5])
+        for threads, cell in zip(header_threads(header), rows[0][1:]):
+            speedup = simulate_schedule(tg, machine, threads).speedup
+            assert cell == f"{speedup:.4g}"
 
     def test_speedup_at_one_thread_close_to_one(self):
-        tg = paper_task_graph(3, 5)
-        machine = get_machine("xeon-8")
-        curve = dict(speedup_vs_threads(tg, machine, [1]))
-        assert 0.9 < curve[1] <= 1.0  # sync overhead keeps it under 1
+        header, rows = reporting.figure5("xeon-8", 3, widths=[5])
+        assert header[1] == "W=1"
+        assert 0.9 < float(rows[0][1]) <= 1.0  # sync overhead: under 1
 
 
 class TestReportingDrivers:

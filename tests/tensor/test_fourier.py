@@ -118,6 +118,8 @@ class TestOversizedTransformExactness:
                                    atol=1e-9)
 
     def test_fast_sizes_plan(self, rng):
+        smooth = FftConvPlan((32, 32, 32), (5, 5, 5), fast_sizes=True)
+        assert smooth.transform_shape == (32, 32, 32)  # nothing to pad
         plan = FftConvPlan((11, 13, 17), (3, 3, 3), fast_sizes=True)
         assert plan.transform_shape == (12, 15, 18)
         img = rng.standard_normal((11, 13, 17))

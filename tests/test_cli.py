@@ -45,6 +45,24 @@ class TestReporting:
         header, rows = reporting.table5()
         assert len(rows) == 4
 
+    def test_tables_1_to_3(self):
+        header, rows = reporting.table1()
+        assert [row[0] for row in rows] == ["pooling", "filtering",
+                                            "transfer"]
+        header, rows = reporting.table2(kernels=(3, 9))
+        assert [row[0] for row in rows] == ["3^3", "9^3"]
+        assert float(rows[0][1]) < float(rows[1][1])  # direct grows
+        assert rows[0][2:] == rows[1][2:]  # FFT cost ignores the kernel
+        header, rows = reporting.table3()
+        assert len(rows) == 6 and header[1] == "T_fwd_inf"
+
+    def test_full_grids_are_the_papers(self):
+        from repro.baselines import FIG8_KERNELS, FIG8_OUTPUTS
+
+        assert len(reporting.table2(full=True)[1]) == 5
+        _, rows = reporting.figure8(full=True)
+        assert len(rows) == len(FIG8_KERNELS) * len(FIG8_OUTPUTS)
+
 
 class TestCliCommands:
     def test_parser_requires_command(self):
@@ -61,6 +79,19 @@ class TestCliCommands:
         assert main(["figure", number]) == 0
         out = capsys.readouterr().out
         assert "Fig" in out
+
+    @pytest.mark.parametrize("name,title", [
+        ("t1", "Table I "), ("t2", "Table II "),
+        ("t3", "Tables III & IV"), ("t5", "Table V")])
+    def test_tables(self, name, title, capsys):
+        assert main(["figure", name]) == 0
+        assert title in capsys.readouterr().out
+
+    def test_figure_full_grid(self, capsys):
+        assert main(["figure", "t2", "--full"]) == 0
+        assert "11^3" in capsys.readouterr().out
+        assert main(["figure", "4", "--full", "--mode", "fft-memo"]) == 0
+        assert "120 d=40" in capsys.readouterr().out
 
     def test_figure5(self, capsys):
         assert main(["figure", "5", "--machine", "xeon-8",
@@ -363,20 +394,20 @@ class TestObservabilityCommands:
 
     @pytest.mark.parametrize("argv", [
         ["metrics"], ["profile"], ["trace"], ["trace", "--out", "t.json"],
-        ["metrics", "--rounds", "1"], ["profile", "--json"]])
+        ["metrics", "--rounds", "1"], ["profile", "--json"], ["slo"]])
     def test_deleted_commands_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    def test_help_lists_fifteen_commands(self):
+    def test_help_lists_fourteen_commands(self):
         from repro.cli import build_parser
 
         sub, = [a for a in build_parser()._actions
                 if isinstance(a.choices, dict)]
-        assert len(sub.choices) == 15
-        assert not {"metrics", "profile"} & set(sub.choices)
+        assert len(sub.choices) == 14
+        assert not {"metrics", "profile", "slo"} & set(sub.choices)
 
     def test_refused_arguments_write_no_trace(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"
@@ -562,11 +593,21 @@ class TestObservabilityCli:
             != default.seconds_per_voxel
 
     def test_slo_reports_attainment(self, capsys):
-        assert main(["slo", "--requests", "3", "--volume-size", "12",
-                     "--workers", "1", "--deadline", "30"]) == 0
+        """A live ``loadtest`` prints the server's SLO report after its
+        own table — and only in table mode."""
+        import json
+
+        live = ["loadtest", "--scenario", "steady", "--duration", "2",
+                "--rate", "2", "--speed", "4", "--size", "12:12",
+                "--workers", "1", "--deadline", "30"]
+        assert main(live) == 0
         out = capsys.readouterr().out
-        assert "SLO report" in out
-        assert "attainment" in out
+        assert out.index("loadtest (live)") < out.index("SLO report")
+        deadline_row = out[out.index("SLO report"):].splitlines()[-1]
+        assert deadline_row.split()[0] == "deadline"
+        assert deadline_row.endswith("%")  # attainment
+        assert main([*live, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "live"
 
     def test_trace_merge_and_tree(self, capsys, tmp_path):
         import json

@@ -4,8 +4,8 @@
 # serves every in-deadline request bitwise-identically to a clean run,
 # the supervisor narrates restarts in `repro fleet status`, and SIGTERM
 # drains without dropping anything.  The process-level chaos tests run
-# first, under REPRO_CHECK=1 (lock-order/race checker), to keep the
-# router's locking honest.
+# first, under REPRO_CHECK=1 (lock-order checker), to keep the
+# router's lock ordering honest.
 #
 # Run from anywhere:  scripts/ci/fleet_chaos_smoke.sh
 # CI (.github/workflows/ci.yml, job fleet-chaos-smoke) only calls this file.

@@ -1,19 +1,20 @@
 """Concurrency correctness tooling (docs/static_analysis.md).
 
-Two halves:
+Two halves, one checker per invariant:
 
 * **static** — :mod:`repro.analysis.linting`: an AST lint engine
   (``repro lint``) enforcing the repo's lock disciplines: declared
-  ``# guarded-by:`` attributes are mutated only under their lock, no
-  raw ``.acquire()`` without try/finally, no blocking calls while
-  holding a lock, the Algorithm-4 summation critical section stays
+  ``# guarded-by:`` attributes are mutated only under their lock and
+  ``*_locked`` helpers are called only with a lock held, no raw
+  ``.acquire()`` without try/finally, no blocking calls while holding
+  a lock, the Algorithm-4 summation critical section stays
   pointer-swap-only, and every metric name is catalogued.
 
 * **dynamic** — :mod:`repro.analysis.runtime`: ``REPRO_CHECK=1`` swaps
-  the instrumented subsystems' locks for :class:`CheckedLock` (global
-  lock-order graph, cycle ⇒ potential-deadlock report with both
-  stacks) and applies an Eraser-style lockset race detector to objects
-  registered via :func:`track`.
+  the instrumented subsystems' locks for :class:`CheckedLock`, which
+  checks what only a run can see: the global lock-order graph (cycle
+  ⇒ potential-deadlock report with both stacks), recursive acquires
+  and releases of unheld locks.
 """
 
 from repro.analysis.linting import (
@@ -34,9 +35,7 @@ from repro.analysis.runtime import (
     lock_order_edges,
     make_condition,
     make_lock,
-    note_access,
     reset_violations,
-    track,
     violations,
 )
 
@@ -55,9 +54,7 @@ __all__ = [
     "lock_order_edges",
     "make_condition",
     "make_lock",
-    "note_access",
     "render_violations",
     "reset_violations",
-    "track",
     "violations",
 ]

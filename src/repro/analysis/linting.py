@@ -8,8 +8,11 @@
     assignment (or on a module-level global) — may only be *mutated*
     inside a ``with self.<lock>`` block.  Methods whose name ends in
     ``_locked`` are exempt by convention (they document that the caller
-    holds the guard).  Several accepted guards may be listed
-    comma-separated (e.g. a lock and the condition wrapping it).
+    holds the guard), so their callers are checked instead: a
+    ``self.<name>_locked(...)`` call must sit inside a lock-like
+    ``with`` or in another ``_locked`` method or ``__init__``.  Several
+    accepted guards may be listed comma-separated (e.g. a lock and the
+    condition wrapping it).
 
 ``raw-acquire``
     A bare ``<lock>.acquire()`` call whose enclosing function has no
@@ -389,6 +392,33 @@ def _check_guarded_scope(src: SourceFile, scope: ast.AST,
                          f"in {'module scope' if is_global else '__init__'})"))
 
 
+def _unheld_locked_calls(src: SourceFile,
+                         cls: ast.ClassDef) -> Iterator[LintViolation]:
+    """``self.<name>_locked(...)`` outside every lock-like ``with``: the
+    helper's body is exempt on the promise that its caller holds the
+    guard, so the caller is where the promise is checked."""
+    for func in cls.body:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if func.name.endswith("_locked") or func.name == "__init__":
+            continue  # already under the guard / not yet shared
+        for node, ancestors in _ParentedVisit(func):
+            if not isinstance(node, ast.Call):
+                continue
+            helper = _self_attr(node.func)
+            if helper is None or not helper.endswith("_locked"):
+                continue
+            if (_enclosing_with_guards(ancestors)
+                    or src.suppressed("guarded-by", node.lineno)):
+                continue
+            yield LintViolation(
+                rule="guarded-by", path=src.path, line=node.lineno,
+                col=node.col_offset,
+                message=(f"self.{helper}() is called outside any `with "
+                         f"<lock>` (the `_locked` suffix says the caller "
+                         f"holds the guard)"))
+
+
 def rule_guarded_by(src: SourceFile) -> Iterator[LintViolation]:
     module = src.tree
     module_guards = _guarded_globals(src, module)
@@ -405,6 +435,7 @@ def rule_guarded_by(src: SourceFile) -> Iterator[LintViolation]:
         if guarded:
             yield from _check_guarded_scope(
                 src, node, guarded, is_global=False, skip_inits=True)
+        yield from _unheld_locked_calls(src, node)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +793,8 @@ def lint_paths(paths: Sequence[str],
 #: One-line rule descriptions (SARIF rule metadata and docs).
 RULE_DESCRIPTIONS = {
     "guarded-by": ("A `# guarded-by:` attribute is mutated only "
-                   "under its declared lock."),
+                   "under its declared lock, and a `*_locked` helper "
+                   "is called only with a lock held."),
     "raw-acquire": ("No bare .acquire() without a try/finally "
                     "releasing the same lock."),
     "blocking-under-lock": ("No known-blocking calls while holding "

@@ -1,38 +1,26 @@
 """Dynamic concurrency checking — ``REPRO_CHECK=1`` mode.
 
-The paper's correctness claims rest on two disciplines that ordinary
-tests cannot see: every shared structure is touched only under its
-documented lock (the heap-of-lists queue, the FFT cache, the pools'
-stats), and locks are always taken in a consistent global order (no
-potential deadlock hides behind a lucky schedule).  This module makes
-both disciplines *checked invariants*:
+``repro lint``'s ``guarded-by`` rule checks statically that shared
+state is touched only under its documented lock.  What only a run can
+see is the order locks are taken in (a potential deadlock hides behind
+a lucky schedule).  :class:`CheckedLock` — an instrumented drop-in for
+``threading.Lock`` — makes that a *checked invariant*: it maintains a
+per-thread held-lock stack and a process-global **lock-order graph**.
+An edge ``A -> B`` is recorded the first time any thread acquires ``B``
+while holding ``A``; a cycle in the graph is a potential deadlock and
+is reported with the acquisition stacks of both conflicting edges (the
+happens-before flavour of FastTrack, Flanagan & Freund, PLDI 2009,
+collapsed to lock identities).  Recursive acquires and releases of an
+unheld lock are reported too.
 
-* :class:`CheckedLock` — an instrumented drop-in for ``threading.Lock``
-  that maintains a per-thread held-lock stack and a process-global
-  **lock-order graph**.  An edge ``A -> B`` is recorded the first time
-  any thread acquires ``B`` while holding ``A``; a cycle in the graph
-  is a potential deadlock and is reported with the acquisition stacks
-  of both conflicting edges (the happens-before flavour of FastTrack,
-  Flanagan & Freund, PLDI 2009, collapsed to lock identities).
+Reports increment the ``analysis.lock_order_violations`` counter and
+land in a programmatic list (:func:`violations`, :func:`assert_clean`)
+the ``REPRO_CHECK=1`` CI lane asserts empty.
 
-* a lightweight **lockset race detector** in the spirit of Eraser
-  (Savage et al., SOSP 1997): objects registered via :func:`track`
-  maintain a candidate lockset — the intersection of the checked locks
-  held at every access.  Once an object is written from two threads
-  and its lockset is empty, a race is reported with the offending
-  stack.
-
-Both report through the existing observability registry
-(``analysis.lock_order_violations`` / ``analysis.race_violations``
-counters) and keep a programmatic list (:func:`violations`,
-:func:`assert_clean`) the ``REPRO_CHECK=1`` CI lane asserts empty.
-
-Activation: the instrumented subsystems call :func:`make_lock` /
-:func:`checking_enabled` at *construction* time.  With ``REPRO_CHECK``
-unset (the default) ``make_lock`` returns a plain ``threading.Lock``
-and every hook collapses to one captured-bool branch — the measured
-overhead is <1% (docs/static_analysis.md "Overhead"), mirroring
-``REPRO_METRICS=0``.
+Activation: the instrumented subsystems call :func:`make_lock` at
+*construction* time.  With ``REPRO_CHECK`` unset (the default) it
+returns a plain ``threading.Lock``, so the shipped configuration pays
+nothing, mirroring ``REPRO_METRICS=0``.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ import sys
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.observability.metrics import get_registry
 
@@ -57,27 +45,20 @@ __all__ = [
     "enable_checks",
     "make_condition",
     "make_lock",
-    "note_access",
     "reset_violations",
     "run_determinism_check",
-    "track",
     "violations",
 ]
-
-#: Attribute name under which :func:`track` stores per-object state.
-_TRACK_ATTR = "_repro_track_info"
 
 
 @dataclass(frozen=True)
 class Violation:
     """One reported concurrency-discipline violation."""
 
-    #: ``"lock-order"``, ``"recursive-acquire"``, ``"unheld-release"``
-    #: or ``"race"``.
+    #: ``"lock-order"``, ``"recursive-acquire"`` or ``"unheld-release"``.
     kind: str
     message: str
-    #: Formatted stack of the acquisition/access that completed the
-    #: violation.
+    #: Formatted stack of the acquisition that completed the violation.
     stack: str
     #: For lock-order cycles: the formatted stack that created the
     #: conflicting (reverse-direction) edge.
@@ -90,9 +71,9 @@ class Violation:
         return text
 
 
-def _capture_stack(skip: int = 2) -> str:
-    """The current stack, minus *skip* innermost frames of this module."""
-    frames = traceback.format_stack()[:-skip]
+def _capture_stack() -> str:
+    """The current stack, minus the two innermost frames (this module's)."""
+    frames = traceback.format_stack()[:-2]
     return "".join(frames[-8:])
 
 
@@ -101,28 +82,6 @@ class _HeldStack(threading.local):
 
     def __init__(self) -> None:
         self.locks: List["CheckedLock"] = []
-
-
-class _TrackInfo:
-    """Eraser-style per-object state (kept out of the object's API)."""
-
-    __slots__ = ("name", "policy", "lock", "owner", "state", "lockset",
-                 "reported", "accesses", "threads")
-
-    def __init__(self, name: str, policy: str) -> None:
-        self.name = name
-        self.policy = policy
-        # A plain (un-checked) lock: the detector's own bookkeeping
-        # must stay invisible to the lock-order graph.
-        self.lock = threading.Lock()
-        self.owner: Optional[int] = None
-        #: ``"exclusive"`` | ``"shared-read"`` | ``"shared-modified"``
-        self.state = "virgin"
-        #: None means "universe" (no multi-thread access yet).
-        self.lockset: Optional[FrozenSet[str]] = None
-        self.reported = False
-        self.accesses = 0
-        self.threads: Set[int] = set()
 
 
 class _CheckState:
@@ -136,20 +95,15 @@ class _CheckState:
         self.graph_lock = threading.Lock()
         self.violations: List[Violation] = []
         self.violations_lock = threading.Lock()
-        reg = get_registry()
-        self.m_lock_order = reg.counter("analysis.lock_order_violations")
-        self.m_race = reg.counter("analysis.race_violations")
-        self.m_tracked = reg.gauge("analysis.tracked_objects")
+        self.m_lock_order = get_registry().counter(
+            "analysis.lock_order_violations")
 
     # -- reporting -----------------------------------------------------
 
     def report(self, violation: Violation) -> None:
         with self.violations_lock:
             self.violations.append(violation)
-        if violation.kind == "race":
-            self.m_race.inc()
-        else:
-            self.m_lock_order.inc()
+        self.m_lock_order.inc()
         print(f"REPRO_CHECK violation: {violation}", file=sys.stderr)
 
     # -- lock-order graph ----------------------------------------------
@@ -202,45 +156,6 @@ class _CheckState:
             for nxt in self.adjacency.get(node, ()):
                 stack.append((nxt, path + [nxt]))
         return None
-
-    # -- lockset race detection ----------------------------------------
-
-    def note(self, info: _TrackInfo, kind: str) -> None:
-        tid = threading.get_ident()
-        held = frozenset(lock.order_name for lock in self.held.locks)
-        with info.lock:
-            info.accesses += 1
-            info.threads.add(tid)
-            if info.policy == "atomic":
-                # Lock-free by design (GIL-atomic deque ops): record the
-                # traffic but do not apply lockset reasoning.
-                return
-            if info.state == "virgin":
-                info.state = "exclusive"
-                info.owner = tid
-                return
-            if info.state == "exclusive" and info.owner == tid:
-                return
-            # Second thread seen: start/refine the lockset.
-            info.lockset = (held if info.lockset is None
-                            else info.lockset & held)
-            if kind == "write":
-                info.state = "shared-modified"
-            elif info.state != "shared-modified":
-                info.state = "shared-read"
-            racy = (info.state == "shared-modified" and not info.lockset
-                    and not info.reported)
-            if racy:
-                info.reported = True
-        if racy:
-            self.report(Violation(
-                kind="race",
-                message=(
-                    f"unsynchronised {kind} to tracked object "
-                    f"{info.name!r}: accessed by {len(info.threads)} "
-                    f"threads with an empty candidate lockset"),
-                stack=_capture_stack(skip=3),
-            ))
 
 
 def _env_enabled() -> bool:
@@ -386,49 +301,6 @@ def make_condition(name: str) -> threading.Condition:
     return threading.Condition(make_lock(name))  # type: ignore[arg-type]
 
 
-def track(obj: object, name: Optional[str] = None,
-          policy: str = "guarded") -> object:
-    """Register *obj* with the lockset race detector.
-
-    ``policy="guarded"`` (default) applies Eraser lockset reasoning:
-    every :func:`note_access` intersects the candidate lockset with the
-    checked locks currently held; multi-thread writes with an empty
-    lockset are reported.  ``policy="atomic"`` declares the object
-    lock-free by design (the pools' GIL-atomic deques): accesses are
-    recorded for the report but never flagged.
-
-    No-op (and cheap) when checking is disabled.  Returns *obj*.
-    """
-    state = _state
-    if state is None:
-        return obj
-    if policy not in ("guarded", "atomic"):
-        raise ValueError(f"unknown track policy {policy!r}")
-    label = name if name is not None else type(obj).__name__
-    try:
-        setattr(obj, _TRACK_ATTR, _TrackInfo(label, policy))
-    except AttributeError:
-        # __slots__ classes cannot be tracked; stay silent by contract.
-        return obj
-    state.m_tracked.inc()
-    return obj
-
-
-def note_access(obj: object, kind: str = "write") -> None:
-    """Record a *kind* ∈ {"read", "write"} access to a tracked object.
-
-    Call sites guard this behind a captured ``checking_enabled()`` bool
-    so the disabled fast path is a single branch.
-    """
-    state = _state
-    if state is None:
-        return
-    info = getattr(obj, _TRACK_ATTR, None)
-    if info is None:
-        return
-    state.note(info, kind)
-
-
 # ---------------------------------------------------------------------------
 # Introspection for tests and the CI lane.
 # ---------------------------------------------------------------------------
@@ -469,14 +341,6 @@ def lock_order_edges() -> Dict[Tuple[str, str], str]:
         return {}
     with state.graph_lock:
         return {edge: thread for edge, (_, thread) in state.edges.items()}
-
-
-def _iter_tracked_threads(obj: object) -> Iterator[int]:
-    """Thread idents that touched *obj* (diagnostics)."""
-    info = getattr(obj, _TRACK_ATTR, None)
-    if info is None:
-        return iter(())
-    return iter(sorted(info.threads))
 
 
 # ---------------------------------------------------------------------------

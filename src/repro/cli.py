@@ -55,7 +55,7 @@ Commands
 ``infer``
     Send one volume to a running ``repro serve`` endpoint and save or
     summarise the dense output.  Exits 75 if the server stayed
-    overloaded, 76 on a missed deadline.
+    overloaded, 76 on a missed deadline, 69 if it cannot be reached.
 ``lint``
     Run the project's concurrency/metrics lint rules (guarded-by
     discipline, raw acquires, blocking calls under locks, swap-only
@@ -75,6 +75,21 @@ from repro import reporting
 from repro.tensor.backends import registry
 
 __all__ = ["main", "build_parser"]
+
+
+def _parse_shape(text: str) -> tuple:
+    """A volume shape: ``48`` is a cube, ``32,64,64`` (or space
+    separated) is taken as given; anything but 1 to 3 positive ints is
+    an argparse error (exit 2)."""
+    try:
+        dims = tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        dims = ()
+    if not 1 <= len(dims) <= 3 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 1 to 3 positive integers, e.g. 48 or 32,64,64; "
+            f"got {text!r}")
+    return dims * 3 if len(dims) == 1 else dims
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     spz.add_argument("--name", default="default",
                      help="model name recorded in the plan "
                           "(default: default)")
-    spz.add_argument("--volume", default="48", metavar="SHAPE",
+    spz.add_argument("--volume", default="48", type=_parse_shape,
+                     metavar="SHAPE",
                      help="target volume shape, e.g. 48 or 32,64,64 "
                           "(default 48)")
     spz.add_argument("--cost-model", default=None, metavar="FILE",
@@ -346,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--model", default="default")
     inf.add_argument("--input", default=None, metavar="FILE",
                      help=".npy volume to send")
-    inf.add_argument("--random", default=None, metavar="SHAPE",
+    inf.add_argument("--random", default=None, type=_parse_shape,
+                     metavar="SHAPE",
                      help="send a random volume instead, e.g. 48 or "
                           "32,64,64")
     inf.add_argument("--seed", type=int, default=0)
@@ -934,8 +951,7 @@ def _cmd_specialize(args) -> int:
     from repro.serving.specialize import CostModel
     from repro.utils.shapes import voxels
 
-    dims = [int(v) for v in args.volume.replace(",", " ").split()]
-    shape = tuple(dims) if len(dims) > 1 else (dims[0],) * 3
+    shape = args.volume
     spec = ModelSpec.from_files(args.name, args.spec,
                                 checkpoint=args.checkpoint,
                                 conv_mode="direct")
@@ -1123,9 +1139,8 @@ def _cmd_infer(args) -> int:
     if args.input is not None:
         volume = np.load(args.input, allow_pickle=False)
     else:
-        dims = [int(v) for v in args.random.replace(",", " ").split()]
-        shape = tuple(dims) if len(dims) > 1 else (dims[0],) * 3
-        volume = np.random.default_rng(args.seed).standard_normal(shape)
+        volume = np.random.default_rng(args.seed).standard_normal(
+            args.random)
     client = HttpServingClient(args.url, max_attempts=args.max_attempts)
     try:
         dense = client.infer(args.model, volume, timeout=args.timeout,
@@ -1140,6 +1155,9 @@ def _cmd_infer(args) -> int:
     except ServingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 70
+    except OSError as exc:  # URLError included, as in `repro fleet status`
+        print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
+        return 69
     print(f"input {volume.shape} -> dense {dense.shape}; "
           f"mean {dense.mean():.6f}, min {dense.min():.6f}, "
           f"max {dense.max():.6f}")

@@ -26,8 +26,7 @@ from typing import Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import (checking_enabled, make_lock, note_access,
-                                    track)
+from repro.analysis.runtime import make_lock
 from repro.observability.metrics import get_registry
 
 __all__ = [
@@ -199,14 +198,11 @@ class PoolAllocator(PooledArrays):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         self.alignment = alignment
         self.name = name
+        # The free-lists are deliberately lock-free: deque append/pop
+        # are GIL-atomic (the boost lock-free queues of §VII-C).
         self._pools: list[Deque[np.ndarray]] = [deque() for _ in range(NUM_POOLS)]
         self._accounting = PoolAccounting(name, f"memory.pool_stats.{name}")
         self.stats = self._accounting.stats
-        self._check = checking_enabled()
-        if self._check:
-            # The free-lists are deliberately lock-free: deque append/pop
-            # are GIL-atomic (the boost lock-free queues of §VII-C).
-            track(self, name=f"memory.pool.{name}", policy="atomic")
 
     # ------------------------------------------------------------------
 
@@ -230,8 +226,6 @@ class PoolAllocator(PooledArrays):
             raise MemoryError(
                 f"request of {nbytes} bytes exceeds the largest pool "
                 f"(2**{NUM_POOLS - 1})")
-        if self._check:
-            note_access(self, "write")
         try:
             chunk = self._pools[index].pop()
             hit = True
@@ -249,8 +243,6 @@ class PoolAllocator(PooledArrays):
             raise ValueError(
                 f"chunk of {chunk.nbytes} bytes does not belong to pool "
                 f"{pool_index} (expects {1 << pool_index})")
-        if self._check:
-            note_access(self, "write")
         self._pools[pool_index].append(chunk)
         self._accounting.freed()
 

@@ -89,8 +89,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "autoscale.workers.target",
     # analysis/runtime.py (docs/static_analysis.md)
     "analysis.lock_order_violations",
-    "analysis.race_violations",
-    "analysis.tracked_objects",
     # analysis/determinism.py + runtime.py sanitizer
     # (docs/static_analysis.md "Determinism checker")
     "analysis.determinism.findings",

@@ -608,9 +608,15 @@ class FlightRecorder:
                              "message": str(message), "attrs": attrs})
 
     def events(self) -> List[dict]:
+        while True:  # another thread may append mid-copy
+            try:
+                ring = list(self._events)
+                break
+            except RuntimeError:
+                continue
         return [e if isinstance(e, dict)
                 else {"kind": "span", **e.to_dict()}
-                for e in self._events]
+                for e in ring]
 
     def clear(self) -> None:
         self._events.clear()

@@ -39,13 +39,9 @@ from repro.memory.shared_pool import BlockHandle, attach_block
 from repro.observability.tracing import get_tracer
 from repro.parallel.replica import ModelConfig, Replica
 from repro.parallel.summation import SharedOrderedSum, SumHandles
-from repro.resilience.faults import InjectedFault, active_plan
+from repro.resilience.faults import CRASH_EXIT_CODE, InjectedFault, active_plan
 
 __all__ = ["worker_main"]
-
-#: Exit code of a fault-injected simulated crash (distinguishable from
-#: a Python traceback exit in the coordinator's logs).
-CRASH_EXIT_CODE = 73
 
 
 def worker_main(worker_id: int, config: ModelConfig,

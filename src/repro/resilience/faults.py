@@ -81,6 +81,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.observability.metrics import get_registry
 
 __all__ = [
+    "CRASH_EXIT_CODE",
     "InjectedFault",
     "FaultSpec",
     "FaultPlan",
@@ -109,6 +110,11 @@ DEFAULT_HANG_SECONDS = 30.0
 class InjectedFault(RuntimeError):
     """Raised by ``fail`` fault specs.  Retry policies treat it like
     any other transient task failure."""
+
+
+#: Exit code of a worker process's fault-injected simulated crash
+#: (distinguishable from a Python traceback exit in the parent's logs).
+CRASH_EXIT_CODE = 73
 
 
 @dataclass(frozen=True)

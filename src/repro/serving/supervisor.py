@@ -73,6 +73,7 @@ from repro.observability.tracing import (
     get_tracer,
 )
 from repro.resilience.faults import (
+    CRASH_EXIT_CODE,
     FaultPlan,
     InjectedFault,
     active_plan,
@@ -97,10 +98,6 @@ __all__ = [
     "serve_worker_main",
     "error_from_kind",
 ]
-
-#: Exit code of a fault-injected simulated crash (mirrors
-#: repro.parallel.worker).
-CRASH_EXIT_CODE = 73
 
 #: Fault family checked once per request dispatched to a fleet worker;
 #: the per-worker variant is ``worker_family(SERVE_WORKER_FAMILY, id)``.

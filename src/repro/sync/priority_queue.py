@@ -32,8 +32,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.runtime import (checking_enabled, make_lock, note_access,
-                                    track)
+from repro.analysis.runtime import make_lock
 from repro.observability.metrics import MetricsRegistry, get_registry
 
 __all__ = ["HeapOfLists", "QueueClosed"]
@@ -58,9 +57,6 @@ class HeapOfLists:
         self._lists: Dict[int, Deque[Tuple[Any, Optional[Callable[[], bool]], float]]] = {}  # guarded-by: _lock
         self._size = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        self._check = checking_enabled()
-        if self._check:
-            track(self, name="sync.queue")
         reg = metrics if metrics is not None else get_registry()
         self._m_reg = reg
         self._m_push = reg.counter("queue.push")
@@ -75,8 +71,6 @@ class HeapOfLists:
         priority = int(priority)
         enqueued = time.perf_counter() if self._m_reg.enabled else 0.0
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             if self._closed:
                 raise QueueClosed("push after close")
             bucket = self._lists.get(priority)
@@ -112,8 +106,6 @@ class HeapOfLists:
                     raise IndexError("pop timed out")
 
     def _pop_valid_locked(self) -> Optional[Tuple[int, Any]]:
-        if self._check:
-            note_access(self, "write")
         while self._heap:
             priority = self._heap[0]
             bucket = self._lists[priority]
@@ -137,8 +129,6 @@ class HeapOfLists:
     def close(self) -> None:
         """Mark the queue closed and wake all blocked poppers."""
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             self._closed = True
             self._not_empty.notify_all()
 

@@ -26,8 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.runtime import (checking_enabled, make_lock, note_access,
-                                    track)
+from repro.analysis.runtime import make_lock
 
 __all__ = ["ConcurrentSum", "NaiveLockedSum", "OrderedSum",
            "reduce_in_order"]
@@ -100,15 +99,10 @@ class ConcurrentSum(_CountedSum):
         self._lock = make_lock("sync.summation")
         self._sum: Optional[np.ndarray] = None  # guarded-by: _lock
         self._total = 0  # guarded-by: _lock
-        self._check = checking_enabled()
-        if self._check:
-            track(self, name="sync.summation")
 
     def reset(self, required: Optional[int] = None) -> None:
         """Prepare the object for the next round's accumulation."""
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             self._restart_count_locked(required)
             self._sum = None
 
@@ -125,11 +119,6 @@ class ConcurrentSum(_CountedSum):
         v_other: Optional[np.ndarray] = None
         last = False
         overflow = False
-        if self._check:
-            # Record the lockset for the race detector under the lock but
-            # outside the swap-only section (probes are debug-mode only).
-            with self._lock:
-                note_access(self, "write")
         while True:
             with self._lock:  # critical-section: swap-only
                 if self._sum is None:

@@ -41,8 +41,7 @@ from typing import Callable, Dict, Hashable, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import (checking_enabled, make_lock, note_access,
-                                    track)
+from repro.analysis.runtime import make_lock
 from repro.observability.metrics import get_registry
 
 __all__ = ["CacheStats", "TransformCache"]
@@ -97,9 +96,6 @@ class TransformCache:
         self._bytes = 0  # guarded-by: _lock
         self._pinned_kinds: frozenset = frozenset()  # guarded-by: _lock
         self.stats = CacheStats()  # guarded-by: _lock
-        self._check = checking_enabled()
-        if self._check:
-            track(self, name="tensor.fft_cache")
         reg = get_registry()
         self._m_hit = reg.counter("fft_cache.hit")
         self._m_miss = reg.counter("fft_cache.miss")
@@ -128,8 +124,6 @@ class TransformCache:
         safe while the parameters behind the kind are frozen.
         """
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             self._pinned_kinds = self._pinned_kinds | {kind}
 
     @property
@@ -150,8 +144,6 @@ class TransformCache:
         change with the next sample.
         """
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             if self._pinned_kinds:
                 keep = {k: v for k, v in self._store.items()
                         if k[0] == _PINNED}
@@ -174,8 +166,6 @@ class TransformCache:
 
         Works for pinned and per-round kinds alike."""
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             dropped = self._store.pop(self._key(kind, name), None)
             if dropped is not None:
                 self._bytes -= dropped.nbytes
@@ -206,8 +196,6 @@ class TransformCache:
                 return cached
         value = compute()
         with self._lock:
-            if self._check:
-                note_access(self, "write")
             self.stats.computed += 1
             if self.enabled:
                 if key not in self._store:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis import lint_file, lint_paths, lint_source
 from repro.analysis.linting import ALL_RULES, render_violations
+from repro.sync import priority_queue
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -27,6 +28,8 @@ def rules_hit(path, rules=None):
 
 @pytest.mark.parametrize("bad,ok,rule", [
     ("guarded_by_bad.py", "guarded_by_ok.py", "guarded-by"),
+    ("guarded_by_locked_call_bad.py", "guarded_by_locked_call_ok.py",
+     "guarded-by"),
     ("raw_acquire_bad.py", "raw_acquire_ok.py", "raw-acquire"),
     ("blocking_bad.py", "blocking_ok.py", "blocking-under-lock"),
     ("swap_only_bad.py", "swap_only_ok.py", "swap-only-critical-section"),
@@ -48,6 +51,34 @@ def test_guarded_by_counts_every_seeded_mutation():
     # += without lock, .append() without lock, rebind without lock.
     assert len(violations) == 3
     assert all("_lock" in v.message for v in violations)
+
+
+def test_guarded_by_flags_every_unheld_locked_call():
+    path = fixture("guarded_by_locked_call_bad.py")
+    violations = lint_file(path, rules=["guarded-by"])
+    with open(path) as fh:
+        seeded = [n for n, line in enumerate(fh, 1) if "VIOLATION" in line]
+    assert [v.line for v in violations] == seeded
+    assert all("_locked()" in v.message for v in violations)
+
+
+def test_locked_call_moved_out_of_the_queue_lock_is_caught():
+    # HeapOfLists.pop calling its _locked helper without the queue
+    # lock: the helper's own body is exempt, so only its caller shows it.
+    with open(priority_queue.__file__) as fh:
+        source = fh.read()
+    held = ("        with self._lock:\n"
+            "            while True:\n"
+            "                entry = self._pop_valid_locked()\n")
+    assert held in source
+    assert lint_source(source, rules=["guarded-by"]) == []
+    unheld = source.replace(held, (
+        "        entry = self._pop_valid_locked()\n"
+        "        with self._lock:\n"
+        "            while True:\n"))
+    violations = lint_source(unheld, rules=["guarded-by"])
+    assert len(violations) == 1
+    assert "_pop_valid_locked" in violations[0].message
 
 
 def test_raw_acquire_flags_assigned_result_too():

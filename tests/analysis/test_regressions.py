@@ -2,8 +2,8 @@
 
 Each test constructs the fixed component with a throwaway checking
 state active, so its locks are non-reentrant ``CheckedLock`` instances
-and its tracked objects feed the race detector — the original bugs
-would re-report here before they deadlocked or corrupted anything.
+feeding the lock-order graph; the unlocked writes behind the original
+bugs are what ``repro lint``'s ``guarded-by`` rule flags.
 """
 
 import threading

@@ -1,5 +1,6 @@
-"""The REPRO_CHECK dynamic checkers: lock-order graph, recursive
-acquire, unheld release, and the Eraser-style lockset race detector.
+"""The REPRO_CHECK dynamic checkers — lock-order graph, recursive
+acquire, unheld release — and the static ``guarded-by`` cases that
+replaced the runtime lockset race detector.
 
 Deliberate violations run against throwaway ``_CheckState`` instances
 (via the ``check_state`` fixture) so nothing leaks into the
@@ -10,11 +11,11 @@ import threading
 
 import pytest
 
-from repro.analysis import runtime
+from repro.analysis import lint_file, lint_source, runtime
 from repro.analysis.runtime import (CheckedLock, checking_enabled,
                                     lock_order_edges, make_condition,
-                                    make_lock, note_access, track,
-                                    violations)
+                                    make_lock, violations)
+from repro.memory import pools
 
 
 @pytest.fixture
@@ -161,90 +162,64 @@ def test_condition_over_checked_lock(check_state):
     assert results == ["produced", "consumed"]
 
 
-# -- race detector -------------------------------------------------------
+# -- shared-state discipline: the static guarded-by rule -----------------
+#
+# Which lock guards which state is checked statically, not at run time;
+# these are the lockset cases (racy write, locked write, exclusive
+# owner, shared reads, lock-free by design) stated against the rule.
 
 
-def test_unsynchronised_writes_from_two_threads_flagged(check_state):
-    class Shared:
-        pass
+GUARDED = """\
+import threading
 
-    obj = track(Shared(), name="racy")
-    barrier = threading.Barrier(2, timeout=10)
-
-    def writer():
-        barrier.wait()
-        for _ in range(3):
-            note_access(obj, "write")
-
-    run_threads(writer, writer)
-    assert kinds(check_state).count("race") == 1  # reported once
-    report = [v for v in check_state.violations if v.kind == "race"][0]
-    assert "racy" in report.message
+class Shared:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.value = 0  # guarded-by: _lock
+        self.value = 1
+"""
 
 
-def test_guarded_writes_are_clean(check_state):
-    class Shared:
-        pass
-
-    lock = make_lock("guard")
-    obj = track(Shared(), name="guarded")
-
-    def writer():
-        for _ in range(5):
-            with lock:
-                note_access(obj, "write")
-
-    run_threads(writer, writer)
-    assert kinds(check_state) == []
+def guarded_findings(source):
+    return lint_source(source, rules=["guarded-by"])
 
 
-def test_single_thread_needs_no_lock(check_state):
-    class Shared:
-        pass
-
-    obj = track(Shared(), name="exclusive")
-    for _ in range(10):
-        note_access(obj, "write")
-    assert kinds(check_state) == []
+def test_unsynchronised_writes_from_two_threads_flagged():
+    source = GUARDED + "    def write(self):\n        self.value += 1\n"
+    found = guarded_findings(source)
+    assert [v.line for v in found] == [9]
+    assert "self.value" in found[0].message
 
 
-def test_shared_reads_without_lock_are_clean(check_state):
-    class Shared:
-        pass
-
-    obj = track(Shared(), name="read-shared")
-
-    def reader():
-        for _ in range(5):
-            note_access(obj, "read")
-
-    run_threads(reader, reader)
-    assert kinds(check_state) == []
+def test_guarded_writes_are_clean():
+    source = GUARDED + ("    def write(self):\n"
+                        "        with self._lock:\n"
+                        "            self.value += 1\n")
+    assert guarded_findings(source) == []
 
 
-def test_atomic_policy_records_but_never_flags(check_state):
-    class LockFree:
-        pass
-
-    obj = track(LockFree(), name="pool", policy="atomic")
-    # Both threads must overlap, or a finished thread's ident can be
-    # reused and the two writers collapse into one.
-    barrier = threading.Barrier(2, timeout=10)
-
-    def writer():
-        barrier.wait()
-        for _ in range(5):
-            note_access(obj, "write")
-
-    run_threads(writer, writer)
-    assert kinds(check_state) == []
-    info = getattr(obj, "_repro_track_info")
-    assert info.accesses == 10 and len(info.threads) == 2
+def test_single_thread_needs_no_lock():
+    # Construction precedes sharing: the unlocked second write in
+    # __init__ (line 7) is exempt.
+    assert guarded_findings(GUARDED) == []
 
 
-def test_unknown_policy_rejected(check_state):
-    with pytest.raises(ValueError, match="unknown track policy"):
-        track(object(), policy="wishful")
+def test_shared_reads_without_lock_are_clean():
+    source = GUARDED + ("    def read(self):\n"
+                        "        return self.value + 1\n")
+    assert guarded_findings(source) == []
+
+
+def test_atomic_policy_records_but_never_flags():
+    # §VII-C: the pools' free-lists are lock-free by design (GIL-atomic
+    # deque append/pop), so they carry no guarded-by annotation and the
+    # rule has nothing to flag there.
+    assert lint_file(pools.__file__, rules=["guarded-by"]) == []
+
+
+def test_unknown_policy_rejected():
+    with pytest.raises(ValueError, match="unknown lint rule"):
+        lint_source(GUARDED, rules=["guarded-by", "wishful"])
 
 
 # -- gating --------------------------------------------------------------
@@ -255,8 +230,6 @@ def test_make_lock_is_plain_when_disabled(monkeypatch):
     assert not checking_enabled()
     lock = make_lock("anything")
     assert not isinstance(lock, CheckedLock)
-    track_result = track(object(), name="ignored")
-    note_access(track_result, "write")  # no-op, must not blow up
     assert violations() == []
 
 

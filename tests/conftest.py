@@ -25,8 +25,9 @@ def _repro_check_clean():
     """The REPRO_CHECK=1 CI lane's zero-violation assertion.
 
     When the suite runs with dynamic concurrency checking enabled, any
-    lock-order / race violation recorded against the *environment*
-    checking state fails the session at teardown.  Tests that provoke
+    lock-order / recursive-acquire / unheld-release violation recorded
+    against the *environment* checking state fails the session at
+    teardown.  Tests that provoke
     violations deliberately run against throwaway states (see
     ``tests/analysis/``) and never land here.
     """

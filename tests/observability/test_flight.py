@@ -4,6 +4,9 @@ the REPRO_METRICS=0 no-op path."""
 import glob
 import json
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +71,42 @@ class TestFlightRing:
         assert doc["events"][0]["message"] == "trouble"
         assert isinstance(doc["metrics"], dict)
         assert ring.dumps == 1
+
+    def test_snapshot_survives_concurrent_appends(self, tmp_path):
+        # Bug: events() iterated the live ring, so a note() landing
+        # mid-iteration raised "deque mutated during iteration" — and in
+        # Engine._attempt's failure path that replaced the real error.
+        ring = FlightRecorder(capacity=512)
+        for i in range(512):
+            ring.note(f"n{i}")
+        path = str(tmp_path / "flight.json")
+        started, stop = threading.Event(), threading.Event()
+
+        def hammer():
+            started.set()
+            while not stop.is_set():
+                ring.note("noise")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=hammer)
+        thread.start()
+        try:
+            started.wait(10)
+            deadline = time.perf_counter() + 0.5
+            calls = 0
+            while time.perf_counter() < deadline:
+                calls += 1
+                if calls % 20:
+                    assert len(ring.events()) == 512
+                else:
+                    ring.dump(path)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert ring.dumps == calls // 20
 
 
 class TestFlightDumpTrigger:

@@ -740,6 +740,39 @@ class TestFleetCli:
         assert "cannot reach" in capsys.readouterr().err
 
 
+class TestShapeAndReachability:
+    @pytest.mark.parametrize("text,shape", [
+        ("48", (48, 48, 48)), ("32,64,64", (32, 64, 64)),
+        ("32 64 64", (32, 64, 64)), ("8,9", (8, 9))])
+    def test_shape_forms(self, text, shape):
+        args = build_parser().parse_args(["infer", "--random", text])
+        assert args.random == shape
+        args = build_parser().parse_args(
+            ["specialize", "--spec", "m.spec", "--volume", text])
+        assert args.volume == shape
+
+    def test_specialize_default_volume_is_a_cube(self):
+        args = build_parser().parse_args(["specialize", "--spec", "m.spec"])
+        assert args.volume == (48, 48, 48)
+
+    @pytest.mark.parametrize("command", [
+        ["infer", "--random"], ["specialize", "--spec", "m.spec",
+                                "--volume"]])
+    @pytest.mark.parametrize("bad", ["abc", "", "0", "-4", "1,2,3,4",
+                                     "4.5"])
+    def test_bad_shape_exits_2_with_a_message(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, bad])
+        assert exc.value.code == 2
+        assert "1 to 3 positive integers" in capsys.readouterr().err
+
+    def test_infer_unreachable_exits_69(self, capsys):
+        # Nothing listens on this port; same exit as `fleet status`.
+        assert main(["infer", "--url", "http://127.0.0.1:9",
+                     "--random", "4"]) == 69
+        assert "cannot reach" in capsys.readouterr().err
+
+
 class TestLoadtestCli:
     ARGS = ["loadtest", "--sim", "--scenario", "flash-crowd",
             "--duration", "20", "--rate", "2", "--seed", "7",

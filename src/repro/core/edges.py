@@ -43,7 +43,6 @@ from repro.graph.computation_graph import EdgeSpec
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import flight_dump, flight_note
 from repro.tensor.backends import FALLBACK, conv_backend
-from repro.tensor.conv_fft import FftConvPlan
 from repro.tensor.fft_cache import TransformCache
 from repro.tensor.fourier import forward_transform
 from repro.tensor.filtering import (
@@ -88,9 +87,9 @@ class RuntimeEdge:
 
     is_trainable = False
     mode = "n/a"
-    #: The conv backend configured for this edge (conv edges only).
-    backend = None
-    plan: Optional[FftConvPlan] = None
+    #: The conv backend configured for this edge and its per-edge plan
+    #: (conv edges only).
+    backend = plan = None
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode) -> None:
         self.spec = spec
@@ -148,6 +147,9 @@ class ConvEdge(RuntimeEdge):
         #: degrades this edge to the fallback (the plan is kept:
         #: neighbouring spectral-domain nodes still finalize through it).
         self._active = self.backend
+        #: What the fallback runs on (this edge's own plan if direct).
+        self._fallback_plan = FALLBACK.plan(src.shape, spec.kernel,
+                                            spec.sparsity, fast_sizes)
         #: Which cache entry each memoized spectrum kind lives under.
         self._owner = {"img": src.name, "grad": dst.name, "ker": spec.name}
         #: Called with this edge on first degradation (Network records
@@ -202,14 +204,16 @@ class ConvEdge(RuntimeEdge):
                     **options)
             except Exception as exc:
                 self._degrade(exc)
-        result = getattr(FALLBACK, op)(*operands, self.sparsity)
+        result = getattr(FALLBACK, op)(*operands, self.sparsity,
+                                       self._fallback_plan)
         if options.get("spectral"):
             return forward_transform(result, self.plan.transform_shape)
         return result
 
     def pass_attrs(self) -> dict:
+        plan = self.plan if self.fft_ok else self._fallback_plan
         cost = self._active.pass_cost(self.src.shape, self.spec.kernel,
-                                      self.sparsity, self.plan)
+                                      self.sparsity, plan)
         return {"backend": self.effective_mode, "flops": cost["flops"],
                 "bytes": cost["bytes"], "image_shape": self.src.shape,
                 "kernel_shape": self.spec.kernel}

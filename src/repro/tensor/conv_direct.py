@@ -23,28 +23,25 @@ size ``k`` has an effective footprint of ``(k-1)*s + 1`` voxels per
 dimension.  Sparse convolution is what makes max-filtering ConvNets
 equivalent to sliding-window max-pooling ConvNets (Fig 2).
 
-Implementation notes (per the HPC guides): all three passes fold one
-kernel tap at a time over strided views of the larger image
-(:func:`tap_views`), in a fixed C order over the taps — the forward
-pass *accumulates* ``K[u] * I[x + s*u]``, the backward pass *scatters*
-``K[u] * dO`` into the tap's block of the input gradient, the kernel
-gradient *reduces* ``I[x + s*u] * dO`` to one number per tap.  The
-heavy loops run in compiled ufunc code, no pass materialises a padded
-image or an ``out_shape + kernel_shape`` window copy, and — unlike a
-BLAS contraction, which reassociates by the number of rows — the
-floating-point reduction order never depends on the image extent.
-Forward and backward are therefore *bitwise translation covariant*: a
-voxel computed inside a small tile equals the same voxel computed
-inside the whole volume, bit for bit, which the serving tiler relies on
-to stitch seam-free dense output.  The kernel gradient sums over the
-whole image; its order is a function of the two shapes alone.  No BLAS
-call is left in this module (``docs/algorithms.md`` §8).
+Implementation notes (per the HPC guides): tap ``u`` of a C-contiguous
+image is the flat run ``flat[off_u : off_u + run]``, ``off_u = sum
+s*u*pitch`` (dilation is just another offset table), planned once per
+edge in a :class:`DirectPlan`.  Forward *accumulates* ``K[u] * run_u``
+at the image's pitch and crops once; backward *scatters* ``K[u] * dO``,
+staged at that pitch, taps in reverse C order; the kernel gradient
+*reduces* ``I[x + s*u] * dO`` per tap over strided views.  No padded
+image, no window copy, no BLAS (which reassociates by the number of
+rows): the fixed C tap order makes forward and backward *bitwise
+translation covariant* — a voxel of a tile equals the same voxel of the
+whole volume, so the serving tiler stitches seam-free — and the kernel
+gradient's order a function of the two shapes (``docs/algorithms.md`` §8).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,31 +66,78 @@ __all__ = [
     "flip3",
     "dilate_kernel",
     "tap_views",
+    "DirectPlan",
     "DirectBackend",
 ]
 
 
+class DirectPlan(NamedTuple):
+    """One edge's geometry: image shape ``n`` (the seam's name for the
+    shape a pass runs at), its pitch, C-order tap offsets and ``run``,
+    the flat span of the valid outputs.  No scratch: threads share it."""
+
+    transform_shape: tuple
+    kernel_shape: tuple
+    sparsity: tuple
+    out_shape: tuple
+    pitch: tuple
+    offsets: tuple
+    run: int
+
+    def correlate(self, image, weights):
+        """Valid correlation, cropped once (strided *image*: ravel copies)."""
+        flat, run, (o0, o1, o2) = image.ravel(), self.run, self.out_shape
+        acc, tap = np.zeros((o0,) + self.transform_shape[1:]), np.empty(run)
+        head = acc.ravel()[:run]
+        for weight, off in zip(weights.ravel().tolist(), self.offsets):
+            head += np.multiply(flat[off:off + run], weight, out=tap)
+        return np.ascontiguousarray(acc[:, :o1, :o2])
+
+    def scatter(self, grad, weights):
+        """Full correlation: *weights* in C order, taps in reverse."""
+        (o0, o1, o2), run = self.out_shape, self.run
+        staged = np.zeros((o0,) + self.transform_shape[1:])
+        staged[:, :o1, :o2] = grad
+        out, tap = np.zeros(self.transform_shape), np.empty(run)
+        staged, flat = staged.ravel()[:run], out.ravel()
+        for weight, off in zip(weights.ravel().tolist(), self.offsets[::-1]):
+            flat[off:off + run] += np.multiply(staged, weight, out=tap)
+        return out
+
+    def reduce(self, image, grad):
+        """Kernel gradient; einsum's own loop (optimize off: never BLAS)."""
+        walk = (self.kernel_shape, self.sparsity, self.out_shape)
+        return np.array([np.einsum("zyx,zyx->", block, grad)
+                         for block in tap_views(image, *walk)]
+                        ).reshape(self.kernel_shape)
+
+
+@lru_cache(maxsize=256)
+def _plan(image_shape, kernel_shape, sparsity=1, fast_sizes=False):
+    """The plan at these shapes (*fast_sizes*, an FFT notion, unused)."""
+    n, k, s = map(as_shape3, (image_shape, kernel_shape, sparsity))
+    o, pitch = valid_conv_shape(n, k, s), (n[1] * n[2], n[2], 1)
+    offsets = tuple(sum(sd * ud * p for sd, ud, p in zip(s, u, pitch))
+                    for u in np.ndindex(*k))
+    run = sum((od - 1) * p for od, p in zip(o, pitch)) + 1
+    return DirectPlan(n, k, s, o, pitch, offsets, run)
+
+
 def direct_pass_cost(image_shape: int | Sequence[int],
                      kernel_shape: int | Sequence[int],
-                     sparsity: int | Sequence[int] = 1) -> dict:
-    """Analytic cost annotation of one direct conv pass at these shapes.
-
-    ``flops`` is the Table II count ``n'^3 * k^3`` (every pass — valid
-    forward, full backward, kernel gradient — touches each
-    (output-voxel, kernel-tap) pair once).  ``bytes`` follows the tap
-    walk all three share: one ``n'^3`` block streamed per kernel tap
-    (accumulated into the output, scattered into the input gradient, or
-    reduced against the output gradient) plus one write of the result,
-    in float64.  Consumed by :mod:`repro.observability.profile` to turn
-    measured per-edge timings into achieved FLOP/s.
-    """
-    k = voxels(kernel_shape)
-    out = voxels(valid_conv_shape(image_shape, kernel_shape, sparsity))
-    return {
-        "flops": direct_conv_task_cost(image_shape, kernel_shape,
-                                       sparsity),
-        "bytes": 8.0 * (k * out + out),
-    }
+                     sparsity: int | Sequence[int] = 1,
+                     plan: DirectPlan | None = None) -> dict:
+    """Analytic cost of one direct conv pass, for
+    :mod:`repro.observability.profile`'s achieved FLOP/s: ``flops`` is
+    Table II's ``n'^3 * k^3`` (each pass touches every (output voxel,
+    tap) pair once), ``bytes`` the flat walk's float64 traffic — per tap
+    ``run`` voxels (``n'^3`` plus the columns between rows) — plus one
+    write of the result."""
+    plan = plan or _plan(image_shape, kernel_shape, sparsity)
+    taps, out = len(plan.offsets), voxels(plan.out_shape)
+    return {"flops": direct_conv_task_cost(image_shape, kernel_shape,
+                                           sparsity),
+            "bytes": 8.0 * (taps * plan.run + out)}
 
 
 def flip3(kernel: np.ndarray) -> np.ndarray:
@@ -104,8 +148,8 @@ def flip3(kernel: np.ndarray) -> np.ndarray:
 def dilate_kernel(kernel: np.ndarray, sparsity: int | Sequence[int]) -> np.ndarray:
     """Zero-stuff *kernel* so taps sit every s-th voxel (effective footprint).
 
-    Used by the FFT path; the direct path subsamples the window view
-    instead and never materialises the dilated kernel.
+    Used by the FFT path; the direct path offsets its taps instead and
+    never materialises the dilated kernel.
     """
     k = check_array3(kernel, "kernel")
     s = as_shape3(sparsity, name="sparsity")
@@ -118,19 +162,13 @@ def dilate_kernel(kernel: np.ndarray, sparsity: int | Sequence[int]) -> np.ndarr
 
 
 def tap_views(image: np.ndarray, window: tuple[int, int, int],
-              dilation: tuple[int, int, int],
-              out_shape: tuple[int, int, int],
+              dilation: tuple[int, int, int], out_shape: tuple[int, int, int],
               step: tuple[int, int, int] = (1, 1, 1)):
-    """The one walk over a window's taps, in C order.
-
-    Yields, per tap ``u``, the strided view ``image[d*u + t*x]`` over
-    all window positions ``x`` in *out_shape* (``d`` the dilation, ``t``
-    the step).  Every windowed reduction — the three passes below, the
-    window maximum of :mod:`repro.tensor.filtering` — folds these views
-    in this order, so its reduction order is a function of the window
-    shape alone: the bitwise tile-equals-volume property of the module
-    notes has this one home.
-    """
+    """The strided walk over a window's taps, in C order: per tap ``u``
+    the view ``image[d*u + t*x]`` over all window positions ``x`` in
+    *out_shape* (``d`` the dilation, ``t`` the step), which the kernel
+    gradient and the window maximum of :mod:`repro.tensor.filtering`
+    fold in this order."""
     axes = [[slice(u * d, u * d + (o - 1) * t + 1, t) for u in range(k)]
             for k, d, o, t in zip(window, dilation, out_shape, step)]
     for zs, ys, xs in product(*axes):  # C order: x fastest
@@ -143,15 +181,7 @@ def correlate_valid(image: np.ndarray, kernel: np.ndarray,
     ``out = sum_u kernel[u] * image[s*u + x]``, accumulated tap by tap."""
     img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
-    s = as_shape3(sparsity, name="sparsity")
-    out = np.zeros(valid_conv_shape(img.shape, ker.shape, s),
-                   dtype=np.result_type(img, ker))
-    tap = np.empty(out.shape, dtype=out.dtype)
-    blocks = tap_views(img, ker.shape, s, out.shape)
-    for weight, block in zip(ker.ravel(), blocks):
-        np.multiply(block, weight, out=tap)
-        out += tap
-    return out
+    return _plan(img.shape, ker.shape, sparsity).correlate(img, ker)
 
 
 def convolve_valid(image: np.ndarray, kernel: np.ndarray,
@@ -165,23 +195,17 @@ def correlate_full(image: np.ndarray, kernel: np.ndarray,
                    sparsity: int | Sequence[int] = 1) -> np.ndarray:
     """Full sparse correlation: output shape ``n + (k-1)*s`` per dim.
 
-    The tap walk in scatter form: tap ``u`` adds ``kernel[u] * image``
-    into the output block ``(k-1-u)*s`` voxels in — the terms, in the
-    order, of a valid correlation of the zero-padded image, less the
-    padding's ``+-0`` terms, which a running sum that is never ``-0``
-    does not feel: for finite kernels the two agree bit for bit.
+    The flat walk in scatter form: tap ``u`` adds ``kernel[u] * image``
+    into the output ``(k-1-u)*s`` voxels in — the terms, in the order,
+    of a valid correlation of the zero-padded image, less the padding's
+    ``+-0`` terms, which a running sum that is never ``-0`` does not
+    feel; nor the ``kernel[u] * 0`` the staged zero columns add, unless
+    ``kernel[u]`` is infinite or NaN.  Finite kernels agree bit for bit.
     """
     img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
-    s = as_shape3(sparsity, name="sparsity")
-    out = np.zeros(full_conv_shape(img.shape, ker.shape, s),
-                   dtype=np.result_type(img, ker))
-    tap = np.empty(img.shape, dtype=out.dtype)
-    blocks = list(tap_views(out, ker.shape, s, img.shape))
-    for weight, block in zip(ker.ravel(), reversed(blocks)):
-        np.multiply(img, weight, out=tap)
-        block += tap
-    return out
+    full = full_conv_shape(img.shape, ker.shape, sparsity)
+    return _plan(full, ker.shape, sparsity).scatter(img, ker)
 
 
 def convolve_full(image: np.ndarray, kernel: np.ndarray,
@@ -219,14 +243,13 @@ def conv_kernel_gradient(image: np.ndarray, grad_output: np.ndarray,
     if min(k) < 1:
         raise ValueError(f"grad_output {go.shape} larger than image "
                          f"{img.shape}")
-    # einsum's own multiply-add loop (optimize off: never BLAS).
-    return np.array([np.einsum("zyx,zyx->", block, go)
-                     for block in tap_views(img, k, s, go.shape)]).reshape(k)
+    return _plan(img.shape, k, s).reduce(img, go)
 
 
 class DirectBackend:
     """Table II "Direct" as a conv backend (contract: ``docs/algorithms.md``
-    "Adding a conv backend").  Stateless, so *plan* and *memo* go unused."""
+    "Adding a conv backend").  The passes run on the edge's
+    :class:`DirectPlan` unvalidated; *memo* goes unused."""
 
     name = "direct"
     #: Fixed tap order: a voxel computed inside a tile equals the same
@@ -234,26 +257,24 @@ class DirectBackend:
     determinism = "tiled-bitwise"
     spectral = False
 
-    def plan(self, image_shape, kernel_shape, sparsity=1, fast_sizes=False):
-        return None
+    plan = staticmethod(_plan)
 
-    def forward(self, image, kernel, sparsity=1, plan=None, memo=None,
+    def forward(self, image, kernel, sparsity, plan, memo=None,
                 spectral=False):
-        return correlate_valid(image, kernel, sparsity)
+        return plan.correlate(image, kernel)
 
-    def backward(self, grad, kernel, sparsity=1, plan=None, memo=None,
+    def backward(self, grad, kernel, sparsity, plan, memo=None,
                  spectral=False):
-        return conv_backward_input(grad, kernel, sparsity)
+        return plan.scatter(grad, flip3(kernel))
 
-    def capture_update(self, image, grad, sparsity=1, plan=None, memo=None):
+    def capture_update(self, image, grad, sparsity, plan, memo=None):
         return None
 
-    def update(self, image, grad, sparsity=1, plan=None, memo=None,
-               captured=None):
-        return conv_kernel_gradient(image, grad, sparsity)
+    def update(self, image, grad, sparsity, plan, memo=None, captured=None):
+        return plan.reduce(*map(np.ascontiguousarray, (image, grad)))
 
     def pass_cost(self, image_shape, kernel_shape, sparsity=1, plan=None):
-        return direct_pass_cost(image_shape, kernel_shape, sparsity)
+        return direct_pass_cost(image_shape, kernel_shape, sparsity, plan)
 
     def layer_flops(self, f_in, f_out, image_shape, kernel_shape,
                     sparsity=1, passes=("forward", "backward", "update"),

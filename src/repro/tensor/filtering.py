@@ -16,17 +16,17 @@ taps per dimension ``dilation`` voxels apart, windows ``step`` apart.
   by ``p``) falls into disjoint ``p^3`` blocks, output ``(n/p)^3``.
 
 The box maximum is separable, so the kernel folds one axis at a time —
-x, then y, then z — each pass the 1-D case of the tap walk direct
-convolution sums over (:func:`repro.tensor.conv_direct.tap_views`):
-plain ufuncs over strided views, no window copy, no masked select.  A
-tap replaces the running winner only on a strict ``>`` and the later
-pass decides first, so the winner is the first maximum in C tap order,
-as ``numpy.argmax`` over the window would choose, whatever the image
-extent — a voxel filtered inside a tile equals the same voxel of the
-whole volume.  Forward and Jacobian share the *winners* — per output
-voxel, the flat index of the input voxel that won; a caller that never
-runs the Jacobian asks for :func:`window_max_values` and pays for none
-(``docs/algorithms.md`` "Window maximum").
+x, then y, then z — each pass a 1-D strided tap walk
+(:func:`repro.tensor.conv_direct.tap_views`): plain ufuncs, no window
+copy, no masked select.  A tap replaces the running winner only on a
+strict ``>`` and the later pass decides first, so the winner is the
+first maximum in C tap order, as ``numpy.argmax`` over the window would
+choose, whatever the image extent — a voxel filtered inside a tile
+equals the same voxel of the whole volume.  Forward and Jacobian share
+the *winners* — per output voxel, the flat index of the input voxel
+that won; a caller that never runs the Jacobian asks for
+:func:`window_max_values` and pays for none (``docs/algorithms.md``
+"Window maximum").
 
 :func:`max_filter_1d_heap` / :func:`max_filter_separable` are the
 paper's own algorithm — sequential 1-D max-filterings in each of the

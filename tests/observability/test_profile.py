@@ -83,8 +83,10 @@ class TestPassAnnotations:
         img, ker = (12, 12, 12), (3, 3, 3)
         cost = direct_pass_cost(img, ker)
         assert cost["flops"] == direct_conv_task_cost(img, ker)
-        out = 10 ** 3
-        assert cost["bytes"] == 8.0 * (27 * out + out)
+        # The flat walk streams, per tap, the 10^3 outputs plus the
+        # columns between rows at the 12-voxel pitch: 9*144 + 9*12 + 10.
+        out, run = 10 ** 3, 1414
+        assert cost["bytes"] == 8.0 * (27 * run + out)
 
     def test_fft_flops_charge_transform_plus_product(self):
         img, ker = (12, 12, 12), (3, 3, 3)

@@ -3,7 +3,7 @@ sparse/dilated behaviour, gradient identities."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import correlate as sp_correlate
 from scipy.signal import fftconvolve as sp_fftconvolve
@@ -18,6 +18,8 @@ from repro.tensor import (
     dilate_kernel,
     flip3,
 )
+from repro.tensor.backends import registry
+from repro.tensor.conv_direct import tap_views
 
 
 @pytest.fixture
@@ -314,3 +316,107 @@ def test_property_adjoint_identity(seed):
     grad = rng.standard_normal(out.shape)
     assert np.isclose(np.sum(out * grad),
                       np.sum(img * conv_backward_input(grad, ker)))
+
+
+# -- the flat walk against the strided fold it replaced ---------------------
+
+def fold_valid(img, ker, s):
+    """Forward as a fold over ``tap_views``: ``out += I[s*u + x] * K[u]``."""
+    out = np.zeros(tuple(n - (k - 1) * sd
+                         for n, k, sd in zip(img.shape, ker.shape, s)))
+    for weight, block in zip(ker.ravel(), tap_views(img, ker.shape, s,
+                                                    out.shape)):
+        out += block * weight
+    return out
+
+
+def fold_backward(grad, ker, s):
+    """Input gradient as a scatter over ``tap_views``, taps reversed."""
+    out = np.zeros(tuple(o + (k - 1) * sd
+                         for o, k, sd in zip(grad.shape, ker.shape, s)))
+    blocks = list(tap_views(out, ker.shape, s, grad.shape))
+    for weight, block in zip(ker.ravel()[::-1], reversed(blocks)):
+        block += grad * weight
+    return out
+
+
+def both_paths(img, ker, s):
+    """(forward, backward) through the public functions and through the
+    backend on its plan, checked equal bitwise, with the gradient."""
+    direct = registry["direct"]
+    plan = direct.plan(img.shape, ker.shape, s)
+    out = correlate_valid(img, ker, s)
+    assert direct.forward(img, ker, s, plan).tobytes() == out.tobytes()
+    grad = np.random.default_rng(1).standard_normal(out.shape)
+    back = conv_backward_input(grad, ker, s)
+    assert direct.backward(grad, ker, s, plan).tobytes() == back.tobytes()
+    return out, grad, back
+
+
+@given(k=st.tuples(*[st.integers(1, 3)] * 3),
+       s=st.tuples(*[st.integers(1, 4)] * 3),
+       extra=st.tuples(*[st.integers(0, 4)] * 3),
+       flat2d=st.booleans(), seed=st.integers(0, 10_000))
+@example(k=(1, 1, 1), s=(1, 1, 1), extra=(0, 0, 0), flat2d=False, seed=0)
+@example(k=(1, 2, 3), s=(1, 4, 2), extra=(0, 1, 0), flat2d=True, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_property_flat_walk_is_the_tap_fold_bitwise(k, s, extra, flat2d,
+                                                    seed):
+    """Random non-cubic shapes, anisotropic kernels, sparsity 1-4 per
+    axis, unit extents and 2-D inputs: forward and backward equal the
+    strided fold bit for bit (signed zeros included)."""
+    if flat2d:
+        k, s, extra = (1,) + k[1:], (1,) + s[1:], (0,) + extra[1:]
+    rng = np.random.default_rng(seed)
+    n = tuple((kd - 1) * sd + 1 + e for kd, sd, e in zip(k, s, extra))
+    img, ker = signed_zeros(rng, n), signed_zeros(rng, k)
+    if flat2d:  # promoted to 3-D with a leading singleton axis
+        out = correlate_valid(img[0], ker[0], s[1:])
+        grad = rng.standard_normal(out.shape)
+        back = conv_backward_input(grad[0], ker[0], s[1:])
+    else:
+        out, grad, back = both_paths(img, ker, s)
+    assert out.tobytes() == fold_valid(img, ker, s).tobytes()
+    assert back.tobytes() == fold_backward(grad, ker, s).tobytes()
+
+
+class TestFlatWalkInputs:
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_operands_match_their_copies(self, rng, layout):
+        base = rng.standard_normal((20, 22, 24))
+        img = (base[::2, ::-2, 1::2] if layout == "strided"
+               else np.asfortranarray(base[:10, :11, :12]))
+        assert not img.flags.c_contiguous
+        ker = rng.standard_normal((3, 2, 4))
+        s = (1, 2, 1)
+        direct = registry["direct"]
+        plan = direct.plan(img.shape, ker.shape, s)
+        out = correlate_valid(img.copy(), ker, s)
+        assert correlate_valid(img, ker, s).tobytes() == out.tobytes()
+        assert direct.forward(img, ker, s, plan).tobytes() == out.tobytes()
+        grad = (rng.standard_normal((2 * out.shape[0],) + out.shape[1:])
+                [::2] if layout == "strided"
+                else np.asfortranarray(rng.standard_normal(out.shape)))
+        assert not grad.flags.c_contiguous
+        back = conv_backward_input(grad.copy(), ker, s)
+        assert conv_backward_input(grad, ker, s).tobytes() == back.tobytes()
+        assert direct.backward(grad, ker, s, plan).tobytes() \
+            == back.tobytes()
+
+    @pytest.mark.parametrize("s", [(1, 1, 1), (2, 1, 3)])
+    def test_nan_reaches_exactly_the_voxels_the_fold_sends_it_to(self, rng,
+                                                                 s):
+        """The skipped columns between rows never leak into a result."""
+        ker = rng.standard_normal((2, 3, 2))
+        for where in [(0, 0, 0), (4, 9, 8), (2, 0, 8), (3, 9, 0)]:
+            img = rng.standard_normal((5, 10, 9))
+            img[where] = np.nan
+            out, grad, _ = both_paths(img, ker, s)
+            assert np.isnan(out).any()
+            assert np.array_equal(np.isnan(out),
+                                  np.isnan(fold_valid(img, ker, s)))
+            grad[tuple(min(w, o - 1) for w, o in zip(where, grad.shape))] \
+                = np.nan
+            back = conv_backward_input(grad, ker, s)
+            assert np.array_equal(np.isnan(back),
+                                  np.isnan(fold_backward(grad, ker, s)))

@@ -242,29 +242,14 @@ def memoization(rounds=3, width=4, n=18):
 
 def fft_fast_sizes(kernel=5):
     """Padding awkward transform lengths to 5-smooth ones: one
-    forward + backward + update triple per plan."""
-    from repro.tensor.conv_fft import FftConvPlan
+    forward + backward + update triple per plan (``time_passes``)."""
+    from repro.tensor.backends import time_passes
     from repro.tensor.fourier import next_fast_len
 
-    rng = np.random.default_rng(0)
     rows = []
     for n in (31, 37, 41, 53):
-        img = rng.standard_normal((n, n, n))
-        ker = rng.standard_normal((kernel,) * 3)
-        seconds = []
-        for fast in (False, True):
-            plan = FftConvPlan((n,) * 3, kernel, fast_sizes=fast)
-            grad = rng.standard_normal(plan.output_shape)
-
-            def triple():
-                fi = plan.image_spectrum(img)
-                fk = plan.kernel_spectrum(ker)
-                fg = plan.grad_spectrum(grad)
-                plan.forward(fi, fk)
-                plan.backward(fg, fk)
-                plan.kernel_gradient(fi, fg)
-
-            seconds.append(best_seconds(triple))
+        seconds = [time_passes("fft", (n,) * 3, kernel, fast_sizes=fast)
+                   for fast in (False, True)]
         rows.append([f"{n}^3", f"{next_fast_len(n)}^3",
                      f"{seconds[0]:.3g}", f"{seconds[1]:.3g}",
                      f"{seconds[0] / seconds[1]:.3g}"])

@@ -25,7 +25,7 @@ of Table II; kernels may be *shared* between edges
 which case the parameter step runs under the kernel's lock.
 
 FFT mode **degrades gracefully** (``docs/robustness.md``): the first
-failure on an edge flips it to direct convolution for good, at the
+failure on an edge swaps its plan for the direct one for good, at the
 single fallback site :meth:`ConvEdge._run`.
 """
 
@@ -87,8 +87,8 @@ class RuntimeEdge:
 
     is_trainable = False
     mode = "n/a"
-    #: The conv backend configured for this edge and its per-edge plan
-    #: (conv edges only).
+    #: The conv backend (plan class) configured for this edge and the
+    #: plan executing its passes (conv edges only).
     backend = plan = None
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode) -> None:
@@ -139,26 +139,19 @@ class ConvEdge(RuntimeEdge):
         self.backend = conv_backend(mode)
         self.kernel = kernel
         self.mode = mode
-        self.sparsity = spec.sparsity
         self.cache = cache if cache is not None else TransformCache(enabled=False)
-        self.plan = self.backend.plan(src.shape, spec.kernel, spec.sparsity,
-                                      fast_sizes)
-        #: The backend actually executing: ``backend`` until a failure
-        #: degrades this edge to the fallback (the plan is kept:
-        #: neighbouring spectral-domain nodes still finalize through it).
-        self._active = self.backend
-        #: What the fallback runs on (this edge's own plan if direct).
-        self._fallback_plan = FALLBACK.plan(src.shape, spec.kernel,
-                                            spec.sparsity, fast_sizes)
+        #: The plan executing the passes: ``backend``'s until a failure
+        #: degrades this edge and swaps in ``_fallback_plan`` for good.
+        self.plan = self.backend.build(src.shape, spec.kernel, spec.sparsity,
+                                       fast_sizes)
+        self._fallback_plan = FALLBACK.build(src.shape, spec.kernel,
+                                             spec.sparsity, fast_sizes)
         #: Which cache entry each memoized spectrum kind lives under.
         self._owner = {"img": src.name, "grad": dst.name, "ker": spec.name}
-        #: Called with this edge on first degradation (Network records
-        #: the effective mode in its autotune state).
-        self.on_degrade: Optional[Callable[["ConvEdge"], None]] = None
 
     def _degrade(self, exc: BaseException) -> None:
-        """Flip this edge to the fallback backend after a failure."""
-        self._active = FALLBACK
+        """Swap in the fallback plan after a failure."""
+        self.plan = self._fallback_plan
         get_registry().counter("resilience.fft_fallback").inc()
         flight_note("FFT degradation", edge=self.name,
                     error=f"{type(exc).__name__}: {exc}")
@@ -168,18 +161,16 @@ class ConvEdge(RuntimeEdge):
             f"({type(exc).__name__}: {exc}); falling back to direct "
             "convolution for the rest of the run", RuntimeWarning,
             stacklevel=3)
-        if self.on_degrade is not None:
-            self.on_degrade(self)
 
     @property
     def effective_mode(self) -> str:
         """The mode actually executing: ``mode`` unless degraded."""
-        return self._active.name
+        return self.plan.name
 
     @property
     def fft_ok(self) -> bool:
         """False once a failure degraded this edge to the fallback."""
-        return self._active is self.backend
+        return self.effective_mode == self.mode
 
     def _memo(self, kind: str, compute: Callable[[], np.ndarray]
               ) -> np.ndarray:
@@ -187,44 +178,43 @@ class ConvEdge(RuntimeEdge):
         cache, keyed by the node or edge that owns the spectrum."""
         return self.cache.get_or_compute(kind, self._owner[kind], compute)
 
-    def _run(self, op: str, *operands, **options):
+    def _run(self, op: str, *operands, lift=None, **options):
         """The one dispatch-and-fallback site of all three passes.
 
-        Runs backend pass *op* on the executing backend.  The first
-        failure degrades the edge for good and the pass re-runs on the
-        fallback; when the neighbouring node sums spectra
-        (``spectral=True``), the spatial fallback result is lifted to
-        its exact spectrum — the node's finalize (inverse + head crop)
-        undoes the zero padding.
+        Runs pass *op* on the executing plan.  The first failure
+        degrades the edge for good and the pass re-runs on the fallback
+        plan.  *lift* is the plan through which the neighbouring node
+        sums spectra (forward and backward only; None when it sums
+        spatially): a spatial fallback result is lifted to its exact
+        spectrum at that plan's transform size — the node's finalize
+        (inverse + head crop) undoes the zero padding.
         """
-        if self._active is not FALLBACK:
+        plan = self.plan
+        if plan is not self._fallback_plan:
             try:
-                return getattr(self._active, op)(
-                    *operands, self.sparsity, self.plan, self._memo,
-                    **options)
+                return getattr(plan, op)(*operands, self._memo, **options)
             except Exception as exc:
                 self._degrade(exc)
-        result = getattr(FALLBACK, op)(*operands, self.sparsity,
-                                       self._fallback_plan)
-        if options.get("spectral"):
-            return forward_transform(result, self.plan.transform_shape)
+        result = getattr(self._fallback_plan, op)(*operands)
+        if lift is not None:
+            return forward_transform(result, lift.transform_shape)
         return result
 
     def pass_attrs(self) -> dict:
-        plan = self.plan if self.fft_ok else self._fallback_plan
-        cost = self._active.pass_cost(self.src.shape, self.spec.kernel,
-                                      self.sparsity, plan)
+        cost = self.plan.pass_cost()
         return {"backend": self.effective_mode, "flops": cost["flops"],
                 "bytes": cost["bytes"], "image_shape": self.src.shape,
                 "kernel_shape": self.spec.kernel}
 
     def forward(self, image: np.ndarray) -> np.ndarray:
-        return self._run("forward", image, self.kernel.array,
-                         spectral=self.dst.forward_domain == "spectral")
+        lift = self.dst.forward_plan
+        return self._run("forward", image, self.kernel.array, lift=lift,
+                         spectral=lift is not None)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self._run("backward", grad, self.kernel.array,
-                         spectral=self.src.backward_domain == "spectral")
+        lift = self.src.backward_plan
+        return self._run("backward", grad, self.kernel.array, lift=lift,
+                         spectral=lift is not None)
 
     def capture_update(self, optimizer: SGD) -> Callable[[], None]:
         kernel = self.kernel

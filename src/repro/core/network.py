@@ -134,7 +134,6 @@ class Network:
                      if e.kind == "conv"}
         else:
             modes = dict(conv_mode)
-        self.conv_modes = modes
 
         # Runtime nodes and edges.
         self.nodes: Dict[str, RuntimeNode] = {
@@ -150,9 +149,6 @@ class Network:
             self.nodes[spec.dst].in_edges.append(edge)
         for node in self.nodes.values():
             node.wire(deterministic=deterministic_sums)
-        for edge in self.edges.values():
-            if isinstance(edge, ConvEdge):
-                edge.on_degrade = self._record_degraded_edge
 
         fp = forward_priorities(graph)
         bp = backward_priorities(graph)
@@ -270,6 +266,13 @@ class Network:
         return {n.name: np.array(n.fwd_image) for n in self.output_nodes
                 if n.fwd_image is not None}
 
+    @property
+    def conv_modes(self) -> Dict[str, str]:
+        """The mode each conv edge executes (a degraded edge reads as
+        the fallback), for inspection and re-planning tooling."""
+        return {name: e.effective_mode for name, e in self.edges.items()
+                if isinstance(e, ConvEdge)}
+
     def kernels(self) -> Dict[str, np.ndarray]:
         """Current kernel of every convolution edge (copies)."""
         return {name: np.array(e.kernel.array)
@@ -326,12 +329,6 @@ class Network:
 
         self.optimizer = dataclasses.replace(self.optimizer,
                                              learning_rate=learning_rate)
-
-    def _record_degraded_edge(self, edge: ConvEdge) -> None:
-        """FFT-fallback hook: keep the autotune state (``conv_modes``)
-        in sync with the mode each edge actually executes, so
-        inspection and re-planning tooling see the truth."""
-        self.conv_modes[edge.name] = edge.effective_mode
 
     def set_training(self, training: bool) -> None:
         """Toggle train/inference behaviour of dropout edges."""

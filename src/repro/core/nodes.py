@@ -12,7 +12,8 @@ is where the ``f'`` inverse-FFT term of Table II comes from), so when
 *all* edges entering (resp. leaving) a node are FFT-mode convolutions
 with a common transform size, the node's forward (resp. backward) sum
 holds half-spectra and ``finalize`` applies the inverse transform +
-crop.  Otherwise contributions are summed spatially.
+crop of the plan kept at wiring (``forward_plan`` / ``backward_plan``).
+Otherwise contributions are summed spatially.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RuntimeNode"]
 
 
-def _sum_domain(edges: List["RuntimeEdge"]) -> str:
-    """``"spectral"`` when every edge's backend can contribute
-    half-spectra and all share one transform size, else ``"spatial"``."""
-    if (all(e.backend is not None and e.backend.spectral for e in edges)
-            and len({e.plan.transform_shape for e in edges}) == 1):
-        return "spectral"
-    return "spatial"
+def _spectral_plan(edges: List["RuntimeEdge"]):
+    """The first edge's plan when every edge's plan can contribute
+    half-spectra and all share one transform size, else None (the sum
+    is spatial).  Taken at wiring, it outlives a degraded edge's swap."""
+    plans = [e.plan for e in edges]
+    if (all(p is not None and p.spectral for p in plans)
+            and len({p.transform_shape for p in plans}) == 1):
+        return plans[0]
+    return None
 
 
 class RuntimeNode:
@@ -44,7 +47,7 @@ class RuntimeNode:
 
     __slots__ = ("spec", "shape", "in_edges", "out_edges",
                  "fwd_sum", "bwd_sum", "fwd_image", "bwd_image",
-                 "forward_domain", "backward_domain",
+                 "forward_plan", "backward_plan",
                  "_in_index", "_out_index")
 
     def __init__(self, spec: NodeSpec) -> None:
@@ -59,8 +62,10 @@ class RuntimeNode:
         self.bwd_sum: Optional[ConcurrentSum] = None
         self.fwd_image: Optional[np.ndarray] = None
         self.bwd_image: Optional[np.ndarray] = None
-        self.forward_domain = "spatial"
-        self.backward_domain = "spatial"
+        #: The plan the forward (backward) sum finalizes spectra
+        #: through, or None when it sums spatially.
+        self.forward_plan = None
+        self.backward_plan = None
         self._in_index = {}
         self._out_index = {}
 
@@ -90,10 +95,10 @@ class RuntimeNode:
         self._out_index = {id(e): i for i, e in enumerate(self.out_edges)}
         if self.in_edges:
             self.fwd_sum = sum_cls(len(self.in_edges))
-            self.forward_domain = _sum_domain(self.in_edges)
+            self.forward_plan = _spectral_plan(self.in_edges)
         if self.out_edges:
             self.bwd_sum = sum_cls(len(self.out_edges))
-            self.backward_domain = _sum_domain(self.out_edges)
+            self.backward_plan = _spectral_plan(self.out_edges)
 
     def reset_round(self) -> None:
         """Prepare the accumulators for the next training round."""
@@ -116,8 +121,8 @@ class RuntimeNode:
         """Fix the node's forward image from its completed sum."""
         assert self.fwd_sum is not None
         total = self.fwd_sum.get()
-        if self.forward_domain == "spectral":
-            total = self.in_edges[0].plan.finalize_forward(total)
+        if self.forward_plan is not None:
+            total = self.forward_plan.finalize_forward(total)
         self.fwd_image = total
         return total
 
@@ -125,8 +130,8 @@ class RuntimeNode:
         """Fix the node's backward image from its completed sum."""
         assert self.bwd_sum is not None
         total = self.bwd_sum.get()
-        if self.backward_domain == "spectral":
-            total = self.out_edges[0].plan.finalize_backward(total)
+        if self.backward_plan is not None:
+            total = self.backward_plan.finalize_backward(total)
         self.bwd_image = total
         return total
 

@@ -1,12 +1,14 @@
 """The conv-backend seam: which algorithm runs a conv edge, and at what
 cost (Section IV's per-layer "FFT-based or direct", priced by Table II).
 
-:data:`registry` is the one table of backends, each defined beside its
-kernels (:class:`~repro.tensor.conv_direct.DirectBackend`,
-:class:`~repro.tensor.conv_fft.FftBackend`); whatever names, validates,
-chooses, times or falls back from a backend does it through this
-module.  ``docs/algorithms.md`` "Adding a conv backend" is the contract
-a new entry must meet.
+:data:`registry` is the one table of backends.  A backend is one plan
+class, defined beside its kernels
+(:class:`~repro.tensor.conv_direct.DirectPlan`,
+:class:`~repro.tensor.conv_fft.FftConvPlan`): its class members name,
+label, build and price it, and the instance an edge builds runs the
+passes.  Whatever names, validates, chooses, times or falls back from a
+backend does it through this module.  ``docs/algorithms.md`` §8 is the
+contract a new entry must meet.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.tensor.conv_direct import DirectBackend
-from repro.tensor.conv_fft import FftBackend
+from repro.tensor.conv_direct import DirectPlan
+from repro.tensor.conv_fft import FftConvPlan
 from repro.utils.shapes import as_shape3, valid_conv_shape
 
 __all__ = ["registry", "FALLBACK", "conv_backend", "choose", "time_passes"]
 
-#: name -> backend, in preference order: ties go to the earlier entry.
-registry: Dict[str, object] = {
-    backend.name: backend for backend in (DirectBackend(), FftBackend())}
+#: name -> plan class, in preference order: ties go to the earlier entry.
+registry: Dict[str, type] = {
+    backend.name: backend for backend in (DirectPlan, FftConvPlan)}
 
 #: The first-registered backend: the default mode, the winner of ties,
 #: and what an edge degrades to when its own backend fails.
@@ -58,8 +60,8 @@ def time_passes(name: str, image_shape, kernel_shape, sparsity=1,
     triple under backend *name* — a training round's per-edge work mix,
     spectra memoized within the triple as within a round — on the plan
     an edge built with the same *fast_sizes* will run."""
-    backend = conv_backend(name)
-    plan = backend.plan(image_shape, kernel_shape, sparsity, fast_sizes)
+    plan = conv_backend(name).build(image_shape, kernel_shape, sparsity,
+                                    fast_sizes)
     rng = np.random.default_rng(0)
     img = rng.standard_normal(as_shape3(image_shape))
     ker = rng.standard_normal(as_shape3(kernel_shape))
@@ -75,8 +77,8 @@ def time_passes(name: str, image_shape, kernel_shape, sparsity=1,
             return spectra[kind]
 
         t0 = time.perf_counter()
-        backend.forward(img, ker, sparsity, plan, memo)
-        backend.backward(grad, ker, sparsity, plan, memo)
-        backend.update(img, grad, sparsity, plan, memo)
+        plan.forward(img, ker, memo)
+        plan.backward(grad, ker, memo)
+        plan.update(img, grad, memo)
         best = min(best, time.perf_counter() - t0)
     return best

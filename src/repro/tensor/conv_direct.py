@@ -67,14 +67,17 @@ __all__ = [
     "dilate_kernel",
     "tap_views",
     "DirectPlan",
-    "DirectBackend",
 ]
 
 
 class DirectPlan(NamedTuple):
-    """One edge's geometry: image shape ``n`` (the seam's name for the
-    shape a pass runs at), its pitch, C-order tap offsets and ``run``,
-    the flat span of the valid outputs.  No scratch: threads share it."""
+    """Table II "Direct" as a conv backend, one instance per edge
+    (contract: ``docs/algorithms.md`` §8).  It holds the edge's
+    geometry: image shape ``n`` (the seam's name for the shape a pass
+    runs at), its pitch, C-order tap offsets and ``run``, the flat span
+    of the valid outputs.  No scratch: threads share it.  The passes
+    skip validation (the public functions validate), and *memo* goes
+    unused."""
 
     transform_shape: tuple
     kernel_shape: tuple
@@ -84,60 +87,86 @@ class DirectPlan(NamedTuple):
     offsets: tuple
     run: int
 
-    def correlate(self, image, weights):
+    name = "direct"
+    #: Fixed tap order: a voxel computed inside a tile equals the same
+    #: voxel of the whole volume, bit for bit.
+    determinism = "tiled-bitwise"
+    spectral = False
+
+    @classmethod
+    @lru_cache(maxsize=256)
+    def build(cls, image_shape, kernel_shape, sparsity=1, fast_sizes=False):
+        """The plan at these shapes, cached (*fast_sizes*, an FFT
+        notion, unused)."""
+        n, k, s = map(as_shape3, (image_shape, kernel_shape, sparsity))
+        o, pitch = valid_conv_shape(n, k, s), (n[1] * n[2], n[2], 1)
+        offsets = tuple(sum(sd * ud * p for sd, ud, p in zip(s, u, pitch))
+                        for u in np.ndindex(*k))
+        run = sum((od - 1) * p for od, p in zip(o, pitch)) + 1
+        return cls(n, k, s, o, pitch, offsets, run)
+
+    def forward(self, image, kernel, memo=None, spectral=False):
         """Valid correlation, cropped once (strided *image*: ravel copies)."""
         flat, run, (o0, o1, o2) = image.ravel(), self.run, self.out_shape
         acc, tap = np.zeros((o0,) + self.transform_shape[1:]), np.empty(run)
         head = acc.ravel()[:run]
-        for weight, off in zip(weights.ravel().tolist(), self.offsets):
+        for weight, off in zip(kernel.ravel().tolist(), self.offsets):
             head += np.multiply(flat[off:off + run], weight, out=tap)
         return np.ascontiguousarray(acc[:, :o1, :o2])
 
-    def scatter(self, grad, weights):
-        """Full correlation: *weights* in C order, taps in reverse."""
+    def backward(self, grad, kernel, memo=None, spectral=False):
+        """Input gradient, a full convolution: tap ``u`` scatters
+        ``K[u] * dO`` to ``off_u``, taps in reverse C order."""
         (o0, o1, o2), run = self.out_shape, self.run
         staged = np.zeros((o0,) + self.transform_shape[1:])
         staged[:, :o1, :o2] = grad
         out, tap = np.zeros(self.transform_shape), np.empty(run)
         staged, flat = staged.ravel()[:run], out.ravel()
-        for weight, off in zip(weights.ravel().tolist(), self.offsets[::-1]):
+        for weight, off in zip(kernel.ravel().tolist()[::-1],
+                               self.offsets[::-1]):
             flat[off:off + run] += np.multiply(staged, weight, out=tap)
         return out
 
-    def reduce(self, image, grad):
+    def capture_update(self, image, grad, memo=None):
+        """Nothing to capture: the update reads the spatial images."""
+        return None
+
+    def update(self, image, grad, memo=None, captured=None):
         """Kernel gradient; einsum's own loop (optimize off: never BLAS)."""
+        image, grad = map(np.ascontiguousarray, (image, grad))
         walk = (self.kernel_shape, self.sparsity, self.out_shape)
         return np.array([np.einsum("zyx,zyx->", block, grad)
                          for block in tap_views(image, *walk)]
                         ).reshape(self.kernel_shape)
 
+    def pass_cost(self) -> dict:
+        """Analytic cost of one pass, for
+        :mod:`repro.observability.profile`'s achieved FLOP/s: ``flops``
+        is Table II's ``n'^3 * k^3`` (each pass touches every (output
+        voxel, tap) pair once), ``bytes`` the flat walk's float64
+        traffic — per tap ``run`` voxels (``n'^3`` plus the columns
+        between rows) — plus one write of the result."""
+        flops = direct_conv_task_cost(self.transform_shape,
+                                      self.kernel_shape, self.sparsity)
+        return {"flops": flops, "bytes": 8.0 * (
+            len(self.offsets) * self.run + voxels(self.out_shape))}
 
-@lru_cache(maxsize=256)
-def _plan(image_shape, kernel_shape, sparsity=1, fast_sizes=False):
-    """The plan at these shapes (*fast_sizes*, an FFT notion, unused)."""
-    n, k, s = map(as_shape3, (image_shape, kernel_shape, sparsity))
-    o, pitch = valid_conv_shape(n, k, s), (n[1] * n[2], n[2], 1)
-    offsets = tuple(sum(sd * ud * p for sd, ud, p in zip(s, u, pitch))
-                    for u in np.ndindex(*k))
-    run = sum((od - 1) * p for od, p in zip(o, pitch)) + 1
-    return DirectPlan(n, k, s, o, pitch, offsets, run)
+    @staticmethod
+    def layer_flops(f_in, f_out, image_shape, kernel_shape, sparsity=1,
+                    passes=("forward", "backward", "update"),
+                    pinned_kernels=False, constant=None) -> float:
+        """Table II "Direct" FLOPs of *passes* for one layer (there are
+        no transforms for *pinned_kernels* or *constant* to touch)."""
+        costs = conv_layer_costs_direct(f_in, f_out, image_shape,
+                                        kernel_shape, sparsity).as_dict()
+        return sum(costs[p] for p in passes)
 
 
 def direct_pass_cost(image_shape: int | Sequence[int],
                      kernel_shape: int | Sequence[int],
-                     sparsity: int | Sequence[int] = 1,
-                     plan: DirectPlan | None = None) -> dict:
-    """Analytic cost of one direct conv pass, for
-    :mod:`repro.observability.profile`'s achieved FLOP/s: ``flops`` is
-    Table II's ``n'^3 * k^3`` (each pass touches every (output voxel,
-    tap) pair once), ``bytes`` the flat walk's float64 traffic — per tap
-    ``run`` voxels (``n'^3`` plus the columns between rows) — plus one
-    write of the result."""
-    plan = plan or _plan(image_shape, kernel_shape, sparsity)
-    taps, out = len(plan.offsets), voxels(plan.out_shape)
-    return {"flops": direct_conv_task_cost(image_shape, kernel_shape,
-                                           sparsity),
-            "bytes": 8.0 * (taps * plan.run + out)}
+                     sparsity: int | Sequence[int] = 1) -> dict:
+    """:meth:`DirectPlan.pass_cost` of the plan at these shapes."""
+    return DirectPlan.build(image_shape, kernel_shape, sparsity).pass_cost()
 
 
 def flip3(kernel: np.ndarray) -> np.ndarray:
@@ -181,7 +210,7 @@ def correlate_valid(image: np.ndarray, kernel: np.ndarray,
     ``out = sum_u kernel[u] * image[s*u + x]``, accumulated tap by tap."""
     img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
-    return _plan(img.shape, ker.shape, sparsity).correlate(img, ker)
+    return DirectPlan.build(img.shape, ker.shape, sparsity).forward(img, ker)
 
 
 def convolve_valid(image: np.ndarray, kernel: np.ndarray,
@@ -202,17 +231,18 @@ def correlate_full(image: np.ndarray, kernel: np.ndarray,
     feel; nor the ``kernel[u] * 0`` the staged zero columns add, unless
     ``kernel[u]`` is infinite or NaN.  Finite kernels agree bit for bit.
     """
-    img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
-    full = full_conv_shape(img.shape, ker.shape, sparsity)
-    return _plan(full, ker.shape, sparsity).scatter(img, ker)
+    return convolve_full(image, flip3(ker), sparsity)
 
 
 def convolve_full(image: np.ndarray, kernel: np.ndarray,
                   sparsity: int | Sequence[int] = 1) -> np.ndarray:
-    """Full sparse convolution (kernel reflected): the paper's backward op."""
+    """Full sparse convolution (kernel reflected): the paper's backward
+    op, :meth:`DirectPlan.backward` of the valid plan at the full shape."""
+    img = check_array3(image, "image")
     ker = check_array3(kernel, "kernel")
-    return correlate_full(image, flip3(ker), sparsity)
+    full = full_conv_shape(img.shape, ker.shape, sparsity)
+    return DirectPlan.build(full, ker.shape, sparsity).backward(img, ker)
 
 
 def conv_backward_input(grad_output: np.ndarray, kernel: np.ndarray,
@@ -243,44 +273,4 @@ def conv_kernel_gradient(image: np.ndarray, grad_output: np.ndarray,
     if min(k) < 1:
         raise ValueError(f"grad_output {go.shape} larger than image "
                          f"{img.shape}")
-    return _plan(img.shape, k, s).reduce(img, go)
-
-
-class DirectBackend:
-    """Table II "Direct" as a conv backend (contract: ``docs/algorithms.md``
-    "Adding a conv backend").  The passes run on the edge's
-    :class:`DirectPlan` unvalidated; *memo* goes unused."""
-
-    name = "direct"
-    #: Fixed tap order: a voxel computed inside a tile equals the same
-    #: voxel of the whole volume, bit for bit.
-    determinism = "tiled-bitwise"
-    spectral = False
-
-    plan = staticmethod(_plan)
-
-    def forward(self, image, kernel, sparsity, plan, memo=None,
-                spectral=False):
-        return plan.correlate(image, kernel)
-
-    def backward(self, grad, kernel, sparsity, plan, memo=None,
-                 spectral=False):
-        return plan.scatter(grad, flip3(kernel))
-
-    def capture_update(self, image, grad, sparsity, plan, memo=None):
-        return None
-
-    def update(self, image, grad, sparsity, plan, memo=None, captured=None):
-        return plan.reduce(*map(np.ascontiguousarray, (image, grad)))
-
-    def pass_cost(self, image_shape, kernel_shape, sparsity=1, plan=None):
-        return direct_pass_cost(image_shape, kernel_shape, sparsity, plan)
-
-    def layer_flops(self, f_in, f_out, image_shape, kernel_shape,
-                    sparsity=1, passes=("forward", "backward", "update"),
-                    pinned_kernels=False, constant=None) -> float:
-        """Table II "Direct" FLOPs of *passes* for one layer (there are
-        no transforms for *pinned_kernels* or *constant* to touch)."""
-        costs = conv_layer_costs_direct(f_in, f_out, image_shape,
-                                        kernel_shape, sparsity).as_dict()
-        return sum(costs[p] for p in passes)
+    return DirectPlan.build(img.shape, k, s).update(img, go)

@@ -19,16 +19,16 @@ input image, the backward (gradient) image and the kernel.  Exactness of
 the size-``n`` circular transforms is argued in :mod:`repro.tensor.fourier`
 and property-tested against the direct method.
 
-The plan object is what :class:`FftBackend` — this file's entry in
-:data:`repro.tensor.backends.registry`, the unit the autotuner (Section
-IV) selects per layer — builds per edge, and the spectra are what
-:class:`repro.tensor.fft_cache.TransformCache` memoizes across passes to
-realise the "(Memoized)" column of Table II.
+The plan class :class:`FftConvPlan` is this file's entry in
+:data:`repro.tensor.backends.registry` — the unit the autotuner
+(Section IV) selects per layer, built once per edge — and the spectra
+are what :class:`repro.tensor.fft_cache.TransformCache` memoizes across
+passes to realise the "(Memoized)" column of Table II.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -62,20 +62,19 @@ __all__ = [
     "fft_conv_backward_input",
     "fft_conv_kernel_gradient",
     "FftConvPlan",
-    "FftBackend",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Standalone one-shot functions (tests and kernel probes).
+# Standalone one-shot functions (tests and kernel probes): one pass each.
 # ---------------------------------------------------------------------------
 
 def fft_correlate_valid(image: np.ndarray, kernel: np.ndarray,
                         sparsity: int | Sequence[int] = 1) -> np.ndarray:
     """FFT equivalent of :func:`repro.tensor.conv_direct.correlate_valid`."""
-    plan = FftConvPlan(check_array3(image, "image").shape,
-                       check_array3(kernel, "kernel").shape, sparsity)
-    return plan.forward(plan.image_spectrum(image), plan.kernel_spectrum(kernel))
+    img = check_array3(image, "image")
+    ker = check_array3(kernel, "kernel")
+    return FftConvPlan(img.shape, ker.shape, sparsity).forward(img, ker)
 
 
 def fft_conv_backward_input(grad_output: np.ndarray, kernel: np.ndarray,
@@ -84,8 +83,7 @@ def fft_conv_backward_input(grad_output: np.ndarray, kernel: np.ndarray,
     go = check_array3(grad_output, "grad_output")
     ker = check_array3(kernel, "kernel")
     image_shape = full_conv_shape(go.shape, ker.shape, sparsity)
-    plan = FftConvPlan(image_shape, ker.shape, sparsity)
-    return plan.backward(plan.grad_spectrum(go), plan.kernel_spectrum(kernel))
+    return FftConvPlan(image_shape, ker.shape, sparsity).backward(go, ker)
 
 
 def fft_convolve_full(image: np.ndarray, kernel: np.ndarray,
@@ -102,16 +100,34 @@ def fft_conv_kernel_gradient(image: np.ndarray, grad_output: np.ndarray,
     eff = tuple(i - o + 1 for i, o in zip(img.shape, go.shape))
     s = as_shape3(sparsity, name="sparsity")
     k = tuple((e - 1) // sd + 1 for e, sd in zip(eff, s))
-    plan = FftConvPlan(img.shape, k, s)
-    return plan.kernel_gradient(plan.image_spectrum(img), plan.grad_spectrum(go))
+    return FftConvPlan(img.shape, k, s).update(img, go)
 
 
 # ---------------------------------------------------------------------------
-# Per-layer plan
+# Per-edge plan: the backend
 # ---------------------------------------------------------------------------
+
+def _compute(kind: str, compute):
+    """The null memo: every spectrum is transformed on demand."""
+    return compute()
+
+
+def _fault_point(product: str) -> None:
+    """Where an injected ``fft`` fault lands: before a spectral product."""
+    fault = active_plan()
+    if fault is not None:
+        fault.check("fft", f"fft:{product}")
+
 
 class FftConvPlan:
-    """Per-edge/per-layer FFT convolution plan at a fixed transform size.
+    """Table II "FFT-based (Memoized)" as a conv backend, one instance
+    per edge at a fixed transform size (contract: ``docs/algorithms.md``
+    §8).
+
+    ``memo(kind, compute)`` shares spectra between passes: kinds
+    ``"img"``, ``"grad"`` and ``"ker"`` are the source image, backward
+    image and kernel spectra, which a ``ConvEdge`` routes through the
+    network's :class:`~repro.tensor.fft_cache.TransformCache`.
 
     Parameters
     ----------
@@ -121,7 +137,17 @@ class FftConvPlan:
         Shape of the (undilated) kernels.
     sparsity:
         Kernel dilation factor(s) — Section II "sparse convolution".
+    fast_sizes:
+        Pad the transform up to 5-smooth sizes.
     """
+
+    name = "fft"
+    #: Two runs agree bit for bit; a tile and the whole volume only to
+    #: rounding (the transform size moves with the extent).
+    determinism = "run-bitwise"
+    #: ``spectral=True`` passes return the half-spectrum product, for a
+    #: node that sums spectra and inverts once.
+    spectral = True
 
     def __init__(self, image_shape: int | Sequence[int],
                  kernel_shape: int | Sequence[int],
@@ -139,6 +165,12 @@ class FftConvPlan:
         self.transform_shape: Shape3 = (
             fast_transform_shape(self.image_shape) if fast_sizes
             else self.image_shape)
+
+    @classmethod
+    def build(cls, image_shape, kernel_shape, sparsity=1, fast_sizes=False):
+        """The plan an edge at these shapes runs (not cached: it is
+        cheap, and per-edge)."""
+        return cls(image_shape, kernel_shape, sparsity, fast_sizes)
 
     # -- spectra -----------------------------------------------------------
 
@@ -170,32 +202,47 @@ class FftConvPlan:
         return forward_transform(dilate_kernel(ker, self.sparsity),
                                  self.transform_shape)
 
-    # -- spectral products (the per-edge task bodies) ------------------------
+    # -- the passes ----------------------------------------------------------
 
     def forward_product(self, image_spec: np.ndarray,
                         kernel_spec: np.ndarray) -> np.ndarray:
         """Spectrum of the valid correlation (to be node-summed, then
         finalised with :meth:`finalize_forward`)."""
-        fault = active_plan()
-        if fault is not None:
-            fault.check("fft", "fft:forward_product")
+        _fault_point("forward_product")
         return np.conj(kernel_spec) * image_spec
 
-    def backward_product(self, grad_spec: np.ndarray,
-                         kernel_spec: np.ndarray) -> np.ndarray:
-        """Spectrum of the full convolution of the output gradient."""
-        fault = active_plan()
-        if fault is not None:
-            fault.check("fft", "fft:backward_product")
-        return kernel_spec * grad_spec
+    def forward(self, image, kernel, memo=_compute, spectral=False):
+        """Valid correlation ``conj(FK) * FI``, head-cropped to n'."""
+        product = self.forward_product(
+            memo("img", lambda: self.image_spectrum(image)),
+            memo("ker", lambda: self.kernel_spectrum(kernel)))
+        return product if spectral else self.finalize_forward(product)
 
-    def update_product(self, image_spec: np.ndarray,
-                       grad_spec: np.ndarray) -> np.ndarray:
-        """Spectrum whose inverse holds the kernel gradient lags."""
-        fault = active_plan()
-        if fault is not None:
-            fault.check("fft", "fft:update_product")
-        return np.conj(grad_spec) * image_spec
+    def backward(self, grad, kernel, memo=_compute, spectral=False):
+        """Input gradient (full convolution) ``FK * FdO``, exactly n."""
+        grad_spec = memo("grad", lambda: self.grad_spectrum(grad))
+        kernel_spec = memo("ker", lambda: self.kernel_spectrum(kernel))
+        _fault_point("backward_product")
+        product = kernel_spec * grad_spec
+        return product if spectral else self.finalize_backward(product)
+
+    def capture_update(self, image, grad, memo=_compute):
+        """The spectra a deferred update needs, taken while this
+        round's memo holds them (forward computed FI, backward FdO)."""
+        return (memo("img", lambda: self.image_spectrum(image)),
+                memo("grad", lambda: self.grad_spectrum(grad)))
+
+    def update(self, image, grad, memo=_compute, captured=None):
+        """Kernel gradient: the lags of ``conj(FdO) * FI``, head-cropped
+        to k_eff and subsampled by s."""
+        image_spec, grad_spec = captured or self.capture_update(
+            image, grad, memo)
+        _fault_point("update_product")
+        spatial = inverse_transform(np.conj(grad_spec) * image_spec,
+                                    self.transform_shape)
+        lags = crop_head(spatial, self.effective_kernel_shape)
+        s = self.sparsity
+        return np.ascontiguousarray(lags[:: s[0], :: s[1], :: s[2]])
 
     # -- finalisers (inverse transform + crop), applied once per node sum ----
 
@@ -207,30 +254,7 @@ class FftConvPlan:
         spatial = inverse_transform(spectrum_sum, self.transform_shape)
         return crop_head(spatial, self.image_shape)
 
-    def finalize_update(self, spectrum: np.ndarray) -> np.ndarray:
-        spatial = inverse_transform(spectrum, self.transform_shape)
-        lags = crop_head(spatial, self.effective_kernel_shape)
-        s = self.sparsity
-        return np.ascontiguousarray(lags[:: s[0], :: s[1], :: s[2]])
-
-    # -- convenience end-to-end passes ---------------------------------------
-
-    def forward(self, image_spec: np.ndarray,
-                kernel_spec: np.ndarray) -> np.ndarray:
-        """Valid correlation of one image with one kernel."""
-        return self.finalize_forward(self.forward_product(image_spec, kernel_spec))
-
-    def backward(self, grad_spec: np.ndarray,
-                 kernel_spec: np.ndarray) -> np.ndarray:
-        """Input gradient (full convolution) for one edge."""
-        return self.finalize_backward(self.backward_product(grad_spec, kernel_spec))
-
-    def kernel_gradient(self, image_spec: np.ndarray,
-                        grad_spec: np.ndarray) -> np.ndarray:
-        """Kernel gradient for one edge."""
-        return self.finalize_update(self.update_product(image_spec, grad_spec))
-
-    # -- introspection --------------------------------------------------------
+    # -- pricing --------------------------------------------------------------
 
     def pass_cost(self) -> dict:
         """Analytic cost annotation of one FFT conv pass under this plan.
@@ -252,65 +276,8 @@ class FftConvPlan:
             "bytes": 8.0 * 4 * voxels(self.transform_shape),
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FftConvPlan(image={self.image_shape}, "
-                f"kernel={self.kernel_shape}, sparsity={self.sparsity})")
-
-
-def _compute(kind: str, compute):
-    """The null memo: every spectrum is transformed on demand."""
-    return compute()
-
-
-class FftBackend:
-    """Table II "FFT-based (Memoized)" as a conv backend (contract:
-    ``docs/algorithms.md`` "Adding a conv backend").
-
-    ``memo(kind, compute)`` shares spectra between passes: kinds
-    ``"img"``, ``"grad"`` and ``"ker"`` are the source image, backward
-    image and kernel spectra, which a ``ConvEdge`` routes through the
-    network's :class:`~repro.tensor.fft_cache.TransformCache`.
-    """
-
-    name = "fft"
-    #: Two runs agree bit for bit; a tile and the whole volume only to
-    #: rounding (the transform size moves with the extent).
-    determinism = "run-bitwise"
-    #: ``spectral=True`` passes return the half-spectrum product, for a
-    #: node that sums spectra and inverts once.
-    spectral = True
-    plan = FftConvPlan
-
-    def forward(self, image, kernel, sparsity, plan, memo=_compute,
-                spectral=False):
-        product = plan.forward_product(
-            memo("img", lambda: plan.image_spectrum(image)),
-            memo("ker", lambda: plan.kernel_spectrum(kernel)))
-        return product if spectral else plan.finalize_forward(product)
-
-    def backward(self, grad, kernel, sparsity, plan, memo=_compute,
-                 spectral=False):
-        product = plan.backward_product(
-            memo("grad", lambda: plan.grad_spectrum(grad)),
-            memo("ker", lambda: plan.kernel_spectrum(kernel)))
-        return product if spectral else plan.finalize_backward(product)
-
-    def capture_update(self, image, grad, sparsity, plan, memo=_compute):
-        """The spectra a deferred update needs, taken while this
-        round's memo holds them (forward computed FI, backward FdO)."""
-        return (memo("img", lambda: plan.image_spectrum(image)),
-                memo("grad", lambda: plan.grad_spectrum(grad)))
-
-    def update(self, image, grad, sparsity, plan, memo=_compute,
-               captured=None):
-        return plan.kernel_gradient(*(captured or self.capture_update(
-            image, grad, sparsity, plan, memo)))
-
-    def pass_cost(self, image_shape, kernel_shape, sparsity=1, plan=None):
-        return (plan or FftConvPlan(image_shape, kernel_shape,
-                                    sparsity)).pass_cost()
-
-    def layer_flops(self, f_in, f_out, image_shape, kernel_shape=None,
+    @staticmethod
+    def layer_flops(f_in, f_out, image_shape, kernel_shape=None,
                     sparsity=1, passes=("forward", "backward", "update"),
                     pinned_kernels=False,
                     constant=DEFAULT_FFT_CONSTANT) -> float:
@@ -325,3 +292,7 @@ class FftBackend:
                 fft_cost(image_shape, constant) * (f_in + f_out)
                 + pointwise_product_cost(image_shape) * (f_in * f_out))
         return sum(costs[p] for p in passes)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"FftConvPlan(image={self.image_shape}, "
+                f"kernel={self.kernel_shape}, sparsity={self.sparsity})")

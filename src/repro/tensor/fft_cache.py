@@ -27,11 +27,10 @@ One extension supports long-running *serving* processes
 persistent: its entries survive ``next_round``.  At inference time
 kernels never change, so a warm model's kernel spectra are transformed
 once and reused by every request.  Pinning is only safe while the
-underlying parameters are frozen; training code must not pin
-(``invalidate`` still removes single entries).  The cache needs no byte
-cap: ``next_round`` bounds it to one round's spectra plus the pinned
-kernels of one network, and ``ModelRegistry(max_models=k)`` bounds the
-number of networks.
+underlying parameters are frozen; training code must not pin.  The
+cache needs no byte cap: ``next_round`` bounds it to one round's spectra
+plus the pinned kernels of one network, and
+``ModelRegistry(max_models=k)`` bounds the number of networks.
 """
 
 from __future__ import annotations
@@ -160,19 +159,6 @@ class TransformCache:
             self._m_bytes.set(self._bytes)
             self._m_entries.set(len(self._store))
             return self._round
-
-    def invalidate(self, kind: str, name: Hashable) -> None:
-        """Drop a single entry (e.g. a kernel spectrum after its update).
-
-        Works for pinned and per-round kinds alike."""
-        with self._lock:
-            dropped = self._store.pop(self._key(kind, name), None)
-            if dropped is not None:
-                self._bytes -= dropped.nbytes
-                self.stats.evicted += 1
-                self._m_evicted.inc()
-                self._m_bytes.set(self._bytes)
-                self._m_entries.set(len(self._store))
 
     def get_or_compute(self, kind: str, name: Hashable,
                        compute: Callable[[], np.ndarray]) -> np.ndarray:

@@ -7,7 +7,6 @@ from repro.utils.shapes import (
     field_of_view,
     full_conv_shape,
     input_shape_for_output,
-    is_subshape,
     pool_shape,
     valid_conv_shape,
     voxels,
@@ -28,7 +27,6 @@ __all__ = [
     "field_of_view",
     "full_conv_shape",
     "input_shape_for_output",
-    "is_subshape",
     "pool_shape",
     "valid_conv_shape",
     "voxels",

@@ -96,11 +96,6 @@ def voxels(shape: int | Sequence[int]) -> int:
     return math.prod(as_shape3(shape))
 
 
-def is_subshape(inner: Sequence[int], outer: Sequence[int]) -> bool:
-    """True if every dimension of *inner* fits inside *outer*."""
-    return all(i <= o for i, o in zip(as_shape3(inner), as_shape3(outer)))
-
-
 def field_of_view(layers: Iterable[tuple[str, int | Sequence[int], int | Sequence[int]]]
                   ) -> Shape3:
     """Field of view of a ConvNet given its (kind, window, sparsity) layers.

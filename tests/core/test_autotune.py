@@ -142,7 +142,7 @@ class TestFastSizes:
 
         def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
                              repeats=3, fast_sizes=False):
-            timed[name] = conv_backend(name).plan(
+            timed[name] = conv_backend(name).build(
                 image_shape, kernel_shape, sparsity, fast_sizes)
             return 1.0 if name == "direct" else 0.5  # FFT wins
 
@@ -152,7 +152,8 @@ class TestFastSizes:
         net = Network(graph, input_shape=(31, 31, 31), conv_mode="auto",
                       fft_fast_sizes=True, seed=0)
         (edge,) = [e for e in net.edges.values() if e.backend is not None]
-        padded = FftConvPlan((31, 31, 31), edge.spec.kernel, edge.sparsity,
+        padded = FftConvPlan((31, 31, 31), edge.spec.kernel,
+                             edge.spec.sparsity,
                              fast_sizes=True).transform_shape
         assert padded == (32, 32, 32)
         assert timed["fft"].transform_shape == padded

@@ -114,11 +114,11 @@ class TestFftDirectParity:
         net = small_net(conv_mode="fft")
         # conv-layer destinations accumulate spectra
         l1 = net.nodes["L1_0"]
-        assert l1.forward_domain == "spectral"
+        assert l1.forward_plan is l1.in_edges[0].plan
         # input node's backward sum also spectral (all out-edges fft)
-        assert net.nodes["L0_0"].backward_domain == "spectral"
+        assert net.nodes["L0_0"].backward_plan is not None
         # transfer destinations are spatial
-        assert net.nodes["L2_0"].forward_domain == "spatial"
+        assert net.nodes["L2_0"].forward_plan is None
 
     def test_mixed_mode_network(self, rng):
         graph = build_layered_network("CTC", width=2, kernel=2)

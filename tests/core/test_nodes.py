@@ -57,7 +57,7 @@ class TestWire:
         e2 = conv_edge(src2, dst, mode="direct", name="e2")
         dst.in_edges.extend([e1, e2])
         dst.wire()
-        assert dst.forward_domain == "spatial"  # mixed modes
+        assert dst.forward_plan is None  # mixed modes: a spatial sum
 
     def test_spectral_when_uniform_fft(self):
         src1, src2 = make_node("a"), make_node("b")
@@ -65,14 +65,14 @@ class TestWire:
         dst.in_edges.extend([conv_edge(src1, dst, mode="fft", name="e1"),
                              conv_edge(src2, dst, mode="fft", name="e2")])
         dst.wire()
-        assert dst.forward_domain == "spectral"
+        assert dst.forward_plan is dst.in_edges[0].plan
 
     def test_transfer_edges_spatial(self):
         src = make_node("a")
         dst = make_node("d")
         dst.in_edges.append(transfer_edge(src, dst))
         dst.wire()
-        assert dst.forward_domain == "spatial"
+        assert dst.forward_plan is None
 
 
 class TestAccumulation:

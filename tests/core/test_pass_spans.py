@@ -168,8 +168,8 @@ class TestConvAnnotations:
         assert len(conv) == 3 * len(edges)
         for span in conv:
             edge = edges[span.attrs["edge"]]
-            cost = edge.backend.pass_cost(edge.src.shape, edge.spec.kernel,
-                                          edge.sparsity, edge.plan)
+            cost = edge.backend.build(edge.src.shape, edge.spec.kernel,
+                                      edge.spec.sparsity, True).pass_cost()
             assert span.attrs["backend"] == mode
             assert span.attrs["flops"] == cost["flops"]
             assert span.attrs["bytes"] == cost["bytes"]

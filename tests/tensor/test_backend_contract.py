@@ -8,7 +8,8 @@ what ``run_plan`` actually delivers — ``tiled-bitwise`` stitches to the
 whole-volume pass bit for bit, ``run-bitwise`` repeats itself bit for
 bit.  The seam's own rules (name check, choice rule) and the single
 fallback site in ``ConvEdge._run`` — one case per pass, each with a
-spectral-domain neighbour — are pinned here too.
+spectral-domain neighbour — are pinned here too, and so is the claim
+that a third backend is one class plus one registry entry.
 """
 
 import numpy as np
@@ -32,7 +33,15 @@ from repro.tensor import (
     conv_kernel_gradient,
     correlate_valid,
 )
-from repro.tensor.backends import FALLBACK, choose, conv_backend, registry
+from repro.core.autotune import autotune_layer
+from repro.tensor.backends import (
+    FALLBACK,
+    choose,
+    conv_backend,
+    registry,
+    time_passes,
+)
+from repro.tensor.conv_direct import DirectPlan
 
 #: Table II FLOPs of one pass of one edge at transform shape T.
 TABLE_II = {
@@ -46,52 +55,63 @@ shape3 = st.tuples(*[st.integers(4, 10)] * 3)
 kernel3 = st.tuples(*[st.integers(1, 3)] * 3)
 
 
+def check_passes(backend, n, k, s, fast, seed):
+    """The three passes of *backend*'s plan against the direct
+    reference, spatial and (if it can) spectral."""
+    rng = np.random.default_rng(seed)
+    img, ker = rng.standard_normal(n), rng.standard_normal(k)
+    out = correlate_valid(img, ker, s)
+    grad = rng.standard_normal(out.shape)
+    plan = backend.build(n, k, s, fast)
+    assert isinstance(plan, backend)
+    np.testing.assert_allclose(plan.forward(img, ker), out, atol=1e-10)
+    np.testing.assert_allclose(plan.backward(grad, ker),
+                               conv_backward_input(grad, ker, s), atol=1e-10)
+    captured = plan.capture_update(img, grad)
+    for kwargs in ({}, {"captured": captured}):
+        np.testing.assert_allclose(
+            plan.update(img, grad, **kwargs),
+            conv_kernel_gradient(img, grad, s), atol=1e-10)
+    if backend.spectral:  # the half-spectrum a spectral node would sum
+        np.testing.assert_allclose(
+            plan.finalize_forward(plan.forward(img, ker, spectral=True)),
+            out, atol=1e-10)
+        np.testing.assert_allclose(
+            plan.finalize_backward(plan.backward(grad, ker, spectral=True)),
+            conv_backward_input(grad, ker, s), atol=1e-10)
+
+
 @backends
 @given(n=shape3, k=kernel3, s=st.integers(1, 2), fast=st.booleans(),
        seed=st.integers(0, 999))
 @settings(max_examples=40, deadline=None)
 def test_passes_match_direct_reference(backend, n, k, s, fast, seed):
     assume(all((kd - 1) * s + 1 <= nd for kd, nd in zip(k, n)))
-    rng = np.random.default_rng(seed)
-    img, ker = rng.standard_normal(n), rng.standard_normal(k)
-    out = correlate_valid(img, ker, s)
-    grad = rng.standard_normal(out.shape)
-    plan = backend.plan(n, k, s, fast)
-    np.testing.assert_allclose(backend.forward(img, ker, s, plan), out,
-                               atol=1e-10)
-    np.testing.assert_allclose(backend.backward(grad, ker, s, plan),
-                               conv_backward_input(grad, ker, s), atol=1e-10)
-    captured = backend.capture_update(img, grad, s, plan)
-    for kwargs in ({}, {"captured": captured}):
-        np.testing.assert_allclose(
-            backend.update(img, grad, s, plan, **kwargs),
-            conv_kernel_gradient(img, grad, s), atol=1e-10)
-    if backend.spectral:  # the half-spectrum a spectral node would sum
-        np.testing.assert_allclose(
-            plan.finalize_forward(
-                backend.forward(img, ker, s, plan, spectral=True)),
-            out, atol=1e-10)
-        np.testing.assert_allclose(
-            plan.finalize_backward(
-                backend.backward(grad, ker, s, plan, spectral=True)),
-            conv_backward_input(grad, ker, s), atol=1e-10)
+    check_passes(backend, n, k, s, fast, seed)
 
 
-@backends
-@pytest.mark.parametrize("n,k,s,fast", [((8, 9, 10), (3, 2, 2), 1, False),
-                                        ((11, 11, 11), 3, 2, True)])
-def test_pass_cost_is_the_table_ii_count(backend, n, k, s, fast):
-    plan = backend.plan(n, k, s, fast)
-    T = plan.transform_shape if plan is not None else n
-    flops = backend.pass_cost(n, k, s, plan)["flops"]
-    assert flops == TABLE_II[backend.name](n, k, s, T)
+def check_pass_cost(backend, table_ii, n, k, s, fast):
+    plan = backend.build(n, k, s, fast)
+    T = plan.transform_shape
+    flops = plan.pass_cost()["flops"]
+    assert flops == table_ii(n, k, s, T)
     # ... which is also a 1x1 layer's update row of the layer table.
     assert flops == backend.layer_flops(1, 1, T, k, s, passes=("update",))
 
 
+PASS_COST_CASES = [((8, 9, 10), (3, 2, 2), 1, False), ((11, 11, 11), 3, 2, True)]
+
+
 @backends
-def test_determinism_label_holds_through_run_plan(backend):
-    spec = ModelSpec("contract", "CTPCT", conv_mode=backend.name, seed=5,
+@pytest.mark.parametrize("n,k,s,fast", PASS_COST_CASES)
+def test_pass_cost_is_the_table_ii_count(backend, n, k, s, fast):
+    check_pass_cost(backend, TABLE_II[backend.name], n, k, s, fast)
+
+
+def tiled_and_whole(mode):
+    """A tiny net served by ``run_plan`` over 9^3 tiles, and the same
+    net's single whole-volume pass."""
+    spec = ModelSpec("contract", "CTPCT", conv_mode=mode, seed=5,
                      builder_kwargs=dict(width=[2, 1], kernel=2, window=2,
                                          transfer="tanh"))
     volume = np.random.default_rng(7).standard_normal((14, 14, 14))
@@ -109,13 +129,23 @@ def test_determinism_label_holds_through_run_plan(backend):
             whole.network.output_nodes[0].name]
     finally:
         whole.close()
-    first = tiled()
-    assert np.array_equal(first, tiled())  # both labels promise this
+    return tiled(), tiled(), single
+
+
+def check_determinism_label(backend):
+    first, second, single = tiled_and_whole(backend.name)
+    assert np.array_equal(first, second)  # both labels promise this
     if backend.determinism == "tiled-bitwise":
         assert np.array_equal(first, single)
     else:
         assert backend.determinism == "run-bitwise"
         np.testing.assert_allclose(first, single, atol=1e-10)
+    return first
+
+
+@backends
+def test_determinism_label_holds_through_run_plan(backend):
+    check_determinism_label(backend)
 
 
 class TestSeamRules:
@@ -200,9 +230,59 @@ def test_fallback_during_each_pass(op, metrics):
     assert net.conv_modes[name] == "direct"
     # Its neighbours kept summing spectra, so the passes it ran after
     # degrading (this round's and the final forward) were lifted.
-    assert edge.dst.forward_domain == edge.src.backward_domain == "spectral"
+    assert edge.dst.forward_plan.spectral and edge.src.backward_plan.spectral
     for node in ref_out:
         np.testing.assert_allclose(out[node], ref_out[node], atol=1e-10)
     for kernel in ref_kernels:
         np.testing.assert_allclose(kernels[kernel], ref_kernels[kernel],
                                    atol=1e-10)
+
+
+# -- a third backend is one class plus one registry entry -------------------
+
+class Tagged(DirectPlan):
+    """A test-local backend: the direct kernels under their own name,
+    counting the passes its plans run."""
+
+    name = "tagged"
+    runs: list = []
+
+    def forward(self, image, kernel, memo=None, spectral=False):
+        Tagged.runs.append("forward")
+        return super().forward(image, kernel, memo, spectral)
+
+    def update(self, image, grad, memo=None, captured=None):
+        Tagged.runs.append("update")
+        return super().update(image, grad, memo, captured)
+
+
+def test_a_third_backend_is_one_class_and_one_entry(monkeypatch):
+    monkeypatch.setitem(registry, Tagged.name, Tagged)
+    monkeypatch.setattr(Tagged, "runs", [])
+    assert conv_backend("tagged") is Tagged
+
+    # The contract, as for the registered two.
+    check_passes(Tagged, (7, 8, 9), (2, 3, 2), 2, False, seed=1)
+    check_pass_cost(Tagged, TABLE_II["direct"], *PASS_COST_CASES[0])
+
+    # ConvEdge and a Network training round: bitwise the direct network.
+    x = np.random.default_rng(11).standard_normal((8, 8, 8))
+    _, ref_out, ref_kernels = _train_and_infer("direct", x)
+    net, out, kernels = _train_and_infer("tagged", x)
+    conv = [e for e in net.edges.values() if e.backend is not None]
+    assert conv and all(type(e.plan) is Tagged and e.fft_ok for e in conv)
+    assert set(net.conv_modes.values()) == {"tagged"}
+    assert {"forward", "update"} <= set(Tagged.runs)
+    for name in ref_out:
+        assert out[name].tobytes() == ref_out[name].tobytes()
+    for name in ref_kernels:
+        assert kernels[name].tobytes() == ref_kernels[name].tobytes()
+
+    # The timer and the autotuner price it beside the others.
+    assert time_passes("tagged", 8, 3, repeats=1) > 0
+    mode, *seconds = autotune_layer(8, 3, repeats=1)
+    assert mode in registry and len(seconds) == len(registry) == 3
+
+    # Tiled serving: its label holds, and it serves the direct bits.
+    served = check_determinism_label(Tagged)
+    assert served.tobytes() == tiled_and_whole("direct")[0].tobytes()

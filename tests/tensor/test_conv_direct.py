@@ -343,13 +343,12 @@ def fold_backward(grad, ker, s):
 def both_paths(img, ker, s):
     """(forward, backward) through the public functions and through the
     backend on its plan, checked equal bitwise, with the gradient."""
-    direct = registry["direct"]
-    plan = direct.plan(img.shape, ker.shape, s)
+    plan = registry["direct"].build(img.shape, ker.shape, s)
     out = correlate_valid(img, ker, s)
-    assert direct.forward(img, ker, s, plan).tobytes() == out.tobytes()
+    assert plan.forward(img, ker).tobytes() == out.tobytes()
     grad = np.random.default_rng(1).standard_normal(out.shape)
     back = conv_backward_input(grad, ker, s)
-    assert direct.backward(grad, ker, s, plan).tobytes() == back.tobytes()
+    assert plan.backward(grad, ker).tobytes() == back.tobytes()
     return out, grad, back
 
 
@@ -389,19 +388,17 @@ class TestFlatWalkInputs:
         assert not img.flags.c_contiguous
         ker = rng.standard_normal((3, 2, 4))
         s = (1, 2, 1)
-        direct = registry["direct"]
-        plan = direct.plan(img.shape, ker.shape, s)
+        plan = registry["direct"].build(img.shape, ker.shape, s)
         out = correlate_valid(img.copy(), ker, s)
         assert correlate_valid(img, ker, s).tobytes() == out.tobytes()
-        assert direct.forward(img, ker, s, plan).tobytes() == out.tobytes()
+        assert plan.forward(img, ker).tobytes() == out.tobytes()
         grad = (rng.standard_normal((2 * out.shape[0],) + out.shape[1:])
                 [::2] if layout == "strided"
                 else np.asfortranarray(rng.standard_normal(out.shape)))
         assert not grad.flags.c_contiguous
         back = conv_backward_input(grad.copy(), ker, s)
         assert conv_backward_input(grad, ker, s).tobytes() == back.tobytes()
-        assert direct.backward(grad, ker, s, plan).tobytes() \
-            == back.tobytes()
+        assert plan.backward(grad, ker).tobytes() == back.tobytes()
 
     @pytest.mark.parametrize("s", [(1, 1, 1), (2, 1, 3)])
     def test_nan_reaches_exactly_the_voxels_the_fold_sends_it_to(self, rng,

@@ -69,6 +69,18 @@ class TestOneShotFunctions:
             conv_kernel_gradient(img, grad, sparsity), atol=1e-10)
 
 
+def counting_memo():
+    """A round's memo, and the kinds it computed, in order."""
+    spectra, computed = {}, []
+
+    def memo(kind, compute):
+        if kind not in spectra:
+            computed.append(kind)
+            spectra[kind] = compute()
+        return spectra[kind]
+    return memo, computed
+
+
 class TestPlan:
     def test_transform_shape_is_input_shape(self):
         plan = FftConvPlan((8, 9, 10), (3, 3, 3))
@@ -85,9 +97,10 @@ class TestPlan:
         img = rng.standard_normal((8, 8, 8))
         ker = rng.standard_normal((3, 3, 3))
         grad = rng.standard_normal((6, 6, 6))
-        fk = plan.kernel_spectrum(ker)
-        fwd = plan.forward(plan.image_spectrum(img), fk)
-        bwd = plan.backward(plan.grad_spectrum(grad), fk)
+        memo, computed = counting_memo()
+        fwd = plan.forward(img, ker, memo)
+        bwd = plan.backward(grad, ker, memo)
+        assert computed == ["img", "ker", "grad"]
         np.testing.assert_allclose(fwd, correlate_valid(img, ker), atol=1e-10)
         np.testing.assert_allclose(bwd, conv_backward_input(grad, ker),
                                    atol=1e-10)
@@ -95,12 +108,14 @@ class TestPlan:
     def test_image_spectrum_shared_by_fwd_and_update(self, rng):
         plan = FftConvPlan((8, 8, 8), (3, 3, 3))
         img = rng.standard_normal((8, 8, 8))
+        ker = rng.standard_normal((3, 3, 3))
         grad = rng.standard_normal((6, 6, 6))
-        fi = plan.image_spectrum(img)
-        fg = plan.grad_spectrum(grad)
-        np.testing.assert_allclose(plan.kernel_gradient(fi, fg),
+        memo, computed = counting_memo()
+        plan.forward(img, ker, memo)
+        np.testing.assert_allclose(plan.update(img, grad, memo),
                                    conv_kernel_gradient(img, grad),
                                    atol=1e-10)
+        assert computed == ["img", "ker", "grad"]
 
     def test_spectral_sum_equals_spatial_sum(self, rng):
         """Accumulating spectra then inverting once (the per-node sum)

@@ -49,13 +49,6 @@ class TestBasics:
         v = cache.get_or_compute("img", "a", make(3))
         assert v[0, 0, 0] == 3
 
-    def test_invalidate_single_entry(self):
-        cache = TransformCache()
-        cache.get_or_compute("ker", "e", make(1))
-        cache.invalidate("ker", "e")
-        v = cache.get_or_compute("ker", "e", make(9))
-        assert v[0, 0, 0] == 9
-
     def test_round_counter(self):
         cache = TransformCache()
         assert cache.round == 0
@@ -209,13 +202,6 @@ class TestPinnedKinds:
         assert len(cache) == 1  # img evicted, ker kept
         cache.get_or_compute("ker", "conv1", compute)
         assert len(calls) == 1
-
-    def test_invalidate_removes_pinned_entry(self):
-        cache = TransformCache()
-        cache.pin_kind("ker")
-        cache.get_or_compute("ker", "conv1", lambda: np.zeros((2, 2, 2)))
-        cache.invalidate("ker", "conv1")
-        assert len(cache) == 0
 
     def test_unpinned_kind_is_round_scoped(self):
         cache = TransformCache()

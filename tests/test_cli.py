@@ -565,9 +565,8 @@ class TestObservabilityCli:
                     assert entry["kernel_shape"] is None
                     continue
                 image = graph.nodes[spec.src].shape
-                cost = fft.pass_cost(image, spec.kernel, spec.sparsity,
-                                     fft.plan(image, spec.kernel,
-                                              spec.sparsity, False))
+                cost = fft.build(image, spec.kernel, spec.sparsity,
+                                 False).pass_cost()
                 assert entry["backend"] == "fft"
                 assert entry["flops"] == 3 * cost["flops"]
                 assert entry["bytes"] == 3 * cost["bytes"]

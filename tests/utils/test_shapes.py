@@ -165,11 +165,3 @@ class TestShapePropagation:
         except ValueError:
             return
         assert sh.input_shape_for_output(out, self.LAYERS) == (n, n, n)
-
-
-class TestIsSubshape:
-    def test_fits(self):
-        assert sh.is_subshape(3, 5)
-
-    def test_does_not_fit(self):
-        assert not sh.is_subshape((6, 3, 3), 5)

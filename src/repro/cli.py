@@ -1295,7 +1295,24 @@ def _determinism_probe() -> int:
     finally:
         network.close()
 
-    # Stage 3 — loadgen: a seeded trace through the discrete-event
+    # Stage 3 — warm twins: REPRO_DET_THREADS callers of one WarmModel.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.serving.registry import TWIN_MIN_VOXELS, ModelSpec, WarmModel
+
+    edge = int(np.ceil(np.cbrt(TWIN_MIN_VOXELS)))  # a tile that may grow
+    warm = WarmModel(ModelSpec("det", "CTCT", builder_kwargs=layered,
+                               seed=7), (edge,) * 3)
+    volumes = np.random.default_rng(321).random((4,) + (2 * edge - 4,) * 3)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            replies = list(pool.map(warm.run, volumes))
+    finally:
+        warm.close()
+    emit("serve.warm_twins", hashlib.sha256(
+        b"".join(reply.tobytes() for reply in replies)).hexdigest())
+
+    # Stage 4 — loadgen: a seeded trace through the discrete-event
     # simulator; the serialized report must be byte-identical.
     trace = generate_trace(
         scenario_config("steady", seed=11, duration=10.0,

@@ -14,8 +14,8 @@ only where requests wait and who runs them.
   learns the fate of its request, nothing is silently dropped.
 * **Validation before admission.**  A volume is normalised to 3D
   float64 and checked against the model's field of view; unknown
-  models, bad ranks and too-small volumes fail in the caller's thread
-  and never cost a queue slot.
+  models, bad ranks, non-finite voxels and too-small volumes fail in
+  the caller's thread and never cost a queue slot.
 * **Tiered admission.**  Requests carry a priority (0 = high,
   1 = normal, 2 = low).  Each tier may only fill a fraction of the
   queue (:data:`ADMISSION_FRACTIONS`), so under sustained overload the
@@ -354,6 +354,8 @@ class RequestLifecycle:
         if volume.ndim != 3:
             raise ValueError(
                 f"volume must be 2D or 3D, got {volume.ndim}D")
+        if not np.isfinite(volume).all():  # NaN fills a whole FFT tile
+            raise ValueError("volume has non-finite voxels (NaN or Inf)")
         limit = admission_limit(priority, self.max_queue)
         fov = self._fov(model)  # unknown models fail fast, pre-queue
         if any(v < f for v, f in zip(volume.shape, fov)):

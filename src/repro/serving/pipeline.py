@@ -8,10 +8,10 @@ where requests wait (one bounded FIFO) and who runs them:
 * **Micro-batching.**  A worker dequeues the oldest request, then
   opportunistically drags along up to ``max_batch - 1`` younger
   requests *for the same model*.  Each request of the batch is still
-  resolved and run on its own (one registry lookup, one model-lock
-  acquisition per request); what the batch buys is placement: a
-  same-model burst stays on one worker, so a second worker is free to
-  serve another model while the first holds the per-model lock.
+  resolved and run on its own (one registry lookup, one twin checkout
+  per request); what the batch buys is placement: a same-model burst
+  stays on one worker, leaving the others to other models.  Past the
+  twin crossover that can leave a twin idle while the burst waits.
 
 * **Worker pool on the TaskEngine.**  Workers are long-lived
   ``serve:worker`` tasks on a :class:`repro.scheduler.TaskEngine` —

@@ -5,7 +5,7 @@ A serving process answers requests with the *dense-equivalent twin*
 skip-kernel convolutions computing the sliding-window output in one
 pass.  Building that twin — graph construction, parameter restore,
 FFT kernel transforms — is far too slow to repeat per request, so the
-registry keeps **warm models**: one fully-built twin per
+registry keeps **warm models**: fully-built twins per
 ``(model name, input tile shape)``, kept in an LRU cache.
 
 Warm means warm all the way down:
@@ -16,13 +16,14 @@ Warm means warm all the way down:
 * the network's :class:`~repro.tensor.fft_cache.TransformCache` has the
   ``"ker"`` kind *pinned* and a throwaway forward pass is run at build
   time, so in FFT mode every kernel spectrum is transformed exactly
-  once per process, not once per request (the serving analogue of the
-  paper's per-round memoization);
+  once per warm model, not once per request or per twin (the serving
+  analogue of the paper's per-round memoization);
 * the tile shape is fixed per warm model (networks have static shapes),
   which is why the tiler quantises volumes onto shared tile shapes.
 
-Networks are not reentrant; each :class:`WarmModel` carries a lock and
-all inference goes through :meth:`WarmModel.run`.
+Networks are not reentrant: :meth:`WarmModel.run` checks one of the
+model's identical twins out per call (ZNNi: several instances, not one
+task-parallel net).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import make_lock
+from repro.analysis.runtime import make_condition, make_lock
 from repro.core.network import Network
 from repro.core.serialization import load_network
 from repro.graph.builders import dense_twin
@@ -47,9 +48,14 @@ from repro.serving.tiler import (
     run_plan,
 )
 from repro.tensor.backends import conv_backend
-from repro.utils.shapes import Shape3, as_shape3
+from repro.utils.shapes import Shape3, as_shape3, voxels
 
-__all__ = ["ModelSpec", "WarmModel", "ModelRegistry"]
+__all__ = ["ModelSpec", "WarmModel", "ModelRegistry", "TWIN_MIN_VOXELS"]
+
+#: Input-tile voxels from which a busy :class:`WarmModel` builds another
+#: twin; below it two concurrent runs lose to the same runs in turn (GIL
+#: handoffs): EXPERIMENTS.md, "Serving twins: the crossover".
+TWIN_MIN_VOXELS = 30 ** 3
 
 
 @dataclass(frozen=True)
@@ -93,11 +99,13 @@ class ModelSpec:
 
 
 class WarmModel:
-    """A dense twin built at one fixed input-tile shape, ready to run.
+    """A pool of identical dense twins at one fixed input-tile shape.
 
-    Construction does all the slow work: graph build, checkpoint
-    restore, kernel-spectrum pinning plus a prewarming forward pass.
-    :meth:`run` then only pays per-tile FFTs of the request data.
+    Construction does all the slow work for the first twin, ``network``:
+    graph build, checkpoint restore, kernel-spectrum pinning plus a
+    prewarming forward pass.  :meth:`run` then only pays per-tile FFTs
+    of the request data, on a free twin; from :data:`TWIN_MIN_VOXELS`
+    per tile, a busy pool builds one more that shares those spectra.
     """
 
     def __init__(self, spec: ModelSpec, input_tile,
@@ -105,34 +113,40 @@ class WarmModel:
                  conv_modes: Optional[Mapping[str, str]] = None) -> None:
         self.spec = spec
         self.input_tile = as_shape3(input_tile, name="input_tile")
-        twin = dense_twin(spec.spec, **spec.builder_kwargs)
-        self.fov = twin.fov
+        self._twin = dense_twin(spec.spec, **spec.builder_kwargs)
+        self.fov = self._twin.fov
         #: Per-edge backend override (a specialization plan's mode map);
         #: None serves every conv edge in ``spec.conv_mode``.
         self.conv_modes = normalize_conv_modes(conv_modes)
-        mode = (dict(self.conv_modes) if self.conv_modes is not None
-                else spec.conv_mode)
-        self.network = Network(twin.build_graph(),
-                               input_shape=self.input_tile,
-                               conv_mode=mode,
-                               num_workers=num_workers,
-                               seed=spec.seed,
-                               deterministic_sums=True)
-        if spec.checkpoint is not None:
-            load_network(self.network, spec.checkpoint)
-        self._lock = make_lock("serving.warm_model")
-        # Kernels are frozen at serving time: pin their spectra so they
-        # survive the per-forward next_round() eviction, then compute
-        # them all once with a throwaway pass.  Pin only when the mode
-        # map actually uses FFT somewhere — an all-direct twin computes
-        # no spectra, so pinning and the throwaway pass would be pure
-        # build-time waste.
+        self._network_kwargs = dict(
+            input_shape=self.input_tile, num_workers=num_workers,
+            conv_mode=(dict(self.conv_modes) if self.conv_modes is not None
+                       else spec.conv_mode),
+            seed=spec.seed, deterministic_sums=True)
+        self.network = self._build_twin(prewarm=prewarm)
+        self._grows = voxels(self.input_tile) >= TWIN_MIN_VOXELS
+        self._cond = make_condition("serving.warm_model")
+        self._free = [self.network]  # guarded-by: _cond
+        self._twins = 1  # guarded-by: _cond
+        self._closed = False  # guarded-by: _cond
+
+    def _build_twin(self, first: Optional[Network] = None,
+                    prewarm: bool = False) -> Network:
+        """One twin; its kernel spectra shared with *first* or prewarmed."""
+        network = Network(self._twin.build_graph(), **self._network_kwargs)
+        if self.spec.checkpoint is not None:
+            load_network(network, self.spec.checkpoint)
+        # Kernels are frozen at serving time: pin their spectra past the
+        # per-forward next_round().  An all-direct twin computes none, so
+        # it skips pinning and the throwaway pass.
         if any(conv_backend(mode).spectral
-               for mode in self.network.conv_modes.values()):
-            self.network.cache.pin_kind("ker")
-            if prewarm:
-                self.network.forward(
-                    np.zeros(self.input_tile, dtype=np.float64))
+               for mode in network.conv_modes.values()):
+            network.cache.pin_kind("ker")
+            if first is not None:
+                network.cache.share_pinned(first.cache)
+            elif prewarm:
+                network.forward(np.zeros(self.input_tile, dtype=np.float64))
+        return network
 
     def run(self, volume: np.ndarray, plan: Optional[TilePlan] = None,
             progress=None) -> np.ndarray:
@@ -143,8 +157,32 @@ class WarmModel:
         """
         if plan is None:
             plan = self.plan(volume.shape)
-        with self._lock:
-            return run_plan(self.network, volume, plan, progress=progress)
+        network = self._checkout()
+        try:
+            return run_plan(network, volume, plan, progress=progress)
+        finally:
+            self._checkin(network)
+
+    def _checkout(self) -> Network:
+        """A free twin; a new one if all are busy and the pool grows."""
+        with self._cond:
+            while not (self._free or self._grows or not self._twins):
+                self._cond.wait()
+            if self._free:
+                return self._free.pop()
+            # Built under the lock: rare, and the count cannot drift.
+            network = self._build_twin(first=self.network)
+            self._twins += 1
+            return network
+
+    def _checkin(self, network: Network) -> None:
+        with self._cond:
+            self._cond.notify()
+            if not self._closed:
+                self._free.append(network)
+                return
+            self._twins -= 1
+        network.close()
 
     def plan(self, volume_shape) -> TilePlan:
         """A :class:`~repro.serving.tiler.TilePlan` of *volume_shape*
@@ -153,8 +191,14 @@ class WarmModel:
                         conv_modes=self.conv_modes)
 
     def close(self) -> None:
-        with self._lock:
-            self.network.close()
+        """Close idle twins now, busy ones as their runs return."""
+        with self._cond:
+            self._closed = True
+            idle, self._free = self._free, []
+            self._twins -= len(idle)
+            self._cond.notify_all()
+        for network in idle:
+            network.close()
 
 
 class ModelRegistry:
@@ -164,8 +208,9 @@ class ModelRegistry:
     the same model served at two tile shapes — or under two
     specialization mode maps — is two warm entries (networks have
     static shapes and static per-edge backends).  ``max_models`` bounds
-    the number of warm twins held; building past the cap evicts the
-    least-recently-used entry and closes its network.  All mutation
+    the number of warm models held; building past the cap evicts the
+    least-recently-used entry and closes its twins (a busy one as its
+    run returns).  All mutation
     happens under one lock — a build can take a while, but serialising
     builds also deduplicates them, and steady-state requests only pay a
     dict hit.

@@ -26,7 +26,8 @@ One extension supports long-running *serving* processes
 :meth:`TransformCache.pin_kind` marks a kind (e.g. ``"ker"``) as
 persistent: its entries survive ``next_round``.  At inference time
 kernels never change, so a warm model's kernel spectra are transformed
-once and reused by every request.  Pinning is only safe while the
+once and reused by every request (and by every twin of the model,
+:meth:`TransformCache.share_pinned`).  Pinning is only safe while the
 underlying parameters are frozen; training code must not pin.  The
 cache needs no byte cap: ``next_round`` bounds it to one round's spectra
 plus the pinned kernels of one network, and
@@ -128,6 +129,21 @@ class TransformCache:
     @property
     def pinned_kinds(self) -> frozenset:
         return self._pinned_kinds
+
+    def share_pinned(self, source: "TransformCache") -> None:
+        """Hold *source*'s pinned kinds and entries by reference, made
+        read-only (serving twins of one model share one kernel-spectrum
+        set this way; a pass writing into one would corrupt them all)."""
+        with source._lock:
+            kinds = source._pinned_kinds
+            shared = [(k, v) for k, v in source._store.items()
+                      if k[0] == _PINNED]
+        for _, value in shared:
+            value.flags.writeable = False
+        with self._lock:
+            self._pinned_kinds |= kinds
+            self._store.update(shared)
+            self._bytes += sum(value.nbytes for _, value in shared)
 
     def _key(self, kind: str, name: Hashable) -> Tuple[Hashable, ...]:
         if kind in self._pinned_kinds:

@@ -93,6 +93,14 @@ class TestEndpoints:
             client.infer("small", np.zeros((4, 4, 4)))
         assert http_server.inference.queue_depth == 0
 
+    def test_non_finite_volume_400(self, http_server, volume):
+        poisoned = volume.copy()
+        poisoned[0, 0, 0] = np.nan
+        client = HttpServingClient(http_server.url, max_attempts=1)
+        with pytest.raises(ServingError, match="400.*non-finite"):
+            client.infer("small", poisoned)
+        assert http_server.inference.queue_depth == 0
+
     def test_missing_model_param_400(self, http_server, volume):
         request = urllib.request.Request(
             f"{http_server.url}/v1/infer",

@@ -159,6 +159,21 @@ class TestValidation:
             server.submit("nope", volume)
         assert server.queue_depth == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_volume_refused_before_queueing(self, harness,
+                                                       volume, bad):
+        # One NaN voxel used to fill a whole FFT output tile with NaN
+        # but a single direct voxel: the reply depended on the backend.
+        accepted = metrics_registry().counter("serving.requests.accepted")
+        before = accepted.value
+        server = harness().server
+        poisoned = volume.copy()
+        poisoned[3, 4, 5] = bad
+        with pytest.raises(ValueError, match="non-finite voxels"):
+            server.submit("small", poisoned)
+        assert server.queue_depth == 0
+        assert accepted.value == before
+
     def test_bad_rank_and_priority_rejected(self, harness, volume):
         server = harness().server
         with pytest.raises(ValueError, match="2D or 3D"):

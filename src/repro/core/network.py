@@ -22,6 +22,11 @@ backward pass does, and pending updates either run on idle workers, are
 FORCEd by the next round's forward pass, or are drained explicitly by
 :meth:`Network.synchronize`.
 
+A forward-only pass of a one-worker network (every serving twin's) has
+nothing to overlap, so :meth:`Network.forward` runs it as a *walk*: each
+edge's forward pass on the caller's thread, in the order the serial
+cascade would pop the tasks, still FORCEing pending updates first.
+
 Priorities come from :mod:`repro.graph.ordering`.  Convolution mode is
 ``"direct"``, ``"fft"``, a per-edge dict, or ``"auto"`` (layerwise
 autotuning, Section IV); FFT mode memoizes spectra in a
@@ -100,7 +105,10 @@ class Network:
         Optional :class:`repro.resilience.RetryPolicy` handed to the
         engine: failed tasks re-execute with exponential backoff and
         (threaded engine only) tasks stuck past ``timeout`` are
-        abandoned and re-issued.  See ``docs/robustness.md``.
+        abandoned and re-issued.  It governs task-cascade work only —
+        ``train_step`` and threaded forwards; a one-worker ``forward``
+        is a walk with no tasks, and a pass failing there raises.  See
+        ``docs/robustness.md``.
     """
 
     def __init__(self, graph: ComputationGraph,
@@ -158,6 +166,21 @@ class Network:
 
         self.input_nodes = [n for n in self.nodes.values() if n.is_input]
         self.output_nodes = [n for n in self.nodes.values() if n.is_output]
+
+        # The one-worker forward walk runs edges in the order the serial
+        # cascade pops their tasks: by priority (the head's position in
+        # the distance-to-output ordering, which increases along every
+        # path, so the order is topological), then FIFO — by when the
+        # tail completed (input nodes first, in seeding order, then by
+        # the tail's own position) and the tail's out-edge order.  Sums
+        # therefore associate as they do under the cascade, bit for bit.
+        seeded = {id(n): i - len(self.input_nodes)
+                  for i, n in enumerate(self.input_nodes)}
+        self._walk = sorted(self.edges.values(), key=lambda e: (
+            e.fwd_priority,
+            seeded[id(e.src)] if e.src.is_input
+            else e.src.in_edges[0].fwd_priority,
+            e.src.out_edges.index(e)))
 
         # Engine.
         self.num_workers = int(num_workers)
@@ -223,10 +246,16 @@ class Network:
     # ------------------------------------------------------------------
 
     def forward(self, inputs: InputsLike) -> Dict[str, np.ndarray]:
-        """Run one forward pass; returns {output node name: image}."""
+        """Run one forward pass; returns {output node name: image}.
+
+        With one worker the pass is a walk on the calling thread
+        (:meth:`_walk_forward`); with more it is the task cascade."""
         self._begin_round(training=False)
-        self._seed_forward(inputs)
-        self.engine.wait_for(self._fwd_done, "forward pass")
+        if self.num_workers == 1:
+            self._walk_forward(self._normalize_inputs(inputs))
+        else:
+            self._seed_forward(inputs)
+            self.engine.wait_for(self._fwd_done, "forward pass")
         return {n.name: np.array(n.fwd_image) for n in self.output_nodes}
 
     # deterministic
@@ -403,6 +432,27 @@ class Network:
 
     # -- forward -----------------------------------------------------------
 
+    def _walk_forward(self, images: Dict[str, np.ndarray]) -> None:
+        """Algorithm 1 without tasks: each edge's forward pass, in
+        ``_walk`` order, on this thread.  An edge still FORCEs its
+        pending update first (with one worker nothing else can be
+        running it, so it is queued or done) and still counts as a
+        ``fwd`` occurrence of an installed fault plan; no task, queue
+        entry or ``engine.tasks`` count is made."""
+        for node in self.input_nodes:
+            node.fwd_image = images[node.name].copy()
+        plan = active_plan()
+        for edge in self._walk:
+            if plan is not None:
+                plan.check("fwd", f"fwd:{edge.name}")
+            update = edge.update_task
+            if update is not None and update.try_steal():
+                update.execute()
+            contribution = self._pass("fwd", edge, edge.forward,
+                                      edge.src.fwd_image)
+            self._pass("sum", edge.dst, edge.dst.sum_forward, edge,
+                       contribution)
+
     def _spawn_forward_task(self, edge: RuntimeEdge) -> None:
         """Queue the FORWARD-TASK of Algorithm 1 for *edge*."""
 
@@ -420,6 +470,7 @@ class Network:
         transform (``fwd``/``bwd``), update (``upd``) and node
         accumulation (``sum``) is a child span of whichever task ran it
         — a FORCEd update lands inside the ``fwd:`` task that stole it —
+        or, in a one-worker forward walk, of the caller's open span,
         annotated by its owner after the pass (a degraded FFT edge
         reports ``direct``).  With tracing off: one attribute read."""
         tracer = get_tracer()

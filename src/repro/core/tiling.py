@@ -208,7 +208,8 @@ def run_plan(network, volume: np.ndarray, plan: TilePlan,
         block = np.ascontiguousarray(block)
         if tracer.enabled:
             # Child of the caller's span (the serving "serve" span);
-            # the network's fwd tasks capture this tile span in turn.
+            # the network's pass spans (or, threaded, its fwd tasks)
+            # nest under this tile span in turn.
             with tracer.span(f"tile:{index}", category="tile",
                              corner=list(ic), tile=index,
                              tiles=len(tiles)):

@@ -2,7 +2,7 @@
 
 ``Network._pass`` is the only bracket; with tracing on every forward /
 backward transform, update and node accumulation is a child span of the
-task that ran it.  These tests hold that for every edge kind, for a
+task that ran it (of the caller's span, in a one-worker forward walk).  These tests hold that for every edge kind, for a
 FORCEd update, for the conv annotations, and for the accounting the
 conv-only clock could never pass: the spans of one forward add up to
 its wall-clock.
@@ -215,7 +215,7 @@ class TestAccounting:
                                                       tracer):
         """The ``fwd`` + ``sum`` pass spans of one forward of the
         CTPCTPCT width-4 dense twin at a 36^3 tile cover 0.7-1.05x of
-        its wall-clock on the serial engine (the conv-only entries of
+        its wall-clock on the one-worker walk (the conv-only entries of
         the deleted profiler covered about half: CHANGES.md)."""
         twin = dense_twin("CTPCTPCT", width=4, kernel=3, window=2,
                           transfer="tanh")

@@ -53,6 +53,21 @@ class TestTracedRequests:
                 assert hops < 50
             assert cursor.name == "request"
 
+    def test_tiles_hold_pass_spans_not_tasks(self, tracer, server,
+                                             volume):
+        """A twin walks its edges on the serving thread: under each
+        ``tile:N`` span sit the ``fwd`` / ``sum`` pass spans themselves,
+        in the request's trace, and no ``fwd:`` task span."""
+        server.infer("small", volume, trace_id="req-walk")
+        spans = spans_for(tracer, "req-walk")
+        tiles = {s.span_id for s in spans if s.name.startswith("tile:")}
+        assert tiles
+        children = [s for s in spans if s.parent_id in tiles]
+        assert children
+        assert {s.category for s in children} == {"pass"}
+        assert {s.attrs["op"] for s in children} == {"fwd", "sum"}
+        assert not any(s.name.startswith("fwd:") for s in spans)
+
     def test_caller_trace_id_is_adopted(self, tracer, server, volume):
         request = server.submit("small", volume, trace_id="mine")
         request.result()

@@ -1,5 +1,5 @@
 """Serving-pipeline throughput: requests/s and dense voxels/s through
-the full admission → micro-batch → warm-model → tile-stitch path.
+the full admission → worker → warm-model → tile-stitch path.
 
 Measures the in-process server (no HTTP) on a small CTPCT model:
 steady-state throughput for a closed-loop client at several worker

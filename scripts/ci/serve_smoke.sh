@@ -39,7 +39,7 @@ python -m repro train --spec examples/serving_small.spec \
 echo "== start the server"
 python -m repro serve --spec examples/serving_small.spec \
   --checkpoint "$work/model.npz" --port 0 --workers 1 \
-  --max-queue 4 --max-batch 2 --tile-voxels 700 \
+  --max-queue 4 --tile-voxels 700 \
   --conv-mode direct > "$work/serve.log" 2>&1 &
 server_pid=$!
 for _ in $(seq 1 60); do

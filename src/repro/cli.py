@@ -171,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "with exponential backoff")
     train.add_argument("--task-timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="watchdog timeout per task (parallel engine; "
-                            "advisory on the serial engine)")
+                       help="per-task time budget; advisory: the "
+                            "trainer's one-worker network runs the serial "
+                            "engine, which only counts overruns")
     train.add_argument("--volume-size", type=int, default=48)
     train.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write a chrome://tracing JSON of every "
@@ -335,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-queue", type=int, default=16,
                      help="admission-queue capacity (beyond it requests "
                           "are rejected with 503 + Retry-After)")
-    srv.add_argument("--max-batch", type=int, default=4,
-                     help="micro-batch cap per dequeue")
     srv.add_argument("--tile-voxels", type=int, default=None,
                      help="input-tile voxel budget for the tiling "
                           "planner (default 2^21)")
@@ -1054,7 +1053,7 @@ def _cmd_serve(args) -> int:
 
         inference = FleetServer(
             [spec], num_workers=args.fleet,
-            max_queue=args.max_queue, max_batch=args.max_batch,
+            max_queue=args.max_queue,
             threads_per_worker=args.workers,
             inflight_per_worker=args.inflight_per_worker,
             tile_voxels=args.tile_voxels or DEFAULT_TILE_VOXELS,
@@ -1070,7 +1069,7 @@ def _cmd_serve(args) -> int:
                         if args.request_retries else None)
         inference = InferenceServer(
             registry, num_workers=args.workers,
-            max_queue=args.max_queue, max_batch=args.max_batch,
+            max_queue=args.max_queue,
             tile_voxels=args.tile_voxels or DEFAULT_TILE_VOXELS,
             retry_policy=retry_policy)
     http = ServingHTTPServer(inference, host=args.host, port=args.port)
@@ -1087,12 +1086,11 @@ def _cmd_serve(args) -> int:
     if args.fleet > 0:
         print(f"serving on {http.url} "
               f"(fleet of {args.fleet} worker processes, "
-              f"queue {args.max_queue}, batch {args.max_batch})",
-              flush=True)
+              f"queue {args.max_queue})", flush=True)
     else:
         print(f"serving on {http.url} "
-              f"(workers {args.workers}, queue {args.max_queue}, "
-              f"batch {args.max_batch})", flush=True)
+              f"(workers {args.workers}, queue {args.max_queue})",
+              flush=True)
     # SIGTERM (e.g. from a CI harness or an orchestrator) shuts down
     # as gracefully as ^C; fleet mode drains first (stop admitting,
     # finish in-flight, /healthz flips to draining/503) so no accepted

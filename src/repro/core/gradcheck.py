@@ -79,7 +79,7 @@ def check_gradients(net: Network, inputs, targets,
     ``train_step``).
     """
     rng = np.random.default_rng(seed)
-    targets = net._normalize_targets(targets)
+    targets = net._normalize(targets, "target")
     report = GradCheckReport()
 
     # --- analytic parameter gradients via a probe step ------------------
@@ -146,7 +146,7 @@ def check_gradients(net: Network, inputs, targets,
 
     # --- input gradients (exercise every backward transform) ---------------
     if input_samples > 0:
-        images = net._normalize_inputs(inputs)
+        images = net._normalize(inputs, "input")
         for node in net.input_nodes:
             if node.bwd_sum is None:
                 continue

@@ -252,7 +252,7 @@ class Network:
         (:meth:`_walk_forward`); with more it is the task cascade."""
         self._begin_round(training=False)
         if self.num_workers == 1:
-            self._walk_forward(self._normalize_inputs(inputs))
+            self._walk_forward(self._normalize(inputs, "input"))
         else:
             self._seed_forward(inputs)
             self.engine.wait_for(self._fwd_done, "forward pass")
@@ -268,7 +268,7 @@ class Network:
         by :meth:`synchronize`) — the paper's deferred-update design.
         """
         self._begin_round(training=True)
-        self._targets = self._normalize_targets(targets)
+        self._targets = self._normalize(targets, "target")
         self._seed_forward(inputs)
         self.engine.wait_for(self._bwd_done, "training round")
         self.rounds += 1
@@ -369,42 +369,29 @@ class Network:
     # round machinery
     # ------------------------------------------------------------------
 
-    def _normalize_inputs(self, inputs: InputsLike) -> Dict[str, np.ndarray]:
-        if isinstance(inputs, Mapping):
-            images = {k: check_array3(v, f"input {k!r}") for k, v in inputs.items()}
+    def _normalize(self, images: InputsLike,
+                   kind: str) -> Dict[str, np.ndarray]:
+        """Check *images* (one array or a dict by node name) against the
+        input nodes (*kind* ``"input"``) or the output nodes
+        (``"target"``) and return them as a dict of 3D arrays."""
+        nodes = self.input_nodes if kind == "input" else self.output_nodes
+        if isinstance(images, Mapping):
+            arrays = {k: check_array3(v, f"{kind} {k!r}")
+                      for k, v in images.items()}
         else:
-            if len(self.input_nodes) != 1:
+            if len(nodes) != 1:
+                role = "input" if kind == "input" else "output"
+                raise ValueError(f"network has {len(nodes)} {role} nodes; "
+                                 f"pass a dict of {kind}s")
+            arrays = {nodes[0].name: check_array3(images, kind)}
+        for node in nodes:
+            if node.name not in arrays:
+                raise ValueError(f"missing {kind} for node {node.name!r}")
+            if arrays[node.name].shape != node.shape:
                 raise ValueError(
-                    f"network has {len(self.input_nodes)} input nodes; "
-                    "pass a dict of inputs")
-            images = {self.input_nodes[0].name:
-                      check_array3(inputs, "input")}
-        for node in self.input_nodes:
-            if node.name not in images:
-                raise ValueError(f"missing input for node {node.name!r}")
-            if images[node.name].shape != node.shape:
-                raise ValueError(
-                    f"input {node.name!r} has shape "
-                    f"{images[node.name].shape}, expected {node.shape}")
-        return images
-
-    def _normalize_targets(self, targets: InputsLike) -> Dict[str, np.ndarray]:
-        if isinstance(targets, Mapping):
-            imgs = {k: check_array3(v, f"target {k!r}") for k, v in targets.items()}
-        else:
-            if len(self.output_nodes) != 1:
-                raise ValueError(
-                    f"network has {len(self.output_nodes)} output nodes; "
-                    "pass a dict of targets")
-            imgs = {self.output_nodes[0].name: check_array3(targets, "target")}
-        for node in self.output_nodes:
-            if node.name not in imgs:
-                raise ValueError(f"missing target for node {node.name!r}")
-            if imgs[node.name].shape != node.shape:
-                raise ValueError(
-                    f"target {node.name!r} has shape "
-                    f"{imgs[node.name].shape}, expected {node.shape}")
-        return imgs
+                    f"{kind} {node.name!r} has shape "
+                    f"{arrays[node.name].shape}, expected {node.shape}")
+        return arrays
 
     def _begin_round(self, training: bool) -> None:
         if getattr(self.engine, "errors", None):
@@ -421,7 +408,7 @@ class Network:
         self._bwd_done.clear()
 
     def _seed_forward(self, inputs: InputsLike) -> None:
-        images = self._normalize_inputs(inputs)
+        images = self._normalize(inputs, "input")
 
         def provider() -> None:
             for node in self.input_nodes:

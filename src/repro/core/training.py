@@ -252,7 +252,7 @@ class Trainer:
         for _ in range(samples):
             inputs, targets = provider.sample()
             outputs = net.forward(inputs)
-            targets = net._normalize_targets(targets)
+            targets = net._normalize(targets, "target")
             value, _ = net.loss.joint_value_and_gradient(outputs, targets)
             total += value
         return total / samples

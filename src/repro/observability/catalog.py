@@ -61,7 +61,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serving.requests.retried",
     "serving.requests.shed",
     "serving.requests.specialized",
-    "serving.batch_size",
     "serving.model_cache.hit",
     "serving.model_cache.miss",
     "serving.model_cache.evicted",

@@ -6,7 +6,7 @@ ROADMAP's production leg — the path from "trained checkpoint" to
 "answered request".  Volumes of any size are split into overlapping
 FFT-fast tiles (:mod:`repro.serving.tiler`), run through warm
 dense-equivalent twins (:mod:`repro.serving.registry`), and scheduled
-through a bounded, micro-batching pipeline with explicit backpressure
+through a bounded, work-conserving pipeline with explicit backpressure
 (:mod:`repro.serving.pipeline`).  A multi-process, fault-tolerant
 fleet (:mod:`repro.serving.fleet` + :mod:`repro.serving.supervisor`)
 routes requests over N supervised worker processes with consistent-hash

@@ -191,7 +191,7 @@ class FleetServer(RequestLifecycle):
     request_class = FleetRequest
 
     def __init__(self, specs: Iterable[ModelSpec], num_workers: int = 3,
-                 max_queue: int = 32, max_batch: int = 4,
+                 max_queue: int = 32,
                  threads_per_worker: int = 1,
                  inflight_per_worker: int = 4,
                  tile_voxels: int = DEFAULT_TILE_VOXELS,
@@ -241,9 +241,8 @@ class FleetServer(RequestLifecycle):
         self._worker_config = WorkerConfig(
             specs=tuple(self.specs.values()),
             plans=tuple(self.plans[name] for name in sorted(self.plans)),
-            threads=threads_per_worker, max_batch=max_batch,
-            inflight=inflight_per_worker, tile_voxels=tile_voxels,
-            max_models=max_models,
+            threads=threads_per_worker, inflight=inflight_per_worker,
+            tile_voxels=tile_voxels, max_models=max_models,
             prewarm_shape=(tuple(prewarm_shape)
                            if prewarm_shape is not None else None),
             faults=worker_faults)

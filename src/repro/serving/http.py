@@ -2,8 +2,8 @@
 
 A thin, dependency-free shim: ``http.server.ThreadingHTTPServer``
 threads do nothing but decode/encode npy payloads and block on the
-:class:`~repro.serving.pipeline.InferenceServer` — all queueing,
-batching and backpressure live in the pipeline, so the HTTP layer
+:class:`~repro.serving.pipeline.InferenceServer` — all queueing and
+backpressure live in the pipeline, so the HTTP layer
 cannot re-order or drop anything the pipeline accepted.
 
 Wire protocol (see :mod:`repro.serving.client` for the client side):

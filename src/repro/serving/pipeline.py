@@ -1,32 +1,26 @@
-"""Request pipeline: bounded admission, micro-batching, backpressure.
+"""Request pipeline: bounded admission, worker pool, backpressure.
 
 :class:`InferenceServer` is the in-process front end.  What happens to
 a request between ``submit()`` and resolution is the shared
 :class:`~repro.serving.lifecycle.RequestLifecycle`; this module adds
 where requests wait (one bounded FIFO) and who runs them:
 
-* **Micro-batching.**  A worker dequeues the oldest request, then
-  opportunistically drags along up to ``max_batch - 1`` younger
-  requests *for the same model*.  Each request of the batch is still
-  resolved and run on its own (one registry lookup, one twin checkout
-  per request); what the batch buys is placement: a same-model burst
-  stays on one worker, leaving the others to other models.  Past the
-  twin crossover that can leave a twin idle while the burst waits.
-
-* **Worker pool on the TaskEngine.**  Workers are long-lived
-  ``serve:worker`` tasks on a :class:`repro.scheduler.TaskEngine` —
-  the paper's execution machinery reused unchanged, which also means
-  engine metrics (busy/idle seconds, task families) cover serving for
-  free.
+* **Work-conserving worker pool.**  Workers are long-lived
+  ``serve:worker`` tasks on a :class:`repro.scheduler.TaskEngine` (the
+  paper's execution machinery, so engine metrics cover serving too).
+  A free worker pops the oldest request and serves it alone, so
+  ``max_queue`` bounds every waiting request and a same-model burst
+  spreads over every free worker and twin.
 
 * **Retries.**  An optional :class:`repro.resilience.RetryPolicy`
-  re-runs a failed request body (fresh attempt, same warm model) with
-  the policy's backoff before the error is surfaced to the client.
+  re-runs a failed request body (fresh attempt, same warm model) up to
+  ``max_retries`` times, with the policy's backoff, before the error is
+  surfaced to the client.
 
-Observable on top of the lifecycle's counters: ``serving.queue.depth``,
-``serving.requests.{shed,retried,specialized}`` and the histogram
-``serving.batch_size``; per-request wait/service/end-to-end latency is
-the lifecycle's ``slo.{admission_wait,service,e2e}_seconds``.
+Observable on top of the lifecycle's counters: ``serving.queue.depth``
+and ``serving.requests.{shed,retried,specialized}``; per-request
+wait/service/end-to-end latency is the lifecycle's
+``slo.{admission_wait,service,e2e}_seconds``.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ __all__ = ["InferenceServer"]
 
 
 class InferenceServer(RequestLifecycle):
-    """Bounded-queue, micro-batching dense-inference server.
+    """Bounded-queue dense-inference server.
 
     Parameters
     ----------
@@ -62,9 +56,6 @@ class InferenceServer(RequestLifecycle):
     max_queue:
         Admission-queue capacity; submissions beyond it are rejected
         with :class:`ServerOverloaded` (never silently dropped).
-    max_batch:
-        Upper bound on same-model requests one worker drags out of the
-        queue per dequeue.
     tile_voxels:
         Input-tile voxel budget handed to the tiling planner.
     retry_policy:
@@ -72,18 +63,15 @@ class InferenceServer(RequestLifecycle):
     """
 
     def __init__(self, registry: ModelRegistry, num_workers: int = 2,
-                 max_queue: int = 16, max_batch: int = 4,
+                 max_queue: int = 16,
                  tile_voxels: int = DEFAULT_TILE_VOXELS,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         reg = get_registry()
         super().__init__(max_queue, "serving.pipeline",
                          depth_gauge=reg.gauge("serving.queue.depth"),
                          shed_counter=reg.counter("serving.requests.shed"))
         self.registry = registry
         self.num_workers = num_workers
-        self.max_batch = max_batch
         self.tile_voxels = tile_voxels
         self.retry_policy = retry_policy
         self._queue: Deque[PendingRequest] = deque()  # guarded-by: _cond
@@ -95,8 +83,6 @@ class InferenceServer(RequestLifecycle):
         self.gate.set()
         self._m_retried = reg.counter("serving.requests.retried")
         self._m_specialized = reg.counter("serving.requests.specialized")
-        self._h_batch = reg.histogram(
-            "serving.batch_size", buckets=[1, 2, 4, 8, 16])
 
     def start(self) -> "InferenceServer":
         if self._mark_started():
@@ -142,8 +128,8 @@ class InferenceServer(RequestLifecycle):
 
     # -- workers -------------------------------------------------------
 
-    def _take_batch(self) -> Optional[List[PendingRequest]]:
-        """Block for the next micro-batch; None means shut down.
+    def _take(self) -> Optional[PendingRequest]:
+        """Block for the oldest request; None means shut down.
 
         The timed wait makes the ``gate`` hook effective even for
         workers already parked here when it is cleared (``gate.set``
@@ -154,34 +140,22 @@ class InferenceServer(RequestLifecycle):
                 self._cond.wait(0.02)
             if self._stopped_locked():
                 return None
-            head = self._queue.popleft()
-            batch = [head]
-            if self.max_batch > 1:
-                rest: Deque[PendingRequest] = deque()
-                while self._queue and len(batch) < self.max_batch:
-                    candidate = self._queue.popleft()
-                    if candidate.model == head.model:
-                        batch.append(candidate)
-                    else:
-                        rest.append(candidate)
-                self._queue.extendleft(reversed(rest))
+            request = self._queue.popleft()
             self._m_depth.set(len(self._queue))
-            self._inflight += len(batch)
-            return batch
+            self._inflight += 1
+            return request
 
     def _worker_loop(self) -> None:
         while True:
-            batch = self._take_batch()
-            if batch is None:
+            request = self._take()
+            if request is None:
                 return
-            self._h_batch.observe(len(batch))
-            for request in batch:
-                try:
-                    self._serve_one(request)
-                finally:
-                    with self._cond:
-                        self._inflight -= 1
-                        self._cond.notify_all()
+            try:
+                self._serve_one(request)
+            finally:
+                with self._cond:
+                    self._inflight -= 1
+                    self._cond.notify_all()
 
     def _serve_one(self, request: PendingRequest) -> None:
         now = time.monotonic()
@@ -207,7 +181,7 @@ class InferenceServer(RequestLifecycle):
 
     def _run_request(self, request: PendingRequest) -> np.ndarray:
         """Plan/warm/run with retries; raises the final failure."""
-        attempts = 0
+        retries = 0
         while True:
             try:
                 warm, plan = self.registry.resolve(
@@ -216,9 +190,9 @@ class InferenceServer(RequestLifecycle):
                     self._m_specialized.inc()
                 return warm.run(request.volume, plan)
             except Exception as exc:
-                attempts += 1
                 policy = self.retry_policy
-                if policy is None or not policy.should_retry(exc, attempts):
+                if policy is None or not policy.should_retry(exc, retries):
                     raise
                 self._m_retried.inc()
-                time.sleep(policy.backoff(attempts - 1))
+                time.sleep(policy.backoff(retries))
+                retries += 1

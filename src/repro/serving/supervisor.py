@@ -3,8 +3,8 @@
 One :class:`Supervisor` owns N spawned worker processes, each running
 :func:`serve_worker_main`: a full serving stack (own
 :class:`~repro.serving.registry.ModelRegistry` with prewarmed twins,
-own :class:`~repro.serving.pipeline.InferenceServer` for local
-micro-batching) behind a duplex pipe.  The router
+own :class:`~repro.serving.pipeline.InferenceServer` whose threads
+take one request each) behind a duplex pipe.  The router
 (:class:`~repro.serving.fleet.FleetServer`) never touches processes
 directly; it talks to this module.
 
@@ -129,7 +129,6 @@ class WorkerConfig:
     #: workers serve the same specialized tile/mode mix as the first.
     plans: Tuple[SpecializationPlan, ...] = ()
     threads: int = 1
-    max_batch: int = 4
     inflight: int = 4
     tile_voxels: int = DEFAULT_TILE_VOXELS
     max_models: int = 4
@@ -204,7 +203,6 @@ def serve_worker_main(worker_id: int, config: WorkerConfig,
                              tile_voxels=config.tile_voxels)
     server = InferenceServer(registry, num_workers=config.threads,
                              max_queue=max(config.inflight, 1),
-                             max_batch=config.max_batch,
                              tile_voxels=config.tile_voxels).start()
     # req_id -> (pending, in_block, out_block, out_shape)
     pending: Dict[int, tuple] = {}

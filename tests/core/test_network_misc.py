@@ -23,6 +23,62 @@ def two_input_graph():
     return g
 
 
+def two_by_two_graph():
+    g = ComputationGraph()
+    for name in ("a", "b", "p", "q"):
+        g.add_node(name)
+    g.add_edge("ap", "a", "p", "conv", kernel=2)
+    g.add_edge("bp", "b", "p", "conv", kernel=2)
+    g.add_edge("aq", "a", "q", "conv", kernel=2)
+    return g
+
+
+class TestArgumentMessages:
+    """The exact ValueError text for malformed inputs and targets."""
+
+    @staticmethod
+    def call(net, kind, value):
+        if kind == "input":
+            return net.forward(value)
+        inputs = {n.name: np.zeros(n.shape) for n in net.input_nodes}
+        return net.train_step(inputs, value)
+
+    @pytest.mark.parametrize("kind, role, first, second, shape", [
+        ("input", "input", "a", "b", (6, 6, 6)),
+        ("target", "output", "p", "q", (5, 5, 5)),
+    ])
+    @pytest.mark.parametrize("case", ["bare", "missing", "shape", "ndim"])
+    def test_two_node_message(self, kind, role, first, second, shape,
+                              case):
+        net = Network(two_by_two_graph(), input_shape=(6, 6, 6), seed=0)
+        good = np.zeros(shape)
+        value, message = {
+            "bare": (good, f"network has 2 {role} nodes; "
+                           f"pass a dict of {kind}s"),
+            "missing": ({first: good},
+                        f"missing {kind} for node {second!r}"),
+            "shape": ({first: good, second: np.zeros((4, 4, 4))},
+                      f"{kind} {second!r} has shape (4, 4, 4), "
+                      f"expected {shape}"),
+            "ndim": ({first: np.zeros((1,) + shape), second: good},
+                     f"{kind} {first!r} must be at most 3-dimensional, "
+                     "got ndim=4"),
+        }[case]
+        with pytest.raises(ValueError) as info:
+            self.call(net, kind, value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, shape", [("input", (6, 6, 6)),
+                                             ("target", (5, 5, 5))])
+    def test_bare_non_3d_message(self, kind, shape):
+        graph = build_layered_network("CT", width=1, kernel=2)
+        net = Network(graph, input_shape=(6, 6, 6), seed=0)
+        with pytest.raises(ValueError) as info:
+            self.call(net, kind, np.zeros((1,) + shape))
+        assert str(info.value) == (
+            f"{kind} must be at most 3-dimensional, got ndim=4")
+
+
 class TestMultiInput:
     def test_trains_with_two_inputs(self, rng):
         net = Network(two_input_graph(), input_shape=(10, 10, 10), seed=0,

@@ -1,4 +1,4 @@
-"""Request pipeline: client backpressure, batching, retries.
+"""Request pipeline: client backpressure, work conservation, retries.
 
 Admission, deadlines, drain and stop — the lifecycle shared with the
 fleet — are covered for both front ends by
@@ -100,23 +100,35 @@ class TestBackpressure:
         assert [v.kind for v in state.violations] == []
 
 
-class TestBatching:
-    def test_same_model_requests_batched(self, registry, volume):
-        histogram = metrics_registry().histogram("serving.batch_size")
-        with make_server(registry, num_workers=1, max_batch=4,
-                         max_queue=8) as server:
+class TestWorkConserving:
+    def test_same_model_requests_run_on_two_workers(self, registry,
+                                                    volume):
+        with make_server(registry, num_workers=2) as server:
             server.gate.clear()
             time.sleep(0.05)
-            requests = [server.submit("small", volume) for _ in range(4)]
-            server.gate.set()
-            for request in requests:
-                request.result(timeout=30)
-        snap = histogram.snapshot()
-        assert snap["max"] >= 2  # at least one multi-request batch
+            original = server.registry.resolve
+            lock = threading.Lock()
+            threads = []
 
-    def test_max_batch_one_disables_batching(self, registry, volume):
-        with make_server(registry, max_batch=1) as server:
-            assert server.infer("small", volume).size > 0
+            def recording_resolve(*args, **kwargs):
+                with lock:
+                    threads.append(threading.current_thread().name)
+                    first = len(threads) == 1
+                if first:
+                    time.sleep(0.2)  # hold one worker busy
+                return original(*args, **kwargs)
+
+            server.registry.resolve = recording_resolve
+            try:
+                requests = [server.submit("small", volume)
+                            for _ in range(2)]
+                server.gate.set()
+                for request in requests:
+                    request.result(timeout=30)
+            finally:
+                server.registry.resolve = original
+        assert len(threads) == 2
+        assert threads[0] != threads[1]
 
 
 class TestRetryPolicy:
@@ -159,3 +171,28 @@ class TestRetryPolicy:
                     request.result(timeout=30)
             finally:
                 server.registry.warm = original
+
+    @pytest.mark.parametrize("max_retries", [1, 2])
+    def test_max_retries_reruns_the_body(self, registry, volume,
+                                         max_retries):
+        policy = RetryPolicy(max_retries=max_retries, backoff_seconds=0.0)
+        counter = metrics_registry().counter("serving.requests.retried")
+        before = counter.value
+        runs = []
+        with make_server(registry, num_workers=1,
+                         retry_policy=policy) as server:
+            original = server.registry.resolve
+
+            def always_broken(*args, **kwargs):
+                runs.append(1)
+                raise OSError("permanent")
+
+            server.registry.resolve = always_broken
+            try:
+                request = server.submit("small", volume)
+                with pytest.raises(OSError, match="permanent"):
+                    request.result(timeout=30)
+            finally:
+                server.registry.resolve = original
+        assert len(runs) == 1 + max_retries
+        assert counter.value == before + max_retries

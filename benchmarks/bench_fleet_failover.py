@@ -2,9 +2,10 @@
 with a worker killed mid-run, plus the graceful-drain latency.
 
 The interesting number is the *recovery tax*: how much wall-clock a
-mid-load worker crash adds when every affected request requeues and
-fails over along the hash ring (the answers stay bitwise identical —
-the chaos tests assert that; here we only price it).  Results are
+mid-load worker crash adds when every affected request goes back to
+the head of the fleet's one queue and the next free worker takes it
+(the answers stay bitwise identical — the chaos tests assert that;
+here we only price it).  Results are
 printed and written to ``BENCH_fleet.json`` in the working directory.
 """
 

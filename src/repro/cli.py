@@ -1197,7 +1197,6 @@ def _cmd_fleet(args) -> int:
     admission = doc.get("admission", {})
     print(f"queue: {doc.get('queue_depth', '?')}"
           f"/{doc.get('max_queue', '?')} queued, "
-          f"{doc.get('orphaned', 0)} orphaned, "
           f"capacity {admission.get('capacity', '?')}")
     workers = doc.get("workers")
     if not isinstance(workers, dict):
@@ -1205,7 +1204,7 @@ def _cmd_fleet(args) -> int:
         print(f"workers: {workers}")
         return 0
     header = (f"{'id':>3}  {'state':<12} {'pid':>7}  {'restarts':>8}  "
-              f"{'queued':>6}  {'inflight':>8}  {'served':>7}  "
+              f"{'inflight':>8}  {'served':>7}  "
               f"{'missed':>6}  last restart reason")
     print(header)
     for wid in sorted(workers, key=lambda w: int(w)):
@@ -1213,7 +1212,6 @@ def _cmd_fleet(args) -> int:
         print(f"{wid:>3}  {info.get('state', '?'):<12} "
               f"{str(info.get('pid', '-')):>7}  "
               f"{info.get('restarts', 0):>8}  "
-              f"{info.get('queued', 0):>6}  "
               f"{info.get('inflight', 0):>8}  "
               f"{info.get('served', 0):>7}  "
               f"{info.get('deadline_missed', 0):>6}  "

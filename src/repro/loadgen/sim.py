@@ -3,8 +3,8 @@
 :mod:`repro.simulate.des` schedules one task graph on a modelled
 machine; this module lifts the same event-heap technique one level up,
 to the *serving* tier: open-loop arrivals from a workload trace
-(:mod:`repro.loadgen.traces`), a bounded admission queue with the
-pipeline's priority shed fractions
+(:mod:`repro.loadgen.traces`), a bounded FIFO admission queue with
+the pipeline's priority shed fractions
 (:func:`repro.serving.lifecycle.admission_limit`), W parallel workers
 with per-request service costs derived from a measured
 ``cost_model.json`` (:mod:`repro.observability.profile`), and an
@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.loadgen.autoscale import AutoscalePolicy, ScaleDecision, Signals
 from repro.loadgen.traces import Trace
@@ -167,9 +168,9 @@ def simulate_serving(trace: Trace, config: SimConfig,
         heapq.heappush(events,
                        (config.control_interval, _EV_CONTROL, -1))
     busy = 0
-    # Ready queue ordered by (priority, arrival, index): high priority
-    # (lower value) first, FIFO within a priority class.
-    queue: List[Tuple[int, float, int]] = []
+    # Ready queue in arrival order, as both live front ends dequeue:
+    # priority only decides admission, never who goes first.
+    queue: Deque[int] = deque()
     outcomes: List[Optional[SimRequestOutcome]] = [None] * n
     ewma_wait = 0.0
     worker_seconds = 0.0
@@ -181,7 +182,7 @@ def simulate_serving(trace: Trace, config: SimConfig,
     def dispatch(now: float) -> None:
         nonlocal busy, ewma_wait, done
         while busy < capacity and queue:
-            _, _, i = heapq.heappop(queue)
+            i = queue.popleft()
             request = requests[i]
             wait = now - request.t
             if (request.deadline is not None
@@ -213,8 +214,7 @@ def simulate_serving(trace: Trace, config: SimConfig,
                     wait=None, latency=None)
                 done += 1
             else:
-                heapq.heappush(
-                    queue, (request.priority, request.t, seq))
+                queue.append(seq)
             dispatch(now)
         elif kind == _EV_FINISH:
             request = requests[seq]

@@ -9,9 +9,10 @@ dense-equivalent twins (:mod:`repro.serving.registry`), and scheduled
 through a bounded, work-conserving pipeline with explicit backpressure
 (:mod:`repro.serving.pipeline`).  A multi-process, fault-tolerant
 fleet (:mod:`repro.serving.fleet` + :mod:`repro.serving.supervisor`)
-routes requests over N supervised worker processes with consistent-hash
-model affinity, heartbeat health checks, crash/hang failover, tiered
-load shedding and graceful drain.  See ``docs/serving.md``.
+serves one FIFO of requests from N supervised worker processes — each
+free worker takes the oldest request — with heartbeat health checks,
+crash/hang failover, tiered load shedding and graceful drain.  See
+``docs/serving.md``.
 """
 
 from repro.serving.client import (
@@ -20,7 +21,7 @@ from repro.serving.client import (
     decode_array,
     encode_array,
 )
-from repro.serving.fleet import FleetRequest, FleetServer, HashRing
+from repro.serving.fleet import FleetRequest, FleetServer
 from repro.serving.http import ServingHTTPServer, serve_http
 from repro.serving.lifecycle import (
     ADMISSION_FRACTIONS,
@@ -63,7 +64,6 @@ from repro.serving.tiler import (
 __all__ = [
     "FleetRequest",
     "FleetServer",
-    "HashRing",
     "Supervisor",
     "SupervisorConfig",
     "WorkerConfig",

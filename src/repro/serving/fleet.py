@@ -8,25 +8,25 @@ front-end process distributes requests over N supervised
 keeps serving through worker crashes, hangs, restart storms and
 graceful drains.
 
-Routing
--------
-Models map to workers through a consistent-hash ring
-(:class:`HashRing`, SHA-1 virtual nodes).  Affinity is the point: a
-model's requests keep landing on the same worker, whose
-:class:`~repro.serving.registry.ModelRegistry` twin — FFT kernel
-spectra and all — stays warm.  When a worker leaves (crash,
-quarantine, drain) only ~1/N of models remap; the rest keep their warm
-cache.  :meth:`HashRing.walk` yields the full preference order, which
-is also the failover order.
+Dispatch
+--------
+Admitted requests wait in the lifecycle's one FIFO.  Each active
+worker has a ``fleet-dispatch-<id>`` thread that pops the oldest
+request whenever its worker is healthy and has room in its in-flight
+window (``inflight_per_worker``) — the paper's rule that a free worker
+takes the next ready task, so no worker idles while a request waits.
+Every worker registers every model, so any worker can serve any
+request; a same-model burst spreads over the whole fleet.
 
 Failover
 --------
-A request dispatched to a worker that dies mid-flight is requeued to
-the next healthy worker on its ring walk, against a bounded attempt
-budget and its own deadline — the crash is absorbed, not surfaced.
-Inference here is idempotent *and bitwise deterministic* (fixed
-tap-order direct conv, deterministic sums), so a retried request
-returns byte-identical output; the chaos tests assert exactly that.
+A request dispatched to a worker that dies mid-flight goes back to the
+head of the queue, against a bounded attempt budget and its own
+deadline, and whichever healthy worker is free next takes it — the
+crash is absorbed, not surfaced.  Inference here is idempotent *and
+bitwise deterministic* (fixed tap-order direct conv, deterministic
+sums), so a retried request returns byte-identical output; the chaos
+tests assert exactly that.
 
 Data path
 ---------
@@ -44,20 +44,17 @@ Request lifecycle
 Validation, tiered admission, deadlines, ``retry_after`` hints, drain
 and accounting are the shared
 :class:`~repro.serving.lifecycle.RequestLifecycle` — the router only
-decides *where* an admitted request waits.  With *no* healthy workers
-(all quarantined mid restart-storm) requests park in an orphan queue
-until a worker returns or their deadlines expire — accepted requests
-are never silently dropped, every one resolves.
+decides *who* runs an admitted request.  With *no* healthy workers
+(all quarantined mid restart-storm) requests stay queued until a
+worker returns or the janitor expires their deadlines — accepted
+requests are never silently dropped, every one resolves.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -81,59 +78,7 @@ from repro.serving.supervisor import (
 )
 from repro.serving.tiler import DEFAULT_TILE_VOXELS
 
-__all__ = ["HashRing", "FleetRequest", "FleetServer"]
-
-
-class HashRing:
-    """Consistent-hash ring with virtual nodes.
-
-    Each node contributes *replicas* points at
-    ``sha1(f"{node}#{i}")``; a key maps to the first node clockwise of
-    its own hash.  Removing a node deletes only that node's points, so
-    only the keys it owned remap (~1/N of all keys) — the property the
-    fleet's warm-cache affinity depends on, and the one the hypothesis
-    test pins down.
-    """
-
-    def __init__(self, nodes: Iterable[int], replicas: int = 64) -> None:
-        self.nodes = sorted(set(nodes))
-        if not self.nodes:
-            raise ValueError("hash ring needs at least one node")
-        self.replicas = replicas
-        points = []
-        for node in self.nodes:
-            for i in range(replicas):
-                points.append((self._point(f"{node}#{i}"), node))
-        points.sort()
-        self._hashes = [h for h, _ in points]
-        self._owners = [n for _, n in points]
-
-    @staticmethod
-    def _point(key: str) -> int:
-        digest = hashlib.sha1(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
-
-    def lookup(self, key: str) -> int:
-        """The node owning *key*."""
-        return next(self.walk(key))
-
-    def walk(self, key: str) -> Iterator[int]:
-        """All nodes in *key*'s preference (= failover) order."""
-        if not self.nodes:
-            return
-        start = bisect.bisect_right(self._hashes, self._point(key))
-        seen: Set[int] = set()
-        total = len(self._owners)
-        for offset in range(total):
-            node = self._owners[(start + offset) % total]
-            if node not in seen:
-                seen.add(node)
-                yield node
-
-    def without(self, node: int) -> "HashRing":
-        """A new ring with *node* removed (for remap analysis)."""
-        return HashRing([n for n in self.nodes if n != node],
-                        replicas=self.replicas)
+__all__ = ["FleetRequest", "FleetServer"]
 
 
 class FleetRequest(PendingRequest):
@@ -145,8 +90,6 @@ class FleetRequest(PendingRequest):
         super().__init__(model, volume, deadline, priority=priority)
         #: Dispatch attempts consumed (capped by the fleet's budget).
         self.attempts = 0
-        #: Workers this request has already been dispatched to.
-        self.tried: Set[int] = set()
         self.dispatched_at: Optional[float] = None
         self.worker: Optional[int] = None
 
@@ -172,8 +115,10 @@ class FleetServer(RequestLifecycle):
     max_queue:
         Fleet-wide admission capacity (queued, not in-flight).
     inflight_per_worker:
-        Dispatch window per worker; also each worker's local queue
-        bound, so a worker never rejects what the router sends.
+        Dispatch window per worker: a worker takes the next queued
+        request only while fewer than this many are in flight on it.
+        Also each worker's local queue bound, so a worker never
+        rejects what the router sends.
     max_attempts:
         Total dispatch attempts per request (first try + failovers).
     worker_faults:
@@ -237,7 +182,6 @@ class FleetServer(RequestLifecycle):
         #: scale-down removes; distinct from _healthy, which tracks
         #: liveness of active workers).
         self._active: Set[int] = set()  # guarded-by: _cond
-        self.ring = HashRing(range(num_workers))
         self._worker_config = WorkerConfig(
             specs=tuple(self.specs.values()),
             plans=tuple(self.plans[name] for name in sorted(self.plans)),
@@ -255,10 +199,7 @@ class FleetServer(RequestLifecycle):
         self._pool: Optional[SharedMemoryPool] = None
         self._pool_name = pool_name
         self._healthy: Set[int] = set()  # guarded-by: _cond
-        self._lanes: Dict[int, Deque[FleetRequest]] = {}  # guarded-by: _cond
         self._inflight: Dict[int, Dict[int, FleetRequest]] = {}  # guarded-by: _cond
-        #: Requests with no healthy worker to go to (yet).
-        self._orphans: Deque[FleetRequest] = deque()  # guarded-by: _cond
         #: rid -> (in_block, out_block, out_shape) while dispatched.
         self._blocks: Dict[int, tuple] = {}  # guarded-by: _cond
         self._threads: List[threading.Thread] = []
@@ -304,24 +245,12 @@ class FleetServer(RequestLifecycle):
     def _model_names(self) -> List[str]:
         return sorted(self.specs)
 
-    def _depth_locked(self) -> int:
-        return (sum(len(lane) for lane in self._lanes.values())
-                + len(self._orphans))
-
     def _pending_locked(self) -> int:
-        return (self._depth_locked()
+        return (len(self._queue)
                 + sum(len(f) for f in self._inflight.values()))
 
-    def _enqueue_locked(self, request: FleetRequest) -> None:
-        self._route_locked(request)
-        self._cond.notify_all()
-
     def _take_leftovers_locked(self) -> List[FleetRequest]:
-        leftovers: List[FleetRequest] = list(self._orphans)
-        self._orphans.clear()
-        for lane in self._lanes.values():
-            leftovers.extend(lane)
-            lane.clear()
+        leftovers: List[FleetRequest] = []
         for wid, flights in self._inflight.items():
             leftovers.extend(flights.values())
             flights.clear()
@@ -349,20 +278,18 @@ class FleetServer(RequestLifecycle):
     def _health_locked(self) -> dict:
         return {
             "active_workers": sorted(self._active),
-            "orphaned": len(self._orphans),
             "healthy": len(self._healthy),
             "workers": {
-                wid: {"queued": len(self._lanes[wid]),
-                      "inflight": len(self._inflight[wid]),
+                wid: {"inflight": len(self._inflight[wid]),
                       **self._worker_stats[wid]}
-                for wid in self._lanes},
+                for wid in self._inflight},
         }
 
     def health(self) -> dict:
         """Fleet health: the lifecycle document plus per-worker
-        supervisor state (restart counts, quarantine reasons, lane
-        depths).  ``"unavailable"`` means running with no healthy
-        worker."""
+        supervisor state (restart counts, quarantine reasons,
+        in-flight and served counts).  ``"unavailable"`` means running
+        with no healthy worker."""
         doc = super().health()
         if not doc.pop("healthy") and doc["status"] == "ok":
             doc["status"] = "unavailable"
@@ -394,13 +321,12 @@ class FleetServer(RequestLifecycle):
         """Scale the fleet to *target* active workers.
 
         Scale-up allocates fresh worker ids (never reusing retired
-        ones), wires their lanes/metrics, and spawns the processes;
+        ones), wires their windows/metrics, and spawns the processes;
         they take traffic once prewarmed (ready).  Scale-down retires
-        the highest-id workers one at a time: the victim leaves the
-        ring immediately (its queued requests reroute without
-        spending failover budget), its in-flight requests get
-        *drain_timeout* seconds to finish, then the process is
-        gracefully retired via
+        the highest-id workers one at a time: the victim stops taking
+        requests immediately (its dispatch thread exits), its
+        in-flight requests get *drain_timeout* seconds to finish, then
+        the process is gracefully retired via
         :meth:`~repro.serving.supervisor.Supervisor.retire_worker`.
 
         With *ready_timeout* the call additionally waits that many
@@ -435,10 +361,6 @@ class FleetServer(RequestLifecycle):
         wid = self.supervisor.add_worker()
         with self._cond:
             self._add_worker_locked(wid)
-            # The ring may include the newcomer before it is ready:
-            # _route_locked only lands requests on healthy workers.
-            self.ring = HashRing(sorted(self._active),
-                                 replicas=self.ring.replicas)
         self._spawn_thread(self._dispatch_loop, f"fleet-dispatch-{wid}", wid)
         self.supervisor.spawn_worker(wid)
         self._m_scale_ups.inc()
@@ -453,18 +375,8 @@ class FleetServer(RequestLifecycle):
             victim = max(self._active)
             self._active.discard(victim)
             self._healthy.discard(victim)
-            self.ring = HashRing(sorted(self._active),
-                                 replicas=self.ring.replicas)
-            queued = list(self._lanes[victim])
-            self._lanes[victim].clear()
-            for request in queued:
-                # Never dispatched to the victim — reroute without
-                # touching the attempt budget.
-                self._route_locked(request)
-            self._m_depth.set(self._depth_locked())
             self._cond.notify_all()
-        flight_note("fleet scaling down", worker=victim,
-                    requeued=len(queued))
+        flight_note("fleet scaling down", worker=victim)
         deadline = time.monotonic() + drain_timeout
         with self._cond:
             while (self._inflight[victim]
@@ -494,9 +406,8 @@ class FleetServer(RequestLifecycle):
     # -- internals -----------------------------------------------------
 
     def _add_worker_locked(self, wid: int) -> None:
-        """Wire worker *wid*'s router-side lane, window and metrics."""
+        """Wire worker *wid*'s router-side window and metrics."""
         reg = get_registry()
-        self._lanes[wid] = deque()
         self._inflight[wid] = {}
         self._worker_stats[wid] = {"served": 0, "deadline_missed": 0}
         self._m_worker_served[wid] = reg.counter(
@@ -511,35 +422,21 @@ class FleetServer(RequestLifecycle):
         thread.start()
         self._threads.append(thread)
 
-    def _route_locked(self, request: FleetRequest) -> None:
-        """Append *request* to its preferred healthy worker's lane
-        (skipping workers it already died on), or park it."""
-        for wid in self.ring.walk(request.model):
-            if wid in self._healthy and wid not in request.tried:
-                self._lanes[wid].append(request)
-                return
-        # Every healthy worker was tried already (or none is healthy):
-        # allow a retried request back onto a previously-tried healthy
-        # worker rather than starving it.
-        for wid in self.ring.walk(request.model):
-            if wid in self._healthy:
-                self._lanes[wid].append(request)
-                return
-        self._orphans.append(request)
-
     # -- dispatch ------------------------------------------------------
 
     def _dispatch_loop(self, wid: int) -> None:
+        """Feed worker *wid* the oldest queued request whenever it is
+        healthy with room in its window; return once the fleet stops
+        or the worker is retired."""
         while True:
             with self._cond:
                 while True:
-                    if self._stopped_locked():
+                    if self._stopped_locked() or wid not in self._active:
                         return
-                    if (wid in self._healthy and self._lanes[wid]
+                    if (wid in self._healthy and self._queue
                             and len(self._inflight[wid])
                             < self.inflight_per_worker):
-                        request = self._lanes[wid].popleft()
-                        self._m_depth.set(self._depth_locked())
+                        request = self._pop_locked()
                         break
                     self._cond.wait(0.05)
             self._dispatch(wid, request)
@@ -559,7 +456,6 @@ class FleetServer(RequestLifecycle):
         remaining = (None if request.deadline is None
                      else request.deadline - now)
         request.attempts += 1
-        request.tried.add(wid)
         request.dispatched_at = now
         request.worker = wid
         with self._cond:
@@ -571,10 +467,15 @@ class FleetServer(RequestLifecycle):
             in_block.handle, request.volume.shape,
             out_block.handle, out_shape, remaining))
         if not sent:
-            # The worker died between lane pop and send.  Its death
-            # callback may have already popped the in-flight entry and
-            # requeued the request — only the side that wins the pop
-            # reroutes, so the request is never dispatched twice.
+            # The worker died between queue pop and send.  Stop feeding
+            # it until the supervisor reports it up again, or this loop
+            # would spend every queued request's attempts on a dead
+            # pipe.  Its death callback may have already popped the
+            # in-flight entry and requeued the request — only the side
+            # that wins the pop requeues, so the request is never
+            # dispatched twice.
+            with self._cond:
+                self._healthy.discard(wid)
             owned, entry = self._pop_flight(wid, request.id)
             self._release(entry)
             if owned is not None:
@@ -602,7 +503,7 @@ class FleetServer(RequestLifecycle):
     def _on_result(self, wid: int, rid: int) -> None:
         request, entry = self._pop_flight(wid, rid)
         if request is None or entry is None:
-            # Stale completion (the request was already rerouted or
+            # Stale completion (the request was already requeued or
             # failed); just recycle any blocks still attributed to it.
             self._release(entry)
             return
@@ -633,10 +534,6 @@ class FleetServer(RequestLifecycle):
             if self._stopped_locked():
                 return
             self._healthy.add(wid)
-            orphans = list(self._orphans)
-            self._orphans.clear()
-            for request in orphans:
-                self._route_locked(request)
             self._cond.notify_all()
 
     def _on_worker_down(self, wid: int, reason: str) -> None:
@@ -644,8 +541,6 @@ class FleetServer(RequestLifecycle):
         reclaim its blocks and requeue everything it held."""
         with self._cond:
             self._healthy.discard(wid)
-            queued = list(self._lanes[wid])
-            self._lanes[wid].clear()
             flights = list(self._inflight[wid].values())
             self._inflight[wid].clear()
             self._m_worker_inflight[wid].set(0)
@@ -653,20 +548,12 @@ class FleetServer(RequestLifecycle):
             self._cond.notify_all()
         for entry in entries:
             self._release(entry)
-        flight_note("fleet rerouting after worker death", worker=wid,
-                    reason=reason, queued=len(queued),
-                    inflight=len(flights))
+        flight_note("fleet requeueing after worker death", worker=wid,
+                    reason=reason, inflight=len(flights))
         for request in flights:
             self._m_failover.inc()
             self._retry_or_fail(request, ServingError(
                 f"worker {wid} died mid-request: {reason}"))
-        with self._cond:
-            if not self._stopped_locked():
-                for request in queued:
-                    # Never dispatched there — reroute without
-                    # touching the attempt budget.
-                    self._route_locked(request)
-                self._cond.notify_all()
 
     def _retry_or_fail(self, request: FleetRequest,
                        error: BaseException) -> None:
@@ -685,7 +572,10 @@ class FleetServer(RequestLifecycle):
         with self._cond:
             stopped = self._stopped_locked()
             if not stopped:
-                self._enqueue_locked(request)
+                # Older than anything queued: it goes first.
+                self._queue.appendleft(request)
+                self._m_depth.set(len(self._queue))
+                self._cond.notify_all()
         if stopped:
             self._fail(request, ServerClosed(
                 f"fleet stopped before request {request.id} resolved"))
@@ -720,27 +610,20 @@ class FleetServer(RequestLifecycle):
     # -- background hygiene --------------------------------------------
 
     def _janitor_loop(self) -> None:
-        """Expire queued/orphaned requests whose deadline passed while
-        no worker could take them (e.g. all quarantined)."""
+        """Expire queued requests whose deadline passed while no worker
+        could take them (e.g. all quarantined)."""
         while True:
             time.sleep(0.05)
             now = time.monotonic()
-            expired: List[FleetRequest] = []
             with self._cond:
                 if self._stopped_locked():
                     return
-                for lane in list(self._lanes.values()) + [self._orphans]:
-                    keep: Deque[FleetRequest] = deque()
-                    while lane:
-                        request = lane.popleft()
-                        if (request.deadline is not None
-                                and now > request.deadline):
-                            expired.append(request)
-                        else:
-                            keep.append(request)
-                    lane.extend(keep)
-                self._m_depth.set(self._depth_locked())
+                expired = [r for r in self._queue
+                           if r.deadline is not None and now > r.deadline]
                 if expired:
+                    for request in expired:
+                        self._queue.remove(request)
+                    self._m_depth.set(len(self._queue))
                     self._cond.notify_all()
             for request in expired:
                 self._fail(request, DeadlineExceeded(

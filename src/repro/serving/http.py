@@ -10,11 +10,16 @@ Wire protocol (see :mod:`repro.serving.client` for the client side):
 
 * ``POST /v1/infer?model=NAME[&timeout=SECONDS]`` with an npy body →
   200 with the dense output as npy;
-* overload → **503** with a ``Retry-After`` header (seconds);
+* overload → **503** with a ``Retry-After`` header (seconds); so is
+  any other serving failure a resubmission may cure (a stopped or
+  draining server, a fleet whose workers died under the request past
+  its failover budget);
 * deadline missed in queue → **504**;
 * unknown model → **404**; malformed volume/params, or an unparseable
   ``Content-Length`` → **400**; a body over :data:`MAX_BODY_BYTES` →
   **413**, answered without reading it;
+* anything else raised while serving → **500** (every request gets an
+  answer; none is left to a dropped connection);
 * ``GET /healthz`` → JSON status, model list and queue depth;
 * ``GET /metrics`` → JSON snapshot of the process metrics registry, or
   the Prometheus text exposition when the ``Accept`` header asks for
@@ -38,9 +43,9 @@ from repro.observability.export import metrics_snapshot, prometheus_text
 from repro.serving.client import decode_array, encode_array
 from repro.serving.lifecycle import (
     DeadlineExceeded,
-    ServerClosed,
     ServerDraining,
     ServerOverloaded,
+    ServingError,
 )
 from repro.serving.pipeline import InferenceServer
 
@@ -172,12 +177,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_text(
                 503, str(exc),
                 {"Retry-After": f"{exc.retry_after:.3f}"})
-        except ServerClosed as exc:
-            self._send_error_text(503, str(exc), {"Retry-After": "1"})
         except KeyError as exc:
             self._send_error_text(404, str(exc))
         except (ValueError, TypeError) as exc:
             self._send_error_text(400, str(exc))
+        except ServingError as exc:
+            self._send_error_text(503, str(exc), {"Retry-After": "1"})
+        except Exception as exc:
+            self._send_error_text(500, f"{type(exc).__name__}: {exc}")
         else:
             self._send(200, encode_array(result), "application/x-npy",
                        self._trace_headers(request))

@@ -16,6 +16,9 @@ only where requests wait and who runs them.
   float64 and checked against the model's field of view; unknown
   models, bad ranks, non-finite voxels and too-small volumes fail in
   the caller's thread and never cost a queue slot.
+* **One FIFO.**  Admitted requests wait in one queue, oldest first;
+  every free worker of either front end pops from its head, so no
+  worker idles while a request waits for it.
 * **Tiered admission.**  Requests carry a priority (0 = high,
   1 = normal, 2 = low).  Each tier may only fill a fraction of the
   queue (:data:`ADMISSION_FRACTIONS`), so under sustained overload the
@@ -37,7 +40,8 @@ import itertools
 import math
 import threading
 import time
-from typing import Optional, Sequence
+from collections import deque
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -195,20 +199,21 @@ class RequestLifecycle:
     registered here.  Use as a context manager to guarantee
     :meth:`stop`.
 
-    A subclass provides ``start()`` (guarded by :meth:`_mark_started`)
-    and these hooks — the ``*_locked`` ones run with ``_cond`` held and
-    must not block or re-acquire it:
+    Admitted requests wait in ``_queue``, oldest first; a worker takes
+    the head with :meth:`_pop_locked`.  A subclass provides ``start()``
+    (guarded by :meth:`_mark_started`) and these hooks — the
+    ``*_locked`` ones run with ``_cond`` held and must not block or
+    re-acquire it:
 
     ``_fov(model)``
         the model's field of view; ``KeyError`` when unknown.
     ``_model_names()``
         sorted servable model names, for :meth:`health`.
-    ``_depth_locked()`` / ``_pending_locked()``
-        requests accepted but not yet running / not yet resolved.
-    ``_enqueue_locked(request)``
-        take ownership of an admitted request and wake a worker.
+    ``_pending_locked()``
+        requests accepted but not yet resolved (queued + running).
     ``_take_leftovers_locked()``
-        remove and return every unresolved request (on stop).
+        remove and return the running requests :meth:`stop` must fail
+        besides the queued ones (default: none).
     ``_health_locked()``
         role-specific :meth:`health` entries.
     ``_hint_workers()``
@@ -230,6 +235,8 @@ class RequestLifecycle:
         self.max_queue = max_queue
         self._cond = make_condition(cond_name)
         self._state = _STATE_NEW  # guarded-by: _cond
+        #: Admitted requests not yet taken by a worker, oldest first.
+        self._queue: Deque[PendingRequest] = deque()  # guarded-by: _cond
         # EWMA of per-request service seconds, for retry_after hints.
         self._ewma_lock = make_lock("serving.ewma")
         self._ewma_service = 0.1  # guarded-by: _ewma_lock
@@ -308,7 +315,9 @@ class RequestLifecycle:
             if self._state == _STATE_STOPPED:
                 return
             self._state = _STATE_STOPPED
-            leftovers = self._take_leftovers_locked()
+            leftovers = list(self._queue)
+            self._queue.clear()
+            leftovers.extend(self._take_leftovers_locked())
             self._m_depth.set(0)
             self._cond.notify_all()
         for request in leftovers:
@@ -316,6 +325,9 @@ class RequestLifecycle:
                 f"{self.role} stopped before request {request.id} "
                 f"resolved"))
         self._shutdown()
+
+    def _take_leftovers_locked(self) -> List[PendingRequest]:
+        return []
 
     def __enter__(self):
         return self.start()
@@ -372,10 +384,11 @@ class RequestLifecycle:
             request.trace_id = request.trace_ctx.trace_id
         with self._cond:
             state = self._state
-            depth = self._depth_locked()
+            depth = len(self._queue)
             if state == _STATE_OK and depth < limit:
-                self._enqueue_locked(request)
+                self._queue.append(request)
                 self._m_depth.set(depth + 1)
+                self._cond.notify_all()
                 self._m_accepted.inc()
                 return request
         # Rejection happens outside the condition: the hint takes the
@@ -408,7 +421,14 @@ class RequestLifecycle:
     @property
     def queue_depth(self) -> int:
         with self._cond:
-            return self._depth_locked()
+            return len(self._queue)
+
+    def _pop_locked(self) -> PendingRequest:
+        """Take the oldest queued request (the caller checked there is
+        one)."""
+        request = self._queue.popleft()
+        self._m_depth.set(len(self._queue))
+        return request
 
     def health(self) -> dict:
         """Robustness-aware health snapshot (what ``/healthz`` serves).
@@ -420,7 +440,7 @@ class RequestLifecycle:
         """
         with self._cond:
             state = self._state
-            depth = self._depth_locked()
+            depth = len(self._queue)
             detail = self._health_locked()
         return {
             "status": _STATE_STOPPED if state == _STATE_NEW else state,

@@ -2,8 +2,8 @@
 
 :class:`InferenceServer` is the in-process front end.  What happens to
 a request between ``submit()`` and resolution is the shared
-:class:`~repro.serving.lifecycle.RequestLifecycle`; this module adds
-where requests wait (one bounded FIFO) and who runs them:
+:class:`~repro.serving.lifecycle.RequestLifecycle`, whose one bounded
+FIFO also holds the admitted requests; this module adds who runs them:
 
 * **Work-conserving worker pool.**  Workers are long-lived
   ``serve:worker`` tasks on a :class:`repro.scheduler.TaskEngine` (the
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -74,7 +73,6 @@ class InferenceServer(RequestLifecycle):
         self.num_workers = num_workers
         self.tile_voxels = tile_voxels
         self.retry_policy = retry_policy
-        self._queue: Deque[PendingRequest] = deque()  # guarded-by: _cond
         self._inflight = 0  # guarded-by: _cond
         self._engine: Optional[TaskEngine] = None
         #: Test/ops hook: clear to pause dequeuing (admission still
@@ -100,20 +98,8 @@ class InferenceServer(RequestLifecycle):
     def _model_names(self) -> List[str]:
         return self.registry.model_names()
 
-    def _depth_locked(self) -> int:
-        return len(self._queue)
-
     def _pending_locked(self) -> int:
         return len(self._queue) + self._inflight
-
-    def _enqueue_locked(self, request: PendingRequest) -> None:
-        self._queue.append(request)
-        self._cond.notify()
-
-    def _take_leftovers_locked(self) -> List[PendingRequest]:
-        pending = list(self._queue)
-        self._queue.clear()
-        return pending
 
     def _health_locked(self) -> dict:
         return {"inflight": self._inflight, "workers": self.num_workers}
@@ -140,8 +126,7 @@ class InferenceServer(RequestLifecycle):
                 self._cond.wait(0.02)
             if self._stopped_locked():
                 return None
-            request = self._queue.popleft()
-            self._m_depth.set(len(self._queue))
+            request = self._pop_locked()
             self._inflight += 1
             return request
 

@@ -582,8 +582,11 @@ class Supervisor:
                 became_healthy = False
                 with self._lock:
                     record = self._records.get(worker_id)
+                    # Only a starting worker becomes healthy: one
+                    # retired while it prewarmed stays retired.
                     if (record is not None
                             and record.generation == generation
+                            and record.state == STATE_STARTING
                             and not self._stopping):
                         record.state = STATE_HEALTHY
                         record.last_pong = time.monotonic()

@@ -11,6 +11,12 @@ from repro.loadgen import (
     generate_trace,
     simulate_serving,
 )
+from repro.loadgen.traces import Trace, TraceRequest
+from repro.serving.lifecycle import (
+    PRIORITY_HIGH,
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+)
 
 
 def _trace(seed=0, duration=30.0, base_rate=2.0, deadline=30.0,
@@ -48,6 +54,30 @@ class TestConservation:
         a = simulate_serving(trace, config, policy_a)
         b = simulate_serving(trace, config, policy_b)
         assert a == b
+
+
+class TestDispatchOrder:
+    def test_queue_is_fifo_across_priorities(self):
+        # Both live front ends pop the oldest request whatever its
+        # tier: a low-priority request that arrived while the only
+        # worker was busy goes before a later high-priority one.
+        requests = tuple(
+            TraceRequest(t=t, model="small", shape=(12, 12, 12),
+                         priority=priority, deadline=None)
+            for t, priority in ((0.0, PRIORITY_NORMAL),
+                                (0.1, PRIORITY_LOW),
+                                (0.2, PRIORITY_HIGH)))
+        trace = Trace(config=TraceConfig(duration=1.0),
+                      requests=requests)
+        config = SimConfig(workers=1, service=ServiceModel(
+            seconds_per_voxel=0.0, overhead_seconds=1.0))
+        result = simulate_serving(trace, config)
+        finished = sorted(result.outcomes,
+                          key=lambda o: o.arrival + o.latency)
+        assert [o.index for o in finished] == [0, 1, 2]
+        low, high = result.outcomes[1], result.outcomes[2]
+        assert low.wait == pytest.approx(0.9)
+        assert high.wait == pytest.approx(1.8)
 
 
 class TestOverload:

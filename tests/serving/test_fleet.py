@@ -1,26 +1,28 @@
 """Fleet building blocks that run without spawning processes.
 
-Consistent-hash routing, the admission-limit arithmetic and
-deadline-capped client retries.  Admission, drain and the health
-document live in ``test_lifecycle_contract.py`` (both front ends);
-everything that needs a real multi-process fleet lives in
-``test_fleet_chaos.py`` (slow lane).
+Dispatch and scaling over an in-process stand-in for the supervisor,
+the admission-limit arithmetic and deadline-capped client retries.
+Admission, drain and the health document live in
+``test_lifecycle_contract.py`` (both front ends); everything that
+needs a real multi-process fleet lives in ``test_fleet_chaos.py``
+(slow lane).
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.memory.shared_pool import attach_block
 from repro.serving import (
     ADMISSION_FRACTIONS,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     DeadlineExceeded,
-    HashRing,
+    FleetServer,
+    InferenceServer,
     ServerOverloaded,
     ServingClient,
     admission_limit,
@@ -28,61 +30,173 @@ from repro.serving import (
 from repro.serving.client import _remaining_timeout, _retry_sleep
 
 
-class TestHashRing:
-    def test_lookup_is_deterministic(self):
-        ring = HashRing(range(4))
-        owners = [ring.lookup(f"model-{i}") for i in range(32)]
-        again = [ring.lookup(f"model-{i}") for i in range(32)]
-        assert owners == again
+class HeldSupervisor:
+    """The slice of ``Supervisor`` the router calls, minus processes.
 
-    def test_all_nodes_receive_keys(self):
-        ring = HashRing(range(4))
-        owners = {ring.lookup(f"model-{i}") for i in range(256)}
-        assert owners == {0, 1, 2, 3}
+    Every worker is healthy as soon as it is spawned.  ``send`` holds
+    each request on its own thread until the test sets ``release``,
+    then answers it from *registry*, so requests stay in flight for
+    as long as the test needs.
+    """
 
-    def test_walk_yields_each_node_once(self):
-        ring = HashRing(range(5))
-        order = list(ring.walk("some-model"))
-        assert sorted(order) == [0, 1, 2, 3, 4]
-        assert order[0] == ring.lookup("some-model")
+    def __init__(self, fleet, registry, num_workers):
+        self.fleet = fleet
+        self.inner = InferenceServer(registry, num_workers=2,
+                                     tile_voxels=1000)
+        self.workers = {wid: "starting" for wid in range(num_workers)}
+        self.release = threading.Event()
+        #: Workers whose pipe is broken: ``send`` to them fails.
+        self.dead = set()
+        self._replies = []
 
-    def test_single_node_owns_everything(self):
-        ring = HashRing([7])
-        assert ring.lookup("anything") == 7
-        assert list(ring.walk("anything")) == [7]
+    def start(self):
+        self.inner.start()
+        for wid in list(self.workers):
+            self.spawn_worker(wid)
 
-    def test_empty_ring_rejected(self):
-        with pytest.raises(ValueError):
-            HashRing([])
+    def stop(self):
+        self.release.set()
+        for thread in self._replies:
+            thread.join(timeout=30)
+        self.inner.stop()
 
-    @given(nodes=st.integers(2, 8), keys=st.integers(1, 64),
-           gone=st.integers(0, 7))
-    @settings(max_examples=40, deadline=None)
-    def test_removal_remaps_only_the_lost_nodes_keys(
-            self, nodes, keys, gone):
-        # The affinity property the fleet relies on: when one worker
-        # leaves, only the models it owned move; everyone else keeps
-        # their warm FFT spectra.
-        gone = gone % nodes
-        ring = HashRing(range(nodes))
-        shrunk = ring.without(gone)
-        for i in range(keys):
-            key = f"model-{i}"
-            before = ring.lookup(key)
-            after = shrunk.lookup(key)
-            if before != gone:
-                assert after == before
-            else:
-                assert after != gone
+    def wait_ready(self, timeout=None, min_workers=1):
+        return True
 
-    def test_failover_order_matches_shrunken_ring(self):
-        # walk()'s second choice is exactly where the key lands once
-        # the first owner is removed — failover keeps affinity stable.
-        ring = HashRing(range(4))
-        for i in range(64):
-            key = f"model-{i}"
-            first, second = list(ring.walk(key))[:2]
-            assert ring.without(first).lookup(key) == second
+    def healthy_ids(self):
+        return [w for w, state in self.workers.items()
+                if state == "healthy"]
+
+    def is_healthy(self, wid):
+        return self.workers.get(wid) == "healthy"
+
+    def status(self):
+        return {str(w): {"state": state, "restarts": 0}
+                for w, state in sorted(self.workers.items())}
+
+    def add_worker(self):
+        wid = max(self.workers) + 1
+        self.workers[wid] = "starting"
+        return wid
+
+    def spawn_worker(self, wid):
+        self.workers[wid] = "healthy"
+        self.fleet._on_worker_up(wid)
+
+    def retire_worker(self, wid, join_timeout=10.0):
+        self.workers[wid] = "retired"
+        return True
+
+    def send(self, wid, message):
+        if wid in self.dead:
+            return False
+        thread = threading.Thread(target=self._reply,
+                                  args=(wid, message), daemon=True)
+        self._replies.append(thread)
+        thread.start()
+        return True
+
+    def _reply(self, wid, message):
+        (_, rid, model, in_handle, in_shape,
+         out_handle, out_shape, timeout) = message
+        self.release.wait()
+        in_block = attach_block(in_handle)
+        out_block = attach_block(out_handle)
+        try:
+            out_block.as_array(out_shape)[...] = self.inner.infer(
+                model, in_block.as_array(in_shape))
+        finally:
+            in_block.close()
+            out_block.close()
+        self.fleet._on_message(wid, ("result", rid))
+
+
+@pytest.fixture
+def held_fleet(registry, small_model):
+    """Start a FleetServer over a :class:`HeldSupervisor`."""
+    fleets = []
+
+    def build(num_workers, **kwargs):
+        fleet = FleetServer([small_model.model_spec()],
+                            num_workers=num_workers,
+                            pool_name="fleet-held", **kwargs)
+        fleet.supervisor = HeldSupervisor(fleet, registry, num_workers)
+        fleets.append(fleet)
+        return fleet.start()
+
+    yield build
+    for fleet in fleets:
+        fleet.stop()
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestDispatch:
+    def test_same_model_requests_spread_over_free_workers(
+            self, held_fleet, registry, volume):
+        # One model, two workers with a window of one each: the second
+        # request must go to the idle worker, not wait for the first.
+        fleet = held_fleet(2, inflight_per_worker=1)
+        pending = [fleet.submit("small", volume, timeout=60.0)
+                   for _ in range(2)]
+        both_in_flight = _wait_for(lambda: fleet.total_inflight == 2,
+                                   timeout=2.0)
+        fleet.supervisor.release.set()
+        with InferenceServer(registry, num_workers=1,
+                             tile_voxels=1000) as server:
+            reference = server.infer("small", volume)
+        for request in pending:
+            assert np.array_equal(request.result(timeout=30), reference)
+        served = {wid: info["served"]
+                  for wid, info in fleet.health()["workers"].items()}
+        assert both_in_flight
+        assert served == {"0": 1, "1": 1}
+
+    def test_queue_waits_for_a_free_window(self, held_fleet, volume):
+        # Windows full: the third request stays queued, oldest first,
+        # until a worker has room again.
+        fleet = held_fleet(2, inflight_per_worker=1)
+        pending = [fleet.submit("small", volume, timeout=60.0)
+                   for _ in range(3)]
+        assert _wait_for(lambda: fleet.total_inflight == 2)
+        assert fleet.queue_depth == 1
+        fleet.supervisor.release.set()
+        for request in pending:
+            assert request.result(timeout=30).size > 0
+        assert fleet.queue_depth == 0
+
+    def test_dead_pipe_stops_its_dispatcher(self, held_fleet, volume):
+        # A worker whose pipe broke before the supervisor noticed must
+        # not keep pulling requests and spending their attempts.
+        fleet = held_fleet(2, inflight_per_worker=1)
+        fleet.supervisor.dead.add(0)
+        fleet.supervisor.release.set()
+        for _ in range(6):
+            assert fleet.infer("small", volume, timeout=60.0).size > 0
+        served = {wid: info["served"]
+                  for wid, info in fleet.health()["workers"].items()}
+        assert served == {"0": 0, "1": 6}
+
+    def test_retired_dispatch_threads_exit(self, held_fleet):
+        fleet = held_fleet(1)
+        for _ in range(3):
+            fleet.scale_to(2)
+            fleet.scale_to(1)
+
+        def dispatchers():
+            return sorted(t.name for t in threading.enumerate()
+                          if t in fleet._threads
+                          and t.name.startswith("fleet-dispatch-"))
+
+        expected = [f"fleet-dispatch-{wid}"
+                    for wid in fleet.active_worker_ids()]
+        _wait_for(lambda: dispatchers() == expected)
+        assert dispatchers() == expected == ["fleet-dispatch-0"]
 
 
 class TestAdmission:

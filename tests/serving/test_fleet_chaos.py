@@ -11,6 +11,9 @@ Fault grammar notes (see repro.resilience.faults): occurrence counts
 are per-process, so a restarted worker re-arms its plan —
 ``fail:serve_worker@0:1x99`` kills worker 0 *and every replacement*,
 which is how the restart-storm breaker is driven deterministically.
+Every worker pulls from one queue, so a test aims a fault at one
+worker with an ``@<id>`` spec and an in-flight window of 1: a burst of
+two requests then puts one on each worker.
 """
 
 import threading
@@ -19,10 +22,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.observability import get_registry as metrics_registry
 from repro.serving import (
     DeadlineExceeded,
     FleetServer,
-    HashRing,
     ServerDraining,
     SupervisorConfig,
     WorkerConfig,
@@ -95,6 +98,29 @@ class TestCleanFleet:
             fleet.stop()
         assert fleet.health()["status"] == "stopped"
 
+    def test_same_model_burst_uses_every_worker(self, small_model,
+                                                clean_output):
+        # Each worker wedges its first request for 0.3s (under the
+        # 0.6s watchdog), so a two-request burst of one model is in
+        # flight on both workers at once instead of queueing on one.
+        volume, reference = clean_output
+        fleet = make_fleet(small_model, 2, inflight_per_worker=1,
+                           faults="hang:serve_worker:1,hang=0.3",
+                           pool_name="fleet-spread")
+        fleet.start(ready_timeout=120)
+        try:
+            assert fleet.supervisor.wait_ready(timeout=120)
+            pending = [fleet.submit("small", volume, timeout=60.0)
+                       for _ in range(2)]
+            for request in pending:
+                assert np.array_equal(request.result(timeout=60.0),
+                                      reference)
+            served = {wid: info["served"] for wid, info
+                      in fleet.health()["workers"].items()}
+            assert served == {"0": 1, "1": 1}
+        finally:
+            fleet.stop()
+
 
 class TestKillChaos:
     def test_crashes_mid_load_stay_bitwise_identical(
@@ -125,37 +151,39 @@ class TestKillChaos:
             fleet.stop()
 
     def test_restart_storm_trips_the_breaker(self, small_model):
-        # The model's preferred worker (and every replacement —
-        # occurrence counts are per-process) dies on its first
-        # request, a deterministic crash loop: after breaker_restarts
-        # deaths inside the window it must be quarantined, not
-        # restarted forever.
-        preferred = HashRing(range(2)).lookup("small")
-        other = 1 - preferred
+        # Worker 0 (and every replacement — occurrence counts are
+        # per-process) dies on its first request, a deterministic
+        # crash loop: after breaker_restarts deaths inside the window
+        # it must be quarantined, not restarted forever.
+        victim, other = 0, 1
         config = SupervisorConfig(
             heartbeat_interval=0.1, heartbeat_timeout=0.6,
             restart_backoff=0.05, restart_backoff_max=0.1,
             breaker_restarts=2, breaker_window=30.0)
         fleet = make_fleet(
-            small_model, 2,
-            faults=f"fail:serve_worker@{preferred}:1x999",
+            small_model, 2, inflight_per_worker=1,
+            faults=f"fail:serve_worker@{victim}:1x999",
             config=config, pool_name="fleet-storm")
         fleet.start(ready_timeout=120)
         volume = np.random.default_rng(7).standard_normal(VOLUME_SHAPE)
         try:
+            assert fleet.supervisor.wait_ready(timeout=120)
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
                 doc = fleet.health()
-                state = doc["workers"][str(preferred)]["state"]
+                state = doc["workers"][str(victim)]["state"]
                 if state == STATE_QUARANTINED:
                     break
-                # Traffic is what trips the fault; requests crashing
-                # the preferred worker fail over and still succeed.
-                assert fleet.infer("small", volume,
-                                   timeout=60.0).size > 0
+                # Traffic is what trips the fault: a two-request burst
+                # reaches the victim whenever it is up, and requests
+                # crashing it fail over and still succeed.
+                pending = [fleet.submit("small", volume, timeout=60.0)
+                           for _ in range(2)]
+                for request in pending:
+                    assert request.result(timeout=60.0).size > 0
                 time.sleep(0.2)
             doc = fleet.health()
-            assert doc["workers"][str(preferred)]["state"] \
+            assert doc["workers"][str(victim)]["state"] \
                 == STATE_QUARANTINED
             # The surviving worker still serves traffic.
             assert fleet.infer("small", volume, timeout=60.0).size > 0
@@ -167,29 +195,31 @@ class TestKillChaos:
 class TestHangChaos:
     def test_watchdog_reroutes_around_a_hung_worker(self, small_model,
                                                     clean_output):
-        # Hang the model's preferred worker for far longer than the
-        # heartbeat timeout: the watchdog must kill it and the request
-        # must fail over to the other worker within its deadline.
+        # Hang worker 0 for far longer than the heartbeat timeout: the
+        # watchdog must kill it and its request must fail over to the
+        # other worker within its deadline.
         volume, reference = clean_output
-        preferred = HashRing(range(2)).lookup("small")
+        victim = 0
         fleet = make_fleet(
-            small_model, 2,
-            faults=f"hang:serve_worker@{preferred}:1,hang=30",
+            small_model, 2, inflight_per_worker=1,
+            faults=f"hang:serve_worker@{victim}:1,hang=30",
             pool_name="fleet-hang")
         fleet.start(ready_timeout=120)
         try:
-            # Both up, or the request routes past a still-starting
-            # preferred worker and the hang never fires.
+            # Both up, or the burst skips a still-starting victim and
+            # the hang never fires.
             assert fleet.supervisor.wait_ready(timeout=120)
             start = time.monotonic()
-            out = fleet.infer("small", volume, timeout=60.0)
+            pending = [fleet.submit("small", volume, timeout=60.0)
+                       for _ in range(2)]
+            outputs = [r.result(timeout=60.0) for r in pending]
             elapsed = time.monotonic() - start
-            assert np.array_equal(out, reference)
+            assert all(np.array_equal(out, reference) for out in outputs)
             # Served via failover, not by waiting out the 30s hang.
             assert elapsed < 20.0
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                info = fleet.health()["workers"][str(preferred)]
+                info = fleet.health()["workers"][str(victim)]
                 if info["restarts"] >= 1:
                     break
                 time.sleep(0.2)
@@ -230,18 +260,21 @@ class TestDrainUnderLoad:
     def test_drain_with_a_mid_flight_crash(self, small_model,
                                            clean_output):
         # A worker dying while the fleet drains must not drop the
-        # requests it held — they requeue onto the survivor.  The
-        # fault targets only the preferred worker so its replacement
-        # (which receives no traffic once everything moved to the
-        # survivor) cannot re-arm the crash loop.
+        # requests it held — they requeue onto the survivor.  Both
+        # workers take two of the burst at once (window 2), so worker
+        # 0 receives its fatal 2nd request straight away; the survivor
+        # has the rest served long before a replacement could come up
+        # and re-arm the fault.
         volume, reference = clean_output
-        preferred = HashRing(range(2)).lookup("small")
+        failover = metrics_registry().counter("fleet.requests.failover")
+        before = failover.value
         fleet = make_fleet(small_model, 2,
-                           faults=f"fail:serve_worker@{preferred}:2",
+                           faults="fail:serve_worker@0:2",
                            pool_name="fleet-drain-crash",
                            inflight_per_worker=2)
         fleet.start(ready_timeout=120)
         try:
+            assert fleet.supervisor.wait_ready(timeout=120)
             accepted = [fleet.submit("small", volume, timeout=60.0)
                         for _ in range(6)]
             fleet.begin_drain()
@@ -249,6 +282,7 @@ class TestDrainUnderLoad:
             for request in accepted:
                 assert np.array_equal(request.result(timeout=60.0),
                                       reference)
+            assert failover.value > before
         finally:
             fleet.stop()
 

@@ -13,6 +13,7 @@ from repro.serving import (
     InferenceServer,
     ServerOverloaded,
     ServingError,
+    ServingHTTPServer,
     decode_array,
     encode_array,
     serve_http,
@@ -113,6 +114,50 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(f"{http_server.url}/nope", timeout=30)
         assert info.value.code == 404
+
+
+class _FailingBackend:
+    """A back end whose every request fails with *error*."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def start(self):
+        return self
+
+    def stop(self):
+        pass
+
+    def submit(self, model, volume, **kwargs):
+        error = self.error
+
+        class Failed:
+            trace_id = ""
+
+            @staticmethod
+            def result(timeout=None):
+                raise error
+        return Failed()
+
+
+class TestServerFailures:
+    @pytest.mark.parametrize("error, status", [
+        (ServingError("request 6 failed after 3 attempt(s)"), 503),
+        (RuntimeError("kernel exploded"), 500)])
+    def test_every_failure_gets_an_answer(self, volume, error, status):
+        # A failure no other branch maps must still answer the client
+        # rather than drop the connection; a fleet out of failover
+        # attempts is worth a resubmission, an unknown error is not.
+        with ServingHTTPServer(_FailingBackend(error)) as server:
+            request = urllib.request.Request(
+                f"{server.url}/v1/infer?model=small",
+                data=encode_array(volume), method="POST")
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=30)
+        assert info.value.code == status
+        assert str(error) in info.value.read().decode("utf-8")
+        if status == 503:
+            assert info.value.headers["Retry-After"] == "1"
 
 
 class TestOverloadOverHttp:

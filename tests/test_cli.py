@@ -699,15 +699,15 @@ class TestFleetCli:
 
         doc = {
             "status": "ok", "role": "fleet", "models": ["small"],
-            "queue_depth": 1, "orphaned": 0, "max_queue": 16,
+            "queue_depth": 1, "max_queue": 16,
             "admission": {"capacity": 16},
             "workers": {
                 "0": {"state": "healthy", "pid": 11, "restarts": 2,
-                      "queued": 1, "inflight": 0, "served": 9,
+                      "inflight": 0, "served": 9,
                       "deadline_missed": 0,
                       "last_restart_reason": "crash: injected fault"},
                 "1": {"state": "quarantined", "pid": None,
-                      "restarts": 3, "queued": 0, "inflight": 0,
+                      "restarts": 3, "inflight": 0,
                       "served": 4, "deadline_missed": 1,
                       "last_restart_reason":
                           "hang: no heartbeat for 0.50s"},
@@ -731,6 +731,7 @@ class TestFleetCli:
         assert "quarantined" in out
         assert "crash: injected fault" in out
         assert "hang: no heartbeat" in out
+        assert "orphaned" not in out
 
     def test_fleet_status_unreachable_exits_nonzero(self, capsys):
         # Nothing listens on this port.

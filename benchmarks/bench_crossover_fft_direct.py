@@ -9,7 +9,7 @@ and measure the single-conv wall-clock crossover on this host.
 
 ZNNi (arXiv:1606.05688) turns that observation into a serving plan:
 pick the winning backend *per conv layer* from a measured cost model
-and sweep 5-smooth patch sizes for throughput.  The specialization
+and sweep patch sizes for throughput.  The specialization
 benchmark profiles both single-mode variants at steady state, plans
 from the resulting cost model, and asserts the specialized plan's
 measured throughput is no worse than the best single-mode plan (within

@@ -43,8 +43,8 @@ Commands
     (use after adding custom ops).
 ``specialize``
     Plan ZNNi per-layer direct/FFT backends and the throughput-optimal
-    serving tile for a spec (arXiv:1606.05688, part a): sweep 5-smooth
-    candidate tiles under a memory budget, price them with the
+    serving tile for a spec (arXiv:1606.05688, part a): sweep the
+    tiler's candidate tiles under a memory budget, price them with the
     analytic FLOP formulas or a measured ``train --profile-out`` cost model,
     and emit a ``repro.specialize/v1`` plan for ``serve --specialize``
     (see docs/serving.md "Per-layer specialization").
@@ -1278,8 +1278,7 @@ def _determinism_probe() -> int:
     fov = (5, 5, 5)  # two chained 3^3 direct convolutions
     volume = np.ascontiguousarray(
         np.random.default_rng(123).random((9, 9, 9)))
-    plan = plan_volume(volume.shape, fov, max_voxels=343,
-                      fast_sizes=False)
+    plan = plan_volume(volume.shape, fov, max_voxels=343)
     graph = build_layered_network("CTCT", **layered)
     network = Network(graph, input_shape=plan.input_tile,
                       conv_mode="direct", deterministic_sums=True,

@@ -7,8 +7,9 @@ and inverse FFTs amortise over a layer's ``f * f'`` edges differently
 at each shape (Mathieu/Henaff/LeCun, arXiv:1312.5851).  This module is
 the serving-side planner:
 
-* enumerate candidate 5-smooth input tiles between the dense twin's
-  field of view and the request volume (:func:`enumerate_candidate_tiles`);
+* enumerate candidate input tiles between the dense twin's field of
+  view and the request volume, drawn from the tiler's per-tile-count
+  lengths (:func:`enumerate_candidate_tiles`);
 * for each candidate, walk the twin's layer stack, price every conv
   layer under both backends with the paper's Table I/II FLOP formulas
   divided by a throughput rate — measured per edge from a ``repro
@@ -76,8 +77,8 @@ from repro.serving.tiler import (
     DEFAULT_TILE_VOXELS,
     PlanInfeasible,
     TilePlan,
+    axis_lengths,
     choose_tile_shape,
-    largest_fast_len,
     normalize_conv_modes,
 )
 from repro.tensor.backends import choose, registry
@@ -102,8 +103,9 @@ __all__ = [
 SPECIALIZE_SCHEMA = "repro.specialize/v1"
 
 #: Candidate tile lengths kept per axis (largest-first, deterministic
-#: thinning).  6 per axis caps the sweep at 216 candidates while always
-#: retaining the whole-volume and fov endpoints.
+#: thinning).  6 per axis caps the sweep at 216 candidates (plus the
+#: default planner's tile) while always retaining the whole-volume and
+#: fov endpoints.
 MAX_AXIS_CANDIDATES = 6
 
 _BYTES_REAL = 8  # float64 voxel
@@ -224,76 +226,38 @@ def _layer_output_shape(layer: Layer, in_shape: Shape3) -> Shape3:
 # Candidate enumeration.
 # ---------------------------------------------------------------------------
 
-def _axis_candidates(length: int, floor: int, fast_sizes: bool,
-                     cap: int) -> List[int]:
-    """Candidate tile lengths for one axis, largest first.
-
-    Always contains the whole axis (degenerate fallback) and the fov
-    floor; in between, every 5-smooth length (budget-friendly FFT
-    transform sizes), deterministically thinned to *cap* values while
-    keeping both endpoints.
-    """
-    values = {length, floor}
-    if fast_sizes:
-        n = length
-        while len(values) < 4 * cap:
-            fast = largest_fast_len(n, floor)
-            if fast is None:
-                break
-            values.add(fast)
-            n = fast - 1
-    ordered = sorted(values, reverse=True)
-    if len(ordered) > cap:
-        last = len(ordered) - 1
-        picks = sorted({round(i * last / (cap - 1)) for i in range(cap)})
-        ordered = [ordered[i] for i in picks]
-    return ordered
-
-
 def enumerate_candidate_tiles(volume_shape: Sequence[int],
                               fov: Sequence[int],
                               tile_voxels: Optional[int] = None,
-                              fast_sizes: bool = True,
                               per_axis: int = MAX_AXIS_CANDIDATES
                               ) -> Tuple[Shape3, ...]:
     """The specializer's candidate input tiles for *volume_shape*.
 
-    Per axis: the whole axis, the fov floor, and the 5-smooth lengths
-    in between (thinned to *per_axis* values); the cross product is
-    filtered by the *tile_voxels* input budget.  Degenerate axes
-    (volume at or barely above the fov) contribute only themselves, so
-    small volumes fall back to a single whole-volume candidate.  Raises
+    Per axis: the tiler's candidate lengths
+    (:func:`repro.serving.tiler.axis_lengths`: the whole axis, the fov
+    floor and the shortest 11-smooth length per tile count), thinned to
+    *per_axis* values; the cross product is filtered by the
+    *tile_voxels* input budget, and the tile the default planner picks
+    (:func:`choose_tile_shape`) is always a candidate.  Raises
     :class:`PlanInfeasible` when the volume is below the fov or the
     budget cannot even cover a fov-sized tile.
     """
-    v = as_shape3(volume_shape, name="volume_shape")
-    f = as_shape3(fov, name="fov")
-    if any(vd < fd for vd, fd in zip(v, f)):
-        raise PlanInfeasible(
-            f"volume {v} smaller than the field of view {f}")
-    if tile_voxels is None:
-        tile_voxels = DEFAULT_TILE_VOXELS
-    if voxels(f) > tile_voxels:
-        raise PlanInfeasible(
-            f"tile budget of {tile_voxels} voxels cannot cover the "
-            f"field of view {f} ({voxels(f)} voxels)")
     if per_axis < 2:
         raise ValueError(f"per_axis must be >= 2, got {per_axis}")
-    axes = [_axis_candidates(vd, fd, fast_sizes, per_axis)
-            for vd, fd in zip(v, f)]
-    tiles: List[Shape3] = []
-    for a in axes[0]:
-        for b in axes[1]:
-            for c in axes[2]:
-                if a * b * c <= tile_voxels:
-                    tiles.append((a, b, c))
-    if not tiles:
-        # Endpoint combinations can all overshoot the voxel budget even
-        # though the fov tile itself fits: fall back to the tiler's
-        # shrink-largest-axis walk, which is budget-feasible by the
-        # check above.
-        tiles.append(choose_tile_shape(v, f, max_voxels=tile_voxels,
-                                       fast_sizes=fast_sizes))
+    default = choose_tile_shape(volume_shape, fov, max_voxels=tile_voxels)
+    v = as_shape3(volume_shape, name="volume_shape")
+    f = as_shape3(fov, name="fov")
+    if tile_voxels is None:
+        tile_voxels = DEFAULT_TILE_VOXELS
+    axes = []
+    for lengths in (axis_lengths(vd, fd) for vd, fd in zip(v, f)):
+        last = len(lengths) - 1  # thin evenly, keeping both endpoints
+        axes.append([lengths[i] for i in sorted(
+            {round(k * last / (per_axis - 1)) for k in range(per_axis)})])
+    tiles: List[Shape3] = [(a, b, c) for a in axes[0] for b in axes[1]
+                           for c in axes[2] if a * b * c <= tile_voxels]
+    if default not in tiles:
+        tiles.append(default)
     return tuple(tiles)
 
 
@@ -525,8 +489,8 @@ class SpecializationPlan:
 def plan_specialization(spec, volume_shape: Sequence[int],
                         cost_model=None,
                         tile_voxels: Optional[int] = None,
-                        memory_bytes: Optional[int] = None,
-                        fast_sizes: bool = True) -> SpecializationPlan:
+                        memory_bytes: Optional[int] = None
+                        ) -> SpecializationPlan:
     """Choose the throughput-optimal per-layer backend map and input
     tile for serving *spec* on volumes of *volume_shape*.
 
@@ -547,8 +511,7 @@ def plan_specialization(spec, volume_shape: Sequence[int],
         tile_voxels = DEFAULT_TILE_VOXELS
     model = _as_cost_model(cost_model)
     candidates = enumerate_candidate_tiles(
-        volume_shape, spec.fov, tile_voxels=tile_voxels,
-        fast_sizes=fast_sizes)
+        volume_shape, spec.fov, tile_voxels=tile_voxels)
     best = None
     best_key = None
     over_budget = 0

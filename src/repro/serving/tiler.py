@@ -7,18 +7,18 @@ should hold in memory.  The tile geometry and the stitch loop are
 the input-tile *shape*.
 
 The tile-shape choice is where ZNNi's output-patch analysis
-(arXiv:1606.05688) enters: inference throughput on CPU is maximised by
-the largest output patch that fits the memory budget, and FFT-based
-layers additionally want transform sizes that are 5-smooth
-(:func:`repro.tensor.fourier.next_fast_len`).  :func:`choose_tile_shape`
-therefore picks, per axis, the largest 5-smooth input size that fits
-the volume, then shrinks axes (largest first, staying 5-smooth where
-possible) until the voxel budget is met.  All tiles share one input
-shape — the warm model is built once per (model, tile shape).
+(arXiv:1606.05688) enters: every tile pays its halo (``fov - 1`` per
+axis) again, so the tile shape decides a request's work.
+:func:`choose_tile_shape` is an exact, memoised search for the
+budget-feasible tile computing the fewest input voxels
+(``num_tiles * voxels(tile)``) over the lengths of
+:func:`axis_lengths`.  All tiles share one input shape — the warm
+model is built once per (model, tile shape).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.tiling import PlanInfeasible, TilePlan, run_plan
@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_TILE_VOXELS",
     "PlanInfeasible",
     "largest_fast_len",
+    "axis_lengths",
     "choose_tile_shape",
     "normalize_conv_modes",
     "TilePlan",
@@ -41,6 +42,8 @@ __all__ = [
 #: tile image, a comfortable per-request working set that still keeps
 #: FFT transforms well inside L3 on the paper's machines.
 DEFAULT_TILE_VOXELS = 1 << 21
+
+_SMOOTH_RADICES = (2, 3, 5, 7, 11)
 
 
 def largest_fast_len(n: int, floor: int = 1) -> Optional[int]:
@@ -54,19 +57,54 @@ def largest_fast_len(n: int, floor: int = 1) -> Optional[int]:
     return None
 
 
+def _next_smooth_len(n: int) -> int:
+    """Smallest 11-smooth integer >= *n*."""
+    rest = n
+    for p in _SMOOTH_RADICES:
+        while rest % p == 0:
+            rest //= p
+    return n if rest == 1 else _next_smooth_len(n + 1)
+
+
+@lru_cache(maxsize=1024)
+def axis_lengths(length: int, fov: int) -> Tuple[int, ...]:
+    """Candidate tile lengths along one axis, longest first: the whole
+    axis, the fov floor, and for every tile count ``n`` the shortest
+    length giving ``n`` tiles, ``ceil(dense / n) + fov - 1``, rounded up
+    to an 11-smooth length (factors 2, 3, 5, 7, 11: pocketfft's fast
+    radices; a prime length costs 2-3x per voxel) if that still fits.
+    """
+    dense = length - fov + 1
+    lengths = {length, fov}
+    for n in range(1, dense + 1):
+        tile = _next_smooth_len(-(-dense // n) + fov - 1)
+        if tile <= length:
+            lengths.add(tile)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@lru_cache(maxsize=1024)
+def _fewest_voxels_tile(volume: Shape3, fov: Shape3,
+                        max_voxels: int) -> Shape3:
+    # Per axis (length, tiles), tiles = ceil(dense / output tile) as
+    # TilePlan lays them out.  Fewest computed voxels wins, then fewest
+    # tiles, then the longer last (rfftn-halved) axis, then lexicographic.
+    axes = [[(t, -(-(vd - fd + 1) // (t - fd + 1)))
+             for t in axis_lengths(vd, fd)] for vd, fd in zip(volume, fov)]
+    return min((na * nb * nc * a * b * c, na * nb * nc, -c, (a, b, c))
+               for a, na in axes[0] for b, nb in axes[1]
+               for c, nc in axes[2] if a * b * c <= max_voxels)[3]
+
+
 def choose_tile_shape(volume_shape: Sequence[int], fov: Sequence[int],
-                      max_voxels: Optional[int] = None,
-                      fast_sizes: bool = True) -> Shape3:
+                      max_voxels: Optional[int] = None) -> Shape3:
     """Input tile shape for tiling *volume_shape* with a network of
-    field of view *fov*.
+    field of view *fov*: of the tiles within *max_voxels*, the one
+    whose tiling computes the fewest input voxels.
 
     Per axis the tile is at least ``fov`` (the minimum input producing
-    any output) and at most the volume.  With *fast_sizes* the planner
-    prefers 5-smooth sizes; axes are shrunk largest-first until the
-    tile fits *max_voxels*.  fov is a hard floor, so a budget smaller
-    than ``prod(fov)`` is unsatisfiable and raises
-    :class:`PlanInfeasible` (it used to silently return an over-budget
-    fov-sized tile, which hid real memory-budget violations).
+    any output) and at most the volume, so a volume below the fov or a
+    budget below ``prod(fov)`` raises :class:`PlanInfeasible`.
     """
     v = as_shape3(volume_shape, name="volume_shape")
     f = as_shape3(fov, name="fov")
@@ -80,24 +118,7 @@ def choose_tile_shape(volume_shape: Sequence[int], fov: Sequence[int],
             f"tile budget of {max_voxels} voxels cannot cover the "
             f"field of view {f} ({voxels(f)} voxels); every tile must "
             f"be at least fov-sized")
-
-    def best(n: int, floor: int) -> int:
-        if not fast_sizes:
-            return n
-        fast = largest_fast_len(n, floor)
-        return fast if fast is not None else n
-
-    tile = [best(vd, fd) for vd, fd in zip(v, f)]
-    while voxels(tile) > max_voxels:
-        # Shrink the axis with the most room above its fov floor.
-        axis = max(range(3), key=lambda a: tile[a] - f[a])
-        if tile[axis] <= f[axis]:
-            break  # every axis is at its floor
-        shrunk = best(tile[axis] - 1, f[axis])
-        if shrunk >= tile[axis]:
-            shrunk = tile[axis] - 1
-        tile[axis] = max(shrunk, f[axis])
-    return tuple(tile)  # type: ignore[return-value]
+    return _fewest_voxels_tile(v, f, max_voxels)
 
 
 def normalize_conv_modes(conv_modes: Optional[Mapping[str, str]]
@@ -117,16 +138,22 @@ def normalize_conv_modes(conv_modes: Optional[Mapping[str, str]]
 
 def plan_volume(volume_shape: Sequence[int], fov: Sequence[int],
                 max_voxels: Optional[int] = None,
-                fast_sizes: bool = True,
                 conv_modes: Optional[Mapping[str, str]] = None) -> TilePlan:
     """Plan a seam-free tiling of *volume_shape* for a network of field
-    of view *fov*.
+    of view *fov*; a repeated call returns the same (frozen) plan.
 
     *conv_modes* optionally records the per-conv-edge backend map the
     plan is intended for (see :class:`TilePlan.conv_modes`); the tile
     search itself is mode-independent.
     """
-    tile = choose_tile_shape(volume_shape, fov, max_voxels=max_voxels,
-                             fast_sizes=fast_sizes)
-    return TilePlan(volume_shape, fov, tile,  # type: ignore[arg-type]
-                    conv_modes=normalize_conv_modes(conv_modes))
+    return _plan_volume(as_shape3(volume_shape, name="volume_shape"),
+                        as_shape3(fov, name="fov"), max_voxels,
+                        normalize_conv_modes(conv_modes))
+
+
+@lru_cache(maxsize=256)
+def _plan_volume(volume: Shape3, fov: Shape3, max_voxels: Optional[int],
+                 conv_modes: Optional[Tuple[Tuple[str, str], ...]]
+                 ) -> TilePlan:
+    tile = choose_tile_shape(volume, fov, max_voxels=max_voxels)
+    return TilePlan(volume, fov, tile, conv_modes=conv_modes)

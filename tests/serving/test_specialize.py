@@ -198,6 +198,17 @@ class TestEnumerateCandidates:
         for tile in tiles:
             assert all(f <= t <= 24 for t, f in zip(tile, spec.fov))
 
+    def test_contains_the_default_planners_tile(self):
+        # The tiled-serving benchmark model (fov 18) at 48^3 under a
+        # 36^3 budget: the default planner's 28 x 33 x 48 is a candidate.
+        spec = ModelSpec("tiled48", "CTPCTPCT", conv_mode="fft",
+                         builder_kwargs=dict(width=[4, 4, 1], kernel=3,
+                                             window=2, transfer="tanh"))
+        tile = plan_volume((48,) * 3, spec.fov, max_voxels=46656).input_tile
+        assert spec.fov == (18, 18, 18) and tile == (28, 33, 48)
+        assert tile in enumerate_candidate_tiles((48,) * 3, spec.fov,
+                                                 tile_voxels=46656)
+
     def test_budget_filters(self, small_model):
         spec = small_model.model_spec()
         tiles = enumerate_candidate_tiles((24, 24, 24), spec.fov,

@@ -7,15 +7,16 @@ one stitch loop (``repro.core.tiling.run_plan``) over one tile geometry
 *bitwise* the whole-volume forward pass in direct mode, the last tile
 per axis shifts back instead of running ragged, progress is reported
 per tile, and a volume, tile or mode map that does not fit is refused
-before any tile runs.  The geometry sweep over tiles ``plan_volume``
-picks stays in ``test_tiled_equivalence.py``.
+before any tile runs.  The geometry sweep (odd and even tiles, wide
+halo, anisotropic windows) stays in ``test_tiled_equivalence.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import tiled_forward
-from repro.serving import ModelSpec, WarmModel, plan_volume, run_plan
+from repro.serving import (ModelSpec, TilePlan, WarmModel,
+                           normalize_conv_modes, run_plan)
 
 #: CTPCT, kernel 2, window 2: fov 5, so a 9^3 tile writes 5^3 outputs.
 SPEC = ModelSpec("contract", "CTPCT", conv_mode="direct", seed=5,
@@ -103,12 +104,11 @@ def test_mismatched_plan_rejected(warm, entry, mismatch):
     volume = np.zeros((14, 14, 14))
     plan, message = {
         "volume": (warm.plan((15, 14, 14)), "does not match plan"),
-        "tile": (plan_volume(volume.shape, warm.fov, max_voxels=1000),
+        "tile": (TilePlan(volume.shape, warm.fov, (10, 10, 10)),
                  "does not match plan tile"),
-        "mode": (plan_volume(volume.shape, warm.fov, max_voxels=729,
-                             fast_sizes=False,
-                             conv_modes={e: "fft" for e in
-                                         warm.network.conv_modes}),
+        "mode": (TilePlan(volume.shape, warm.fov, TILE,
+                          conv_modes=normalize_conv_modes(
+                              {e: "fft" for e in warm.network.conv_modes})),
                  "plan expects edge"),
     }[mismatch]
     if mismatch != "tile":

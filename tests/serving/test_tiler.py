@@ -1,4 +1,4 @@
-"""Tiling planner: fast sizes, voxel budgets, exact coverage."""
+"""Tiling planner: fewest computed voxels, voxel budgets, exact coverage."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.serving.tiler import (
     DEFAULT_TILE_VOXELS,
     PlanInfeasible,
     TilePlan,
+    axis_lengths,
     choose_tile_shape,
     largest_fast_len,
     normalize_conv_modes,
@@ -43,13 +44,22 @@ class TestChooseTileShape:
     def test_small_volume_unchanged_when_fast(self):
         assert choose_tile_shape((16, 16, 16), (5, 5, 5)) == (16, 16, 16)
 
-    def test_prefers_fast_sizes(self):
-        tile = choose_tile_shape((17, 17, 17), (5, 5, 5))
-        assert tile == (16, 16, 16)
+    def test_whole_volume_when_it_fits(self):
+        # One 17^3 tile, not 8 tiles of a 5-smooth 16^3.
+        assert choose_tile_shape((17, 17, 17), (5, 5, 5)) == (17, 17, 17)
 
-    def test_fast_sizes_disabled(self):
-        tile = choose_tile_shape((17, 17, 17), (5, 5, 5), fast_sizes=False)
-        assert tile == (17, 17, 17)
+    def test_fewest_voxels_not_largest_cube(self):
+        # 48^3 at fov 18 under a 36^3 budget: six 28 x 33 x 48 tiles
+        # read 266,112 voxels, the eight 36^3 cubes 373,248.
+        plan = plan_volume((48, 48, 48), (18, 18, 18), max_voxels=46656)
+        assert plan.input_tile == (28, 33, 48)
+        assert plan.num_tiles == 6
+
+    def test_lengths_are_11_smooth_or_endpoints(self):
+        assert axis_lengths(48, 18) == (48, 33, 28, 25, 24, 22, 21, 20, 18)
+        # 13 (prime) rounds up to 14; 17 is the whole axis.
+        assert axis_lengths(17, 5) == (17, 11, 9, 8, 7, 6, 5)
+        assert axis_lengths(13, 13) == (13,)
 
     def test_budget_shrinks_tile(self):
         tile = choose_tile_shape((100, 100, 100), (5, 5, 5),
@@ -128,6 +138,12 @@ class TestPlanVolume:
         assert isinstance(plan, TilePlan)
         with pytest.raises(AttributeError):
             plan.fov = (1, 1, 1)
+
+    def test_repeated_call_returns_the_same_plan(self):
+        plan = plan_volume((48, 48, 48), (18, 18, 18), max_voxels=46656)
+        assert plan_volume([48, 48, 48], (18, 18, 18),
+                           max_voxels=46656) is plan
+        assert plan_volume((48, 48, 48), (18, 18, 18)) is not plan
 
     def test_2d_volume_promotes(self):
         plan = plan_volume((1, 20, 20), (1, 5, 5))

@@ -3,8 +3,8 @@
 The geometric contract behind seam-free stitching: every output voxel
 of the dense result is written by at least one tile, every tile stays
 inside the volume, and the tile-shape chooser respects the fov floor,
-the volume ceiling, and the voxel budget (5-smooth where it claims to
-be).
+the volume ceiling and the voxel budget, and no budget-feasible tile
+of 11-smooth (or whole-axis) lengths computes fewer voxels.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tiling import TilePlan
 from repro.serving.tiler import (PlanInfeasible, choose_tile_shape,
                                  largest_fast_len, plan_volume)
 from repro.tensor.fourier import next_fast_len
@@ -20,6 +21,13 @@ from repro.utils.shapes import voxels
 axis = st.tuples(st.integers(1, 5), st.integers(0, 19))
 geometry = st.tuples(axis, axis, axis)
 budget = st.one_of(st.none(), st.integers(1, 4000))
+
+
+def smooth_11(n):
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def unpack(geom):
@@ -44,19 +52,16 @@ class TestLargestFastLen:
 
 
 class TestChooseTileShape:
-    @given(geom=geometry, max_voxels=budget,
-           fast_sizes=st.booleans())
+    @given(geom=geometry, max_voxels=budget)
     @settings(max_examples=60)
-    def test_bounds_and_budget(self, geom, max_voxels, fast_sizes):
+    def test_bounds_and_budget(self, geom, max_voxels):
         volume, fov = unpack(geom)
         if max_voxels is not None and voxels(fov) > max_voxels:
             # Budget below the fov floor: refusal is the contract.
             with pytest.raises(PlanInfeasible):
-                choose_tile_shape(volume, fov, max_voxels=max_voxels,
-                                  fast_sizes=fast_sizes)
+                choose_tile_shape(volume, fov, max_voxels=max_voxels)
             return
-        tile = choose_tile_shape(volume, fov, max_voxels=max_voxels,
-                                 fast_sizes=fast_sizes)
+        tile = choose_tile_shape(volume, fov, max_voxels=max_voxels)
         for t, f, v in zip(tile, fov, volume):
             assert f <= t <= v
         if max_voxels is not None:
@@ -71,34 +76,38 @@ class TestChooseTileShape:
         # an over-budget fov tile (the old behaviour hid real
         # memory-budget violations).
         with pytest.raises(PlanInfeasible, match="budget"):
-            choose_tile_shape(volume, fov, max_voxels=voxels(fov) - 1,
-                              fast_sizes=False)
+            choose_tile_shape(volume, fov, max_voxels=voxels(fov) - 1)
 
-    @given(geom=geometry, max_voxels=budget)
-    @settings(max_examples=40)
-    def test_fast_sizes_are_5_smooth_when_possible(self, geom, max_voxels):
+    @given(geom=geometry, max_voxels=st.integers(1, 4000))
+    @settings(max_examples=60, deadline=None)
+    def test_computes_fewest_voxels(self, geom, max_voxels):
         volume, fov = unpack(geom)
-        if max_voxels is not None and voxels(fov) > max_voxels:
-            max_voxels = voxels(fov)  # keep the budget feasible
-        tile = choose_tile_shape(volume, fov, max_voxels=max_voxels,
-                                 fast_sizes=True)
-        for t, f, v in zip(tile, fov, volume):
-            if largest_fast_len(v, f) is not None and t != f:
-                # A 5-smooth choice existed on this axis; unless pinned
-                # to the fov floor, the planner must have taken one.
-                assert next_fast_len(t) == t
+        max_voxels = max(max_voxels, voxels(fov))  # keep it feasible
+
+        def work(tile):
+            plan = TilePlan(volume, fov, tile)
+            return plan.num_tiles * voxels(tile)
+
+        def lengths(f, v):
+            return [t for t in range(f, v + 1) if t == v or smooth_11(t)]
+
+        tile = choose_tile_shape(volume, fov, max_voxels=max_voxels)
+        chosen = work(tile)
+        for a in lengths(fov[0], volume[0]):
+            for b in lengths(fov[1], volume[1]):
+                for c in lengths(fov[2], volume[2]):
+                    if a * b * c <= max_voxels:
+                        assert chosen <= work((a, b, c)), (tile, (a, b, c))
 
 
 class TestPlanVolume:
-    @given(geom=geometry, max_voxels=budget,
-           fast_sizes=st.booleans())
+    @given(geom=geometry, max_voxels=budget)
     @settings(max_examples=60)
-    def test_seam_free_coverage(self, geom, max_voxels, fast_sizes):
+    def test_seam_free_coverage(self, geom, max_voxels):
         volume, fov = unpack(geom)
         if max_voxels is not None and voxels(fov) > max_voxels:
             max_voxels = voxels(fov)  # keep the budget feasible
-        plan = plan_volume(volume, fov, max_voxels=max_voxels,
-                           fast_sizes=fast_sizes)
+        plan = plan_volume(volume, fov, max_voxels=max_voxels)
         assert plan.dense_shape == tuple(
             v - f + 1 for v, f in zip(volume, fov))
         assert plan.output_tile == tuple(
@@ -135,8 +144,7 @@ class TestPlanVolume:
     @settings(max_examples=20)
     def test_single_tile_when_budget_allows_whole_volume(self, geom):
         volume, fov = unpack(geom)
-        plan = plan_volume(volume, fov, max_voxels=voxels(volume),
-                           fast_sizes=False)
+        plan = plan_volume(volume, fov, max_voxels=voxels(volume))
         assert plan.input_tile == volume
         assert plan.num_tiles == 1
         assert plan.tiles == [((0, 0, 0), (0, 0, 0))]

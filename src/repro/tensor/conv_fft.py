@@ -10,14 +10,17 @@ pass        spectral form                               spatial result
 ==========  ==========================================  ================
 forward     ``conj(FK) * FI``                           head-crop to n'
 backward    ``FK * FdO``                                exactly n
-update      ``conj(FdO) * FI``                          head-crop to k_eff,
-                                                        subsample by s
+update      ``conj(FdO) * FI``                          k³ lags at stride s,
+                                                        partial inverse DFT
 ==========  ==========================================  ================
 
 where ``FI``/``FdO``/``FK`` are size-``n`` rfftn spectra of the forward
-input image, the backward (gradient) image and the kernel.  Exactness of
-the size-``n`` circular transforms is argued in :mod:`repro.tensor.fourier`
-and property-tested against the direct method.
+input image, the backward (gradient) image and the kernel — ``FK`` a
+partial DFT of the undilated kernel (the dilation sits in the exponent).
+Both partial DFTs are three small contractions against fixed DFT rows
+(:func:`_dft_rows`), not n³ transforms.  Exactness of the size-``n``
+circular transforms is argued in :mod:`repro.tensor.fourier` and
+property-tested against the direct method.
 
 The plan class :class:`FftConvPlan` is this file's entry in
 :data:`repro.tensor.backends.registry` — the unit the autotuner
@@ -28,6 +31,7 @@ passes to realise the "(Memoized)" column of Table II.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +43,12 @@ from repro.pram.costs import (
     pointwise_product_cost,
 )
 from repro.resilience.faults import active_plan
-from repro.tensor.conv_direct import dilate_kernel
 from repro.tensor.fourier import (
     crop_head,
     fast_transform_shape,
     forward_transform,
     inverse_transform,
+    rfft_shape,
 )
 from repro.utils.shapes import (
     Shape3,
@@ -106,6 +110,27 @@ def fft_conv_kernel_gradient(image: np.ndarray, grad_output: np.ndarray,
 # ---------------------------------------------------------------------------
 # Per-edge plan: the backend
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=256)
+def _dft_rows(transform_shape: Shape3, kernel_shape: Shape3,
+              sparsity: Shape3):
+    """Read-only DFT rows between the taps ``a = 0..k-1`` at stride s and
+    the bins ``u`` of each axis: forward ``exp(-2πi·u·a·s/n)`` (bins, k),
+    inverse (k, bins) scaled by 1/n and, on the half-spectrum last axis,
+    by the Hermitian weights (1 at bin 0 and an even n's Nyquist, else 2)."""
+    forward, inverse = [], []
+    for axis, (n, k, s) in enumerate(zip(transform_shape, kernel_shape,
+                                          sparsity)):
+        last = axis == 2
+        u, a = np.ogrid[:n // 2 + 1 if last else n, :k]
+        rows = np.exp(-2j * np.pi * (u * a * s % n) / n)
+        weight = np.where((u == 0) | (2 * u == n), 1.0, 2.0) if last else 1.0
+        forward.append(rows)
+        inverse.append((rows.conj() * (weight / n)).T.copy())
+    for rows in forward + inverse:
+        rows.setflags(write=False)
+    return tuple(forward), tuple(inverse)
+
 
 def _compute(kind: str, compute):
     """The null memo: every spectrum is transformed on demand."""
@@ -191,16 +216,25 @@ class FftConvPlan:
         return forward_transform(go, self.transform_shape)
 
     def kernel_spectrum(self, kernel: np.ndarray) -> np.ndarray:
-        """rfftn of the dilated (un-flipped) kernel, zero-padded to the
-        transform size.  This single spectrum serves forward *and*
-        backward passes — the reuse the memoized column of Table II
-        counts on."""
+        """rfftn of the dilated (un-flipped) kernel zero-padded to the
+        transform size, as a partial DFT of the undilated k³ taps.  This
+        single spectrum serves forward *and* backward passes — the
+        reuse the memoized column of Table II counts on."""
         ker = check_array3(kernel, "kernel")
         if ker.shape != self.kernel_shape:
             raise ValueError(
                 f"kernel shape {ker.shape} != plan {self.kernel_shape}")
-        return forward_transform(dilate_kernel(ker, self.sparsity),
-                                 self.transform_shape)
+        (rows0, rows1, rows2), _ = _dft_rows(
+            self.transform_shape, self.kernel_shape, self.sparsity)
+        partial = rows1 @ (ker @ rows2.T)                    # (k0, n1, m2)
+        spectrum = np.empty(rfft_shape(self.transform_shape), complex)
+        # One small GEMM per axis-1 line, not one (n0, k0)@(k0, n1·m2):
+        # OpenBLAS threads a GEMM past M·N·K ≈ 65,536, and its spinning
+        # helper threads take the other engine worker's core.  (Every
+        # caller's next step is a spectral product, a ufunc: see update.)
+        np.matmul(rows0, partial.transpose(1, 0, 2),
+                  out=spectrum.transpose(1, 0, 2))
+        return spectrum
 
     # -- the passes ----------------------------------------------------------
 
@@ -233,16 +267,20 @@ class FftConvPlan:
                 memo("grad", lambda: self.grad_spectrum(grad)))
 
     def update(self, image, grad, memo=_compute, captured=None):
-        """Kernel gradient: the lags of ``conj(FdO) * FI``, head-cropped
-        to k_eff and subsampled by s."""
+        """Kernel gradient: the lags ``0, s, .., (k-1)s`` of
+        ``conj(FdO) * FI``, by a partial inverse DFT."""
         image_spec, grad_spec = captured or self.capture_update(
             image, grad, memo)
         _fault_point("update_product")
-        spatial = inverse_transform(np.conj(grad_spec) * image_spec,
-                                    self.transform_shape)
-        lags = crop_head(spatial, self.effective_kernel_shape)
-        s = self.sparsity
-        return np.ascontiguousarray(lags[:: s[0], :: s[1], :: s[2]])
+        product = np.conj(grad_spec) * image_spec
+        _, (rows0, rows1, rows2) = _dft_rows(
+            self.transform_shape, self.kernel_shape, self.sparsity)
+        # Batched per line as in kernel_spectrum.  The real part closes
+        # with a ufunc, which clears the AVX upper state zgemm leaves
+        # dirty (the thread's next SSE transform would run ~1.5x slower).
+        lags = np.matmul(rows0, product.transpose(1, 0, 2))  # (n1, k0, m2)
+        lags = np.matmul(rows1, lags.transpose(1, 0, 2))     # (k0, k1, m2)
+        return lags.real @ rows2.real.T - lags.imag @ rows2.imag.T
 
     # -- finalisers (inverse transform + crop), applied once per node sum ----
 
@@ -265,10 +303,11 @@ class FftConvPlan:
         when ``fast_sizes`` padded it).  The memoized image/gradient
         spectra are computed once per *node* and shared by its edges,
         so the per-edge figure charges the product plus one
-        kernel-or-finalise transform — matching what a per-edge timer
-        brackets.  ``bytes`` counts the float64 spectrum traffic of
-        the pass: two spectrum reads, the product write and the
-        inverse-transform read.
+        kernel-or-finalise transform: Table II's count, which its
+        reproduction asserts, though the kernel spectrum and the update
+        run as cheaper partial DFTs.  ``bytes`` counts the float64
+        spectrum traffic of the pass: two spectrum reads, the product
+        write and the inverse-transform read.
         """
         return {
             "flops": fft_cost(self.transform_shape)

@@ -82,7 +82,7 @@ def check_passes(backend, n, k, s, fast, seed):
 
 
 @backends
-@given(n=shape3, k=kernel3, s=st.integers(1, 2), fast=st.booleans(),
+@given(n=shape3, k=kernel3, s=st.integers(1, 4), fast=st.booleans(),
        seed=st.integers(0, 999))
 @settings(max_examples=40, deadline=None)
 def test_passes_match_direct_reference(backend, n, k, s, fast, seed):

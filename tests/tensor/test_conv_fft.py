@@ -1,10 +1,13 @@
 """FFT convolution tests — exactness against the direct method at the
-layer-common transform size, plan spectra reuse, sparse kernels.  The
-drawn-shape property checks of all three passes live in the backend
-contract, ``test_backend_contract.py``."""
+layer-common transform size, plan spectra reuse, sparse kernels, and
+the partial DFTs (kernel spectrum, kernel gradient) against the n³
+``np.fft`` forms they replace.  The drawn-shape property checks of all
+three passes live in the backend contract, ``test_backend_contract.py``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tensor import (
     FftConvPlan,
@@ -16,7 +19,9 @@ from repro.tensor import (
     fft_convolve_full,
     fft_correlate_valid,
 )
-from repro.tensor.conv_direct import convolve_full
+from repro.tensor.conv_direct import convolve_full, dilate_kernel
+from repro.tensor.conv_fft import _dft_rows
+from repro.tensor.fourier import crop_head
 
 
 @pytest.fixture
@@ -145,3 +150,74 @@ class TestPlan:
         plan = FftConvPlan((8, 8, 8), (3, 3, 3))
         with pytest.raises(ValueError):
             plan.kernel_spectrum(rng.standard_normal((2, 2, 2)))
+
+
+# -- the partial DFTs against the n³ np.fft forms ---------------------------
+
+def full_kernel_spectrum(plan, kernel):
+    """rfftn of the dilated kernel, zero-padded to the transform size."""
+    return np.fft.rfftn(dilate_kernel(kernel, plan.sparsity),
+                        s=plan.transform_shape, axes=(0, 1, 2))
+
+
+def full_kernel_gradient(plan, image_spec, grad_spec):
+    """irfftn of the lag spectrum, head-cropped to k_eff, subsampled."""
+    lags = np.fft.irfftn(np.conj(grad_spec) * image_spec,
+                         s=plan.transform_shape, axes=(0, 1, 2))
+    s = plan.sparsity
+    return crop_head(lags, plan.effective_kernel_shape)[::s[0], ::s[1], ::s[2]]
+
+
+def assert_relative(got, want, rtol=1e-12):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def check_partial_dfts(k, s, n, fast, seed):
+    rng = np.random.default_rng(seed)
+    plan = FftConvPlan(n, k, s, fast)
+    img, ker = rng.standard_normal(n), rng.standard_normal(k)
+    grad = rng.standard_normal(plan.output_shape)
+    assert_relative(plan.kernel_spectrum(ker), full_kernel_spectrum(plan, ker))
+    image_spec, grad_spec = plan.capture_update(img, grad)
+    assert_relative(plan.update(img, grad),
+                    full_kernel_gradient(plan, image_spec, grad_spec))
+
+
+@st.composite
+def partial_dft_case(draw):
+    """Per axis: kernel 1-3, sparsity 1-4, and an image from the
+    smallest that fits the dilated kernel to six voxels past it."""
+    k = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    s = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    n = tuple((kd - 1) * sd + 1 + draw(st.integers(0, 6))
+              for kd, sd in zip(k, s))
+    return k, s, n
+
+
+class TestPartialDfts:
+    @given(case=partial_dft_case(), fast=st.booleans(),
+           seed=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_shapes_match_the_full_transforms(self, case, fast, seed):
+        check_partial_dfts(*case, fast, seed)
+
+    @pytest.mark.parametrize("k,s,n", [
+        ((1, 1, 1), 1, (1, 1, 1)),            # every axis of length 1
+        ((1, 2, 1), 1, (2, 2, 2)),            # length 2: bin 1 is Nyquist
+        ((3, 2, 1), (1, 3, 4), (4, 5, 1)),    # anisotropic, last axis 1
+        ((2, 3, 3), (4, 1, 2), (6, 7, 8)),    # even last axis
+        ((3, 3, 3), (2, 2, 2), (9, 10, 11)),  # odd last axis
+        ((3, 3, 3), 4, (27, 27, 27)),         # the training net at s = 4
+        ((3, 3, 3), 4, (19, 19, 19)),
+    ])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_edge_shapes_match_the_full_transforms(self, k, s, n, fast):
+        check_partial_dfts(k, s, n, fast, seed=0)
+
+    def test_rows_are_cached_and_read_only(self):
+        key = ((9, 10, 11), (3, 2, 3), (2, 1, 4))
+        forward, inverse = _dft_rows(*key)
+        assert _dft_rows(*key)[0] is forward
+        for rows in forward + inverse:
+            assert not rows.flags.writeable

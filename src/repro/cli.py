@@ -1040,7 +1040,11 @@ def _cmd_serve(args) -> int:
     if args.specialize:
         from repro.serving import SpecializationPlan
 
-        splan = SpecializationPlan.from_file(args.specialize)
+        try:
+            splan = SpecializationPlan.from_file(args.specialize)
+        except (OSError, ValueError) as exc:
+            print(f"bad plan {args.specialize}: {exc}", file=sys.stderr)
+            return 2
         if splan.model != spec.name:
             print(f"plan {args.specialize} targets model "
                   f"{splan.model!r} but this server registers "

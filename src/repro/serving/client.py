@@ -25,7 +25,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,6 +73,24 @@ def _remaining_timeout(timeout: Optional[float],
     return remaining
 
 
+def _retry_overloaded(
+        attempt_once: Callable[[Optional[float]], np.ndarray],
+        timeout: Optional[float], max_attempts: int,
+        backoff_cap: float) -> np.ndarray:
+    """Call ``attempt_once(remaining timeout)`` until it is not
+    overloaded: up to *max_attempts* calls, sleeping the deadline-capped
+    ``retry_after`` hint between them; the last call's error propagates.
+    """
+    deadline = (None if timeout is None
+                else time.monotonic() + timeout)
+    for _ in range(max_attempts - 1):
+        try:
+            return attempt_once(_remaining_timeout(timeout, deadline))
+        except ServerOverloaded as exc:
+            time.sleep(_retry_sleep(exc, backoff_cap, deadline))
+    return attempt_once(_remaining_timeout(timeout, deadline))
+
+
 def encode_array(array: np.ndarray) -> bytes:
     """npy-serialize *array* (the wire format of ``repro serve``)."""
     buf = io.BytesIO()
@@ -108,19 +126,11 @@ class ServingClient:
               timeout: Optional[float] = None,
               trace_id: Optional[str] = None, **submit_kwargs
               ) -> np.ndarray:
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return self.server.submit(
-                    model, volume,
-                    timeout=_remaining_timeout(timeout, deadline),
-                    trace_id=trace_id, **submit_kwargs).result()
-            except ServerOverloaded as exc:
-                if attempt == self.max_attempts:
-                    raise
-                time.sleep(_retry_sleep(exc, self.backoff_cap, deadline))
-        raise AssertionError("unreachable")  # pragma: no cover
+        return _retry_overloaded(
+            lambda remaining: self.server.submit(
+                model, volume, timeout=remaining, trace_id=trace_id,
+                **submit_kwargs).result(),
+            timeout, self.max_attempts, self.backoff_cap)
 
 
 class HttpServingClient:
@@ -188,18 +198,10 @@ class HttpServingClient:
               timeout: Optional[float] = None,
               trace_id: Optional[str] = None,
               priority: Optional[int] = None) -> np.ndarray:
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return self._post_once(
-                    model, volume, _remaining_timeout(timeout, deadline),
-                    trace_id, priority=priority)
-            except ServerOverloaded as exc:
-                if attempt == self.max_attempts:
-                    raise
-                time.sleep(_retry_sleep(exc, self.backoff_cap, deadline))
-        raise AssertionError("unreachable")  # pragma: no cover
+        return _retry_overloaded(
+            lambda remaining: self._post_once(
+                model, volume, remaining, trace_id, priority=priority),
+            timeout, self.max_attempts, self.backoff_cap)
 
     def health(self) -> dict:
         """GET /healthz as a dict."""

@@ -110,15 +110,15 @@ class FleetServer(RequestLifecycle):
         every worker registers (and, given *prewarm_shape*, prewarms)
         all of them, so any worker can serve any model on failover.
     num_workers:
-        Worker *processes* (each with *threads_per_worker* engine
-        threads inside).
+        Worker *processes* (each running requests on
+        *threads_per_worker* threads).
     max_queue:
         Fleet-wide admission capacity (queued, not in-flight).
     inflight_per_worker:
         Dispatch window per worker: a worker takes the next queued
         request only while fewer than this many are in flight on it.
-        Also each worker's local queue bound, so a worker never
-        rejects what the router sends.
+        It is the only bound on a worker's load: admission happens
+        once, here, and a worker runs whatever it is sent.
     max_attempts:
         Total dispatch attempts per request (first try + failovers).
     worker_faults:
@@ -185,8 +185,8 @@ class FleetServer(RequestLifecycle):
         self._worker_config = WorkerConfig(
             specs=tuple(self.specs.values()),
             plans=tuple(self.plans[name] for name in sorted(self.plans)),
-            threads=threads_per_worker, inflight=inflight_per_worker,
-            tile_voxels=tile_voxels, max_models=max_models,
+            threads=threads_per_worker, tile_voxels=tile_voxels,
+            max_models=max_models,
             prewarm_shape=(tuple(prewarm_shape)
                            if prewarm_shape is not None else None),
             faults=worker_faults)
@@ -516,13 +516,13 @@ class FleetServer(RequestLifecycle):
         self._record_dispatch_span(request)
         self._complete(request, result, request.dispatched_at)
 
-    def _on_error(self, wid: int, rid: int, ekind: str, emsg: str,
-                  retry_after: float) -> None:
+    def _on_error(self, wid: int, rid: int, ekind: str,
+                  emsg: str) -> None:
         request, entry = self._pop_flight(wid, rid)
         self._release(entry)
         if request is None:
             return
-        error = error_from_kind(ekind, emsg, retry_after)
+        error = error_from_kind(ekind, emsg)
         if ekind in ("deadline", "unknown-model", "bad-request"):
             self._fail(request, error, missed=ekind == "deadline")
         else:

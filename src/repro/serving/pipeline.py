@@ -18,7 +18,7 @@ FIFO also holds the admitted requests; this module adds who runs them:
   surfaced to the client.
 
 Observable on top of the lifecycle's counters: ``serving.queue.depth``
-and ``serving.requests.{shed,retried,specialized}``; per-request
+and ``serving.requests.{shed,retried}``; per-request
 wait/service/end-to-end latency is the lifecycle's
 ``slo.{admission_wait,service,e2e}_seconds``.
 """
@@ -80,7 +80,6 @@ class InferenceServer(RequestLifecycle):
         self.gate = threading.Event()
         self.gate.set()
         self._m_retried = reg.counter("serving.requests.retried")
-        self._m_specialized = reg.counter("serving.requests.specialized")
 
     def start(self) -> "InferenceServer":
         if self._mark_started():
@@ -169,11 +168,8 @@ class InferenceServer(RequestLifecycle):
         retries = 0
         while True:
             try:
-                warm, plan = self.registry.resolve(
-                    request.model, request.volume.shape, self.tile_voxels)
-                if plan.conv_modes is not None:
-                    self._m_specialized.inc()
-                return warm.run(request.volume, plan)
+                return self.registry.run(request.model, request.volume,
+                                         self.tile_voxels)
             except Exception as exc:
                 policy = self.retry_policy
                 if policy is None or not policy.should_retry(exc, retries):

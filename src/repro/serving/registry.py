@@ -237,6 +237,7 @@ class ModelRegistry:
         self._m_miss = reg.counter("serving.model_cache.miss")
         self._m_evicted = reg.counter("serving.model_cache.evicted")
         self._m_entries = reg.gauge("serving.model_cache.entries")
+        self._m_specialized = reg.counter("serving.requests.specialized")
 
     def register(self, spec: ModelSpec) -> ModelSpec:
         """Add (or replace) a model spec; replacing invalidates any
@@ -335,6 +336,15 @@ class ModelRegistry:
         plan = plan_volume(volume_shape, self.fov(name),
                            max_voxels=tile_voxels)
         return self.warm(name, plan.input_tile), plan
+
+    def run(self, name: str, volume: np.ndarray,
+            tile_voxels: int = DEFAULT_TILE_VOXELS) -> np.ndarray:
+        """:meth:`resolve`, then :meth:`WarmModel.run`: the body of
+        every request, in the in-process server and a fleet worker."""
+        warm, plan = self.resolve(name, volume.shape, tile_voxels)
+        if plan.conv_modes is not None:
+            self._m_specialized.inc()
+        return warm.run(volume, plan)
 
     def spec(self, name: str) -> ModelSpec:
         with self._lock:

@@ -449,6 +449,8 @@ class SpecializationPlan:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SpecializationPlan":
+        """Parse a :meth:`to_doc` document; raises ``ValueError``
+        naming the first missing or malformed field."""
         if not isinstance(doc, dict):
             raise ValueError(f"plan document must be a dict, got "
                              f"{type(doc).__name__}")
@@ -456,28 +458,29 @@ class SpecializationPlan:
             raise ValueError(
                 f"schema must be {SPECIALIZE_SCHEMA!r}, got "
                 f"{doc.get('schema')!r}")
-        modes = normalize_conv_modes(doc["conv_modes"])
-        assert modes is not None
-        memory = doc.get("memory_bytes")
-        return cls(
-            model=str(doc["model"]),
-            volume_shape=tuple(doc["volume_shape"]),
-            fov=tuple(doc["fov"]),
-            input_tile=tuple(doc["input_tile"]),
-            num_tiles=int(doc["num_tiles"]),
-            conv_modes=modes,
-            layer_modes=tuple((int(i), str(m))
-                              for i, m in doc["layer_modes"]),
-            predicted_tile_seconds=float(doc["predicted_tile_seconds"]),
-            predicted_seconds=float(doc["predicted_seconds"]),
-            predicted_voxels_per_second=float(
-                doc["predicted_voxels_per_second"]),
-            working_set_bytes=int(doc["working_set_bytes"]),
-            tile_voxels=int(doc["tile_voxels"]),
-            memory_bytes=None if memory is None else int(memory),
-            cost_model=str(doc["cost_model"]),
-            candidates=int(doc["candidates"]),
-        )
+        parsers = dict(
+            model=str, volume_shape=tuple, fov=tuple, input_tile=tuple,
+            num_tiles=int,
+            conv_modes=lambda modes: normalize_conv_modes(dict(modes)),
+            layer_modes=lambda pairs: tuple((int(i), str(m))
+                                            for i, m in pairs),
+            predicted_tile_seconds=float, predicted_seconds=float,
+            predicted_voxels_per_second=float, working_set_bytes=int,
+            tile_voxels=int,
+            memory_bytes=lambda cap: None if cap is None else int(cap),
+            cost_model=str, candidates=int)
+        doc = {"memory_bytes": None, **doc}  # optional: no memory cap
+        fields = {}
+        for name, parse in parsers.items():
+            try:
+                fields[name] = parse(doc[name])
+            except KeyError:
+                raise ValueError(
+                    f"plan field {name!r} is missing") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"plan field {name!r} is malformed "
+                                 f"({exc}): {doc[name]!r}") from None
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path: str) -> "SpecializationPlan":

@@ -1,12 +1,12 @@
 """Supervised serving worker processes.
 
 One :class:`Supervisor` owns N spawned worker processes, each running
-:func:`serve_worker_main`: a full serving stack (own
-:class:`~repro.serving.registry.ModelRegistry` with prewarmed twins,
-own :class:`~repro.serving.pipeline.InferenceServer` whose threads
-take one request each) behind a duplex pipe.  The router
-(:class:`~repro.serving.fleet.FleetServer`) never touches processes
-directly; it talks to this module.
+:func:`serve_worker_main`: a :class:`~repro.serving.registry.
+ModelRegistry` with prewarmed twins behind a duplex pipe, running what
+the router (:class:`~repro.serving.fleet.FleetServer`) sends on a few
+threads.  The router admits each request once and bounds a worker's
+load with its in-flight window; it never touches processes directly,
+it talks to this module.
 
 Wire protocol (parent → worker):
 
@@ -19,8 +19,7 @@ Wire protocol (parent → worker):
                              from shared memory, the output written
                              back into shared memory, then
                              ("result", id) — or ("error", id, kind,
-                             message, retry_after) with kind in
-                             {"deadline", "overloaded",
+                             message) with kind in {"deadline",
                              "unknown-model", "bad-request", "error"}.
     ("stop",)              → finish in-flight requests, then exit 0.
 
@@ -42,7 +41,7 @@ Failure handling (the whole point):
   ``heartbeat_timeout`` seconds without a pong the monitor declares
   it hung, kills it, and takes the same death path.  Requests that
   are merely *slow* don't trip this: inference runs on the worker's
-  engine threads while the main loop keeps answering pings.
+  request threads while the main loop keeps answering pings.
 * **Restart storm** — more than ``breaker_restarts`` deaths within
   ``breaker_window`` seconds trips the circuit breaker: the worker is
   **quarantined** (no further restarts, traffic permanently rerouted)
@@ -61,6 +60,7 @@ import queue
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -80,11 +80,7 @@ from repro.resilience.faults import (
     install_plan,
     worker_family,
 )
-from repro.serving.lifecycle import (
-    DeadlineExceeded,
-    ServerOverloaded,
-    ServingError,
-)
+from repro.serving.lifecycle import DeadlineExceeded, ServingError
 from repro.serving.registry import ModelRegistry, ModelSpec
 from repro.serving.specialize import SpecializationPlan
 from repro.serving.tiler import DEFAULT_TILE_VOXELS
@@ -96,6 +92,7 @@ __all__ = [
     "SupervisorConfig",
     "Supervisor",
     "serve_worker_main",
+    "run_request",
     "error_from_kind",
 ]
 
@@ -128,8 +125,8 @@ class WorkerConfig:
     #: specialization"); applied after registration, so respawned
     #: workers serve the same specialized tile/mode mix as the first.
     plans: Tuple[SpecializationPlan, ...] = ()
+    #: Request threads (the router's in-flight window bounds the load).
     threads: int = 1
-    inflight: int = 4
     tile_voxels: int = DEFAULT_TILE_VOXELS
     max_models: int = 4
     prewarm: bool = True
@@ -161,8 +158,6 @@ def _error_kind(exc: BaseException) -> str:
     """Classify a worker-side failure for the wire."""
     if isinstance(exc, DeadlineExceeded):
         return "deadline"
-    if isinstance(exc, ServerOverloaded):
-        return "overloaded"
     if isinstance(exc, KeyError):
         return "unknown-model"
     if isinstance(exc, (ValueError, TypeError)):
@@ -170,13 +165,10 @@ def _error_kind(exc: BaseException) -> str:
     return "error"
 
 
-def error_from_kind(kind: str, message: str,
-                    retry_after: float) -> BaseException:
+def error_from_kind(kind: str, message: str) -> BaseException:
     """Router-side inverse of :func:`_error_kind`."""
     if kind == "deadline":
         return DeadlineExceeded(message)
-    if kind == "overloaded":
-        return ServerOverloaded(message, retry_after=retry_after)
     if kind == "unknown-model":
         return KeyError(message)
     if kind == "bad-request":
@@ -184,14 +176,54 @@ def error_from_kind(kind: str, message: str,
     return ServingError(message)
 
 
+def _send(conn, send_lock, message: tuple) -> bool:
+    """Send *message* under *send_lock*; False if the pipe is broken."""
+    with send_lock:
+        try:
+            conn.send(message)
+            return True
+        except (BrokenPipeError, OSError):
+            return False
+
+
+def run_request(registry: ModelRegistry, tile_voxels: int,
+                message: tuple, deadline: Optional[float]) -> tuple:
+    """Serve one ``request`` *message* from *registry* through its
+    shared-memory blocks; return the reply (every failure becomes an
+    error reply, so it never raises).  *deadline* (absolute monotonic,
+    None: unbounded) is checked once, before any work."""
+    req_id, model, in_handle, in_shape, out_handle, out_shape = message[1:7]
+    try:
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded(
+                f"request {req_id} waited past its deadline for a "
+                f"worker thread")
+        in_block = attach_block(in_handle)
+        out_block = attach_block(out_handle)
+        try:
+            out_block.as_array(out_shape)[...] = registry.run(
+                model, in_block.as_array(in_shape), tile_voxels)
+        finally:
+            in_block.close()
+            out_block.close()
+    except Exception as exc:
+        return ("error", req_id, _error_kind(exc), str(exc))
+    return ("result", req_id)
+
+
 def serve_worker_main(worker_id: int, config: WorkerConfig,
                       conn) -> None:
-    """Run one serving worker until told to stop (the spawn target)."""
+    """Run one serving worker until told to stop (the spawn target).
+
+    The main loop only reads the pipe: it answers pings itself and
+    hands each request to one of ``config.threads`` threads, which
+    sends its own reply under the one send lock.  On ``stop`` the
+    requests already received finish before the worker exits.
+    """
     tracer = get_tracer()
     tracer.set_process(f"serve-worker-{worker_id}")
     if config.faults:
         install_plan(FaultPlan.from_string(config.faults))
-    from repro.serving.pipeline import InferenceServer
     registry = ModelRegistry(max_models=config.max_models,
                              num_workers=1, prewarm=config.prewarm)
     for spec in config.specs:
@@ -201,77 +233,50 @@ def serve_worker_main(worker_id: int, config: WorkerConfig,
     if config.prewarm_shape is not None:
         registry.prewarm_all(config.prewarm_shape,
                              tile_voxels=config.tile_voxels)
-    server = InferenceServer(registry, num_workers=config.threads,
-                             max_queue=max(config.inflight, 1),
-                             tile_voxels=config.tile_voxels).start()
-    # req_id -> (pending, in_block, out_block, out_shape)
-    pending: Dict[int, tuple] = {}
+    # One send lock for the main loop and the request threads; on a
+    # broken pipe (parent gone) the next recv ends the loop.
+    send_lock = make_lock("serving.worker.send")
+
+    def serve(message: tuple, deadline: Optional[float]) -> None:
+        _send(conn, send_lock, run_request(
+            registry, config.tile_voxels, message, deadline))
+
+    threads = ThreadPoolExecutor(
+        config.threads, thread_name_prefix=f"serve-worker-{worker_id}")
     try:
-        conn.send(("ready", worker_id))
-        stopping = False
-        while not (stopping and not pending):
-            if conn.poll(0.005 if pending else 0.05):
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    break  # parent died; nothing to answer to
-                kind = message[0]
-                if kind == "ping":
-                    conn.send(("pong", message[1]))
-                elif kind == "stop":
-                    stopping = True  # drain local in-flight, then exit
-                elif kind == "request":
-                    (_, req_id, model, in_handle, in_shape,
-                     out_handle, out_shape, timeout) = message
-                    plan = active_plan()
-                    if plan is not None:
-                        # A "fail" spec crashes the process mid-request
-                        # (caught below -> os._exit); a "hang" spec
-                        # sleeps *here*, in the main loop, so pings go
-                        # unanswered and the watchdog fires.
-                        name = f"worker-{worker_id} request {req_id}"
-                        plan.check(SERVE_WORKER_FAMILY, name)
-                        plan.check(
-                            worker_family(SERVE_WORKER_FAMILY, worker_id),
-                            name)
-                    in_block = attach_block(in_handle)
-                    out_block = attach_block(out_handle)
-                    volume = in_block.as_array(in_shape)
-                    try:
-                        request = server.submit(model, volume,
-                                                timeout=timeout)
-                    except Exception as exc:
-                        conn.send(("error", req_id, _error_kind(exc),
-                                   str(exc),
-                                   getattr(exc, "retry_after", 0.0)))
-                        in_block.close()
-                        out_block.close()
-                    else:
-                        pending[req_id] = (request, in_block,
-                                           out_block, out_shape)
-            completed = [rid for rid, entry in pending.items()
-                         if entry[0].done()]
-            for rid in completed:
-                request, in_block, out_block, out_shape = pending.pop(rid)
-                try:
-                    result = request.result(timeout=0)
-                except Exception as exc:
-                    conn.send(("error", rid, _error_kind(exc), str(exc),
-                               getattr(exc, "retry_after", 0.0)))
-                else:
-                    out_block.as_array(out_shape)[...] = result
-                    conn.send(("result", rid))
-                finally:
-                    in_block.close()
-                    out_block.close()
+        _send(conn, send_lock, ("ready", worker_id))
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                break  # parent died; nothing to answer to
+            kind = message[0]
+            if kind == "ping":
+                _send(conn, send_lock, ("pong", message[1]))
+            elif kind == "stop":
+                break
+            elif kind == "request":
+                timeout = message[7]
+                deadline = (None if timeout is None
+                            else time.monotonic() + timeout)
+                plan = active_plan()
+                if plan is not None:
+                    # A "fail" spec crashes the process mid-request
+                    # (caught below -> os._exit); a "hang" spec sleeps
+                    # *here*, in the main loop, so pings go unanswered
+                    # and the watchdog fires.
+                    name = f"worker-{worker_id} request {message[1]}"
+                    plan.check(SERVE_WORKER_FAMILY, name)
+                    plan.check(
+                        worker_family(SERVE_WORKER_FAMILY, worker_id),
+                        name)
+                threads.submit(serve, message, deadline)
     except InjectedFault:
         # Simulated hard crash: no goodbye, no cleanup — the supervisor
         # must cope with exactly this.
         os._exit(CRASH_EXIT_CODE)
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-        pass
     finally:
-        server.stop()
+        threads.shutdown(wait=True)  # finish every received request
         registry.close()
         conn.close()
 
@@ -381,36 +386,44 @@ class Supervisor:
                 return
             self._stopping = True
             records = list(self._records.values())
-        for record in records:
-            conn = record.conn
-            if conn is None:
-                continue
-            with record.send_lock:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for record in records:
-            process = record.process
-            if process is None:
-                continue
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=2.0)
+        self._stop_processes(records, join_timeout=5.0)
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
         with self._lock:
             for record in self._records.values():
                 record.state = STATE_STOPPED
+        self._m_healthy.set(0)
+
+    def _stop_processes(self, records: list,
+                        join_timeout: float) -> bool:
+        """Send ``stop`` to each record's worker so it drains, join it
+        (terminating it if still alive), then close its pipe.  True when
+        every worker exited within *join_timeout*."""
+        with self._lock:
+            targets = [(record, record.conn, record.process)
+                       for record in records]
+        for record, conn, _ in targets:
+            if conn is not None:  # a dying worker: the join settles it
+                _send(conn, record.send_lock, ("stop",))
+        clean = True
+        for _, _, process in targets:
+            if process is None:
+                continue
+            process.join(timeout=join_timeout)
+            if process.is_alive():  # pragma: no cover - stuck drain
+                clean = False
+                process.terminate()
+                process.join(timeout=2.0)
+        with self._lock:
+            for record, _, _ in targets:
                 if record.conn is not None:
                     try:
                         record.conn.close()
                     except OSError:  # pragma: no cover
                         pass
                     record.conn = None
-        self._m_healthy.set(0)
+        return clean
 
     # -- scaling -------------------------------------------------------
 
@@ -418,8 +431,9 @@ class Supervisor:
         """Allocate a new worker slot (the next unused id) without
         spawning it yet.
 
-        Two-step on purpose: the router must wire the new id's lanes
-        and metrics *before* the process can report ready, so it calls
+        Two-step on purpose: the router must create the new id's
+        in-flight window (``_inflight[wid]``) and per-worker metrics
+        *before* the process can report ready, so it calls
         :meth:`spawn_worker` once its own structures exist.
         """
         with self._lock:
@@ -467,30 +481,8 @@ class Supervisor:
             # schedule a restart.
             record.state = STATE_RETIRED
             record.restart_at = None
-            conn = record.conn
-            send_lock = record.send_lock
-            process = record.process
         flight_note("fleet worker retiring", worker=worker_id)
-        if conn is not None:
-            with send_lock:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass  # already dying; the join below settles it
-        clean = True
-        if process is not None:
-            process.join(timeout=join_timeout)
-            if process.is_alive():  # pragma: no cover - stuck drain
-                clean = False
-                process.terminate()
-                process.join(timeout=2.0)
-        with self._lock:
-            if record.conn is not None:
-                try:
-                    record.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                record.conn = None
+        clean = self._stop_processes([record], join_timeout)
         self._update_gauges()
         return clean
 
@@ -514,13 +506,7 @@ class Supervisor:
             if record is None or record.state != STATE_HEALTHY:
                 return False
             conn = record.conn
-            send_lock = record.send_lock
-        with send_lock:
-            try:
-                conn.send(message)
-                return True
-            except (BrokenPipeError, OSError):
-                return False
+        return _send(conn, record.send_lock, message)
 
     def status(self) -> Dict[str, dict]:
         """Per-worker state for ``/healthz`` and ``repro fleet
@@ -648,11 +634,8 @@ class Supervisor:
                             f"{cfg.start_timeout:.0f}s")
                         to_kill.append(record.process)
         for conn, send_lock in to_ping:
-            with send_lock:
-                try:
-                    conn.send(("ping", seq))
-                except (BrokenPipeError, OSError):
-                    pass  # reader will report the death
+            # A broken pipe is the reader's to report, as a death.
+            _send(conn, send_lock, ("ping", seq))
         for process in to_kill:
             # Killing closes the pipe; the reader thread turns that
             # into a death event with the pending_reason attached.

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.memory.shared_pool import attach_block
 from repro.serving import (
     ADMISSION_FRACTIONS,
     PRIORITY_HIGH,
@@ -28,6 +27,7 @@ from repro.serving import (
     admission_limit,
 )
 from repro.serving.client import _remaining_timeout, _retry_sleep
+from repro.serving.supervisor import run_request
 
 
 class HeldSupervisor:
@@ -35,14 +35,13 @@ class HeldSupervisor:
 
     Every worker is healthy as soon as it is spawned.  ``send`` holds
     each request on its own thread until the test sets ``release``,
-    then answers it from *registry*, so requests stay in flight for
-    as long as the test needs.
+    then answers it from *registry* the way a fleet worker does, so
+    requests stay in flight for as long as the test needs.
     """
 
     def __init__(self, fleet, registry, num_workers):
         self.fleet = fleet
-        self.inner = InferenceServer(registry, num_workers=2,
-                                     tile_voxels=1000)
+        self.registry = registry
         self.workers = {wid: "starting" for wid in range(num_workers)}
         self.release = threading.Event()
         #: Workers whose pipe is broken: ``send`` to them fails.
@@ -50,7 +49,6 @@ class HeldSupervisor:
         self._replies = []
 
     def start(self):
-        self.inner.start()
         for wid in list(self.workers):
             self.spawn_worker(wid)
 
@@ -58,7 +56,6 @@ class HeldSupervisor:
         self.release.set()
         for thread in self._replies:
             thread.join(timeout=30)
-        self.inner.stop()
 
     def wait_ready(self, timeout=None, min_workers=1):
         return True
@@ -97,18 +94,9 @@ class HeldSupervisor:
         return True
 
     def _reply(self, wid, message):
-        (_, rid, model, in_handle, in_shape,
-         out_handle, out_shape, timeout) = message
         self.release.wait()
-        in_block = attach_block(in_handle)
-        out_block = attach_block(out_handle)
-        try:
-            out_block.as_array(out_shape)[...] = self.inner.infer(
-                model, in_block.as_array(in_shape))
-        finally:
-            in_block.close()
-            out_block.close()
-        self.fleet._on_message(wid, ("result", rid))
+        self.fleet._on_message(wid, run_request(
+            self.registry, 1000, message, deadline=None))
 
 
 @pytest.fixture

@@ -122,6 +122,33 @@ class TestCleanFleet:
             fleet.stop()
 
 
+    def test_full_window_is_served_without_requeues(self, small_model,
+                                                    registry):
+        # A worker runs every request its in-flight window holds: a
+        # burst of twice the window on one worker is all served, and
+        # none bounces back to the router's queue.  The volume is big
+        # enough that serving it is slower than dispatching it, so the
+        # window fills.
+        shape = (32, 32, 32)
+        volume = np.random.default_rng(16).standard_normal(shape)
+        reference = registry.run("small", volume)
+        requeued = metrics_registry().counter("fleet.requests.requeued")
+        fleet = make_fleet(small_model, 1, inflight_per_worker=16,
+                           max_queue=64, prewarm_shape=shape,
+                           pool_name="fleet-window")
+        fleet.start(ready_timeout=120)
+        try:
+            before = requeued.value
+            pending = [fleet.submit("small", volume, timeout=60.0)
+                       for _ in range(32)]
+            for request in pending:
+                assert np.array_equal(request.result(timeout=60.0),
+                                      reference)
+            assert requeued.value == before
+        finally:
+            fleet.stop()
+
+
 class TestKillChaos:
     def test_crashes_mid_load_stay_bitwise_identical(
             self, small_model, clean_output):

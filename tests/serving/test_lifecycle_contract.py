@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.memory.shared_pool import attach_block
 from repro.observability import get_registry as metrics_registry
 from repro.serving import (
     PRIORITY_HIGH,
@@ -28,17 +27,17 @@ from repro.serving import (
     ServerOverloaded,
     admission_limit,
 )
-from repro.serving.supervisor import _error_kind
+from repro.serving.supervisor import run_request
 
 
 class InProcessSupervisor:
     """The slice of ``Supervisor`` the router calls, minus processes:
-    worker 0 answers ``send`` synchronously from *registry*."""
+    worker 0 answers ``send`` synchronously from *registry*, the way a
+    fleet worker does."""
 
     def __init__(self, fleet, registry):
         self.fleet = fleet
-        self.inner = InferenceServer(registry, num_workers=1,
-                                     tile_voxels=1000)
+        self.registry = registry
         self.up = False
         # Like the real supervisor's monitor-thread join: stop() waits
         # for a reply in progress, so the router never closes the pool
@@ -46,11 +45,11 @@ class InProcessSupervisor:
         self._replying = threading.Lock()
 
     def start(self):
-        self.inner.start()
+        pass
 
     def stop(self):
         with self._replying:
-            self.inner.stop()
+            pass
 
     def wait_ready(self, timeout=None, min_workers=1):
         return True
@@ -67,23 +66,12 @@ class InProcessSupervisor:
         self.fleet._on_worker_up(0)
 
     def send(self, wid, message):
-        (_, rid, model, in_handle, in_shape,
-         out_handle, out_shape, timeout) = message
+        timeout = message[7]
+        deadline = (None if timeout is None
+                    else time.monotonic() + timeout)
         with self._replying:
-            in_block = attach_block(in_handle)
-            out_block = attach_block(out_handle)
-            try:
-                result = self.inner.infer(
-                    model, in_block.as_array(in_shape), timeout=timeout)
-            except Exception as exc:
-                reply = ("error", rid, _error_kind(exc), str(exc), 0.0)
-            else:
-                out_block.as_array(out_shape)[...] = result
-                reply = ("result", rid)
-            finally:
-                in_block.close()
-                out_block.close()
-            self.fleet._on_message(wid, reply)
+            self.fleet._on_message(wid, run_request(
+                self.registry, 1000, message, deadline))
         return True
 
 

@@ -348,6 +348,44 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="dict"):
             SpecializationPlan.from_doc([1, 2])
 
+    def test_missing_field_is_named(self, small_model):
+        doc = plan_specialization(small_model.model_spec(),
+                                  (24, 24, 24)).to_doc()
+        del doc["input_tile"]
+        with pytest.raises(ValueError,
+                           match="field 'input_tile' is missing"):
+            SpecializationPlan.from_doc(doc)
+        del doc["memory_bytes"]  # optional: absent means no cap
+        doc["input_tile"] = [9, 9, 9]
+        assert SpecializationPlan.from_doc(doc).memory_bytes is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_tiles", "eight"),
+        ("volume_shape", 24),
+        ("layer_modes", [[0]]),
+        ("conv_modes", ["fft"]),
+        ("predicted_seconds", None),
+    ])
+    def test_mistyped_field_is_named(self, small_model, field, value):
+        doc = plan_specialization(small_model.model_spec(),
+                                  (24, 24, 24)).to_doc()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' is malformed"):
+            SpecializationPlan.from_doc(doc)
+
+    def test_serve_exits_2_on_a_malformed_plan(self, small_model,
+                                               tmp_path, capsys):
+        from repro.cli import main
+
+        doc = plan_specialization(small_model.model_spec(),
+                                  (24, 24, 24)).to_doc()
+        doc["num_tiles"] = "eight"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["serve", "--spec", small_model.spec_path,
+                     "--specialize", str(path)]) == 2
+        assert "field 'num_tiles' is malformed" in capsys.readouterr().err
+
     def test_plan_is_picklable_and_hashable(self, small_model):
         spec = small_model.model_spec()
         plan = plan_specialization(spec, (24, 24, 24))

@@ -240,22 +240,6 @@ def memoization(rounds=3, width=4, n=18):
     return ["mode", "FFTs / round", "s / update", "reuse fraction"], rows
 
 
-def fft_fast_sizes(kernel=5):
-    """Padding awkward transform lengths to 5-smooth ones: one
-    forward + backward + update triple per plan (``time_passes``)."""
-    from repro.tensor.backends import time_passes
-    from repro.tensor.fourier import next_fast_len
-
-    rows = []
-    for n in (31, 37, 41, 53):
-        seconds = [time_passes("fft", (n,) * 3, kernel, fast_sizes=fast)
-                   for fast in (False, True)]
-        rows.append([f"{n}^3", f"{next_fast_len(n)}^3",
-                     f"{seconds[0]:.3g}", f"{seconds[1]:.3g}",
-                     f"{seconds[0] / seconds[1]:.3g}"])
-    return ["image", "padded to", "plain s", "fast s", "speedup"], rows
-
-
 SECTIONS = (
     ("Table I — layer FLOPs (f=4, n=32^3, k=p=4)", reporting.table1),
     ("Table II — conv layer total FLOPs (f=f'=4, n=24^3)",
@@ -295,8 +279,6 @@ SECTIONS = (
     ("§VII-C allocator — pooled vs fresh allocation (this host)",
      allocator),
     ("FFT memoization — per training round (this host)", memoization),
-    ("FFT fast sizes — 5-smooth transform padding (this host)",
-     fft_fast_sizes),
 )
 
 

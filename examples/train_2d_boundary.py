@@ -34,7 +34,7 @@ def main() -> None:
         output_nodes=1)
     input_shape = (1, 40, 40)
     net = Network(graph, input_shape=input_shape, conv_mode="auto",
-                  loss="binary-logistic", seed=0, fft_fast_sizes=True,
+                  loss="binary-logistic", seed=0,
                   optimizer=SGD(learning_rate=5e-4, momentum=0.9))
     out_name = net.output_nodes[0].name
     out_shape = net.output_nodes[0].shape

@@ -4,9 +4,9 @@ volume edge.
 For each serve model of ``benchmarks/e2e`` (``CTPCTPCT`` widths 4/4/1
 kernel 3, and ``CTPCT`` widths 2/1 kernel 2, both FFT), each volume
 edge and each input-tile budget, build one warm model at the tile
-``serving.tiler.plan_volume`` picks and one at the largest 5-smooth
-cube under the budget (the tile a largest-5-smooth-cube planner picks
-for these cubic volumes), then time ``WarmModel.run`` on one volume
+``serving.tiler.plan_volume`` picks and one at the largest 11-smooth
+cube under the budget (``largest_fast_len``: the tile a largest-cube
+planner on FFT-fast lengths picks for these cubic volumes), then time ``WarmModel.run`` on one volume
 with each, alternating which goes first.  Times are CPU milliseconds
 per request, the median of ``--repeats`` runs; ``ratio`` is planner ÷
 cube, so below 1 the planner's tile is cheaper.
@@ -33,7 +33,7 @@ MODELS = {
 
 
 def largest_cube(edge, fov, budget):
-    """The largest 5-smooth cube edge within *edge* and *budget*, or
+    """The largest 11-smooth cube edge within *edge* and *budget*, or
     None when no such cube covers the fov."""
     side = int(round(budget ** (1 / 3)))
     while side ** 3 > budget:

@@ -92,6 +92,20 @@ def _parse_shape(text: str) -> tuple:
     return dims * 3 if len(dims) == 1 else dims
 
 
+def _parse_sizes(text: str) -> tuple:
+    """Comma-separated positive integers, e.g. ``2,3,5,7``; any other
+    value is an argparse error (exit 2) naming it."""
+    values = [v.strip() for v in text.split(",") if v.strip()]
+    for value in values:
+        if not value.isdigit() or int(value) < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected positive integers, got {value!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}")
+    return tuple(int(v) for v in values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -127,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("autotune", help="measure FFT/direct crossover")
     tune.add_argument("--image", type=int, default=32)
-    tune.add_argument("--kernels", default="2,3,5,7",
-                      help="comma-separated kernel sizes")
+    tune.add_argument("--kernels", default="2,3,5,7", type=_parse_sizes,
+                      help="comma-separated kernel sizes, each <= --image")
     tune.add_argument("--repeats", type=int, default=2)
 
     train = sub.add_parser("train",
@@ -491,9 +505,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_autotune(args) -> int:
     from repro.core import autotune_layer
 
-    kernels = [int(k) for k in args.kernels.split(",") if k]
+    too_big = [k for k in args.kernels if k > args.image]
+    if too_big:
+        print(f"--kernels: size {too_big[0]} exceeds --image {args.image}",
+              file=sys.stderr)
+        return 2
     rows = []
-    for k in kernels:
+    for k in args.kernels:
         mode, t_d, t_f = autotune_layer((args.image,) * 3, k,
                                         repeats=args.repeats)
         rows.append([f"{k}^3", f"{t_d:.4f}", f"{t_f:.4f}", mode])

@@ -37,10 +37,10 @@ __all__ = [
 
 
 def autotune_layer(image_shape, kernel_shape, sparsity=1,
-                   repeats: int = 3, tolerance: float = 0.05,
-                   fast_sizes: bool = False) -> Tuple[str, float, float]:
-    """Time every registered backend on the plan an edge built with
-    *fast_sizes* would run; return ``(mode, t_direct, t_fft)``.
+                   repeats: int = 3, tolerance: float = 0.05
+                   ) -> Tuple[str, float, float]:
+    """Time every registered backend on the plan an edge at these
+    shapes would run; return ``(mode, t_direct, t_fft)``.
 
     A failing benchmark of a non-default backend (broken FFT library,
     injected fault) is not fatal: it is timed at ``inf``, so the layer
@@ -51,7 +51,7 @@ def autotune_layer(image_shape, kernel_shape, sparsity=1,
     for name, backend in registry.items():
         try:
             seconds[name] = time_passes(name, image_shape, kernel_shape,
-                                        sparsity, repeats, fast_sizes)
+                                        sparsity, repeats)
         except Exception:
             if backend is FALLBACK:
                 raise
@@ -59,13 +59,13 @@ def autotune_layer(image_shape, kernel_shape, sparsity=1,
     return (choose(seconds, tolerance), *seconds.values())
 
 
-def autotune_graph(graph: ComputationGraph, repeats: int = 3,
-                   fast_sizes: bool = False) -> Dict[str, str]:
+def autotune_graph(graph: ComputationGraph,
+                   repeats: int = 3) -> Dict[str, str]:
     """Choose a conv mode per edge, one measurement per distinct
     (input shape, kernel, sparsity) layer group.
 
     Shapes must be propagated on *graph* beforehand (Network does this
-    before calling, and passes its ``fft_fast_sizes``).
+    before calling).
     """
     modes: Dict[str, str] = {}
     group_mode: Dict[tuple, str] = {}
@@ -78,8 +78,7 @@ def autotune_graph(graph: ComputationGraph, repeats: int = 3,
         key = (src.shape, edge.kernel, edge.sparsity)
         if key not in group_mode:
             group_mode[key] = autotune_layer(
-                src.shape, edge.kernel, edge.sparsity, repeats,
-                fast_sizes=fast_sizes)[0]
+                src.shape, edge.kernel, edge.sparsity, repeats)[0]
         modes[edge.name] = group_mode[key]
     return modes
 

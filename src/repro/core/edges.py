@@ -133,8 +133,7 @@ class ConvEdge(RuntimeEdge):
 
     def __init__(self, spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode,
                  kernel: SharedKernel, mode: str = FALLBACK.name,
-                 cache: Optional[TransformCache] = None,
-                 fast_sizes: bool = False) -> None:
+                 cache: Optional[TransformCache] = None) -> None:
         super().__init__(spec, src, dst)
         self.backend = conv_backend(mode)
         self.kernel = kernel
@@ -142,10 +141,9 @@ class ConvEdge(RuntimeEdge):
         self.cache = cache if cache is not None else TransformCache(enabled=False)
         #: The plan executing the passes: ``backend``'s until a failure
         #: degrades this edge and swaps in ``_fallback_plan`` for good.
-        self.plan = self.backend.build(src.shape, spec.kernel, spec.sparsity,
-                                       fast_sizes)
+        self.plan = self.backend.build(src.shape, spec.kernel, spec.sparsity)
         self._fallback_plan = FALLBACK.build(src.shape, spec.kernel,
-                                             spec.sparsity, fast_sizes)
+                                             spec.sparsity)
         #: Which cache entry each memoized spectrum kind lives under.
         self._owner = {"img": src.name, "grad": dst.name, "ker": spec.name}
 
@@ -361,8 +359,7 @@ def make_runtime_edge(spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode,
                       mode: str = FALLBACK.name,
                       cache: Optional[TransformCache] = None,
                       rng: Optional[np.random.Generator] = None,
-                      kernel: Optional[SharedKernel] = None,
-                      fast_sizes: bool = False) -> RuntimeEdge:
+                      kernel: Optional[SharedKernel] = None) -> RuntimeEdge:
     """Factory: build the runtime edge for *spec*.
 
     For conv edges a fresh He-initialised :class:`SharedKernel` is
@@ -374,8 +371,7 @@ def make_runtime_edge(spec: EdgeSpec, src: RuntimeNode, dst: RuntimeNode,
                 rng = np.random.default_rng()
             fan_in = int(np.prod(spec.kernel)) * max(len(dst.spec.in_edges), 1)
             kernel = SharedKernel(kernel_init(rng, spec.kernel, fan_in))
-        return ConvEdge(spec, src, dst, kernel, mode=mode, cache=cache,
-                        fast_sizes=fast_sizes)
+        return ConvEdge(spec, src, dst, kernel, mode=mode, cache=cache)
     if spec.kind == "transfer":
         return TransferEdge(spec, src, dst)
     if spec.kind in ("pool", "filter"):

@@ -93,9 +93,6 @@ class Network:
         ``"lifo"``, ``"work-stealing"``.
     seed:
         Seed for weight init and dropout.
-    fft_fast_sizes:
-        Pad FFT transforms up to 5-smooth sizes (faster transforms,
-        slightly more memory; results are bit-compatible to ~1e-12).
     deterministic_sums:
         Reduce convergent-node sums in fixed edge order
         (:class:`repro.sync.OrderedSum`) so results are bitwise
@@ -120,7 +117,6 @@ class Network:
                  num_workers: int = 1,
                  scheduler: str = "priority",
                  seed: SeedLike = None,
-                 fft_fast_sizes: bool = False,
                  deterministic_sums: bool = False,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         graph.validate()
@@ -134,8 +130,7 @@ class Network:
         # Resolve per-edge convolution modes.
         if conv_mode == "auto":
             from repro.core.autotune import autotune_graph
-            modes: Dict[str, str] = autotune_graph(
-                graph, fast_sizes=fft_fast_sizes)
+            modes: Dict[str, str] = autotune_graph(graph)
         elif isinstance(conv_mode, str):
             conv_backend(conv_mode)
             modes = {e.name: conv_mode for e in graph.edges.values()
@@ -151,7 +146,7 @@ class Network:
             edge = make_runtime_edge(
                 spec, self.nodes[spec.src], self.nodes[spec.dst],
                 mode=modes.get(name, FALLBACK.name), cache=self.cache,
-                rng=self.rng, fast_sizes=fft_fast_sizes)
+                rng=self.rng)
             self.edges[name] = edge
             self.nodes[spec.src].out_edges.append(edge)
             self.nodes[spec.dst].in_edges.append(edge)

@@ -25,7 +25,7 @@ increasing.
 Request sizes
 -------------
 Cube edges are drawn from a bounded Pareto distribution (heavy tail —
-most requests are small, a few are huge) and snapped down to 5-smooth
+most requests are small, a few are huge) and snapped down to 11-smooth
 lengths via :func:`repro.serving.tiler.largest_fast_len`, so every
 generated volume is FFT-friendly and the warm-model cache sees a small
 set of distinct tile shapes instead of one per request.
@@ -269,15 +269,15 @@ class _SmoothWRR:
 
 
 def _snap_edge(edge: int, size_min: int) -> int:
-    """Largest 5-smooth length in ``[size_min, edge]`` (falls back to
-    *edge* when the window contains no 5-smooth integer)."""
+    """Largest 11-smooth length in ``[size_min, edge]`` (falls back to
+    *edge* when the window contains no 11-smooth integer)."""
     snapped = largest_fast_len(edge, floor=size_min)
     return snapped if snapped is not None else edge
 
 
 def _sample_edge(rng: random.Random, config: TraceConfig) -> int:
     """Bounded-Pareto sample over ``[size_min, size_max]``, snapped
-    down to a 5-smooth edge length."""
+    down to an 11-smooth edge length."""
     lo, hi = float(config.size_min), float(config.size_max)
     if config.size_min == config.size_max:
         return config.size_min

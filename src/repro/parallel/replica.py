@@ -106,7 +106,6 @@ class ModelConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
     memoize: bool = True
-    fft_fast_sizes: bool = False
 
     def build_graph(self) -> ComputationGraph:
         if self.spec_path is not None:
@@ -132,8 +131,7 @@ class ModelConfig:
                           weight_decay=self.weight_decay),
             loss=self.loss,
             num_workers=1,
-            seed=self.seed,
-            fft_fast_sizes=self.fft_fast_sizes)
+            seed=self.seed)
 
     def resolved(self, network: Network) -> "ModelConfig":
         """The config workers should receive: ``conv_mode`` pinned to

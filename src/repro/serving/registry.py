@@ -109,7 +109,7 @@ class WarmModel:
     """
 
     def __init__(self, spec: ModelSpec, input_tile,
-                 num_workers: int = 1, prewarm: bool = True,
+                 num_workers: int = 1,
                  conv_modes: Optional[Mapping[str, str]] = None) -> None:
         self.spec = spec
         self.input_tile = as_shape3(input_tile, name="input_tile")
@@ -123,7 +123,7 @@ class WarmModel:
             conv_mode=(dict(self.conv_modes) if self.conv_modes is not None
                        else spec.conv_mode),
             seed=spec.seed, deterministic_sums=True)
-        self.network = self._build_twin(prewarm=prewarm)
+        self.network = self._build_twin(prewarm=True)
         self._grows = voxels(self.input_tile) >= TWIN_MIN_VOXELS
         self._cond = make_condition("serving.warm_model")
         self._free = [self.network]  # guarded-by: _cond
@@ -219,15 +219,15 @@ class ModelRegistry:
     :class:`~repro.serving.specialize.SpecializationPlan`
     (:meth:`set_plan`); the pipeline and :meth:`prewarm_all` then build
     its warm twin at the plan's tile with the plan's per-edge modes.
+    Every warm model it builds is prewarmed (:class:`WarmModel`): its
+    kernel spectra are pinned before the first request.
     """
 
-    def __init__(self, max_models: int = 4, num_workers: int = 1,
-                 prewarm: bool = True) -> None:
+    def __init__(self, max_models: int = 4, num_workers: int = 1) -> None:
         if max_models < 1:
             raise ValueError(f"max_models must be >= 1, got {max_models}")
         self.max_models = max_models
         self.num_workers = num_workers
-        self.prewarm = prewarm
         self._lock = make_lock("serving.registry")
         self._specs: Dict[str, ModelSpec] = {}  # guarded-by: _lock
         self._plans: Dict[str, SpecializationPlan] = {}  # guarded-by: _lock
@@ -380,7 +380,7 @@ class ModelRegistry:
                     f"{sorted(self._specs)}")
             self._m_miss.inc()
             model = WarmModel(spec, tile, num_workers=self.num_workers,
-                              prewarm=self.prewarm, conv_modes=signature)
+                              conv_modes=signature)
             while len(self._warm) >= self.max_models:
                 _, evicted = self._pop_lru_locked()
                 evicted.close()

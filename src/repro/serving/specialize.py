@@ -313,8 +313,8 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
         working_set += _BYTES_REAL * layer.f_out * voxels(out_shape)
         if layer.kind == "conv":
             # Forward FLOPs with kernel spectra pinned: serving warm
-            # models transform at the layer's input shape (no fast-size
-            # padding) and transform their frozen kernels at warm time.
+            # models transform at the layer's input shape and transform
+            # their frozen kernels at warm time.
             seconds = {
                 name: _layer_seconds(
                     model, layer.edges, name,

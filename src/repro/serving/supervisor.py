@@ -115,9 +115,12 @@ STATE_STOPPED = "stopped"
 class WorkerConfig:
     """Everything a (re)spawned worker needs, picklable.
 
-    ``faults`` installs a :class:`FaultPlan` inside the worker process
-    (occurrence counts restart with the process — that is what makes
-    crash loops deterministic).
+    Every warm model a worker builds pins its kernel spectra with a
+    prewarming pass; ``prewarm_shape`` only decides whether those
+    builds happen before the worker reports ready.  ``faults`` installs
+    a :class:`FaultPlan` inside the worker process (occurrence counts
+    restart with the process — that is what makes crash loops
+    deterministic).
     """
 
     specs: Tuple[ModelSpec, ...]
@@ -129,9 +132,8 @@ class WorkerConfig:
     threads: int = 1
     tile_voxels: int = DEFAULT_TILE_VOXELS
     max_models: int = 4
-    prewarm: bool = True
-    #: Volume shape to prewarm every model for before reporting ready
-    #: (None skips prewarming and the first request pays the build).
+    #: Volume shape to build every model's warm twin for before
+    #: reporting ready (None: the first request pays the build).
     prewarm_shape: Optional[Tuple[int, int, int]] = None
     faults: Optional[str] = None
 
@@ -224,8 +226,7 @@ def serve_worker_main(worker_id: int, config: WorkerConfig,
     tracer.set_process(f"serve-worker-{worker_id}")
     if config.faults:
         install_plan(FaultPlan.from_string(config.faults))
-    registry = ModelRegistry(max_models=config.max_models,
-                             num_workers=1, prewarm=config.prewarm)
+    registry = ModelRegistry(max_models=config.max_models, num_workers=1)
     for spec in config.specs:
         registry.register(spec)
     for splan in config.plans:

@@ -43,11 +43,9 @@ __all__ = [
 #: FFT transforms well inside L3 on the paper's machines.
 DEFAULT_TILE_VOXELS = 1 << 21
 
-_SMOOTH_RADICES = (2, 3, 5, 7, 11)
-
 
 def largest_fast_len(n: int, floor: int = 1) -> Optional[int]:
-    """Largest 5-smooth integer in ``[floor, n]``, or None if none
+    """Largest 11-smooth integer in ``[floor, n]``, or None if none
     exists (the dual of :func:`repro.tensor.fourier.next_fast_len`)."""
     if floor > n:
         return None
@@ -57,27 +55,17 @@ def largest_fast_len(n: int, floor: int = 1) -> Optional[int]:
     return None
 
 
-def _next_smooth_len(n: int) -> int:
-    """Smallest 11-smooth integer >= *n*."""
-    rest = n
-    for p in _SMOOTH_RADICES:
-        while rest % p == 0:
-            rest //= p
-    return n if rest == 1 else _next_smooth_len(n + 1)
-
-
 @lru_cache(maxsize=1024)
 def axis_lengths(length: int, fov: int) -> Tuple[int, ...]:
     """Candidate tile lengths along one axis, longest first: the whole
     axis, the fov floor, and for every tile count ``n`` the shortest
     length giving ``n`` tiles, ``ceil(dense / n) + fov - 1``, rounded up
-    to an 11-smooth length (factors 2, 3, 5, 7, 11: pocketfft's fast
-    radices; a prime length costs 2-3x per voxel) if that still fits.
+    to :func:`~repro.tensor.fourier.next_fast_len` if that still fits.
     """
     dense = length - fov + 1
     lengths = {length, fov}
     for n in range(1, dense + 1):
-        tile = _next_smooth_len(-(-dense // n) + fov - 1)
+        tile = next_fast_len(-(-dense // n) + fov - 1)
         if tile <= length:
             lengths.add(tile)
     return tuple(sorted(lengths, reverse=True))

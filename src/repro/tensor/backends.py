@@ -55,13 +55,12 @@ def choose(seconds: Mapping[str, float], tolerance: float = 0.0) -> str:
 
 
 def time_passes(name: str, image_shape, kernel_shape, sparsity=1,
-                repeats: int = 3, fast_sizes: bool = False) -> float:
+                repeats: int = 3) -> float:
     """Best-of-*repeats* wall time of one forward + backward + update
     triple under backend *name* — a training round's per-edge work mix,
     spectra memoized within the triple as within a round — on the plan
-    an edge built with the same *fast_sizes* will run."""
-    plan = conv_backend(name).build(image_shape, kernel_shape, sparsity,
-                                    fast_sizes)
+    an edge at these shapes runs."""
+    plan = conv_backend(name).build(image_shape, kernel_shape, sparsity)
     rng = np.random.default_rng(0)
     img = rng.standard_normal(as_shape3(image_shape))
     ker = rng.standard_normal(as_shape3(kernel_shape))

@@ -95,9 +95,8 @@ class DirectPlan(NamedTuple):
 
     @classmethod
     @lru_cache(maxsize=256)
-    def build(cls, image_shape, kernel_shape, sparsity=1, fast_sizes=False):
-        """The plan at these shapes, cached (*fast_sizes*, an FFT
-        notion, unused)."""
+    def build(cls, image_shape, kernel_shape, sparsity=1):
+        """The plan at these shapes, cached."""
         n, k, s = map(as_shape3, (image_shape, kernel_shape, sparsity))
         o, pitch = valid_conv_shape(n, k, s), (n[1] * n[2], n[2], 1)
         offsets = tuple(sum(sd * ud * p for sd, ud, p in zip(s, u, pitch))

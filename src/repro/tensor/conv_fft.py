@@ -45,7 +45,6 @@ from repro.pram.costs import (
 from repro.resilience.faults import active_plan
 from repro.tensor.fourier import (
     crop_head,
-    fast_transform_shape,
     forward_transform,
     inverse_transform,
     rfft_shape,
@@ -162,8 +161,6 @@ class FftConvPlan:
         Shape of the (undilated) kernels.
     sparsity:
         Kernel dilation factor(s) — Section II "sparse convolution".
-    fast_sizes:
-        Pad the transform up to 5-smooth sizes.
     """
 
     name = "fft"
@@ -176,8 +173,7 @@ class FftConvPlan:
 
     def __init__(self, image_shape: int | Sequence[int],
                  kernel_shape: int | Sequence[int],
-                 sparsity: int | Sequence[int] = 1,
-                 fast_sizes: bool = False) -> None:
+                 sparsity: int | Sequence[int] = 1) -> None:
         self.image_shape: Shape3 = as_shape3(image_shape, name="image_shape")
         self.kernel_shape: Shape3 = as_shape3(kernel_shape, name="kernel_shape")
         self.sparsity: Shape3 = as_shape3(sparsity, name="sparsity")
@@ -185,17 +181,14 @@ class FftConvPlan:
             self.kernel_shape, self.sparsity)
         self.output_shape: Shape3 = valid_conv_shape(
             self.image_shape, self.kernel_shape, self.sparsity)
-        # Any transform size >= the image size is exact for all three
-        # passes; padding up to 5-smooth sizes buys FFT speed.
-        self.transform_shape: Shape3 = (
-            fast_transform_shape(self.image_shape) if fast_sizes
-            else self.image_shape)
+        # All three passes transform at the image size (the paper's n).
+        self.transform_shape: Shape3 = self.image_shape
 
     @classmethod
-    def build(cls, image_shape, kernel_shape, sparsity=1, fast_sizes=False):
+    def build(cls, image_shape, kernel_shape, sparsity=1):
         """The plan an edge at these shapes runs (not cached: it is
         cheap, and per-edge)."""
-        return cls(image_shape, kernel_shape, sparsity, fast_sizes)
+        return cls(image_shape, kernel_shape, sparsity)
 
     # -- spectra -----------------------------------------------------------
 
@@ -298,16 +291,14 @@ class FftConvPlan:
         """Analytic cost annotation of one FFT conv pass under this plan.
 
         ``flops`` charges one size-``transform_shape`` FFT plus the
-        pointwise spectral product (Table II's "FFT-based" column at
-        this plan's actual transform size, which may exceed the image
-        when ``fast_sizes`` padded it).  The memoized image/gradient
-        spectra are computed once per *node* and shared by its edges,
-        so the per-edge figure charges the product plus one
-        kernel-or-finalise transform: Table II's count, which its
-        reproduction asserts, though the kernel spectrum and the update
-        run as cheaper partial DFTs.  ``bytes`` counts the float64
-        spectrum traffic of the pass: two spectrum reads, the product
-        write and the inverse-transform read.
+        pointwise spectral product (Table II's "FFT-based" column).
+        The memoized image/gradient spectra are computed once per
+        *node* and shared by its edges, so the per-edge figure charges
+        the product plus one kernel-or-finalise transform: Table II's
+        count, which its reproduction asserts, though the kernel
+        spectrum and the update run as cheaper partial DFTs.  ``bytes``
+        counts the float64 spectrum traffic of the pass: two spectrum
+        reads, the product write and the inverse-transform read.
         """
         return {
             "flops": fft_cost(self.transform_shape)

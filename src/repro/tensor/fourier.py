@@ -38,52 +38,25 @@ __all__ = [
     "crop_valid_tail",
     "crop_head",
     "next_fast_len",
-    "fast_transform_shape",
 ]
+
+_FAST_RADICES = (2, 3, 5, 7, 11)
 
 
 def next_fast_len(n: int) -> int:
-    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n.
-
-    FFT libraries are fastest on highly composite sizes; padding a
-    transform up to the next 5-smooth length is the classic trick (MKL
-    and FFTW both do it internally; numpy's pocketfft benefits too).
-    Any transform size >= the layer input size is *exact* for all three
-    convolution passes (see the module docstring), so the padding is
-    free of correctness caveats.
-    """
+    """Smallest 11-smooth integer >= *n*: factors 2, 3, 5, 7 and 11,
+    pocketfft's fast radices (a prime length costs 2-3x per voxel).
+    Tile planning and load-trace snapping round to it."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n <= 6:
-        return n
-    best = 1
-    while best < n:
-        best *= 2
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # round p35 up to a power of two multiple
-            quotient = -(-n // p35)  # ceil
-            p2 = 1
-            while p2 < quotient:
-                p2 *= 2
-            candidate = p2 * p35
-            if n <= candidate < best:
-                best = candidate
-            if p35 * 3 > best:
-                break
-            p35 *= 3
-        if p5 * 5 > best:
-            break
-        p5 *= 5
-    return best
-
-
-def fast_transform_shape(shape: Sequence[int]) -> Tuple[int, int, int]:
-    """Per-axis :func:`next_fast_len` of *shape*."""
-    s = as_shape3(shape, name="shape")
-    return tuple(next_fast_len(d) for d in s)  # type: ignore[return-value]
+    while True:
+        rest = n
+        for p in _FAST_RADICES:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def rfft_shape(transform_shape: Sequence[int]) -> Tuple[int, int, int]:

@@ -45,7 +45,7 @@ def analytic_clock(monkeypatch):
     calls = {"direct": 0, "fft": 0}
 
     def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
-                         repeats=3, fast_sizes=False):
+                         repeats=3):
         calls[name] += 1
         if name == "direct":
             return 3e-9 * direct_conv_task_cost(image_shape, kernel_shape,
@@ -131,34 +131,29 @@ class TestAutotuneGraph:
 
 class TestFastSizes:
     def test_tuner_times_the_plan_the_edge_runs(self, monkeypatch):
-        """``Network(conv_mode="auto", fft_fast_sizes=True)`` on a
-        non-5-smooth input: the tuner must be handed the padded plan
-        the edge is then built with (it used to time the unpadded
-        31^3 transform and pick direct against a 3x faster 32^3 FFT).
-        """
+        """``Network(conv_mode="auto")`` on an awkward (prime) input:
+        the tuner is handed the plan the edge is then built with, a
+        transform at the image size."""
         import repro.core.autotune as autotune_module
 
         timed = {}
 
         def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
-                             repeats=3, fast_sizes=False):
+                             repeats=3):
             timed[name] = conv_backend(name).build(
-                image_shape, kernel_shape, sparsity, fast_sizes)
+                image_shape, kernel_shape, sparsity)
             return 1.0 if name == "direct" else 0.5  # FFT wins
 
         monkeypatch.setattr(autotune_module, "time_passes",
                             fake_time_passes)
         graph = build_layered_network("CT", width=1, kernel=3)
         net = Network(graph, input_shape=(31, 31, 31), conv_mode="auto",
-                      fft_fast_sizes=True, seed=0)
+                      seed=0)
         (edge,) = [e for e in net.edges.values() if e.backend is not None]
-        padded = FftConvPlan((31, 31, 31), edge.spec.kernel,
-                             edge.spec.sparsity,
-                             fast_sizes=True).transform_shape
-        assert padded == (32, 32, 32)
-        assert timed["fft"].transform_shape == padded
         assert edge.mode == "fft"
-        assert edge.plan.transform_shape == padded
+        assert type(edge.plan) is type(timed["fft"]) is FftConvPlan
+        assert vars(edge.plan) == vars(timed["fft"])
+        assert edge.plan.transform_shape == (31, 31, 31)
 
 
 class TestLayerCrossover:

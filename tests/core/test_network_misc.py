@@ -1,5 +1,5 @@
 """Additional Network behaviours: multi-input training, mixed modes,
-fast FFT sizes in training, deterministic mode interactions,
+FFT training at awkward sizes, deterministic mode interactions,
 context-manager lifecycle."""
 
 import numpy as np
@@ -104,34 +104,35 @@ class TestMultiInput:
 
 
 class TestFastSizesTraining:
-    def test_training_parity_with_plain_fft(self, rng):
-        x = rng.standard_normal((11, 11, 11))  # prime size -> padding real
+    """FFT training at an awkward (prime) size, which no plan pads."""
 
-        def run(fast):
+    def test_training_parity_with_plain_fft(self, rng):
+        x = rng.standard_normal((13, 13, 13))
+
+        def run(mode):
             graph = build_layered_network("CTC", width=2, kernel=2,
                                           transfer="tanh")
-            net = Network(graph, input_shape=(11, 11, 11), conv_mode="fft",
-                          seed=4, fft_fast_sizes=fast,
-                          optimizer=SGD(learning_rate=0.01))
+            net = Network(graph, input_shape=(13, 13, 13), conv_mode=mode,
+                          seed=4, optimizer=SGD(learning_rate=0.01))
             targets = {n.name: np.zeros(n.shape)
                        for n in net.output_nodes}
             losses = [net.train_step(x, targets) for _ in range(3)]
             net.synchronize()
             return losses, net.kernels()
 
-        la, ka = run(False)
-        lb, kb = run(True)
+        la, ka = run("direct")
+        lb, kb = run("fft")
         np.testing.assert_allclose(la, lb, atol=1e-8)
         for k in ka:
             np.testing.assert_allclose(ka[k], kb[k], atol=1e-9)
 
     def test_padded_transform_shapes(self):
         graph = build_layered_network("CT", width=1, kernel=2)
-        net = Network(graph, input_shape=(11, 11, 11), conv_mode="fft",
-                      fft_fast_sizes=True, seed=0)
+        net = Network(graph, input_shape=(13, 13, 13), conv_mode="fft",
+                      seed=0)
         conv = next(e for e in net.edges.values() if hasattr(e, "plan")
                     and e.plan is not None)
-        assert conv.plan.transform_shape == (12, 12, 12)
+        assert conv.plan.transform_shape == (13, 13, 13)
 
 
 class TestDeterministicInteractions:

@@ -156,7 +156,7 @@ class TestConvAnnotations:
                                       transfer="tanh",
                                       skip_kernels=True)
         net = Network(graph, input_shape=(10, 10, 10), seed=1,
-                      conv_mode=mode, fft_fast_sizes=True)
+                      conv_mode=mode)
         try:
             train_once(net, 10)
         finally:
@@ -169,7 +169,7 @@ class TestConvAnnotations:
         for span in conv:
             edge = edges[span.attrs["edge"]]
             cost = edge.backend.build(edge.src.shape, edge.spec.kernel,
-                                      edge.spec.sparsity, True).pass_cost()
+                                      edge.spec.sparsity).pass_cost()
             assert span.attrs["backend"] == mode
             assert span.attrs["flops"] == cost["flops"]
             assert span.attrs["bytes"] == cost["bytes"]

@@ -94,15 +94,6 @@ class TestPassAnnotations:
         assert cost["flops"] == fft_cost(img) + pointwise_product_cost(img)
         assert cost["bytes"] == 8.0 * 4 * 12**3
 
-    def test_padded_plan_charges_the_transform_it_runs(self):
-        # fast_sizes pads 13 -> 15: the plan's cost is that of the 15^3
-        # transform, not of the 13^3 image.
-        plan = FftConvPlan((13,) * 3, (3,) * 3, fast_sizes=True)
-        assert plan.transform_shape == (15, 15, 15)
-        padded = (15,) * 3
-        assert plan.pass_cost()["flops"] == \
-            fft_cost(padded) + pointwise_product_cost(padded)
-
 
 class TestCostProfiler:
     def test_disabled_record_is_noop(self):
@@ -172,29 +163,6 @@ class TestCostProfiler:
             ("transfer", "fwd"), ("transfer", "bwd"), ("transfer", "upd")}
         assert all(e["flops"] == 0 and e["kernel_shape"] is None
                    and e["seconds"] > 0 for e in other)
-
-    def test_padded_fft_edge_is_credited_its_own_plan(self, tracer):
-        # Regression: the profiler used to rebuild an unpadded plan from
-        # the shapes, crediting a fast_sizes edge (13^3 image, 15^3
-        # transform) the FLOPs of a 13^3 transform.
-        graph = build_layered_network("CT", width=1, kernel=3,
-                                      transfer="tanh", output_nodes=1)
-        net = Network(graph, input_shape=(13, 13, 13), seed=3,
-                      conv_mode="fft", fft_fast_sizes=True)
-        try:
-            net.forward(np.random.default_rng(0).standard_normal((13,) * 3))
-        finally:
-            net.close()
-        expected = FftConvPlan((13,) * 3, (3,) * 3,
-                               fast_sizes=True).pass_cost()
-        unpadded = FftConvPlan((13,) * 3, (3,) * 3).pass_cost()
-        assert expected["flops"] > unpadded["flops"]
-        conv = [e for e in entries_of(tracer) if e["backend"] == "fft"]
-        assert [e["op"] for e in conv] == ["fwd"]
-        for entry in conv:
-            assert entry["flops"] == entry["count"] * expected["flops"]
-            assert entry["bytes"] == entry["count"] * expected["bytes"]
-            assert entry["image_shape"] == [13, 13, 13]
 
     def test_ring_overflow_fails_the_fold(self):
         """A ring that evicted spans cannot yield a complete model."""

@@ -361,7 +361,7 @@ class TestSupervisorUnit:
             ready.set()
 
         config = WorkerConfig(specs=(small_model.model_spec(),),
-                              prewarm_shape=VOLUME_SHAPE, prewarm=False)
+                              prewarm_shape=VOLUME_SHAPE)
         supervisor = Supervisor(config, num_workers=1, config=FAST,
                                 on_worker_up=on_up)
         supervisor.start()

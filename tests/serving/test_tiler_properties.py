@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core.tiling import TilePlan
 from repro.serving.tiler import (PlanInfeasible, choose_tile_shape,
                                  largest_fast_len, plan_volume)
-from repro.tensor.fourier import next_fast_len
 from repro.utils.shapes import voxels
 
 axis = st.tuples(st.integers(1, 5), st.integers(0, 19))
@@ -40,15 +39,17 @@ class TestLargestFastLen:
     @given(n=st.integers(1, 2000), floor=st.integers(1, 2000))
     @settings(max_examples=60)
     def test_result_is_the_largest_5_smooth_in_range(self, n, floor):
+        """Now the largest 11-smooth length (the name predates the
+        rule's change from 5-smooth)."""
         result = largest_fast_len(n, floor)
         if result is None:
-            # No 5-smooth integer in [floor, n] at all.
-            assert all(next_fast_len(k) != k for k in range(floor, n + 1))
+            # No 11-smooth integer in [floor, n] at all.
+            assert not any(smooth_11(k) for k in range(floor, n + 1))
             return
         assert floor <= result <= n
-        assert next_fast_len(result) == result  # 5-smooth
-        # Maximal: nothing 5-smooth above it within range.
-        assert all(next_fast_len(k) != k for k in range(result + 1, n + 1))
+        assert smooth_11(result)
+        # Maximal: nothing 11-smooth above it within range.
+        assert not any(smooth_11(k) for k in range(result + 1, n + 1))
 
 
 class TestChooseTileShape:

@@ -55,14 +55,14 @@ shape3 = st.tuples(*[st.integers(4, 10)] * 3)
 kernel3 = st.tuples(*[st.integers(1, 3)] * 3)
 
 
-def check_passes(backend, n, k, s, fast, seed):
+def check_passes(backend, n, k, s, seed):
     """The three passes of *backend*'s plan against the direct
     reference, spatial and (if it can) spectral."""
     rng = np.random.default_rng(seed)
     img, ker = rng.standard_normal(n), rng.standard_normal(k)
     out = correlate_valid(img, ker, s)
     grad = rng.standard_normal(out.shape)
-    plan = backend.build(n, k, s, fast)
+    plan = backend.build(n, k, s)
     assert isinstance(plan, backend)
     np.testing.assert_allclose(plan.forward(img, ker), out, atol=1e-10)
     np.testing.assert_allclose(plan.backward(grad, ker),
@@ -82,16 +82,15 @@ def check_passes(backend, n, k, s, fast, seed):
 
 
 @backends
-@given(n=shape3, k=kernel3, s=st.integers(1, 4), fast=st.booleans(),
-       seed=st.integers(0, 999))
+@given(n=shape3, k=kernel3, s=st.integers(1, 4), seed=st.integers(0, 999))
 @settings(max_examples=40, deadline=None)
-def test_passes_match_direct_reference(backend, n, k, s, fast, seed):
+def test_passes_match_direct_reference(backend, n, k, s, seed):
     assume(all((kd - 1) * s + 1 <= nd for kd, nd in zip(k, n)))
-    check_passes(backend, n, k, s, fast, seed)
+    check_passes(backend, n, k, s, seed)
 
 
-def check_pass_cost(backend, table_ii, n, k, s, fast):
-    plan = backend.build(n, k, s, fast)
+def check_pass_cost(backend, table_ii, n, k, s):
+    plan = backend.build(n, k, s)
     T = plan.transform_shape
     flops = plan.pass_cost()["flops"]
     assert flops == table_ii(n, k, s, T)
@@ -99,13 +98,13 @@ def check_pass_cost(backend, table_ii, n, k, s, fast):
     assert flops == backend.layer_flops(1, 1, T, k, s, passes=("update",))
 
 
-PASS_COST_CASES = [((8, 9, 10), (3, 2, 2), 1, False), ((11, 11, 11), 3, 2, True)]
+PASS_COST_CASES = [((8, 9, 10), (3, 2, 2), 1), ((11, 11, 11), 3, 2)]
 
 
 @backends
-@pytest.mark.parametrize("n,k,s,fast", PASS_COST_CASES)
-def test_pass_cost_is_the_table_ii_count(backend, n, k, s, fast):
-    check_pass_cost(backend, TABLE_II[backend.name], n, k, s, fast)
+@pytest.mark.parametrize("n,k,s", PASS_COST_CASES)
+def test_pass_cost_is_the_table_ii_count(backend, n, k, s):
+    check_pass_cost(backend, TABLE_II[backend.name], n, k, s)
 
 
 def tiled_and_whole(mode):
@@ -262,7 +261,7 @@ def test_a_third_backend_is_one_class_and_one_entry(monkeypatch):
     assert conv_backend("tagged") is Tagged
 
     # The contract, as for the registered two.
-    check_passes(Tagged, (7, 8, 9), (2, 3, 2), 2, False, seed=1)
+    check_passes(Tagged, (7, 8, 9), (2, 3, 2), 2, seed=1)
     check_pass_cost(Tagged, TABLE_II["direct"], *PASS_COST_CASES[0])
 
     # ConvEdge and a Network training round: bitwise the direct network.

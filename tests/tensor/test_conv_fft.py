@@ -88,8 +88,9 @@ def counting_memo():
 
 class TestPlan:
     def test_transform_shape_is_input_shape(self):
-        plan = FftConvPlan((8, 9, 10), (3, 3, 3))
-        assert plan.transform_shape == (8, 9, 10)
+        # Smooth or awkward (primes), no plan pads its transform.
+        for shape in ((8, 9, 10), (13, 17, 19)):
+            assert FftConvPlan(shape, (3, 3, 3)).transform_shape == shape
 
     def test_output_shape(self):
         plan = FftConvPlan((8, 9, 10), (3, 3, 3), 2)
@@ -173,9 +174,11 @@ def assert_relative(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def check_partial_dfts(k, s, n, fast, seed):
+def check_partial_dfts(k, s, n, oversized, seed):
     rng = np.random.default_rng(seed)
-    plan = FftConvPlan(n, k, s, fast)
+    plan = FftConvPlan(n, k, s)
+    if oversized:  # any transform >= the image is exact (algorithms.md §3)
+        plan.transform_shape = tuple(d + 3 for d in plan.image_shape)
     img, ker = rng.standard_normal(n), rng.standard_normal(k)
     grad = rng.standard_normal(plan.output_shape)
     assert_relative(plan.kernel_spectrum(ker), full_kernel_spectrum(plan, ker))
@@ -196,11 +199,12 @@ def partial_dft_case(draw):
 
 
 class TestPartialDfts:
-    @given(case=partial_dft_case(), fast=st.booleans(),
+    @given(case=partial_dft_case(), oversized=st.booleans(),
            seed=st.integers(0, 999))
     @settings(max_examples=60, deadline=None)
-    def test_drawn_shapes_match_the_full_transforms(self, case, fast, seed):
-        check_partial_dfts(*case, fast, seed)
+    def test_drawn_shapes_match_the_full_transforms(self, case, oversized,
+                                                    seed):
+        check_partial_dfts(*case, oversized, seed)
 
     @pytest.mark.parametrize("k,s,n", [
         ((1, 1, 1), 1, (1, 1, 1)),            # every axis of length 1
@@ -211,9 +215,9 @@ class TestPartialDfts:
         ((3, 3, 3), 4, (27, 27, 27)),         # the training net at s = 4
         ((3, 3, 3), 4, (19, 19, 19)),
     ])
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_edge_shapes_match_the_full_transforms(self, k, s, n, fast):
-        check_partial_dfts(k, s, n, fast, seed=0)
+    @pytest.mark.parametrize("oversized", [False, True])
+    def test_edge_shapes_match_the_full_transforms(self, k, s, n, oversized):
+        check_partial_dfts(k, s, n, oversized, seed=0)
 
     def test_rows_are_cached_and_read_only(self):
         key = ((9, 10, 11), (3, 2, 3), (2, 1, 4))

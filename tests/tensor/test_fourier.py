@@ -1,4 +1,4 @@
-"""Fourier helper tests: fast lengths and padded-transform exactness."""
+"""Fourier helper tests: fast lengths and oversized-transform exactness."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.tensor.conv_fft import FftConvPlan
 from repro.tensor.fourier import (
     crop_head,
     crop_valid_tail,
-    fast_transform_shape,
     forward_transform,
     inverse_transform,
     next_fast_len,
@@ -26,8 +25,8 @@ from repro.tensor.fourier import (
 class TestNextFastLen:
     @pytest.mark.parametrize("n,expected", [
         (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6),
-        (7, 8), (11, 12), (13, 15), (17, 18), (23, 24),
-        (97, 100), (101, 108), (127, 128), (241, 243),
+        (7, 7), (11, 11), (13, 14), (17, 18), (23, 24),
+        (97, 98), (101, 105), (127, 128), (241, 242),
     ])
     def test_known_values(self, n, expected):
         assert next_fast_len(n) == expected
@@ -38,24 +37,17 @@ class TestNextFastLen:
 
     @given(n=st.integers(1, 5000))
     def test_property_5smooth_and_minimal(self, n):
-        m = next_fast_len(n)
-        assert m >= n
-        # 5-smooth
-        x = m
-        for p in (2, 3, 5):
-            while x % p == 0:
-                x //= p
-        assert x == 1
-        # no smaller 5-smooth number in [n, m)
-        for candidate in range(n, m):
-            y = candidate
-            for p in (2, 3, 5):
-                while y % p == 0:
-                    y //= p
-            assert y != 1
+        """The result is 11-smooth (the test predates the 5-smooth rule's
+        retirement) and no smaller 11-smooth number lies in [n, m)."""
+        def smooth(x):
+            for p in (2, 3, 5, 7, 11):
+                while x % p == 0:
+                    x //= p
+            return x == 1
 
-    def test_fast_transform_shape(self):
-        assert fast_transform_shape((7, 11, 13)) == (8, 12, 15)
+        m = next_fast_len(n)
+        assert m >= n and smooth(m)
+        assert not any(smooth(c) for c in range(n, m))
 
 
 class TestTransformHelpers:
@@ -89,8 +81,7 @@ class TestTransformHelpers:
 
 class TestOversizedTransformExactness:
     """Any transform size >= the image size is exact for all three
-    convolution passes — the property that makes fast-size padding
-    safe."""
+    convolution passes (``docs/algorithms.md`` §3)."""
 
     @given(n=st.integers(5, 12), k=st.integers(1, 3),
            pad=st.integers(0, 5), seed=st.integers(0, 500))
@@ -101,9 +92,7 @@ class TestOversizedTransformExactness:
         img = rng.standard_normal((n, n, n))
         ker = rng.standard_normal((k, k, k))
         plan = FftConvPlan((n, n, n), (k, k, k))
-        # manually enlarge the transform
-        object.__setattr__ if False else setattr(
-            plan, "transform_shape", (n + pad, n + pad, n + pad))
+        plan.transform_shape = (n + pad,) * 3  # enlarge the transform
         out = correlate_valid(img, ker)
         grad = rng.standard_normal(out.shape)
         np.testing.assert_allclose(plan.forward(img, ker), out, atol=1e-9)
@@ -113,13 +102,3 @@ class TestOversizedTransformExactness:
         np.testing.assert_allclose(plan.update(img, grad),
                                    conv_kernel_gradient(img, grad),
                                    atol=1e-9)
-
-    def test_fast_sizes_plan(self, rng):
-        smooth = FftConvPlan((32, 32, 32), (5, 5, 5), fast_sizes=True)
-        assert smooth.transform_shape == (32, 32, 32)  # nothing to pad
-        plan = FftConvPlan((11, 13, 17), (3, 3, 3), fast_sizes=True)
-        assert plan.transform_shape == (12, 15, 18)
-        img = rng.standard_normal((11, 13, 17))
-        ker = rng.standard_normal((3, 3, 3))
-        np.testing.assert_allclose(plan.forward(img, ker),
-                                   correlate_valid(img, ker), atol=1e-9)

@@ -114,6 +114,27 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "chosen" in out
 
+    def test_autotune_kernel_above_image_is_refused_before_timing(
+            self, capsys, monkeypatch):
+        import repro.core
+
+        def no_timing(*args, **kwargs):
+            raise AssertionError("timed a kernel")
+
+        monkeypatch.setattr(repro.core, "autotune_layer", no_timing)
+        assert main(["autotune", "--image", "8", "--kernels", "3,9"]) == 2
+        err = capsys.readouterr().err
+        assert "9" in err and "--image 8" in err
+
+    @pytest.mark.parametrize("kernels,bad", [
+        ("3,x", "x"), ("0,3", "0"), ("3,-2", "-2")])
+    def test_autotune_bad_kernel_is_a_usage_error(self, capsys, kernels,
+                                                  bad):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["autotune", "--image", "8", "--kernels", kernels])
+        assert exit_info.value.code == 2
+        assert repr(bad) in capsys.readouterr().err
+
     def test_train_default_network(self, capsys, tmp_path):
         ckpt = tmp_path / "model.npz"
         assert main(["train", "--rounds", "2", "--input-size", "20",
@@ -565,8 +586,8 @@ class TestObservabilityCli:
                     assert entry["kernel_shape"] is None
                     continue
                 image = graph.nodes[spec.src].shape
-                cost = fft.build(image, spec.kernel, spec.sparsity,
-                                 False).pass_cost()
+                cost = fft.build(image, spec.kernel,
+                                 spec.sparsity).pass_cost()
                 assert entry["backend"] == "fft"
                 assert entry["flops"] == 3 * cost["flops"]
                 assert entry["bytes"] == 3 * cost["bytes"]

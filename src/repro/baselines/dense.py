@@ -18,8 +18,14 @@ from typing import List
 
 from repro.baselines.gpu_model import ConvLayerShape, GpuFramework
 from repro.baselines.gpu_model import gpu_seconds_per_update
-from repro.baselines.znn_model import comparison_layers, znn_seconds_per_update
-from repro.utils.shapes import as_shape3, input_shape_for_output
+from repro.baselines.znn_model import (
+    COMPARISON_SPEC,
+    comparison_geometry,
+    comparison_layers,
+    conv_layer_shapes,
+    znn_seconds_per_update,
+)
+from repro.graph.builders import dense_twin
 
 __all__ = [
     "dense_offset_count",
@@ -58,53 +64,12 @@ def znn_dense_layers(dims: int, kernel_size: int, output_size: int,
     patch size, so the dense output spans ``(output_size-1)*4 + 1``
     voxels per pooled dimension.
     """
-    from repro.baselines.znn_model import COMPARISON_SPEC
-
-    if dims == 2:
-        kernel = (1, kernel_size, kernel_size)
-        window = (1, 2, 2)
-        out = (1, output_size, output_size)
-    elif dims == 3:
-        kernel = (kernel_size,) * 3
-        window = (2, 2, 2)
-        out = (output_size,) * 3
-    else:
-        raise ValueError(f"dims must be 2 or 3, got {dims}")
-
+    kernel, window, _ = comparison_geometry(dims, kernel_size, output_size)
     # Same input extent as the pooled net (identical field of view).
-    pooled_layers = []
-    for c in COMPARISON_SPEC:
-        if c == "C":
-            pooled_layers.append(("conv", kernel, 1))
-        elif c == "P":
-            pooled_layers.append(("pool", window, 1))
-        else:
-            pooled_layers.append(("transfer", 1, 1))
-    in_size = input_shape_for_output(out, pooled_layers)
-
-    shapes: List[ConvLayerShape] = []
-    current = as_shape3(in_size)
-    sparsity = (1, 1, 1)
-    f_in = 1
-    for c in COMPARISON_SPEC:
-        if c == "C":
-            eff = tuple((k - 1) * s + 1 for k, s in zip(as_shape3(kernel),
-                                                        sparsity))
-            out_shape = tuple(n - e + 1 for n, e in zip(current, eff))
-            shapes.append(ConvLayerShape(
-                f_in=f_in, f_out=width, input_shape=current,
-                output_shape=out_shape,  # type: ignore[arg-type]
-                kernel_shape=as_shape3(kernel)))
-            current = out_shape  # type: ignore[assignment]
-            f_in = width
-        elif c == "P":
-            # max-filtering instead of pooling: valid trim, no decimation
-            eff = tuple((w - 1) * s + 1 for w, s in zip(as_shape3(window),
-                                                        sparsity))
-            current = tuple(n - e + 1 for n, e in zip(current, eff))
-            sparsity = tuple(s * w for s, w in zip(sparsity,
-                                                   as_shape3(window)))
-    return shapes
+    pooled = comparison_layers(dims, kernel_size, output_size, width)
+    twin = dense_twin(COMPARISON_SPEC, width=width, kernel=kernel,
+                      window=window)
+    return conv_layer_shapes(twin.layers, pooled[0].input_shape)
 
 
 def znn_dense_seconds(dims: int, kernel_size: int, output_size: int,

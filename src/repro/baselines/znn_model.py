@@ -16,10 +16,10 @@ pyramid and ZNN the equivalent work).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.baselines.gpu_model import ConvLayerShape
-from repro.graph.builders import build_layered_network
+from repro.graph.builders import Layer, LayeredSpec
 from repro.pram.costs import (
     DEFAULT_FFT_CONSTANT,
     conv_layer_costs_direct,
@@ -29,7 +29,7 @@ from repro.pram.costs import (
     transfer_layer_costs,
 )
 from repro.simulate.machine import MachineSpec, get_machine
-from repro.utils.shapes import as_shape3, input_shape_for_output
+from repro.utils.shapes import Shape3, as_shape3, input_shape_for_output
 
 __all__ = [
     "COMPARISON_SPEC",
@@ -46,6 +46,31 @@ ZNN_FFT_EFFICIENCY = 0.20
 ZNN_DIRECT_EFFICIENCY = 0.55
 
 
+def comparison_geometry(dims: int, kernel_size: int, output_size: int
+                        ) -> Tuple[Shape3, Shape3, Shape3]:
+    """(kernel, window, output patch) of the comparison net in *dims*
+    dimensions (2D is the ``(1, n, n)`` case)."""
+    if dims not in (2, 3):
+        raise ValueError(f"dims must be 2 or 3, got {dims}")
+    return (as_shape3((kernel_size,) * dims), as_shape3((2,) * dims),
+            as_shape3((output_size,) * dims))
+
+
+def conv_layer_shapes(layers: Iterable[Layer], input_shape: Shape3
+                      ) -> List[ConvLayerShape]:
+    """Walk *layers* forward from *input_shape*; one row per conv
+    layer."""
+    shapes: List[ConvLayerShape] = []
+    for layer in layers:
+        output_shape = layer.output_shape(input_shape)
+        if layer.kind == "conv":
+            shapes.append(ConvLayerShape(
+                f_in=layer.f_in, f_out=layer.f_out, input_shape=input_shape,
+                output_shape=output_shape, kernel_shape=layer.window))
+        input_shape = output_shape
+    return shapes
+
+
 def comparison_layers(dims: int, kernel_size: int, output_size: int,
                       width: int = 40) -> List[ConvLayerShape]:
     """Per-conv-layer shapes of the comparison net.
@@ -53,47 +78,14 @@ def comparison_layers(dims: int, kernel_size: int, output_size: int,
     ``dims``: 2 or 3.  ``kernel_size``/``output_size``: linear sizes
     (the paper's 10–40 / 1–64 in 2D, 3–7 / 1–8 in 3D).
     """
-    if dims == 2:
-        kernel = (1, kernel_size, kernel_size)
-        window = (1, 2, 2)
-        out = (1, output_size, output_size)
-    elif dims == 3:
-        kernel = (kernel_size,) * 3
-        window = (2, 2, 2)
-        out = (output_size,) * 3
-    else:
-        raise ValueError(f"dims must be 2 or 3, got {dims}")
-
-    layers = []
-    for c in COMPARISON_SPEC:
-        if c == "C":
-            layers.append(("conv", kernel, 1))
-        elif c == "P":
-            layers.append(("pool", window, 1))
-        elif c == "T":
-            layers.append(("transfer", 1, 1))
-    in_size = input_shape_for_output(out, layers)
-
-    # Per-layer image shapes are width-independent: propagate through a
-    # width-1 build and read them off layer by layer.
-    graph = build_layered_network(COMPARISON_SPEC, width=1, kernel=kernel,
-                                  window=window)
-    graph.propagate_shapes(in_size)
-    layer_shape = {node.layer: node.shape
-                   for node in graph.nodes.values()}
-
-    shapes: List[ConvLayerShape] = []
-    f_in = 1  # single input image
-    for layer_index, c in enumerate(COMPARISON_SPEC, start=1):
-        if c != "C":
-            continue
-        shapes.append(ConvLayerShape(
-            f_in=f_in, f_out=width,
-            input_shape=layer_shape[layer_index - 1],
-            output_shape=layer_shape[layer_index],
-            kernel_shape=as_shape3(kernel)))
-        f_in = width
-    return shapes
+    kernel, window, out = comparison_geometry(dims, kernel_size,
+                                              output_size)
+    layers = list(LayeredSpec(COMPARISON_SPEC, width, kernel,
+                              window).layers())
+    in_size = input_shape_for_output(
+        out, ((layer.kind, layer.window, layer.sparsity)
+              for layer in layers))
+    return conv_layer_shapes(layers, in_size)
 
 
 def znn_seconds_per_update(layers: List[ConvLayerShape],

@@ -22,10 +22,14 @@ This module provides:
 * :func:`sparse_lattice` — subsample a dense output on the period-``s``
   lattice the paper calls "sparse training";
 * :func:`dense_network_field_of_view` / :func:`pooling_period` — shape
-  algebra of the dense twin straight from the layered spec (no network
-  build needed), per axis, so anisotropic pooling factors such as
-  ``(1, 2, 2)`` — ubiquitous for serial-section EM volumes whose z
-  resolution is coarser — dilate each axis independently.
+  algebra of the dense twin read off :meth:`LayeredSpec.layers`, the
+  one walk of a layer string (no network build needed): the field of
+  view is :func:`repro.utils.shapes.input_shape_for_output`, the one
+  reverse shape rule, at one output voxel; the period multiplies the
+  windows the walk yields.  Both are per axis, so anisotropic pooling
+  factors such as ``(1, 2, 2)`` — ubiquitous for serial-section EM
+  volumes whose z resolution is coarser — dilate each axis
+  independently.
 
 Pooling factors, kernels and windows may all be anisotropic (scalars,
 3-tuples, or per-layer lists of either); every computation here is
@@ -125,18 +129,12 @@ def pooling_period(spec: str, window=2) -> Shape3:
     the period of the sparse-training lattice (Section II) and the
     stride at which the original pooling network samples the dense
     twin's output."""
-    spec = spec.upper()
-    n_window = sum(spec.count(c) for c in "MP")
-    windows = LayeredSpec._per_layer_shapes(window, max(n_window, 1),
-                                            "window")
-    period: Shape3 = (1, 1, 1)
-    wi = 0
-    for c in spec:
-        if c in "MP":
-            w = as_shape3(windows[wi], name="window")
-            period = tuple(p * wd for p, wd in zip(period, w))  # type: ignore[assignment]
-            wi += 1
-    return period
+    period = (1, 1, 1)
+    for layer in LayeredSpec(spec, width=1, kernel=1,
+                             window=window).layers():
+        if layer.kind in ("filter", "pool"):
+            period = tuple(p * w for p, w in zip(period, layer.window))
+    return period  # type: ignore[return-value]
 
 
 def dense_equivalent_network(pool_network: Network, spec: str,

@@ -52,8 +52,10 @@ _LEGACY_VELOCITY = "velocity::"
 _META = "__meta__"
 
 
-def _kernel_groups(network: Network) -> Dict[int, List[str]]:
-    """id(kernel) -> sorted names of the edges sharing that kernel."""
+def kernel_groups(network: Network) -> Dict[int, List[str]]:
+    """id(kernel) -> sorted names of the edges sharing that kernel
+    (checkpoints and the data-parallel parameter layout key a shared
+    kernel by the first)."""
     groups: Dict[int, List[str]] = {}
     for name, edge in network.edges.items():
         if hasattr(edge, "kernel"):
@@ -64,7 +66,7 @@ def _kernel_groups(network: Network) -> Dict[int, List[str]]:
 def network_state(network: Network) -> Dict[str, np.ndarray]:
     """Flat name->array mapping of every persistent quantity."""
     state: Dict[str, np.ndarray] = {}
-    groups = _kernel_groups(network)
+    groups = kernel_groups(network)
     seen_kernels = set()
     for name, edge in network.edges.items():
         if hasattr(edge, "kernel"):
@@ -151,7 +153,7 @@ def load_network(network: Network, path) -> int:
     checkpoint misses a trainable edge of the network and ``ValueError``
     on shape mismatches.
     """
-    groups = _kernel_groups(network)
+    groups = kernel_groups(network)
     restored_kernels = set()
     with np.load(path) as data:
         for name, edge in network.edges.items():

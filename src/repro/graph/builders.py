@@ -37,13 +37,18 @@ from typing import (
 )
 
 from repro.graph.computation_graph import ComputationGraph
-from repro.utils.shapes import Shape3, as_shape3, field_of_view
+from repro.utils.shapes import (
+    Shape3,
+    ShapeLike,
+    as_shape3,
+    field_of_view,
+    layer_output_shape,
+)
 
 __all__ = ["DenseTwin", "Layer", "LayeredSpec", "build_layered_network",
            "dense_twin", "pool_to_filter_spec"]
 
 WidthLike = Union[int, Sequence[int]]
-ShapeLike = Union[int, Sequence[int]]
 
 _EDGE_PREFIX = {"conv": "conv", "transfer": "xfer", "filter": "filt",
                 "pool": "pool", "dropout": "drop"}
@@ -51,8 +56,9 @@ _EDGE_PREFIX = {"conv": "conv", "transfer": "xfer", "filter": "filt",
 
 class Layer(NamedTuple):
     """One layer of a layered spec, as :meth:`LayeredSpec.layers`
-    yields it — the graph builder, the field-of-view algebra and the
-    serving cost walk all read the network off these."""
+    yields it — the graph builder, the field-of-view algebra, the
+    serving cost walk, the Figs 5-7 simulator's nets and the Section
+    IX cost models all read the network off these."""
 
     index: int  # 1-based position in the spec string
     kind: str  # conv | transfer | filter | pool | dropout
@@ -76,6 +82,11 @@ class Layer(NamedTuple):
             return tuple(self.edge_name(j, i) for j in range(self.f_out)
                          for i in range(self.f_in))
         return tuple(self.edge_name(j) for j in range(self.f_out))
+
+    def output_shape(self, input_shape: ShapeLike) -> Shape3:
+        """Shape of this layer's images given its input images'."""
+        return layer_output_shape(self.kind, self.window, self.sparsity,
+                                  input_shape)
 
 
 class LayeredSpec:
@@ -300,5 +311,5 @@ def dense_twin(spec: str, **builder_kwargs) -> DenseTwin:
     twin_spec = pool_to_filter_spec(spec)
     layers = tuple(LayeredSpec(twin_spec, **kwargs).layers())
     fov = field_of_view((layer.kind, layer.window, layer.sparsity)
-                        for layer in layers if layer.window is not None)
+                        for layer in layers)
     return DenseTwin(twin_spec, kwargs, layers, fov)

@@ -21,12 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.utils.shapes import (
-    Shape3,
-    as_shape3,
-    pool_shape,
-    valid_conv_shape,
-)
+from repro.utils.shapes import Shape3, as_shape3, layer_output_shape
 
 __all__ = ["EdgeKind", "NodeSpec", "EdgeSpec", "ComputationGraph"]
 
@@ -115,16 +110,12 @@ class EdgeSpec:
 
     def output_shape(self, input_shape: Shape3) -> Shape3:
         """Shape this edge produces from *input_shape* (forward pass)."""
-        if self.kind == "conv":
-            return valid_conv_shape(input_shape, self.kernel, self.sparsity)
-        if self.kind == "pool":
-            return pool_shape(input_shape, self.window)
-        if self.kind == "filter":
-            return valid_conv_shape(input_shape, self.window, self.sparsity)
         if self.kind == "custom":
             from repro.core.custom import get_custom_op
             return get_custom_op(self.op).shape(input_shape)
-        return as_shape3(input_shape)
+        return layer_output_shape(
+            self.kind, self.kernel if self.kind == "conv" else self.window,
+            self.sparsity, input_shape)
 
     def __repr__(self) -> str:
         return (f"EdgeSpec({self.name!r}, {self.src}->{self.dst}, "

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.network import Network
 from repro.core.optimizer import SGD, UpdateState
+from repro.core.serialization import kernel_groups
 from repro.graph.builders import build_layered_network
 from repro.graph.computation_graph import ComputationGraph
 
@@ -175,16 +176,9 @@ class Replica:
 
     def _build_layout(self) -> None:
         net = self.network
-        groups: Dict[int, List[str]] = {}
-        kernels: Dict[int, object] = {}
-        for name, edge in net.edges.items():
-            if hasattr(edge, "kernel"):
-                groups.setdefault(id(edge.kernel), []).append(name)
-                kernels[id(edge.kernel)] = edge.kernel
-        stable: List[Tuple[str, object]] = sorted(
-            (min(names), kernels[kid]) for kid, names in groups.items())
         offset = 0
-        for name, kernel in stable:
+        for name in sorted(names[0] for names in kernel_groups(net).values()):
+            kernel = net.edges[name].kernel
             shape = tuple(kernel.array.shape)
             size = int(np.prod(shape))
             self.slots.append(ParamSlot(name, "kernel", offset, size, shape))

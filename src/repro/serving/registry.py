@@ -29,7 +29,7 @@ task-parallel net).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from repro.serving.tiler import (
 )
 from repro.tensor.backends import conv_backend
 from repro.utils.shapes import Shape3, as_shape3, voxels
+
+T = TypeVar("T")
 
 __all__ = ["ModelSpec", "WarmModel", "ModelRegistry", "TWIN_MIN_VOXELS"]
 
@@ -230,6 +232,7 @@ class ModelRegistry:
         self.num_workers = num_workers
         self._lock = make_lock("serving.registry")
         self._specs: Dict[str, ModelSpec] = {}  # guarded-by: _lock
+        self._fovs: Dict[str, Shape3] = {}  # guarded-by: _lock
         self._plans: Dict[str, SpecializationPlan] = {}  # guarded-by: _lock
         self._warm: Dict[Tuple[str, Shape3, Optional[tuple]], WarmModel] = {}  # guarded-by: _lock
         reg = get_registry()
@@ -242,10 +245,13 @@ class ModelRegistry:
     def register(self, spec: ModelSpec) -> ModelSpec:
         """Add (or replace) a model spec; replacing invalidates any
         warm twins built from the old spec — and any specialization
-        plan, which was costed for the old spec's graph."""
+        plan, which was costed for the old spec's graph.  The dense
+        twin's field of view is computed here, once per registration."""
+        fov = spec.fov
         with self._lock:
             previous = self._specs.get(spec.name)
             self._specs[spec.name] = spec
+            self._fovs[spec.name] = fov
             stale = []
             if previous is not None and previous != spec:
                 self._plans.pop(spec.name, None)
@@ -265,10 +271,7 @@ class ModelRegistry:
         the plan's tile) fall back to the generic single-mode path.
         """
         with self._lock:
-            if plan.model not in self._specs:
-                raise KeyError(
-                    f"unknown model {plan.model!r}; registered: "
-                    f"{sorted(self._specs)}")
+            self._lookup_locked(self._specs, plan.model)
             self._plans[plan.model] = plan
         return plan
 
@@ -348,15 +351,20 @@ class ModelRegistry:
 
     def spec(self, name: str) -> ModelSpec:
         with self._lock:
-            try:
-                return self._specs[name]
-            except KeyError:
-                raise KeyError(
-                    f"unknown model {name!r}; registered: "
-                    f"{sorted(self._specs)}") from None
+            return self._lookup_locked(self._specs, name)
 
     def fov(self, name: str) -> Shape3:
-        return self.spec(name).fov
+        """*name*'s dense-twin field of view, as :meth:`register`
+        computed it."""
+        with self._lock:
+            return self._lookup_locked(self._fovs, name)
+
+    def _lookup_locked(self, table: Mapping[str, T], name: str) -> T:
+        try:
+            return table[name]
+        except KeyError:
+            raise KeyError(f"unknown model {name!r}; registered: "
+                           f"{sorted(self._specs)}") from None
 
     def warm(self, name: str, input_tile,
              conv_modes: Optional[Mapping[str, str]] = None) -> WarmModel:
@@ -373,11 +381,7 @@ class ModelRegistry:
                 self._warm[key] = model
                 self._m_hit.inc()
                 return model
-            spec = self._specs.get(name)
-            if spec is None:
-                raise KeyError(
-                    f"unknown model {name!r}; registered: "
-                    f"{sorted(self._specs)}")
+            spec = self._lookup_locked(self._specs, name)
             self._m_miss.inc()
             model = WarmModel(spec, tile, num_workers=self.num_workers,
                               conv_modes=signature)

@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.graph.builders import Layer, dense_twin
+from repro.graph.builders import dense_twin
 from repro.observability.profile import (
     forward_samples,
     load_cost_model,
@@ -83,12 +83,7 @@ from repro.serving.tiler import (
 )
 from repro.tensor.backends import choose, registry
 from repro.tensor.fourier import rfft_shape
-from repro.utils.shapes import (
-    Shape3,
-    as_shape3,
-    valid_conv_shape,
-    voxels,
-)
+from repro.utils.shapes import Shape3, as_shape3, voxels
 
 __all__ = [
     "SPECIALIZE_SCHEMA",
@@ -216,12 +211,6 @@ def _as_cost_model(cost_model) -> CostModel:
     return CostModel(cost_model, source="doc")
 
 
-def _layer_output_shape(layer: Layer, in_shape: Shape3) -> Shape3:
-    if layer.window is not None:  # conv / filter shrink; the rest don't
-        return valid_conv_shape(in_shape, layer.window, layer.sparsity)
-    return in_shape
-
-
 # ---------------------------------------------------------------------------
 # Candidate enumeration.
 # ---------------------------------------------------------------------------
@@ -309,7 +298,7 @@ def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
     conv_modes: Dict[str, str] = {}
     layer_rows: List[dict] = []
     for layer in twin.layers:
-        out_shape = _layer_output_shape(layer, shape)
+        out_shape = layer.output_shape(shape)
         working_set += _BYTES_REAL * layer.f_out * voxels(out_shape)
         if layer.kind == "conv":
             # Forward FLOPs with kernel spectra pinned: serving warm

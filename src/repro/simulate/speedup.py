@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.graph.builders import build_layered_network
+from repro.graph.builders import dense_twin
 from repro.graph.computation_graph import ComputationGraph
 from repro.graph.taskgraph import TaskGraph, build_task_graph
 from repro.simulate.des import simulate_schedule
 from repro.simulate.machine import MachineSpec
-from repro.utils.shapes import input_shape_for_output
 
 __all__ = [
     "PAPER_WIDTHS",
@@ -45,43 +44,26 @@ _SPEC_3D = "CTMCTMCTCT"
 _SPEC_2D = "CTMCTMCTCTCTCT"
 
 
-def _skip_kernel_layers(spec: str, kernel, window):
-    """(kind, window, sparsity) sequence of a skip-kernel net, for
-    computing the input size that yields the requested output patch."""
-    layers = []
-    sparsity = (1, 1, 1)
-    for c in spec:
-        if c == "C":
-            layers.append(("conv", kernel, sparsity))
-        elif c == "M":
-            layers.append(("filter", window, sparsity))
-            sparsity = tuple(s * w for s, w in
-                             zip(sparsity, (window,) * 3 if isinstance(window, int)
-                                 else window))
-        elif c == "T":
-            layers.append(("transfer", 1, 1))
-    return layers
+def _paper_graph(spec: str, width: int, kernel, window,
+                 output_patch) -> ComputationGraph:
+    """*spec*'s skip-kernel net (its :func:`dense_twin`) at *width*, with
+    the input that yields *output_patch*: twin fov + patch - 1."""
+    twin = dense_twin(spec, width=width, kernel=kernel, window=window)
+    graph = twin.build_graph()
+    graph.propagate_shapes(tuple(f + p - 1
+                                 for f, p in zip(twin.fov, output_patch)))
+    return graph
 
 
 def paper_graph_3d(width: int, output_patch: int = 12) -> ComputationGraph:
     """The Section VIII 3D benchmark network at *width*."""
-    layers = _skip_kernel_layers(_SPEC_3D, kernel=3, window=2)
-    in_size = input_shape_for_output((output_patch,) * 3, layers)
-    graph = build_layered_network(_SPEC_3D, width=width, kernel=3, window=2,
-                                  skip_kernels=True)
-    graph.propagate_shapes(in_size)
-    return graph
+    return _paper_graph(_SPEC_3D, width, 3, 2, (output_patch,) * 3)
 
 
 def paper_graph_2d(width: int, output_patch: int = 48) -> ComputationGraph:
     """The Section VIII 2D benchmark network at *width*."""
-    layers = _skip_kernel_layers(_SPEC_2D, kernel=(1, 11, 11),
-                                 window=(1, 2, 2))
-    in_size = input_shape_for_output((1, output_patch, output_patch), layers)
-    graph = build_layered_network(_SPEC_2D, width=width, kernel=(1, 11, 11),
-                                  window=(1, 2, 2), skip_kernels=True)
-    graph.propagate_shapes(in_size)
-    return graph
+    return _paper_graph(_SPEC_2D, width, (1, 11, 11), (1, 2, 2),
+                        (1, output_patch, output_patch))
 
 
 def paper_task_graph(dims: int, width: int) -> TaskGraph:

@@ -5,16 +5,17 @@ dimension has size one.  Shapes are therefore always canonicalised to
 3-tuples of positive ints.  This module centralises the arithmetic that
 the rest of the library relies on: output sizes of valid/full
 convolutions (possibly sparse/dilated), max-pooling and max-filtering
-window arithmetic, and the field-of-view computation used by
-sliding-window ConvNets (Section II-A of the paper).
+window arithmetic, one forward and one reverse shape rule per layer
+kind, and the field of view of sliding-window ConvNets (Section II-A).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Shape3 = Tuple[int, int, int]
+ShapeLike = Union[int, Sequence[int]]
 
 
 def as_shape3(value: int | Sequence[int], *, name: str = "shape") -> Shape3:
@@ -96,47 +97,44 @@ def voxels(shape: int | Sequence[int]) -> int:
     return math.prod(as_shape3(shape))
 
 
-def field_of_view(layers: Iterable[tuple[str, int | Sequence[int], int | Sequence[int]]]
-                  ) -> Shape3:
-    """Field of view of a ConvNet given its (kind, window, sparsity) layers.
-
-    *layers* is an iterable of ``(kind, window, sparsity)`` where kind is
-    one of ``"conv"``, ``"filter"`` (both shrink by the effective window
-    minus one) or ``"pool"`` (multiplies resolution).  Returns the input
-    size mapping to exactly one output voxel — the ConvNet field of view
-    v of Section II-A.
-    """
-    fov = (1, 1, 1)
-    for kind, window, sparsity in reversed(list(layers)):
-        w = as_shape3(window, name="window")
-        s = as_shape3(sparsity, name="sparsity")
-        if kind in ("conv", "filter"):
-            eff = tuple((wd - 1) * sd + 1 for wd, sd in zip(w, s))
-            fov = tuple(f + e - 1 for f, e in zip(fov, eff))
-        elif kind == "pool":
-            fov = tuple(f * wd for f, wd in zip(fov, w))
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    return fov  # type: ignore[return-value]
+#: (kind, window, sparsity) of one layer — what the shape rules read.
+LayerRule = Tuple[str, Optional[ShapeLike], ShapeLike]
+#: Layer kinds whose output image has the input's shape.
+_SHAPE_PRESERVING = ("transfer", "dropout")
 
 
-def input_shape_for_output(output_shape: int | Sequence[int],
-                           layers: Iterable[tuple[str, int | Sequence[int], int | Sequence[int]]]
-                           ) -> Shape3:
+def layer_output_shape(kind: str, window: Optional[ShapeLike],
+                       sparsity: ShapeLike, image: ShapeLike) -> Shape3:
+    """The one forward shape rule per layer kind (``EdgeSpec`` and
+    ``Layer`` both call it): ``conv``/``filter`` are valid sparse
+    windows, ``pool`` divides, ``transfer``/``dropout`` keep the shape."""
+    if kind in ("conv", "filter"):
+        return valid_conv_shape(image, window, sparsity)  # type: ignore[arg-type]
+    if kind == "pool":
+        return pool_shape(image, window)  # type: ignore[arg-type]
+    if kind not in _SHAPE_PRESERVING:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return as_shape3(image, name="image")
+
+
+def input_shape_for_output(output_shape: ShapeLike,
+                           layers: Iterable[LayerRule]) -> Shape3:
     """The input shape that (kind, window, sparsity) *layers* map to
-    *output_shape*: the per-layer shape rules run backwards (a pooling
-    layer multiplies, so no remainders)."""
+    *output_shape*: :func:`layer_output_shape` run backwards, the one
+    reverse rule (a pooling layer multiplies, so no remainders)."""
     shape = as_shape3(output_shape, name="output")
     for kind, window, sparsity in reversed(list(layers)):
-        w = as_shape3(window, name="window")
-        s = as_shape3(sparsity, name="sparsity")
         if kind in ("conv", "filter"):
-            eff = tuple((wd - 1) * sd + 1 for wd, sd in zip(w, s))
-            shape = tuple(o + e - 1 for o, e in zip(shape, eff))
+            shape = full_conv_shape(shape, window, sparsity)  # type: ignore[arg-type]
         elif kind == "pool":
+            w = as_shape3(window, name="window")  # type: ignore[arg-type]
             shape = tuple(o * wd for o, wd in zip(shape, w))
-        elif kind == "transfer":
-            continue
-        else:
+        elif kind not in _SHAPE_PRESERVING:
             raise ValueError(f"unknown layer kind {kind!r}")
     return shape  # type: ignore[return-value]
+
+
+def field_of_view(layers: Iterable[LayerRule]) -> Shape3:
+    """The ConvNet field of view v of Section II-A: the input size
+    *layers* map to exactly one output voxel."""
+    return input_shape_for_output(1, layers)

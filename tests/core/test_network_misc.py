@@ -103,7 +103,7 @@ class TestMultiInput:
             net.forward(rng.standard_normal((10, 10, 10)))
 
 
-class TestFastSizesTraining:
+class TestUnpaddedFftTraining:
     """FFT training at an awkward (prime) size, which no plan pads."""
 
     def test_training_parity_with_plain_fft(self, rng):

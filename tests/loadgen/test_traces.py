@@ -52,9 +52,8 @@ class TestGeneration:
         assert all(b > a for a, b in zip(times, times[1:]))
         assert all(0.0 <= t < 60.0 for t in times)
 
-    def test_sizes_are_5_smooth_and_bounded(self):
-        """Edges snap to ``next_fast_len``'s lengths, 11-smooth since
-        the 5-smooth rule (the name's) retired."""
+    def test_sizes_are_11_smooth_and_bounded(self):
+        """Edges snap to ``next_fast_len``'s (11-smooth) lengths."""
         config = TraceConfig(seed=4, duration=60.0, base_rate=3.0,
                              size_min=12, size_max=40)
         trace = generate_trace(config)

@@ -139,3 +139,25 @@ class TestModelRegistry:
     def test_model_names(self, registry):
         assert registry.model_names() == ["small"]
         assert registry.fov("small") == (5, 5, 5)
+
+    def test_fov_is_computed_once_per_registration(self, monkeypatch):
+        import repro.serving.registry as registry_module
+
+        calls = []
+        real_twin = registry_module.dense_twin
+
+        def counting_twin(*args, **kwargs):
+            calls.append(args)
+            return real_twin(*args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "dense_twin", counting_twin)
+        reg = ModelRegistry()
+        reg.register(ModelSpec("m", "CTC", builder_kwargs={"width": 1,
+                                                            "kernel": 3}))
+        assert [reg.fov("m") for _ in range(3)] == [(5, 5, 5)] * 3
+        assert len(calls) == 1
+        reg.register(ModelSpec("m", "CTC", builder_kwargs={"width": 1,
+                                                            "kernel": 5}))
+        assert reg.fov("m") == (9, 9, 9)
+        with pytest.raises(KeyError, match="unknown model"):
+            reg.fov("nope")

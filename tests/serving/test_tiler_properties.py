@@ -38,9 +38,8 @@ def unpack(geom):
 class TestLargestFastLen:
     @given(n=st.integers(1, 2000), floor=st.integers(1, 2000))
     @settings(max_examples=60)
-    def test_result_is_the_largest_5_smooth_in_range(self, n, floor):
-        """Now the largest 11-smooth length (the name predates the
-        rule's change from 5-smooth)."""
+    def test_result_is_the_largest_11_smooth_in_range(self, n, floor):
+        """The largest 11-smooth length in [floor, n]."""
         result = largest_fast_len(n, floor)
         if result is None:
             # No 11-smooth integer in [floor, n] at all.

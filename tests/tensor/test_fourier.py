@@ -36,9 +36,9 @@ class TestNextFastLen:
             next_fast_len(0)
 
     @given(n=st.integers(1, 5000))
-    def test_property_5smooth_and_minimal(self, n):
-        """The result is 11-smooth (the test predates the 5-smooth rule's
-        retirement) and no smaller 11-smooth number lies in [n, m)."""
+    def test_property_11smooth_and_minimal(self, n):
+        """The result is 11-smooth and no smaller 11-smooth number lies
+        in [n, m)."""
         def smooth(x):
             for p in (2, 3, 5, 7, 11):
                 while x % p == 0:

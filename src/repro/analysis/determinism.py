@@ -51,7 +51,7 @@ finding is still reported as *suppressed* with its justification, and
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set
 
 from repro.analysis.callgraph import (CallGraph, FunctionNode,
                                       build_callgraph)

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.baselines.gpu_model import (
     GPU_FRAMEWORKS,
     gpu_fits_in_memory,
-    gpu_memory_bytes,
     gpu_seconds_per_update,
 )
 from repro.baselines.znn_model import comparison_layers, znn_seconds_per_update

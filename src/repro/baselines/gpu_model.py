@@ -21,9 +21,8 @@ convolutions to kernels ≤ 7^3 (Section IX-B).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.utils.shapes import voxels
 

@@ -24,7 +24,6 @@ from repro.pram.costs import (
     DEFAULT_FFT_CONSTANT,
     conv_layer_costs_direct,
     conv_layer_costs_fft,
-    filtering_layer_costs,
     pooling_layer_costs,
     transfer_layer_costs,
 )

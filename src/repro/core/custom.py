@@ -24,7 +24,7 @@ same state.  ``output_shape`` defaults to shape-preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np

@@ -12,7 +12,7 @@ edge, so edges can be updated concurrently without sharing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

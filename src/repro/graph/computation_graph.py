@@ -19,7 +19,7 @@ requirements (:meth:`ComputationGraph.check_convnet_properties`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.shapes import Shape3, as_shape3, layer_output_shape
 

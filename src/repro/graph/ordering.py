@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.graph.computation_graph import ComputationGraph, EdgeSpec, NodeSpec
+from repro.graph.computation_graph import ComputationGraph, NodeSpec
 
 __all__ = [
     "longest_distance_to_outputs",

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.graph.builders import build_layered_network
 from repro.graph.computation_graph import ComputationGraph

@@ -30,9 +30,8 @@ the tail node's position in the distance-to-input ordering, and update
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.graph.computation_graph import ComputationGraph, EdgeSpec
 from repro.graph.ordering import (

@@ -34,7 +34,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.loadgen.autoscale import AutoscalePolicy, ScaleDecision, Signals
 from repro.loadgen.traces import Trace

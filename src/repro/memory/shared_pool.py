@@ -1,9 +1,12 @@
 """Pooled cross-process shared-memory allocator.
 
-The multi-process data-parallel trainer (``repro.parallel``) keeps
-kernels, biases and gradient-summation slots in
-``multiprocessing.shared_memory`` blocks so worker processes exchange
-arrays without serialising them.  This module extends the Section VII-C
+The serving fleet (:mod:`repro.serving.fleet`) hands each request's
+input and output volumes to its worker processes in
+``multiprocessing.shared_memory`` blocks, so whole volumes cross the
+process boundary without being pickled through a pipe (at 64³ a pipe
+round trip costs several times a shared-memory one).  It is the only
+user: the data-parallel trainer's gradients are small enough to travel
+in its pipe replies.  This module extends the Section VII-C
 pooled-allocator design of :mod:`repro.memory.pools` across process
 boundaries: requests round up to the next power of two, freed blocks
 return to one of 32 per-size free lists (never to the operating

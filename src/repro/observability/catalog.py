@@ -99,7 +99,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "parallel.workers",
     "parallel.rounds",
     "parallel.barrier_wait_seconds",
-    "parallel.bytes_shared",
     "parallel.worker_deaths",
     "parallel.reassigned_samples",
     # observability/tracing.py (docs/observability.md "Spans")

@@ -4,15 +4,14 @@ The paper scales one training round across threads of a shared-memory
 machine; this package scales *rounds of a global minibatch* across
 **processes**, sidestepping the GIL while keeping ZNN's determinism
 guarantee: the final checkpoint is bitwise identical for any worker
-count, because per-sample gradients land in globally-indexed
-shared-memory slots that are reduced in fixed index order — the
-cross-process extension of Algorithm 4's summation buffers.
+count, because per-sample gradients come back over each worker's pipe
+keyed by global sample index and are reduced in that fixed order by
+:func:`repro.sync.summation.reduce_in_order` — the cross-process
+extension of Algorithm 4's summation buffers.
 
 * :class:`ParallelTrainer` — the coordinator: owns the canonical
   network, spawns workers, assigns shards, reduces gradients, applies
   the optimizer step, and degrades to fewer shards when a worker dies.
-* :class:`SharedOrderedSum` — globally-indexed gradient slots in
-  shared memory with an in-index-order reduction.
 * :class:`ModelConfig` — a picklable recipe from which every process
   builds an identical network replica.
 * :class:`Replica` — one process's network plus the gradient-capture
@@ -20,7 +19,6 @@ cross-process extension of Algorithm 4's summation buffers.
 """
 
 from repro.parallel.replica import GradientCollector, ModelConfig, Replica
-from repro.parallel.summation import SharedOrderedSum, SumHandles
 from repro.parallel.trainer import (
     ParallelTrainer,
     WorkerPoolBroken,
@@ -32,8 +30,6 @@ __all__ = [
     "ModelConfig",
     "ParallelTrainer",
     "Replica",
-    "SharedOrderedSum",
-    "SumHandles",
     "WorkerPoolBroken",
     "visible_cpus",
 ]

@@ -4,28 +4,31 @@
 checkpointed), spawns ``workers - 1`` child processes, and runs rounds
 of *global-minibatch* gradient learning:
 
-1. publish the current parameters into a shared-memory vector;
-2. assign each live worker its shard of the ``batch`` global sample
-   indices (round-robin via :func:`repro.data.shard_indices`);
-3. every process computes whole-model gradients for its samples into
-   the globally-indexed slots of a :class:`SharedOrderedSum`
-   (the coordinator itself is worker 0);
-4. the coordinator reduces the slots **in index order**, divides by
+1. send each live worker the current parameter vector and its shard of
+   the ``batch`` global sample indices (round-robin via
+   :func:`repro.data.shard_indices`);
+2. every process computes whole-model gradients for its samples (the
+   coordinator itself is worker 0); a worker replies with one
+   ``("grad", round, index, loss, gradient)`` message per sample, and
+   the coordinator files each under its global index (between its own
+   samples too, so no worker stalls on a full pipe);
+3. the coordinator reduces the gradients **in index order**
+   (:func:`repro.sync.summation.reduce_in_order`), divides by
    ``batch``, and applies one optimizer step.
 
 Because the reduction order is a function of the batch — never of the
 workers — the final checkpoint is bitwise identical for any worker
-count, including ``workers=1`` (which still exercises the same
-shared-memory path).
+count, including ``workers=1``.
 
 **Degradation.** A worker that dies mid-run (detected by a broken or
-silent pipe) does not kill training: its unfilled slots are recomputed
-by the coordinator for the current round, the worker is dropped, and
-future rounds shard over the survivors — same samples, same slots,
-same reduction, so the checkpoint is unchanged.  The tolerated death
-count is governed by a :class:`repro.resilience.RetryPolicy`
-(``max_retries`` deaths, with its backoff between recoveries); one
-death past the budget raises :class:`WorkerPoolBroken`.
+silent pipe) does not kill training: the gradients it sent before dying
+are kept, the samples it left missing are recomputed by the coordinator
+for the current round, the worker is dropped, and future rounds shard
+over the survivors — same samples, same indices, same reduction, so the
+checkpoint is unchanged.  The tolerated death count is governed by a
+:class:`repro.resilience.RetryPolicy` (``max_retries`` deaths, with its
+backoff between recoveries); one death past the budget raises
+:class:`WorkerPoolBroken`.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.training import Trainer
 from repro.data.provider import ShardedSampler, shard_indices
-from repro.memory.shared_pool import SharedMemoryPool
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import (
     flight_dump,
@@ -45,9 +49,9 @@ from repro.observability.tracing import (
     get_tracer,
 )
 from repro.parallel.replica import ModelConfig, Replica
-from repro.parallel.summation import SharedOrderedSum
 from repro.parallel.worker import worker_main
 from repro.resilience.retry import RetryPolicy
+from repro.sync.summation import reduce_in_order
 
 __all__ = ["ParallelTrainer", "WorkerPoolBroken", "visible_cpus"]
 
@@ -72,6 +76,8 @@ class _Child:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
+        #: The round it last answered "done" to; -1 once "ready".
+        self.answered: Optional[int] = None
 
 
 class ParallelTrainer(Trainer):
@@ -133,13 +139,10 @@ class ParallelTrainer(Trainer):
         self._sampler = ShardedSampler(self.provider, config.seed,
                                        self.batch)
 
-        self._pool = SharedMemoryPool(name="parallel")
-        self._grads = SharedOrderedSum.create(
-            self._pool, self.batch, self.replica.num_values)
-        self._params_block, self._params = self._pool.allocate_array(
-            self.replica.num_values)
-        self._losses_block, self._losses = self._pool.allocate_array(
-            self.batch)
+        # The current round's per-sample results, by global index.
+        self._round_index = -1
+        self._grads: List[Optional[np.ndarray]] = []
+        self._losses: List[float] = []
         self._children: List[_Child] = []
         self._closed = False
         self.worker_deaths = 0
@@ -157,7 +160,6 @@ class ParallelTrainer(Trainer):
         self._m_barrier = reg.histogram("parallel.barrier_wait_seconds")
         self._m_deaths = reg.counter("parallel.worker_deaths")
         self._m_reassigned = reg.counter("parallel.reassigned_samples")
-        reg.gauge("parallel.bytes_shared").set(self._pool.held_bytes())
         self._spawn_children()
         self._m_workers.set(1 + len(self._children))
 
@@ -172,9 +174,7 @@ class ParallelTrainer(Trainer):
             process = ctx.Process(
                 target=worker_main,
                 args=(worker_id, self.config, self.provider_factory,
-                      self.provider_args, self.batch,
-                      self._grads.handles(), self._params_block.handle,
-                      self._losses_block.handle, child_conn),
+                      self.provider_args, self.batch, child_conn),
                 daemon=True, name=f"repro-worker-{worker_id}")
             process.start()
             child_conn.close()
@@ -182,15 +182,15 @@ class ParallelTrainer(Trainer):
         deadline = time.monotonic() + self.worker_timeout
         for child in list(self._children):
             remaining = max(0.0, deadline - time.monotonic())
-            if not self._receive(child, remaining, expect="ready"):
+            if not self._receive(child, remaining):
                 self._handle_death(child, phase="startup")
 
-    def _receive(self, child: _Child, timeout: float,
-                 expect: str) -> bool:
-        """Wait for *expect* from *child*; False means the child is
-        dead (broken pipe, silent past timeout, or exited)."""
+    def _receive(self, child: _Child, timeout: float) -> bool:
+        """Wait until *child* has answered the current round ("ready"
+        before the first); False means the child is dead (broken pipe,
+        silent past timeout, or exited)."""
         deadline = time.monotonic() + timeout
-        while True:
+        while child.answered != self._round_index:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return False
@@ -199,23 +199,44 @@ class ParallelTrainer(Trainer):
                     if not child.process.is_alive():
                         return False
                     continue
-                message = child.conn.recv()
+                self._take(child, child.conn.recv())
             except (EOFError, OSError):
                 return False
-            if message[0] == "spans":
-                # A worker shipping its span buffer ahead of "done":
-                # adopt the spans under the worker's process label.
-                get_tracer().ingest(message[2],
-                                    process=f"worker-{message[1]}")
-                continue
-            if message[0] == "error":
-                raise WorkerPoolBroken(
-                    f"worker {message[2]} failed in round {message[1]}:\n"
-                    f"{message[3]}")
-            if message[0] == expect:
-                return True
-            # Stale message from a previous round (e.g. a late "done"
-            # after the worker was presumed dead but survived): skip.
+        return True
+
+    def _drain(self) -> None:
+        """Take every reply already waiting, so no worker blocks on a
+        full pipe while this process computes its own samples."""
+        for child in self._children:
+            try:
+                while child.conn.poll():
+                    self._take(child, child.conn.recv())
+            except (EOFError, OSError):
+                pass  # a dead worker is noticed at the barrier
+
+    def _take(self, child: _Child, message) -> None:
+        """Act on one message from *child*: ``grad`` replies are filed
+        under their global sample index, and anything from a round
+        other than the current one is skipped."""
+        kind = message[0]
+        if kind == "spans":
+            # A worker shipping its span buffer ahead of "done": adopt
+            # the spans under the worker's process label.
+            get_tracer().ingest(message[2], process=f"worker-{message[1]}")
+        elif kind == "error":
+            raise WorkerPoolBroken(
+                f"worker {message[2]} failed in round {message[1]}:\n"
+                f"{message[3]}")
+        elif kind == "ready":
+            child.answered = -1
+        elif message[1] != self._round_index:
+            pass  # stale: a reply to an earlier round
+        elif kind == "grad":
+            _, _, index, loss, grad = message
+            self._losses[index] = loss
+            self._grads[index] = grad
+        else:
+            child.answered = message[1]
 
     def _handle_death(self, child: _Child, phase: str) -> None:
         """Drop *child* from the pool, within the death budget."""
@@ -252,7 +273,7 @@ class ParallelTrainer(Trainer):
         coordinator first, then surviving children — drives the
         round-robin, so shards re-balance automatically as the pool
         shrinks.  (Assignment never affects results; only which process
-        fills which globally-indexed slot.)"""
+        computes which globally-indexed sample.)"""
         live = [0] + [c.worker_id for c in self._children]
         return {worker_id: shard_indices(self.batch, len(live), position)
                 for position, worker_id in enumerate(live)}
@@ -282,60 +303,73 @@ class ParallelTrainer(Trainer):
 
     def _round_body(self, round_index: int, round_ctx) -> float:
         tracer = get_tracer()
-        self._grads.reset()
-        self.replica.read_params_into(self._params)
+        self._round_index = round_index
+        self._grads = [None] * self.batch
+        self._losses = [0.0] * self.batch
+        params = np.empty(self.replica.num_values)
+        self.replica.read_params_into(params)
         assignments = self._assignments()
         for child in list(self._children):
+            child.answered = None  # a rolled-back round reuses its index
             try:
                 child.conn.send(
                     ("round", round_index, assignments[child.worker_id],
-                     round_ctx))
+                     params, round_ctx))
             except (BrokenPipeError, OSError):
                 self._handle_death(child, phase="dispatch")
-        for i in assignments[0]:
-            self._losses[i] = self.replica.sample_gradient(
-                self._sampler, round_index, i, self._grads.slot(i))
-            self._grads.mark_filled(i)
+        self._compute(round_index, assignments[0])
         wait_start = time.perf_counter()
         barrier_t0 = tracer.now() if tracer.enabled else 0.0
         for child in list(self._children):
-            if not self._receive(child, self.worker_timeout, expect="done"):
+            if not self._receive(child, self.worker_timeout):
                 self._handle_death(child, phase=f"round {round_index}")
         barrier_wait = time.perf_counter() - wait_start
         if tracer.enabled and round_ctx is not None:
             tracer.record("barrier.wait", barrier_t0,
                           barrier_t0 + barrier_wait, category="training",
                           parent=round_ctx, round=round_index)
-        # Recompute whatever the casualties left unfilled — slots are
-        # globally indexed, so who fills them cannot change the result.
-        missing = self._grads.unfilled_indices()
+        # Recompute whatever the casualties left missing — samples are
+        # globally indexed, so who computes them cannot change the result.
+        missing = [i for i, g in enumerate(self._grads) if g is None]
         if missing:
             self._m_reassigned.inc(len(missing))
-            for i in missing:
-                self._losses[i] = self.replica.sample_gradient(
-                    self._sampler, round_index, i, self._grads.slot(i))
-                self._grads.mark_filled(i)
+            self._compute(round_index, missing)
         self._deaths_since_success = 0
-        total = self._grads.reduce()
-        mean_grad = total / self.batch
-        loss_total = 0.0
-        for i in range(self.batch):  # fixed index order, like the slots
-            loss_total += float(self._losses[i])
+        mean_grad, mean_loss = self._reduce()
         self.replica.apply_update(mean_grad, self.network.optimizer)
         # The coordinator replica's own train_steps advanced the
         # counter once per *sample*; a round is one global update.
         self.network.rounds = round_index + 1
         self._m_rounds.inc()
         self._m_barrier.observe(barrier_wait)
-        return loss_total / self.batch
+        return mean_loss
+
+    def _compute(self, round_index: int, indices: List[int]) -> None:
+        """Fill the gradients and losses of *indices* on this process."""
+        for i in indices:
+            grad = np.empty(self.replica.num_values)
+            self._losses[i] = self.replica.sample_gradient(
+                self._sampler, round_index, i, grad)
+            self._grads[i] = grad
+            self._drain()
+
+    # deterministic
+    def _reduce(self) -> Tuple[np.ndarray, float]:
+        """The round's mean gradient and mean loss, each summed in
+        global index order (Algorithm 4's closing step, across
+        processes)."""
+        mean_grad = reduce_in_order(self._grads) / self.batch
+        loss_total = 0.0
+        for loss in self._losses:
+            loss_total += loss
+        return mean_grad, loss_total / self.batch
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the workers, free the shared memory, close the
-        network (idempotent)."""
+        """Stop the workers and close the network (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -355,8 +389,6 @@ class ParallelTrainer(Trainer):
                 child.process.join(timeout=5.0)
         self._children.clear()
         self._m_workers.set(0)
-        self._grads.close()
-        self._pool.close()
         self.network.close()
 
     def __enter__(self) -> "ParallelTrainer":

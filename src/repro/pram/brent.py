@@ -24,7 +24,6 @@ from typing import List, Sequence
 
 from repro.pram.costs import (
     DEFAULT_FFT_CONSTANT,
-    LayerCosts,
     conv_layer_costs_direct,
     conv_layer_costs_fft,
     conv_layer_tinf,

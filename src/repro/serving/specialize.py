@@ -64,9 +64,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.builders import dense_twin
+from repro.graph.builders import DenseTwin, dense_twin
 from repro.observability.profile import (
     forward_samples,
     load_cost_model,
@@ -276,19 +276,18 @@ def _layer_seconds(model: CostModel, edges: Sequence[str], backend: str,
     return flops / model.rate(edges, backend)
 
 
-def evaluate_candidate(spec: str, builder_kwargs: Mapping[str, object],
-                       volume_shape: Sequence[int], tile: Sequence[int],
-                       cost_model=None) -> dict:
+def evaluate_candidate(twin: DenseTwin, volume_shape: Sequence[int],
+                       tile: Sequence[int], cost_model=None) -> dict:
     """Price one candidate input *tile*: per-layer backend choice,
     predicted seconds over the whole volume, and peak working set.
 
     Pure and deterministic — this is the single cost function both
     :func:`plan_specialization` and the property-test minimality check
     evaluate, so the planner provably returns the argmin of exactly
-    what this computes.
+    what this computes.  *twin* is the model's
+    :func:`~repro.graph.builders.dense_twin`, built once by the caller.
     """
     model = _as_cost_model(cost_model)
-    twin = dense_twin(spec, **builder_kwargs)
     plan = TilePlan(volume_shape, twin.fov, tile)  # type: ignore[arg-type]
     t = plan.input_tile
     base_rate = model.base_rate()
@@ -502,14 +501,14 @@ def plan_specialization(spec, volume_shape: Sequence[int],
     if tile_voxels is None:
         tile_voxels = DEFAULT_TILE_VOXELS
     model = _as_cost_model(cost_model)
+    twin = dense_twin(spec.spec, **spec.builder_kwargs)
     candidates = enumerate_candidate_tiles(
-        volume_shape, spec.fov, tile_voxels=tile_voxels)
+        volume_shape, twin.fov, tile_voxels=tile_voxels)
     best = None
     best_key = None
     over_budget = 0
     for tile in candidates:
-        result = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                    volume_shape, tile, model)
+        result = evaluate_candidate(twin, volume_shape, tile, model)
         if (memory_bytes is not None
                 and result["working_set_bytes"] > memory_bytes):
             over_budget += 1

@@ -20,10 +20,9 @@ compares the priority policy against FIFO/LIFO/random on this metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.graph.computation_graph import ComputationGraph
-from repro.graph.taskgraph import TaskGraph
 from repro.simulate.des import SimulationResult
 
 __all__ = ["LocalityReport", "accumulation_target", "locality_report"]

@@ -37,12 +37,12 @@ def reduce_in_order(slots: Sequence[np.ndarray]) -> np.ndarray:
     """Sum *slots* in index order: ``((slots[0] + slots[1]) + ...)``.
 
     The deterministic closing step shared by :class:`OrderedSum`
-    (threads depositing into indexed slots) and
-    :class:`repro.parallel.SharedOrderedSum` (processes depositing into
-    shared-memory slots): because the association order is fixed by
-    slot index, the floating-point result is bitwise independent of
-    which thread or process produced each contribution, and of how many
-    there were.
+    (threads depositing into indexed slots) and the data-parallel
+    trainer (:class:`repro.parallel.ParallelTrainer`, per-sample
+    gradients from every process filed by global sample index): because
+    the association order is fixed by slot index, the floating-point
+    result is bitwise independent of which thread or process produced
+    each contribution, and of how many there were.
 
     With a single slot the slot itself is returned (no copy) — callers
     that must not alias the inputs copy explicitly.

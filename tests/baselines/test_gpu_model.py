@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import (
     GPU_FRAMEWORKS,
-    TITAN_X_MEMORY_BYTES,
     ConvLayerShape,
     comparison_layers,
     gpu_fits_in_memory,

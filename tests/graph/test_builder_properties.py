@@ -1,8 +1,5 @@
 """Property-based structural tests over random layered specs."""
 
-import string
-
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

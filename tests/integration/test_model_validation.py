@@ -9,7 +9,6 @@ parallel slack.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import Network, SGD
 from repro.graph import build_layered_network, build_task_graph

@@ -6,7 +6,6 @@ checked over randomly drawn architectures and data.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -8,14 +8,18 @@ children) are marked ``slow`` so the tier-1 run stays fast; the CI slow
 lane runs them.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import Trainer, load_latest_checkpoint, state_digest
 from repro.data.provider import RandomProvider, ShardedSampler
 from repro.parallel import ModelConfig, ParallelTrainer, WorkerPoolBroken
+from repro.parallel.trainer import _Child
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import FaultPlan, clear_plan, install_plan
+from repro.sync import reduce_in_order
 
 INPUT = (10, 10, 10)
 OUT = (8, 8, 8)
@@ -203,3 +207,89 @@ def test_w1b1_matches_digest_of_numpy_reduce():
     # reduce()/batch of a single slot is a bitwise no-op: x/1.0 == x.
     x = np.random.default_rng(0).standard_normal(16)
     assert np.array_equal(x / 1.0, x)
+
+
+class _Held:
+    """A child process that is alive until the trainer joins it."""
+
+    alive = True
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        self.alive = False
+
+
+def test_grad_replies_reduce_in_index_order(monkeypatch):
+    """A worker's ``grad`` replies are filed by global index whatever
+    order they arrive in, replies to an earlier round are ignored, and
+    the update is ``reduce_in_order`` of the index-ordered list."""
+    trainer = ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
+                              workers=1, batch=4)
+    ours, theirs = multiprocessing.Pipe()
+    try:
+        trainer._children.append(_Child(1, _Held(), ours))
+        assert trainer._assignments()[1] == [1, 3]
+        grads, losses = [], []
+        for i in range(4):
+            grad = np.empty(trainer.replica.num_values)
+            losses.append(trainer.replica.sample_gradient(
+                trainer._sampler, 1, i, grad))
+            grads.append(grad)
+        junk = np.full_like(grads[1], 7.0)
+        theirs.send(("done", 0, 1))  # stale: round 0's barrier reply
+        theirs.send(("grad", 1, 3, losses[3], grads[3]))
+        theirs.send(("grad", 1, 1, losses[1], grads[1]))
+        theirs.send(("grad", 0, 1, 99.0, junk))  # stale
+        theirs.send(("done", 1, 1))
+        computed, applied = [], []
+        compute = trainer._compute
+
+        def noting_compute(round_index, indices):
+            computed.extend(indices)
+            compute(round_index, indices)
+
+        monkeypatch.setattr(trainer, "_compute", noting_compute)
+        monkeypatch.setattr(trainer.replica, "apply_update",
+                            lambda grad, optimizer: applied.append(grad))
+        mean_loss = trainer._run_round(1)
+    finally:
+        trainer.close()
+        theirs.close()
+    assert computed == [0, 2]
+    assert np.array_equal(applied[0], reduce_in_order(grads) / 4)
+    loss_total = 0.0
+    for loss in losses:
+        loss_total += loss
+    assert mean_loss == loss_total / 4
+
+
+def test_replies_are_taken_while_the_coordinator_computes(monkeypatch):
+    """A worker's replies are read between the coordinator's own
+    samples, so a worker never stalls on a full pipe: by the barrier,
+    its gradient is filed and its "done" seen."""
+    trainer = ParallelTrainer(CFG, RandomProvider, PROVIDER_ARGS,
+                              workers=1, batch=2)
+    ours, theirs = multiprocessing.Pipe()
+    try:
+        child = _Child(1, _Held(), ours)
+        trainer._children.append(child)
+        grad = np.empty(trainer.replica.num_values)
+        loss = trainer.replica.sample_gradient(trainer._sampler, 0, 1, grad)
+        theirs.send(("grad", 0, 1, loss, grad))
+        theirs.send(("done", 0, 1))
+        at_barrier = []
+        receive = trainer._receive
+
+        def noting_receive(child, timeout):
+            at_barrier.append((child.answered,
+                               trainer._grads[1] is not None))
+            return receive(child, timeout)
+
+        monkeypatch.setattr(trainer, "_receive", noting_receive)
+        trainer._run_round(0)
+    finally:
+        trainer.close()
+        theirs.close()
+    assert at_barrier == [(0, True)]

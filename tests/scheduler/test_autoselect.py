@@ -3,7 +3,7 @@ work)."""
 
 import pytest
 
-from repro.graph import ComputationGraph, build_layered_network
+from repro.graph import build_layered_network
 from repro.scheduler import StrategyChoice, select_strategy
 from repro.simulate import MachineSpec
 

@@ -12,7 +12,6 @@ from repro.scheduler import (
     SerialEngine,
     Task,
     TaskEngine,
-    force,
 )
 
 

@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import dump_layered_spec
+from repro.graph.builders import dense_twin
 from repro.observability import get_registry as metrics_registry
 from repro.serving import (
     InferenceServer,
@@ -62,13 +63,17 @@ def big_kernel_model(tmp_path_factory):
     return ModelSpec.from_files("k7", path, conv_mode="direct")
 
 
+def twin_of(spec):
+    return dense_twin(spec.spec, **spec.builder_kwargs)
+
+
 def _min_key(spec, volume, tile_voxels=None, memory_bytes=None):
     """The planner's argmin, recomputed from the public pieces."""
     best = None
+    twin = twin_of(spec)
     for tile in enumerate_candidate_tiles(volume, spec.fov,
                                           tile_voxels=tile_voxels):
-        result = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                    volume, tile)
+        result = evaluate_candidate(twin, volume, tile)
         if (memory_bytes is not None
                 and result["working_set_bytes"] > memory_bytes):
             continue
@@ -168,8 +173,8 @@ class TestCostModel:
                                shape=tile),
                    self._entry("conv_L1_0_1", "fft", f_edge, 0.1,
                                shape=tile)]}
-        result = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                    (24, 24, 24), tile, doc)
+        result = evaluate_candidate(twin_of(spec), (24, 24, 24), tile,
+                                    doc)
         layer1 = next(r for r in result["layers"] if r["layer"] == 1)
         # Candidate shape == profiled shape: the formula ratio is 1, so
         # predictions are exactly the measured sums — the inflated
@@ -181,8 +186,8 @@ class TestCostModel:
         # which reprices the layer through the analytic formulas.
         for entry in doc["entries"]:
             entry["image_shape"] = None
-        unscaled = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                      (24, 24, 24), tile, doc)
+        unscaled = evaluate_candidate(twin_of(spec), (24, 24, 24), tile,
+                                      doc)
         layer1_rate = next(r for r in unscaled["layers"]
                            if r["layer"] == 1)
         assert layer1_rate["fft_seconds"] != pytest.approx(0.6)
@@ -228,8 +233,8 @@ class TestEnumerateCandidates:
 class TestEvaluateCandidate:
     def test_small_kernel_prefers_direct(self, small_model):
         spec = small_model.model_spec()
-        result = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                    (24, 24, 24), (24, 24, 24))
+        result = evaluate_candidate(twin_of(spec), (24, 24, 24),
+                                    (24, 24, 24))
         assert result["conv_modes"]
         assert set(result["conv_modes"].values()) == {"direct"}
         for row in result["layers"]:
@@ -239,20 +244,36 @@ class TestEvaluateCandidate:
 
     def test_big_kernel_flips_to_fft(self, big_kernel_model):
         spec = big_kernel_model
-        result = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                    (32, 32, 32), (32, 32, 32))
+        result = evaluate_candidate(twin_of(spec), (32, 32, 32),
+                                    (32, 32, 32))
         assert set(result["conv_modes"].values()) == {"fft"}
         # The FFT choice charges its spectra to the working set.
-        direct_only = evaluate_candidate(
-            spec.spec, spec.builder_kwargs, (32, 32, 32), (8, 8, 8))
+        direct_only = evaluate_candidate(twin_of(spec), (32, 32, 32),
+                                         (8, 8, 8))
         assert result["working_set_bytes"] > direct_only["working_set_bytes"]
 
     def test_fov_matches_spec(self, small_model, big_kernel_model):
         for spec in (small_model.model_spec(), big_kernel_model):
-            result = evaluate_candidate(
-                spec.spec, spec.builder_kwargs,
-                (32, 32, 32), (32, 32, 32))
+            result = evaluate_candidate(twin_of(spec), (32, 32, 32),
+                                        (32, 32, 32))
             assert result["fov"] == spec.fov
+
+
+def test_plan_builds_the_twin_once(small_model, monkeypatch):
+    """Every candidate is priced on one twin: one build per plan,
+    however many candidates there are."""
+    from repro.serving import specialize
+
+    builds = []
+
+    def counting(spec, **kwargs):
+        builds.append(spec)
+        return dense_twin(spec, **kwargs)
+
+    monkeypatch.setattr(specialize, "dense_twin", counting)
+    plan = plan_specialization(small_model.model_spec(), (24, 24, 24))
+    assert plan.candidates > 1
+    assert len(builds) == 1
 
 
 class TestPlannerProperties:
@@ -275,9 +296,9 @@ class TestPlannerProperties:
         """The count the planner prices is the count the server runs."""
         spec = small_model.model_spec()
         volume = tuple(f + e for f, e in zip(spec.fov, extra))
+        twin = twin_of(spec)
         for tile in enumerate_candidate_tiles(volume, spec.fov):
-            result = evaluate_candidate(spec.spec, spec.builder_kwargs,
-                                        volume, tile)
+            result = evaluate_candidate(twin, volume, tile)
             plan = TilePlan(volume, spec.fov, tile)
             assert result["num_tiles"] == plan.num_tiles == len(plan.tiles)
 

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.sync import OrderedSum
+from repro.sync import OrderedSum, reduce_in_order
 
 
 class TestBasics:
@@ -128,3 +128,16 @@ class TestNetworkDeterminism:
         a, b = out(True), out(False)
         for k in a:
             np.testing.assert_allclose(a[k], b[k], atol=1e-10)
+
+
+def test_reduce_in_order_is_strictly_sequential():
+    # Left-to-right float addition is not associative; the helper must
+    # commit to the ((s0 + s1) + s2) ... ordering exactly.
+    slots = [np.array([1e16]), np.array([1.0]), np.array([1.0]),
+             np.array([-1e16])]
+    expected = ((slots[0] + slots[1]) + slots[2]) + slots[3]
+    assert np.array_equal(reduce_in_order(slots), expected)
+    # and that this differs from another grouping, so the test means
+    # something on this machine:
+    other = (slots[0] + (slots[1] + slots[2])) + slots[3]
+    assert not np.array_equal(expected, other)

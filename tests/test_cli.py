@@ -1,6 +1,5 @@
 """CLI and reporting tests."""
 
-import numpy as np
 import pytest
 
 from repro import reporting

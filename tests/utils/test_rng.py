@@ -1,7 +1,6 @@
 """Seeded-RNG helper tests."""
 
 import numpy as np
-import pytest
 
 from repro.utils.rng import as_generator, kernel_init, spawn
 

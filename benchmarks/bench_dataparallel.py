@@ -6,12 +6,18 @@ the multi-process analogue of the paper's speedup-vs-threads protocol
 (Figs 5–7), with the determinism contract checked on the side: every
 worker count must finish with a bitwise-identical parameter digest.
 
+Each worker count runs at least 4 timed rounds; its seconds per update
+is the median round and its spread the interquartile range over that
+median (``iqr_share``), written side by side, so a reader can see
+whether a difference between worker counts stands out of the noise.
+
 Results land in ``BENCH_dataparallel.json``.  The >= 1.5x speedup
 assertion at 4 workers only runs on machines that actually have >= 4
 CPUs; on smaller hosts the sweep still runs and records the (honest)
 numbers.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import state_digest
@@ -43,7 +49,8 @@ def output_shape():
 
 
 def run(workers, rounds):
-    """(seconds per global update, state digest) at *workers*."""
+    """(median seconds per global update, interquartile share of that
+    median, state digest) at *workers*."""
     trainer = ParallelTrainer(CFG, RandomProvider,
                               (INPUT, output_shape(), False, None),
                               workers=workers, batch=BATCH,
@@ -54,26 +61,30 @@ def run(workers, rounds):
         digest = state_digest(trainer.network)
     finally:
         trainer.close()
-    return report.mean_seconds_per_update, digest
+    q1, median, q3 = np.percentile(report.round_seconds, [25, 50, 75])
+    return float(median), float((q3 - q1) / median), digest
 
 
 def test_dataparallel_speedup(report):
     cpus = visible_cpus()
-    rounds = 5 if report.full else 2
+    rounds = 10 if report.full else 4
     rows, results = [], []
     digests = {}
     baseline = None
     for workers in WORKER_COUNTS:
-        seconds, digest = run(workers, rounds)
+        seconds, iqr_share, digest = run(workers, rounds)
         baseline = baseline or seconds
         speedup = baseline / seconds if seconds > 0 else 0.0
         digests[workers] = digest
-        rows.append([workers, f"{seconds:.3g}", f"{speedup:.3g}"])
+        rows.append([workers, f"{seconds:.3g}", f"{iqr_share:.2f}",
+                     f"{speedup:.3g}"])
         results.append({"workers": workers, "seconds_per_update": seconds,
-                        "speedup": speedup, "digest": digest})
+                        "iqr_share": iqr_share, "speedup": speedup,
+                        "digest": digest})
     report.table(
-        f"data-parallel seconds/update, batch {BATCH} on {cpus} CPU(s)",
-        ["workers", "s/update", "speedup"], rows)
+        f"data-parallel median seconds/update over {rounds} rounds, "
+        f"batch {BATCH} on {cpus} CPU(s)",
+        ["workers", "s/update", "IQR/median", "speedup"], rows)
     report.emit("speedup", {"input": list(INPUT), "batch": BATCH,
                             "rounds": rounds, "visible_cpus": cpus,
                             "by_workers": results})

@@ -343,10 +343,11 @@ class CustomEdge(RuntimeEdge):
         self.state = {}
         self._input = image
         self._output = self.op.forward(image, self.state)
-        if self._output.shape != self.dst.shape:
+        expected = image.shape[:-3] + self.dst.shape  # a stack stays one
+        if self._output.shape != expected:
             raise ValueError(
                 f"custom op {self.op.name!r} produced shape "
-                f"{self._output.shape}, expected {self.dst.shape}")
+                f"{self._output.shape}, expected {expected}")
         return self._output
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -243,13 +243,19 @@ class Network:
     def forward(self, inputs: InputsLike) -> Dict[str, np.ndarray]:
         """Run one forward pass; returns {output node name: image}.
 
+        An input may be a stack of B >= 2 images, shape ``(B,) + input
+        shape``: every pass acts on the trailing three axes, so the
+        outputs stack B images, each bit for bit what its own forward
+        would give.
+
         With one worker the pass is a walk on the calling thread
         (:meth:`_walk_forward`); with more it is the task cascade."""
+        images = self._normalize(inputs, "input", stack=True)
         self._begin_round(training=False)
         if self.num_workers == 1:
-            self._walk_forward(self._normalize(inputs, "input"))
+            self._walk_forward(images)
         else:
-            self._seed_forward(inputs)
+            self._seed_forward(images)
             self.engine.wait_for(self._fwd_done, "forward pass")
         return {n.name: np.array(n.fwd_image) for n in self.output_nodes}
 
@@ -264,7 +270,7 @@ class Network:
         """
         self._begin_round(training=True)
         self._targets = self._normalize(targets, "target")
-        self._seed_forward(inputs)
+        self._seed_forward(self._normalize(inputs, "input"))
         self.engine.wait_for(self._bwd_done, "training round")
         self.rounds += 1
         return self._loss_value()
@@ -364,28 +370,37 @@ class Network:
     # round machinery
     # ------------------------------------------------------------------
 
-    def _normalize(self, images: InputsLike,
-                   kind: str) -> Dict[str, np.ndarray]:
+    def _normalize(self, images: InputsLike, kind: str,
+                   stack: bool = False) -> Dict[str, np.ndarray]:
         """Check *images* (one array or a dict by node name) against the
         input nodes (*kind* ``"input"``) or the output nodes
-        (``"target"``) and return them as a dict of 3D arrays."""
+        (``"target"``) and return them as a dict of 3D arrays — or, with
+        *stack*, of equally long 4D stacks of B >= 2 where given."""
         nodes = self.input_nodes if kind == "input" else self.output_nodes
+
+        def check(value, name):
+            if stack and np.ndim(value) == 4 and len(value) > 1:
+                return np.ascontiguousarray(value, dtype=np.float64)
+            return check_array3(value, name)
+
         if isinstance(images, Mapping):
-            arrays = {k: check_array3(v, f"{kind} {k!r}")
+            arrays = {k: check(v, f"{kind} {k!r}")
                       for k, v in images.items()}
         else:
             if len(nodes) != 1:
                 role = "input" if kind == "input" else "output"
                 raise ValueError(f"network has {len(nodes)} {role} nodes; "
                                  f"pass a dict of {kind}s")
-            arrays = {nodes[0].name: check_array3(images, kind)}
+            arrays = {nodes[0].name: check(images, kind)}
         for node in nodes:
             if node.name not in arrays:
                 raise ValueError(f"missing {kind} for node {node.name!r}")
-            if arrays[node.name].shape != node.shape:
+            if arrays[node.name].shape[-3:] != node.shape:
                 raise ValueError(
                     f"{kind} {node.name!r} has shape "
                     f"{arrays[node.name].shape}, expected {node.shape}")
+        if len({a.shape[:-3] for a in arrays.values()}) > 1:
+            raise ValueError(f"{kind}s stack unequal numbers of images")
         return arrays
 
     def _begin_round(self, training: bool) -> None:
@@ -402,9 +417,7 @@ class Network:
         self._fwd_done.clear()
         self._bwd_done.clear()
 
-    def _seed_forward(self, inputs: InputsLike) -> None:
-        images = self._normalize(inputs, "input")
-
+    def _seed_forward(self, images: Dict[str, np.ndarray]) -> None:
         def provider() -> None:
             for node in self.input_nodes:
                 node.fwd_image = images[node.name].copy()

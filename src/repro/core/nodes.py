@@ -118,18 +118,22 @@ class RuntimeNode:
         return self.bwd_sum.add(contribution, self._out_index[id(edge)])
 
     def finalize_forward(self) -> np.ndarray:
-        """Fix the node's forward image from its completed sum."""
+        """Fix the node's forward image from its completed sum, and
+        reset the sum: nothing reads its contributions again."""
         assert self.fwd_sum is not None
         total = self.fwd_sum.get()
+        self.fwd_sum.reset()
         if self.forward_plan is not None:
             total = self.forward_plan.finalize_forward(total)
         self.fwd_image = total
         return total
 
     def finalize_backward(self) -> np.ndarray:
-        """Fix the node's backward image from its completed sum."""
+        """Fix the node's backward image from its completed sum, and
+        reset the sum as :meth:`finalize_forward` does."""
         assert self.bwd_sum is not None
         total = self.bwd_sum.get()
+        self.bwd_sum.reset()
         if self.backward_plan is not None:
             total = self.backward_plan.finalize_backward(total)
         self.bwd_image = total

@@ -29,8 +29,18 @@ from repro.observability.tracing import get_tracer
 from repro.utils.shapes import Shape3, as_shape3, voxels
 from repro.utils.validation import check_array3
 
-__all__ = ["PlanInfeasible", "TilePlan", "field_of_view_of", "run_plan",
-           "tile_plan", "tiled_forward"]
+__all__ = ["PlanInfeasible", "TWIN_MIN_VOXELS", "TilePlan",
+           "field_of_view_of", "run_plan", "tile_plan", "tiled_forward"]
+
+#: Input-tile voxels that set two rules.  Below it, :func:`run_plan`
+#: stacks tiles up to this many voxels into one forward: a small tile's
+#: walk is Python bookkeeping around ~20 µs kernels, so one walk over
+#: eight tiles beats eight walks (EXPERIMENTS.md, "Small tiles as one
+#: batched walk").  And only from it does a busy serving
+#: :class:`~repro.serving.registry.WarmModel` build another twin: below
+#: it two concurrent runs lose to the same runs in turn (GIL handoffs;
+#: EXPERIMENTS.md, "Serving twins: the crossover").
+TWIN_MIN_VOXELS = 30 ** 3
 
 
 class PlanInfeasible(ValueError):
@@ -174,9 +184,12 @@ def run_plan(network, volume: np.ndarray, plan: TilePlan,
     """Execute *plan* with *network* (whose input shape must equal the
     plan's tile) and stitch the seam-free dense output.
 
-    ``progress(done, total)`` is called after each tile.  In direct
-    convolution mode the stitched result is bitwise identical to a
-    single forward pass over the whole volume (contract-tested in
+    Tiles below :data:`TWIN_MIN_VOXELS` run as stacks of up to that many
+    voxels, one forward per stack, each tile bit for bit as alone; this
+    is the one place the batch size is chosen.  ``progress(done,
+    total)`` is called after each tile.  In direct convolution mode the
+    stitched result is bitwise identical to a single forward pass over
+    the whole volume (contract-tested in
     ``tests/serving/test_tiled_contract.py``).
     """
     if volume.shape != plan.volume_shape:
@@ -199,28 +212,33 @@ def run_plan(network, volume: np.ndarray, plan: TilePlan,
     out_name = network.output_nodes[0].name
     o = plan.output_tile
     tiles = plan.tiles
+    batch = max(1, TWIN_MIN_VOXELS // plan.tile_input_voxels)
     dense = np.empty(plan.dense_shape, dtype=np.float64)
     tracer = get_tracer()
-    for index, (ic, oc) in enumerate(tiles):
-        block = volume[ic[0]:ic[0] + in_shape[0],
-                       ic[1]:ic[1] + in_shape[1],
-                       ic[2]:ic[2] + in_shape[2]]
-        block = np.ascontiguousarray(block)
+    for first in range(0, len(tiles), batch):
+        group = tiles[first:first + batch]
+        blocks = np.stack([volume[ic[0]:ic[0] + in_shape[0],
+                                  ic[1]:ic[1] + in_shape[1],
+                                  ic[2]:ic[2] + in_shape[2]]
+                           for ic, _ in group])
+        images = blocks[0] if len(group) == 1 else blocks  # a stack is B >= 2
         if tracer.enabled:
             # Child of the caller's span (the serving "serve" span);
             # the network's pass spans (or, threaded, its fwd tasks)
-            # nest under this tile span in turn.
-            with tracer.span(f"tile:{index}", category="tile",
-                             corner=list(ic), tile=index,
-                             tiles=len(tiles)):
-                tile = network.forward(block)[out_name]
+            # nest under this one span per stack in turn.
+            with tracer.span(f"tile:{first}", category="tile",
+                             corner=list(group[0][0]),
+                             tiles=[first, first + len(group) - 1]):
+                outputs = network.forward(images)
         else:
-            tile = network.forward(block)[out_name]
-        dense[oc[0]:oc[0] + o[0],
-              oc[1]:oc[1] + o[1],
-              oc[2]:oc[2] + o[2]] = tile
-        if progress is not None:
-            progress(index + 1, len(tiles))
+            outputs = network.forward(images)
+        stack = outputs[out_name].reshape((-1,) + o)
+        for index, ((_, oc), tile) in enumerate(zip(group, stack), first):
+            dense[oc[0]:oc[0] + o[0],
+                  oc[1]:oc[1] + o[1],
+                  oc[2]:oc[2] + o[2]] = tile
+            if progress is not None:
+                progress(index + 1, len(tiles))
     return dense
 
 

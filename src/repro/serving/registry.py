@@ -36,6 +36,7 @@ import numpy as np
 from repro.analysis.runtime import make_condition, make_lock
 from repro.core.network import Network
 from repro.core.serialization import load_network
+from repro.core.tiling import TWIN_MIN_VOXELS
 from repro.graph.builders import dense_twin
 from repro.graph.specfile import load_layered_kwargs
 from repro.observability.metrics import get_registry
@@ -53,11 +54,6 @@ from repro.utils.shapes import Shape3, as_shape3, voxels
 T = TypeVar("T")
 
 __all__ = ["ModelSpec", "WarmModel", "ModelRegistry", "TWIN_MIN_VOXELS"]
-
-#: Input-tile voxels from which a busy :class:`WarmModel` builds another
-#: twin; below it two concurrent runs lose to the same runs in turn (GIL
-#: handoffs): EXPERIMENTS.md, "Serving twins: the crossover".
-TWIN_MIN_VOXELS = 30 ** 3
 
 
 @dataclass(frozen=True)
@@ -105,9 +101,10 @@ class WarmModel:
 
     Construction does all the slow work for the first twin, ``network``:
     graph build, checkpoint restore, kernel-spectrum pinning plus a
-    prewarming forward pass.  :meth:`run` then only pays per-tile FFTs
-    of the request data, on a free twin; from :data:`TWIN_MIN_VOXELS`
-    per tile, a busy pool builds one more that shares those spectra.
+    prewarming forward pass.  :meth:`run` then only pays the FFTs of
+    the request's tiles (below :data:`TWIN_MIN_VOXELS`, stacked), on a
+    free twin; from that size a busy pool builds one more twin that
+    shares those spectra.
     """
 
     def __init__(self, spec: ModelSpec, input_tile,

@@ -105,13 +105,16 @@ class DirectPlan(NamedTuple):
         return cls(n, k, s, o, pitch, offsets, run)
 
     def forward(self, image, kernel, memo=None, spectral=False):
-        """Valid correlation, cropped once (strided *image*: ravel copies)."""
-        flat, run, (o0, o1, o2) = image.ravel(), self.run, self.out_shape
-        acc, tap = np.zeros((o0,) + self.transform_shape[1:]), np.empty(run)
+        """Valid correlation, cropped once (strided *image*: ravel
+        copies).  A stack of images (leading axes) is one flat run:
+        each image's outputs take the same taps in the same order."""
+        flat, (o0, o1, o2) = image.ravel(), self.out_shape
+        run = flat.size - voxels(self.transform_shape) + self.run
+        acc, tap = np.zeros(image.shape), np.empty(run)
         head = acc.ravel()[:run]
         for weight, off in zip(kernel.ravel().tolist(), self.offsets):
             head += np.multiply(flat[off:off + run], weight, out=tap)
-        return np.ascontiguousarray(acc[:, :o1, :o2])
+        return np.ascontiguousarray(acc[..., :o0, :o1, :o2])
 
     def backward(self, grad, kernel, memo=None, spectral=False):
         """Input gradient, a full convolution: tap ``u`` scatters
@@ -192,7 +195,8 @@ def dilate_kernel(kernel: np.ndarray, sparsity: int | Sequence[int]) -> np.ndarr
 def tap_views(image: np.ndarray, window: tuple[int, int, int],
               dilation: tuple[int, int, int], out_shape: tuple[int, int, int],
               step: tuple[int, int, int] = (1, 1, 1)):
-    """The strided walk over a window's taps, in C order: per tap ``u``
+    """The strided walk over a window's taps on the trailing three
+    axes, in C order: per tap ``u``
     the view ``image[d*u + t*x]`` over all window positions ``x`` in
     *out_shape* (``d`` the dilation, ``t`` the step), which the kernel
     gradient and the window maximum of :mod:`repro.tensor.filtering`
@@ -200,7 +204,7 @@ def tap_views(image: np.ndarray, window: tuple[int, int, int],
     axes = [[slice(u * d, u * d + (o - 1) * t + 1, t) for u in range(k)]
             for k, d, o, t in zip(window, dilation, out_shape, step)]
     for zs, ys, xs in product(*axes):  # C order: x fastest
-        yield image[zs, ys, xs]
+        yield image[..., zs, ys, xs]
 
 
 def correlate_valid(image: np.ndarray, kernel: np.ndarray,

@@ -193,11 +193,12 @@ class FftConvPlan:
     # -- spectra -----------------------------------------------------------
 
     def image_spectrum(self, image: np.ndarray) -> np.ndarray:
-        """rfftn of a forward input image at the transform size."""
-        img = check_array3(image, "image")
-        if img.shape != self.image_shape:
-            raise ValueError(f"image shape {img.shape} != plan {self.image_shape}")
-        return forward_transform(img, self.transform_shape)
+        """rfftn of a forward input image, or of each image of a stack
+        (leading axes), at the transform size."""
+        if image.shape[-3:] != self.image_shape:
+            raise ValueError(
+                f"image shape {image.shape} != plan {self.image_shape}")
+        return forward_transform(image, self.transform_shape)
 
     def grad_spectrum(self, grad_output: np.ndarray) -> np.ndarray:
         """rfftn of a backward (gradient) image, zero-padded to the
@@ -239,7 +240,8 @@ class FftConvPlan:
         return np.conj(kernel_spec) * image_spec
 
     def forward(self, image, kernel, memo=_compute, spectral=False):
-        """Valid correlation ``conj(FK) * FI``, head-cropped to n'."""
+        """Valid correlation ``conj(FK) * FI``, head-cropped to n'; a
+        stack's spectra broadcast against the one kernel spectrum."""
         product = self.forward_product(
             memo("img", lambda: self.image_spectrum(image)),
             memo("ker", lambda: self.kernel_spectrum(kernel)))

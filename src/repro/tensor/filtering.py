@@ -67,13 +67,15 @@ __all__ = [
 ]
 
 
-def _geometry(image, window, step, dilation):
-    """Validated ``(image, window, step, dilation, output shape)``."""
-    img = check_array3(image, "image")
+def _geometry(image, window, step, dilation, stack=False):
+    """Validated ``(image, window, step, dilation, output shape)``; with
+    *stack*, a stack of images (leading axes) passes as it is."""
+    stacked = stack and np.ndim(image) > 3
+    img = image if stacked else check_array3(image, "image")
     k = as_shape3(window, name="window")
     t = as_shape3(step, name="step")
     d = as_shape3(dilation, name="dilation")
-    valid = valid_conv_shape(img.shape, k, d)
+    valid = valid_conv_shape(img.shape[-3:], k, d)
     return img, k, t, d, tuple((v - 1) // ti + 1 for v, ti in zip(valid, t))
 
 
@@ -91,7 +93,8 @@ def _separable_max(img, k, t, d, out_shape, code=None, has_nan=False):
         window, dilation, step = (
             tuple(v[axis] if a == axis else 1 for a in range(3))
             for v in (k, d, t))
-        walk = (window, dilation, acc.shape[:axis] + out_shape[axis:], step)
+        walk = (window, dilation, acc.shape[-3:][:axis] + out_shape[axis:],
+                step)
         blocks = list(tap_views(acc, *walk))
         acc = blocks[0]
         if code is not None:
@@ -113,11 +116,15 @@ def window_max_values(image: np.ndarray, window: int | Sequence[int],
                       step: int | Sequence[int] = 1,
                       dilation: int | Sequence[int] = 1) -> np.ndarray:
     """``window_max(...)[0]``, bit for bit, without deriving winners
-    unless the sign of a zero or the payload of a NaN hangs on them."""
-    img, k, t, d, out_shape = _geometry(image, window, step, dilation)
+    unless the sign of a zero or the payload of a NaN hangs on them;
+    of each image of a stack (leading axes), the fallback per image."""
+    img, k, t, d, out_shape = _geometry(image, window, step, dilation,
+                                        stack=True)
     values, _ = _separable_max(img, k, t, d, out_shape)
     if values.all() and not np.isnan(values).any():
         return values
+    if img.ndim > 3:
+        return np.stack([window_max_values(one, k, t, d) for one in img])
     return window_max(img, k, t, d)[0]
 
 

@@ -20,6 +20,9 @@ A size-``n`` circular transform is exact for all three operations:
 
 These exactness facts are property-tested against the direct method in
 ``tests/tensor/test_conv_fft.py``.
+
+Every helper acts on the trailing three axes, so a stack of images
+(leading axes) transforms in one call, each image bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ __all__ = [
     "rfft_shape",
     "forward_transform",
     "inverse_transform",
-    "pad_to",
-    "crop_valid_tail",
     "crop_head",
     "next_fast_len",
 ]
@@ -65,43 +66,21 @@ def rfft_shape(transform_shape: Sequence[int]) -> Tuple[int, int, int]:
     return (t[0], t[1], t[2] // 2 + 1)
 
 
-def pad_to(image: np.ndarray, transform_shape: Sequence[int]) -> np.ndarray:
-    """Zero-pad *image* at the high end of each axis to *transform_shape*."""
-    t = as_shape3(transform_shape, name="transform_shape")
-    if image.shape == t:
-        return image
-    if any(i > td for i, td in zip(image.shape, t)):
-        raise ValueError(f"image {image.shape} larger than transform {t}")
-    pad = [(0, td - i) for i, td in zip(image.shape, t)]
-    return np.pad(image, pad, mode="constant")
-
-
 def forward_transform(image: np.ndarray,
                       transform_shape: Sequence[int]) -> np.ndarray:
     """Real 3D FFT of *image* zero-padded to *transform_shape*."""
     t = as_shape3(transform_shape, name="transform_shape")
-    return np.fft.rfftn(image, s=t, axes=(0, 1, 2))
+    return np.fft.rfftn(image, s=t, axes=(-3, -2, -1))
 
 
 def inverse_transform(spectrum: np.ndarray,
                       transform_shape: Sequence[int]) -> np.ndarray:
     """Inverse real 3D FFT back to *transform_shape*."""
     t = as_shape3(transform_shape, name="transform_shape")
-    return np.fft.irfftn(spectrum, s=t, axes=(0, 1, 2))
-
-
-def crop_valid_tail(image: np.ndarray,
-                    out_shape: Sequence[int]) -> np.ndarray:
-    """Keep the trailing *out_shape* corner (the valid region of a
-    circular convolution whose wraparound contaminates the head)."""
-    o = as_shape3(out_shape, name="out_shape")
-    return np.ascontiguousarray(
-        image[image.shape[0] - o[0]:,
-              image.shape[1] - o[1]:,
-              image.shape[2] - o[2]:])
+    return np.fft.irfftn(spectrum, s=t, axes=(-3, -2, -1))
 
 
 def crop_head(image: np.ndarray, out_shape: Sequence[int]) -> np.ndarray:
     """Keep the leading *out_shape* corner."""
     o = as_shape3(out_shape, name="out_shape")
-    return np.ascontiguousarray(image[: o[0], : o[1], : o[2]])
+    return np.ascontiguousarray(image[..., : o[0], : o[1], : o[2]])

@@ -13,11 +13,9 @@ from repro.tensor.conv_direct import (
 from repro.tensor.conv_fft import FftConvPlan
 from repro.tensor.fourier import (
     crop_head,
-    crop_valid_tail,
     forward_transform,
     inverse_transform,
     next_fast_len,
-    pad_to,
     rfft_shape,
 )
 
@@ -55,15 +53,30 @@ class TestTransformHelpers:
         assert rfft_shape((4, 6, 9)) == (4, 6, 5)
 
     def test_pad_to(self, rng):
+        """``forward_transform`` zero-pads at the high end of each axis
+        to the transform shape."""
         a = rng.standard_normal((2, 3, 4))
-        p = pad_to(a, (4, 4, 4))
-        assert p.shape == (4, 4, 4)
-        np.testing.assert_array_equal(p[:2, :3, :4], a)
-        assert p[3].sum() == 0
+        padded = np.zeros((4, 4, 4))
+        padded[:2, :3, :4] = a
+        spectrum = forward_transform(a, (4, 4, 4))
+        assert spectrum.shape == rfft_shape((4, 4, 4))
+        np.testing.assert_array_equal(spectrum, np.fft.rfftn(padded))
+        back = inverse_transform(spectrum, (4, 4, 4))
+        np.testing.assert_allclose(back[:2, :3, :4], a, atol=1e-12)
+        np.testing.assert_allclose(back[3], 0.0, atol=1e-12)
 
-    def test_pad_too_small_rejected(self, rng):
-        with pytest.raises(ValueError):
-            pad_to(rng.standard_normal((5, 5, 5)), (4, 5, 5))
+    @pytest.mark.parametrize("shape", [(12, 12, 12), (7, 9, 10)])
+    def test_stacked_transforms_are_per_image(self, rng, shape):
+        """A stack transforms on its trailing axes, each image bit for
+        bit as alone — what lets one walk serve a stack of tiles."""
+        stack = rng.standard_normal((3,) + shape)
+        spectra = forward_transform(stack, shape)
+        back = inverse_transform(spectra, shape)
+        for image, spectrum, image_back in zip(stack, spectra, back):
+            alone = forward_transform(image, shape)
+            assert spectrum.tobytes() == alone.tobytes()
+            assert (image_back.tobytes()
+                    == inverse_transform(alone, shape).tobytes())
 
     def test_roundtrip_transform(self, rng):
         a = rng.standard_normal((6, 7, 8))
@@ -75,8 +88,9 @@ class TestTransformHelpers:
         a = rng.standard_normal((6, 6, 6))
         np.testing.assert_array_equal(crop_head(a, (2, 3, 4)),
                                       a[:2, :3, :4])
-        np.testing.assert_array_equal(crop_valid_tail(a, (2, 3, 4)),
-                                      a[4:, 3:, 2:])
+        stack = rng.standard_normal((2, 6, 6, 6))
+        np.testing.assert_array_equal(crop_head(stack, (2, 3, 4)),
+                                      stack[:, :2, :3, :4])
 
 
 class TestOversizedTransformExactness:

@@ -6,10 +6,10 @@ the multi-process analogue of the paper's speedup-vs-threads protocol
 (Figs 5–7), with the determinism contract checked on the side: every
 worker count must finish with a bitwise-identical parameter digest.
 
-Each worker count runs at least 4 timed rounds; its seconds per update
-is the median round and its spread the interquartile range over that
-median (``iqr_share``), written side by side, so a reader can see
-whether a difference between worker counts stands out of the noise.
+The worker counts' rounds interleave (``repro.utils.timing``), >= 4
+each; seconds per update is the median round, written beside its A/A
+spread (``aa_spread``) so a reader can see whether a difference
+between worker counts stands out of the noise.
 
 Results land in ``BENCH_dataparallel.json``.  The >= 1.5x speedup
 assertion at 4 workers only runs on machines that actually have >= 4
@@ -17,12 +17,14 @@ CPUs; on smaller hosts the sweep still runs and records the (honest)
 numbers.
 """
 
-import numpy as np
+import functools
+
 import pytest
 
 from repro.core import state_digest
 from repro.data import RandomProvider
 from repro.parallel import ModelConfig, ParallelTrainer, visible_cpus
+from repro.utils.timing import time_interleaved
 
 BENCH = "dataparallel"
 INPUT = (20, 20, 20)
@@ -48,43 +50,32 @@ def output_shape():
     return graph.output_nodes[0].shape
 
 
-def run(workers, rounds):
-    """(median seconds per global update, interquartile share of that
-    median, state digest) at *workers*."""
-    trainer = ParallelTrainer(CFG, RandomProvider,
-                              (INPUT, output_shape(), False, None),
-                              workers=workers, batch=BATCH,
-                              worker_timeout=300.0)
-    try:
-        trainer.run(1)  # warm-up: pools, caches, worker start-up
-        report = trainer.run(rounds)
-        digest = state_digest(trainer.network)
-    finally:
-        trainer.close()
-    q1, median, q3 = np.percentile(report.round_seconds, [25, 50, 75])
-    return float(median), float((q3 - q1) / median), digest
-
-
 def test_dataparallel_speedup(report):
     cpus = visible_cpus()
     rounds = 10 if report.full else 4
-    rows, results = [], []
-    digests = {}
-    baseline = None
-    for workers in WORKER_COUNTS:
-        seconds, iqr_share, digest = run(workers, rounds)
-        baseline = baseline or seconds
-        speedup = baseline / seconds if seconds > 0 else 0.0
-        digests[workers] = digest
-        rows.append([workers, f"{seconds:.3g}", f"{iqr_share:.2f}",
-                     f"{speedup:.3g}"])
-        results.append({"workers": workers, "seconds_per_update": seconds,
-                        "iqr_share": iqr_share, "speedup": speedup,
-                        "digest": digest})
+    trainers = {}
+    try:
+        for workers in WORKER_COUNTS:
+            trainers[workers] = ParallelTrainer(
+                CFG, RandomProvider, (INPUT, output_shape(), False, None),
+                workers=workers, batch=BATCH, worker_timeout=300.0)
+        timings = time_interleaved(
+            {w: functools.partial(t.run, 1) for w, t in trainers.items()},
+            rounds)
+        digests = {w: state_digest(t.network) for w, t in trainers.items()}
+    finally:
+        for trainer in trainers.values():
+            trainer.close()
+    baseline = timings[WORKER_COUNTS[0]].median
+    results = [{"workers": w, "seconds_per_update": t.median,
+                "aa_spread": t.spread, "speedup": baseline / t.median,
+                "digest": digests[w]} for w, t in timings.items()]
     report.table(
-        f"data-parallel median seconds/update over {rounds} rounds, "
-        f"batch {BATCH} on {cpus} CPU(s)",
-        ["workers", "s/update", "IQR/median", "speedup"], rows)
+        f"data-parallel median seconds/update over {rounds} interleaved "
+        f"rounds, batch {BATCH} on {cpus} CPU(s)",
+        ["workers", "s/update", "A/A spread", "speedup"],
+        [[r["workers"], f"{r['seconds_per_update']:.3g}",
+          f"{r['aa_spread']:+.1%}", f"{r['speedup']:.3g}"] for r in results])
     report.emit("speedup", {"input": list(INPUT), "batch": BATCH,
                             "rounds": rounds, "visible_cpus": cpus,
                             "by_workers": results})

@@ -134,20 +134,18 @@ grep -q "trace ci-smoke" "$work/serve-tree.txt"
 validate "$work/merged-serve.json" 0 tasks
 
 echo "== tracing overhead within 5% of tracing-off"
-# A small CTMCT fft net at a representative 32^3 volume, measured as
-# interleaved off/on pairs so clock-speed drift cancels.  Span
-# recording costs ~3us/span (benchmarks/e2e:
-# observability.tracing.record_us); at this scale that is well under
-# the 5% budget, which bench.trace_overhead_share tracks per workload.
+# A small CTMCT fft net at a representative 32^3 volume, off and on in
+# interleaved rounds so clock-speed drift cancels; each side's A/A
+# spread is printed beside the overhead.  Span recording costs ~3us/span
+# (benchmarks/e2e: observability.tracing.record_us), and
+# bench.trace_overhead_share tracks the same share per workload.
 python - << 'EOF'
-import statistics
-import time
-
 import numpy as np
 
 from repro.core import Network, SGD
 from repro.graph import build_layered_network
 from repro.observability.tracing import Tracer, set_tracer
+from repro.utils.timing import time_interleaved
 
 graph = build_layered_network("CTMCT", width=3, kernel=3,
                               window=2, transfer="tanh")
@@ -160,26 +158,22 @@ targets = {n.name: np.zeros(n.shape)
            for n in net.output_nodes}
 tr_on = Tracer(enabled=True)
 tr_off = Tracer(enabled=False)
+STEPS = 4  # train steps per timed call
 
-def one(tracer, rounds=4):
+def steps(tracer):
     set_tracer(tracer)
     tracer.clear()
-    t0 = time.perf_counter()
-    for _ in range(rounds):
+    for _ in range(STEPS):
         net.train_step(x, targets)
-    return (time.perf_counter() - t0) / rounds
 
-for _ in range(3):
-    one(tr_off)  # warm numpy/FFT caches
-offs, ons = [], []
-for _ in range(9):
-    offs.append(one(tr_off))
-    ons.append(one(tr_on))
-m_off = statistics.median(offs)
-m_on = statistics.median(ons)
+timings = time_interleaved({"off": lambda: steps(tr_off),
+                            "on": lambda: steps(tr_on)}, 9)
+m_off = timings["off"].median / STEPS
+m_on = timings["on"].median / STEPS
 overhead = m_on / m_off - 1.0
 print(f"off={m_off * 1e3:.2f}ms on={m_on * 1e3:.2f}ms "
-      f"overhead={overhead:+.1%}")
+      f"overhead={overhead:+.1%} (A/A spread off "
+      f"{timings['off'].spread:+.1%}, on {timings['on'].spread:+.1%})")
 set_tracer(tr_on)
 assert len(tr_on), "traced rounds recorded no spans"
 net.close()

@@ -6,23 +6,23 @@ kernel 3, and ``CTPCT`` widths 2/1 kernel 2, both FFT), each volume
 edge and each input-tile budget, build one warm model at the tile
 ``serving.tiler.plan_volume`` picks and one at the largest 11-smooth
 cube under the budget (``largest_fast_len``: the tile a largest-cube
-planner on FFT-fast lengths picks for these cubic volumes), then time ``WarmModel.run`` on one volume
-with each, alternating which goes first.  Times are CPU milliseconds
-per request, the median of ``--repeats`` runs; ``ratio`` is planner ÷
-cube, so below 1 the planner's tile is cheaper.
+planner on FFT-fast lengths picks for these cubic volumes), then time
+``WarmModel.run`` on one volume with each in ``--repeats`` interleaved
+rounds.  Times are the median wall-clock milliseconds per request;
+``ratio`` is planner ÷ cube, so below 1 the planner's tile is cheaper.
 
     PYTHONPATH=src python scripts/tile_sweep.py --edges 20 32 48 64 80 \\
         --budgets 46656 2000
 """
 
 import argparse
-import statistics
-import time
+import functools
 
 import numpy as np
 
 from repro.serving import ModelSpec, WarmModel, largest_fast_len, plan_volume
 from repro.serving.tiler import TilePlan
+from repro.utils.timing import time_interleaved
 
 MODELS = {
     "tiled": ModelSpec("tiled", "CTPCTPCT", builder_kwargs=dict(
@@ -41,12 +41,6 @@ def largest_cube(edge, fov, budget):
     return largest_fast_len(min(edge, side), max(fov))
 
 
-def cpu_ms(warm, volume, plan):
-    start = time.process_time()
-    warm.run(volume, plan)
-    return 1e3 * (time.process_time() - start)
-
-
 def sweep_point(spec, edge, budget, repeats, seed):
     """``(planner plan, cube plan, planner ms, cube ms)``, or None when
     no cube fits."""
@@ -59,18 +53,14 @@ def sweep_point(spec, edge, budget, repeats, seed):
     warms = [WarmModel(spec, plan.input_tile) for plan in plans]
     volume = np.random.default_rng(seed).standard_normal(shape)
     try:
-        for warm, plan in zip(warms, plans):
-            warm.run(volume, plan)  # warm both twins
-        times = ([], [])
-        for index in range(repeats):
-            order = (1, 0) if index % 2 else (0, 1)
-            for which in order:
-                times[which].append(
-                    cpu_ms(warms[which], volume, plans[which]))
+        timings = time_interleaved(
+            {label: functools.partial(warm.run, volume, plan)
+             for label, warm, plan in zip(("planner", "cube"), warms,
+                                          plans)}, repeats)
     finally:
         for warm in warms:
             warm.close()
-    return (*plans, *(statistics.median(t) for t in times))
+    return (*plans, *(1e3 * t.median for t in timings.values()))
 
 
 def main():

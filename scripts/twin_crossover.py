@@ -10,21 +10,20 @@ time two 8-tile runs
 * at the same time from two threads, one model each (what a second
   twin buys),
 
-alternating which goes first.  The overlap is sequential ÷ concurrent
-seconds: above 1 a second twin pays, below 1 two callers are better off
-queueing.  ``serving.registry.TWIN_MIN_VOXELS`` is set from this sweep.
+in ``--pairs`` interleaved rounds.  The overlap is sequential ÷
+concurrent median seconds: above 1 a second twin pays, below 1 two
+callers are better off queueing.  ``TWIN_MIN_VOXELS`` is set from it.
 
     PYTHONPATH=src python scripts/twin_crossover.py --edges 12 18 24 27 30 36
 """
 
 import argparse
-import statistics
 import threading
-import time
 
 import numpy as np
 
 from repro.serving import ModelSpec, WarmModel
+from repro.utils.timing import time_interleaved
 
 MODELS = {
     "tiled": ModelSpec("tiled", "CTPCTPCT", builder_kwargs=dict(
@@ -34,7 +33,8 @@ MODELS = {
 }
 
 
-def overlap_pairs(spec, edge, pairs, seed):
+def overlap(spec, edge, pairs, seed):
+    """The sequential and the concurrent ``Timing``."""
     a, b = WarmModel(spec, (edge,) * 3), WarmModel(spec, (edge,) * 3)
     # Two tiles per axis, abutting: 8 tiles, nothing recomputed.
     side = 2 * edge - spec.fov[0] + 1
@@ -42,32 +42,23 @@ def overlap_pairs(spec, edge, pairs, seed):
     volumes = [rng.standard_normal((side,) * 3) for _ in range(2)]
 
     def sequential():
-        start = time.perf_counter()
         a.run(volumes[0])
         a.run(volumes[1])
-        return time.perf_counter() - start
 
     def concurrent():
         threads = [threading.Thread(target=m.run, args=(v,))
                    for m, v in zip((a, b), volumes)]
-        start = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        return time.perf_counter() - start
 
-    sequential(), concurrent()  # warm both twins and both paths
-    ratios = []
-    for index in range(pairs):
-        if index % 2:
-            conc, seq = concurrent(), sequential()
-        else:
-            seq, conc = sequential(), concurrent()
-        ratios.append(seq / conc)
-    a.close()
-    b.close()
-    return ratios
+    try:
+        return time_interleaved({"sequential": sequential,
+                                 "concurrent": concurrent}, pairs).values()
+    finally:
+        a.close()
+        b.close()
 
 
 def main():
@@ -77,14 +68,15 @@ def main():
     parser.add_argument("--pairs", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    print(f"{'model':<6} {'edge':>4} {'median':>7} {'min':>6} {'max':>6}")
+    print(f"{'model':<6} {'edge':>4} {'overlap':>7} {'seq A/A':>8} "
+          f"{'conc A/A':>8}")
     for name, spec in MODELS.items():
         for edge in args.edges:
             if edge < max(spec.fov):
                 continue
-            ratios = overlap_pairs(spec, edge, args.pairs, args.seed)
-            print(f"{name:<6} {edge:>4} {statistics.median(ratios):>7.2f} "
-                  f"{min(ratios):>6.2f} {max(ratios):>6.2f}", flush=True)
+            seq, conc = overlap(spec, edge, args.pairs, args.seed)
+            print(f"{name:<6} {edge:>4} {seq.median / conc.median:>7.2f} "
+                  f"{seq.spread:>+8.1%} {conc.spread:>+8.1%}", flush=True)
 
 
 if __name__ == "__main__":

@@ -92,18 +92,22 @@ def _parse_shape(text: str) -> tuple:
     return dims * 3 if len(dims) == 1 else dims
 
 
+def _parse_count(text: str) -> int:
+    """A positive integer, else an argparse error (exit 2) naming it."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_sizes(text: str) -> tuple:
     """Comma-separated positive integers, e.g. ``2,3,5,7``; any other
     value is an argparse error (exit 2) naming it."""
     values = [v.strip() for v in text.split(",") if v.strip()]
-    for value in values:
-        if not value.isdigit() or int(value) < 1:
-            raise argparse.ArgumentTypeError(
-                f"expected positive integers, got {value!r}")
     if not values:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated positive integers, got {text!r}")
-    return tuple(int(v) for v in values)
+    return tuple(_parse_count(v) for v in values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--image", type=int, default=32)
     tune.add_argument("--kernels", default="2,3,5,7", type=_parse_sizes,
                       help="comma-separated kernel sizes, each <= --image")
-    tune.add_argument("--repeats", type=int, default=2)
+    tune.add_argument("--repeats", type=_parse_count, default=2)
 
     train = sub.add_parser("train",
                            help="train on synthetic boundary data")
@@ -959,14 +963,14 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_specialize(args) -> int:
     import json
-    import time
 
     import numpy as np
 
     from repro.serving import (ModelRegistry, ModelSpec, PlanInfeasible,
                                plan_specialization)
     from repro.serving.specialize import CostModel
-    from repro.utils.shapes import voxels
+    from repro.utils.shapes import valid_conv_shape, voxels
+    from repro.utils.timing import time_interleaved
 
     shape = args.volume
     spec = ModelSpec.from_files(args.name, args.spec,
@@ -996,11 +1000,9 @@ def _cmd_specialize(args) -> int:
         volume = np.random.default_rng(args.seed).standard_normal(shape)
         warm = registry.warm(args.name, plan.input_tile,
                              conv_modes=plan.conv_mode_map)
-        warm.run(volume)  # untimed warm-up pass (engine + spectra)
-        start = time.perf_counter()
-        dense = warm.run(volume)
-        elapsed = time.perf_counter() - start
-        measured = dense.size / elapsed
+        timing = time_interleaved({"plan": lambda: warm.run(volume)}, 1)
+        measured = (voxels(valid_conv_shape(shape, plan.fov))
+                    / timing["plan"].median)
         registry.close()
     if args.json:
         doc = plan.to_doc()

@@ -7,7 +7,6 @@ from repro.core.autotune import (
     autotune_layer,
     crossover_kernel_size,
     layer_crossover_kernel_size,
-    time_passes,
 )
 from repro.core.custom import (
     CustomOp,
@@ -74,7 +73,6 @@ __all__ = [
     "autotune_layer",
     "crossover_kernel_size",
     "layer_crossover_kernel_size",
-    "time_passes",
     "GradCheckReport",
     "check_gradients",
     "CustomOp",

@@ -25,10 +25,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.graph.computation_graph import ComputationGraph
 from repro.pram.costs import DEFAULT_FFT_CONSTANT
-from repro.tensor.backends import FALLBACK, choose, registry, time_passes
+from repro.tensor.backends import FALLBACK, choose, pass_triple, registry
+from repro.utils.timing import time_interleaved
 
 __all__ = [
-    "time_passes",
     "autotune_layer",
     "autotune_graph",
     "crossover_kernel_size",
@@ -40,22 +40,28 @@ def autotune_layer(image_shape, kernel_shape, sparsity=1,
                    repeats: int = 3, tolerance: float = 0.05
                    ) -> Tuple[str, float, float]:
     """Time every registered backend on the plan an edge at these
-    shapes would run; return ``(mode, t_direct, t_fft)``.
+    shapes would run over *repeats* interleaved rounds; return
+    ``(mode, t_direct, t_fft)`` in median seconds.
 
-    A failing benchmark of a non-default backend (broken FFT library,
-    injected fault) is not fatal: it is timed at ``inf``, so the layer
-    degrades to the direct method, mirroring the per-edge runtime
-    fallback (``docs/robustness.md``).
+    A non-default backend that fails its first call (broken FFT
+    library, injected fault) is not fatal: it is timed at ``inf``, so
+    the layer degrades to the direct method, mirroring the per-edge
+    runtime fallback (``docs/robustness.md``).
     """
-    seconds: Dict[str, float] = {}
+    seconds = dict.fromkeys(registry, float("inf"))
+    variants = {}
     for name, backend in registry.items():
         try:
-            seconds[name] = time_passes(name, image_shape, kernel_shape,
-                                        sparsity, repeats)
+            run = pass_triple(name, image_shape, kernel_shape, sparsity)
+            if backend is not FALLBACK:
+                run()  # probe: a backend that cannot run is timed at inf
         except Exception:
             if backend is FALLBACK:
                 raise
-            seconds[name] = float("inf")
+            continue
+        variants[name] = run
+    for name, timing in time_interleaved(variants, repeats).items():
+        seconds[name] = timing.median
     return (choose(seconds, tolerance), *seconds.values())
 
 

@@ -13,7 +13,6 @@ contract a new entry must meet.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Mapping
 
 import numpy as np
@@ -22,7 +21,7 @@ from repro.tensor.conv_direct import DirectPlan
 from repro.tensor.conv_fft import FftConvPlan
 from repro.utils.shapes import as_shape3, valid_conv_shape
 
-__all__ = ["registry", "FALLBACK", "conv_backend", "choose", "time_passes"]
+__all__ = ["registry", "FALLBACK", "conv_backend", "choose", "pass_triple"]
 
 #: name -> plan class, in preference order: ties go to the earlier entry.
 registry: Dict[str, type] = {
@@ -54,20 +53,19 @@ def choose(seconds: Mapping[str, float], tolerance: float = 0.0) -> str:
     return best
 
 
-def time_passes(name: str, image_shape, kernel_shape, sparsity=1,
-                repeats: int = 3) -> float:
-    """Best-of-*repeats* wall time of one forward + backward + update
+def pass_triple(name: str, image_shape, kernel_shape, sparsity=1):
+    """A zero-argument callable running one forward + backward + update
     triple under backend *name* — a training round's per-edge work mix,
     spectra memoized within the triple as within a round — on the plan
-    an edge at these shapes runs."""
+    an edge at these shapes runs; :mod:`repro.utils.timing` times it."""
     plan = conv_backend(name).build(image_shape, kernel_shape, sparsity)
     rng = np.random.default_rng(0)
     img = rng.standard_normal(as_shape3(image_shape))
     ker = rng.standard_normal(as_shape3(kernel_shape))
     grad = rng.standard_normal(
         valid_conv_shape(image_shape, kernel_shape, sparsity))
-    best = float("inf")
-    for _ in range(repeats):
+
+    def run():
         spectra: dict = {}
 
         def memo(kind, compute):
@@ -75,9 +73,7 @@ def time_passes(name: str, image_shape, kernel_shape, sparsity=1,
                 spectra[kind] = compute()
             return spectra[kind]
 
-        t0 = time.perf_counter()
         plan.forward(img, ker, memo)
         plan.backward(grad, ker, memo)
         plan.update(img, grad, memo)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return run

@@ -36,3 +36,31 @@ def _repro_check_clean():
 
     if checking_enabled():
         assert_clean()
+
+
+class FakeClock:
+    """A clock that moves only when a callable from :meth:`takes`
+    runs, so a timing through ``repro.utils.timing`` is exact."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def takes(self, seconds):
+        """A zero-argument callable that advances the clock by
+        *seconds* (a number, or a callable returning the next one)."""
+        def run():
+            self.now += seconds() if callable(seconds) else seconds
+        return run
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Swap the one ruler's clock for a :class:`FakeClock`."""
+    from repro.utils import timing
+
+    clock = FakeClock()
+    monkeypatch.setattr(timing, "clock", clock)
+    return clock

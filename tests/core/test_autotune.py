@@ -1,10 +1,11 @@
 """Autotuner tests (Section IV).
 
 Timing-based *selections* run under the ``analytic_clock`` fixture: the
-wall-clock benchmarks are monkeypatched with the paper's analytic FLOP
-counts priced at a fixed rate, so which mode wins is a deterministic
-function of shapes — not of host load, turbo states or CI noise.  The
-real benchmarks keep only smoke coverage (positive, well-formed).
+ruler's clock and the timed pass triples are monkeypatched with the
+paper's analytic FLOP counts priced at a fixed rate, so which mode wins
+is a deterministic function of shapes — not of host load, turbo states
+or CI noise.  The real benchmarks keep only smoke coverage (positive,
+well-formed).
 """
 
 import pytest
@@ -14,7 +15,6 @@ from repro.core import (
     autotune_layer,
     crossover_kernel_size,
     layer_crossover_kernel_size,
-    time_passes,
 )
 from repro.core import Network
 from repro.graph import build_layered_network
@@ -25,42 +25,55 @@ from repro.pram.costs import (
     pointwise_product_cost,
 )
 from repro.tensor import FftConvPlan
-from repro.tensor.backends import conv_backend
+from repro.tensor.backends import conv_backend, pass_triple
+from repro.utils.timing import time_interleaved
+
+
+def analytic_seconds(name, image_shape, kernel_shape, sparsity=1):
+    """Each backend's work mix — three direct convolutions vs. six
+    transforms plus three spectral products — priced at 1 GFLOP/s."""
+    if name == "direct":
+        return 3e-9 * direct_conv_task_cost(image_shape, kernel_shape,
+                                            sparsity)
+    return 1e-9 * (6 * fft_cost(image_shape)
+                   + 3 * pointwise_product_cost(image_shape))
 
 
 @pytest.fixture
-def analytic_clock(monkeypatch):
+def analytic_clock(monkeypatch, fake_clock):
     """Replace the benchmarks with a deterministic analytic 'clock'.
 
     ``autotune_layer`` (and through it ``autotune_graph`` and the
-    crossover sweeps) times every registered backend through the
-    module global ``time_passes``, so patching it reroutes every
-    timing-based selection.  The fake mirrors each backend's work mix
-    — three direct convolutions vs. six transforms plus three spectral
-    products — priced at 1 GFLOP/s.  Returns a call counter so tests
-    can assert the per-layer-group memoization.
+    crossover sweeps) builds every registered backend's pass triple
+    through the module global ``pass_triple`` and times it with
+    ``repro.utils.timing``, whose clock ``fake_clock`` replaces.  The
+    fake triples advance that clock by :func:`analytic_seconds`, so
+    every timing-based selection is a function of shapes.  Returns a
+    call counter so tests can assert the per-layer-group memoization.
     """
     import repro.core.autotune as autotune_module
 
     calls = {"direct": 0, "fft": 0}
 
-    def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
-                         repeats=3):
+    def fake_pass_triple(name, image_shape, kernel_shape, sparsity=1):
         calls[name] += 1
-        if name == "direct":
-            return 3e-9 * direct_conv_task_cost(image_shape, kernel_shape,
-                                                sparsity)
-        return 1e-9 * (6 * fft_cost(image_shape)
-                       + 3 * pointwise_product_cost(image_shape))
+        return fake_clock.takes(analytic_seconds(
+            name, image_shape, kernel_shape, sparsity))
 
-    monkeypatch.setattr(autotune_module, "time_passes", fake_time_passes)
+    monkeypatch.setattr(autotune_module, "pass_triple", fake_pass_triple)
     return calls
+
+
+def timed_once(name, image_shape, kernel_shape):
+    """Median seconds of one round of *name*'s real pass triple."""
+    return time_interleaved(
+        {name: pass_triple(name, image_shape, kernel_shape)}, 1)[name].median
 
 
 class TestTiming:
     def test_times_positive(self):
-        assert time_passes("direct", (8, 8, 8), 2, repeats=1) > 0
-        assert time_passes("fft", (8, 8, 8), 2, repeats=1) > 0
+        assert timed_once("direct", (8, 8, 8), 2) > 0
+        assert timed_once("fft", (8, 8, 8), 2) > 0
 
     def test_autotune_layer_returns_mode_and_times(self):
         mode, t_d, t_f = autotune_layer((8, 8, 8), 2, repeats=1)
@@ -84,19 +97,39 @@ class TestAnalyticSelection:
                                      range(2, 10)) == 7
 
     def test_tolerance_breaks_ties_toward_direct(self, analytic_clock,
-                                                 monkeypatch):
+                                                 monkeypatch, fake_clock):
         import repro.core.autotune as autotune_module
 
         # Make FFT barely faster: inside the 5% tolerance band the
         # tuner must still choose direct (no spectra bookkeeping).
-        analytic = autotune_module.time_passes
-        t_direct = analytic("direct", (16, 16, 16), 3)
+        analytic = autotune_module.pass_triple
+        t_direct = analytic_seconds("direct", (16, 16, 16), 3)
         monkeypatch.setattr(
-            autotune_module, "time_passes",
-            lambda name, *a, **k: t_direct * 0.99 if name == "fft"
-            else analytic(name, *a, **k))
+            autotune_module, "pass_triple",
+            lambda name, *a, **k: fake_clock.takes(t_direct * 0.99)
+            if name == "fft" else analytic(name, *a, **k))
         mode, _, _ = autotune_layer((16, 16, 16), 3)
         assert mode == "direct"
+
+    def test_a_failing_backend_is_timed_at_inf(self, analytic_clock,
+                                               monkeypatch):
+        import repro.core.autotune as autotune_module
+
+        def broken():
+            raise RuntimeError("backend broken")
+
+        analytic = autotune_module.pass_triple
+        monkeypatch.setattr(
+            autotune_module, "pass_triple",
+            lambda name, *a, **k: broken if name == "fft"
+            else analytic(name, *a, **k))
+        mode, t_d, t_f = autotune_layer((32, 32, 32), 7)
+        assert (mode, t_f) == ("direct", float("inf")) and t_d > 0
+        # The fallback has nothing to degrade to: its failure surfaces.
+        monkeypatch.setattr(autotune_module, "pass_triple",
+                            lambda *a, **k: broken)
+        with pytest.raises(RuntimeError, match="backend broken"):
+            autotune_layer((32, 32, 32), 7)
 
 
 class TestAutotuneGraph:
@@ -130,7 +163,8 @@ class TestAutotuneGraph:
 
 
 class TestFastSizes:
-    def test_tuner_times_the_plan_the_edge_runs(self, monkeypatch):
+    def test_tuner_times_the_plan_the_edge_runs(self, monkeypatch,
+                                                fake_clock):
         """``Network(conv_mode="auto")`` on an awkward (prime) input:
         the tuner is handed the plan the edge is then built with, a
         transform at the image size."""
@@ -138,14 +172,14 @@ class TestFastSizes:
 
         timed = {}
 
-        def fake_time_passes(name, image_shape, kernel_shape, sparsity=1,
-                             repeats=3):
+        def fake_pass_triple(name, image_shape, kernel_shape, sparsity=1):
             timed[name] = conv_backend(name).build(
                 image_shape, kernel_shape, sparsity)
-            return 1.0 if name == "direct" else 0.5  # FFT wins
+            return fake_clock.takes(1.0 if name == "direct"
+                                    else 0.5)  # FFT wins
 
-        monkeypatch.setattr(autotune_module, "time_passes",
-                            fake_time_passes)
+        monkeypatch.setattr(autotune_module, "pass_triple",
+                            fake_pass_triple)
         graph = build_layered_network("CT", width=1, kernel=3)
         net = Network(graph, input_shape=(31, 31, 31), conv_mode="auto",
                       seed=0)

@@ -38,10 +38,11 @@ from repro.tensor.backends import (
     FALLBACK,
     choose,
     conv_backend,
+    pass_triple,
     registry,
-    time_passes,
 )
 from repro.tensor.conv_direct import DirectPlan
+from repro.utils.timing import time_interleaved
 
 #: Table II FLOPs of one pass of one edge at transform shape T.
 TABLE_II = {
@@ -278,7 +279,8 @@ def test_a_third_backend_is_one_class_and_one_entry(monkeypatch):
         assert kernels[name].tobytes() == ref_kernels[name].tobytes()
 
     # The timer and the autotuner price it beside the others.
-    assert time_passes("tagged", 8, 3, repeats=1) > 0
+    run = pass_triple("tagged", 8, 3)
+    assert time_interleaved({"tagged": run}, 1)["tagged"].median > 0
     mode, *seconds = autotune_layer(8, 3, repeats=1)
     assert mode in registry and len(seconds) == len(registry) == 3
 

@@ -134,6 +134,16 @@ class TestCliCommands:
         assert exit_info.value.code == 2
         assert repr(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_autotune_repeats_below_one_is_a_usage_error(self, capsys,
+                                                         repeats):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["autotune", "--image", "8", "--kernels", "2,3",
+                  "--repeats", repeats])
+        assert exit_info.value.code == 2
+        assert f"--repeats: expected a positive integer, got {repeats!r}" \
+            in capsys.readouterr().err
+
     def test_train_default_network(self, capsys, tmp_path):
         ckpt = tmp_path / "model.npz"
         assert main(["train", "--rounds", "2", "--input-size", "20",

@@ -9,6 +9,9 @@ here we only price it).  Results are
 printed and written to ``BENCH_fleet.json`` in the working directory.
 """
 
+import itertools
+import os
+import signal
 import time
 
 import numpy as np
@@ -24,31 +27,36 @@ FAST = SupervisorConfig(heartbeat_interval=0.1, heartbeat_timeout=0.6,
                         restart_backoff=0.05, restart_backoff_max=0.2)
 
 
-def make_fleet(spec_path, workers, *, faults=None,
-               pool_name="fleet-bench"):
+def make_fleet(spec_path, workers):
     spec = ModelSpec.from_files("bench", str(spec_path),
                                 conv_mode="direct")
     return FleetServer([spec], num_workers=workers,
-                       prewarm_shape=VOLUME, worker_faults=faults,
-                       supervisor_config=FAST, pool_name=pool_name)
+                       prewarm_shape=VOLUME, supervisor_config=FAST)
 
 
 def test_failover_recovery_cost(spec_path, requests, report):
     volume = np.random.default_rng(5).standard_normal(VOLUME)
     workers = 3 if report.full else 2
     rows, results = [], []
-    for label, faults in (
-            ("clean", None),
-            # Kill whichever worker handles the 3rd request; the
-            # victim requeues and the worker restarts mid-run.
-            ("kill mid-run", "fail:serve_worker:3")):
-        fleet = make_fleet(spec_path, workers, faults=faults,
-                           pool_name=f"fleet-bench-{len(rows)}")
+    for label, kill_at in (("clean", None), ("kill mid-run", 3)):
+        fleet = make_fleet(spec_path, workers)
         fleet.start(ready_timeout=120)
+        calls = itertools.count(1)
+
+        def call():
+            request = fleet.submit("bench", volume, timeout=120.0)
+            if next(calls) == kill_at:
+                # SIGKILL whichever worker took this request, once: a
+                # fault plan would re-arm in every replacement (its
+                # counts are per process) and kill again.
+                while request.worker is None and not request.done():
+                    time.sleep(0.001)
+                pid = fleet.health()["workers"][str(request.worker)]["pid"]
+                os.kill(pid, signal.SIGKILL)
+            return request.result(timeout=120.0)
+
         try:
-            seconds, answers = report.closed_loop(
-                lambda: fleet.infer("bench", volume, timeout=120.0),
-                requests, 2)
+            seconds, answers = report.closed_loop(call, requests, 2)
             served = len(answers)
             doc = fleet.health()
             deaths = sum(w["restarts"]
@@ -72,8 +80,7 @@ def test_failover_recovery_cost(spec_path, requests, report):
 
 def test_drain_latency_under_load(spec_path, requests, report):
     volume = np.random.default_rng(6).standard_normal(VOLUME)
-    fleet = make_fleet(spec_path, 3 if report.full else 2,
-                       pool_name="fleet-bench-drain")
+    fleet = make_fleet(spec_path, 3 if report.full else 2)
     fleet.start(ready_timeout=120)
     stopped = False
     try:

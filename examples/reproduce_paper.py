@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from repro import reporting
+from repro.utils.timing import time_interleaved
 
 
 def md_table(header, rows) -> str:
@@ -29,13 +30,14 @@ def md_table(header, rows) -> str:
     return "\n".join(lines)
 
 
-def best_seconds(fn, repeats=3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def timed_rows(variants, rounds):
+    """Time *variants* with the one ruler; per label, the median
+    seconds, its ratio to the first label's and its A/A spread."""
+    timing = time_interleaved(variants, rounds)
+    base = next(iter(timing.values())).median
+    return {label: [f"{t.median:.3g}", f"{t.median / base:.2f}",
+                    f"{t.spread:+.1%}"]
+            for label, t in timing.items()}
 
 
 # --- model / simulator ablations ----------------------------------------
@@ -183,7 +185,7 @@ def summation(threads=4, per_thread=4, shape=(48, 48, 48)):
     return ["scheme", "best s", "mean s", "max abs error"], rows
 
 
-def allocator(rounds=50):
+def allocator(rounds=50, repeats=9):
     """§VII-C: a round-shaped allocate/free trace through the pooled
     power-of-two allocator and through fresh ``np.empty``."""
     from repro.memory import PoolAllocator
@@ -204,40 +206,47 @@ def allocator(rounds=50):
             for a in [np.empty(s) for s in shapes]:
                 a[0, 0, 0] = 1.0
 
-    t_pooled, t_fresh = best_seconds(pooled), best_seconds(fresh)
+    timed = timed_rows({"pooled": pooled, "fresh np.empty": fresh},
+                       repeats)
     live_bytes = sum(int(np.prod(s)) * 8 for s in shapes)
-    return (["scheme", f"s / {rounds} rounds", "hit rate",
-             "held / live bytes"],
-            [["pooled", f"{t_pooled:.3g}", f"{alloc.stats.hit_rate:.4f}",
+    return (["scheme", f"median s / {rounds} rounds", "× pooled",
+             "A/A spread", "hit rate", "held / live bytes"],
+            [["pooled", *timed["pooled"], f"{alloc.stats.hit_rate:.4f}",
               f"{alloc.held_bytes() / live_bytes:.2f}"],
-             ["fresh np.empty", f"{t_fresh:.3g}", "-", "-"]])
+             ["fresh np.empty", *timed["fresh np.empty"], "-", "-"]])
 
 
-def memoization(rounds=3, width=4, n=18):
+def memoization(rounds=9, width=4, n=18):
     """§IV: FFT computations and seconds per training round with the
     spectrum cache on and off (Table II's 9C -> 6C in vivo)."""
     from repro.core import SGD, Network
     from repro.graph import build_layered_network
 
     x = np.random.default_rng(1).standard_normal((n, n, n))
-    rows = []
+    nets, steps = {}, {}
     for label, memoize in (("memoized", True), ("plain", False)):
         graph = build_layered_network("CTCT", width=width, kernel=3,
                                       transfer="tanh")
-        net = Network(graph, input_shape=(n, n, n), conv_mode="fft",
-                      memoize=memoize, seed=0,
-                      optimizer=SGD(learning_rate=1e-3))
+        net = nets[label] = Network(
+            graph, input_shape=(n, n, n), conv_mode="fft",
+            memoize=memoize, seed=0, optimizer=SGD(learning_rate=1e-3))
         targets = {node.name: np.zeros(node.shape)
                    for node in net.output_nodes}
-        t0 = time.perf_counter()
-        for _ in range(rounds):
+
+        def step(net=net, targets=targets):
             net.train_step(x, targets)
             net.synchronize()
-        seconds = (time.perf_counter() - t0) / rounds
+
+        steps[label] = step
+    timed = timed_rows(steps, rounds)
+    rows = []
+    for label, net in nets.items():
         stats = net.cache.stats
-        rows.append([label, f"{stats.computed / rounds:.4g}",
-                     f"{seconds:.3g}", f"{stats.reuse_fraction:.3f}"])
-    return ["mode", "FFTs / round", "s / update", "reuse fraction"], rows
+        # One untimed round and *rounds* timed ones.
+        rows.append([label, f"{stats.computed / (rounds + 1):.4g}",
+                     *timed[label], f"{stats.reuse_fraction:.3f}"])
+    return (["mode", "FFTs / round", "median s / update", "× memoized",
+             "A/A spread", "reuse fraction"], rows)
 
 
 SECTIONS = (

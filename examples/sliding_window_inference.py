@@ -7,12 +7,11 @@ window position of a large image — the naive approach recomputes
 overlapping work.  The efficient equivalent (skip-kernels / filter
 rarefaction) replaces max-pooling with max-filtering and dilates all
 subsequent convolutions; this script demonstrates that the two produce
-*identical* outputs and compares their FLOP counts.
+*identical* outputs and compares their FLOP counts and their
+wall-clock (medians of interleaved rounds, with each side's A/A spread).
 
 Run:  python examples/sliding_window_inference.py
 """
-
-import time
 
 import numpy as np
 
@@ -20,6 +19,9 @@ from repro import Network, build_layered_network
 from repro.core import dense_equivalent_network, sliding_window_forward
 from repro.pram import direct_conv_task_cost
 from repro.utils import voxels
+from repro.utils.timing import time_interleaved
+
+ROUNDS = 9
 
 
 def main() -> None:
@@ -37,16 +39,19 @@ def main() -> None:
 
     big = np.random.default_rng(0).normal(size=(16, 16, 16))
 
-    t0 = time.perf_counter()
-    dense_ref = sliding_window_forward(pool_net, big)
-    t_naive = time.perf_counter() - t0
-
     dense_net = dense_equivalent_network(pool_net, spec,
                                          input_shape=big.shape, **kw)
-    t0 = time.perf_counter()
-    dense_fast = dense_net.forward(big)
-    dense_fast = dense_fast[list(dense_fast)[0]]
-    t_fast = time.perf_counter() - t0
+    outputs = {}
+
+    def naive():
+        outputs["naive"] = sliding_window_forward(pool_net, big)
+
+    def fast():
+        (outputs["fast"],) = dense_net.forward(big).values()
+
+    timing = time_interleaved({"naive": naive, "fast": fast}, ROUNDS)
+    dense_ref, dense_fast = outputs["naive"], outputs["fast"]
+    t_naive, t_fast = timing["naive"].median, timing["fast"].median
 
     err = float(np.abs(dense_fast - dense_ref).max())
     print(f"dense output {dense_ref.shape}; max |difference| = {err:.2e}")
@@ -54,9 +59,11 @@ def main() -> None:
 
     n_windows = voxels(dense_ref.shape)
     print(f"naive sliding window: {n_windows} network evaluations, "
-          f"{t_naive:.3f}s")
-    print(f"max-filter + sparse conv: 1 evaluation, {t_fast:.3f}s "
-          f"({t_naive / max(t_fast, 1e-9):.0f}x faster)")
+          f"{t_naive:.3f}s (median of {ROUNDS})")
+    print(f"max-filter + sparse conv: 1 evaluation, {t_fast:.4f}s "
+          f"({t_naive / t_fast:.0f}x faster; A/A spread naive "
+          f"{timing['naive'].spread:+.1%}, fast "
+          f"{timing['fast'].spread:+.1%})")
 
     # FLOP accounting for the first conv layer alone:
     per_window = direct_conv_task_cost((11, 11, 11), 2)

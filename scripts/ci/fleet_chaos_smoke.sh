@@ -2,8 +2,9 @@
 # Fleet-chaos-smoke lane: the serving-fleet chaos invariant, end to
 # end.  A 3-worker fleet whose workers are killed and hung mid-load
 # serves every in-deadline request bitwise-identically to a clean run,
-# the supervisor narrates restarts in `repro fleet status`, and SIGTERM
-# drains without dropping anything.  The process-level chaos tests run
+# the supervisor narrates restarts in `repro fleet status`, SIGTERM
+# drains without dropping anything, and no shared-memory segment is
+# left behind (volumes travel in the pipe messages).  The process-level chaos tests run
 # first, under REPRO_CHECK=1 (lock-order checker), to keep the
 # router's lock ordering honest.
 #
@@ -46,6 +47,10 @@ drain_fleet() {  # drain_fleet NAME WORD...: SIGTERM, then each WORD is logged
   fleet_pid=""
 }
 
+shm_segments() {  # the sorted psm_* entries of /dev/shm
+  ls /dev/shm 2>/dev/null | grep '^psm_' | sort || true
+}
+
 infer() {  # infer OUTPUT ARGS...: the one seeded request every run repeats
   local output=$1; shift
   python -m repro infer --url "$url" --random 16 --seed 5 \
@@ -68,6 +73,7 @@ echo "== chaos fleet serves bitwise-identically under kill+hang"
 # process, so restarted workers re-arm — sustained chaos, not a
 # one-shot.  The pytest step above covers the watchdog-kill and
 # quarantine paths.
+shm_segments > "$work/shm.before"
 REPRO_FAULTS="fail:serve_worker:2,hang:serve_worker:1,hang=2" \
   start_fleet chaos
 for i in $(seq 1 6); do
@@ -108,4 +114,13 @@ PYEOF
 
 echo "== chaos fleet drains cleanly on SIGTERM"
 drain_fleet chaos "draining" "shutting down"
+
+echo "== the drained chaos fleet left no shared-memory segment"
+shm_segments > "$work/shm.after"
+leaked=$(comm -13 "$work/shm.before" "$work/shm.after")
+if [ -n "$leaked" ]; then
+  echo "new /dev/shm segments: $leaked" >&2
+  exit 1
+fi
+echo "ok: no new psm_* entry in /dev/shm"
 echo "fleet-chaos-smoke ok"

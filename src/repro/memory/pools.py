@@ -105,50 +105,6 @@ class PooledArray(np.ndarray):
         self._allocator = getattr(self, "_allocator", None)
 
 
-class PoolAccounting:
-    """Lifetime stats and ``pool.*`` metrics of one pooled allocator —
-    what :class:`PoolAllocator` and
-    :class:`repro.memory.shared_pool.SharedMemoryPool` record the same
-    way, wherever their bytes live."""
-
-    def __init__(self, name: str, lock_name: str) -> None:
-        # Stats mutation is the only shared-state write outside the
-        # allocators' free-list ops; a tiny lock keeps counters exact.
-        self._lock = make_lock(lock_name)
-        self.stats = AllocatorStats()  # guarded-by: _lock
-        reg = get_registry()
-        self._m_alloc = reg.counter("pool.alloc", pool=name)
-        self._m_reuse = reg.counter("pool.reuse", pool=name)
-        self._m_free = reg.counter("pool.free", pool=name)
-        self._m_held = reg.gauge("pool.held_bytes", pool=name)
-        self._m_outstanding = reg.gauge("pool.outstanding", pool=name)
-
-    def allocated(self, nbytes: int, size: int, hit: bool) -> None:
-        """A request of *nbytes* was served by a chunk of *size* bytes,
-        from the free list (*hit*) or from the system."""
-        with self._lock:
-            self.stats.bytes_requested += nbytes
-            if hit:
-                self.stats.pool_hits += 1
-            else:
-                self.stats.system_allocations += 1
-                self.stats.bytes_from_system += size
-            held = self.stats.bytes_from_system
-        self._m_alloc.inc()
-        if hit:
-            self._m_reuse.inc()
-        else:
-            self._m_held.set(held)
-        self._m_outstanding.inc()
-
-    def freed(self) -> None:
-        """A chunk went back to its free list."""
-        with self._lock:
-            self.stats.deallocations += 1
-        self._m_free.inc()
-        self._m_outstanding.dec()
-
-
 class PooledArrays:
     """``allocate_array``/``deallocate_array`` for an allocator whose
     ``allocate(nbytes)`` returns ``(chunk, pool_index)`` and whose
@@ -201,8 +157,16 @@ class PoolAllocator(PooledArrays):
         # The free-lists are deliberately lock-free: deque append/pop
         # are GIL-atomic (the boost lock-free queues of §VII-C).
         self._pools: list[Deque[np.ndarray]] = [deque() for _ in range(NUM_POOLS)]
-        self._accounting = PoolAccounting(name, f"memory.pool_stats.{name}")
-        self.stats = self._accounting.stats
+        # Stats mutation is the only shared-state write outside the
+        # free-list ops; a tiny lock keeps counters exact.
+        self._stats_lock = make_lock(f"memory.pool_stats.{name}")
+        self.stats = AllocatorStats()  # guarded-by: _stats_lock
+        reg = get_registry()
+        self._m_alloc = reg.counter("pool.alloc", pool=name)
+        self._m_reuse = reg.counter("pool.reuse", pool=name)
+        self._m_free = reg.counter("pool.free", pool=name)
+        self._m_held = reg.gauge("pool.held_bytes", pool=name)
+        self._m_outstanding = reg.gauge("pool.outstanding", pool=name)
 
     # ------------------------------------------------------------------
 
@@ -232,7 +196,20 @@ class PoolAllocator(PooledArrays):
         except IndexError:
             chunk = self._new_chunk(size)
             hit = False
-        self._accounting.allocated(nbytes, size, hit)
+        with self._stats_lock:
+            self.stats.bytes_requested += nbytes
+            if hit:
+                self.stats.pool_hits += 1
+            else:
+                self.stats.system_allocations += 1
+                self.stats.bytes_from_system += size
+            held = self.stats.bytes_from_system
+        self._m_alloc.inc()
+        if hit:
+            self._m_reuse.inc()
+        else:
+            self._m_held.set(held)
+        self._m_outstanding.inc()
         return chunk, index
 
     def deallocate(self, chunk: np.ndarray, pool_index: int) -> None:
@@ -244,7 +221,10 @@ class PoolAllocator(PooledArrays):
                 f"chunk of {chunk.nbytes} bytes does not belong to pool "
                 f"{pool_index} (expects {1 << pool_index})")
         self._pools[pool_index].append(chunk)
-        self._accounting.freed()
+        with self._stats_lock:
+            self.stats.deallocations += 1
+        self._m_free.inc()
+        self._m_outstanding.dec()
 
     # ------------------------------------------------------------------
 

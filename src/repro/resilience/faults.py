@@ -56,8 +56,9 @@ dispatched request, plus the per-worker family
 ``serve_worker@<worker_id>`` (built with :func:`worker_family`), so a
 plan can kill or wedge one *specific* worker deterministically:
 
-* ``fail:serve_worker:3`` — the third request dispatched to *any*
-  worker crashes its process (``os._exit``, no goodbye);
+* ``fail:serve_worker:3`` — every worker process crashes on the third
+  request it receives (``os._exit``, no goodbye), and so does each
+  replacement, on its own third request;
 * ``hang:serve_worker@1:1,hang=2`` — worker 1 wedges for 2 s on its
   first request, long enough for the supervisor's heartbeat watchdog
   to declare it hung and reroute its traffic.

@@ -30,14 +30,11 @@ tests assert exactly that.
 
 Data path
 ---------
-Volumes cross the process boundary through
-:class:`~repro.memory.shared_pool.SharedMemoryPool` blocks, never
-pickled: the router copies the input volume into a pooled block,
-the worker writes the dense output into a second block, and the router
-copies it out before recycling both.  Blocks belonging to a dead
-worker are reclaimed only after the supervisor has *joined* the
-process — a killed-but-not-yet-dead worker can never scribble into a
-recycled block.
+Volumes travel pickled inside the pipe messages the router and worker
+already exchange: ``("request", id, model, volume, timeout)`` out,
+``("result", id, dense)`` back.  The copy costs a few percent of a
+64³ request's inference (docs/serving.md "Serving fleet").  A result for
+a request already requeued or failed is dropped.
 
 Request lifecycle
 -----------------
@@ -58,7 +55,6 @@ from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
-from repro.memory.shared_pool import SharedMemoryPool
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import flight_note, get_tracer
 from repro.serving.lifecycle import (
@@ -145,7 +141,6 @@ class FleetServer(RequestLifecycle):
                  max_attempts: int = 3,
                  worker_faults: Optional[str] = None,
                  supervisor_config: Optional[SupervisorConfig] = None,
-                 pool_name: str = "fleet",
                  plans=None) -> None:
         if num_workers < 1:
             raise ValueError(
@@ -166,8 +161,8 @@ class FleetServer(RequestLifecycle):
                 raise ValueError(
                     f"specialization plan targets unknown model "
                     f"{name!r}")
-        #: Field of view per model, resolved once — the router sizes
-        #: output blocks without ever building a network.
+        #: Field of view per model, resolved once — the router
+        #: validates volumes without ever building a network.
         self._fovs = {name: spec.fov
                       for name, spec in self.specs.items()}
         reg = get_registry()
@@ -196,12 +191,8 @@ class FleetServer(RequestLifecycle):
             on_message=self._on_message,
             on_worker_up=self._on_worker_up,
             on_worker_down=self._on_worker_down)
-        self._pool: Optional[SharedMemoryPool] = None
-        self._pool_name = pool_name
         self._healthy: Set[int] = set()  # guarded-by: _cond
         self._inflight: Dict[int, Dict[int, FleetRequest]] = {}  # guarded-by: _cond
-        #: rid -> (in_block, out_block, out_shape) while dispatched.
-        self._blocks: Dict[int, tuple] = {}  # guarded-by: _cond
         self._threads: List[threading.Thread] = []
         self._worker_stats: Dict[int, Dict[str, int]] = {}  # guarded-by: _cond
         self._m_dispatched = reg.counter("fleet.requests.dispatched")
@@ -219,7 +210,6 @@ class FleetServer(RequestLifecycle):
     def start(self, ready_timeout: float = 120.0) -> "FleetServer":
         if not self._mark_started():
             return self
-        self._pool = SharedMemoryPool(self._pool_name)
         self.supervisor.start()
         for wid in range(self.num_workers):
             self._spawn_thread(self._dispatch_loop,
@@ -262,15 +252,6 @@ class FleetServer(RequestLifecycle):
 
     def _shutdown(self) -> None:
         self.supervisor.stop()
-        # Workers are confirmed dead: reclaiming and unlinking every
-        # shared segment is now safe.
-        with self._cond:
-            entries = list(self._blocks.values())
-            self._blocks.clear()
-        for entry in entries:
-            self._release(entry)
-        if self._pool is not None:
-            self._pool.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []
@@ -390,10 +371,6 @@ class FleetServer(RequestLifecycle):
             leftovers = list(self._inflight[victim].values())
             self._inflight[victim].clear()
             self._m_worker_inflight[victim].set(0)
-            entries = [self._blocks.pop(r.id, None)
-                       for r in leftovers]
-        for entry in entries:
-            self._release(entry)
         for request in leftovers:
             self._retry_or_fail(request, ServingError(
                 f"worker {victim} retired before request "
@@ -445,14 +422,6 @@ class FleetServer(RequestLifecycle):
         now = time.monotonic()
         if self._expired(request, now):
             return
-        assert self._pool is not None
-        out_shape = tuple(v - f + 1 for v, f in
-                          zip(request.volume.shape, request.fov))
-        in_block, in_array = self._pool.allocate_array(
-            request.volume.shape)
-        in_array[...] = request.volume
-        out_block = self._pool.allocate(
-            max(1, int(np.prod(out_shape)) * 8))
         remaining = (None if request.deadline is None
                      else request.deadline - now)
         request.attempts += 1
@@ -460,12 +429,10 @@ class FleetServer(RequestLifecycle):
         request.worker = wid
         with self._cond:
             self._inflight[wid][request.id] = request
-            self._blocks[request.id] = (in_block, out_block, out_shape)
             self._m_worker_inflight[wid].set(len(self._inflight[wid]))
         sent = self.supervisor.send(wid, (
-            "request", request.id, request.model,
-            in_block.handle, request.volume.shape,
-            out_block.handle, out_shape, remaining))
+            "request", request.id, request.model, request.volume,
+            remaining))
         if not sent:
             # The worker died between queue pop and send.  Stop feeding
             # it until the supervisor reports it up again, or this loop
@@ -476,8 +443,7 @@ class FleetServer(RequestLifecycle):
             # dispatched twice.
             with self._cond:
                 self._healthy.discard(wid)
-            owned, entry = self._pop_flight(wid, request.id)
-            self._release(entry)
+            owned = self._pop_flight(wid, request.id)
             if owned is not None:
                 self._retry_or_fail(request, ServingError(
                     f"worker {wid} unavailable at dispatch"))
@@ -488,28 +454,21 @@ class FleetServer(RequestLifecycle):
 
     def _on_message(self, wid: int, message: tuple) -> None:
         if message[0] == "result":
-            self._on_result(wid, message[1])
+            self._on_result(wid, *message[1:])
         elif message[0] == "error":
             self._on_error(wid, *message[1:])
 
-    def _pop_flight(self, wid: int, rid: int):
+    def _pop_flight(self, wid: int, rid: int) -> Optional[FleetRequest]:
         with self._cond:
             request = self._inflight[wid].pop(rid, None)
-            entry = self._blocks.pop(rid, None)
             self._m_worker_inflight[wid].set(len(self._inflight[wid]))
             self._cond.notify_all()
-        return request, entry
+        return request
 
-    def _on_result(self, wid: int, rid: int) -> None:
-        request, entry = self._pop_flight(wid, rid)
-        if request is None or entry is None:
-            # Stale completion (the request was already requeued or
-            # failed); just recycle any blocks still attributed to it.
-            self._release(entry)
-            return
-        _, out_block, out_shape = entry
-        result = np.array(out_block.as_array(out_shape), copy=True)
-        self._release(entry)
+    def _on_result(self, wid: int, rid: int, result: np.ndarray) -> None:
+        request = self._pop_flight(wid, rid)
+        if request is None:
+            return  # stale: the request was already requeued or failed
         with self._cond:
             self._worker_stats[wid]["served"] += 1
         self._m_worker_served[wid].inc()
@@ -518,8 +477,7 @@ class FleetServer(RequestLifecycle):
 
     def _on_error(self, wid: int, rid: int, ekind: str,
                   emsg: str) -> None:
-        request, entry = self._pop_flight(wid, rid)
-        self._release(entry)
+        request = self._pop_flight(wid, rid)
         if request is None:
             return
         error = error_from_kind(ekind, emsg)
@@ -538,16 +496,13 @@ class FleetServer(RequestLifecycle):
 
     def _on_worker_down(self, wid: int, reason: str) -> None:
         """Supervisor confirmed the worker dead (already joined):
-        reclaim its blocks and requeue everything it held."""
+        requeue everything it held."""
         with self._cond:
             self._healthy.discard(wid)
             flights = list(self._inflight[wid].values())
             self._inflight[wid].clear()
             self._m_worker_inflight[wid].set(0)
-            entries = [self._blocks.pop(r.id, None) for r in flights]
             self._cond.notify_all()
-        for entry in entries:
-            self._release(entry)
         flight_note("fleet requeueing after worker death", worker=wid,
                     reason=reason, inflight=len(flights))
         for request in flights:
@@ -600,12 +555,6 @@ class FleetServer(RequestLifecycle):
                 tracer.now(), category="serving",
                 parent=request.trace_ctx, worker=request.worker,
                 attempt=request.attempts, request=request.id)
-
-    def _release(self, entry: Optional[tuple]) -> None:
-        """Recycle a dispatched request's (input, output) blocks."""
-        if entry is not None and self._pool is not None:
-            self._pool.deallocate(entry[0])
-            self._pool.deallocate(entry[1])
 
     # -- background hygiene --------------------------------------------
 

@@ -14,14 +14,18 @@ Wire protocol (parent → worker):
                              worker's *main loop* — a wedged main loop
                              stops answering, which is exactly how the
                              heartbeat watchdog detects hangs.
-    ("request", id, model, in_handle, in_shape, out_handle, out_shape,
-     timeout)              → run dense inference; the input is read
-                             from shared memory, the output written
-                             back into shared memory, then
-                             ("result", id) — or ("error", id, kind,
-                             message) with kind in {"deadline",
+    ("request", id, model, volume, timeout)
+                           → run dense inference on *volume*, then
+                             ("result", id, dense) — or ("error", id,
+                             kind, message) with kind in {"deadline",
                              "unknown-model", "bad-request", "error"}.
     ("stop",)              → finish in-flight requests, then exit 0.
+
+Volumes travel pickled inside these messages.  A volume larger than
+the pipe's buffer blocks its sender until the worker reads it, so a
+control message (ping, stop) never waits behind one: the supervisor
+skips a ping and terminates rather than stops a worker whose send lock
+is busy or whose pipe has no room (:func:`_send_control`).
 
 Worker → parent additionally sends ``("ready", worker_id)`` once its
 models are built and prewarmed — only then does the supervisor mark it
@@ -57,6 +61,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import select
 import threading
 import time
 from collections import deque
@@ -65,7 +70,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis.runtime import make_lock
-from repro.memory.shared_pool import attach_block
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import (
     flight_dump,
@@ -188,29 +192,45 @@ def _send(conn, send_lock, message: tuple) -> bool:
             return False
 
 
+def _send_control(conn, send_lock, message: tuple) -> bool:
+    """Send a small control *message* only if that cannot block.
+
+    False, without waiting, when a volume send holds *send_lock* or
+    the pipe has no room left (its reader is wedged), or when the pipe
+    is broken.  The watchdog judges a worker on the age of its last
+    pong, so a skipped ping costs nothing.
+    """
+    if not send_lock.acquire(blocking=False):
+        return False
+    try:
+        room = select.poll()
+        room.register(conn, select.POLLOUT)
+        if not room.poll(0):
+            return False
+        conn.send(message)
+        return True
+    except (BrokenPipeError, OSError):
+        return False
+    finally:
+        send_lock.release()
+
+
 def run_request(registry: ModelRegistry, tile_voxels: int,
                 message: tuple, deadline: Optional[float]) -> tuple:
-    """Serve one ``request`` *message* from *registry* through its
-    shared-memory blocks; return the reply (every failure becomes an
-    error reply, so it never raises).  *deadline* (absolute monotonic,
-    None: unbounded) is checked once, before any work."""
-    req_id, model, in_handle, in_shape, out_handle, out_shape = message[1:7]
+    """Serve one ``request`` *message* from *registry*; return the
+    reply carrying the dense output (every failure becomes an error
+    reply, so it never raises).  *deadline* (absolute monotonic, None:
+    unbounded) is checked once, before any work."""
+    req_id, model, volume = message[1:4]
     try:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded(
                 f"request {req_id} waited past its deadline for a "
                 f"worker thread")
-        in_block = attach_block(in_handle)
-        out_block = attach_block(out_handle)
-        try:
-            out_block.as_array(out_shape)[...] = registry.run(
-                model, in_block.as_array(in_shape), tile_voxels)
-        finally:
-            in_block.close()
-            out_block.close()
+        dense = registry.run(model, volume, tile_voxels)
     except Exception as exc:
         return ("error", req_id, _error_kind(exc), str(exc))
-    return ("result", req_id)
+    return ("result", req_id, dense)
 
 
 def serve_worker_main(worker_id: int, config: WorkerConfig,
@@ -257,7 +277,7 @@ def serve_worker_main(worker_id: int, config: WorkerConfig,
             elif kind == "stop":
                 break
             elif kind == "request":
-                timeout = message[7]
+                timeout = message[4]
                 deadline = (None if timeout is None
                             else time.monotonic() + timeout)
                 plan = active_plan()
@@ -291,8 +311,9 @@ class _WorkerRecord:
         self.generation = 0
         self.process = None
         self.conn = None
-        #: Serialises parent->worker sends (pings vs request dispatch);
-        #: taken *after* the supervisor lock is released, never inside.
+        #: Serialises parent->worker sends (request dispatch vs pings
+        #: and stop); taken *after* the supervisor lock is released,
+        #: never inside.  Only dispatch waits for it.
         self.send_lock = make_lock("serving.supervisor.worker_send")
         self.state = STATE_STARTING
         self.restarts = 0
@@ -318,9 +339,9 @@ class Supervisor:
     ``on_worker_up(worker_id)``
         The worker reported ready (first start or after a restart).
     ``on_worker_down(worker_id, reason)``
-        The worker's process is confirmed dead (already joined — safe
-        to reclaim its shared-memory blocks) or quarantined; the
-        router must requeue everything it had dispatched there.
+        The worker's process is confirmed dead (already joined) or
+        quarantined; the router must requeue everything it had
+        dispatched there.
     """
 
     def __init__(self, worker_config: WorkerConfig, num_workers: int,
@@ -399,14 +420,18 @@ class Supervisor:
     def _stop_processes(self, records: list,
                         join_timeout: float) -> bool:
         """Send ``stop`` to each record's worker so it drains, join it
-        (terminating it if still alive), then close its pipe.  True when
-        every worker exited within *join_timeout*."""
+        (terminating it if still alive), then drop its pipe.  A worker
+        the stop cannot reach at once (a volume send to it is stuck) is
+        terminated instead.  True when every worker exited within
+        *join_timeout*."""
         with self._lock:
             targets = [(record, record.conn, record.process)
                        for record in records]
-        for record, conn, _ in targets:
-            if conn is not None:  # a dying worker: the join settles it
-                _send(conn, record.send_lock, ("stop",))
+        for record, conn, process in targets:
+            # No conn: a dying worker, the join settles it.
+            if conn is not None and not _send_control(
+                    conn, record.send_lock, ("stop",)):
+                process.terminate()
         clean = True
         for _, _, process in targets:
             if process is None:
@@ -418,12 +443,10 @@ class Supervisor:
                 process.join(timeout=2.0)
         with self._lock:
             for record, _, _ in targets:
-                if record.conn is not None:
-                    try:
-                        record.conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
-                    record.conn = None
+                # Dropped, not closed: the reader may still be reading
+                # the last reply, and the pipe closes with the last
+                # reference to it.
+                record.conn = None
         return clean
 
     # -- scaling -------------------------------------------------------
@@ -635,8 +658,9 @@ class Supervisor:
                             f"{cfg.start_timeout:.0f}s")
                         to_kill.append(record.process)
         for conn, send_lock in to_ping:
-            # A broken pipe is the reader's to report, as a death.
-            _send(conn, send_lock, ("ping", seq))
+            # A broken pipe is the reader's to report, as a death; a
+            # ping that would wait is skipped.
+            _send_control(conn, send_lock, ("ping", seq))
         for process in to_kill:
             # Killing closes the pipe; the reader thread turns that
             # into a death event with the pending_reason attached.
@@ -654,9 +678,8 @@ class Supervisor:
                 return  # expected death (or already written off)
             process = record.process
             reason = record.pending_reason
-        # Join OUTSIDE the lock, and before telling anyone: only after
-        # the process is confirmed dead is it safe for the router to
-        # reclaim shared-memory blocks the worker may have had mapped.
+        # Join OUTSIDE the lock, and before telling anyone: the router
+        # hears of a death only once the process is gone.
         if process is not None:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - kill escalation

@@ -8,6 +8,7 @@ needs a real multi-process fleet lives in ``test_fleet_chaos.py``
 (slow lane).
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -27,7 +28,7 @@ from repro.serving import (
     admission_limit,
 )
 from repro.serving.client import _remaining_timeout, _retry_sleep
-from repro.serving.supervisor import run_request
+from repro.serving.supervisor import _send_control, run_request
 
 
 class HeldSupervisor:
@@ -106,8 +107,7 @@ def held_fleet(registry, small_model):
 
     def build(num_workers, **kwargs):
         fleet = FleetServer([small_model.model_spec()],
-                            num_workers=num_workers,
-                            pool_name="fleet-held", **kwargs)
+                            num_workers=num_workers, **kwargs)
         fleet.supervisor = HeldSupervisor(fleet, registry, num_workers)
         fleets.append(fleet)
         return fleet.start()
@@ -279,3 +279,45 @@ class TestClientDeadline:
         assert out.size == 1
         assert len(seen) == 3
         assert seen[0] > seen[1] > seen[2]
+
+
+class TestControlSends:
+    """A ping or stop never waits: not for a volume send holding the
+    send lock, and not for a pipe whose reader stopped reading."""
+
+    @pytest.fixture
+    def pipe(self):
+        ours, theirs = multiprocessing.Pipe()
+        yield ours, theirs
+        ours.close()
+        theirs.close()
+
+    def test_sent_when_the_pipe_is_free(self, pipe):
+        ours, theirs = pipe
+        assert _send_control(ours, threading.Lock(), ("ping", 1))
+        assert theirs.recv() == ("ping", 1)
+
+    def test_skipped_while_a_send_holds_the_lock(self, pipe):
+        lock = threading.Lock()
+        with lock:
+            assert not _send_control(pipe[0], lock, ("ping", 1))
+        assert not pipe[1].poll()
+        assert not lock.locked()
+
+    def test_skipped_when_the_reader_left_no_room(self, pipe):
+        # Volumes that still fit can leave too little room for even a
+        # ping: a blocking send would then wait for a wedged reader.
+        ours, theirs = pipe
+        lock = threading.Lock()
+        chunk = np.zeros(1024)
+        while _send_control(ours, lock, ("request", chunk)):
+            pass
+        started = time.monotonic()
+        assert not _send_control(ours, lock, ("ping", 1))
+        assert time.monotonic() - started < 1.0
+        assert not lock.locked()
+
+    def test_broken_pipe_is_false_not_raised(self, pipe):
+        ours, theirs = pipe
+        theirs.close()
+        assert not _send_control(ours, threading.Lock(), ("stop",))

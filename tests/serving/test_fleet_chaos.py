@@ -26,6 +26,7 @@ from repro.observability import get_registry as metrics_registry
 from repro.serving import (
     DeadlineExceeded,
     FleetServer,
+    ServerClosed,
     ServerDraining,
     SupervisorConfig,
     WorkerConfig,
@@ -48,21 +49,20 @@ FAST = SupervisorConfig(heartbeat_interval=0.1, heartbeat_timeout=0.6,
 
 
 def make_fleet(small_model, num_workers, *, faults=None, config=FAST,
-               pool_name="fleet-test", **kwargs):
+               **kwargs):
     kwargs.setdefault("prewarm_shape", VOLUME_SHAPE)
     kwargs.setdefault("max_queue", 16)
     return FleetServer([small_model.model_spec()],
                        num_workers=num_workers,
                        worker_faults=faults,
-                       supervisor_config=config,
-                       pool_name=pool_name, **kwargs)
+                       supervisor_config=config, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def clean_output(small_model):
     """Reference output from a fault-free single-worker fleet."""
     volume = np.random.default_rng(42).standard_normal(VOLUME_SHAPE)
-    fleet = make_fleet(small_model, 1, pool_name="fleet-clean")
+    fleet = make_fleet(small_model, 1)
     fleet.start(ready_timeout=120)
     try:
         return volume, fleet.infer("small", volume, timeout=60.0)
@@ -82,7 +82,7 @@ class TestCleanFleet:
         assert np.array_equal(reference, direct)
 
     def test_health_names_every_worker(self, small_model):
-        fleet = make_fleet(small_model, 2, pool_name="fleet-health")
+        fleet = make_fleet(small_model, 2)
         fleet.start(ready_timeout=120)  # returns once ONE worker is up
         try:
             assert fleet.supervisor.wait_ready(timeout=120)
@@ -105,8 +105,7 @@ class TestCleanFleet:
         # flight on both workers at once instead of queueing on one.
         volume, reference = clean_output
         fleet = make_fleet(small_model, 2, inflight_per_worker=1,
-                           faults="hang:serve_worker:1,hang=0.3",
-                           pool_name="fleet-spread")
+                           faults="hang:serve_worker:1,hang=0.3")
         fleet.start(ready_timeout=120)
         try:
             assert fleet.supervisor.wait_ready(timeout=120)
@@ -134,8 +133,7 @@ class TestCleanFleet:
         reference = registry.run("small", volume)
         requeued = metrics_registry().counter("fleet.requests.requeued")
         fleet = make_fleet(small_model, 1, inflight_per_worker=16,
-                           max_queue=64, prewarm_shape=shape,
-                           pool_name="fleet-window")
+                           max_queue=64, prewarm_shape=shape)
         fleet.start(ready_timeout=120)
         try:
             before = requeued.value
@@ -159,8 +157,7 @@ class TestKillChaos:
         volume, reference = clean_output
         fleet = make_fleet(
             small_model, 3,
-            faults="fail:serve_worker:2,hang:serve_worker:4,hang=3",
-            pool_name="fleet-kill")
+            faults="fail:serve_worker:2,hang:serve_worker:4,hang=3")
         fleet.start(ready_timeout=120)
         try:
             outputs = [fleet.infer("small", volume, timeout=60.0)
@@ -190,7 +187,7 @@ class TestKillChaos:
         fleet = make_fleet(
             small_model, 2, inflight_per_worker=1,
             faults=f"fail:serve_worker@{victim}:1x999",
-            config=config, pool_name="fleet-storm")
+            config=config)
         fleet.start(ready_timeout=120)
         volume = np.random.default_rng(7).standard_normal(VOLUME_SHAPE)
         try:
@@ -229,8 +226,7 @@ class TestHangChaos:
         victim = 0
         fleet = make_fleet(
             small_model, 2, inflight_per_worker=1,
-            faults=f"hang:serve_worker@{victim}:1,hang=30",
-            pool_name="fleet-hang")
+            faults=f"hang:serve_worker@{victim}:1,hang=30")
         fleet.start(ready_timeout=120)
         try:
             # Both up, or the burst skips a still-starting victim and
@@ -255,16 +251,72 @@ class TestHangChaos:
         finally:
             fleet.stop()
 
+    def test_hung_worker_holding_a_large_request(self, small_model,
+                                                 registry):
+        # A 48³ volume pickles to ~880 KB, more than a pipe buffers, so
+        # the 2nd request dispatched to the hung worker 0 blocks its
+        # dispatch thread in send, holding the worker's send lock.
+        # Pings must not wait for that lock: the watchdog still kills
+        # worker 0 for the hang, its requests fail over within their
+        # deadline, and stop returns promptly.
+        shape = (48, 48, 48)
+        volume = np.random.default_rng(48).standard_normal(shape)
+        reference = registry.run("small", volume)
+        victim = 0
+        fleet = make_fleet(
+            small_model, 2, inflight_per_worker=2, prewarm_shape=shape,
+            faults=f"hang:serve_worker@{victim}:1,hang=30")
+        fleet.start(ready_timeout=120)
+        try:
+            assert fleet.supervisor.wait_ready(timeout=120)
+            pending = [fleet.submit("small", volume, timeout=20.0)
+                       for _ in range(4)]
+            for request in pending:
+                assert np.array_equal(request.result(timeout=30.0),
+                                      reference)
+            info = fleet.health()["workers"][str(victim)]
+            assert info["restarts"] >= 1
+            assert "hang" in info["last_restart_reason"]
+        finally:
+            start = time.monotonic()
+            fleet.stop()
+        assert time.monotonic() - start < 15.0
 
-class TestDrainUnderLoad:
+    def test_stop_does_not_wait_behind_a_stuck_send(self, small_model):
+        # The same stuck send with the watchdog out of the way: stop
+        # must terminate worker 0 rather than queue its stop message
+        # behind the volume, and fail both requests.
+        shape = (48, 48, 48)
+        volume = np.random.default_rng(49).standard_normal(shape)
+        config = SupervisorConfig(heartbeat_interval=0.1,
+                                  heartbeat_timeout=60.0)
+        fleet = make_fleet(small_model, 1, inflight_per_worker=2,
+                           faults="hang:serve_worker:1,hang=30",
+                           config=config)
+        fleet.start(ready_timeout=120)
+        record = fleet.supervisor._records[0]
+        try:
+            pending = [fleet.submit("small", volume, timeout=60.0)
+                       for _ in range(2)]
+            deadline = time.monotonic() + 10.0
+            while not (fleet.total_inflight == 2
+                       and record.send_lock.locked()):
+                assert time.monotonic() < deadline, "send never stuck"
+                time.sleep(0.05)
+        finally:
+            start = time.monotonic()
+            fleet.stop()
+        assert time.monotonic() - start < 15.0
+        for request in pending:
+            with pytest.raises(ServerClosed):
+                request.result(timeout=5.0)
     def test_zero_accepted_requests_dropped(self, small_model,
                                             clean_output):
         # Pile up requests, then drain: every accepted request must
         # resolve with the right bits; post-drain submissions are
         # refused with ServerDraining.
         volume, reference = clean_output
-        fleet = make_fleet(small_model, 2, pool_name="fleet-drain",
-                           inflight_per_worker=2)
+        fleet = make_fleet(small_model, 2, inflight_per_worker=2)
         fleet.start(ready_timeout=120)
         stopped = False
         try:
@@ -297,7 +349,6 @@ class TestDrainUnderLoad:
         before = failover.value
         fleet = make_fleet(small_model, 2,
                            faults="fail:serve_worker@0:2",
-                           pool_name="fleet-drain-crash",
                            inflight_per_worker=2)
         fleet.start(ready_timeout=120)
         try:
@@ -319,7 +370,7 @@ class TestDeadlines:
         # A deadline already gone when the dispatcher picks the
         # request up: the dispatch check (or the janitor) must fail it
         # with DeadlineExceeded rather than serving a dead request.
-        fleet = make_fleet(small_model, 1, pool_name="fleet-deadline")
+        fleet = make_fleet(small_model, 1)
         fleet.start(ready_timeout=120)
         try:
             volume = np.random.default_rng(3).standard_normal(

@@ -66,7 +66,7 @@ class InProcessSupervisor:
         self.fleet._on_worker_up(0)
 
     def send(self, wid, message):
-        timeout = message[7]
+        timeout = message[4]
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         with self._replying:
@@ -88,8 +88,7 @@ class Harness:
             time.sleep(0.05)  # let workers park behind the gate
         else:
             self.server = FleetServer([small_model.model_spec()],
-                                      num_workers=1, max_queue=max_queue,
-                                      pool_name="fleet-contract")
+                                      num_workers=1, max_queue=max_queue)
             self.supervisor = InProcessSupervisor(self.server, registry)
             self.server.supervisor = self.supervisor
             # No worker is up yet: accepted requests park as orphans.

@@ -31,13 +31,12 @@ FAST = SupervisorConfig(heartbeat_interval=0.1, heartbeat_timeout=5.0,
                         breaker_restarts=5, breaker_window=30.0)
 
 
-def make_fleet(small_model, num_workers, *, pool_name, **kwargs):
+def make_fleet(small_model, num_workers, **kwargs):
     kwargs.setdefault("prewarm_shape", VOLUME_SHAPE)
     kwargs.setdefault("max_queue", 16)
     return FleetServer([small_model.model_spec()],
                        num_workers=num_workers,
-                       supervisor_config=FAST,
-                       pool_name=pool_name, **kwargs)
+                       supervisor_config=FAST, **kwargs)
 
 
 def wait_for_healthy(fleet, count, timeout=60.0):
@@ -59,7 +58,7 @@ def wait_for_healthy(fleet, count, timeout=60.0):
 class TestScaleTo:
     def test_scale_up_then_down_keeps_serving(self, small_model):
         volume = np.random.default_rng(7).standard_normal(VOLUME_SHAPE)
-        fleet = make_fleet(small_model, 1, pool_name="fleet-scale")
+        fleet = make_fleet(small_model, 1)
         fleet.start(ready_timeout=120)
         try:
             reference = fleet.infer("small", volume, timeout=60.0)
@@ -80,7 +79,7 @@ class TestScaleTo:
             fleet.stop()
 
     def test_retired_worker_is_not_restarted(self, small_model):
-        fleet = make_fleet(small_model, 2, pool_name="fleet-retire")
+        fleet = make_fleet(small_model, 2)
         fleet.start(ready_timeout=120)
         try:
             victim = max(fleet.active_worker_ids())
@@ -96,7 +95,7 @@ class TestScaleTo:
             fleet.stop()
 
     def test_scale_to_zero_rejected(self, small_model):
-        fleet = make_fleet(small_model, 1, pool_name="fleet-zero")
+        fleet = make_fleet(small_model, 1)
         fleet.start(ready_timeout=120)
         try:
             with pytest.raises(ValueError):
@@ -113,7 +112,7 @@ class TestFleetAutoscaler:
             seed=11, duration=6.0, base_rate=2.0, size_min=12,
             size_max=12, deadline=30.0,
             model_mix={"small": 1.0}))
-        fleet = make_fleet(small_model, 2, pool_name="fleet-auto")
+        fleet = make_fleet(small_model, 2)
         fleet.start(ready_timeout=120)
         policy = HysteresisPolicy(min_workers=1, max_workers=3,
                                   cooldown_ticks=1)

@@ -1,8 +1,8 @@
 """The fleet worker loop without a process spawn.
 
 ``serve_worker_main`` runs on a thread over a ``multiprocessing.Pipe``,
-with volumes in ``SharedMemoryPool`` blocks: the real worker code and
-wire protocol, tier-1 (and under ``REPRO_CHECK=1`` in the
+with volumes inside the messages: the real worker code and wire
+protocol, tier-1 (and under ``REPRO_CHECK=1`` in the
 concurrency-check lane).  The multi-process fleet around it lives in
 ``test_fleet_chaos.py`` (slow lane).
 """
@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.memory.shared_pool import SharedMemoryPool
 from repro.observability.tracing import get_tracer
 from repro.serving.registry import WarmModel
 from repro.serving.supervisor import WorkerConfig, serve_worker_main
@@ -27,10 +26,8 @@ class Worker:
     """One ``serve_worker_main`` on a thread, driven over its pipe."""
 
     def __init__(self, spec, threads=1):
-        self.pool = SharedMemoryPool("worker-test")
         self.conn, child = multiprocessing.Pipe()
-        self.fov = spec.fov
-        self.blocks = {}
+        self.outputs = {}
         self._process = get_tracer().process  # the worker relabels it
         config = WorkerConfig(specs=(spec,), threads=threads,
                               tile_voxels=TILE_VOXELS)
@@ -41,23 +38,20 @@ class Worker:
         assert self.recv() == ("ready", 0)
 
     def send_request(self, rid, volume, model="small", timeout=60.0):
-        in_block, in_array = self.pool.allocate_array(volume.shape)
-        in_array[...] = volume
-        out_shape = tuple(v - f + 1 for v, f in zip(volume.shape,
-                                                     self.fov))
-        out_block = self.pool.allocate(int(np.prod(out_shape)) * 8)
-        self.blocks[rid] = (out_block, out_shape)
-        self.conn.send(("request", rid, model, in_block.handle,
-                        volume.shape, out_block.handle, out_shape,
-                        timeout))
+        self.conn.send(("request", rid, model, volume, timeout))
 
     def recv(self, timeout=10.0):
+        """The next reply, a result's dense output kept aside for
+        :meth:`output` (so replies compare as plain tuples)."""
         assert self.conn.poll(timeout), "worker did not answer"
-        return self.conn.recv()
+        reply = self.conn.recv()
+        if reply[0] == "result":
+            self.outputs[reply[1]] = reply[2]
+            return reply[:2]
+        return reply
 
     def output(self, rid):
-        out_block, out_shape = self.blocks[rid]
-        return np.array(out_block.as_array(out_shape), copy=True)
+        return self.outputs[rid]
 
     def close(self):
         try:
@@ -66,7 +60,6 @@ class Worker:
             pass  # already stopped by the test
         self.thread.join(timeout=10.0)
         self.conn.close()
-        self.pool.close()
         get_tracer().set_process(self._process)
 
 

@@ -110,6 +110,32 @@ def _parse_sizes(text: str) -> tuple:
     return tuple(_parse_count(v) for v in values)
 
 
+def _parse_range(text: str) -> tuple:
+    """``MIN:MAX`` with ``1 <= MIN <= MAX``, else an argparse error
+    (exit 2) naming it."""
+    try:
+        lo, hi = (int(v) for v in text.split(":", 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected MIN:MAX, got {text!r}") from None
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(
+            f"expected 1 <= MIN <= MAX, got {text!r}")
+    return lo, hi
+
+
+def _parse_pair(text: str) -> tuple:
+    """Two comma-separated integers, else an argparse error (exit 2)
+    naming it."""
+    try:
+        first, second = (int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated integers, got {text!r}"
+        ) from None
+    return first, second
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -187,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--task-retries", type=int, default=0, metavar="K",
                        help="retry failed engine tasks up to K times "
                             "with exponential backoff")
-    train.add_argument("--task-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-task time budget; advisory: the "
-                            "trainer's one-worker network runs the serial "
-                            "engine, which only counts overruns")
     train.add_argument("--volume-size", type=int, default=48)
     train.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write a chrome://tracing JSON of every "
@@ -234,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="load multiplier: compress the trace X x in "
                          "time (default 1.0)")
     lt.add_argument("--seed", type=int, default=0)
-    lt.add_argument("--size", default="12:24", metavar="MIN:MAX",
+    lt.add_argument("--size", type=_parse_range, default=(12, 24),
+                    metavar="MIN:MAX",
                     help="request cube-edge bounds in voxels "
                          "(default 12:24)")
     lt.add_argument("--deadline", type=float, default=30.0,
@@ -250,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="live mode: run N supervised worker "
                          "processes behind the failover router "
                          "(0 = in-process server, the default)")
-    lt.add_argument("--autoscale", default=None, metavar="MIN:MAX",
+    lt.add_argument("--autoscale", type=_parse_range, default=None,
+                    metavar="MIN:MAX",
                     help="enable the hysteresis autoscaler between "
                          "MIN and MAX workers (live autoscaling "
                          "needs --fleet)")
@@ -429,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--probe", action="store_true",
                      help="run one probe in-process and print stage "
                           "digests (used internally by the harness)")
-    det.add_argument("--seeds", default=None,
+    det.add_argument("--seeds", type=_parse_pair, default=(0, 4242),
                      help="comma-separated PYTHONHASHSEED values for the "
                           "two runs (default: 0,4242)")
-    det.add_argument("--threads", default=None,
+    det.add_argument("--threads", type=_parse_pair, default=(1, 2),
                      help="comma-separated worker counts for the two "
                           "runs (default: 1,2)")
     det.add_argument("--json", action="store_true",
@@ -629,16 +652,14 @@ def _cmd_train(args) -> int:
               "force.", file=sys.stderr)
         return 2
     retry_policy = None
-    if args.task_retries or args.task_timeout:
+    if args.task_retries:
         if parallel:
-            # They configure the in-process engine's RetryPolicy, which
+            # It configures the in-process engine's RetryPolicy, which
             # the ModelConfig shipped to worker processes cannot carry.
-            print("--task-retries/--task-timeout are not supported with "
-                  "data-parallel training (--workers/--batch)",
-                  file=sys.stderr)
+            print("--task-retries is not supported with data-parallel "
+                  "training (--workers/--batch)", file=sys.stderr)
             return 2
-        retry_policy = RetryPolicy(max_retries=args.task_retries,
-                                   timeout=args.task_timeout)
+        retry_policy = RetryPolicy(max_retries=args.task_retries)
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -765,19 +786,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _parse_range(value: str, what: str):
-    try:
-        lo_s, hi_s = value.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise SystemExit(
-            f"--{what} must look like MIN:MAX, got {value!r}")
-    if not 1 <= lo <= hi:
-        raise SystemExit(
-            f"--{what} needs 1 <= MIN <= MAX, got {value!r}")
-    return lo, hi
-
-
 def _cmd_loadtest(args) -> int:
     import json
 
@@ -800,7 +808,7 @@ def _cmd_loadtest(args) -> int:
     if args.trace:
         trace = load_trace(args.trace)
     else:
-        size_min, size_max = _parse_range(args.size, "size")
+        size_min, size_max = args.size
         config = scenario_config(
             args.scenario, seed=args.seed, duration=args.duration,
             base_rate=args.rate, size_min=size_min,
@@ -814,8 +822,7 @@ def _cmd_loadtest(args) -> int:
 
     policy = None
     if args.autoscale:
-        lo, hi = _parse_range(args.autoscale, "autoscale")
-        policy = HysteresisPolicy(min_workers=lo, max_workers=hi)
+        policy = HysteresisPolicy(*args.autoscale)
 
     slo = None
     if args.sim:
@@ -1193,24 +1200,18 @@ def _cmd_infer(args) -> int:
 
 def _cmd_fleet(args) -> int:
     import json
-    import urllib.error
-    import urllib.request
 
-    # /healthz answers 503 (with the same JSON document as the body)
-    # while draining or once no worker is healthy, so the status
-    # command must read the body on HTTPError too.
-    url = f"{args.url.rstrip('/')}/healthz"
+    from repro.serving import HttpServingClient, ServingError
+
+    client = HttpServingClient(args.url, request_timeout=10.0)
     try:
-        with urllib.request.urlopen(url, timeout=10.0) as response:
-            doc = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        try:
-            doc = json.loads(exc.read().decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            print(f"error: HTTP {exc.code} from {url}", file=sys.stderr)
-            return 69
-    except (urllib.error.URLError, OSError) as exc:
-        print(f"error: cannot reach {url}: {exc}", file=sys.stderr)
+        doc = client.health()
+    except ServingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 69
+    except OSError as exc:  # URLError included
+        print(f"error: cannot reach {client.base_url}/healthz: {exc}",
+              file=sys.stderr)
         return 69
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -1344,16 +1345,6 @@ def _determinism_probe() -> int:
     return 0
 
 
-def _parse_pair(value, what, default):
-    if value is None:
-        return default
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if len(parts) != 2:
-        raise SystemExit(f"--{what} needs two comma-separated values, "
-                         f"got {value!r}")
-    return int(parts[0]), int(parts[1])
-
-
 def _cmd_check_determinism(args) -> int:
     import json
 
@@ -1361,8 +1352,7 @@ def _cmd_check_determinism(args) -> int:
 
     if args.probe:
         return _determinism_probe()
-    seeds = _parse_pair(args.seeds, "seeds", (0, 4242))
-    threads = _parse_pair(args.threads, "threads", (1, 2))
+    seeds, threads = args.seeds, args.threads
     doc = run_determinism_check(seeds=seeds, threads=threads)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

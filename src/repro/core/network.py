@@ -100,12 +100,11 @@ class Network:
         higher memory (all contributions held until a node completes).
     retry_policy:
         Optional :class:`repro.resilience.RetryPolicy` handed to the
-        engine: failed tasks re-execute with exponential backoff and
-        (threaded engine only) tasks stuck past ``timeout`` are
-        abandoned and re-issued.  It governs task-cascade work only —
-        ``train_step`` and threaded forwards; a one-worker ``forward``
-        is a walk with no tasks, and a pass failing there raises.  See
-        ``docs/robustness.md``.
+        engine: failed tasks re-execute with exponential backoff; a
+        slow task is never re-issued.  It governs task-cascade work
+        only — ``train_step`` and threaded forwards; a one-worker
+        ``forward`` is a walk with no tasks, and a pass failing there
+        raises.  See ``docs/robustness.md``.
     """
 
     def __init__(self, graph: ComputationGraph,

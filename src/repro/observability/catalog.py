@@ -26,7 +26,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     # scheduler/engine.py, scheduler/serial.py (§VI)
     "engine.tasks",
     "engine.tasks.retried",
-    "engine.tasks.timed_out",
     "engine.failed",
     "engine.busy_seconds",
     "engine.idle_seconds",

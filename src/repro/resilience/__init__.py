@@ -6,10 +6,10 @@ deployment layers on top —
 
 * :mod:`repro.resilience.faults` — deterministic fault injection
   (``REPRO_FAULTS``) for tests and chaos jobs;
-* :mod:`repro.resilience.retry` — task retry/backoff/timeout policy
+* :mod:`repro.resilience.retry` — task retry/backoff policy
   consumed by both execution engines;
 * recovery accounting: :func:`recovery_summary` collects every
-  recovery action (retries, timeouts, loss rollbacks, FFT fallbacks,
+  recovery action (retries, loss rollbacks, FFT fallbacks,
   engine degradations, injected faults) from the metrics registry so
   silent recovery never masks a systemic problem.
 
@@ -30,7 +30,7 @@ from repro.resilience.faults import (
     clear_plan,
     install_plan,
 )
-from repro.resilience.retry import RetryPolicy, TaskTimeout
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "FaultEvent",
@@ -41,7 +41,6 @@ __all__ = [
     "clear_plan",
     "install_plan",
     "RetryPolicy",
-    "TaskTimeout",
     "recovery_summary",
     "RECOVERY_METRICS",
 ]
@@ -50,7 +49,6 @@ __all__ = [
 #: short labels training summaries print.
 RECOVERY_METRICS = {
     "engine.tasks.retried": "task retries",
-    "engine.tasks.timed_out": "task timeouts",
     "train.rollbacks": "loss rollbacks",
     "resilience.fft_fallback": "fft fallbacks",
     "resilience.engine_degraded": "engine degradations",

@@ -4,9 +4,9 @@ The paper's scheduler (Section VI, Algorithms 1–3) assumes every task
 completes.  Production training runs do not get that luxury: task
 bodies crash on bad allocations, hang on contended resources, and
 losses go non-finite.  This module provides the *controlled* version of
-those failures so the recovery machinery (task retry, watchdog
-timeouts, checkpoint rollback, FFT fallback, engine degradation) can be
-exercised in tests and chaos jobs.
+those failures so the recovery machinery (task retry, the fleet's
+heartbeat watchdog, checkpoint rollback, FFT fallback, engine
+degradation) can be exercised in tests and chaos jobs.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each
 targeting a *family* (the task-name prefix before the first colon —
@@ -23,7 +23,7 @@ Fault kinds
     :meth:`FaultPlan.check` raises :class:`InjectedFault`.
 ``hang``
     :meth:`FaultPlan.check` sleeps ``hang_seconds`` (long enough to
-    trip a watchdog timeout, short enough not to wedge test suites).
+    trip a heartbeat watchdog, short enough not to wedge test suites).
 ``corrupt``
     :meth:`FaultPlan.corrupt` replaces the checked value with NaN
     (``check`` ignores these specs; they only fire on values).
@@ -102,9 +102,10 @@ def worker_family(family: str, worker_id: int) -> str:
 
 KINDS = ("fail", "hang", "corrupt")
 
-#: Default sleep of a ``hang`` fault — long enough that any sane
-#: watchdog timeout fires first, short enough that an abandoned daemon
-#: worker does not outlive a CI job.
+#: Default sleep of a ``hang`` fault — long enough that the fleet's
+#: heartbeat watchdog (``serving/supervisor.py``) kills the worker
+#: process first, short enough that a hung engine task, which is not
+#: recovered in-process, does not outlive a CI job.
 DEFAULT_HANG_SECONDS = 30.0
 
 

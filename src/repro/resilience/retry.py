@@ -1,38 +1,30 @@
-"""Task retry and timeout policy for the execution engines.
+"""Task retry policy for the execution engines.
 
 The paper's engines treat the first task exception as fatal: the queue
 closes and the whole multi-hour run dies.  A :class:`RetryPolicy`
 layered into :class:`repro.scheduler.TaskEngine` /
 :class:`repro.scheduler.SerialEngine` instead re-executes failed tasks
-with exponential backoff before giving up, and (threaded engine only)
-arms a watchdog that abandons tasks stuck past ``timeout`` and
-speculatively re-submits them on a replacement worker.
+with exponential backoff before giving up.
 
 Retry is safe for this codebase's task bodies because a *failed* task
 has not published its result: node sums only receive contributions from
 bodies that ran to completion, and update closures mutate parameters
-only as their final action under the kernel lock.  Timeout-triggered
-*speculative* re-execution is weaker — a genuinely hung (not crashed)
-task that later completes will have run twice — which is why
-``timeout`` is off by default and documented as at-least-once.
+only as their final action under the kernel lock.  A task that is slow
+rather than failed is never re-run: a second copy of a running body
+would add its edge's contribution, or apply its gradient, twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Type
+from typing import Tuple, Type
 
-__all__ = ["RetryPolicy", "TaskTimeout"]
-
-
-class TaskTimeout(RuntimeError):
-    """A task exceeded the policy's ``timeout`` (raised via the
-    engine's error channel when no retry budget remains)."""
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the engines respond to failing or hung tasks.
+    """How the engines respond to failing tasks.
 
     Parameters
     ----------
@@ -43,11 +35,6 @@ class RetryPolicy:
         Exponential backoff: attempt *k* (0-based) sleeps
         ``min(backoff_seconds * backoff_factor**k, max_backoff_seconds)``
         before re-queueing.
-    timeout:
-        Per-task wall-clock budget in seconds, enforced by the threaded
-        engine's watchdog (None disables it).  The serial engine cannot
-        preempt the calling thread, so it only *records* overruns in the
-        ``engine.tasks.timed_out`` metric.
     retry_on:
         Exception types eligible for retry.  Defaults to ``Exception``
         — programming errors like ``KeyboardInterrupt``/``SystemExit``
@@ -58,7 +45,6 @@ class RetryPolicy:
     backoff_seconds: float = 0.01
     backoff_factor: float = 2.0
     max_backoff_seconds: float = 1.0
-    timeout: Optional[float] = None
     retry_on: Tuple[Type[BaseException], ...] = (Exception,)
 
     def __post_init__(self) -> None:
@@ -70,8 +56,6 @@ class RetryPolicy:
         if self.backoff_factor < 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
     def backoff(self, attempt: int) -> float:
         """Sleep before re-queueing after failed attempt *attempt*

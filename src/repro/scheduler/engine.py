@@ -25,9 +25,9 @@ Beyond the paper, the engine is fault-tolerant (see
 ``docs/robustness.md``): an optional
 :class:`repro.resilience.RetryPolicy` re-executes failed tasks with
 exponential backoff (``engine.tasks.retried``) before the failure
-propagates, and its watchdog abandons tasks stuck past ``timeout``
-(``engine.tasks.timed_out``), replacing both the task and the stuck
-worker.  An installed :class:`repro.resilience.FaultPlan` injects
+propagates.  An attempt is never taken away from the worker running
+it, so a task body runs once per attempt and an overrunning one is not
+recovered.  An installed :class:`repro.resilience.FaultPlan` injects
 failures/hangs per task family for chaos testing; with no plan the
 hot path pays a single global read.
 """
@@ -47,7 +47,7 @@ from repro.observability.tracing import (
     task_family,
 )
 from repro.resilience.faults import active_plan
-from repro.resilience.retry import RetryPolicy, TaskTimeout
+from repro.resilience.retry import RetryPolicy
 from repro.scheduler.task import Task, TaskState, force
 from repro.sync.priority_queue import HeapOfLists, QueueClosed
 
@@ -77,7 +77,6 @@ class Engine:
         self._metrics = reg
         self._m_failed = reg.counter("engine.failed")
         self._m_busy = reg.counter("engine.busy_seconds")
-        self._m_timed_out = reg.counter("engine.tasks.timed_out")
         self._m_tasks: Dict[str, Counter] = {}  # guarded-by: _lock
         self._m_retried: Dict[str, Counter] = {}  # guarded-by: _lock
 
@@ -136,25 +135,16 @@ class Engine:
                     cache[family] = counter
         return counter
 
-    def _count_retry(self, family: str) -> None:
-        self._family_counter(self._m_retried, "engine.tasks.retried",
-                             family).inc()
-
-    def _release(self, worker: int) -> None:
-        """*worker*'s task body has returned: from here on nobody (the
-        threaded engine's watchdog) may take the task away."""
-
     def _attempt(self, task: Task, worker: int, t0: float) -> str:
         """Run one attempt of *task*, popped by *worker* at *t0*, and
         account for it.  Returns ``"ok"`` (completed; counted in
-        ``engine.tasks``), ``"retried"`` (it raised and the policy grants
-        another attempt: the task is PENDING again, the backoff is slept,
-        the caller re-queues it) or ``"abandoned"`` (the watchdog gave
-        the task away while this attempt was stuck: nothing is counted).
-        A failure that is not retried is counted in ``engine.failed``,
-        noted in the flight ring, and raised.  With tracing on the
-        attempt is one task span carrying ``worker``, ``queue_wait`` and
-        that status (``"error"`` for the raised failure).
+        ``engine.tasks``) or ``"retried"`` (it raised and the policy
+        grants another attempt: the task is PENDING again, the backoff is
+        slept, the caller re-queues it).  A failure that is not retried
+        is counted in ``engine.failed``, noted in the flight ring, and
+        raised.  With tracing on the attempt is one task span carrying
+        ``worker``, ``queue_wait`` and that status (``"error"`` for the
+        raised failure).
         """
         family = task_family(task.name)
         tracer = get_tracer()
@@ -162,11 +152,11 @@ class Engine:
             if tracer.enabled:
                 queue_wait = t0 - task.queued_at if task.queued_at else 0.0
                 with tracer.task_span(task, worker, queue_wait) as span:
-                    status = self._execute(task, worker, t0, family)
+                    status = self._execute(task, t0, family)
                     if status != "ok":
                         span.fail(status)
             else:
-                status = self._execute(task, worker, t0, family)
+                status = self._execute(task, t0, family)
         except BaseException as error:
             flight_note("engine task failed fatally",
                         task=task.name, worker=worker,
@@ -177,38 +167,29 @@ class Engine:
             time.sleep(self.retry_policy.backoff(task.attempts - 1))
         return status
 
-    def _execute(self, task: Task, worker: int, t0: float,
-                 family: str) -> str:
+    def _execute(self, task: Task, t0: float, family: str) -> str:
         """The inside of :meth:`_attempt`'s span: fault-plan check, the
         task body, busy seconds, and the count / retry / fail decision
         (the failure that is not retried is raised)."""
-        error: Optional[BaseException] = None
         try:
             plan = active_plan()
             if plan is not None:
                 plan.check(family, task.name)
-            # An injected hang may have let the watchdog abandon this
-            # task; the replacement owns it now.
-            if not task.abandoned:
-                task.execute()
-        except BaseException as exc:
-            error = exc
-        self._release(worker)
-        self._m_busy.inc(time.perf_counter() - t0)
-        if task.abandoned:
-            return "abandoned"
-        if error is None:
-            self._family_counter(self._m_tasks, "engine.tasks",
-                                 family).inc()
-            return "ok"
-        policy = self.retry_policy
-        if (policy is not None
-                and policy.should_retry(error, task.attempts)
-                and task.reset_for_retry()):
-            self._count_retry(family)
-            return "retried"
-        self._m_failed.inc()
-        raise error
+            task.execute()
+        except BaseException as error:
+            policy = self.retry_policy
+            if (policy is not None
+                    and policy.should_retry(error, task.attempts)
+                    and task.reset_for_retry()):
+                self._family_counter(self._m_retried,
+                                     "engine.tasks.retried", family).inc()
+                return "retried"
+            self._m_failed.inc()
+            raise
+        finally:
+            self._m_busy.inc(time.perf_counter() - t0)
+        self._family_counter(self._m_tasks, "engine.tasks", family).inc()
+        return "ok"
 
 
 class TaskEngine(Engine):
@@ -242,14 +223,8 @@ class TaskEngine(Engine):
         super().__init__(scheduler, retry_policy)
         self.num_workers = num_workers
         self._threads: List[threading.Thread] = []  # guarded-by: _lock
-        self._lost_threads: List[threading.Thread] = []  # guarded-by: _lock
         self._started = False  # guarded-by: _lock
         self._errors_noted = False  # guarded-by: _lock
-        self._next_worker = 0  # guarded-by: _lock
-        #: worker index -> (task, start time), for the watchdog.
-        self._executing: Dict[int, tuple] = {}  # guarded-by: _lock
-        self._watchdog: Optional[threading.Thread] = None
-        self._watchdog_stop = threading.Event()
         self._m_idle = self._metrics.counter("engine.idle_seconds")
 
     # ------------------------------------------------------------------
@@ -259,24 +234,15 @@ class TaskEngine(Engine):
             if self._started:
                 return self
             self._started = True
-        for _ in range(self.num_workers):
-            self._spawn_worker()
-        if self.retry_policy is not None and self.retry_policy.timeout:
-            self._watchdog = threading.Thread(target=self._watchdog_loop,
-                                              name="znn-watchdog",
-                                              daemon=True)
-            self._watchdog.start()
+        threads = [threading.Thread(target=self._worker_loop,
+                                    args=(index,),
+                                    name=f"znn-worker-{index}", daemon=True)
+                   for index in range(self.num_workers)]
+        for t in threads:
+            t.start()
+        with self._lock:
+            self._threads.extend(threads)
         return self
-
-    def _spawn_worker(self) -> None:
-        with self._lock:
-            index = self._next_worker
-            self._next_worker += 1
-        t = threading.Thread(target=self._worker_loop,
-                             name=f"znn-worker-{index}", daemon=True)
-        t.start()
-        with self._lock:
-            self._threads.append(t)
 
     def shutdown(self) -> None:
         """Close the queue and join all workers.
@@ -284,24 +250,15 @@ class TaskEngine(Engine):
         If workers failed, the first exception is raised with every
         later one attached as an exception note (so multi-worker
         failures are not swallowed) and available via :attr:`errors`.
-        Workers abandoned by the watchdog are daemon threads and are
-        only joined briefly — a genuinely hung body cannot block
-        shutdown.
+        A worker finishes the attempt it is running before it sees the
+        closed queue, so a hung task body blocks shutdown.
         """
         self.queue.close()
-        self._watchdog_stop.set()
-        if self._watchdog is not None:
-            self._watchdog.join()
-            self._watchdog = None
         with self._lock:
             threads = list(self._threads)
             self._threads.clear()
-            lost = list(self._lost_threads)
-            self._lost_threads.clear()
         for t in threads:
             t.join()
-        for t in lost:
-            t.join(timeout=0.1)
         if self._errors:
             primary = self._errors[0]
             with self._lock:
@@ -344,8 +301,7 @@ class TaskEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        worker = int(threading.current_thread().name.rsplit("-", 1)[-1])
+    def _worker_loop(self, worker: int) -> None:
         t_wait = time.perf_counter()
         while True:
             try:
@@ -354,18 +310,12 @@ class TaskEngine(Engine):
                 return
             t0 = time.perf_counter()
             self._m_idle.inc(t0 - t_wait)
-            with self._lock:
-                self._executing[worker] = (task, t0)
             try:
                 status = self._attempt(task, worker, t0)
             except BaseException as error:  # propagate via shutdown()
                 with self._lock:
                     self._errors.append(error)
                 self.queue.close()
-                return
-            if status == "abandoned":
-                # The watchdog spawned a replacement worker while this
-                # one was stuck; it has already accounted for the task.
                 return
             if status == "retried":
                 try:
@@ -376,54 +326,3 @@ class TaskEngine(Engine):
                 with self._lock:
                     self._executed += 1
             t_wait = time.perf_counter()
-
-    def _release(self, worker: int) -> None:
-        with self._lock:
-            self._executing.pop(worker, None)
-
-    # -- watchdog ------------------------------------------------------
-
-    def _watchdog_loop(self) -> None:
-        timeout = self.retry_policy.timeout
-        interval = max(min(timeout / 4.0, 0.05), 0.001)
-        while not self._watchdog_stop.wait(interval):
-            now = time.perf_counter()
-            with self._lock:
-                overdue = [(w, task) for w, (task, t0)
-                           in self._executing.items()
-                           if now - t0 > timeout]
-            for worker_index, task in overdue:
-                self._handle_timeout(worker_index, task)
-
-    def _handle_timeout(self, worker_index: int, task: Task) -> None:
-        """Abandon a stuck (task, worker) pair; speculatively re-submit
-        the task on a fresh worker while retry budget remains, else
-        record a :class:`TaskTimeout` and close the queue."""
-        with self._lock:
-            current = self._executing.get(worker_index)
-            if current is None or current[0] is not task:
-                return  # finished between scan and handling
-            # The worker reads the flag after its _release(): flip and
-            # un-register together, so it keeps the task or sees it gone.
-            task.abandoned = True
-            self._executing.pop(worker_index, None)
-            name = f"znn-worker-{worker_index}"
-            for t in list(self._threads):
-                if t.name == name:
-                    self._threads.remove(t)
-                    self._lost_threads.append(t)
-        self._m_timed_out.inc()
-        timeout_error = TaskTimeout(
-            f"task {task.name!r} exceeded {self.retry_policy.timeout}s "
-            f"(attempt {task.attempts + 1})")
-        if self.retry_policy.should_retry(timeout_error, task.attempts):
-            self._count_retry(task_family(task.name))
-            self._spawn_worker()
-            try:
-                self.submit(task.clone_for_retry())
-            except QueueClosed:
-                pass
-            return
-        with self._lock:
-            self._errors.append(timeout_error)
-        self.queue.close()

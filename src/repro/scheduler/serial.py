@@ -10,9 +10,6 @@ easy.
 Like the threaded engine it honours an optional
 :class:`repro.resilience.RetryPolicy` (failed tasks re-execute in place
 after backoff) and an installed :class:`repro.resilience.FaultPlan`.
-A serial engine cannot preempt its own thread, so ``timeout`` is
-advisory here: overruns are counted in ``engine.tasks.timed_out`` but
-never abort the task.
 """
 
 from __future__ import annotations
@@ -54,8 +51,6 @@ class SerialEngine(Engine):
         backoff) until it succeeds or the retry budget is exhausted;
         only then does the failure propagate.
         """
-        policy = self.retry_policy
-        advisory = policy.timeout if policy is not None else None
         count = 0
         try:
             while True:
@@ -70,10 +65,6 @@ class SerialEngine(Engine):
                         task, 0, t0) == "retried":  # nondeterministic: metrics
                     task.mark_queued()  # re-execute in place
                     t0 = task.queued_at = time.perf_counter()
-                if advisory is not None \
-                        and time.perf_counter() - t0 > advisory:
-                    # Advisory only: the engine cannot preempt itself.
-                    self._m_timed_out.inc()
                 count += 1
         finally:
             with self._lock:

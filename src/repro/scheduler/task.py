@@ -64,8 +64,8 @@ class Task:
     """
 
     __slots__ = ("fn", "priority", "name", "task_id", "queued_at",
-                 "attempts", "abandoned", "span_context", "_state",
-                 "_lock", "_attached")
+                 "attempts", "span_context", "_state", "_lock",
+                 "_attached")
 
     def __init__(self, fn: Callable[[], Any], priority: int = 0,
                  name: str = "") -> None:
@@ -84,9 +84,6 @@ class Task:
         self.queued_at: Optional[float] = None
         #: Failed execution attempts so far (retry bookkeeping).
         self.attempts = 0
-        #: Set by the watchdog when the task overran its timeout and a
-        #: replacement was issued; the stuck worker must not execute it.
-        self.abandoned = False
         self._lock = make_lock("scheduler.task")
         self._state = TaskState.PENDING  # guarded-by: _lock
         self._attached: Optional["Task"] = None  # guarded-by: _lock
@@ -158,17 +155,6 @@ class Task:
             self._state = TaskState.PENDING
             self.attempts += 1
             return True
-
-    def clone_for_retry(self) -> "Task":
-        """A fresh task with the same body for speculative re-execution
-        after a timeout (the original may still be running; its state
-        machine must stay untouched)."""
-        clone = Task(self.fn, priority=self.priority, name=self.name)
-        clone.attempts = self.attempts + 1
-        # The watchdog thread has no span context; keep the original's
-        # so the retry stays inside the request's trace.
-        clone.span_context = self.span_context
-        return clone
 
     # -- execution -------------------------------------------------------
 

@@ -204,9 +204,22 @@ class HttpServingClient:
             timeout, self.max_attempts, self.backoff_cap)
 
     def health(self) -> dict:
-        """GET /healthz as a dict."""
+        """GET /healthz as a dict.  A draining or unhealthy server
+        answers 503 with the same document as the body, and that
+        document is returned; any other HTTP error, or a 503 whose body
+        is not a health document, raises :class:`ServingError`."""
         import json
-        with urllib.request.urlopen(
-                f"{self.base_url}/healthz",
-                timeout=self.request_timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+        url = f"{self.base_url}/healthz"
+        try:
+            with urllib.request.urlopen(
+                    url, timeout=self.request_timeout) as response:
+                return json.loads(response.read().decode("utf-8"))
+        except urllib.error.HTTPError as exc:
+            if exc.code == 503:
+                try:
+                    doc = json.loads(exc.read().decode("utf-8"))
+                except ValueError:  # UnicodeDecodeError included
+                    doc = None
+                if isinstance(doc, dict) and "status" in doc:
+                    return doc
+            raise ServingError(f"HTTP {exc.code} from {url}") from None

@@ -196,6 +196,15 @@ class _Handler(BaseHTTPRequestHandler):
         return {"X-Trace-Id": request.trace_id}
 
 
+class _ListeningServer(ThreadingHTTPServer):
+    #: Listen backlog.  socketserver's default of 5 drops the SYNs of a
+    #: burst of concurrent clients while the accept loop waits for the
+    #: GIL, and each dropped one waits out a 1 s TCP retransmit before
+    #: it is even admitted or refused.
+    request_queue_size = 128
+    daemon_threads = True
+
+
 class ServingHTTPServer:
     """Owns a ThreadingHTTPServer bound to an inference back end.
 
@@ -218,8 +227,7 @@ class ServingHTTPServer:
         handler = type("BoundHandler", (_Handler,),
                        {"inference": inference})
         self.inference = inference
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = True
+        self.httpd = _ListeningServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -217,13 +217,6 @@ class TestEnginePropagation:
         assert child_span.trace_id == root.trace_id
         assert "worker" in parent.attrs
 
-    def test_clone_for_retry_keeps_span_context(self, tracer):
-        with tracer.span("root") as root:
-            task = Task(lambda: None, name="fwd:x")
-        clone = task.clone_for_retry()
-        assert clone.span_context == task.span_context
-        assert task.span_context.span_id == root.span_id
-
 
 class TestExporters:
     def _spans(self):

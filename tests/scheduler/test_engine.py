@@ -177,6 +177,72 @@ class TestQueueClosedVsForce:
         assert order == ["upd", "sub"]
 
 
+def _new_workers(before):
+    """``znn-worker-*`` threads alive now that were not in *before*."""
+    return [t for t in threading.enumerate()
+            if t.name.startswith("znn-worker-") and t not in before]
+
+
+class TestNoThreadOutlivesShutdown:
+    """Every worker thread is joined by ``shutdown``, however its
+    tasks ended."""
+
+    def test_clean_run(self):
+        before = set(threading.enumerate())
+        done = threading.Event()
+        engine = TaskEngine(num_workers=2).start()
+        assert len(_new_workers(before)) == 2
+        engine.spawn(done.set, name="fwd:a")
+        assert done.wait(timeout=5)
+        engine.shutdown()
+        assert _new_workers(before) == []
+
+    def test_failed_task(self):
+        before = set(threading.enumerate())
+        engine = TaskEngine(num_workers=2).start()
+        engine.spawn(lambda: 1 / 0, name="fwd:a")
+        with pytest.raises(ZeroDivisionError):
+            engine.shutdown()
+        assert _new_workers(before) == []
+
+    def test_retried_task(self):
+        from repro.resilience import RetryPolicy
+
+        before = set(threading.enumerate())
+        runs = []
+        done = threading.Event()
+
+        def flaky():
+            runs.append(1)
+            if len(runs) == 1:
+                raise RuntimeError("transient")
+            done.set()
+
+        engine = TaskEngine(num_workers=2, retry_policy=RetryPolicy(
+            max_retries=2, backoff_seconds=0.001)).start()
+        engine.spawn(flaky, name="fwd:a")
+        assert done.wait(timeout=5)
+        engine.shutdown()
+        assert runs == [1, 1]
+        assert _new_workers(before) == []
+
+    def test_network_close(self):
+        import numpy as np
+
+        from repro.core import Network
+        from repro.graph import build_layered_network
+
+        before = set(threading.enumerate())
+        graph = build_layered_network("CT", width=1, kernel=2)
+        net = Network(graph, input_shape=(6, 6, 6), seed=0, num_workers=2)
+        assert len(_new_workers(before)) == 2
+        rng = np.random.default_rng(0)
+        net.train_step(rng.standard_normal((6, 6, 6)),
+                       rng.standard_normal((5, 5, 5)))
+        net.close()
+        assert _new_workers(before) == []
+
+
 class TestSerialEngine:
     def test_run_until_idle_executes_all(self):
         engine = SerialEngine()

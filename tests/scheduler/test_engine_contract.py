@@ -2,7 +2,7 @@
 
 Every case runs against ``SerialEngine`` (the ``T_1`` ruler) and a
 two-worker ``TaskEngine``; what is specific to one engine (drain order
-on the calling thread; worker threads, watchdog, multi-error notes)
+on the calling thread; worker threads, multi-error notes)
 lives in ``test_engine.py`` and ``tests/resilience``.
 """
 

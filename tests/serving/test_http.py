@@ -36,6 +36,28 @@ class TestCodec:
         assert np.array_equal(decode_array(encode_array(array)), array)
 
 
+class TestListenBacklog:
+    def test_a_burst_of_connections_waits_in_the_backlog(self, registry):
+        """Connections the accept loop has not reached yet queue in the
+        listen backlog instead of losing their SYN to a 1 s TCP
+        retransmit.  The server is bound but not started, so nothing
+        accepts: each connect succeeds only if the backlog has room."""
+        import socket
+
+        server = ServingHTTPServer(InferenceServer(registry))
+        sockets = []
+        try:
+            for _ in range(16):
+                sock = socket.socket()
+                sockets.append(sock)
+                sock.settimeout(0.5)
+                sock.connect(server.address)
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.httpd.server_close()
+
+
 class TestEndpoints:
     def test_healthz(self, http_server):
         client = HttpServingClient(http_server.url)
@@ -189,6 +211,24 @@ class TestDrainOverHttp:
         doc = json.loads(info.value.read().decode("utf-8"))
         assert doc["status"] == "draining"
         assert doc["models"] == ["small"]
+
+    def test_client_health_returns_the_draining_document(self, http_server):
+        http_server.inference.begin_drain()
+        doc = HttpServingClient(http_server.url).health()
+        assert doc["status"] == "draining"
+        assert doc["models"] == ["small"]
+
+    def test_client_health_raises_on_a_503_without_a_document(
+            self, monkeypatch):
+        import io
+
+        def unavailable(url, timeout=None):
+            raise urllib.error.HTTPError(url, 503, "Service Unavailable",
+                                         {}, io.BytesIO(b"busy"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", unavailable)
+        with pytest.raises(ServingError, match="HTTP 503"):
+            HttpServingClient("http://127.0.0.1:9").health()
 
     def test_infer_rejected_while_draining(self, http_server, volume):
         http_server.inference.begin_drain()

@@ -206,8 +206,7 @@ class TestParallelTrain:
         assert main(["train", "--workers", value, *self._FAST]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--task-retries", "2"],
-                                      ["--task-timeout", "5"]])
+    @pytest.mark.parametrize("flag", [["--task-retries", "2"]])
     def test_incompatible_flags_rejected(self, flag, capsys):
         assert main(["train", "--workers", "1", *flag, *self._FAST]) == 2
         assert "not supported with data-parallel" \
@@ -861,6 +860,21 @@ class TestLoadtestCli:
         with pytest.raises(SystemExit):
             main(["loadtest", "--scenario", "steady", "--duration",
                   "1", "--autoscale", "1:2"])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["loadtest", "--sim", "--size", "banana"], "--size"),
+    (["loadtest", "--sim", "--size", "24:12"], "--size"),
+    (["loadtest", "--sim", "--autoscale", "0:3"], "--autoscale"),
+    (["check-determinism", "--seeds", "1,2,3"], "--seeds"),
+    (["check-determinism", "--threads", "one,two"], "--threads"),
+], ids=["size-not-a-range", "size-reversed", "autoscale-zero",
+        "seeds-three", "threads-not-integers"])
+def test_malformed_value_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
 
 
 class TestLintExitCodes:

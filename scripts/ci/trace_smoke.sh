@@ -136,9 +136,11 @@ validate "$work/merged-serve.json" 0 tasks
 echo "== tracing overhead within 5% of tracing-off"
 # A small CTMCT fft net at a representative 32^3 volume, off and on in
 # interleaved rounds so clock-speed drift cancels; each side's A/A
-# spread is printed beside the overhead.  Span recording costs ~3us/span
-# (benchmarks/e2e: observability.tracing.record_us), and
-# bench.trace_overhead_share tracks the same share per workload.
+# spread, the spans per step and the overhead per span are printed
+# beside the overhead.  A span costs ~3us in a tight loop and ~6-12us
+# between a step's conv passes (EXPERIMENTS.md "Tracing inside its
+# budget"), and bench.trace_overhead_share tracks the same share per
+# workload.
 python - << 'EOF'
 import numpy as np
 
@@ -171,11 +173,14 @@ timings = time_interleaved({"off": lambda: steps(tr_off),
 m_off = timings["off"].median / STEPS
 m_on = timings["on"].median / STEPS
 overhead = m_on / m_off - 1.0
-print(f"off={m_off * 1e3:.2f}ms on={m_on * 1e3:.2f}ms "
-      f"overhead={overhead:+.1%} (A/A spread off "
-      f"{timings['off'].spread:+.1%}, on {timings['on'].spread:+.1%})")
 set_tracer(tr_on)
 assert len(tr_on), "traced rounds recorded no spans"
+spans = len(tr_on) / STEPS  # the last traced call's steps
+print(f"off={m_off * 1e3:.2f}ms on={m_on * 1e3:.2f}ms "
+      f"overhead={overhead:+.1%} (A/A spread off "
+      f"{timings['off'].spread:+.1%}, on {timings['on'].spread:+.1%}); "
+      f"{spans:.0f} spans/step, "
+      f"{(m_on - m_off) / spans * 1e6:+.1f}us overhead/span")
 net.close()
 # 5% budget with a 1ms/round floor for runner jitter.
 assert m_on <= m_off * 1.05 + 0.001, (m_off, m_on)

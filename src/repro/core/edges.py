@@ -100,6 +100,10 @@ class RuntimeEdge:
         #: Last round's update task (None until first backward) — the
         #: task the FORCE protocol targets.
         self.update_task = None
+        #: Fixed annotations of this edge's pass spans (the one timing
+        #: site is ``Network._pass``): the edge kind, or for a conv
+        #: edge the executing backend and its analytic cost.
+        self.pass_attrs = {"backend": spec.kind}
 
     @property
     def name(self) -> str:
@@ -115,12 +119,6 @@ class RuntimeEdge:
         """Snapshot gradient inputs and return the update closure
         (None for non-trainable edges)."""
         return None
-
-    def pass_attrs(self) -> dict:
-        """Annotations of this edge's pass spans (the one timing site
-        is ``Network._pass``): the edge kind, or for a conv edge the
-        executing backend and its analytic cost."""
-        return {"backend": self.spec.kind}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
@@ -141,15 +139,25 @@ class ConvEdge(RuntimeEdge):
         self.cache = cache if cache is not None else TransformCache(enabled=False)
         #: The plan executing the passes: ``backend``'s until a failure
         #: degrades this edge and swaps in ``_fallback_plan`` for good.
-        self.plan = self.backend.build(src.shape, spec.kernel, spec.sparsity)
+        self._use(self.backend.build(src.shape, spec.kernel, spec.sparsity))
         self._fallback_plan = FALLBACK.build(src.shape, spec.kernel,
                                              spec.sparsity)
         #: Which cache entry each memoized spectrum kind lives under.
         self._owner = {"img": src.name, "grad": dst.name, "ker": spec.name}
 
+    def _use(self, plan) -> None:
+        """Run the passes on *plan*, and annotate their spans with its
+        backend and analytic cost."""
+        self.plan = plan
+        cost = plan.pass_cost()
+        self.pass_attrs = {"backend": plan.name, "flops": cost["flops"],
+                           "bytes": cost["bytes"],
+                           "image_shape": self.src.shape,
+                           "kernel_shape": self.spec.kernel}
+
     def _degrade(self, exc: BaseException) -> None:
         """Swap in the fallback plan after a failure."""
-        self.plan = self._fallback_plan
+        self._use(self._fallback_plan)
         get_registry().counter("resilience.fft_fallback").inc()
         flight_note("FFT degradation", edge=self.name,
                     error=f"{type(exc).__name__}: {exc}")
@@ -197,12 +205,6 @@ class ConvEdge(RuntimeEdge):
         if lift is not None:
             return forward_transform(result, lift.transform_shape)
         return result
-
-    def pass_attrs(self) -> dict:
-        cost = self.plan.pass_cost()
-        return {"backend": self.effective_mode, "flops": cost["flops"],
-                "bytes": cost["bytes"], "image_shape": self.src.shape,
-                "kernel_shape": self.spec.kernel}
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         lift = self.dst.forward_plan

@@ -465,17 +465,19 @@ class Network:
         accumulation (``sum``) is a child span of whichever task ran it
         — a FORCEd update lands inside the ``fwd:`` task that stole it —
         or, in a one-worker forward walk, of the caller's open span,
-        annotated by its owner after the pass (a degraded FFT edge
-        reports ``direct``).  With tracing off: one attribute read."""
+        annotated after the pass with its owner's ``pass_attrs`` (a
+        degraded FFT edge reports ``direct``).  With tracing off: one
+        attribute read."""
         tracer = get_tracer()
         if not tracer.enabled:
             return fn(*args)
-        with tracer.span(f"{op}.pass:{owner.name}", "pass",
-                         edge=owner.name, op=op) as span:
+        name = owner.name
+        with tracer.span(f"{op}.pass:{name}", "pass", edge=name,
+                         op=op) as span:
             try:
                 return fn(*args)
             finally:
-                span.set(**owner.pass_attrs())
+                span.set(**owner.pass_attrs)
 
     def _do_forward(self, edge: RuntimeEdge) -> None:
         contribution = self._pass("fwd", edge, edge.forward,

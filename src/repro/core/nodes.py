@@ -50,6 +50,9 @@ class RuntimeNode:
                  "forward_plan", "backward_plan",
                  "_in_index", "_out_index")
 
+    #: Fixed annotations of every node's ``sum`` pass spans.
+    pass_attrs = {"backend": "sum"}
+
     def __init__(self, spec: NodeSpec) -> None:
         if spec.shape is None:
             raise ValueError(f"node {spec.name!r} has no shape; "
@@ -153,10 +156,6 @@ class RuntimeNode:
         if done:
             self.finalize_backward()
         return done
-
-    def pass_attrs(self) -> dict:
-        """Annotations of this node's ``sum`` pass spans."""
-        return {"backend": "sum"}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RuntimeNode({self.name!r}, shape={self.shape})"

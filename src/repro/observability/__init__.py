@@ -48,7 +48,6 @@ from repro.observability.tracing import (
     current_context,
     flight_dump,
     flight_note,
-    get_flight_recorder,
     get_tracer,
     merge_trace_files,
     read_trace_file,
@@ -78,7 +77,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "current_context",
-    "get_flight_recorder",
     "flight_note",
     "flight_dump",
     "TaskSummary",

@@ -28,8 +28,14 @@ spawned it:
 
 Tracing is **off by default**: every entry point checks
 ``tracer.enabled`` first, so the disabled fast path is one attribute
-read and a branch (budgeted at <=5% overhead in CI's trace-smoke
-lane).  Enable with ``REPRO_TRACING=1`` or ``get_tracer().enable()``.
+read and a branch.  Enable with ``REPRO_TRACING=1`` or
+``get_tracer().enable()``.  Enabled, a span is one slotted handle
+pushed on the thread's context stack (where an adopted remote parent
+is its :class:`SpanContext`); closing it appends one plain record, a
+tuple in :class:`Span` field order, to the ring and the flight ring.
+That costs ~3us in a tight loop and ~6-12us between the conv passes
+of a training step; CI's trace-smoke lane holds the whole to 5% of a
+step plus 1 ms.
 
 Timestamps are *epoch-aligned monotonic*: each process captures one
 ``(wall, monotonic)`` origin pair and records spans at
@@ -41,17 +47,19 @@ align to wall-clock accuracy, which is what lets ``repro trace
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -70,7 +78,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "current_context",
-    "get_flight_recorder",
     "flight_note",
     "flight_dump",
     "task_family",
@@ -135,81 +142,55 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
-
     def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "start": self.start,
-            "end": self.end,
-            "process": self.process,
-            "thread": self.thread,
-            "status": self.status,
-            "attrs": self.attrs,
-        }
+        return {name: getattr(self, name) for name in _SPAN_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Span":
-        return cls(
-            trace_id=str(payload["trace_id"]),
-            span_id=str(payload["span_id"]),
-            parent_id=payload.get("parent_id"),
-            name=str(payload["name"]),
-            category=str(payload.get("category", "")),
-            start=float(payload["start"]),
-            end=float(payload["end"]),
-            process=str(payload.get("process", "unknown")),
-            thread=int(payload.get("thread", 0)),
-            status=str(payload.get("status", "ok")),
-            attrs=dict(payload.get("attrs", {})),
-        )
+        return cls(*_record_from_dict(payload))
+
+
+#: Span field names, in order: the layout of a stored span record.
+_SPAN_FIELDS = tuple(f.name for f in fields(Span))
 
 
 class _ActiveSpan:
     """Handle for an in-flight span opened by :meth:`Tracer.span`.
 
-    Usable as a context manager; ``set`` attaches attributes and
-    ``fail`` marks the error status before the span closes.
+    Opening it resolves the parent and allocates the id against the
+    opening thread's context stack; entering pushes it there, and
+    exiting pops it and stores its record.  ``set`` attaches attributes
+    and ``fail`` marks the error status before the span closes.
     """
 
-    __slots__ = ("_tracer", "trace_id", "span_id", "parent_id", "name",
-                 "category", "start", "attrs", "status", "end",
-                 "process", "thread")
+    __slots__ = ("_tracer", "_stack", "trace_id", "span_id", "parent_id",
+                 "name", "category", "start", "attrs", "status")
 
-    def __init__(self, tracer: "Tracer", trace_id: str, span_id: str,
-                 parent_id: Optional[str], name: str, category: str,
+    def __init__(self, tracer: "Tracer", name: str, category: str,
+                 parent: Optional[SpanContext], trace_id: Optional[str],
                  attrs: Dict[str, object]) -> None:
+        stack = tracer._tls.stack
+        if parent is None and stack:
+            parent = stack[-1]  # an open span or an adopted SpanContext
+        if parent is not None:
+            self.trace_id = parent.trace_id if trace_id is None else trace_id
+            self.parent_id = parent.span_id
+        else:
+            self.trace_id = (trace_id if trace_id is not None
+                             else tracer.new_trace_id())
+            self.parent_id = None
         self._tracer = tracer
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self._stack = stack
+        self.span_id = tracer._span_id_prefix + str(next(tracer._ids))
         self.name = name
         self.category = category
-        self.start = time.monotonic() + tracer._offset
         self.attrs = attrs
         self.status = "ok"
+        self.start = time.monotonic() + tracer._offset
 
     @property
     def context(self) -> SpanContext:
         return SpanContext(self.trace_id, self.span_id)
-
-    # Once closed (end/process/thread filled in by Tracer._finish) the
-    # handle itself is the stored record; readers materialise a Span
-    # lazily so the close path builds no second object.
-
-    def to_span(self) -> Span:
-        return Span(self.trace_id, self.span_id, self.parent_id,
-                    self.name, self.category, self.start, self.end,
-                    self.process, self.thread, self.status, self.attrs)
-
-    def to_dict(self) -> dict:
-        return self.to_span().to_dict()
 
     def set(self, **attrs: object) -> "_ActiveSpan":
         self.attrs.update(attrs)
@@ -219,14 +200,39 @@ class _ActiveSpan:
         self.status = status
 
     def __enter__(self) -> "_ActiveSpan":
-        self._tracer._push(self)
+        self._stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None and self.status == "ok":
             self.status = "error"
             self.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._pop(self)
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif not _unwind(stack, self):
+            return
+        tracer = self._tracer
+        tracer._store((self.trace_id, self.span_id, self.parent_id,
+                       self.name, self.category, self.start,
+                       time.monotonic() + tracer._offset, tracer.process,
+                       threading.get_ident(), self.status, self.attrs))
+
+
+def _unwind(stack: list, entry: object) -> bool:
+    """Pop *stack* down to and including *entry* after an unbalanced
+    exit (a span closed out of order), closing the open spans it skips
+    so nothing leaks; False when *entry* was not on the stack."""
+    while stack:
+        top = stack[-1]
+        if top is entry:
+            stack.pop()
+            return True
+        if top.__class__ is _ActiveSpan:
+            top.__exit__(None, None, None)  # on top: pops and stores
+        else:
+            stack.pop()
+    return False
 
 
 class _NoopSpan:
@@ -254,40 +260,26 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
-class _RemoteParent:
-    """Context-stack entry adopting a foreign :class:`SpanContext`
-    (a request accepted on another thread, a coordinator round in a
-    worker process) as the parent of subsequently opened spans."""
+class _ContextStacks(threading.local):
+    """Per-thread context stack: the open spans and adopted remote
+    parents (:class:`SpanContext`), innermost last."""
 
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, ctx: SpanContext) -> None:
-        self.trace_id = ctx.trace_id
-        self.span_id = ctx.span_id
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
+    def __init__(self) -> None:
+        self.stack: list = []
 
 
-class _Activation:
-    """Context manager produced by :meth:`Tracer.activate`."""
-
-    __slots__ = ("_tracer", "_entry")
-
-    def __init__(self, tracer: "Tracer",
-                 entry: Optional[_RemoteParent]) -> None:
-        self._tracer = tracer
-        self._entry = entry
-
-    def __enter__(self) -> "_Activation":
-        if self._entry is not None:
-            self._tracer._push(self._entry)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._entry is not None:
-            self._tracer._pop(self._entry)
+def _record_from_dict(payload: dict, process: Optional[str] = None
+                      ) -> tuple:
+    """The stored record of a span's dict form: a tuple in
+    :class:`Span` field order (*process* overrides the payload's)."""
+    return (str(payload["trace_id"]), str(payload["span_id"]),
+            payload.get("parent_id"), str(payload["name"]),
+            str(payload.get("category", "")), float(payload["start"]),
+            float(payload["end"]),
+            process if process is not None
+            else str(payload.get("process", "unknown")),
+            int(payload.get("thread", 0)), str(payload.get("status", "ok")),
+            dict(payload.get("attrs", {})))
 
 
 class Tracer:
@@ -296,7 +288,9 @@ class Tracer:
     Every mutation is gated on :attr:`enabled`; a disabled tracer costs
     one branch per instrumentation site.  Spans are kept in a bounded
     ring (oldest evicted, counted by ``tracing.dropped``), so tracing a
-    long-lived server cannot grow without bound.
+    long-lived server cannot grow without bound.  The ring holds plain
+    records, tuples in :class:`Span` field order; a :class:`Span` is
+    built only when a trace is read.
     """
 
     def __init__(self, enabled: Optional[bool] = None,
@@ -309,13 +303,16 @@ class Tracer:
         self.process = process if process is not None \
             else f"pid-{os.getpid()}"
         self._lock = make_lock("observability.tracer")
-        self._spans: Deque[Span] = deque(maxlen=max_spans)  # guarded-by: _lock
-        self._tls = threading.local()
+        # The ring: a store appends without the lock (deque.append is
+        # atomic); records leave only under it, evicted past
+        # _max_spans or taken by clear/drain.
+        self._spans: Deque[tuple] = deque()
+        self._max_spans = max_spans
+        self._tls = _ContextStacks()
         self._ids = itertools.count(1)
         # Epoch-aligned monotonic origin (see module docstring).
         self._origin_wall = time.time()
-        self._origin_mono = time.monotonic()
-        self._offset = self._origin_wall - self._origin_mono
+        self._offset = self._origin_wall - time.monotonic()
         # Id pieces precomputed once: id generation is on the per-span
         # hot path.
         self._trace_id_fix = (
@@ -325,10 +322,13 @@ class Tracer:
         reg = get_registry()
         self._m_spans = reg.counter("tracing.spans")
         self._m_dropped = reg.counter("tracing.dropped")
-        # Hot-path tallies; folded into the counters by _sync_metrics
-        # so recording a span never touches the metrics registry.
-        self._recorded = 0    # guarded-by: _lock
+        # Records that left the ring, and foreign ones ingested into
+        # it: with its length they count the spans recorded, so
+        # recording one takes no lock and never touches the registry
+        # (_sync_metrics folds the counts in).
         self._dropped = 0     # guarded-by: _lock
+        self._taken = 0       # guarded-by: _lock
+        self._ingested = 0    # guarded-by: _lock
         self._synced = 0
         self._synced_dropped = 0
         self.flight: Optional[FlightRecorder] = None
@@ -348,9 +348,7 @@ class Tracer:
         self._span_id_prefix = self.process + ":"
 
     def clear(self) -> None:
-        self._sync_metrics()
-        with self._lock:
-            self._spans.clear()
+        self._take()
 
     # -- time ----------------------------------------------------------
 
@@ -364,47 +362,30 @@ class Tracer:
 
     # -- context stack -------------------------------------------------
 
-    def _stack(self) -> list:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    def _push(self, entry) -> None:
-        self._stack().append(entry)
-
-    def _pop(self, entry) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is entry:
-            stack.pop()
-            if entry.__class__ is _ActiveSpan:
-                self._finish(entry)
-            return
-        # Unbalanced exit (a span closed out of order) — drop down to
-        # the entry, finishing any skipped active spans so nothing
-        # leaks.
-        while stack:
-            top = stack.pop()
-            if top.__class__ is _ActiveSpan:
-                self._finish(top)
-            if top is entry:
-                return
-
     def current_context(self) -> Optional[SpanContext]:
         """The active span/parent context on this thread, or None."""
         if not self.enabled:
             return None
-        stack = getattr(self._tls, "stack", None)
+        stack = self._tls.stack
         if not stack:
             return None
-        return stack[-1].context
+        top = stack[-1]
+        return SpanContext(top.trace_id, top.span_id)
 
-    def activate(self, ctx: Optional[SpanContext]) -> _Activation:
+    @contextlib.contextmanager
+    def activate(self, ctx: Optional[SpanContext]) -> Iterator[None]:
         """Adopt *ctx* (e.g. a pickled remote parent) as the current
         context for the duration of the returned context manager."""
         if not self.enabled or ctx is None:
-            return _Activation(self, None)
-        return _Activation(self, _RemoteParent(SpanContext(*ctx)))
+            yield
+            return
+        entry = SpanContext(*ctx)
+        stack = self._tls.stack
+        stack.append(entry)
+        try:
+            yield
+        finally:
+            _unwind(stack, entry)
 
     # -- span creation -------------------------------------------------
 
@@ -412,9 +393,6 @@ class Tracer:
         """A fresh trace id, unique across processes on this host."""
         head, tail = self._trace_id_fix
         return head + format(next(self._ids), "x") + tail
-
-    def _new_span_id(self) -> str:
-        return self._span_id_prefix + str(next(self._ids))
 
     def span(self, name: str, category: str = "",
              parent: Optional[SpanContext] = None,
@@ -427,34 +405,8 @@ class Tracer:
         """
         if not self.enabled:
             return _NOOP_SPAN
-        if parent is None:
-            # Inlined current_context(): stack entries (_ActiveSpan /
-            # _RemoteParent) expose trace_id/span_id directly, so the
-            # hot path skips building an intermediate SpanContext.
-            stack = getattr(self._tls, "stack", None)
-            if stack:
-                parent = stack[-1]
-        if parent is not None:
-            tid = parent.trace_id if trace_id is None else trace_id
-            parent_id: Optional[str] = parent.span_id
-        else:
-            tid = trace_id if trace_id is not None else self.new_trace_id()
-            parent_id = None
         # **attrs is already a fresh dict owned by this call.
-        return _ActiveSpan(self, tid, self._new_span_id(), parent_id,
-                           name, category, attrs)
-
-    def task_span(self, task, worker: int, queue_wait: float):
-        """The engine hook: a span for one attempt of one scheduler
-        task, parented on the context captured when the task was
-        created.  ``worker`` is what marks a span as a task span
-        (:func:`summarize_task_spans`)."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return self.span(task.name or "(anonymous)",
-                         category=task_family(task.name),
-                         parent=task.span_context,
-                         worker=worker, queue_wait=queue_wait)
+        return _ActiveSpan(self, name, category, parent, trace_id, attrs)
 
     def record(self, name: str, start: float, end: float,
                category: str = "",
@@ -470,57 +422,59 @@ class Tracer:
         (:meth:`now` / :meth:`from_monotonic`)."""
         if not self.enabled:
             return None
-        if context is not None:
-            tid, span_id = context
-        else:
-            tid = trace_id
-            if tid is None:
-                tid = (parent.trace_id if parent is not None
-                       else self.new_trace_id())
-            span_id = self._new_span_id()
-        span = Span(trace_id=tid, span_id=span_id,
-                    parent_id=parent.span_id if parent is not None else None,
-                    name=name, category=category, start=float(start),
-                    end=float(end), process=self.process,
-                    thread=threading.get_ident(), status=status,
-                    attrs=attrs)
-        self._store(span)
+        if context is None:
+            context = self.make_context(
+                trace_id if trace_id is not None
+                else parent.trace_id if parent is not None else None)
+        tid, span_id = context
+        self._store((tid, span_id,
+                     parent.span_id if parent is not None else None,
+                     name, category, float(start), float(end),
+                     self.process, threading.get_ident(), status, attrs))
         return SpanContext(tid, span_id)
 
     def make_context(self, trace_id: Optional[str] = None) -> SpanContext:
         """Allocate a context (e.g. a request root) whose span body
         will be recorded later via ``record(context=...)``."""
         tid = trace_id if trace_id else self.new_trace_id()
-        return SpanContext(tid, self._new_span_id())
+        return SpanContext(tid, self._span_id_prefix + str(next(self._ids)))
 
-    def _finish(self, active: _ActiveSpan) -> None:
-        active.end = time.monotonic() + self._offset
-        active.process = self.process
-        active.thread = threading.get_ident()
-        self._store(active)
-
-    def _store(self, span) -> None:
-        # *span* is a closed _ActiveSpan (hot path) or a Span
-        # (record()); both expose the same fields and to_dict().
+    def _store(self, record: tuple) -> None:
         spans = self._spans
-        with self._lock:
-            if len(spans) == spans.maxlen:
-                self._dropped += 1
-            spans.append(span)
-            self._recorded += 1
+        spans.append(record)
+        if len(spans) > self._max_spans:
+            self._evict()
         flight = self.flight
         if flight is not None:
-            flight.record_span(span)
+            flight.record_span(record)
+
+    def _evict(self) -> None:
+        """Drop the oldest records past the ring's capacity."""
+        with self._lock:
+            spans = self._spans
+            while len(spans) > self._max_spans:
+                spans.popleft()
+                self._dropped += 1
+
+    def _take(self) -> List[tuple]:
+        """Remove and return every buffered record."""
+        with self._lock:
+            spans = self._spans
+            # popleft, not clear(): a racing store keeps its record.
+            records = [spans.popleft() for _ in range(len(spans))]
+            self._taken += len(records)
+        return records
 
     def _sync_metrics(self) -> None:
-        """Fold the hot-path span/drop tallies into the registry
-        counters.  Runs on every read-side API (and as a registry read
-        hook), so snapshots stay accurate while recording a span never
-        touches the metrics registry."""
+        """Fold the spans recorded and dropped since the last call into
+        the registry counters.  Runs on every read-side API (and as a
+        registry read hook), so snapshots stay accurate while recording
+        a span never touches the metrics registry."""
         with self._lock:
-            d_spans = self._recorded - self._synced
+            recorded = (len(self._spans) + self._dropped + self._taken
+                        - self._ingested)
+            d_spans, self._synced = recorded - self._synced, recorded
             d_dropped = self._dropped - self._synced_dropped
-            self._synced = self._recorded
             self._synced_dropped = self._dropped
         if d_spans:
             self._m_spans.inc(d_spans)
@@ -533,34 +487,23 @@ class Tracer:
                process: Optional[str] = None) -> int:
         """Adopt foreign spans (shipped from a worker process or read
         from a trace file); returns the count ingested."""
-        count = 0
-        spans = []
-        for payload in payloads:
-            span = Span.from_dict(payload)
-            if process is not None:
-                span.process = process
-            spans.append(span)
-            count += 1
+        records = [_record_from_dict(p, process) for p in payloads]
         with self._lock:
-            room = self._spans.maxlen - len(self._spans)
-            self._dropped += max(0, count - room)
-            self._spans.extend(spans)
-        return count
+            self._ingested += len(records)
+            self._spans.extend(records)
+        self._evict()
+        return len(records)
 
     def spans(self) -> List[Span]:
         self._sync_metrics()
         with self._lock:
-            raw = list(self._spans)
-        return [s if s.__class__ is Span else s.to_span() for s in raw]
+            records = list(self._spans)
+        return [Span(*r) for r in records]
 
     def drain(self) -> List[dict]:
         """Remove and return all buffered spans as dicts (the worker →
         coordinator shipping payload)."""
-        self._sync_metrics()
-        with self._lock:
-            spans = list(self._spans)
-            self._spans.clear()
-        return [s.to_dict() for s in spans]
+        return [Span(*r).to_dict() for r in self._take()]
 
     def __len__(self) -> int:
         self._sync_metrics()
@@ -593,15 +536,12 @@ class FlightRecorder:
     def __init__(self, capacity: int = DEFAULT_FLIGHT_EVENTS) -> None:
         # deque appends are atomic under the GIL; no lock needed on the
         # hot path.
-        self._events: Deque[dict] = deque(maxlen=capacity)
+        self._events: Deque[object] = deque(maxlen=capacity)
+        #: The tracer's per-span hook: the ring's own append (records
+        #: are serialised lazily, in events()).
+        self.record_span = self._events.append
         self._dump_lock = make_lock("observability.flight")
         self.dumps = 0
-
-    def record_span(self, span) -> None:
-        # Raw span record (Span or closed _ActiveSpan); serialised
-        # lazily in events()/dump() so the per-span hot path is one
-        # deque append, no dict building.
-        self._events.append(span)
 
     def note(self, message: str, **attrs: object) -> None:
         self._events.append({"kind": "note", "time": time.time(),
@@ -615,7 +555,7 @@ class FlightRecorder:
             except RuntimeError:
                 continue
         return [e if isinstance(e, dict)
-                else {"kind": "span", **e.to_dict()}
+                else {"kind": "span", **Span(*e).to_dict()}
                 for e in ring]
 
     def clear(self) -> None:
@@ -687,10 +627,6 @@ def current_context() -> Optional[SpanContext]:
     if not tracer.enabled:
         return None
     return tracer.current_context()
-
-
-def get_flight_recorder() -> FlightRecorder:
-    return _global_flight
 
 
 def flight_note(message: str, **attrs: object) -> None:
@@ -928,14 +864,9 @@ def read_trace_file(path: str) -> List[Span]:
         raise ValueError(
             f"{path}: not a {TRACE_SCHEMA} trace file "
             f"(schema={doc.get('schema')!r})")
-    default_process = str(doc.get("process", "unknown"))
-    spans = []
-    for payload in doc.get("spans", []):
-        span = Span.from_dict(payload)
-        if span.process == "unknown":
-            span.process = default_process
-        spans.append(span)
-    return spans
+    process = str(doc.get("process", "unknown"))
+    return [Span.from_dict({"process": process, **payload})
+            for payload in doc.get("spans", [])]
 
 
 def merge_trace_files(paths: Sequence[str],

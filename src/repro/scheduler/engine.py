@@ -151,7 +151,10 @@ class Engine:
         try:
             if tracer.enabled:
                 queue_wait = t0 - task.queued_at if task.queued_at else 0.0
-                with tracer.task_span(task, worker, queue_wait) as span:
+                # ``worker`` marks a task span (summarize_task_spans).
+                with tracer.span(task.name or "(anonymous)", family,
+                                 task.span_context, worker=worker,
+                                 queue_wait=queue_wait) as span:
                     status = self._execute(task, t0, family)
                     if status != "ok":
                         span.fail(status)

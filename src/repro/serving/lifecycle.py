@@ -360,6 +360,8 @@ class RequestLifecycle:
         *priority* selects the admission tier: low-priority requests
         are shed at a lower queue depth than high-priority ones.
         """
+        if np.iscomplexobj(volume):  # float64 would drop the imaginary part
+            raise ValueError("volume is complex-valued; voxels must be real")
         volume = np.asarray(volume, dtype=np.float64)
         if volume.ndim == 2:
             volume = volume[np.newaxis, ...]

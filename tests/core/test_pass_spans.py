@@ -193,7 +193,7 @@ class TestConvAnnotations:
         assert len(degraded) == 1
         edge = net.edges[degraded[0]]
         span, = passes(tracer.spans(), op="fwd", edge=degraded[0])
-        direct = edge.pass_attrs()
+        direct = edge.pass_attrs
         assert span.attrs["backend"] == "direct"
         assert span.attrs["flops"] == direct["flops"]
         others = [s for s in passes(tracer.spans(), op="fwd")

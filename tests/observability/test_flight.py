@@ -25,7 +25,7 @@ from repro.observability.tracing import (
     Tracer,
     flight_dump,
     flight_note,
-    get_flight_recorder,
+    get_tracer,
     set_tracer,
 )
 from repro.resilience.faults import FaultPlan, clear_plan, install_plan
@@ -145,7 +145,7 @@ class TestCrashTriggers:
     @pytest.fixture(autouse=True)
     def _flight_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        get_flight_recorder().clear()
+        get_tracer().flight.clear()
         yield
         clear_plan()
 

@@ -14,7 +14,7 @@ import pytest
 from repro.observability import MetricsRegistry, set_registry
 from repro.observability.tracing import (
     Tracer,
-    get_flight_recorder,
+    get_tracer,
     set_tracer,
 )
 from repro.resilience import (
@@ -240,11 +240,11 @@ class TestAccounting:
         assert metric(registry, "engine.failed") == 1
 
     def test_fatal_failure_leaves_a_flight_note(self, make_engine):
-        get_flight_recorder().clear()
+        get_tracer().flight.clear()
         engine = make_engine()
         engine.spawn(lambda: 1 / 0, name="bwd:bad")
         assert isinstance(drive(engine, lambda: False), ZeroDivisionError)
-        notes = [e for e in get_flight_recorder().events()
+        notes = [e for e in get_tracer().flight.events()
                  if e.get("kind") == "note"]
         assert len(notes) == 1
         assert notes[0]["message"] == "engine task failed fatally"

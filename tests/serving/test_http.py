@@ -1,12 +1,15 @@
 """HTTP front end: wire protocol, status mapping, client retry."""
 
 import http.client
+import io
 import json
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     HttpServingClient,
@@ -122,6 +125,12 @@ class TestEndpoints:
         client = HttpServingClient(http_server.url, max_attempts=1)
         with pytest.raises(ServingError, match="400.*non-finite"):
             client.infer("small", poisoned)
+        assert http_server.inference.queue_depth == 0
+
+    def test_complex_volume_400(self, http_server, volume):
+        client = HttpServingClient(http_server.url, max_attempts=1)
+        with pytest.raises(ServingError, match="400.*complex-valued"):
+            client.infer("small", volume + 0.5j)
         assert http_server.inference.queue_depth == 0
 
     def test_missing_model_param_400(self, http_server, volume):
@@ -273,3 +282,87 @@ class TestPriorityOverHttp:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=30)
         assert info.value.code == 400
+
+
+def post_npy(server, body: bytes):
+    """POST *body* to the small model; returns ``(status, body)``."""
+    request = urllib.request.Request(
+        f"{server.url}/v1/infer?model=small", data=body, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+#: Volume shapes that cover the small model's (5, 5, 5) field of view.
+served_shapes = st.tuples(*[st.integers(5, 9)] * 3)
+
+fuzz = settings(max_examples=20, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestNpyFuzz:
+    """Hostile npy bodies at the HTTP boundary: each is answered 4xx,
+    never 500, and the server keeps serving; a Fortran-order volume is
+    served bitwise equal to its C-order copy."""
+
+    @staticmethod
+    def assert_refused(server, body):
+        status, reply = post_npy(server, body)
+        assert 400 <= status < 500, (status, reply)
+        assert HttpServingClient(server.url).health()["status"] == "ok"
+
+    @fuzz
+    @given(shape=served_shapes, data=st.data())
+    def test_truncated_header(self, http_server, shape, data):
+        body = encode_array(np.zeros(shape))
+        header_end = 10 + int.from_bytes(body[8:10], "little")  # npy v1.0
+        self.assert_refused(
+            http_server, body[:data.draw(st.integers(0, header_end - 1))])
+
+    @fuzz
+    @given(shape=served_shapes, extra=st.integers(1, 4),
+           axis=st.integers(0, 2))
+    def test_header_claims_more_data_than_the_body(self, http_server,
+                                                   shape, extra, axis):
+        claimed = list(shape)
+        claimed[axis] += extra
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False,
+                  "shape": tuple(claimed)})
+        self.assert_refused(http_server,
+                            buf.getvalue() + np.zeros(shape).tobytes())
+
+    @fuzz
+    @given(shape=served_shapes)
+    def test_object_dtype(self, http_server, shape):
+        buf = io.BytesIO()
+        np.save(buf, np.full(shape, 0.5, dtype=object), allow_pickle=True)
+        self.assert_refused(http_server, buf.getvalue())
+
+    @fuzz
+    @given(shape=served_shapes,
+           dtype=st.sampled_from([np.complex64, np.complex128]),
+           imag=st.floats(-1.0, 1.0))
+    def test_complex_dtype(self, http_server, shape, dtype, imag):
+        volume = np.full(shape, 0.25 + 1j * imag, dtype=dtype)
+        self.assert_refused(http_server, encode_array(volume))
+
+    @fuzz
+    @given(shape=served_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_fortran_order_is_served_like_c_order(self, http_server,
+                                                  shape, seed):
+        volume = np.random.default_rng(seed).standard_normal(shape)
+        buf = io.BytesIO()
+        np.save(buf, np.asfortranarray(volume))
+        fortran = buf.getvalue()
+        assert b"'fortran_order': True" in fortran
+        status_f, reply_f = post_npy(http_server, fortran)
+        status_c, reply_c = post_npy(http_server, encode_array(volume))
+        assert status_f == status_c == 200
+        out_f, out_c = decode_array(reply_f), decode_array(reply_c)
+        assert out_f.shape == out_c.shape
+        assert (np.ascontiguousarray(out_f).tobytes()
+                == np.ascontiguousarray(out_c).tobytes())

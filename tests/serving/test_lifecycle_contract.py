@@ -161,6 +161,17 @@ class TestValidation:
         assert server.queue_depth == 0
         assert accepted.value == before
 
+    def test_complex_volume_refused_before_queueing(self, harness, volume):
+        # A float64 cast drops the imaginary part with only a
+        # ComplexWarning: the real part alone would be served.
+        accepted = metrics_registry().counter("serving.requests.accepted")
+        before = accepted.value
+        server = harness().server
+        with pytest.raises(ValueError, match="complex-valued"):
+            server.submit("small", volume + 1j * volume)
+        assert server.queue_depth == 0
+        assert accepted.value == before
+
     def test_bad_rank_and_priority_rejected(self, harness, volume):
         server = harness().server
         with pytest.raises(ValueError, match="2D or 3D"):

@@ -3,10 +3,10 @@
 One class per computation-graph edge kind (``pool`` and ``filter``
 share :class:`MaxWindowEdge`).  Each edge exposes:
 
-* ``forward(image)`` — the FORWARD-TRANSFORM of Algorithm 1, returning
-  the contribution to the destination node's forward sum (a spatial
-  image or, in FFT mode feeding a spectral-domain node, a half
-  spectrum);
+* ``forward(image, alloc)`` — the FORWARD-TRANSFORM of Algorithm 1,
+  returning the contribution to the destination node's forward sum (a
+  spatial image or, in FFT mode feeding a spectral-domain node, a half
+  spectrum), made with *alloc* (``np.empty``'s signature);
 * ``backward(grad)`` — the BACKWARD-TRANSFORM of Algorithm 2;
 * ``capture_update()`` — called during the backward task of a trainable
   edge: snapshots the images/spectra the gradient needs (Algorithm 2
@@ -109,7 +109,7 @@ class RuntimeEdge:
     def name(self) -> str:
         return self.spec.name
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
+    def forward(self, image: np.ndarray, alloc=np.empty) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -206,10 +206,10 @@ class ConvEdge(RuntimeEdge):
             return forward_transform(result, lift.transform_shape)
         return result
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
+    def forward(self, image: np.ndarray, alloc=np.empty) -> np.ndarray:
         lift = self.dst.forward_plan
         return self._run("forward", image, self.kernel.array, lift=lift,
-                         spectral=lift is not None)
+                         spectral=lift is not None, alloc=alloc)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         lift = self.src.backward_plan
@@ -243,8 +243,8 @@ class TransferEdge(RuntimeEdge):
         self.state = UpdateState()
         self._bias_gradient = 0.0
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
-        return self.fn.apply(image, self.bias)
+    def forward(self, image: np.ndarray, alloc=np.empty) -> np.ndarray:
+        return self.fn.apply(image, self.bias, alloc)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         # The forward output of this edge is the destination image.
@@ -278,9 +278,9 @@ class MaxWindowEdge(RuntimeEdge):
         self._input: Optional[np.ndarray] = None
         self._winners: Optional[np.ndarray] = None
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
+    def forward(self, image: np.ndarray, alloc=np.empty) -> np.ndarray:
         self._input, self._winners = image, None
-        return window_max_values(image, *self._geometry)
+        return window_max_values(image, *self._geometry, alloc)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -309,7 +309,7 @@ class DropoutEdge(RuntimeEdge):
         self.training = True
         self._mask: Optional[np.ndarray] = None
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
+    def forward(self, image: np.ndarray, alloc=np.empty) -> np.ndarray:
         if not self.training or self.rate == 0.0:
             self._mask = None
             return image + 0.0
@@ -341,7 +341,7 @@ class CustomEdge(RuntimeEdge):
         self._input: Optional[np.ndarray] = None
         self._output: Optional[np.ndarray] = None
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
+    def forward(self, image: np.ndarray, alloc=np.empty) -> np.ndarray:
         self.state = {}
         self._input = image
         self._output = self.op.forward(image, self.state)

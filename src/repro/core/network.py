@@ -37,14 +37,16 @@ autotuning, Section IV); FFT mode memoizes spectra in a
 from __future__ import annotations
 
 import functools
+import sys
 import threading
 import warnings
+from math import prod
 from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.core.edges import ConvEdge, RuntimeEdge, SharedKernel, \
-    make_runtime_edge
+from repro.core.edges import ConvEdge, MaxWindowEdge, RuntimeEdge, \
+    SharedKernel, make_runtime_edge
 from repro.core.loss import Loss, get_loss
 from repro.core.nodes import RuntimeNode
 from repro.core.optimizer import SGD
@@ -62,9 +64,60 @@ from repro.tensor.fft_cache import TransformCache
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_array3
 
-__all__ = ["Network"]
+__all__ = ["FreeList", "Network"]
 
 InputsLike = Union[np.ndarray, Mapping[str, np.ndarray]]
+
+
+class FreeList:
+    """The one-worker forward walk's best-fit byte buffers, handed out
+    as views and kept (Section VII-C), so the C heap does not trim them
+    and fault them back in.  Ownership is counted, not declared: a
+    buffer is free once only the list refers to it, so a walk releases
+    an array by dropping its references, and one anything still holds
+    (a node image, a memo entry, what a ``CustomEdge`` keeps, an
+    output) is never handed out twice.  :meth:`trim` drops the free
+    buffers nobody took since the last trim."""
+
+    @staticmethod
+    def _counts(buffers: list) -> list:
+        """``sys.getrefcount`` of each of *buffers*, read from here."""
+        return [sys.getrefcount(b) for b in buffers]
+
+    #: ``_counts`` of a buffer only its list holds (interpreters differ).
+    ALONE = _counts([np.empty(0, np.uint8)])[0]
+
+    def __init__(self) -> None:
+        self._buffers: list = []
+        self._taken: set = set()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, free and handed out."""
+        return sum(b.nbytes for b in self._buffers)
+
+    def free(self) -> list:
+        """The buffers nothing but the list refers to."""
+        return [b for b, n in zip(self._buffers, self._counts(self._buffers))
+                if n == self.ALONE]
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        """``np.empty(shape, dtype)`` as a view of the smallest free
+        buffer that fits, or of a new one."""
+        need = np.dtype(dtype).itemsize * prod(shape)
+        buffer = min((b for b in self.free() if b.nbytes >= need),
+                     key=len, default=None)
+        if buffer is None:
+            buffer = np.empty(need, np.uint8)
+            self._buffers.append(buffer)
+        self._taken.add(id(buffer))
+        return buffer[:need].view(dtype).reshape(shape)
+
+    def trim(self) -> None:
+        """Drop the free buffers not taken since the last trim."""
+        idle = {id(b) for b in self.free()} - self._taken
+        self._buffers = [b for b in self._buffers if id(b) not in idle]
+        self._taken = set()
 
 
 class Network:
@@ -96,8 +149,7 @@ class Network:
     deterministic_sums:
         Reduce convergent-node sums in fixed edge order
         (:class:`repro.sync.OrderedSum`) so results are bitwise
-        identical across worker counts and schedules, at slightly
-        higher memory (all contributions held until a node completes).
+        identical across worker counts and schedules.
     retry_policy:
         Optional :class:`repro.resilience.RetryPolicy` handed to the
         engine: failed tasks re-execute with exponential backoff; a
@@ -175,6 +227,9 @@ class Network:
             seeded[id(e.src)] if e.src.is_input
             else e.src.in_edges[0].fwd_priority,
             e.src.out_edges.index(e)))
+        #: After this edge's pass the walk drops its tail's image.
+        self._last_reader = {e.src.name: e for e in self._walk}
+        self.buffers = FreeList()
 
         # Engine.
         self.num_workers = int(num_workers)
@@ -268,6 +323,7 @@ class Network:
         by :meth:`synchronize`) — the paper's deferred-update design.
         """
         self._begin_round(training=True)
+        self.buffers = FreeList()  # the cascade makes its own arrays
         self._targets = self._normalize(targets, "target")
         self._seed_forward(self._normalize(inputs, "input"))
         self.engine.wait_for(self._bwd_done, "training round")
@@ -432,9 +488,14 @@ class Network:
         pending update first (with one worker nothing else can be
         running it, so it is queued or done) and still counts as a
         ``fwd`` occurrence of an installed fault plan; no task, queue
-        entry or ``engine.tasks`` count is made."""
+        entry or ``engine.tasks`` count is made.  Its arrays come from
+        ``buffers``, and only the output images outlive it."""
+        take = self.buffers.take
+        for node in self.output_nodes:  # free for this walk to reuse
+            node.fwd_image = None
         for node in self.input_nodes:
-            node.fwd_image = images[node.name].copy()
+            node.fwd_image = take(images[node.name].shape)
+            np.copyto(node.fwd_image, images[node.name])
         plan = active_plan()
         for edge in self._walk:
             if plan is not None:
@@ -442,10 +503,15 @@ class Network:
             update = edge.update_task
             if update is not None and update.try_steal():
                 update.execute()
-            contribution = self._pass("fwd", edge, edge.forward,
-                                      edge.src.fwd_image)
             self._pass("sum", edge.dst, edge.dst.sum_forward, edge,
-                       contribution)
+                       self._pass("fwd", edge, edge.forward,
+                                  edge.src.fwd_image, take), take)
+            if isinstance(edge, MaxWindowEdge):  # no backward follows
+                edge._input = None
+            if self._last_reader[edge.src.name] is edge:
+                edge.src.fwd_image = None
+                self.cache.drop("img", edge.src.name)
+        self.buffers.trim()
 
     def _spawn_forward_task(self, edge: RuntimeEdge) -> None:
         """Queue the FORWARD-TASK of Algorithm 1 for *edge*."""

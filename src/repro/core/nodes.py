@@ -89,9 +89,9 @@ class RuntimeNode:
         after all runtime edges are attached.
 
         ``deterministic=True`` uses :class:`repro.sync.OrderedSum` —
-        contributions are reduced in fixed edge order, making results
-        bitwise identical across thread counts and schedules (at the
-        cost of holding all contributions until the node completes).
+        contributions are added in fixed edge order, making results
+        bitwise identical across thread counts and schedules (a
+        contribution that arrives early waits for its turn).
         """
         sum_cls = OrderedSum if deterministic else ConcurrentSum
         self._in_index = {id(e): i for i, e in enumerate(self.in_edges)}
@@ -110,24 +110,25 @@ class RuntimeNode:
         if self.bwd_sum is not None:
             self.bwd_sum.reset()
 
-    def add_forward(self, edge, contribution: np.ndarray) -> bool:
+    def add_forward(self, edge, contribution: np.ndarray,
+                    alloc=np.empty) -> bool:
         """Contribute *edge*'s forward output; True when complete."""
         assert self.fwd_sum is not None
-        return self.fwd_sum.add(contribution, self._in_index[id(edge)])
+        return self.fwd_sum.add(contribution, self._in_index[id(edge)], alloc)
 
     def add_backward(self, edge, contribution: np.ndarray) -> bool:
         """Contribute *edge*'s backward output; True when complete."""
         assert self.bwd_sum is not None
         return self.bwd_sum.add(contribution, self._out_index[id(edge)])
 
-    def finalize_forward(self) -> np.ndarray:
+    def finalize_forward(self, alloc=np.empty) -> np.ndarray:
         """Fix the node's forward image from its completed sum, and
         reset the sum: nothing reads its contributions again."""
         assert self.fwd_sum is not None
         total = self.fwd_sum.get()
         self.fwd_sum.reset()
         if self.forward_plan is not None:
-            total = self.forward_plan.finalize_forward(total)
+            total = self.forward_plan.finalize_forward(total, alloc)
         self.fwd_image = total
         return total
 
@@ -142,12 +143,13 @@ class RuntimeNode:
         self.bwd_image = total
         return total
 
-    def sum_forward(self, edge, contribution: np.ndarray) -> bool:
+    def sum_forward(self, edge, contribution: np.ndarray,
+                    alloc=np.empty) -> bool:
         """The node's forward sum step: contribute, and on the
         completing call (True) also fix the forward image."""
-        done = self.add_forward(edge, contribution)
+        done = self.add_forward(edge, contribution, alloc)
         if done:
-            self.finalize_forward()
+            self.finalize_forward(alloc)
         return done
 
     def sum_backward(self, edge, contribution: np.ndarray) -> bool:

@@ -36,10 +36,10 @@ __all__ = ["ConcurrentSum", "NaiveLockedSum", "OrderedSum",
 def reduce_in_order(slots: Sequence[np.ndarray]) -> np.ndarray:
     """Sum *slots* in index order: ``((slots[0] + slots[1]) + ...)``.
 
-    The deterministic closing step shared by :class:`OrderedSum`
-    (threads depositing into indexed slots) and the data-parallel
-    trainer (:class:`repro.parallel.ParallelTrainer`, per-sample
-    gradients from every process filed by global sample index): because
+    The deterministic closing step of the data-parallel trainer
+    (:class:`repro.parallel.ParallelTrainer`, per-sample gradients from
+    every process filed by global sample index), and the association
+    :class:`OrderedSum` reaches in place: because
     the association order is fixed by slot index, the floating-point
     result is bitwise independent of which thread or process produced
     each contribution, and of how many there were.
@@ -106,14 +106,15 @@ class ConcurrentSum(_CountedSum):
             self._restart_count_locked(required)
             self._sum = None
 
-    def add(self, value: np.ndarray, index: Optional[int] = None) -> bool:
+    def add(self, value: np.ndarray, index: Optional[int] = None,
+            alloc=None) -> bool:
         """ADD-TO-SUM: contribute *value*; return True iff this call
         completed the sum (the caller then owns triggering dependents).
 
         The caller relinquishes *value* — it may be mutated in place and
-        may become the final sum buffer.  *index* is accepted so every
-        accumulator is called alike and is ignored: arrival order, not
-        the contributor's position, decides the association order here.
+        may become the final sum buffer.  *index* and *alloc* are taken
+        so every accumulator is called alike, and ignored: arrival order,
+        not the contributor's position, decides the association order.
         """
         v: Optional[np.ndarray] = value
         v_other: Optional[np.ndarray] = None
@@ -209,11 +210,12 @@ class OrderedSum(_CountedSum):
 
     The wait-free scheme adds contributions in arrival order, so
     floating-point round-off depends on the thread schedule — runs with
-    different worker counts agree only to ~1e-12.  ``OrderedSum`` trades
-    a little memory for **bitwise reproducibility**: each contributor
-    deposits into its own indexed slot (no synchronisation beyond an
-    atomic counter), and the final reduction sums the slots in index
-    order on the completing thread.  Used by
+    different worker counts agree only to ~1e-12.  ``OrderedSum`` adds
+    in index order instead, for **bitwise reproducibility**: the result
+    is :func:`reduce_in_order`'s, reached in place.  A contribution is
+    added into one accumulator once every lower index has been (one
+    that arrives early waits in its slot), by one thread at a time,
+    outside the lock; no contribution is mutated.  Used by
     ``Network(deterministic_sums=True)``.
     """
 
@@ -222,42 +224,58 @@ class OrderedSum(_CountedSum):
         self._lock = make_lock("sync.summation.ordered")
         self._slots: List[Optional[np.ndarray]] = [None] * required  # guarded-by: _lock
         self._total = 0  # guarded-by: _lock
+        self._next = 0  # guarded-by: _lock
+        self._adding = False  # guarded-by: _lock
         self._result: Optional[np.ndarray] = None  # guarded-by: _lock
 
     def reset(self, required: Optional[int] = None) -> None:
         with self._lock:
             self._restart_count_locked(required)
             self._slots = [None] * self.required
+            self._next = 0
+            self._adding = False  # an add that raised may have left it set
             self._result = None
 
     # deterministic
-    def add(self, value: np.ndarray, index: Optional[int] = None) -> bool:
+    def add(self, value: np.ndarray, index: Optional[int] = None,
+            alloc=np.empty) -> bool:
         """Deposit *value* at *index* (the edge's position among the
-        node's contributors); returns True for the completing call,
-        which performs the in-order reduction."""
+        node's contributors) and add every contribution now in turn into
+        a copy of contribution 0 from *alloc* (one contribution is its own
+        sum); returns True for the call that adds the last."""
         if index is None:
             raise ValueError("OrderedSum requires a contribution index")
         if not 0 <= index < self.required:
             raise ValueError(
                 f"index {index} out of range [0, {self.required})")
         with self._lock:
-            if self._slots[index] is not None:
+            if self._slots[index] is not None or index < self._next:
                 raise RuntimeError(f"slot {index} already filled")
             self._slots[index] = value
             self._total += 1
-            last = self._total == self.required
-        if not last:
-            return False
-        # Reduction in fixed index order -> schedule-independent result.
-        slots = [s for s in self._slots if s is not None]
-        result = reduce_in_order(slots)
-        with self._lock:
-            self._result = result
-        return True
+            if self._adding:  # the adding thread will take it in turn
+                return False
+            self._adding, total = True, self._result
+        while True:
+            with self._lock:
+                self._result, turn = total, self._next
+                if turn == self.required or self._slots[turn] is None:
+                    self._adding = False
+                    return turn == self.required
+                value, self._slots[turn] = self._slots[turn], None
+                self._next = turn + 1
+            # Fixed index order -> schedule-independent result.
+            if turn:
+                total += value
+            elif self.required > 1:
+                total = alloc(value.shape, value.dtype)
+                np.copyto(total, value)
+            else:
+                total = value
 
     def get(self) -> np.ndarray:
         with self._lock:
-            if self._result is None:
+            if self._next < self.required or self._adding:
                 raise RuntimeError(
                     f"sum incomplete: {self._total}/{self.required}")
             return self._result
@@ -265,4 +283,4 @@ class OrderedSum(_CountedSum):
     @property
     def complete(self) -> bool:
         with self._lock:
-            return self._result is not None
+            return self._next == self.required and not self._adding

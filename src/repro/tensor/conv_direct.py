@@ -104,7 +104,8 @@ class DirectPlan(NamedTuple):
         run = sum((od - 1) * p for od, p in zip(o, pitch)) + 1
         return cls(n, k, s, o, pitch, offsets, run)
 
-    def forward(self, image, kernel, memo=None, spectral=False):
+    def forward(self, image, kernel, memo=None, spectral=False,
+                alloc=np.empty):
         """Valid correlation, cropped once (strided *image*: ravel
         copies).  A stack of images (leading axes) is one flat run:
         each image's outputs take the same taps in the same order."""
@@ -114,7 +115,9 @@ class DirectPlan(NamedTuple):
         head = acc.ravel()[:run]
         for weight, off in zip(kernel.ravel().tolist(), self.offsets):
             head += np.multiply(flat[off:off + run], weight, out=tap)
-        return np.ascontiguousarray(acc[..., :o0, :o1, :o2])
+        out = alloc(image.shape[:-3] + self.out_shape)
+        np.copyto(out, acc[..., :o0, :o1, :o2])
+        return out
 
     def backward(self, grad, kernel, memo=None, spectral=False):
         """Input gradient, a full convolution: tap ``u`` scatters

@@ -150,8 +150,9 @@ class FftConvPlan:
 
     ``memo(kind, compute)`` shares spectra between passes: kinds
     ``"img"``, ``"grad"`` and ``"ker"`` are the source image, backward
-    image and kernel spectra, which a ``ConvEdge`` routes through the
-    network's :class:`~repro.tensor.fft_cache.TransformCache`.
+    image and conjugated kernel (``conj(FK)``) spectra, which a
+    ``ConvEdge`` routes through the network's
+    :class:`~repro.tensor.fft_cache.TransformCache`.
 
     Parameters
     ----------
@@ -192,13 +193,17 @@ class FftConvPlan:
 
     # -- spectra -----------------------------------------------------------
 
-    def image_spectrum(self, image: np.ndarray) -> np.ndarray:
+    def image_spectrum(self, image: np.ndarray,
+                       alloc=np.empty) -> np.ndarray:
         """rfftn of a forward input image, or of each image of a stack
         (leading axes), at the transform size."""
         if image.shape[-3:] != self.image_shape:
             raise ValueError(
                 f"image shape {image.shape} != plan {self.image_shape}")
-        return forward_transform(image, self.transform_shape)
+        t = self.transform_shape  # rfftn takes no ``out`` where it pads
+        out = alloc(image.shape[:-3] + rfft_shape(t), complex) \
+            if image.shape[-3:] == t else None
+        return forward_transform(image, t, out=out)
 
     def grad_spectrum(self, grad_output: np.ndarray) -> np.ndarray:
         """rfftn of a backward (gradient) image, zero-padded to the
@@ -234,23 +239,32 @@ class FftConvPlan:
 
     def forward_product(self, image_spec: np.ndarray,
                         kernel_spec: np.ndarray) -> np.ndarray:
-        """Spectrum of the valid correlation (to be node-summed, then
-        finalised with :meth:`finalize_forward`)."""
-        _fault_point("forward_product")
-        return np.conj(kernel_spec) * image_spec
+        """``conj(FK) * FI``: a conjugation :meth:`forward` does not
+        pay (its memo holds ``conj(FK)``), then its product."""
+        return self._conj_product(np.conj(kernel_spec), image_spec)
 
-    def forward(self, image, kernel, memo=_compute, spectral=False):
+    def _conj_product(self, conj_kernel, image_spec, alloc=np.empty):
+        """``conj_kernel * image_spec`` into one array from *alloc*."""
+        _fault_point("forward_product")
+        return np.multiply(conj_kernel, image_spec,
+                           out=alloc(image_spec.shape, complex))
+
+    def forward(self, image, kernel, memo=_compute, spectral=False,
+                alloc=np.empty):
         """Valid correlation ``conj(FK) * FI``, head-cropped to n'; a
         stack's spectra broadcast against the one kernel spectrum."""
-        product = self.forward_product(
-            memo("img", lambda: self.image_spectrum(image)),
-            memo("ker", lambda: self.kernel_spectrum(kernel)))
-        return product if spectral else self.finalize_forward(product)
+        image_spec = memo("img", lambda: self.image_spectrum(image, alloc))
+        product = self._conj_product(
+            memo("ker", lambda: np.conj(self.kernel_spectrum(kernel))),
+            image_spec, alloc)
+        return (product if spectral
+                else self.finalize_forward(product, alloc))
 
     def backward(self, grad, kernel, memo=_compute, spectral=False):
         """Input gradient (full convolution) ``FK * FdO``, exactly n."""
         grad_spec = memo("grad", lambda: self.grad_spectrum(grad))
-        kernel_spec = memo("ker", lambda: self.kernel_spectrum(kernel))
+        kernel_spec = np.conj(
+            memo("ker", lambda: np.conj(self.kernel_spectrum(kernel))))
         _fault_point("backward_product")
         product = kernel_spec * grad_spec
         return product if spectral else self.finalize_backward(product)
@@ -279,9 +293,12 @@ class FftConvPlan:
 
     # -- finalisers (inverse transform + crop), applied once per node sum ----
 
-    def finalize_forward(self, spectrum_sum: np.ndarray) -> np.ndarray:
-        spatial = inverse_transform(spectrum_sum, self.transform_shape)
-        return crop_head(spatial, self.output_shape)
+    def finalize_forward(self, spectrum_sum: np.ndarray,
+                         alloc=np.empty) -> np.ndarray:
+        """Inverse (overwriting the sum) and head crop."""
+        spatial = inverse_transform(spectrum_sum, self.transform_shape,
+                                    alloc, scratch=spectrum_sum)
+        return crop_head(spatial, self.output_shape, alloc)
 
     def finalize_backward(self, spectrum_sum: np.ndarray) -> np.ndarray:
         spatial = inverse_transform(spectrum_sum, self.transform_shape)

@@ -31,7 +31,8 @@ once and reused by every request (and by every twin of the model,
 underlying parameters are frozen; training code must not pin.  The
 cache needs no byte cap: ``next_round`` bounds it to one round's spectra
 plus the pinned kernels of one network, and
-``ModelRegistry(max_models=k)`` bounds the number of networks.
+``ModelRegistry(max_models=k)`` bounds the number of networks.  The
+``fft_cache.bytes`` / ``fft_cache.entries`` gauges sum every live cache.
 """
 
 from __future__ import annotations
@@ -143,7 +144,20 @@ class TransformCache:
         with self._lock:
             self._pinned_kinds |= kinds
             self._store.update(shared)
-            self._bytes += sum(value.nbytes for _, value in shared)
+            self._count_locked(sum(value.nbytes for _, value in shared),
+                               len(shared))
+
+    def _count_locked(self, nbytes: int, entries: int) -> None:
+        """Move the byte count and both gauges by a delta."""
+        self._bytes += nbytes
+        self._m_bytes.inc(nbytes)
+        self._m_entries.inc(entries)
+
+    def __del__(self) -> None:
+        """A collected cache takes its entries out of the gauges."""
+        if hasattr(self, "_m_entries"):  # __init__ ran to its end
+            self._m_bytes.dec(self._bytes)
+            self._m_entries.dec(len(self._store))
 
     def _key(self, kind: str, name: Hashable) -> Tuple[Hashable, ...]:
         if kind in self._pinned_kinds:
@@ -167,14 +181,20 @@ class TransformCache:
             evicted = len(self._store) - len(keep)
             self.stats.evicted += evicted
             self._store = keep
-            self._bytes = sum(  # nondeterministic: int sum, order-free
+            kept = sum(  # nondeterministic: int sum, order-free
                 v.nbytes for v in keep.values())
+            self._count_locked(kept - self._bytes, -evicted)
             self._round += 1
             if evicted:
                 self._m_evicted.inc(evicted)
-            self._m_bytes.set(self._bytes)
-            self._m_entries.set(len(self._store))
             return self._round
+
+    def drop(self, kind: str, name: Hashable) -> None:
+        """Evict one entry, if there is one, before its round ends."""
+        with self._lock:
+            value = self._store.pop(self._key(kind, name), None)
+            if value is not None:
+                self._count_locked(-value.nbytes, -1)
 
     def get_or_compute(self, kind: str, name: Hashable,
                        compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -202,9 +222,7 @@ class TransformCache:
             if self.enabled:
                 if key not in self._store:
                     self._store[key] = value
-                    self._bytes += value.nbytes
-                    self._m_bytes.set(self._bytes)
-                    self._m_entries.set(len(self._store))
+                    self._count_locked(value.nbytes, 1)
                 value = self._store[key]
         self._m_miss.inc()
         return value

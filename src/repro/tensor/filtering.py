@@ -79,16 +79,17 @@ def _geometry(image, window, step, dilation, stack=False):
     return img, k, t, d, tuple((v - 1) // ti + 1 for v, ti in zip(valid, t))
 
 
-def _separable_max(img, k, t, d, out_shape, code=None, has_nan=False):
+def _separable_max(img, k, t, d, out_shape, code=None, has_nan=False,
+                   alloc=np.empty):
     """Fold the window one axis at a time — x, then y, then z — each
     pass the 1-D tap walk over what the previous one left.  With *code*
     (zeros like *img*, of an integer type holding ``+-k^3``) the C-order
     rank of the winning tap rides along, replaced on a strict ``>`` by
-    exact integer arithmetic rather than a masked select.  Returns
-    ``(values, code)``; why this is the first maximum in C tap order is
-    ``docs/algorithms.md`` "Window maximum".
+    exact integer arithmetic rather than a masked select; *alloc* makes
+    the values.  Returns ``(values, code)``; why this is the first
+    maximum in C tap order is ``docs/algorithms.md`` "Window maximum".
     """
-    acc, radix = img, 1
+    acc, radix, made = img, 1, None
     for axis in (2, 1, 0):
         window, dilation, step = (
             tuple(v[axis] if a == axis else 1 for a in range(3))
@@ -106,21 +107,27 @@ def _separable_max(img, k, t, d, out_shape, code=None, has_nan=False):
                 if has_nan:  # rare: strict > alone would skip a later NaN
                     wins |= np.isnan(blocks[u]) & ~np.isnan(acc)
                 code = code + wins * (ranks[u] + u * radix - code)
-            acc = np.maximum(acc, blocks[u])
+            acc = made = np.maximum(
+                acc, blocks[u],
+                out=alloc(acc.shape, acc.dtype) if u == 1 else acc)
         radix *= k[axis]
-    # Still a view of *img* where no axis had a second tap: own it.
-    return (acc if acc.base is None else acc.copy()), code
+    if acc is not made:  # still a view where the last axis had one tap
+        made = alloc(acc.shape, acc.dtype)
+        np.copyto(made, acc)
+    return made, code
 
 
 def window_max_values(image: np.ndarray, window: int | Sequence[int],
                       step: int | Sequence[int] = 1,
-                      dilation: int | Sequence[int] = 1) -> np.ndarray:
+                      dilation: int | Sequence[int] = 1,
+                      alloc=np.empty) -> np.ndarray:
     """``window_max(...)[0]``, bit for bit, without deriving winners
     unless the sign of a zero or the payload of a NaN hangs on them;
-    of each image of a stack (leading axes), the fallback per image."""
+    of each image of a stack (leading axes), the fallback per image.
+    The values are made with *alloc* (``np.empty``'s signature)."""
     img, k, t, d, out_shape = _geometry(image, window, step, dilation,
                                         stack=True)
-    values, _ = _separable_max(img, k, t, d, out_shape)
+    values, _ = _separable_max(img, k, t, d, out_shape, alloc=alloc)
     if values.all() and not np.isnan(values).any():
         return values
     if img.ndim > 3:

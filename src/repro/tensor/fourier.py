@@ -22,7 +22,8 @@ These exactness facts are property-tested against the direct method in
 ``tests/tensor/test_conv_fft.py``.
 
 Every helper acts on the trailing three axes, so a stack of images
-(leading axes) transforms in one call, each image bit for bit as alone.
+(leading axes) transforms in one call, each image bit for bit as alone,
+into ``out`` or what ``alloc`` (``np.empty``'s signature) hands it.
 """
 
 from __future__ import annotations
@@ -66,21 +67,34 @@ def rfft_shape(transform_shape: Sequence[int]) -> Tuple[int, int, int]:
     return (t[0], t[1], t[2] // 2 + 1)
 
 
-def forward_transform(image: np.ndarray,
-                      transform_shape: Sequence[int]) -> np.ndarray:
+def forward_transform(image: np.ndarray, transform_shape: Sequence[int],
+                      out=None) -> np.ndarray:
     """Real 3D FFT of *image* zero-padded to *transform_shape*."""
     t = as_shape3(transform_shape, name="transform_shape")
-    return np.fft.rfftn(image, s=t, axes=(-3, -2, -1))
+    return np.fft.rfftn(image, s=t, axes=(-3, -2, -1), out=out)
 
 
-def inverse_transform(spectrum: np.ndarray,
-                      transform_shape: Sequence[int]) -> np.ndarray:
-    """Inverse real 3D FFT back to *transform_shape*."""
+def inverse_transform(spectrum: np.ndarray, transform_shape: Sequence[int],
+                      alloc=np.empty, scratch=None) -> np.ndarray:
+    """Inverse real 3D FFT back to *transform_shape*, bit for bit
+    ``irfftn``: its axis order (-3, -2, then the real -1) through one
+    *scratch* spectrum (*spectrum* itself when it is not needed after)."""
     t = as_shape3(transform_shape, name="transform_shape")
-    return np.fft.irfftn(spectrum, s=t, axes=(-3, -2, -1))
+    if scratch is None:
+        scratch = alloc(spectrum.shape, spectrum.dtype)
+    np.fft.ifft(spectrum, axis=-3, out=scratch)
+    np.fft.ifft(scratch, axis=-2, out=scratch)
+    return np.fft.irfft(scratch, t[2], axis=-1,
+                        out=alloc(spectrum.shape[:-1] + t[2:]))
 
 
-def crop_head(image: np.ndarray, out_shape: Sequence[int]) -> np.ndarray:
-    """Keep the leading *out_shape* corner."""
+def crop_head(image: np.ndarray, out_shape: Sequence[int],
+              alloc=np.empty) -> np.ndarray:
+    """Keep the leading *out_shape* corner (*image* itself when that is
+    all of it)."""
     o = as_shape3(out_shape, name="out_shape")
-    return np.ascontiguousarray(image[..., : o[0], : o[1], : o[2]])
+    if image.shape[-3:] == o and image.flags.c_contiguous:
+        return image
+    out = alloc(image.shape[:-3] + o, image.dtype)
+    np.copyto(out, image[..., : o[0], : o[1], : o[2]])
+    return out

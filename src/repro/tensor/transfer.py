@@ -38,18 +38,23 @@ class TransferFunction:
     name:
         Registry key.
     forward:
-        ``y = f(x)`` applied elementwise.
+        ``y = f(x)`` applied elementwise, into ``out`` when given (which
+        may be ``x`` itself).
     derivative_from_output:
         ``f'(x)`` computed from ``y = f(x)``.
     """
 
     name: str
-    forward: Callable[[np.ndarray], np.ndarray]
+    forward: Callable[..., np.ndarray]
     derivative_from_output: Callable[[np.ndarray], np.ndarray]
 
-    def apply(self, image: np.ndarray, bias: float = 0.0) -> np.ndarray:
-        """Forward transfer edge: add *bias* then apply the nonlinearity."""
-        return self.forward(image + bias)
+    def apply(self, image: np.ndarray, bias: float = 0.0,
+              alloc=np.empty) -> np.ndarray:
+        """Forward transfer edge: add *bias* then apply the nonlinearity,
+        both in one array from *alloc* (``np.empty``'s signature)."""
+        x = np.add(image, bias, out=alloc(np.shape(image),
+                                          np.result_type(image, bias)))
+        return self.forward(x, out=x)
 
     def backward(self, grad_output: np.ndarray,
                  forward_output: np.ndarray) -> np.ndarray:
@@ -61,17 +66,17 @@ class TransferFunction:
         return f"TransferFunction({self.name!r})"
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _relu(x: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def _relu_prime(y: np.ndarray) -> np.ndarray:
     return (y > 0.0).astype(y.dtype)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    # Numerically stable piecewise logistic.
-    out = np.empty_like(x, dtype=np.float64)
+def _logistic(x: np.ndarray, out=None) -> np.ndarray:
+    # Numerically stable piecewise logistic; *out* may be *x*.
+    out = np.empty_like(x, dtype=np.float64) if out is None else out
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -83,16 +88,16 @@ def _logistic_prime(y: np.ndarray) -> np.ndarray:
     return y * (1.0 - y)
 
 
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def _tanh(x: np.ndarray, out=None) -> np.ndarray:
+    return np.tanh(x, out=out)
 
 
 def _tanh_prime(y: np.ndarray) -> np.ndarray:
     return 1.0 - y * y
 
 
-def _identity(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) + 0.0
+def _identity(x: np.ndarray, out=None) -> np.ndarray:
+    return np.add(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
 def _one(y: np.ndarray) -> np.ndarray:

@@ -113,10 +113,11 @@ def test_injected_sum_over_set_in_summation_is_caught():
     path = os.path.join(SRC, "repro", "sync", "summation.py")
     with open(path, encoding="utf-8") as fh:
         original = fh.read()
-    assert "reduce_in_order(slots)" in original
+    # OrderedSum.add's in-order, in-place step.
+    assert "total += value" in original
 
-    mutated = original.replace("reduce_in_order(slots)",
-                               "sum(set(slots))")
+    mutated = original.replace("total += value",
+                               "total = sum(set((total, value)))")
     violations = lint_source(mutated, rules=["determinism"],
                              path="summation.py")
     assert any(v.rule == "determinism"

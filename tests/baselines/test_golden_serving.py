@@ -68,3 +68,14 @@ def test_plan_matches_stored_digest(run, stored):
 def test_stored_geometry_is_self_consistent(stored):
     assert tuple(stored["volume_shape"]) == SERVING_VOLUME
     assert stored["tile_voxels"] == SERVING_TILE_VOXELS
+
+
+def test_poisoned_walk_buffers_keep_the_digest(stored, poison_walk_buffers):
+    """Every array the serving twins' forward walks take from their
+    free lists starts as NaN; the dense output still hashes to the
+    stored digest."""
+    poisoned = poison_walk_buffers()
+    specialized, reference, _ = serving_run()
+    assert poisoned
+    assert np.array_equal(specialized, reference)
+    assert dense_digest(reference) == stored["dense_digest"]

@@ -20,6 +20,30 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def poison_walk_buffers(monkeypatch):
+    """Call to make every array a forward walk's free list hands out
+    start as NaN, until the test ends: a pass that reads what it did
+    not write, or a buffer handed out while something still reads it,
+    shows in the outputs.  The call returns the shapes poisoned so far,
+    so a test can tell the walks really drew on the list."""
+    from repro.core.network import FreeList
+
+    def install():
+        poisoned, take = [], FreeList.take
+
+        def poisoning(self, shape, dtype=np.float64):
+            out = take(self, shape, dtype)
+            out.fill(np.nan)
+            poisoned.append(out.shape)
+            return out
+
+        monkeypatch.setattr(FreeList, "take", poisoning)
+        return poisoned
+
+    return install
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _repro_check_clean():
     """The REPRO_CHECK=1 CI lane's zero-violation assertion.

@@ -20,9 +20,9 @@ from repro.observability.tracing import (
 from repro.simulate import MachineSpec, simulate_schedule
 
 
-def traced_round(width=3, conv_mode="direct"):
-    """One training round under a fresh tracer; returns the graph and
-    the round's task spans."""
+def traced_round(width=3, conv_mode="direct", rounds=1):
+    """*rounds* training rounds of one net under a fresh tracer;
+    returns the graph and the rounds' task spans."""
     tracer = Tracer(enabled=True)
     previous = set_tracer(tracer)
     try:
@@ -33,8 +33,9 @@ def traced_round(width=3, conv_mode="direct"):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 16, 16))
         targets = {n.name: np.zeros(n.shape) for n in net.output_nodes}
-        net.train_step(x, targets)
-        net.synchronize()
+        for _ in range(rounds):  # updates drained, not FORCEd into fwd
+            net.train_step(x, targets)
+            net.synchronize()
         net.close()
     finally:
         set_tracer(previous)
@@ -61,8 +62,10 @@ class TestTaskAccounting:
     def test_work_split_correlates_with_flop_model(self):
         """The measured fwd:bwd wall-time ratio should be within a
         small factor of the FLOP model's prediction (both passes do
-        the same direct convolutions here)."""
-        graph, spans = traced_round()
+        the same direct convolutions here).  Task time is summed over
+        five rounds: one descheduled task of a single few-ms round can
+        move that round's ratio out of the band on its own."""
+        graph, spans = traced_round(rounds=5)
         summary = summarize_task_spans(spans)
         measured = (summary.time_per_family["fwd"]
                     / summary.time_per_family["bwd"])

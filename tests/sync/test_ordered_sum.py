@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sync import OrderedSum, reduce_in_order
 
@@ -80,6 +81,101 @@ class TestBasics:
         for t in ts:
             t.join()
         np.testing.assert_array_equal(serial.get(), threaded.get())
+
+
+@st.composite
+def contributions_in_arrival_order(draw):
+    """1-7 same-shaped contributions, real or complex, and the order in
+    which they arrive."""
+    count = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    shape = (draw(st.integers(1, 3)), 2, draw(st.integers(1, 4)))
+    arrays = [rng.standard_normal(shape) for _ in range(count)]
+    if draw(st.booleans()):
+        arrays = [a + 1j * rng.standard_normal(shape) for a in arrays]
+    return arrays, draw(st.permutations(range(count)))
+
+
+class TestInPlace:
+    @given(contributions_in_arrival_order())
+    def test_same_bits_as_reduce_in_order_in_any_arrival_order(self, case):
+        arrays, order = case
+        before = [a.copy() for a in arrays]
+        s = OrderedSum(len(arrays))
+        done = [s.add(arrays[i], i) for i in order]
+        assert done == [False] * (len(arrays) - 1) + [True]
+        assert s.get().tobytes() == reduce_in_order(before).tobytes()
+        for a, b in zip(arrays, before):  # no contribution is mutated
+            assert a.tobytes() == b.tobytes()
+
+    def test_holds_only_what_is_not_yet_added(self, rng):
+        s = OrderedSum(3)
+        late = rng.standard_normal((2, 2, 2))
+        s.add(late, 2)
+        s.add(rng.standard_normal((2, 2, 2)), 0)
+        assert s._slots == [None, None, late]
+        s.add(rng.standard_normal((2, 2, 2)), 1)
+        assert s._slots == [None, None, None]
+
+    def test_threads_add_in_order_under_a_short_switch_interval(self, rng):
+        """8 threads on 2 cores, 50 rounds: one True per round and the
+        in-order bits, whichever thread ends up doing the adding."""
+        import sys
+
+        arrays = [rng.standard_normal((4, 4, 4)) for _ in range(8)]
+        expected = reduce_in_order(arrays).tobytes()
+        s = OrderedSum(8)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                s.reset()
+                barrier, done = threading.Barrier(8), []
+
+                def worker(i):
+                    barrier.wait()
+                    done.append(s.add(arrays[i], i))
+
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(done) == [False] * 7 + [True]
+                assert s.get().tobytes() == expected
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_accumulator_comes_from_alloc(self, rng):
+        made = []
+
+        def alloc(shape, dtype):
+            made.append(np.empty(shape, dtype))
+            return made[-1]
+
+        s = OrderedSum(2)
+        s.add(rng.standard_normal((2, 2, 2)), 1, alloc)
+        s.add(rng.standard_normal((2, 2, 2)), 0, alloc)
+        assert len(made) == 1 and s.get() is made[0]
+
+    def test_next_round_completes_after_an_add_raised(self, rng):
+        """An add whose alloc raises leaves the adding thread's flag
+        set; the reset between rounds clears it."""
+        def failing(shape, dtype):
+            raise MemoryError("alloc")
+
+        arrays = [rng.standard_normal((2, 2, 2)) for _ in range(3)]
+        s = OrderedSum(3)
+        s.add(arrays[2], 2)
+        s.add(arrays[1], 1)
+        with pytest.raises(MemoryError):
+            s.add(arrays[0], 0, failing)
+        s.reset()
+        assert [s.add(arrays[i], i) for i in (1, 2, 0)] == [False] * 2 + [
+            True]
+        assert s.get().tobytes() == reduce_in_order(arrays).tobytes()
 
 
 class TestNetworkDeterminism:

@@ -66,6 +66,15 @@ def check_passes(backend, n, k, s, seed):
     plan = backend.build(n, k, s)
     assert isinstance(plan, backend)
     np.testing.assert_allclose(plan.forward(img, ker), out, atol=1e-10)
+    made = []  # forward's result comes from its alloc
+
+    def alloc(shape, dtype=float):
+        made.append(np.empty(shape, dtype))
+        return made[-1]
+
+    from_alloc = plan.forward(img, ker, alloc=alloc)
+    assert from_alloc.tobytes() == plan.forward(img, ker).tobytes()
+    assert any(np.shares_memory(from_alloc, m) for m in made)
     np.testing.assert_allclose(plan.backward(grad, ker),
                                conv_backward_input(grad, ker, s), atol=1e-10)
     captured = plan.capture_update(img, grad)
@@ -247,9 +256,10 @@ class Tagged(DirectPlan):
     name = "tagged"
     runs: list = []
 
-    def forward(self, image, kernel, memo=None, spectral=False):
+    def forward(self, image, kernel, memo=None, spectral=False,
+                alloc=np.empty):
         Tagged.runs.append("forward")
-        return super().forward(image, kernel, memo, spectral)
+        return super().forward(image, kernel, memo, spectral, alloc)
 
     def update(self, image, grad, memo=None, captured=None):
         Tagged.runs.append("update")

@@ -218,3 +218,48 @@ class TestPinnedKinds:
         assert cache.nbytes == 2 * 512
         cache.next_round()
         assert cache.nbytes == 512
+
+
+class TestGauges:
+    """``fft_cache.bytes`` / ``fft_cache.entries`` sum every live cache
+    of the process: each cache moves them by its own deltas."""
+
+    @pytest.fixture
+    def gauges(self):
+        from repro.observability import MetricsRegistry, set_registry
+
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            yield lambda: (registry.gauge("fft_cache.bytes").value,
+                           registry.gauge("fft_cache.entries").value)
+        finally:
+            set_registry(previous)
+
+    def test_two_caches_add_up(self, gauges):
+        a, b = TransformCache(), TransformCache()
+        a.get_or_compute("img", "x", lambda: np.zeros(2000))
+        assert gauges() == (16000, 1)
+        b.next_round()  # another cache's round leaves a's entry counted
+        assert a.nbytes == 16000 and gauges() == (16000, 1)
+        b.pin_kind("ker")
+        b.get_or_compute("ker", "k", lambda: np.zeros(1000))
+        assert gauges() == (24000, 2)
+        twin = TransformCache()
+        twin.share_pinned(b)
+        assert gauges() == (32000, 3)
+        a.next_round()
+        assert gauges() == (16000, 2)
+        b.drop("ker", "k")
+        assert gauges() == (8000, 1)
+        del twin
+        assert gauges() == (0, 0)
+
+    def test_drop_evicts_one_entry(self):
+        cache = TransformCache()
+        cache.get_or_compute("img", "a", make(1))
+        cache.get_or_compute("img", "b", make(2))
+        cache.drop("img", "a")
+        cache.drop("img", "missing")
+        assert len(cache) == 1 and cache.nbytes == 64
+        assert cache.get_or_compute("img", "a", make(3))[0, 0, 0] == 3

@@ -141,8 +141,8 @@ def overhead_sensitivity():
 
 def summation(threads=4, per_thread=4, shape=(48, 48, 48)):
     """§VII-B: *threads* threads accumulating into one node through
-    the wait-free sum, the naive locked sum and the deterministic
-    ordered sum.  (Under the GIL the additions serialise either way;
+    the wait-free sum (Algorithm 4 as written), the naive locked sum
+    and the ordered sum every network node runs.  (Under the GIL the additions serialise either way;
     the structural property — a pointer-only critical section — is
     what ``repro lint``'s swap-only rule enforces.)"""
     from repro.sync import ConcurrentSum, NaiveLockedSum, OrderedSum

@@ -254,10 +254,9 @@ def _collect_symbols(graph: CallGraph, info: _ModuleInfo,
         name = getattr(node, "name", "<lambda>")
         qual = (f"{info.module}::{cls}.{name}" if cls
                 else f"{info.module}::{name}")
-        deterministic, reason = _def_annotations(src, node)
-        fn = FunctionNode(qualname=qual, name=name, cls=cls, src=src,
-                          node=node, deterministic=deterministic,
-                          nondet_reason=reason)
+        # _def_annotations gives the two fields after ``node``.
+        fn = FunctionNode(qual, name, cls, src, node,
+                          *_def_annotations(src, node))
         graph.functions[qual] = fn
         if cls is None:
             info.functions[name] = qual

@@ -1296,18 +1296,29 @@ def _determinism_probe() -> int:
         emit("train.losses", hashlib.sha256(
             json.dumps(list(report.losses)).encode()).hexdigest())
 
-    # Stage 2 — serving: tiled inference over a fixed volume; the
-    # stitched dense output must be bitwise stable.
+    # Stage 2 — threaded training: a default FFT Network on
+    # REPRO_DET_THREADS workers; its node sums add in edge order.
     import numpy as np
 
+    x = np.random.default_rng(5).standard_normal((12, 12, 12))
+    with Network(build_layered_network("CTMCT", width=4, kernel=2,
+                                       window=2, transfer="tanh"),
+                 input_shape=x.shape, conv_mode="fft",
+                 num_workers=threads, seed=5) as network:
+        targets = {n.name: np.zeros(n.shape) for n in network.output_nodes}
+        for _ in range(2):
+            network.train_step(x, targets)
+        emit("train.network.state_digest", state_digest(network))
+
+    # Stage 3 — serving: tiled inference over a fixed volume; the
+    # stitched dense output must be bitwise stable.
     fov = (5, 5, 5)  # two chained 3^3 direct convolutions
     volume = np.ascontiguousarray(
         np.random.default_rng(123).random((9, 9, 9)))
     plan = plan_volume(volume.shape, fov, max_voxels=343)
     graph = build_layered_network("CTCT", **layered)
     network = Network(graph, input_shape=plan.input_tile,
-                      conv_mode="direct", deterministic_sums=True,
-                      num_workers=threads, seed=7)
+                      conv_mode="direct", num_workers=threads, seed=7)
     try:
         dense = run_plan(network, volume, plan)
         emit("serve.dense_volume", hashlib.sha256(
@@ -1315,7 +1326,7 @@ def _determinism_probe() -> int:
     finally:
         network.close()
 
-    # Stage 3 — warm twins: REPRO_DET_THREADS callers of one WarmModel.
+    # Stage 4 — warm twins: REPRO_DET_THREADS callers of one WarmModel.
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.serving.registry import TWIN_MIN_VOXELS, ModelSpec, WarmModel
@@ -1332,7 +1343,7 @@ def _determinism_probe() -> int:
     emit("serve.warm_twins", hashlib.sha256(
         b"".join(reply.tobytes() for reply in replies)).hexdigest())
 
-    # Stage 4 — loadgen: a seeded trace through the discrete-event
+    # Stage 5 — loadgen: a seeded trace through the discrete-event
     # simulator; the serialized report must be byte-identical.
     trace = generate_trace(
         scenario_config("steady", seed=11, duration=10.0,

@@ -154,8 +154,7 @@ def dense_equivalent_network(pool_network: Network, spec: str,
     than a downstream shape failure.
     """
     network_kwargs = {k: builder_kwargs.pop(k)
-                      for k in ("memoize", "deterministic_sums",
-                                "num_workers", "seed")
+                      for k in ("memoize", "num_workers", "seed")
                       if k in builder_kwargs}
     twin = dense_twin(spec, **builder_kwargs)
     shape = as_shape3(input_shape, name="input_shape")

@@ -13,9 +13,10 @@ tasks on a pluggable engine:
   the gradient needs;
 * a **data-provider task** seeding the input nodes.
 
-Convergent contributions are accumulated with the wait-free
-:class:`repro.sync.ConcurrentSum`; the thread that adds the last image
-finalises the node and queues the dependents — exactly Algorithms 1–3.
+Convergent contributions are accumulated in edge order by
+:class:`repro.sync.OrderedSum`, so a network's bits do not depend on
+its worker count; the thread that completes a sum finalises the node
+and queues the dependents — Algorithms 1–3.
 
 Update tasks are *deferred*: a training round completes when the
 backward pass does, and pending updates either run on idle workers, are
@@ -24,8 +25,8 @@ FORCEd by the next round's forward pass, or are drained explicitly by
 
 A forward-only pass of a one-worker network (every serving twin's) has
 nothing to overlap, so :meth:`Network.forward` runs it as a *walk*: each
-edge's forward pass on the caller's thread, in the order the serial
-cascade would pop the tasks, still FORCEing pending updates first.
+edge's forward pass on the caller's thread, in priority order, still
+FORCEing pending updates first.
 
 Priorities come from :mod:`repro.graph.ordering`.  Convolution mode is
 ``"direct"``, ``"fft"``, a per-edge dict, or ``"auto"`` (layerwise
@@ -146,10 +147,6 @@ class Network:
         ``"lifo"``, ``"work-stealing"``.
     seed:
         Seed for weight init and dropout.
-    deterministic_sums:
-        Reduce convergent-node sums in fixed edge order
-        (:class:`repro.sync.OrderedSum`) so results are bitwise
-        identical across worker counts and schedules.
     retry_policy:
         Optional :class:`repro.resilience.RetryPolicy` handed to the
         engine: failed tasks re-execute with exponential backoff; a
@@ -168,7 +165,6 @@ class Network:
                  num_workers: int = 1,
                  scheduler: str = "priority",
                  seed: SeedLike = None,
-                 deterministic_sums: bool = False,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         graph.validate()
         graph.propagate_shapes(input_shape)
@@ -202,7 +198,7 @@ class Network:
             self.nodes[spec.src].out_edges.append(edge)
             self.nodes[spec.dst].in_edges.append(edge)
         for node in self.nodes.values():
-            node.wire(deterministic=deterministic_sums)
+            node.wire()
 
         fp = forward_priorities(graph)
         bp = backward_priorities(graph)
@@ -213,20 +209,12 @@ class Network:
         self.input_nodes = [n for n in self.nodes.values() if n.is_input]
         self.output_nodes = [n for n in self.nodes.values() if n.is_output]
 
-        # The one-worker forward walk runs edges in the order the serial
-        # cascade pops their tasks: by priority (the head's position in
-        # the distance-to-output ordering, which increases along every
-        # path, so the order is topological), then FIFO — by when the
-        # tail completed (input nodes first, in seeding order, then by
-        # the tail's own position) and the tail's out-edge order.  Sums
-        # therefore associate as they do under the cascade, bit for bit.
-        seeded = {id(n): i - len(self.input_nodes)
-                  for i, n in enumerate(self.input_nodes)}
-        self._walk = sorted(self.edges.values(), key=lambda e: (
-            e.fwd_priority,
-            seeded[id(e.src)] if e.src.is_input
-            else e.src.in_edges[0].fwd_priority,
-            e.src.out_edges.index(e)))
+        # The one-worker forward walk runs edges by priority (the head's
+        # position in the distance-to-output ordering, which increases
+        # along every path, so the order is topological).  Every sum
+        # adds in edge order, so the walk's bits are the cascade's.
+        self._walk = sorted(self.edges.values(),
+                            key=lambda e: e.fwd_priority)
         #: After this edge's pass the walk drops its tail's image.
         self._last_reader = {e.src.name: e for e in self._walk}
         self.buffers = FreeList()
@@ -497,20 +485,25 @@ class Network:
             node.fwd_image = take(images[node.name].shape)
             np.copyto(node.fwd_image, images[node.name])
         plan = active_plan()
-        for edge in self._walk:
-            if plan is not None:
-                plan.check("fwd", f"fwd:{edge.name}")
-            update = edge.update_task
-            if update is not None and update.try_steal():
-                update.execute()
-            self._pass("sum", edge.dst, edge.dst.sum_forward, edge,
-                       self._pass("fwd", edge, edge.forward,
-                                  edge.src.fwd_image, take), take)
-            if isinstance(edge, MaxWindowEdge):  # no backward follows
-                edge._input = None
-            if self._last_reader[edge.src.name] is edge:
-                edge.src.fwd_image = None
-                self.cache.drop("img", edge.src.name)
+        try:
+            for edge in self._walk:
+                if plan is not None:
+                    plan.check("fwd", f"fwd:{edge.name}")
+                update = edge.update_task
+                if update is not None and update.try_steal():
+                    update.execute()
+                self._pass("sum", edge.dst, edge.dst.sum_forward, edge,
+                           self._pass("fwd", edge, edge.forward,
+                                      edge.src.fwd_image, take), take)
+                if isinstance(edge, MaxWindowEdge):  # no backward follows
+                    edge._input = None
+                if self._last_reader[edge.src.name] is edge:
+                    edge.src.fwd_image = None
+                    self.cache.drop("img", edge.src.name)
+        except BaseException:  # so the network can run again
+            for node in self.nodes.values():
+                node.fresh_forward_sum()
+            raise
         self.buffers.trim()
 
     def _spawn_forward_task(self, edge: RuntimeEdge) -> None:

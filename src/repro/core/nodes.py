@@ -1,8 +1,8 @@
 """Runtime node state (the images living at computation-graph nodes).
 
 Each node owns a forward and a backward accumulator (the paper's
-``fwd_sum``/``bwd_sum``, instances of the wait-free
-:class:`repro.sync.ConcurrentSum`), the finalized forward/backward
+``fwd_sum``/``bwd_sum``, instances of :class:`repro.sync.OrderedSum`,
+which adds in edge order), the finalized forward/backward
 images, and — in FFT mode — the spectral-vs-spatial *domain* in which
 each accumulator operates:
 
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.graph.computation_graph import NodeSpec
-from repro.sync.summation import ConcurrentSum, OrderedSum
+from repro.sync.summation import OrderedSum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.edges import RuntimeEdge
@@ -61,8 +61,8 @@ class RuntimeNode:
         self.shape = spec.shape
         self.in_edges: List["RuntimeEdge"] = []
         self.out_edges: List["RuntimeEdge"] = []
-        self.fwd_sum: Optional[ConcurrentSum] = None
-        self.bwd_sum: Optional[ConcurrentSum] = None
+        self.fwd_sum: Optional[OrderedSum] = None
+        self.bwd_sum: Optional[OrderedSum] = None
         self.fwd_image: Optional[np.ndarray] = None
         self.bwd_image: Optional[np.ndarray] = None
         #: The plan the forward (backward) sum finalizes spectra
@@ -84,23 +84,21 @@ class RuntimeNode:
     def is_output(self) -> bool:
         return not self.out_edges
 
-    def wire(self, deterministic: bool = False) -> None:
+    def wire(self) -> None:
         """Create the accumulators and decide sum domains.  Called once
         after all runtime edges are attached.
 
-        ``deterministic=True`` uses :class:`repro.sync.OrderedSum` —
-        contributions are added in fixed edge order, making results
-        bitwise identical across thread counts and schedules (a
-        contribution that arrives early waits for its turn).
+        Contributions are added in edge order (a contribution that
+        arrives early waits for its turn), so results are bitwise
+        identical across thread counts and schedules.
         """
-        sum_cls = OrderedSum if deterministic else ConcurrentSum
         self._in_index = {id(e): i for i, e in enumerate(self.in_edges)}
         self._out_index = {id(e): i for i, e in enumerate(self.out_edges)}
+        self.fresh_forward_sum()
         if self.in_edges:
-            self.fwd_sum = sum_cls(len(self.in_edges))
             self.forward_plan = _spectral_plan(self.in_edges)
         if self.out_edges:
-            self.bwd_sum = sum_cls(len(self.out_edges))
+            self.bwd_sum = OrderedSum(len(self.out_edges))
             self.backward_plan = _spectral_plan(self.out_edges)
 
     def reset_round(self) -> None:
@@ -109,6 +107,12 @@ class RuntimeNode:
             self.fwd_sum.reset()
         if self.bwd_sum is not None:
             self.bwd_sum.reset()
+
+    def fresh_forward_sum(self) -> None:
+        """An empty forward sum: at wiring, and where a failed walk left
+        one part-filled (``reset`` refuses that: it may race adds)."""
+        if self.in_edges:
+            self.fwd_sum = OrderedSum(len(self.in_edges))
 
     def add_forward(self, edge, contribution: np.ndarray,
                     alloc=np.empty) -> bool:

@@ -184,7 +184,8 @@ def conv_layer_tinf(f_in: int, f_out: int,
     All edges run in parallel; summing the f convergent convolutions at
     each output node takes ``ceil(log2 f)`` rounds of the binary
     collapse, each costing one image addition (n'^3 direct, 4n^3 in
-    the spectral domain).
+    the spectral domain).  That models the paper's Algorithm 4; the
+    runtime's edge-order sum adds one contribution at a time per node.
     """
     n3 = voxels(image_shape)
     log_f_in = math.ceil(math.log2(max(f_in, 1))) if f_in > 1 else 0

@@ -121,7 +121,7 @@ class WarmModel:
             input_shape=self.input_tile, num_workers=num_workers,
             conv_mode=(dict(self.conv_modes) if self.conv_modes is not None
                        else spec.conv_mode),
-            seed=spec.seed, deterministic_sums=True)
+            seed=spec.seed)
         self.network = self._build_twin(prewarm=True)
         self._grows = voxels(self.input_tile) >= TWIN_MIN_VOXELS
         self._cond = make_condition("serving.warm_model")

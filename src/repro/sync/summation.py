@@ -10,10 +10,10 @@ into its own image *outside* the lock, and retries.  The thread whose
 deposit completes the count learns it was last and triggers the
 dependents.
 
-This module transcribes Algorithm 4 exactly (see ``add``), plus a
-naive locked-addition baseline used by the ablation benchmark, and a
-``reset`` so a sum object can be reused every round the way ZNN reuses
-its per-node accumulators.
+This module transcribes Algorithm 4 exactly (``ConcurrentSum``) and a
+naive locked baseline for the ablation benchmark, and holds the sum
+every network node runs, :class:`OrderedSum`: as short a critical
+section, adding in edge order.  Each can ``reset`` for the next round.
 
 The buffers may be real images or complex FFT spectra — the FFT path
 accumulates spectra at each node and the last thread's ``get`` feeds
@@ -106,15 +106,14 @@ class ConcurrentSum(_CountedSum):
             self._restart_count_locked(required)
             self._sum = None
 
-    def add(self, value: np.ndarray, index: Optional[int] = None,
-            alloc=None) -> bool:
+    def add(self, value: np.ndarray, index: Optional[int] = None) -> bool:
         """ADD-TO-SUM: contribute *value*; return True iff this call
         completed the sum (the caller then owns triggering dependents).
 
         The caller relinquishes *value* — it may be mutated in place and
-        may become the final sum buffer.  *index* and *alloc* are taken
-        so every accumulator is called alike, and ignored: arrival order,
-        not the contributor's position, decides the association order.
+        may become the final sum buffer.  *index* is taken so the three
+        accumulators are called alike, and ignored: arrival order, not
+        the contributor's position, decides the association order.
         """
         v: Optional[np.ndarray] = value
         v_other: Optional[np.ndarray] = None
@@ -155,11 +154,6 @@ class ConcurrentSum(_CountedSum):
     def complete(self) -> bool:
         with self._lock:
             return self._total == self.required and self._sum is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            return (f"ConcurrentSum(required={self.required}, "
-                    f"total={self._total})")
 
 
 class NaiveLockedSum(_CountedSum):
@@ -206,7 +200,7 @@ class NaiveLockedSum(_CountedSum):
 
 
 class OrderedSum(_CountedSum):
-    """Deterministic concurrent accumulation.
+    """Deterministic concurrent accumulation (every network node's sum).
 
     The wait-free scheme adds contributions in arrival order, so
     floating-point round-off depends on the thread schedule — runs with
@@ -215,8 +209,8 @@ class OrderedSum(_CountedSum):
     is :func:`reduce_in_order`'s, reached in place.  A contribution is
     added into one accumulator once every lower index has been (one
     that arrives early waits in its slot), by one thread at a time,
-    outside the lock; no contribution is mutated.  Used by
-    ``Network(deterministic_sums=True)``.
+    outside the lock; the critical section holds only pointer and slot
+    operations, and no contribution is mutated.
     """
 
     def __init__(self, required: int) -> None:
@@ -243,9 +237,7 @@ class OrderedSum(_CountedSum):
         node's contributors) and add every contribution now in turn into
         a copy of contribution 0 from *alloc* (one contribution is its own
         sum); returns True for the call that adds the last."""
-        if index is None:
-            raise ValueError("OrderedSum requires a contribution index")
-        if not 0 <= index < self.required:
+        if index is None or not 0 <= index < self.required:
             raise ValueError(
                 f"index {index} out of range [0, {self.required})")
         with self._lock:

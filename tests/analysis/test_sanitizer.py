@@ -97,5 +97,6 @@ def test_real_probe_is_bitwise_reproducible():
     doc = run_determinism_check()
     assert doc["matched"] is True, doc["first_divergence"]
     assert set(doc["stages"]) == {"train.state_digest", "train.losses",
+                                  "train.network.state_digest",
                                   "serve.dense_volume", "serve.warm_twins",
                                   "loadtest.report"}

@@ -159,3 +159,31 @@ class TestExecution:
         t = rng.standard_normal(net.nodes["out"].shape)
         losses = [net.train_step(x, t) for _ in range(8)]
         assert losses[-1] < losses[0]
+
+    def test_converging_custom_edges_keep_their_outputs(self, rng):
+        """Two ``custom`` edges into one node: summing their
+        contributions must not overwrite the ``_output`` either keeps
+        for its Jacobian, in the walk as in a threaded round."""
+        square_op()
+        g = ComputationGraph()
+        for name in ("in", "a", "b", "out"):
+            g.add_node(name)
+        g.add_edge("ca", "in", "a", "conv", kernel=2)
+        g.add_edge("cb", "in", "b", "conv", kernel=2)
+        g.add_edge("ua", "a", "out", "custom", op="square")
+        g.add_edge("ub", "b", "out", "custom", op="square")
+        x = rng.standard_normal((6, 6, 6))
+
+        def assert_outputs_kept(net):
+            for name in ("ua", "ub"):
+                edge = net.edges[name]
+                assert edge._output.tobytes() == (
+                    edge._input * edge._input).tobytes(), name
+
+        net = Network(g, input_shape=(6, 6, 6), seed=0)
+        net.forward(x)
+        assert_outputs_kept(net)
+        with Network(g, input_shape=(6, 6, 6), seed=0,
+                     num_workers=2) as net:
+            net.train_step(x, np.zeros(net.nodes["out"].shape))
+            assert_outputs_kept(net)

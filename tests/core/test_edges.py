@@ -232,7 +232,7 @@ class TestWinnersOnDemand:
         x = rng.standard_normal((9, 9, 9))
 
         def digest(num_workers):
-            with ctmct(num_workers=num_workers, deterministic_sums=True,
+            with ctmct(num_workers=num_workers,
                        optimizer=SGD(learning_rate=0.01,
                                      momentum=0.9)) as net:
                 target = np.zeros(net.output_nodes[0].shape)

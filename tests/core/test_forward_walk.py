@@ -2,9 +2,9 @@
 
 A one-worker ``Network.forward`` runs its edges' forward passes on the
 calling thread in a static order instead of queueing one task per edge.
-These tests hold that it computes the cascade's bits — with order-fixed
-sums and with the arrival-order ``ConcurrentSum`` — and that it queues
-nothing, still FORCEs pending updates and still counts ``fwd`` faults.
+These tests hold that it computes the cascade's bits, that it queues
+nothing, still FORCEs pending updates and still counts ``fwd`` faults,
+and that a walk that raises leaves the network able to run again.
 """
 
 import numpy as np
@@ -38,8 +38,7 @@ class TestSameBitsAsTheCascade:
         out = {}
         for workers in (1, 2):
             with Network(every_kind_graph(), input_shape=(12, 12, 12),
-                         seed=1, num_workers=workers,
-                         deterministic_sums=True) as net:
+                         seed=1, num_workers=workers) as net:
                 out[workers] = net.forward(x)
         assert_same_bits(out[1], out[2])
 
@@ -49,17 +48,18 @@ class TestSameBitsAsTheCascade:
         out = {}
         for workers in (1, 2):
             with Network(twin_graph(), input_shape=(24, 24, 24),
-                         conv_mode=mode, seed=0, num_workers=workers,
-                         deterministic_sums=True) as net:
+                         conv_mode=mode, seed=0,
+                         num_workers=workers) as net:
                 out[workers] = net.forward(x)
         assert_same_bits(out[1], out[2])
 
     @pytest.mark.parametrize("mode", ["direct", "fft"])
     def test_arrival_order_sums_associate_as_in_the_cascade(self, mode):
-        """In-degree 12: the walk must add a node's contributions in the
-        order the cascade's tasks arrive (``L1_10`` before ``L1_2``),
-        not in edge-creation order.  A one-worker ``train_step`` still
-        runs its forward half as the cascade."""
+        """In-degree 12: the cascade's tasks arrive at a node in an order
+        (``L1_10`` before ``L1_2``) that is not edge order, the walk's;
+        every node sums in edge order, so the walk still gives the
+        cascade's bits.  A one-worker ``train_step`` still runs its
+        forward half as the cascade."""
         x = np.random.default_rng(2).standard_normal((8, 8, 8))
 
         def net():

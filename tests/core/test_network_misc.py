@@ -141,7 +141,7 @@ class TestDeterministicInteractions:
         convergence) too."""
         graph = build_layered_network("CTC", width=3, kernel=2)
         net = Network(graph, input_shape=(10, 10, 10), conv_mode="fft",
-                      deterministic_sums=True, seed=0)
+                      seed=0)
         x = rng.standard_normal((10, 10, 10))
         a = net.forward(x)
         graph2 = build_layered_network("CTC", width=3, kernel=2)
@@ -157,7 +157,6 @@ class TestDeterministicInteractions:
             graph = build_layered_network("CTC", width=3, kernel=2)
             net = Network(graph, input_shape=(10, 10, 10), seed=6,
                           num_workers=3, scheduler=sched,
-                          deterministic_sums=True,
                           optimizer=SGD(learning_rate=0.01))
             targets = {n.name: np.zeros(n.shape)
                        for n in net.output_nodes}

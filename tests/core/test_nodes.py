@@ -95,9 +95,12 @@ class TestAccumulation:
         src = make_node("a")
         dst = make_node("d", (5, 5, 5))
         e = conv_edge(src, dst)
+        src.out_edges.append(e)
         dst.in_edges.append(e)
-        dst.wire(deterministic=True)
+        src.wire()
+        dst.wire()
         assert isinstance(dst.fwd_sum, OrderedSum)
+        assert isinstance(src.bwd_sum, OrderedSum)
         assert dst.add_forward(e, rng.standard_normal((5, 5, 5)))
 
     def test_reset_round_allows_reuse(self, rng):

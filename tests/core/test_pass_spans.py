@@ -220,7 +220,7 @@ class TestAccounting:
         twin = dense_twin("CTPCTPCT", width=4, kernel=3, window=2,
                           transfer="tanh")
         net = Network(twin.build_graph(), input_shape=(36, 36, 36),
-                      conv_mode="fft", seed=0, deterministic_sums=True)
+                      conv_mode="fft", seed=0)
         volume = np.random.default_rng(1).standard_normal((36, 36, 36))
         try:
             for _ in range(2):

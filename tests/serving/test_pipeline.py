@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 
 from repro.observability import get_registry as metrics_registry
-from repro.resilience import RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy, clear_plan, \
+    install_plan
 from repro.serving import (
     InferenceServer,
     ServerOverloaded,
     ServingClient,
+    WarmModel,
 )
+
+from test_registry import mid_sum_occurrences
 
 
 def make_server(registry, **kwargs):
@@ -196,3 +200,25 @@ class TestRetryPolicy:
                 server.registry.resolve = original
         assert len(runs) == 1 + max_retries
         assert counter.value == before + max_retries
+
+    def test_retry_after_a_mid_sum_fault_serves_clean_bits(
+            self, registry, small_model, volume):
+        """The first attempt fails with one contribution in a two-input
+        node's sum; the retry runs on the same twin and must answer a
+        clean run's bits."""
+        probe = WarmModel(small_model.model_spec(), volume.shape)
+        k = mid_sum_occurrences(probe.network)[0]
+        probe.close()
+        policy = RetryPolicy(max_retries=1, backoff_seconds=0.0)
+        counter = metrics_registry().counter("serving.requests.retried")
+        with make_server(registry, num_workers=1,
+                         retry_policy=policy) as server:
+            clean = server.infer("small", volume)
+            before = counter.value
+            install_plan(FaultPlan.from_string(f"fail:fwd:{k}"))
+            try:
+                out = server.infer("small", volume)
+            finally:
+                clear_plan()
+        assert counter.value == before + 1
+        assert out.tobytes() == clean.tobytes()

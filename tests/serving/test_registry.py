@@ -6,7 +6,22 @@ import pytest
 from repro.core import field_of_view_of
 from repro.core.inference import dense_equivalent_network
 from repro.observability import get_registry as metrics_registry
+from repro.resilience import FaultPlan, InjectedFault, clear_plan, \
+    install_plan
 from repro.serving import ModelRegistry, ModelSpec, WarmModel
+
+
+def mid_sum_occurrences(network):
+    """The ``fwd`` fault occurrences at which *network*'s one-worker
+    walk stops with some node's sum part-filled."""
+    added = {id(node): 0 for node in network.nodes.values()}
+    found = []
+    for k, edge in enumerate(network._walk, 1):
+        if any(0 < added[id(node)] < len(node.in_edges)
+               for node in network.nodes.values()):
+            found.append(k)
+        added[id(edge.dst)] += 1
+    return found
 
 
 class TestModelSpec:
@@ -33,8 +48,7 @@ class TestWarmModel:
         served = warm.run(volume)
         reference = dense_equivalent_network(
             small_model.pool_network, small_model.spec, volume.shape,
-            conv_mode="direct", deterministic_sums=True,
-            **small_model.builder_kwargs())
+            conv_mode="direct", **small_model.builder_kwargs())
         expected = reference.forward(volume)[
             reference.output_nodes[0].name]
         reference.close()
@@ -87,12 +101,42 @@ class TestWarmModel:
         served = warm.run(volume, plan)
         twin = dense_equivalent_network(
             warm.network, "CTPCT", volume.shape, conv_mode="direct",
-            deterministic_sums=True, **kwargs)
+            **kwargs)
         assert field_of_view_of(twin) == spec.fov
         expected = twin.forward(volume)[twin.output_nodes[0].name]
         twin.close()
         registry.close()
         assert np.array_equal(served, expected)
+
+
+class TestFailedWalk:
+    @pytest.fixture(autouse=True)
+    def clean_faults(self):
+        clear_plan()
+        yield
+        clear_plan()
+
+    def test_every_fwd_fault_leaves_the_twin_serving(self):
+        """A request that fails at any ``fwd`` occurrence of its walk,
+        mid-sum ones included, leaves a twin whose next replies are a
+        clean run's bits."""
+        spec = ModelSpec("ctct", "CTCT", builder_kwargs=dict(
+            width=2, kernel=3, transfer="linear", final_transfer="linear",
+            output_nodes=1), seed=7, conv_mode="direct")
+        volume = np.random.default_rng(0).random((12, 12, 12))
+        warm = WarmModel(spec, (10, 10, 10))
+        try:
+            clean = warm.run(volume).tobytes()
+            assert mid_sum_occurrences(warm.network)
+            for k in range(1, len(warm.network._walk) + 1):
+                install_plan(FaultPlan.from_string(f"fail:fwd:{k}"))
+                with pytest.raises(InjectedFault):
+                    warm.run(volume)
+                clear_plan()
+                replies = [warm.run(volume).tobytes() for _ in range(2)]
+                assert replies == [clean, clean], k
+        finally:
+            warm.close()
 
 
 class TestModelRegistry:

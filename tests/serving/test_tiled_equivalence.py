@@ -3,8 +3,8 @@
 The dense-equivalent twin computes each output voxel from exactly its
 fov-sized input window (translation covariance), and direct-mode
 convolution accumulates kernel taps in a fixed order independent of
-the image extent (``deterministic_sums`` makes the summation order
-schedule-independent).  So stitching overlapping tiles must reproduce
+the image extent (every node sums in edge order, whatever the
+schedule).  So stitching overlapping tiles must reproduce
 the single-pass output *bit for bit* — the acceptance criterion of the
 serving tiler.  FFT mode computes per-tile transforms whose sizes
 depend on the tile shape, so there equality is only up to float
@@ -31,7 +31,7 @@ def stitched_and_single(pool, spec, volume, tile=None, max_voxels=None,
     picks under *max_voxels*) and in one pass; return both outputs."""
     fov_twin = dense_equivalent_network(
         pool, spec, volume.shape, conv_mode=conv_mode,
-        deterministic_sums=True, **builder_kwargs)
+        **builder_kwargs)
     fov = tuple(v - o + 1 for v, o in
                 zip(volume.shape, fov_twin.output_nodes[0].shape))
     single = fov_twin.forward(volume)[fov_twin.output_nodes[0].name]
@@ -41,7 +41,7 @@ def stitched_and_single(pool, spec, volume, tile=None, max_voxels=None,
             else plan_volume(volume.shape, fov, max_voxels=max_voxels))
     tile_twin = dense_equivalent_network(
         pool, spec, plan.input_tile, conv_mode=conv_mode,
-        deterministic_sums=True, **builder_kwargs)
+        **builder_kwargs)
     stitched = run_plan(tile_twin, volume, plan)
     tile_twin.close()
     return stitched, single, plan
@@ -121,7 +121,7 @@ def test_fft_tiles_match_direct_single_pass_to_tolerance():
 
     direct_twin = dense_equivalent_network(
         pool, "CTPCT", volume.shape, conv_mode="direct",
-        deterministic_sums=True, **kwargs)
+        **kwargs)
     single = direct_twin.forward(volume)[
         direct_twin.output_nodes[0].name]
     fov = tuple(v - o + 1 for v, o in
@@ -131,7 +131,7 @@ def test_fft_tiles_match_direct_single_pass_to_tolerance():
     plan = plan_volume(volume.shape, fov, max_voxels=1000)
     fft_twin = dense_equivalent_network(
         pool, "CTPCT", plan.input_tile, conv_mode="fft",
-        deterministic_sums=True, **kwargs)
+        **kwargs)
     stitched = run_plan(fft_twin, volume, plan)
     fft_twin.close()
     pool.close()

@@ -180,20 +180,20 @@ class TestInPlace:
 
 class TestNetworkDeterminism:
     def test_bitwise_identical_across_worker_counts(self, rng):
-        """The headline property: deterministic_sums=True makes full
-        FFT-mode training bitwise reproducible regardless of thread
-        count."""
+        """The headline property: a default network sums in edge order,
+        so full FFT-mode training is bitwise reproducible regardless of
+        thread count.  At width 12 the serial cascade's arrival order
+        differs from edge order (``L1_10`` arrives before ``L1_2``)."""
         from repro.core import Network, SGD
         from repro.graph import build_layered_network
 
         x = rng.standard_normal((12, 12, 12))
 
-        def run(workers):
-            graph = build_layered_network("CTMCT", width=4, kernel=2,
+        def run(width, workers):
+            graph = build_layered_network("CTMCT", width=width, kernel=2,
                                           window=2, transfer="tanh")
             net = Network(graph, input_shape=(12, 12, 12), seed=5,
                           num_workers=workers, conv_mode="fft",
-                          deterministic_sums=True,
                           optimizer=SGD(learning_rate=0.01))
             targets = {n.name: np.zeros(n.shape)
                        for n in net.output_nodes}
@@ -203,27 +203,28 @@ class TestNetworkDeterminism:
             net.close()
             return losses, kernels
 
-        losses1, kernels1 = run(1)
-        losses4, kernels4 = run(4)
-        assert losses1 == losses4  # float-exact
-        for k in kernels1:
-            np.testing.assert_array_equal(kernels1[k], kernels4[k])
+        for width in (4, 12):
+            losses1, kernels1 = run(width, 1)
+            for workers in (2, 4):
+                losses, kernels = run(width, workers)
+                assert losses == losses1, (width, workers)  # float-exact
+                for k in kernels1:
+                    np.testing.assert_array_equal(kernels[k], kernels1[k])
 
     def test_deterministic_matches_waitfree_approximately(self, rng):
-        from repro.core import Network
-        from repro.graph import build_layered_network
+        """Algorithm 4's arrival-order sum and the edge-order sum agree
+        to round-off on the same contributions."""
+        from repro.sync import ConcurrentSum
 
-        x = rng.standard_normal((10, 10, 10))
-
-        def out(det):
-            graph = build_layered_network("CTC", width=3, kernel=2)
-            net = Network(graph, input_shape=(10, 10, 10), seed=2,
-                          deterministic_sums=det)
-            return net.forward(x)
-
-        a, b = out(True), out(False)
-        for k in a:
-            np.testing.assert_allclose(a[k], b[k], atol=1e-10)
+        arrays = [rng.standard_normal((6, 6, 6)) for _ in range(8)]
+        arrival = rng.permutation(len(arrays))
+        ordered, waitfree = OrderedSum(8), ConcurrentSum(8)
+        for i in arrival:
+            ordered.add(arrays[i], int(i))
+            waitfree.add(arrays[i].copy(), int(i))
+        assert ordered.get().tobytes() == reduce_in_order(arrays).tobytes()
+        np.testing.assert_allclose(waitfree.get(), ordered.get(),
+                                   atol=1e-12)
 
 
 def test_reduce_in_order_is_strictly_sequential():

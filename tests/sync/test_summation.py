@@ -84,8 +84,8 @@ class TestSerialBehaviour:
 
 @pytest.mark.parametrize("impl", [*IMPLS, OrderedSum])
 class TestOneCallingConvention:
-    """``RuntimeNode.add_*`` calls every accumulator as
-    ``add(value, index)`` and resets it once per round."""
+    """The §VII-B ablation calls every accumulator as
+    ``add(value, index)``; each resets once per round."""
 
     def test_add_takes_the_contributor_index(self, impl, rng):
         s = impl(2)
